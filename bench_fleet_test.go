@@ -146,7 +146,7 @@ func BenchmarkFleet_MixedPlanVsUniform(b *testing.B) {
 }
 
 // BenchmarkFleet_BatchedMixed drives the same 100-device mix through
-// the batched event loop (streams grouped per resolved bundle) and
+// the tick pipeline (streams grouped per resolved bundle) and
 // reports wall-clock throughput — the heterogeneous companion to
 // BenchmarkMultiStream_BatchCurve.
 func BenchmarkFleet_BatchedMixed(b *testing.B) {
@@ -163,7 +163,6 @@ func BenchmarkFleet_BatchedMixed(b *testing.B) {
 			Streams:    streams,
 			CacheSlots: l.Bundle.NumModels(),
 			Fleet:      fleet,
-			Batch:      true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -67,7 +67,7 @@ func BenchmarkMultiStream_CacheSweep(b *testing.B) {
 					mrt, err := core.NewMultiRuntime(l.Bundle, core.MultiRuntimeConfig{
 						Streams:    streams,
 						CacheSlots: slots,
-						Device:     &device.JetsonTX2NX,
+						Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -95,49 +95,44 @@ func BenchmarkMultiStream_CacheSweep(b *testing.B) {
 }
 
 // BenchmarkMultiStream_BatchCurve is the streams-vs-throughput curve of
-// the batched event loop: stream counts from 64 to 1024, batching on
-// and off, all against a wide-open pre-warmed cache so the curve
-// isolates execution strategy from cache contention. Reported metrics:
-// wall-clock per-frame latency and aggregate throughput on the host.
-// Batching amortizes kernel dispatch over the whole tick (one GEMM per
-// layer instead of one GEMV per stream), so ns/frame should grow
-// sublinearly from 64 to 1024 streams while the unbatched loop pays
-// per-frame overhead throughout.
+// the tick pipeline: stream counts from 64 to 1024, all against a
+// wide-open pre-warmed cache so the curve isolates execution cost from
+// cache contention. Reported metrics: wall-clock per-frame latency and
+// aggregate throughput on the host. Batching amortizes kernel dispatch
+// over the whole tick (one GEMM per layer instead of one GEMV per
+// stream), so ns/frame should grow sublinearly from 64 to 1024 streams.
 func BenchmarkMultiStream_BatchCurve(b *testing.B) {
 	const perStream = 8
 	for _, streams := range []int{64, 256, 1024} {
-		for _, batch := range []bool{false, true} {
-			b.Run(fmt.Sprintf("streams=%d/batch=%v", streams, batch), func(b *testing.B) {
-				l := lab(b)
-				inputs := dealStreams(b, streams, perStream)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					mrt, err := core.NewMultiRuntime(l.Bundle, core.MultiRuntimeConfig{
-						Streams:    streams,
-						CacheSlots: l.Bundle.NumModels(),
-						Batch:      batch,
-					})
-					if err != nil {
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+			l := lab(b)
+			inputs := dealStreams(b, streams, perStream)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mrt, err := core.NewMultiRuntime(l.Bundle, core.MultiRuntimeConfig{
+					Streams:    streams,
+					CacheSlots: l.Bundle.NumModels(),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, det := range l.Bundle.Detectors {
+					if _, _, err := mrt.Cache().Request(det.Name, 1); err != nil {
 						b.Fatal(err)
 					}
-					for _, det := range l.Bundle.Detectors {
-						if _, _, err := mrt.Cache().Request(det.Name, 1); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if _, err := mrt.ProcessStreams(inputs, nil); err != nil {
-						b.Fatal(err)
-					}
-					mrt.Close()
 				}
-				frames := float64(streams * perStream * b.N)
-				wall := b.Elapsed().Seconds()
-				if wall > 0 {
-					b.ReportMetric(wall*1e9/frames, "ns/frame")
-					b.ReportMetric(frames/wall, "frames/s-wall")
+				if _, err := mrt.ProcessStreams(inputs, nil); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				mrt.Close()
+			}
+			frames := float64(streams * perStream * b.N)
+			wall := b.Elapsed().Seconds()
+			if wall > 0 {
+				b.ReportMetric(wall*1e9/frames, "ns/frame")
+				b.ReportMetric(frames/wall, "frames/s-wall")
+			}
+		})
 	}
 }
 
@@ -173,7 +168,7 @@ func BenchmarkMultiStream_VsSequential(b *testing.B) {
 		mrt, err := core.NewMultiRuntime(l.Bundle, core.MultiRuntimeConfig{
 			Streams:    streams,
 			CacheSlots: slots,
-			Device:     &device.JetsonTX2NX,
+			Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -20,6 +20,8 @@ package anole_test
 // assertion is seed-independent.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"sort"
@@ -28,6 +30,7 @@ import (
 
 	"anole/internal/core"
 	"anole/internal/device"
+	"anole/internal/modelcache"
 	"anole/internal/netsim"
 	"anole/internal/prefetch"
 	"anole/internal/pressure"
@@ -71,7 +74,7 @@ func nominalFrameLatency(tb testing.TB, fx testutil.Fixture, streams, perStream 
 	mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    streams,
 		CacheSlots: fx.Bundle.NumModels(),
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -109,7 +112,7 @@ func runSurge(tb testing.TB, fx testutil.Fixture, surgeStreams, perStream int, d
 	mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    surgeStreams,
 		CacheSlots: fx.Bundle.NumModels(),
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, surgeStreams),
 		Thermal:    surgeThermal(),
 		Deadline:   deadline,
 		Metrics:    reg,
@@ -198,46 +201,167 @@ func TestPressureSurgeEveryFrameHasVerdict(t *testing.T) {
 		out.stats.ShedFrames, out.stats.DowngradedServed, out.quarFrame, out.press.Level, out.press.Rung)
 }
 
-// TestPressureNominalBatchedBitIdentical pins the PR6 guarantee through
-// the pressure machinery: with the deadline generous enough that the
-// ladder never leaves ShedNone, a batched pressure-enabled run is
-// bit-for-bit identical to the plain unbatched run.
+// sharedStoreReference is the deterministic reference for a contended
+// shared cache without prefetch: at every tick, each stream's own
+// core.Runtime runs its frame through ProcessFrame in ascending stream
+// order, all over one store shaped like the MultiRuntime's shared cache
+// (same slots, shard count and byte capacity).
+func sharedStoreReference(tb testing.TB, b *core.Bundle, inputs [][]*synth.Frame, slots int, profile device.Profile) [][]core.FrameResult {
+	tb.Helper()
+	store := modelcache.MustNewSharded(slots, modelcache.LFU, min(len(inputs), slots))
+	store.SetByteCapacity(int64(profile.GPUMemoryMB * float64(1<<20) / device.BytesScale))
+	rts := make([]*core.Runtime, len(inputs))
+	out := make([][]core.FrameResult, len(inputs))
+	maxLen := 0
+	for s := range rts {
+		sim, err := device.NewSimulator(profile)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rts[s], err = core.NewRuntime(b, core.RuntimeConfig{Store: store, Device: sim}); err != nil {
+			tb.Fatal(err)
+		}
+		maxLen = max(maxLen, len(inputs[s]))
+	}
+	for tick := 0; tick < maxLen; tick++ {
+		for s, rt := range rts {
+			if tick >= len(inputs[s]) {
+				continue
+			}
+			res, err := rt.ProcessFrame(inputs[s][tick])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out[s] = append(out[s], res)
+		}
+	}
+	return out
+}
+
+// TestPressureNominalBatchedBitIdentical pins the pressure machinery's
+// pass-through guarantee: with the deadline generous enough that the
+// ladder never leaves ShedNone, a pressure-enabled run over a contended
+// shared cache is bit-for-bit identical to the same run without
+// pressure, and both are identical to the per-frame reference.
 func TestPressureNominalBatchedBitIdentical(t *testing.T) {
 	fx := testutil.Shared(t)
-	const streams, perStream = 4, 60
-	run := func(batch bool, deadline time.Duration) [][]core.FrameResult {
+	const streams, perStream, slots = 4, 60, 3
+	inputs := dealTestStreams(t, fx, streams, perStream, 0)
+	run := func(deadline time.Duration) [][]core.FrameResult {
 		mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:    streams,
-			CacheSlots: 3,
-			Device:     &device.JetsonTX2NX,
-			Batch:      batch,
+			CacheSlots: slots,
+			Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 			Deadline:   deadline,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mrt.Close()
-		results, err := mrt.ProcessStreams(dealTestStreams(t, fx, streams, perStream, 0), nil)
+		results, err := mrt.ProcessStreams(inputs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return results
 	}
+	want := sharedStoreReference(t, fx.Bundle, inputs, slots, device.JetsonTX2NX)
 	// An hour-long deadline is never missed, so the controller stays at
-	// ShedNone for the whole run on both arms.
-	const lax = time.Hour
-	plain := run(false, 0)
-	batched := run(true, lax)
-	unbatched := run(false, lax)
-	for s := range plain {
-		for i := range plain[s] {
-			if plain[s][i] != batched[s][i] {
-				t.Fatalf("stream %d frame %d: batched+pressure diverged from plain:\n%+v\n%+v", s, i, batched[s][i], plain[s][i])
+	// ShedNone for the whole run.
+	plain := run(0)
+	lax := run(time.Hour)
+	for s := range want {
+		for i := range want[s] {
+			if plain[s][i] != want[s][i] {
+				t.Fatalf("stream %d frame %d: pipeline diverged from per-frame reference:\n%+v\n%+v", s, i, plain[s][i], want[s][i])
 			}
-			if plain[s][i] != unbatched[s][i] {
-				t.Fatalf("stream %d frame %d: unbatched+pressure diverged from plain:\n%+v\n%+v", s, i, unbatched[s][i], plain[s][i])
+			if lax[s][i] != want[s][i] {
+				t.Fatalf("stream %d frame %d: pipeline+pressure diverged from per-frame reference:\n%+v\n%+v", s, i, lax[s][i], want[s][i])
 			}
 		}
+	}
+}
+
+// shedLadderDigest is the SHA-256 of every FrameResult, the final
+// PressureStats and the prefetch scheduler's stats of
+// TestPressureShedLadderDigest's run, recorded when
+// ticks above ShedNone still ran one frame at a time and pinned to keep
+// the shed-rung semantics fixed across execution-path changes.
+const shedLadderDigest = "93f59e59827a8b0469a68face7f51e148309eaed8588ec43a39cfd832a18cf90"
+
+// TestPressureShedLadderDigest pins the shed ladder's per-frame
+// behavior bit for bit. Eight TX2 streams share a 3-slot cache behind a
+// prefetching link whose state (good, degraded, down) steps once per
+// link tick, under a deadline at the nominal frame latency and a
+// thermal model that heats under back-to-back serving and cools while a
+// stream idles. The monitor thresholds are out of reach, so prefetching
+// is never paused by pressure level and only the ladder suppresses it.
+// The ladder walks none → prefetch → downgrade → drop and then cycles
+// through prefetch, downgrade and drop. The run is driven one tick per
+// ProcessStreams call, charging a camera interval of idle time to every
+// stream whose frame was not served. The digest covers where dropped
+// frames tick the link (the link state, and so every later demand
+// stall, depends on it), the drop-rung probe rotation, downgrade
+// choices, suppressed prefetch plans (through the scheduler's issue
+// counts) and every latency.
+func TestPressureShedLadderDigest(t *testing.T) {
+	fx := testutil.Shared(t)
+	const streams, perStream, slots = 8, 200, 3
+	deadline := nominalFrameLatency(t, fx, 2, 40)
+	models := core.PrefetchModels(fx.Bundle)
+	link, err := netsim.NewLink(netsim.DefaultConfig(0.7), xrand.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, err := prefetch.NewLinkFetcher(link, models, prefetch.DefaultFrameInterval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := 1e9
+	mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+		Streams:    streams,
+		CacheSlots: slots,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
+		Thermal:    &device.ThermalModel{SustainedW: 4, TimeConstant: 200 * time.Millisecond, MaxDerate: 0.8},
+		Deadline:   deadline,
+		Pressure: &core.PressureConfig{Monitor: pressure.MonitorConfig{
+			HeatElevated: never, HeatCritical: never,
+			ResidencyElevated: never, ResidencyCritical: never,
+			SojournElevated: never, SojournCritical: never,
+		}},
+		Prefetch: &prefetch.Config{Fetcher: lf, TopK: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mrt.Close()
+	inputs := dealTestStreams(t, fx, streams, perStream, 0)
+	h := sha256.New()
+	verdicts := map[core.FrameVerdict]int{}
+	tick := make([][]*synth.Frame, streams)
+	for i := 0; i < perStream; i++ {
+		for s := range tick {
+			tick[s] = inputs[s][i : i+1]
+		}
+		results, err := mrt.ProcessStreams(tick, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range results {
+			res := results[s][0]
+			verdicts[res.Verdict]++
+			fmt.Fprintf(h, "%d/%d %+v\n", s, i, res)
+			if res.Verdict != core.VerdictServed && res.Verdict != core.VerdictDowngraded {
+				mrt.StreamDevice(s).Idle(100 * time.Millisecond)
+			}
+		}
+	}
+	ps := mrt.PressureStats()
+	fmt.Fprintf(h, "%+v\n%+v\n", *ps, mrt.Prefetcher().Stats())
+	if verdicts[core.VerdictShed] == 0 || verdicts[core.VerdictDowngraded] == 0 {
+		t.Fatalf("the ladder never reached drop: verdicts %v", verdicts)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != shedLadderDigest {
+		t.Fatalf("shed-ladder digest %s, want %s (verdicts %v, pressure %+v)", got, shedLadderDigest, verdicts, *ps)
 	}
 }
 
@@ -258,7 +382,7 @@ func linkedFleet(tb testing.TB, fx testutil.Fixture, streams, slots int, seed ui
 	mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    streams,
 		CacheSlots: slots,
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 		Prefetch:   &prefetch.Config{Fetcher: lf, TopK: 2},
 	})
 	if err != nil {

@@ -146,7 +146,6 @@ func run(w io.Writer, args []string) error {
 		streams     = fs.Int("streams", 1, "independent frame streams sharing the model cache")
 		fleetSpec   = fs.String("fleet", "", "heterogeneous device fleet spec, e.g. \"nano:40,tx2:40,laptop:20\" (requires -streams >= 2; overrides -device)")
 		planOn      = fs.Bool("plan", false, "per-device planning: each stream runs the most accurate model variant (fp32/q8/q6/q4) its device can serve (requires -fleet, incompatible with -adapt)")
-		batchOn     = fs.Bool("batch", false, "batch each tick's ready streams through the decision and detection models (deterministic, bit-identical results)")
 		tracePath   = fs.String("trace", "", "write a JSONL decision trace to this file")
 		prefetchOn  = fs.Bool("prefetch", false, "serve model bytes over a simulated device-cloud link with transition-aware prefetching")
 		pfBudget    = fs.Int64("prefetch-budget", 0, "max bytes in flight per prefetch plan (0 = unlimited)")
@@ -357,7 +356,7 @@ func run(w io.Writer, args []string) error {
 			Flight:          rec,
 			SLO:             eng,
 		}
-		if err := runMulti(w, bundle, profile, *streams, *cache, *clips, *frames, *seed, *batchOn, *tracePath, pfCfg, lf, ao, ro, *jsonPath, reg, spans); err != nil {
+		if err := runMulti(w, bundle, profile, *streams, *cache, *clips, *frames, *seed, *tracePath, pfCfg, lf, ao, ro, *jsonPath, reg, spans); err != nil {
 			return err
 		}
 		settled()
@@ -803,22 +802,20 @@ func adaptLoop(mrt *core.MultiRuntime, bundle *core.Bundle, world *synth.World, 
 // generated clip sequence and device simulator, all streams share one
 // sharded model cache. With ao non-nil the run goes through the
 // adaptation loop instead of bare ProcessStreams.
-func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams, cache, clips, frames int, seed uint64, batch bool, tracePath string, pfCfg *prefetch.Config, lf *prefetch.LinkFetcher, ao *adaptOptions, ro runOptions, jsonPath string, reg *telemetry.Registry, spans *telemetry.Tracer) error {
+func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams, cache, clips, frames int, seed uint64, tracePath string, pfCfg *prefetch.Config, lf *prefetch.LinkFetcher, ao *adaptOptions, ro runOptions, jsonPath string, reg *telemetry.Registry, spans *telemetry.Tracer) error {
 	mcfg := core.MultiRuntimeConfig{
 		Streams:    streams,
 		CacheSlots: cache,
-		Device:     &profile,
+		Fleet:      device.UniformFleet(profile, streams),
 		Prefetch:   pfCfg,
 		Metrics:    reg,
 		Tracer:     spans,
-		Batch:      batch,
 		Deadline:   ro.Deadline,
 		Flight:     ro.Flight,
 		SLO:        ro.SLO,
 	}
 	if ro.Fleet != nil {
 		mcfg.Fleet = ro.Fleet
-		mcfg.Device = nil
 	}
 	if ro.Plan {
 		mcfg.Plan = &core.PlanConfig{}
@@ -899,17 +896,12 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 			tracers[s] = trace.NewWriter(tf)
 			defer tracers[s].Flush()
 		}
-		// Observers run concurrently across streams but sequentially
-		// within one, and each stream writes only its own file.
+		// Each stream writes only its own file.
 		obs = func(stream int, f *synth.Frame, res core.FrameResult) error {
 			return tracers[stream].Record(bundle, f, res)
 		}
 	}
 
-	mode := fmt.Sprintf("%d workers", mrt.Workers())
-	if batch {
-		mode = "batched"
-	}
 	platform := profile.Name
 	if ro.Fleet != nil {
 		platform = "fleet " + ro.FleetSpec
@@ -917,8 +909,8 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 			platform += " (planned)"
 		}
 	}
-	fmt.Fprintf(w, "streaming %d streams x %d clips x %d frames on %s (cache %d, LFU, %s)\n\n",
-		streams, clips, frames, platform, cache, mode)
+	fmt.Fprintf(w, "streaming %d streams x %d clips x %d frames on %s (cache %d, LFU)\n\n",
+		streams, clips, frames, platform, cache)
 	if loop != nil {
 		fmt.Fprintf(w, "adapt: stream 0 enters unseen scene %s (drift window %d, canary %d frames)\n\n",
 			novel, ao.DriftWindow, ao.CanaryFrames)

@@ -23,12 +23,12 @@ func prewarmCache(t *testing.T, store core.ModelStore, b *core.Bundle) {
 	}
 }
 
-// TestMultiRuntimeBatchedSingleStreamMatchesRuntime is the batched
-// path's determinism guard: one stream with Batch on must be
-// frame-for-frame bit-identical to the plain Runtime — including cold
-// cache admissions, hysteresis smoothing and simulated latency —
-// because the batched kernels preserve summation order and the cache
-// backbone runs sequentially.
+// TestMultiRuntimeBatchedSingleStreamMatchesRuntime is the tick
+// pipeline's determinism guard with detector workers on: one stream
+// run with several Workers must be frame-for-frame bit-identical to
+// the plain Runtime — including cold cache admissions, hysteresis
+// smoothing and simulated latency — because the batched kernels
+// preserve summation order and the cache backbone runs sequentially.
 func TestMultiRuntimeBatchedSingleStreamMatchesRuntime(t *testing.T) {
 	fx := testutil.Shared(t)
 	frames := streamFrames(t, 1, 120)[0]
@@ -44,10 +44,10 @@ func TestMultiRuntimeBatchedSingleStreamMatchesRuntime(t *testing.T) {
 		}
 		multi, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:          1,
+			Workers:          4,
 			CacheSlots:       3,
 			SwitchHysteresis: hysteresis,
-			Device:           &device.JetsonTX2NX,
-			Batch:            true,
+			Fleet:            device.UniformFleet(device.JetsonTX2NX, 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -66,6 +66,9 @@ func TestMultiRuntimeBatchedSingleStreamMatchesRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(got[0]) != len(want) {
+			t.Fatalf("hysteresis %d: %d results, want %d", hysteresis, len(got[0]), len(want))
+		}
 		for i := range want {
 			if got[0][i] != want[i] {
 				t.Fatalf("hysteresis %d: frame %d diverged:\nbatched %+v\n single %+v",
@@ -80,63 +83,92 @@ func TestMultiRuntimeBatchedSingleStreamMatchesRuntime(t *testing.T) {
 	}
 }
 
-// TestMultiRuntimeBatchedMatchesUnbatched pins batch-on against
-// batch-off over several streams sharing one pre-warmed all-models
-// cache: with admission order neutralized, every per-frame result and
-// every per-stream stat must be bit-identical across the two modes.
+// perStreamReference is the deterministic reference for runs over a
+// shared cache pre-warmed with every model, where stream interleaving
+// cannot change any result: each stream's frames run through its own
+// core.Runtime.ProcessFrame over a private pre-warmed store, with a
+// device simulator for fleet[s] when a fleet is given.
+func perStreamReference(t *testing.T, b *core.Bundle, frameSets [][]*synth.Frame, hysteresis int, fleet device.Fleet) ([][]core.FrameResult, []core.RunStats) {
+	t.Helper()
+	results := make([][]core.FrameResult, len(frameSets))
+	stats := make([]core.RunStats, len(frameSets))
+	for s, frames := range frameSets {
+		store := modelcache.MustNew(b.NumModels(), modelcache.LFU)
+		prewarmCache(t, store, b)
+		cfg := core.RuntimeConfig{Store: store, SwitchHysteresis: hysteresis}
+		if fleet != nil {
+			sim, err := device.NewSimulatorAtMode(fleet[s].Profile, fleet[s].Mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Device = sim
+		}
+		rt, err := core.NewRuntime(b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames {
+			res, err := rt.ProcessFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[s] = append(results[s], res)
+		}
+		stats[s] = rt.Stats()
+	}
+	return results, stats
+}
+
+// TestMultiRuntimeBatchedMatchesUnbatched pins the tick pipeline
+// against per-frame execution over several streams sharing one
+// pre-warmed all-models cache: every per-frame result and every
+// per-stream stat must be bit-identical to each stream's own
+// Runtime.ProcessFrame run.
 func TestMultiRuntimeBatchedMatchesUnbatched(t *testing.T) {
 	fx := testutil.Shared(t)
-	const streams, perStream = 6, 50
+	const streams, perStream, hysteresis = 6, 50, 2
 	frameSets := streamFrames(t, streams, perStream)
+	fleet := device.UniformFleet(device.JetsonTX2NX, streams)
 
-	run := func(batch bool) ([][]core.FrameResult, []core.RunStats) {
-		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
-			Streams:          streams,
-			CacheSlots:       fx.Bundle.NumModels(),
-			CacheShards:      1,
-			SwitchHysteresis: 2,
-			Device:           &device.JetsonTX2NX,
-			Batch:            batch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		prewarmCache(t, m.Cache(), fx.Bundle)
-		results, err := m.ProcessStreams(frameSets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := make([]core.RunStats, streams)
-		for s := range stats {
-			stats[s] = m.StreamStats(s)
-		}
-		return results, stats
+	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+		Streams:          streams,
+		CacheSlots:       fx.Bundle.NumModels(),
+		CacheShards:      1,
+		SwitchHysteresis: hysteresis,
+		Fleet:            fleet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	prewarmCache(t, m.Cache(), fx.Bundle)
+	got, err := m.ProcessStreams(frameSets, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	batched, bstats := run(true)
-	plain, pstats := run(false)
+	want, wstats := perStreamReference(t, fx.Bundle, frameSets, hysteresis, fleet)
 	for s := 0; s < streams; s++ {
-		for i := range plain[s] {
-			if batched[s][i] != plain[s][i] {
-				t.Fatalf("stream %d frame %d diverged:\n batched %+v\nunbatched %+v",
-					s, i, batched[s][i], plain[s][i])
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("stream %d frame %d diverged:\n  pipeline %+v\nper-frame %+v",
+					s, i, got[s][i], want[s][i])
 			}
 		}
-		bs, ps := bstats[s], pstats[s]
-		if bs.Frames != ps.Frames || bs.Switches != ps.Switches ||
-			bs.Detection != ps.Detection || bs.TotalLatency != ps.TotalLatency ||
-			bs.FallbackServed != ps.FallbackServed {
-			t.Fatalf("stream %d stats diverged:\n batched %+v\nunbatched %+v", s, bs, ps)
+		gs, ws := m.StreamStats(s), wstats[s]
+		if gs.Frames != ws.Frames || gs.Switches != ws.Switches ||
+			gs.Detection != ws.Detection || gs.TotalLatency != ws.TotalLatency ||
+			gs.FallbackServed != ws.FallbackServed {
+			t.Fatalf("stream %d stats diverged:\n  pipeline %+v\nper-frame %+v", s, gs, ws)
 		}
 	}
 }
 
-// TestMultiRuntimeBatchedDeterministic runs the batched loop twice over
-// a deliberately contended cache (fewer slots than models, no prewarm):
-// the sequential resolve backbone makes the whole run a deterministic
-// function of its input, so two fresh MultiRuntimes must agree on every
-// frame — a guarantee the concurrent unbatched mode cannot make.
+// TestMultiRuntimeBatchedDeterministic runs the tick pipeline twice
+// over a deliberately contended cache (fewer slots than models, no
+// prewarm): the sequential resolve stage makes the whole run a
+// deterministic function of its input, so two fresh MultiRuntimes must
+// agree on every frame.
 func TestMultiRuntimeBatchedDeterministic(t *testing.T) {
 	fx := testutil.Shared(t)
 	const streams, perStream = 5, 40
@@ -149,7 +181,6 @@ func TestMultiRuntimeBatchedDeterministic(t *testing.T) {
 			CacheShards:      1,
 			SwitchHysteresis: 2,
 			Policy:           modelcache.LFU,
-			Batch:            true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -173,18 +204,17 @@ func TestMultiRuntimeBatchedDeterministic(t *testing.T) {
 	}
 }
 
-// TestMultiRuntimeBatchedObserverOrder pins the batched observer
-// contract: calls arrive serialized in strict (tick, stream) order, so
-// an observer needs no locks and sees streams advance in lockstep —
-// never two frames of one stream before every ready stream has had its
-// turn at the earlier tick.
+// TestMultiRuntimeBatchedObserverOrder pins the observer contract:
+// calls arrive serialized in strict (tick, stream) order, so an
+// observer needs no locks and sees streams advance in lockstep — never
+// two frames of one stream before every ready stream has had its turn
+// at the earlier tick.
 func TestMultiRuntimeBatchedObserverOrder(t *testing.T) {
 	fx := testutil.Shared(t)
 	const streams, perStream = 4, 15
 	frameSets := streamFrames(t, streams, perStream)
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams: streams,
-		Batch:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,47 +248,42 @@ func TestMultiRuntimeBatchedObserverOrder(t *testing.T) {
 }
 
 // TestMultiRuntimeBatchedUnequalLengths drives streams of different
-// lengths (including an empty one) through the batched loop: ticks must
-// stay fair as short streams drain, every produced result must match
-// the unbatched run, and the occupancy gauge must end at the final
-// tick's ready fraction.
+// lengths (including an empty one) through the tick pipeline: ticks
+// must stay fair as short streams drain, every produced result must
+// match the per-stream reference, and the occupancy gauge must end at
+// the final tick's ready fraction.
 func TestMultiRuntimeBatchedUnequalLengths(t *testing.T) {
 	fx := testutil.Shared(t)
 	base := streamFrames(t, 1, 9)[0]
 	frameSets := [][]*synth.Frame{base, base[:4], nil, base[:7]}
 	const streams = 4
 
-	run := func(batch bool, reg *telemetry.Registry) [][]core.FrameResult {
-		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
-			Streams:     streams,
-			CacheSlots:  fx.Bundle.NumModels(),
-			CacheShards: 1,
-			Batch:       batch,
-			Metrics:     reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		prewarmCache(t, m.Cache(), fx.Bundle)
-		results, err := m.ProcessStreams(frameSets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
+	reg := telemetry.NewRegistry()
+	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+		Streams:     streams,
+		CacheSlots:  fx.Bundle.NumModels(),
+		CacheShards: 1,
+		Metrics:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	prewarmCache(t, m.Cache(), fx.Bundle)
+	got, err := m.ProcessStreams(frameSets, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	reg := telemetry.NewRegistry()
-	batched := run(true, reg)
-	plain := run(false, nil)
+	want, _ := perStreamReference(t, fx.Bundle, frameSets, 0, nil)
 	for s := range frameSets {
-		if len(batched[s]) != len(frameSets[s]) {
-			t.Fatalf("stream %d: %d results for %d frames", s, len(batched[s]), len(frameSets[s]))
+		if len(got[s]) != len(frameSets[s]) {
+			t.Fatalf("stream %d: %d results for %d frames", s, len(got[s]), len(frameSets[s]))
 		}
-		for i := range plain[s] {
-			if batched[s][i] != plain[s][i] {
-				t.Fatalf("stream %d frame %d diverged:\n batched %+v\nunbatched %+v",
-					s, i, batched[s][i], plain[s][i])
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("stream %d frame %d diverged:\n  pipeline %+v\nper-frame %+v",
+					s, i, got[s][i], want[s][i])
 			}
 		}
 	}
@@ -271,8 +296,8 @@ func TestMultiRuntimeBatchedUnequalLengths(t *testing.T) {
 // TestMultiRuntimeBatchMetricsAndChunking pins the batch telemetry and
 // the MaxBatch chunking rule: 10 ready streams with MaxBatch 4 must
 // dispatch ceil(10/4)=3 chunks per tick, carry every frame through the
-// batched path, and still produce results identical to one un-chunked
-// dispatch.
+// batched decide stage, and still produce results identical to one
+// un-chunked dispatch.
 func TestMultiRuntimeBatchMetricsAndChunking(t *testing.T) {
 	fx := testutil.Shared(t)
 	const streams, perStream = 10, 12
@@ -283,7 +308,6 @@ func TestMultiRuntimeBatchMetricsAndChunking(t *testing.T) {
 			Streams:     streams,
 			CacheSlots:  fx.Bundle.NumModels(),
 			CacheShards: 1,
-			Batch:       true,
 			MaxBatch:    maxBatch,
 			Metrics:     reg,
 		})
@@ -322,12 +346,12 @@ func TestMultiRuntimeBatchMetricsAndChunking(t *testing.T) {
 }
 
 // TestMultiRuntimeBatchedStressMatchesSequential is the 1k-stream
-// equivalence stress: 1024 streams × 4 frames through the batched
-// MultiRuntime (chunked decide batches, parallel per-model detector
-// groups) against a pre-warmed all-models cache, with every stream's
-// results compared bit-for-bit to a sequential single-stream Runtime
-// pass over the same frames. Run with -race: the detector groups are
-// the only concurrent stage and must stay disjoint.
+// equivalence stress: 1024 streams × 4 frames through the MultiRuntime
+// (chunked decide batches, parallel per-model detector groups) against
+// a pre-warmed all-models cache, with every stream's results compared
+// bit-for-bit to a sequential single-stream Runtime pass over the same
+// frames. Run with -race: the detector groups are the only concurrent
+// stage and must stay disjoint.
 func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-stream stress skipped in -short")
@@ -339,17 +363,16 @@ func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 		// meaningful but bounded under -race.
 		streams = 256
 	}
-	const perStream = 4
+	const perStream, hysteresis = 4, 2
 	frameSets := streamFrames(t, streams, perStream)
-	slots := fx.Bundle.NumModels()
+	fleet := device.UniformFleet(device.JetsonTX2NX, streams)
 
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:          streams,
-		CacheSlots:       slots,
+		CacheSlots:       fx.Bundle.NumModels(),
 		CacheShards:      1,
-		SwitchHysteresis: 2,
-		Device:           &device.JetsonTX2NX,
-		Batch:            true,
+		SwitchHysteresis: hysteresis,
+		Fleet:            fleet,
 		MaxBatch:         256,
 	})
 	if err != nil {
@@ -358,30 +381,16 @@ func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 	defer m.Close()
 	prewarmCache(t, m.Cache(), fx.Bundle)
 
-	results, err := m.ProcessStreams(frameSets, nil)
+	got, err := m.ProcessStreams(frameSets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	want, _ := perStreamReference(t, fx.Bundle, frameSets, hysteresis, fleet)
 	for s := 0; s < streams; s++ {
-		store := modelcache.MustNew(slots, modelcache.LFU)
-		prewarmCache(t, store, fx.Bundle)
-		single, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{
-			Store:            store,
-			SwitchHysteresis: 2,
-			Device:           mustSim(device.JetsonTX2NX),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range frameSets[s] {
-			want, err := single.ProcessFrame(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if results[s][i] != want {
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
 				t.Fatalf("stream %d frame %d diverged:\n   batched %+v\nsequential %+v",
-					s, i, results[s][i], want)
+					s, i, got[s][i], want[s][i])
 			}
 		}
 	}

@@ -29,17 +29,6 @@ func tightProfile(memMB float64) device.Profile {
 	}
 }
 
-// sameRunStats compares the scalar surface of two RunStats (the slice
-// fields are per-model histograms; reflect.DeepEqual would hide which
-// scalar diverged, and the scalars already cover every execution-path
-// difference we guard against).
-func sameRunStats(a, b core.RunStats) bool {
-	return a.Frames == b.Frames && a.Switches == b.Switches &&
-		a.Detection == b.Detection && a.TotalLatency == b.TotalLatency &&
-		a.Cache == b.Cache && a.MissRate == b.MissRate &&
-		a.ColdMisses == b.ColdMisses && a.FetchStall == b.FetchStall
-}
-
 // repertoireBytes sums the serialized detector sizes of a bundle — the
 // planner's residency cost for that variant.
 func repertoireBytes(b *core.Bundle) int64 {
@@ -50,99 +39,53 @@ func repertoireBytes(b *core.Bundle) int64 {
 	return total
 }
 
-// TestMultiRuntimeDeviceShimMatchesFleet is the back-compat guarantee:
-// the deprecated single-profile Device field must behave exactly like
-// an explicit uniform Fleet of the same profile — frame-for-frame
-// results and aggregate stats bit-identical on the same input.
-func TestMultiRuntimeDeviceShimMatchesFleet(t *testing.T) {
-	fx := testutil.Shared(t)
-	const streams, perStream = 4, 60
-	frameSets := streamFrames(t, streams, perStream)
-
-	run := func(cfg core.MultiRuntimeConfig) ([][]core.FrameResult, core.RunStats) {
-		cfg.Streams = streams
-		cfg.CacheSlots = 4
-		cfg.SwitchHysteresis = 2
-		m, err := core.NewMultiRuntime(fx.Bundle, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		results, err := m.ProcessStreams(frameSets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results, m.Stats()
-	}
-
-	oldResults, oldStats := run(core.MultiRuntimeConfig{Device: &device.JetsonTX2NX})
-	newResults, newStats := run(core.MultiRuntimeConfig{Fleet: device.UniformFleet(device.JetsonTX2NX, streams)})
-
-	if !sameRunStats(oldStats, newStats) {
-		t.Fatalf("aggregate stats diverged:\nDevice shim %+v\nFleet       %+v", oldStats, newStats)
-	}
-	for s := 0; s < streams; s++ {
-		for i := range oldResults[s] {
-			if oldResults[s][i] != newResults[s][i] {
-				t.Fatalf("stream %d frame %d diverged:\nDevice shim %+v\nFleet       %+v",
-					s, i, oldResults[s][i], newResults[s][i])
-			}
-		}
-	}
-}
-
-// TestMultiRuntimeMixedFleetBatchedMatchesUnbatched extends the batch
+// TestMultiRuntimeMixedFleetBatchedMatchesUnbatched extends the
 // equivalence harness to a heterogeneous fleet: six streams split
-// across Nano, TX2 NX and laptop profiles, batch on vs. off, one
-// pre-warmed single-shard cache. Batching groups streams by resolved
-// bundle and runs the shared backbone in global stream order, so the
-// two modes must stay bit-identical per frame and per stream even when
-// profile classes (and their simulated latencies) differ.
+// across Nano, TX2 NX and laptop profiles over one pre-warmed
+// single-shard cache. The pipeline groups streams by bundle and runs
+// the shared resolve stage in global stream order, so every frame and
+// every per-stream stat must match each stream's own per-frame Runtime
+// run on its own device, even though profile classes (and their
+// simulated latencies) differ.
 func TestMultiRuntimeMixedFleetBatchedMatchesUnbatched(t *testing.T) {
 	fx := testutil.Shared(t)
-	const streams, perStream = 6, 50
+	const streams, perStream, hysteresis = 6, 50, 2
 	frameSets := streamFrames(t, streams, perStream)
 	fleet, err := device.BuildFleet("nano:2,tx2:2,laptop:2", streams, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run := func(batch bool) ([][]core.FrameResult, []core.RunStats) {
-		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
-			Streams:          streams,
-			CacheSlots:       fx.Bundle.NumModels(),
-			CacheShards:      1,
-			SwitchHysteresis: 2,
-			Fleet:            fleet,
-			Batch:            batch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		prewarmCache(t, m.Cache(), fx.Bundle)
-		results, err := m.ProcessStreams(frameSets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := make([]core.RunStats, streams)
-		for s := range stats {
-			stats[s] = m.StreamStats(s)
-		}
-		return results, stats
+	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+		Streams:          streams,
+		CacheSlots:       fx.Bundle.NumModels(),
+		CacheShards:      1,
+		SwitchHysteresis: hysteresis,
+		Fleet:            fleet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	prewarmCache(t, m.Cache(), fx.Bundle)
+	got, err := m.ProcessStreams(frameSets, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	batched, bstats := run(true)
-	plain, pstats := run(false)
+	want, wstats := perStreamReference(t, fx.Bundle, frameSets, hysteresis, fleet)
 	for s := 0; s < streams; s++ {
-		if !sameRunStats(bstats[s], pstats[s]) {
-			t.Fatalf("stream %d (%s) stats diverged:\nbatched   %+v\nunbatched %+v",
-				s, fleet[s].Class, bstats[s], pstats[s])
+		gs, ws := m.StreamStats(s), wstats[s]
+		if gs.Frames != ws.Frames || gs.Switches != ws.Switches ||
+			gs.Detection != ws.Detection || gs.TotalLatency != ws.TotalLatency ||
+			gs.ColdMisses != ws.ColdMisses || gs.FetchStall != ws.FetchStall {
+			t.Fatalf("stream %d (%s) stats diverged:\npipeline  %+v\nper-frame %+v",
+				s, fleet[s].Class, gs, ws)
 		}
-		for i := range plain[s] {
-			if batched[s][i] != plain[s][i] {
-				t.Fatalf("stream %d (%s) frame %d diverged:\nbatched   %+v\nunbatched %+v",
-					s, fleet[s].Class, i, batched[s][i], plain[s][i])
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("stream %d (%s) frame %d diverged:\npipeline  %+v\nper-frame %+v",
+					s, fleet[s].Class, i, got[s][i], want[s][i])
 			}
 		}
 	}

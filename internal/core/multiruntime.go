@@ -34,24 +34,17 @@ type MultiRuntimeConfig struct {
 	// SwitchHysteresis is applied per stream (see
 	// RuntimeConfig.SwitchHysteresis).
 	SwitchHysteresis int
-	// Workers bounds the goroutines driving streams (≤0 selects
-	// GOMAXPROCS; always capped at Streams). Each in-flight stream is
-	// owned by exactly one worker, so per-stream state needs no locks —
-	// only the shared cache is contended.
+	// Workers bounds how many per-model detector groups of one tick run
+	// concurrently (≤0 selects GOMAXPROCS; always capped at Streams).
+	// Every other pipeline stage runs on the ProcessStreams goroutine.
 	Workers int
 	// Fleet assigns each stream its own device profile and power mode:
 	// Fleet[i] is stream i's device, so a mixed fleet (Jetsons, laptops,
 	// phone-class CPUs) runs under one event loop with per-stream
 	// latency, energy, memory and thermal accounting. Its length must
-	// equal Streams. Empty means no device simulation unless the
-	// deprecated Device field is set.
+	// equal Streams; device.UniformFleet gives every stream one profile.
+	// Empty means no device simulation.
 	Fleet device.Fleet
-	// Device is the deprecated single-profile form of Fleet: a non-nil
-	// profile behaves exactly like device.UniformFleet(*Device, Streams).
-	// Ignored when Fleet is non-empty.
-	//
-	// Deprecated: use Fleet.
-	Device *device.Profile
 	// Plan, when non-nil, enables OODIn-style per-device planning
 	// (requires a fleet): the runtime builds quantized variants of the
 	// bundle and solves, per stream, for the variant whose size fits the
@@ -85,19 +78,14 @@ type MultiRuntimeConfig struct {
 	// (see the RuntimeConfig fields of the same names).
 	DegradedRetryFrames int
 	DegradedRetryCap    int
-	// Batch enables batched execution: each tick's ready frames run
-	// through the scene encoder and decision head as one matrix batch,
-	// and frames resolved to the same detector are detected together as
-	// one grouped batch. Cache resolution, device accounting, prefetch
-	// ticks and bookkeeping are unchanged and run sequentially in
-	// ascending stream order, so a batched run is deterministic for a
-	// fixed input and its per-frame results are bit-identical to the
-	// unbatched path (absent cross-stream cache interference, which
-	// batching serializes rather than races).
+	// Batch is not read: every tick runs the one batched pipeline (see
+	// ProcessStreams), whatever its value.
+	//
+	// Deprecated: has no effect; kept so existing configurations compile.
 	Batch bool
-	// MaxBatch caps how many streams one batched dispatch stages
-	// (default 256); larger ready sets are processed in consecutive
-	// chunks, bounding the batch working set however many streams are
+	// MaxBatch caps how many frames one pipeline chunk stages (default
+	// 256); larger admitted sets are processed in consecutive chunks,
+	// bounding the batch working set however many streams are
 	// configured.
 	MaxBatch int
 	// Deadline, when positive, is the per-frame latency target driving
@@ -106,7 +94,7 @@ type MultiRuntimeConfig struct {
 	// ladder CoDel-style. Setting it enables the pressure machinery.
 	Deadline time.Duration
 	// Thermal, when non-nil, attaches this thermal model to every
-	// stream's device simulator (requires Device), so sustained load
+	// stream's device simulator (requires Fleet), so sustained load
 	// derates per-frame compute through device.ThrottleFactor and heat
 	// feeds the pressure monitor.
 	Thermal *device.ThermalModel
@@ -144,9 +132,8 @@ type MultiRuntime struct {
 	// pf is the shared prefetch scheduler (nil without Prefetch); the
 	// MultiRuntime owns it and Close drains it.
 	pf *prefetch.Scheduler
-	// batch/maxBatch and the reusable working set drive the batched
-	// event loop (see batchloop.go); bstate is nil when batching is off.
-	batch    bool
+	// maxBatch and the reusable working set drive the tick pipeline (see
+	// tick.go).
 	maxBatch int
 	bstate   *batchState
 	bmet     batchMetrics
@@ -202,12 +189,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 	if maxBatch <= 0 {
 		maxBatch = 256
 	}
-	// Resolve the per-stream device fleet: the deprecated single-profile
-	// Device field is a uniform fleet of itself.
 	fleet := cfg.Fleet
-	if len(fleet) == 0 && cfg.Device != nil {
-		fleet = device.UniformFleet(*cfg.Device, cfg.Streams)
-	}
 	if len(fleet) > 0 {
 		if len(fleet) != cfg.Streams {
 			return nil, fmt.Errorf("core: fleet has %d assignments for %d streams", len(fleet), cfg.Streams)
@@ -217,7 +199,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 		}
 	}
 	if cfg.Plan != nil && len(fleet) == 0 {
-		return nil, fmt.Errorf("core: per-device planning needs a device fleet (set Fleet or Device)")
+		return nil, fmt.Errorf("core: per-device planning needs a device fleet (set Fleet)")
 	}
 	m := &MultiRuntime{
 		bundle:   b,
@@ -225,15 +207,12 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 		streams:  make([]*Runtime, cfg.Streams),
 		devs:     make([]*device.Simulator, cfg.Streams),
 		workers:  workers,
-		batch:    cfg.Batch,
 		maxBatch: maxBatch,
+		bstate:   newBatchState(workers),
 		bmet:     newBatchMetrics(cfg.Metrics),
 		fleet:    fleet,
 		flt:      cfg.Flight,
 		slo:      cfg.SLO,
-	}
-	if cfg.Batch {
-		m.bstate = newBatchState(workers)
 	}
 	// One byte-size registry covers the fleet bundle and every planner
 	// variant, so streams on different variants share correct byte
@@ -277,7 +256,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Gauge("anole_core_streams", "configured frame streams").Set(float64(cfg.Streams))
-		cfg.Metrics.Gauge("anole_core_workers", "goroutines driving streams").Set(float64(workers))
+		cfg.Metrics.Gauge("anole_core_workers", "concurrent detector groups per tick").Set(float64(workers))
 	}
 	for i := range m.streams {
 		var dev *device.Simulator
@@ -357,7 +336,7 @@ func (m *MultiRuntime) pressureReact(watermark float64) func(pressure.Level) {
 // NumStreams returns the configured stream count.
 func (m *MultiRuntime) NumStreams() int { return len(m.streams) }
 
-// Workers returns the worker-pool size ProcessStreams will use.
+// Workers returns how many detector groups a tick runs concurrently.
 func (m *MultiRuntime) Workers() int { return m.workers }
 
 // Bundle returns the shared, read-only bundle every stream runs on.
@@ -372,10 +351,10 @@ func (m *MultiRuntime) StreamBundle(i int) *Bundle { return m.streams[i].Bundle(
 func (m *MultiRuntime) Cache() *modelcache.Sharded { return m.cache }
 
 // SwapStreamBundle deploys b on stream i only — the canary step of a
-// rollout. Mixed-bundle fleets stay on the batched path: the batcher
-// groups each tick's frames by the bundle they run, so a canary batches
-// within its own group. Call only between ProcessStreams calls. Not
-// available while per-device planning owns the fleet's bundles.
+// rollout. The pipeline groups each tick's frames by the bundle they
+// run, so a canary batches within its own group. Call only between
+// ProcessStreams calls. Not available while per-device planning owns
+// the fleet's bundles.
 func (m *MultiRuntime) SwapStreamBundle(i int, b *Bundle) error {
 	if m.plan != nil {
 		return fmt.Errorf("core: bundle swaps are not available with per-device planning enabled")
@@ -386,6 +365,7 @@ func (m *MultiRuntime) SwapStreamBundle(i int, b *Bundle) error {
 	if err := m.streams[i].SwapBundle(b); err != nil {
 		return err
 	}
+	m.bstate.releaseUnused(m.streams)
 	m.flt.Record(flight.Event{Stream: i, Kind: flight.KindSwap, Detail: "canary"})
 	return nil
 }
@@ -406,11 +386,7 @@ func (m *MultiRuntime) SwapAllBundles(b *Bundle) error {
 			return fmt.Errorf("core: stream %d: %w", i, err)
 		}
 	}
-	if m.bstate != nil {
-		// Retired bundles' batch scratches are pruned lazily by the next
-		// tick; releasing here keeps promotion prompt.
-		m.bstate.releaseAll()
-	}
+	m.bstate.releaseAll()
 	m.bundle = b
 	m.flt.Record(flight.Event{Stream: flight.GlobalStream, Kind: flight.KindSwap, Detail: "fleet"})
 	return nil
@@ -464,10 +440,7 @@ func (m *MultiRuntime) Close() {
 		m.pf.Close()
 		m.pf = nil
 	}
-	if m.bstate != nil {
-		m.bstate.releaseAll()
-		m.bstate = nil
-	}
+	m.bstate.releaseAll()
 }
 
 // StreamDevice returns stream i's device simulator (nil without a
@@ -478,36 +451,32 @@ func (m *MultiRuntime) StreamDevice(i int) *device.Simulator { return m.devs[i] 
 // simulation). The returned slice is the runtime's own — do not mutate.
 func (m *MultiRuntime) Fleet() device.Fleet { return m.fleet }
 
-// StreamObserver is invoked after every processed frame. Calls for one
-// stream are always sequential and frame-ordered. In the unbatched mode
-// calls for different streams come from concurrent worker goroutines,
-// so an observer writing shared state must synchronize — per-stream
-// sinks (e.g. one trace.Writer per stream) need no locks. With batching
-// enabled (MultiRuntimeConfig.Batch) every call is serialized on the
-// event-loop goroutine in (tick, stream) order, so no synchronization
-// is needed at all. Returning an error aborts the run.
+// StreamObserver is invoked once per offered frame, with its terminal
+// result. Every call is serialized on the ProcessStreams goroutine in
+// (tick, stream) order, so an observer needs no synchronization.
+// Returning an error aborts the run.
 type StreamObserver func(stream int, f *synth.Frame, res FrameResult) error
 
 // ProcessStreams drives streams[i] through stream i's runtime as an
 // event loop over frame ticks: at tick t every stream with a t-th frame
-// is ready, and the loop dispatches exactly one frame per ready stream
-// before advancing — streams stay within one frame of each other
-// (tick-fair), however unequal their lengths. Per frame the pipeline is
-// decision (MSS on the shared frozen encoder/head) → cache admission
-// (CMD against the shared sharded cache) → inference (MI on the shared
-// detector).
+// is ready, and the loop runs exactly one frame per ready stream before
+// advancing — streams stay within one frame of each other (tick-fair),
+// however unequal their lengths.
 //
-// Unbatched, a tick's ready frames are spread across the worker pool
-// and each worker runs the full per-frame pipeline. With batching
-// enabled, the tick's frames run MSS as one matrix batch, resolve the
-// cache sequentially in ascending stream order (deterministic), and are
-// detected in per-model groups — one batched detector pass per distinct
-// serving model, groups in parallel up to the worker budget.
+// Every tick, whatever the stream count, fleet or shed rung, runs one
+// pipeline (see tick.go): admit (dispose quarantined streams, validate
+// frames, assign each frame its shed rung) → decide (MSS as one matrix
+// batch per bundle) → resolve (CMD against the shared cache, one frame
+// at a time in ascending stream order, so the run is deterministic) →
+// detect (MI as one batched pass per serving model, groups in parallel
+// up to Workers) → finish (scoring and bookkeeping in stream order).
 //
 // len(streams) must equal NumStreams. It returns the per-stream frame
-// results; on error the first failure is returned and the results are
-// discarded. ProcessStreams must not be called concurrently with itself
-// or with Stats.
+// results. With the pressure machinery on, a frame error quarantines
+// its stream and the rest of the fleet keeps being served; without it,
+// the first frame error is returned and the results are discarded, as
+// is an observer error. ProcessStreams must not be called concurrently
+// with itself or with Stats.
 func (m *MultiRuntime) ProcessStreams(streams [][]*synth.Frame, obs StreamObserver) ([][]FrameResult, error) {
 	if len(streams) != len(m.streams) {
 		return nil, fmt.Errorf("core: %d frame streams for %d runtime streams", len(streams), len(m.streams))
@@ -521,16 +490,6 @@ func (m *MultiRuntime) ProcessStreams(streams [][]*synth.Frame, obs StreamObserv
 		}
 	}
 
-	var loop *tickLoop
-	if !m.batch && m.workers > 1 && m.press == nil {
-		// With the pressure machinery on, unbatched ticks run serially
-		// on the event-loop goroutine: the shed ladder, watchdog and
-		// error-to-quarantine conversion need deterministic per-tick
-		// ordering, which the worker pool does not guarantee.
-		loop = startTickLoop(m, streams, results, obs)
-		defer loop.stop()
-	}
-
 	ready := make([]int, 0, len(streams))
 	for tick := 0; tick < maxLen; tick++ {
 		ready = ready[:0]
@@ -540,18 +499,7 @@ func (m *MultiRuntime) ProcessStreams(streams [][]*synth.Frame, obs StreamObserv
 			}
 		}
 		m.bmet.occupancy.Set(float64(len(ready)) / float64(len(streams)))
-		var err error
-		switch {
-		case m.press != nil:
-			err = m.processTickPressure(tick, ready, streams, results, obs)
-		case m.batch:
-			err = m.processTickBatched(tick, ready, streams, results, obs)
-		case loop != nil:
-			err = loop.runTick(tick, ready)
-		default:
-			err = m.processTickSerial(tick, ready, streams, results, obs)
-		}
-		if err != nil {
+		if err := m.processTick(tick, ready, streams, results, obs); err != nil {
 			return nil, err
 		}
 		if m.press != nil {
@@ -588,25 +536,6 @@ func (m *MultiRuntime) observeTickOutcomes(tick int, ready []int, results [][]Fr
 			})
 		}
 	}
-}
-
-// processTickSerial runs one tick's ready frames inline in ascending
-// stream order — the single-worker form of the event loop.
-func (m *MultiRuntime) processTickSerial(tick int, ready []int, streams [][]*synth.Frame, results [][]FrameResult, obs StreamObserver) error {
-	for _, i := range ready {
-		f := streams[i][tick]
-		res, err := m.streams[i].ProcessFrame(f)
-		if err != nil {
-			return fmt.Errorf("core: stream %d: %w", i, err)
-		}
-		if obs != nil {
-			if err := obs(i, f, res); err != nil {
-				return fmt.Errorf("core: stream %d observer: %w", i, err)
-			}
-		}
-		results[i][tick] = res
-	}
-	return nil
 }
 
 // StreamStats returns stream i's RunStats. Its Cache and MissRate

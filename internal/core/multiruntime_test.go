@@ -54,7 +54,7 @@ func TestMultiRuntimeSingleStreamMatchesRuntime(t *testing.T) {
 			Streams:          1,
 			CacheSlots:       3,
 			SwitchHysteresis: hysteresis,
-			Device:           &device.JetsonTX2NX,
+			Fleet:            device.UniformFleet(device.JetsonTX2NX, 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestMultiRuntimeConcurrentStreams(t *testing.T) {
 		Streams:    streams,
 		CacheSlots: 4,
 		Workers:    streams,
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,17 @@
 package core_test
 
 import (
+	"context"
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"anole/internal/core"
 	"anole/internal/device"
+	"anole/internal/prefetch"
+	"anole/internal/synth"
 	"anole/internal/testutil"
 )
 
@@ -22,7 +28,7 @@ func TestMultiRuntimeThermalThrottlingRaisesLatency(t *testing.T) {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:    streams,
 			CacheSlots: 3,
-			Device:     &device.JetsonTX2NX,
+			Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 			Thermal:    th,
 		})
 		if err != nil {
@@ -72,7 +78,7 @@ func TestMultiRuntimeGPUMemoryBecomesByteCapacity(t *testing.T) {
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    2,
 		CacheSlots: 3,
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +120,7 @@ func TestMultiRuntimeSwapPurgeByteAccounting(t *testing.T) {
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    2,
 		CacheSlots: fx.Bundle.NumModels() + 2,
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +182,95 @@ func TestMultiRuntimeSwapPurgeByteAccounting(t *testing.T) {
 	for _, k := range m.Cache().Keys() {
 		if sizesOf(fx.Bundle)[k] == 0 {
 			t.Fatalf("non-bundle key %q survived the purge", k)
+		}
+	}
+}
+
+// unreachableFetcher delivers every model at once except the named one,
+// whose repository entry is unreachable: every fetch of it fails.
+type unreachableFetcher struct{ name string }
+
+func (f unreachableFetcher) FetchModel(ctx context.Context, name string) (int64, time.Duration, error) {
+	return f.FetchModelNow(ctx, name)
+}
+
+func (f unreachableFetcher) FetchModelNow(_ context.Context, name string) (int64, time.Duration, error) {
+	if name == f.name {
+		return 0, 0, errors.New("repository unreachable")
+	}
+	return 1, time.Millisecond, nil
+}
+
+// TestPressureColdStartErrorQuarantinesStream pins uniform frame-error
+// handling: with the pressure machinery on and the ladder at ShedNone,
+// a cold-start resolve error ("unreachable with an empty cache") on one
+// stream quarantines that stream while every other stream keeps being
+// served. Without the pressure machinery the same error aborts
+// ProcessStreams.
+func TestPressureColdStartErrorQuarantinesStream(t *testing.T) {
+	fx := testutil.Shared(t)
+	const streams, perStream = 3, 20
+	frameSets := streamFrames(t, streams, perStream)
+
+	// The model stream 0's first frame decides is the unreachable one.
+	// Every other stream starts at its first frame deciding another
+	// model, so its cold start fetches something reachable.
+	probe, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{CacheSlots: fx.Bundle.NumModels()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func(f *synth.Frame) int {
+		res, err := probe.ProcessFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Desired
+	}
+	unreachable := decide(frameSets[0][0])
+	for s := 1; s < streams; s++ {
+		k := slices.IndexFunc(frameSets[s], func(f *synth.Frame) bool { return decide(f) != unreachable })
+		if k < 0 {
+			t.Fatalf("stream %d decides only model %d", s, unreachable)
+		}
+		frameSets[s] = append(slices.Clone(frameSets[s][k:]), frameSets[s][:k]...)
+	}
+
+	run := func(deadline time.Duration) (*core.MultiRuntime, [][]core.FrameResult, error) {
+		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+			Streams:    streams,
+			CacheSlots: fx.Bundle.NumModels(),
+			Deadline:   deadline,
+			// TopK -1: no background prefetch, so only demand fetches run.
+			Prefetch: &prefetch.Config{Fetcher: unreachableFetcher{fx.Bundle.Detectors[unreachable].Name}, TopK: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		results, err := m.ProcessStreams(frameSets, nil)
+		return m, results, err
+	}
+
+	if _, _, err := run(0); err == nil || !strings.Contains(err.Error(), "unreachable with an empty cache") {
+		t.Fatalf("without pressure the cold-start error must abort the run, got %v", err)
+	}
+
+	// An hour-long deadline is never missed: the ladder stays at ShedNone.
+	m, results, err := run(time.Hour)
+	if err != nil {
+		t.Fatalf("a frame error aborted the fleet instead of quarantining its stream: %v", err)
+	}
+	if v := results[0][0].Verdict; v != core.VerdictQuarantined {
+		t.Fatalf("stream 0 frame 0 verdict %v, want quarantined", v)
+	}
+	if ps := m.PressureStats(); ps.Quarantines == 0 || ps.Rung != "none" {
+		t.Fatalf("pressure stats %+v: want a quarantine with the ladder at none", ps)
+	}
+	for s := 1; s < streams; s++ {
+		for i, res := range results[s] {
+			if res.Verdict != core.VerdictServed {
+				t.Fatalf("stream %d frame %d verdict %v, want served", s, i, res.Verdict)
+			}
 		}
 	}
 }

@@ -90,7 +90,6 @@ type pressureState struct {
 	// Per-tick scratch, sized to the stream count.
 	active   []bool
 	progress []bool
-	live     []int
 	// probeRR round-robins the ShedDrop probe stream so the controller
 	// keeps observing served-frame sojourn while the fleet drops.
 	probeRR int
@@ -116,7 +115,6 @@ func newPressureState(streams int, deadline time.Duration, cfg *PressureConfig, 
 		deadline: deadline,
 		active:   make([]bool, streams),
 		progress: make([]bool, streams),
-		live:     make([]int, 0, streams),
 	}
 	if deadline > 0 {
 		cc := pc.Controller
@@ -175,47 +173,15 @@ func disposedResult(v FrameVerdict) FrameResult {
 	return FrameResult{Desired: -1, Used: -1, RunnerUp: -1, Verdict: v}
 }
 
-// processFrameShed is ProcessFrame under a shed-ladder rung. Rung
-// ShedNone is exactly ProcessFrame (bit-for-bit — this wrapper adds
-// nothing to the nominal path). Higher rungs degrade in order: suppress
-// prefetch planning, serve the smallest resident model without link
-// traffic, drop the frame outright.
-func (r *Runtime) processFrameShed(f *synth.Frame, rung pressure.Rung) (FrameResult, error) {
-	if rung <= pressure.ShedNone {
-		return r.ProcessFrame(f)
+// shedFrame drops one frame at admission. The link clock still
+// advances — frame time passes whether or not the device serves — but
+// no decision, cache, or detector work runs and no selection state
+// moves.
+func (r *Runtime) shedFrame() {
+	if r.pf != nil {
+		r.pf.Tick()
 	}
-	if err := r.validateFrame(f); err != nil {
-		return FrameResult{}, err
-	}
-	if rung >= pressure.ShedDrop {
-		// Terminal drop. The link clock still advances — frame time
-		// passes whether or not the device serves — but no decision,
-		// cache, or detector work runs and no selection state moves.
-		if r.pf != nil {
-			r.pf.Tick()
-		}
-		r.stats.ShedFrames++
-		return disposedResult(VerdictShed), nil
-	}
-	var res FrameResult
-	seq := r.beginFrame()
-	r.computeDecision(f)
-	rank := r.stageDecide(seq, &res)
-	if !(rung >= pressure.ShedDowngrade && r.resolveDowngrade(f, seq, &res)) {
-		// Rung 1 (or nothing resident to downgrade onto): the normal
-		// resolve path runs, link stalls and all.
-		if err := r.stageResolve(f, seq, rank, &res); err != nil {
-			return FrameResult{}, err
-		}
-	}
-	detectDur := r.detectAccount(f, &res)
-	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
-	r.finishDetect(f, seq, detectDur, &res)
-	// Every rung ≥ ShedPrefetch suppresses background planning.
-	r.planSuppressed = true
-	r.stageFinish(&res)
-	r.planSuppressed = false
-	return res, nil
+	r.stats.ShedFrames++
 }
 
 // resolveDowngrade is the rung-2 replacement for stageResolve: serve
@@ -263,93 +229,38 @@ func (r *Runtime) resolveDowngrade(f *synth.Frame, seq int64, res *FrameResult) 
 	return true
 }
 
-// processTickPressure is the pressure-aware tick dispatch: quarantined
-// streams' frames are disposed first (the tick barrier never waits on
-// a dead stream), then the live set runs under the controller's
-// current rung — the untouched nominal paths at ShedNone, the shed
-// ladder otherwise. Frame errors quarantine the stream instead of
-// aborting the fleet.
-func (m *MultiRuntime) processTickPressure(tick int, ready []int, streams [][]*synth.Frame, results [][]FrameResult, obs StreamObserver) error {
-	ps := m.press
-	ps.live = ps.live[:0]
-	for _, i := range ready {
-		if !ps.wd.Quarantined(i) {
-			ps.live = append(ps.live, i)
-			continue
-		}
-		res := disposedResult(VerdictQuarantined)
-		m.streams[i].stats.QuarantinedFrames++
-		ps.mon.NoteQuarantinedFrame()
-		if obs != nil {
-			if err := obs(i, streams[i][tick], res); err != nil {
-				return fmt.Errorf("core: stream %d observer: %w", i, err)
-			}
-		}
-		results[i][tick] = res
-	}
-	rung := ps.ctl.Rung()
-	if rung == pressure.ShedNone {
-		if m.batch {
-			// Nominal: the batched path runs untouched, so batched and
-			// unbatched stay bit-identical. (A frame error here aborts
-			// as it always has; error-to-quarantine applies on the
-			// serial paths.)
-			return m.processTickBatched(tick, ps.live, streams, results, obs)
-		}
-		return m.processTickGuarded(tick, ps.live, pressure.ShedNone, streams, results, obs)
-	}
-	return m.processTickGuarded(tick, ps.live, rung, streams, results, obs)
+// disposeQuarantined is the terminal result for a frame of a
+// quarantined stream, disposed without processing.
+func (m *MultiRuntime) disposeQuarantined(i int) FrameResult {
+	m.streams[i].stats.QuarantinedFrames++
+	m.press.mon.NoteQuarantinedFrame()
+	return disposedResult(VerdictQuarantined)
 }
 
-// processTickGuarded runs one tick's live frames serially under rung,
-// converting frame errors into stream quarantines. At ShedDrop one
-// probe stream per tick (round-robin) still serves — downgraded — so
-// the deadline controller keeps receiving sojourn samples and can
-// observe recovery; without the probe a fully-dropping fleet would
-// never relax.
-func (m *MultiRuntime) processTickGuarded(tick int, live []int, rung pressure.Rung, streams [][]*synth.Frame, results [][]FrameResult, obs StreamObserver) error {
-	ps := m.press
-	probe := -1
-	if rung >= pressure.ShedDrop && len(live) > 0 {
-		probe = live[ps.probeRR%len(live)]
-		ps.probeRR++
+// failFrame converts a frame error into a stream quarantine: the stream
+// cannot make progress (e.g. cold start with an unreachable
+// repository), so the watchdog parks it and the rest of the fleet keeps
+// being served; the watchdog releases it for a probe later.
+func (m *MultiRuntime) failFrame(i int) FrameResult {
+	if m.press.wd.Quarantine(i) {
+		m.press.mon.NoteQuarantine()
+		m.flt.Record(flight.Event{Stream: i, Kind: flight.KindQuarantine, Detail: "error"})
 	}
-	for _, i := range live {
-		f := streams[i][tick]
-		r := rung
-		if i == probe {
-			r = pressure.ShedDowngrade
-		}
-		res, err := m.streams[i].processFrameShed(f, r)
-		if err != nil {
-			// The stream cannot make progress (e.g. cold start with an
-			// unreachable repository). Quarantine it and keep the fleet
-			// alive; the watchdog releases it for a probe later.
-			if ps.wd.Quarantine(i) {
-				ps.mon.NoteQuarantine()
-				m.flt.Record(flight.Event{Stream: i, Kind: flight.KindQuarantine, Detail: "error"})
-			}
-			res = disposedResult(VerdictQuarantined)
-			m.streams[i].stats.QuarantinedFrames++
-			ps.mon.NoteQuarantinedFrame()
-		} else if r > pressure.ShedNone {
-			switch res.Verdict {
-			case VerdictShed:
-				ps.mon.NoteShed(pressure.ShedDrop)
-			case VerdictDowngraded:
-				ps.mon.NoteShed(pressure.ShedDowngrade)
-			default:
-				ps.mon.NoteShed(pressure.ShedPrefetch)
-			}
-		}
-		if obs != nil {
-			if err := obs(i, f, res); err != nil {
-				return fmt.Errorf("core: stream %d observer: %w", i, err)
-			}
-		}
-		results[i][tick] = res
+	return m.disposeQuarantined(i)
+}
+
+// noteShed counts one frame processed under a shed rung above ShedNone
+// by the rung it actually got: dropped, downgraded, or served in full
+// with prefetch planning suppressed. Quarantined frames are not shed.
+func (ps *pressureState) noteShed(v FrameVerdict) {
+	switch v {
+	case VerdictShed:
+		ps.mon.NoteShed(pressure.ShedDrop)
+	case VerdictDowngraded:
+		ps.mon.NoteShed(pressure.ShedDowngrade)
+	case VerdictServed:
+		ps.mon.NoteShed(pressure.ShedPrefetch)
 	}
-	return nil
 }
 
 // observePressureTick folds one completed tick into the controller,

@@ -221,10 +221,6 @@ type Runtime struct {
 	retryCap       int
 	degradedWait   int
 	degradedStreak int
-	// planSuppressed is set by processFrameShed around stageFinish so a
-	// shed-ladder frame skips background prefetch planning (rung ≥ 1)
-	// while keeping the rest of the bookkeeping identical.
-	planSuppressed bool
 	// sizer is the byte-size registry backing the store's sizer func.
 	sizer *sizerRegistry
 	// pfOffset shifts this stream's model indices into the shared
@@ -476,7 +472,7 @@ func (r *Runtime) SwapBundle(b *Bundle) error {
 // behavior and simulated latency are recorded.
 //
 // The body is a composition of the stage methods below; MultiRuntime's
-// batched event loop runs the same stages, substituting batched
+// tick pipeline runs the same stages, substituting batched
 // embedding/score/detector computation for the per-frame calls.
 func (r *Runtime) ProcessFrame(f *synth.Frame) (FrameResult, error) {
 	if err := r.validateFrame(f); err != nil {
@@ -492,12 +488,12 @@ func (r *Runtime) ProcessFrame(f *synth.Frame) (FrameResult, error) {
 	detectDur := r.detectAccount(f, &res)
 	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
 	r.finishDetect(f, seq, detectDur, &res)
-	r.stageFinish(&res)
+	r.stageFinish(&res, true)
 	return res, nil
 }
 
 // validateFrame rejects frames the bundle cannot process. Split from
-// beginFrame so the batched path can vet a whole tick's frames before
+// beginFrame so the tick pipeline can vet a whole tick's frames before
 // touching any shared clocks.
 func (r *Runtime) validateFrame(f *synth.Frame) error {
 	if f == nil {
@@ -525,7 +521,7 @@ func (r *Runtime) beginFrame() int64 {
 }
 
 // computeDecision fills the embedding and score buffers for one frame —
-// the per-frame (GEMV) form. The batched path replaces this with
+// the per-frame (GEMV) form. The tick pipeline replaces this with
 // adoptDecision over rows of the tick's batch matrices; both produce
 // bit-identical buffers.
 func (r *Runtime) computeDecision(f *synth.Frame) {
@@ -580,7 +576,7 @@ func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
 // stageResolve is CMD: it resolves the ranking against the cache and
 // picks the model serving this frame (res.Used), charging fetch stalls
 // and load latencies. It touches the shared cache and link, so the
-// batched event loop runs it sequentially in stream order.
+// tick pipeline runs it sequentially in stream order.
 func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *FrameResult) error {
 	// CMD: resolve against the cache. On a miss the frame is served by
 	// the best model already resident (the paper's §V-B rule) while the
@@ -713,7 +709,7 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 
 // detectAccount charges the serving model's inference cost to the
 // device simulator — the accounting half of MI, kept apart from the
-// actual detector run so the batched path can account per stream while
+// actual detector run so the tick pipeline can account per stream while
 // detecting per group.
 func (r *Runtime) detectAccount(f *synth.Frame, res *FrameResult) time.Duration {
 	var detectDur time.Duration
@@ -727,23 +723,23 @@ func (r *Runtime) detectAccount(f *synth.Frame, res *FrameResult) time.Duration 
 // finishDetect scores the predictions in predsBuf against ground truth
 // and closes the detect span. The caller has already filled predsBuf —
 // DetectFrame in the per-frame path, a grouped DetectBatch in the
-// batched one.
+// tick pipeline.
 func (r *Runtime) finishDetect(f *synth.Frame, seq int64, detectDur time.Duration, res *FrameResult) {
 	res.Metrics = detect.ScorePredictions(r.predsBuf, f)
 	r.recordStage(seq, telemetry.StageDetect, res.Used, detectDur, res.Used == res.Desired, res.Degraded, nil)
 }
 
 // stageFinish is the per-frame bookkeeping: switch detection, prefetch
-// planning, stats and metrics. It mutates per-stream state and the
-// shared prefetch scheduler, so the batched event loop runs it
-// sequentially in stream order.
-func (r *Runtime) stageFinish(res *FrameResult) {
+// planning (skipped when plan is false — a shed-ladder frame), stats and
+// metrics. It mutates per-stream state and the shared prefetch
+// scheduler, so the tick pipeline runs it sequentially in stream order.
+func (r *Runtime) stageFinish(res *FrameResult, plan bool) {
 	res.Switched = r.prevDesired >= 0 && res.Desired != r.prevDesired
 	if r.pf != nil {
 		if res.Switched {
 			r.pf.Observe(r.pfOffset+r.prevDesired, r.pfOffset+res.Desired)
 		}
-		if (res.Switched || r.stats.Frames == 0) && !r.planSuppressed {
+		if (res.Switched || r.stats.Frames == 0) && plan {
 			// Warm the cache toward the likeliest next switch targets.
 			r.pf.Plan(r.pfOffset + res.Desired)
 		}
