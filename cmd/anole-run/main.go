@@ -1,7 +1,7 @@
-// Command anole-run loads a profiled bundle and streams a synthetic
-// driving trace through the Online Model Inference loop on a simulated
-// device, printing per-clip accuracy and the run's latency, cache and
-// energy statistics.
+// Command anole-run loads a profiled bundle and streams synthetic
+// driving traces through the Online Model Inference loop on simulated
+// devices, printing per-stream accuracy, power and memory and the run's
+// aggregate latency, cache and energy statistics.
 //
 // Usage:
 //
@@ -16,19 +16,20 @@
 //	          [-checkpoint FILE] [-checkpoint-every TICKS] [-restore FILE]
 //	          [-metrics-addr HOST:PORT] [-json FILE|-]
 //
-// With -streams N > 1 the run multiplexes N independent frame streams
-// over one shared thread-safe model cache (core.MultiRuntime), printing
-// per-stream and aggregate statistics; -trace then writes one JSONL
-// file per stream, suffixed ".streamK".
+// Every run serves its streams through core.MultiRuntime: -streams N
+// (default 1, the paper's single camera) multiplexes N independent frame
+// streams over one shared thread-safe model cache, printing per-stream
+// and aggregate statistics. -trace P writes one JSONL file per stream,
+// named P.stream0 … P.stream<N-1>.
 //
-// With -fleet "nano:40,tx2:40,laptop:20" (requires -streams >= 2,
-// overrides -device) the streams run on a heterogeneous device fleet:
-// the spec's weights are scaled to the stream count and each stream is
-// deterministically assigned a registry profile (nano, tx2, laptop,
-// cpu-fast, cpu-slow; "name@mode" pins a power mode). Per-stream lines
-// gain the device class, the -json report gains a "fleet" block with
-// per-class aggregates, and with -slo the per-class p99 percentiles
-// export as anole_fleet_<class>_* gauges. With -plan (requires -fleet,
+// With -fleet "nano:40,tx2:40,laptop:20" (overrides -device) the
+// streams run on a heterogeneous device fleet: the spec's weights are
+// scaled to the stream count and each stream is deterministically
+// assigned a registry profile (nano, tx2, laptop, cpu-fast, cpu-slow;
+// "name@mode" pins a power mode). Per-stream lines gain the device
+// class, the -json report gains a "fleet" block with per-class
+// aggregates, and with -slo the per-class p99 percentiles export as
+// anole_fleet_<class>_* gauges. With -plan (requires -fleet,
 // incompatible with -adapt) each stream additionally runs the model
 // variant — full precision or a quantized copy (q8/q6/q4) — that is the
 // most accurate its device can serve within the memory ceiling and the
@@ -51,20 +52,20 @@
 //
 // With -thermal every device simulator runs the default thermal
 // throttling model: sustained load heats the device and derates compute.
-// With -deadline (requires -streams >= 2) each frame gets a latency
-// target and the fleet survives overload by shedding: a deadline
-// controller escalates a shed ladder (skip prefetch → serve the smallest
-// resident model → drop the frame) and a pressure monitor folds heat,
-// cache residency and backlog into Nominal/Elevated/Critical reactions.
-// Every offered frame gets a terminal verdict; the -json report gains a
-// "pressure" block and anole_pressure_* metrics count the damage.
+// With -deadline each frame gets a latency target and the fleet
+// survives overload by shedding: a deadline controller escalates a shed
+// ladder (skip prefetch → serve the smallest resident model → drop the
+// frame) and a pressure monitor folds heat, cache residency and backlog
+// into Nominal/Elevated/Critical reactions. Every offered frame gets a
+// terminal verdict; the -json report gains a "pressure" block and
+// anole_pressure_* metrics count the damage.
 //
 // With -checkpoint the run writes a versioned, CRC-checked warm-state
 // checkpoint (Markov transition counts, cache residency manifest, drift
 // windows, fleet generation) on completion — and every -checkpoint-every
 // ticks while running. With -restore the run warm-starts from such a
 // file; a corrupt, truncated or version-skewed checkpoint falls back to
-// a cold start (never a partial restore). Both require -streams >= 2.
+// a cold start (never a partial restore).
 //
 // With -adapt (requires -streams >= 2) the run closes the paper's
 // continual-adaptation loop in-process: stream 0's trace is replaced by
@@ -144,9 +145,9 @@ func run(w io.Writer, args []string) error {
 		devName     = fs.String("device", "tx2", "device profile: nano, tx2 or laptop")
 		cache       = fs.Int("cache", 5, "model cache capacity in compressed-model slots")
 		streams     = fs.Int("streams", 1, "independent frame streams sharing the model cache")
-		fleetSpec   = fs.String("fleet", "", "heterogeneous device fleet spec, e.g. \"nano:40,tx2:40,laptop:20\" (requires -streams >= 2; overrides -device)")
+		fleetSpec   = fs.String("fleet", "", "heterogeneous device fleet spec, e.g. \"nano:40,tx2:40,laptop:20\" (overrides -device)")
 		planOn      = fs.Bool("plan", false, "per-device planning: each stream runs the most accurate model variant (fp32/q8/q6/q4) its device can serve (requires -fleet, incompatible with -adapt)")
-		tracePath   = fs.String("trace", "", "write a JSONL decision trace to this file")
+		tracePath   = fs.String("trace", "", "write per-stream JSONL decision traces to this path plus \".stream<k>\"")
 		prefetchOn  = fs.Bool("prefetch", false, "serve model bytes over a simulated device-cloud link with transition-aware prefetching")
 		pfBudget    = fs.Int64("prefetch-budget", 0, "max bytes in flight per prefetch plan (0 = unlimited)")
 		stability   = fs.Float64("link-stability", 0.7, "link-state self-transition probability in [0,1] (with -prefetch)")
@@ -157,16 +158,16 @@ func run(w io.Writer, args []string) error {
 		brkCool     = fs.Int("breaker-cooldown", 20, "frames an open breaker waits before a half-open probe (with -chaos)")
 		adaptOn     = fs.Bool("adapt", false, "close the continual-adaptation loop: inject an unseen scene on stream 0, detect drift, retrain in-process, canary and roll out (requires -streams >= 2)")
 		thermalOn   = fs.Bool("thermal", false, "enable the default thermal throttling model on every device simulator")
-		deadline    = fs.Duration("deadline", 0, "per-frame simulated latency target enabling deadline-aware shedding (requires -streams >= 2)")
-		ckptPath    = fs.String("checkpoint", "", "write a warm-state checkpoint to this file on completion (requires -streams >= 2)")
+		deadline    = fs.Duration("deadline", 0, "per-frame simulated latency target enabling deadline-aware shedding")
+		ckptPath    = fs.String("checkpoint", "", "write a warm-state checkpoint to this file on completion")
 		ckptEvery   = fs.Int("checkpoint-every", 0, "also checkpoint every N frame ticks during the run (with -checkpoint, no -adapt)")
-		restorePath = fs.String("restore", "", "warm-start from this checkpoint file; corrupt or unreadable falls back to cold start (requires -streams >= 2)")
+		restorePath = fs.String("restore", "", "warm-start from this checkpoint file; corrupt or unreadable falls back to cold start")
 		driftWin    = fs.Int("drift-window", 30, "drift-detector window in frames (with -adapt)")
 		canaryFr    = fs.Int("canary-frames", 60, "canary-stream frames before a rollout verdict (with -adapt)")
 		minF1Ratio  = fs.Float64("min-f1-ratio", 0.5, "canary-to-incumbent F1 ratio below which a canary rolls back (with -adapt)")
-		flightOn    = fs.Bool("flight", false, "run the anomaly flight recorder: bounded event rings frozen and dumped when a rollback, Critical pressure, quarantine or checkpoint reject lands (requires -streams >= 2)")
+		flightOn    = fs.Bool("flight", false, "run the anomaly flight recorder: bounded event rings frozen and dumped when a rollback, Critical pressure, quarantine or checkpoint reject lands")
 		flightDump  = fs.String("flight-dump", "", "write the flight-recorder dump artifact to this file the moment an anomaly trips (with -flight)")
-		sloOn       = fs.Bool("slo", false, "evaluate fleet SLOs (frame p99 latency, served/degraded fractions, swap staleness) with multi-window burn rates; adds the anole_slo_* series and an \"slo\" block to -json (requires -streams >= 2)")
+		sloOn       = fs.Bool("slo", false, "evaluate fleet SLOs (frame p99 latency, served/degraded fractions, swap staleness) with multi-window burn rates; adds the anole_slo_* series and an \"slo\" block to -json")
 		sloLatency  = fs.Duration("slo-latency-target", 50*time.Millisecond, "frame p99 latency objective (with -slo)")
 		sloStale    = fs.Duration("slo-staleness-target", 10*time.Second, "publish-to-swap staleness objective (with -slo)")
 		metricsAddr = fs.String("metrics-addr", "", "serve live /metrics, /debug/spans, /debug/flight and /debug/pprof on this address during the run (e.g. 127.0.0.1:0)")
@@ -184,9 +185,6 @@ func run(w io.Writer, args []string) error {
 	if *chaosOn {
 		*prefetchOn = true
 	}
-	if (*deadline > 0 || *ckptPath != "" || *restorePath != "") && *streams < 2 {
-		return fmt.Errorf("-deadline, -checkpoint and -restore drive the multi-stream fleet: -streams must be >= 2")
-	}
 	if *ckptEvery < 0 {
 		return fmt.Errorf("-checkpoint-every must be >= 0, got %d", *ckptEvery)
 	}
@@ -196,14 +194,8 @@ func run(w io.Writer, args []string) error {
 	if *ckptEvery > 0 && *adaptOn {
 		return fmt.Errorf("-checkpoint-every cannot chunk an -adapt run (checkpoint is still written on completion)")
 	}
-	if (*flightOn || *sloOn) && *streams < 2 {
-		return fmt.Errorf("-flight and -slo observe the multi-stream fleet: -streams must be >= 2")
-	}
 	if *flightDump != "" && !*flightOn {
 		return fmt.Errorf("-flight-dump needs -flight")
-	}
-	if *fleetSpec != "" && *streams < 2 {
-		return fmt.Errorf("-fleet assigns devices across the multi-stream fleet: -streams must be >= 2")
 	}
 	if *planOn && *fleetSpec == "" {
 		return fmt.Errorf("-plan selects variants per fleet device: it needs -fleet")
@@ -333,122 +325,39 @@ func run(w io.Writer, args []string) error {
 		metricsURL = ln.Addr().String()
 		fmt.Fprintf(w, "debug: serving /metrics, /debug/spans, /debug/pprof on http://%s\n", metricsURL)
 	}
-	settled := func() {
-		if testHookMetricsSettled != nil && metricsURL != "" {
-			testHookMetricsSettled(metricsURL)
-		}
+	ro := runOptions{
+		Profile:         profile,
+		Streams:         *streams,
+		CacheSlots:      *cache,
+		Clips:           *clips,
+		Frames:          *frames,
+		Seed:            *seed,
+		TracePath:       *tracePath,
+		JSONPath:        *jsonPath,
+		Prefetch:        pfCfg,
+		Link:            lf,
+		Thermal:         *thermalOn,
+		Fleet:           fleet,
+		FleetSpec:       *fleetSpec,
+		Plan:            *planOn,
+		Deadline:        *deadline,
+		Checkpoint:      *ckptPath,
+		CheckpointEvery: *ckptEvery,
+		Restore:         *restorePath,
+		Flight:          rec,
+		SLO:             eng,
+		Metrics:         reg,
+		Spans:           spans,
 	}
-
-	if *streams > 1 {
-		var ao *adaptOptions
-		if *adaptOn {
-			ao = &adaptOptions{DriftWindow: *driftWin, CanaryFrames: *canaryFr, MinF1Ratio: *minF1Ratio}
-		}
-		ro := runOptions{
-			Thermal:         *thermalOn,
-			Fleet:           fleet,
-			FleetSpec:       *fleetSpec,
-			Plan:            *planOn,
-			Deadline:        *deadline,
-			Checkpoint:      *ckptPath,
-			CheckpointEvery: *ckptEvery,
-			Restore:         *restorePath,
-			Flight:          rec,
-			SLO:             eng,
-		}
-		if err := runMulti(w, bundle, profile, *streams, *cache, *clips, *frames, *seed, *tracePath, pfCfg, lf, ao, ro, *jsonPath, reg, spans); err != nil {
-			return err
-		}
-		settled()
-		return nil
+	if *adaptOn {
+		ro.Adapt = &adaptOptions{DriftWindow: *driftWin, CanaryFrames: *canaryFr, MinF1Ratio: *minF1Ratio}
 	}
-
-	sim, err := device.NewSimulator(profile)
-	if err != nil {
+	if err := serve(w, bundle, ro); err != nil {
 		return err
 	}
-	if *thermalOn {
-		sim.EnableThermal(device.DefaultThermal())
+	if testHookMetricsSettled != nil && metricsURL != "" {
+		testHookMetricsSettled(metricsURL)
 	}
-	rt, err := core.NewRuntime(bundle, core.RuntimeConfig{
-		CacheSlots: *cache,
-		Device:     sim,
-		Prefetch:   pfCfg,
-		Metrics:    reg,
-		Tracer:     spans,
-	})
-	if err != nil {
-		return err
-	}
-
-	var tracer *trace.Writer
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		tracer = trace.NewWriter(tf)
-		defer tracer.Flush()
-	}
-
-	world, err := synth.NewWorld(synth.DefaultConfig(*seed))
-	if err != nil {
-		return err
-	}
-	// Stream freshly generated clips: the BDD-like profile gives the most
-	// diverse scene mix.
-	traceProfile := synth.DefaultProfiles(1)[1]
-	traceProfile.FramesPerClip = *frames
-	rng := xrand.NewLabeled(*seed, "anole-run-trace")
-
-	fmt.Fprintf(w, "streaming %d clips x %d frames on %s (cache %d, LFU)\n\n",
-		*clips, *frames, profile.Name, *cache)
-	for c := 0; c < *clips; c++ {
-		clip := world.GenerateClip(traceProfile, 9000+c, rng.Split(uint64(c)))
-		var mean float64
-		for _, f := range clip.Frames {
-			res, err := rt.ProcessFrame(f)
-			if err != nil {
-				return err
-			}
-			mean += res.Metrics.F1
-			if tracer != nil {
-				if err := tracer.Record(bundle, f, res); err != nil {
-					return err
-				}
-			}
-		}
-		if len(clip.Frames) > 0 {
-			mean /= float64(len(clip.Frames))
-		}
-		fmt.Fprintf(w, "clip %d: mean frame F1 %.3f over %d frames\n", c+1, mean, len(clip.Frames))
-	}
-
-	// Drain any background prefetches so the counters are settled, then
-	// snapshot.
-	sched := rt.Prefetcher()
-	rt.Close()
-	st := rt.Stats()
-	fmt.Fprintf(w, "\nframes %d  switches %d  mean scene duration %.1f frames\n",
-		st.Frames, st.Switches, st.MeanSceneDuration())
-	fmt.Fprintf(w, "overall F1 %.3f (P %.3f / R %.3f)\n",
-		st.Detection.F1, st.Detection.Precision, st.Detection.Recall)
-	fmt.Fprintf(w, "cache: hits %d misses %d evictions %d (miss rate %.2f)\n",
-		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.MissRate)
-	printPrefetch(w, st, sched)
-	fmt.Fprintf(w, "device: mean latency %.1f ms/frame, %.1f FPS busy, %.2f W avg, %.1f J total\n",
-		float64(st.TotalLatency.Milliseconds())/float64(st.Frames),
-		sim.FPS(), sim.AveragePowerW(), sim.EnergyJ())
-	fmt.Fprintf(w, "memory: resident %.0f MB, peak %.0f MB of %.0f MB\n",
-		sim.ResidentMemoryMB(), sim.PeakMemoryMB(), profile.GPUMemoryMB)
-	if tracer != nil {
-		fmt.Fprintf(w, "trace: %d events written to %s\n", tracer.Count(), *tracePath)
-	}
-	if err := writeReport(w, *jsonPath, buildReport(st, sched, pfBreaker(pfCfg), nil, nil, nil, nil, reg, spans)); err != nil {
-		return err
-	}
-	settled()
 	return nil
 }
 
@@ -678,16 +587,32 @@ func linkPrefetchConfig(bundle *core.Bundle, stability float64, budget int64, se
 	return cfg, lf, nil
 }
 
-// adaptOptions carries the -adapt knobs into runMulti.
+// adaptOptions carries the -adapt knobs into serve.
 type adaptOptions struct {
 	DriftWindow  int
 	CanaryFrames int
 	MinF1Ratio   float64
 }
 
-// runOptions carries the overload-survival and observability knobs into
-// runMulti.
+// runOptions carries the parsed flags and the run's shared telemetry
+// into serve.
 type runOptions struct {
+	// Profile is the -device profile every stream runs on unless Fleet
+	// assigns devices.
+	Profile    device.Profile
+	Streams    int
+	CacheSlots int
+	Clips      int
+	Frames     int
+	Seed       uint64
+	TracePath  string
+	JSONPath   string
+	// Prefetch and Link are the -prefetch link configuration and its
+	// fetcher (both nil without -prefetch).
+	Prefetch *prefetch.Config
+	Link     *prefetch.LinkFetcher
+	// Adapt enables the continual-adaptation loop (nil without -adapt).
+	Adapt   *adaptOptions
 	Thermal bool
 	// Fleet is the -fleet heterogeneous device assignment (nil = the
 	// uniform -device profile); FleetSpec is the raw spec for display.
@@ -701,6 +626,8 @@ type runOptions struct {
 	Restore         string
 	Flight          *flight.Recorder
 	SLO             *slo.Engine
+	Metrics         *telemetry.Registry
+	Spans           *telemetry.Tracer
 }
 
 // saveCheckpoint snapshots the fleet's warm state (plus the adapt
@@ -798,18 +725,20 @@ func adaptLoop(mrt *core.MultiRuntime, bundle *core.Bundle, world *synth.World, 
 	return adapt.NewLoop(mrt, cfg)
 }
 
-// runMulti drives the multi-stream path: every stream gets its own
-// generated clip sequence and device simulator, all streams share one
-// sharded model cache. With ao non-nil the run goes through the
-// adaptation loop instead of bare ProcessStreams.
-func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams, cache, clips, frames int, seed uint64, tracePath string, pfCfg *prefetch.Config, lf *prefetch.LinkFetcher, ao *adaptOptions, ro runOptions, jsonPath string, reg *telemetry.Registry, spans *telemetry.Tracer) error {
+// serve runs the streams through one core.MultiRuntime: every stream
+// gets its own generated clip sequence and device simulator, all
+// streams share one sharded model cache. With ro.Adapt set the run goes
+// through the adaptation loop instead of bare ProcessStreams.
+func serve(w io.Writer, bundle *core.Bundle, ro runOptions) error {
+	streams, clips, seed := ro.Streams, ro.Clips, ro.Seed
+	ao, tracePath := ro.Adapt, ro.TracePath
 	mcfg := core.MultiRuntimeConfig{
 		Streams:    streams,
-		CacheSlots: cache,
-		Fleet:      device.UniformFleet(profile, streams),
-		Prefetch:   pfCfg,
-		Metrics:    reg,
-		Tracer:     spans,
+		CacheSlots: ro.CacheSlots,
+		Fleet:      device.UniformFleet(ro.Profile, streams),
+		Prefetch:   ro.Prefetch,
+		Metrics:    ro.Metrics,
+		Tracer:     ro.Spans,
 		Deadline:   ro.Deadline,
 		Flight:     ro.Flight,
 		SLO:        ro.SLO,
@@ -833,7 +762,7 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 		return err
 	}
 	traceProfile := synth.DefaultProfiles(1)[1]
-	traceProfile.FramesPerClip = frames
+	traceProfile.FramesPerClip = ro.Frames
 	rng := xrand.NewLabeled(seed, "anole-run-trace")
 
 	inputs := make([][]*synth.Frame, streams)
@@ -861,7 +790,7 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 		for i := range inputs[0] {
 			inputs[0][i] = world.GenerateFrame(novel, 1, arng)
 		}
-		if loop, err = adaptLoop(mrt, bundle, world, seed, ao, lf, ro.Flight, ro.SLO, reg, spans); err != nil {
+		if loop, err = adaptLoop(mrt, bundle, world, seed, ao, ro.Link, ro.Flight, ro.SLO, ro.Metrics, ro.Spans); err != nil {
 			return err
 		}
 	}
@@ -902,7 +831,7 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 		}
 	}
 
-	platform := profile.Name
+	platform := ro.Profile.Name
 	if ro.Fleet != nil {
 		platform = "fleet " + ro.FleetSpec
 		if ro.Plan {
@@ -910,7 +839,7 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 		}
 	}
 	fmt.Fprintf(w, "streaming %d streams x %d clips x %d frames on %s (cache %d, LFU)\n\n",
-		streams, clips, frames, platform, cache)
+		streams, clips, ro.Frames, platform, ro.CacheSlots)
 	if loop != nil {
 		fmt.Fprintf(w, "adapt: stream 0 enters unseen scene %s (drift window %d, canary %d frames)\n\n",
 			novel, ao.DriftWindow, ao.CanaryFrames)
@@ -970,8 +899,8 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 			}
 			tag += "]"
 		}
-		fmt.Fprintf(w, "stream %d%s: %d frames  F1 %.3f  switches %d  %.1f FPS busy  %.1f J\n",
-			s, tag, st.Frames, st.Detection.F1, st.Switches, sim.FPS(), sim.EnergyJ())
+		fmt.Fprintf(w, "stream %d%s: %d frames  F1 %.3f  switches %d  %.1f FPS busy  %.2f W avg  %.1f J  peak %.0f MB\n",
+			s, tag, st.Frames, st.Detection.F1, st.Switches, sim.FPS(), sim.AveragePowerW(), sim.EnergyJ(), sim.PeakMemoryMB())
 	}
 	var fleetClasses []classReport
 	if ro.Fleet != nil {
@@ -1047,9 +976,9 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 		}
 		fmt.Fprintf(w, "trace: %d events written to %s.stream{0..%d}\n", total, tracePath, streams-1)
 	}
-	rep := buildReport(agg, sched, pfBreaker(pfCfg), ast, press, ro.SLO, ro.Flight, reg, spans)
+	rep := buildReport(agg, sched, pfBreaker(ro.Prefetch), ast, press, ro.SLO, ro.Flight, ro.Metrics, ro.Spans)
 	rep.Fleet = fleetClasses
-	return writeReport(w, jsonPath, rep)
+	return writeReport(w, ro.JSONPath, rep)
 }
 
 // variantCount is one (variant, stream count) cell of a class report.

@@ -116,6 +116,9 @@ func cheapBundlePathSeed(t *testing.T, seed uint64) string {
 	return path
 }
 
+// TestRunSingleStream pins the default one-camera run: it serves
+// through the same MultiRuntime path as any stream count, so it prints
+// the unified per-stream and aggregate summary.
 func TestRunSingleStream(t *testing.T) {
 	path := cheapBundlePath(t)
 	var out strings.Builder
@@ -123,10 +126,54 @@ func TestRunSingleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"clip 1:", "cache:", "device:"} {
+	for _, want := range []string{
+		"streaming 1 streams x 1 clips x 12 frames",
+		"stream 0: 12 frames", "W avg", "peak",
+		"aggregate: frames 12", "shared cache:", "simulated makespan",
+	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "stream 1:") {
+		t.Errorf("one-stream run printed a second stream:\n%s", out.String())
+	}
+}
+
+// TestRunSingleStreamFleetFlags runs one stream with each flag that
+// once required -streams >= 2; all of them drive the one MultiRuntime
+// and must work for a single camera.
+func TestRunSingleStreamFleetFlags(t *testing.T) {
+	path := cheapBundlePath(t)
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "warm.ckpt")
+	base := []string{"-bundle", path, "-streams", "1", "-clips", "1", "-frames", "20", "-cache", "2"}
+	cases := []struct {
+		name string
+		// runs execute in order; want[i] must appear in the output of
+		// runs[i].
+		runs [][]string
+		want []string
+	}{
+		{"deadline thermal", [][]string{{"-deadline", "20ms", "-thermal"}}, []string{"pressure: level"}},
+		{"checkpoint restore", [][]string{{"-checkpoint", ckpt}, {"-restore", ckpt}},
+			[]string{"checkpoint: wrote", "restore: warmed"}},
+		{"flight slo", [][]string{{"-flight", "-slo"}}, []string{"slo: p99", "flight:"}},
+		{"fleet plan", [][]string{{"-fleet", "nano:1,tx2:1", "-plan", "-cache", "12"}},
+			[]string{"stream 0 [nano fp32]:"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, extra := range tc.runs {
+				var out strings.Builder
+				if err := run(&out, append(append([]string{}, base...), extra...)); err != nil {
+					t.Fatalf("run %d (%v): %v", i, extra, err)
+				}
+				if !strings.Contains(out.String(), tc.want[i]) || !strings.Contains(out.String(), "aggregate: frames 20") {
+					t.Errorf("run %d (%v): output missing %q or the aggregate line:\n%s", i, extra, tc.want[i], out.String())
+				}
+			}
+		})
 	}
 }
 
@@ -351,9 +398,8 @@ func TestRunAdaptJSON(t *testing.T) {
 
 func TestRunRejectsBadFleetFlags(t *testing.T) {
 	cases := map[string][]string{
-		"fleet single stream": {"-fleet", "nano:1", "-streams", "1"},
-		"plan without fleet":  {"-streams", "2", "-plan"},
-		"plan with adapt":     {"-streams", "2", "-fleet", "nano:1,tx2:1", "-plan", "-adapt"},
+		"plan without fleet": {"-streams", "2", "-plan"},
+		"plan with adapt":    {"-streams", "2", "-fleet", "nano:1,tx2:1", "-plan", "-adapt"},
 	}
 	for name, args := range cases {
 		if err := run(io.Discard, args); err == nil {

@@ -14,7 +14,7 @@ import (
 // prewarmCache admits every repertoire model so subsequent requests are
 // hits regardless of stream interleaving — the precondition for exact
 // cross-mode result comparison.
-func prewarmCache(t *testing.T, store core.ModelStore, b *core.Bundle) {
+func prewarmCache(t *testing.T, store *modelcache.Sharded, b *core.Bundle) {
 	t.Helper()
 	for _, det := range b.Detectors {
 		if _, _, err := store.Request(det.Name, 1); err != nil {
@@ -93,7 +93,7 @@ func perStreamReference(t *testing.T, b *core.Bundle, frameSets [][]*synth.Frame
 	results := make([][]core.FrameResult, len(frameSets))
 	stats := make([]core.RunStats, len(frameSets))
 	for s, frames := range frameSets {
-		store := modelcache.MustNew(b.NumModels(), modelcache.LFU)
+		store := modelcache.MustNewSharded(b.NumModels(), modelcache.LFU, 1)
 		prewarmCache(t, store, b)
 		cfg := core.RuntimeConfig{Store: store, SwitchHysteresis: hysteresis}
 		if fleet != nil {

@@ -28,13 +28,9 @@ func TestRuntimeCacheBytesMatchWeightSizes(t *testing.T) {
 		sizeOf[d.Name] = d.SizeBytes()
 	}
 
-	for name, store := range map[string]interface {
-		core.ModelStore
-		Keys() []string
-		BytesUsed() int64
-	}{
-		"cache":   modelcache.MustNew(3, modelcache.LFU),
-		"sharded": modelcache.MustNewSharded(3, modelcache.LFU, 2),
+	for name, store := range map[string]*modelcache.Sharded{
+		"one shard":  modelcache.MustNewSharded(3, modelcache.LFU, 1),
+		"two shards": modelcache.MustNewSharded(3, modelcache.LFU, 2),
 	} {
 		rt, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{Store: store})
 		if err != nil {

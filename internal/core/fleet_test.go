@@ -7,6 +7,7 @@ import (
 
 	"anole/internal/core"
 	"anole/internal/device"
+	"anole/internal/netsim"
 	"anole/internal/testutil"
 )
 
@@ -207,6 +208,42 @@ func TestPlannerLatencyBudgetSelectsQuantized(t *testing.T) {
 		if p >= u {
 			t.Fatalf("stream %d (nano): planned latency %v not better than one-size-fits-all %v", i, p, u)
 		}
+	}
+}
+
+// TestPlannerPrefetchFetchesQuantizedVariants pins planning behind a
+// link: the link fetcher is built for the base repertoire only, so the
+// planner's quantized detectors ("M_k@q8") must be registered with it
+// at construction, or the first cold frame of a planned stream cannot
+// fetch its model at all.
+func TestPlannerPrefetchFetchesQuantizedVariants(t *testing.T) {
+	fx := testutil.Shared(t)
+	const streams, perStream = 2, 40
+	fleet := device.UniformFleet(device.JetsonNano, streams)
+	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+		Streams:    streams,
+		CacheSlots: 4 * fx.Bundle.NumModels(),
+		Fleet:      fleet,
+		// Between the Nano's fp32 and q8 estimates (see
+		// TestPlannerLatencyBudgetSelectsQuantized).
+		Plan:     &core.PlanConfig{LatencyBudget: 30 * time.Millisecond},
+		Prefetch: linkPrefetchConfig(t, fx.Bundle, netsim.DefaultConfig(1), 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i := range fleet {
+		if v := m.StreamVariant(i); v == "fp32" {
+			t.Fatalf("stream %d kept fp32; the test needs a quantized variant", i)
+		}
+	}
+	if _, err := m.ProcessStreams(streamFrames(t, streams, perStream), nil); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.Frames != streams*perStream || st.ColdMisses == 0 {
+		t.Fatalf("frames %d cold misses %d: want %d frames fetched over the link", st.Frames, st.ColdMisses, streams*perStream)
 	}
 }
 

@@ -152,6 +152,12 @@ type MultiRuntime struct {
 	slo *slo.Engine
 }
 
+// modelRegistrar is implemented by fetchers that learn new models after
+// construction (prefetch.LinkFetcher.AddModels).
+type modelRegistrar interface {
+	AddModels([]prefetch.Model) error
+}
+
 // NewMultiRuntime validates the bundle once, builds the shared sharded
 // cache, and prepares one runtime per stream, all sharing the bundle.
 func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
@@ -220,6 +226,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 	sizer := newSizerRegistry()
 	sizer.add(b)
 	pfModels := PrefetchModels(b)
+	var variantModels []prefetch.Model
 	if cfg.Plan != nil {
 		ps, err := newPlanState(b, cfg.Plan, cfg.Streams, cfg.Metrics)
 		if err != nil {
@@ -228,13 +235,21 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 		m.plan = ps
 		for _, v := range ps.variants[1:] {
 			sizer.add(v.bundle)
-			pfModels = append(pfModels, PrefetchModels(v.bundle)...)
+			variantModels = append(variantModels, PrefetchModels(v.bundle)...)
 		}
+		pfModels = append(pfModels, variantModels...)
 	}
 	if cfg.Prefetch != nil {
 		pcfg := *cfg.Prefetch
 		if pcfg.Metrics == nil {
 			pcfg.Metrics = cfg.Metrics
+		}
+		// The fetcher was built for the base repertoire (PrefetchModels
+		// of b); the planner's variant models must become fetchable too.
+		if reg, ok := pcfg.Fetcher.(modelRegistrar); ok && len(variantModels) > 0 {
+			if err := reg.AddModels(variantModels); err != nil {
+				return nil, err
+			}
 		}
 		sched, err := prefetch.NewScheduler(pcfg, cache, pfModels)
 		if err != nil {

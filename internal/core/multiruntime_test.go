@@ -8,6 +8,8 @@ import (
 	"anole/internal/core"
 	"anole/internal/device"
 	"anole/internal/modelcache"
+	"anole/internal/netsim"
+	"anole/internal/prefetch"
 	"anole/internal/synth"
 	"anole/internal/testutil"
 )
@@ -33,19 +35,31 @@ func streamFrames(t *testing.T, n, perStream int) [][]*synth.Frame {
 }
 
 // TestMultiRuntimeSingleStreamMatchesRuntime is the determinism guard
-// for the refactor: one stream through MultiRuntime (single shard by
-// default) must produce frame-for-frame identical results to the
-// original single-tenant Runtime on the same sequence, including
-// simulated latency, hysteresis smoothing and cache behavior.
+// for serving one camera through MultiRuntime (single shard by
+// default): it must produce frame-for-frame identical results to the
+// single-tenant Runtime on the same sequence, including simulated
+// latency, hysteresis smoothing, cache behavior and — with link
+// prefetch on — demand-fetch stalls and prefetch counters.
 func TestMultiRuntimeSingleStreamMatchesRuntime(t *testing.T) {
 	fx := testutil.Shared(t)
 	frames := streamFrames(t, 1, 120)[0]
 
-	for _, hysteresis := range []int{0, 3} {
+	for _, tc := range []struct {
+		hysteresis int
+		prefetch   bool
+	}{{0, false}, {3, false}, {0, true}} {
+		hysteresis := tc.hysteresis
+		var spf, mpf *prefetch.Config
+		if tc.prefetch {
+			// Two identically seeded links, one per side.
+			spf = linkPrefetchConfig(t, fx.Bundle, netsim.DefaultConfig(0.7), 2)
+			mpf = linkPrefetchConfig(t, fx.Bundle, netsim.DefaultConfig(0.7), 2)
+		}
 		single, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{
 			CacheSlots:       3,
 			SwitchHysteresis: hysteresis,
 			Device:           mustSim(device.JetsonTX2NX),
+			Prefetch:         spf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,6 +69,7 @@ func TestMultiRuntimeSingleStreamMatchesRuntime(t *testing.T) {
 			CacheSlots:       3,
 			SwitchHysteresis: hysteresis,
 			Fleet:            device.UniformFleet(device.JetsonTX2NX, 1),
+			Prefetch:         mpf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,20 +91,33 @@ func TestMultiRuntimeSingleStreamMatchesRuntime(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got[0]) != len(want) {
-			t.Fatalf("hysteresis %d: %d results, want %d", hysteresis, len(got[0]), len(want))
+			t.Fatalf("%+v: %d results, want %d", tc, len(got[0]), len(want))
 		}
 		for i := range want {
 			if got[0][i] != want[i] {
-				t.Fatalf("hysteresis %d: frame %d diverged:\n multi %+v\nsingle %+v",
-					hysteresis, i, got[0][i], want[i])
+				t.Fatalf("%+v: frame %d diverged:\n multi %+v\nsingle %+v",
+					tc, i, got[0][i], want[i])
 			}
 		}
 
+		ssched, msched := single.Prefetcher(), multi.Prefetcher()
+		single.Close()
+		multi.Close()
 		ss, ms := single.Stats(), multi.Stats()
 		if ss.Frames != ms.Frames || ss.Switches != ms.Switches ||
 			ss.Cache != ms.Cache || ss.Detection != ms.Detection ||
-			ss.TotalLatency != ms.TotalLatency {
-			t.Fatalf("hysteresis %d: aggregate stats diverged:\n multi %+v\nsingle %+v", hysteresis, ms, ss)
+			ss.TotalLatency != ms.TotalLatency ||
+			ss.ColdMisses != ms.ColdMisses || ss.FetchStall != ms.FetchStall {
+			t.Fatalf("%+v: aggregate stats diverged:\n multi %+v\nsingle %+v", tc, ms, ss)
+		}
+		if tc.prefetch {
+			sps, mps := ssched.Stats(), msched.Stats()
+			if sps != mps {
+				t.Fatalf("scheduler stats diverged:\n multi %+v\nsingle %+v", mps, sps)
+			}
+			if ss.ColdMisses == 0 || sps.Issued == 0 {
+				t.Fatalf("prefetch case left the link idle: cold misses %d, prefetches issued %d", ss.ColdMisses, sps.Issued)
+			}
 		}
 	}
 }
@@ -310,7 +338,7 @@ func TestSharedBundleStreamsMatchSequential(t *testing.T) {
 	const streams = 4
 	slots := fx.Bundle.NumModels()
 
-	seqStore := modelcache.MustNew(slots, modelcache.LFU)
+	seqStore := modelcache.MustNewSharded(slots, modelcache.LFU, 1)
 	for _, det := range fx.Bundle.Detectors {
 		if _, _, err := seqStore.Request(det.Name, 1); err != nil {
 			t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 
 // A device with room for two compressed models streams requests; the LFU
 // cache keeps the frequently used model resident.
-func ExampleCache() {
-	cache := modelcache.MustNew(2, modelcache.LFU)
+func ExampleSharded() {
+	cache := modelcache.MustNewSharded(2, modelcache.LFU, 1)
 	for _, model := range []string{"M_1", "M_1", "M_2", "M_1", "M_3"} {
 		hit, evicted, err := cache.Request(model, 1)
 		if err != nil {

@@ -4,11 +4,12 @@
 // model misses. LRU and FIFO policies are included for the cache-policy
 // ablation.
 //
-// Two cache types are provided. Cache is the single-goroutine original:
-// one device, one stream, no locks. Sharded partitions the same capacity
-// across mutex-guarded shards keyed by model name, with atomic
-// hit/miss/eviction counters, and is safe for concurrent use — it backs
-// core.MultiRuntime, where many streams share one resident-model budget.
+// Sharded is the one cache type. It partitions the capacity across
+// mutex-guarded shards keyed by model name, with atomic
+// hit/miss/eviction counters, and is safe for concurrent use. One shard
+// serves a single camera (core.NewRuntime); core.MultiRuntime shares one
+// cache across many streams. Each shard runs the eviction policy in an
+// unexported single-goroutine engine (cache, this file).
 package modelcache
 
 import (
@@ -56,12 +57,11 @@ type entry struct {
 	pinnedUntil int64
 }
 
-// Cache is a bounded model cache. Capacity is expressed in abstract size
-// units (the harness uses "compressed model" units, matching Fig. 7(b)'s
-// x-axis). The zero value is not usable; construct with New. Cache is not
-// safe for concurrent use; wrap the same policies in a Sharded cache when
-// multiple goroutines share one model budget.
-type Cache struct {
+// cache is one shard's policy engine: a bounded model cache whose
+// capacity is expressed in abstract size units (the harness uses
+// "compressed model" units, matching Fig. 7(b)'s x-axis). It is not safe
+// for concurrent use; Sharded guards each engine with its shard's lock.
+type cache struct {
 	capacity int
 	policy   Policy
 	entries  map[string]*entry
@@ -99,9 +99,9 @@ type Cache struct {
 // entry is evicted only when no unpinned victim exists.
 const DefaultPinWindow = 64
 
-// New returns a cache holding at most capacity size units under the given
-// policy.
-func New(capacity int, policy Policy) (*Cache, error) {
+// newCache returns an engine holding at most capacity size units under
+// the given policy.
+func newCache(capacity int, policy Policy) (*cache, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("modelcache: capacity %d", capacity)
 	}
@@ -110,36 +110,28 @@ func New(capacity int, policy Policy) (*Cache, error) {
 	default:
 		return nil, fmt.Errorf("modelcache: unknown policy %v", policy)
 	}
-	return &Cache{
+	return &cache{
 		capacity:  capacity,
 		policy:    policy,
 		entries:   make(map[string]*entry),
 		history:   make(map[string]int),
 		pinWindow: DefaultPinWindow,
+		watermark: 1,
 	}, nil
 }
 
-// MustNew is New that panics on error, for statically valid parameters.
-func MustNew(capacity int, policy Policy) *Cache {
-	c, err := New(capacity, policy)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Capacity returns the configured capacity in size units.
-func (c *Cache) Capacity() int { return c.capacity }
+func (c *cache) Capacity() int { return c.capacity }
 
 // Used returns the occupied size units.
-func (c *Cache) Used() int { return c.used }
+func (c *cache) Used() int { return c.used }
 
 // SetSizer teaches the cache the serialized byte size of each model:
 // fn maps a key to its exact on-device bytes (e.g. nn.Weights.SizeBytes
 // of the detector behind the key). Resident entries are re-measured
 // immediately, and every later admission records fn(key) so BytesUsed
 // tracks the real resident set. A nil fn clears byte accounting.
-func (c *Cache) SetSizer(fn func(key string) int64) {
+func (c *cache) SetSizer(fn func(key string) int64) {
 	c.sizer = fn
 	c.bytesUsed = 0
 	for _, e := range c.entries {
@@ -151,7 +143,7 @@ func (c *Cache) SetSizer(fn func(key string) int64) {
 // BytesUsed returns the summed serialized bytes of resident models, 0
 // until SetSizer installs a sizer. Unlike Used (abstract slot units),
 // this is the exact memory figure of the resident repertoire slice.
-func (c *Cache) BytesUsed() int64 { return c.bytesUsed }
+func (c *cache) BytesUsed() int64 { return c.bytesUsed }
 
 // SetByteCapacity bounds the resident set in serialized bytes: demand
 // admissions evict until the incoming model fits under n, speculative
@@ -160,7 +152,7 @@ func (c *Cache) BytesUsed() int64 { return c.bytesUsed }
 // measures 0 bytes). n <= 0 clears the bound. This is how a device
 // profile's GPU memory ceiling becomes the cache's real budget,
 // instead of the slot capacity silently diverging from it.
-func (c *Cache) SetByteCapacity(n int64) {
+func (c *cache) SetByteCapacity(n int64) {
 	if n < 0 {
 		n = 0
 	}
@@ -168,7 +160,7 @@ func (c *Cache) SetByteCapacity(n int64) {
 }
 
 // ByteCapacity returns the configured byte capacity (0 = unbounded).
-func (c *Cache) ByteCapacity() int64 { return c.byteCap }
+func (c *cache) ByteCapacity() int64 { return c.byteCap }
 
 // SetWatermark sets the byte-ceiling fraction (0 < frac ≤ 1) applied
 // to speculative admissions and watermark sweeps. Under memory
@@ -176,28 +168,20 @@ func (c *Cache) ByteCapacity() int64 { return c.byteCap }
 // entries and keeps headroom; demand admissions still use the full
 // byte capacity — serving a frame is never blocked by the watermark.
 // Out-of-range values reset to 1.
-func (c *Cache) SetWatermark(frac float64) {
+func (c *cache) SetWatermark(frac float64) {
 	if frac <= 0 || frac > 1 {
 		frac = 1
 	}
 	c.watermark = frac
 }
 
-// Watermark returns the current watermark fraction (1 when unset).
-func (c *Cache) Watermark() float64 {
-	if c.watermark <= 0 || c.watermark > 1 {
-		return 1
-	}
-	return c.watermark
-}
-
 // effByteCap returns the watermark-scaled byte ceiling (0 when byte
 // capacity is unbounded or no sizer is installed).
-func (c *Cache) effByteCap() int64 {
+func (c *cache) effByteCap() int64 {
 	if c.byteCap <= 0 || c.sizer == nil {
 		return 0
 	}
-	return int64(float64(c.byteCap) * c.Watermark())
+	return int64(float64(c.byteCap) * c.watermark)
 }
 
 // SweepToWatermark evicts unpinned entries (per the policy order)
@@ -207,7 +191,7 @@ func (c *Cache) effByteCap() int64 {
 // if that leaves the cache above the watermark: the sweep is advisory
 // pressure relief, not a correctness bound. No-op without a byte
 // capacity and sizer.
-func (c *Cache) SweepToWatermark() []string {
+func (c *cache) SweepToWatermark() []string {
 	target := c.effByteCap()
 	if target <= 0 {
 		return nil
@@ -230,7 +214,7 @@ func (c *Cache) SweepToWatermark() []string {
 // hit/miss/prefetch counters (a restore is not a lookup), and seeds
 // the LFU perfect history with freq so the entry keeps its pre-crash
 // utility standing. Reports whether the key is resident afterwards.
-func (c *Cache) Warm(key string, size, freq int) bool {
+func (c *cache) Warm(key string, size, freq int) bool {
 	if size <= 0 || key == "" {
 		return false
 	}
@@ -267,7 +251,7 @@ func (c *Cache) Warm(key string, size, freq int) bool {
 }
 
 // sizeOf measures key under the installed sizer (0 without one).
-func (c *Cache) sizeOf(key string) int64 {
+func (c *cache) sizeOf(key string) int64 {
 	if c.sizer == nil {
 		return 0
 	}
@@ -275,10 +259,10 @@ func (c *Cache) sizeOf(key string) int64 {
 }
 
 // Len returns the number of cached models.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *cache) Len() int { return len(c.entries) }
 
 // Contains reports whether key is cached, without recording a use.
-func (c *Cache) Contains(key string) bool {
+func (c *cache) Contains(key string) bool {
 	_, ok := c.entries[key]
 	return ok
 }
@@ -287,7 +271,7 @@ func (c *Cache) Contains(key string) bool {
 // whether it was present. The first use of a prefetched entry counts as
 // a prefetch hit — the model was warmed before it was needed — and
 // releases its eviction pin.
-func (c *Cache) Touch(key string) bool {
+func (c *cache) Touch(key string) bool {
 	e, ok := c.entries[key]
 	if !ok {
 		return false
@@ -307,7 +291,7 @@ func (c *Cache) Touch(key string) bool {
 // SetPinWindow sets the first-use protection window of future Prefetch
 // admissions, in logical-clock ticks (≤0 disables pinning). The default
 // is DefaultPinWindow.
-func (c *Cache) SetPinWindow(n int) {
+func (c *cache) SetPinWindow(n int) {
 	if n < 0 {
 		n = 0
 	}
@@ -324,7 +308,7 @@ func (c *Cache) SetPinWindow(n int) {
 // expires. A key that is already resident is left untouched (admitted =
 // false, no use recorded). Entries larger than the cache are rejected
 // with an error.
-func (c *Cache) Prefetch(key string, size int) (admitted bool, evicted []string, err error) {
+func (c *cache) Prefetch(key string, size int) (admitted bool, evicted []string, err error) {
 	if size <= 0 {
 		return false, nil, fmt.Errorf("modelcache: size %d for %q", size, key)
 	}
@@ -372,7 +356,7 @@ func (c *Cache) Prefetch(key string, size int) (admitted bool, evicted []string,
 // cache are rejected with an error. LFU frequency counts survive
 // eviction (perfect history), so a previously hot model regains its
 // utility standing on re-admission.
-func (c *Cache) Request(key string, size int) (hit bool, evicted []string, err error) {
+func (c *cache) Request(key string, size int) (hit bool, evicted []string, err error) {
 	if size <= 0 {
 		return false, nil, fmt.Errorf("modelcache: size %d for %q", size, key)
 	}
@@ -422,7 +406,7 @@ func (c *Cache) Request(key string, size int) (hit bool, evicted []string, err e
 // Remove drops key from the cache (e.g. when the runtime retires a
 // model), reporting whether it was present. It does not count as an
 // eviction.
-func (c *Cache) Remove(key string) bool {
+func (c *cache) Remove(key string) bool {
 	if _, ok := c.entries[key]; !ok {
 		return false
 	}
@@ -430,7 +414,7 @@ func (c *Cache) Remove(key string) bool {
 	return true
 }
 
-func (c *Cache) removeEntry(key string) {
+func (c *cache) removeEntry(key string) {
 	e := c.entries[key]
 	c.used -= e.size
 	c.bytesUsed -= e.bytes
@@ -439,7 +423,7 @@ func (c *Cache) removeEntry(key string) {
 
 // overCommitted reports whether admitting (size, bytes) would exceed
 // the slot capacity or, when byteCeil > 0, the byte ceiling.
-func (c *Cache) overCommitted(size int, bytes, byteCeil int64) bool {
+func (c *cache) overCommitted(size int, bytes, byteCeil int64) bool {
 	if c.used+size > c.capacity {
 		return true
 	}
@@ -448,7 +432,7 @@ func (c *Cache) overCommitted(size int, bytes, byteCeil int64) bool {
 
 // evictEntry removes key as an eviction, counting a wasted prefetch when
 // the entry was warmed but never used.
-func (c *Cache) evictEntry(key string) {
+func (c *cache) evictEntry(key string) {
 	if e := c.entries[key]; e != nil && e.prefetched && e.unused {
 		c.prefetchWasted++
 	}
@@ -457,7 +441,7 @@ func (c *Cache) evictEntry(key string) {
 }
 
 // pinned reports whether e is inside its prefetch first-use window.
-func (c *Cache) pinned(e *entry) bool {
+func (c *cache) pinned(e *entry) bool {
 	return e.unused && e.pinnedUntil > c.clock
 }
 
@@ -466,7 +450,7 @@ func (c *Cache) pinned(e *entry) bool {
 // their prefetch pin window are spared while any unpinned candidate
 // exists; when every entry is pinned the policy runs over all of them,
 // so an on-demand admission never fails for pinning alone.
-func (c *Cache) victim() string {
+func (c *cache) victim() string {
 	if v := c.victimUnpinned(); v != "" {
 		return v
 	}
@@ -475,7 +459,7 @@ func (c *Cache) victim() string {
 
 // victimUnpinned picks the policy victim among unpinned entries only,
 // returning "" when none exists.
-func (c *Cache) victimUnpinned() string {
+func (c *cache) victimUnpinned() string {
 	return c.victimAmong(func(e *entry) bool { return !c.pinned(e) })
 }
 
@@ -484,12 +468,12 @@ func (c *Cache) victimUnpinned() string {
 // prefetch must never displace the model serving the current scene,
 // even when the policy's long-run ranking (LFU frequency, say) puts
 // that model last. Demand insertion (Request) is not so constrained.
-func (c *Cache) victimSpeculative() string {
+func (c *cache) victimSpeculative() string {
 	mru := c.mostRecentlyUsed()
 	return c.victimAmong(func(e *entry) bool { return !c.pinned(e) && e != mru })
 }
 
-func (c *Cache) mostRecentlyUsed() *entry {
+func (c *cache) mostRecentlyUsed() *entry {
 	var best *entry
 	for _, e := range c.entries {
 		if best == nil || e.lastUsed > best.lastUsed {
@@ -499,7 +483,7 @@ func (c *Cache) mostRecentlyUsed() *entry {
 	return best
 }
 
-func (c *Cache) victimAmong(ok func(*entry) bool) string {
+func (c *cache) victimAmong(ok func(*entry) bool) string {
 	var best *entry
 	for _, e := range c.entries {
 		if !ok(e) {
@@ -533,7 +517,7 @@ func less(p Policy, a, b *entry) bool {
 
 // Keys returns the cached keys sorted lexicographically (a stable view
 // for tests and logs).
-func (c *Cache) Keys() []string {
+func (c *cache) Keys() []string {
 	keys := make([]string, 0, len(c.entries))
 	for k := range c.entries {
 		keys = append(keys, k)
@@ -556,7 +540,7 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
+func (c *cache) Stats() Stats {
 	return Stats{
 		Hits:      c.hits,
 		Misses:    c.misses,
@@ -570,7 +554,7 @@ func (c *Cache) Stats() Stats {
 
 // MissRate returns misses / (hits + misses), 0 when idle. This is the
 // Fig. 7(b) y-axis.
-func (c *Cache) MissRate() float64 {
+func (c *cache) MissRate() float64 {
 	total := c.hits + c.misses
 	if total == 0 {
 		return 0
@@ -580,7 +564,7 @@ func (c *Cache) MissRate() float64 {
 
 // Freq returns the recorded use count of key (0 when absent), exposed for
 // tests and the utility-distribution experiment.
-func (c *Cache) Freq(key string) int {
+func (c *cache) Freq(key string) int {
 	if e, ok := c.entries[key]; ok {
 		return e.freq
 	}

@@ -8,29 +8,47 @@ import (
 	"anole/internal/xrand"
 )
 
+// mustNewCache builds a policy engine for statically valid parameters.
+func mustNewCache(capacity int, policy Policy) *cache {
+	c, err := newCache(capacity, policy)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, LFU); err == nil {
+	if _, err := newCache(0, LFU); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	if _, err := New(3, Policy(0)); err == nil {
+	if _, err := newCache(3, Policy(0)); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
-	if c := MustNew(3, LFU); c.Capacity() != 3 {
+	if c := mustNewCache(3, LFU); c.Capacity() != 3 {
 		t.Fatal("capacity wrong")
 	}
 }
 
+// TestMustNewPanics pins MustNewSharded's contract: invalid capacity or
+// policy (rejected by the per-shard engine) panics.
 func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustNew(-1, LFU)
+	for _, tc := range []struct {
+		capacity int
+		policy   Policy
+	}{{-1, LFU}, {3, Policy(0)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("MustNewSharded(%d, %v): expected panic", tc.capacity, tc.policy)
+				}
+			}()
+			MustNewSharded(tc.capacity, tc.policy, 1)
+		}()
+	}
 }
 
 func TestRequestHitMiss(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	hit, ev, err := c.Request("a", 1)
 	if err != nil || hit || len(ev) != 0 {
 		t.Fatalf("first request: hit=%v ev=%v err=%v", hit, ev, err)
@@ -49,7 +67,7 @@ func TestRequestHitMiss(t *testing.T) {
 }
 
 func TestLFUEviction(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	c.Request("a", 1)
 	c.Request("b", 1)
 	// Use a twice more; b stays at freq 1.
@@ -68,7 +86,7 @@ func TestLFUEviction(t *testing.T) {
 }
 
 func TestLFUTieBreaksByInsertionOrder(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	c.Request("first", 1)
 	c.Request("second", 1)
 	_, evicted, _ := c.Request("third", 1)
@@ -78,7 +96,7 @@ func TestLFUTieBreaksByInsertionOrder(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := MustNew(2, LRU)
+	c := mustNewCache(2, LRU)
 	c.Request("a", 1)
 	c.Request("b", 1)
 	c.Request("a", 1) // refresh a's recency
@@ -89,7 +107,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestFIFOEviction(t *testing.T) {
-	c := MustNew(2, FIFO)
+	c := mustNewCache(2, FIFO)
 	c.Request("a", 1)
 	c.Request("b", 1)
 	// Heavy reuse of a must not save it under FIFO.
@@ -103,7 +121,7 @@ func TestFIFOEviction(t *testing.T) {
 }
 
 func TestMultiUnitSizes(t *testing.T) {
-	c := MustNew(4, LFU)
+	c := mustNewCache(4, LFU)
 	c.Request("big", 3)
 	c.Request("small", 1)
 	if c.Used() != 4 {
@@ -124,7 +142,7 @@ func TestMultiUnitSizes(t *testing.T) {
 }
 
 func TestRequestRejectsOversized(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	if _, _, err := c.Request("huge", 3); err == nil {
 		t.Fatal("oversized entry accepted")
 	}
@@ -134,7 +152,7 @@ func TestRequestRejectsOversized(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	c.Request("a", 1)
 	if !c.Remove("a") {
 		t.Fatal("remove missed present key")
@@ -151,7 +169,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestTouch(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	if c.Touch("ghost") {
 		t.Fatal("touch on absent key")
 	}
@@ -168,7 +186,7 @@ func TestTouch(t *testing.T) {
 }
 
 func TestKeysSorted(t *testing.T) {
-	c := MustNew(3, LFU)
+	c := mustNewCache(3, LFU)
 	c.Request("zebra", 1)
 	c.Request("alpha", 1)
 	keys := c.Keys()
@@ -189,7 +207,7 @@ func TestPolicyString(t *testing.T) {
 func TestHotSetStaysResidentUnderLFU(t *testing.T) {
 	// Power-law access: models 0-2 are hot, 3-9 cold. With a 3-slot LFU
 	// cache the hot set should converge to residency (Fig. 4b ⇒ 7b).
-	c := MustNew(3, LFU)
+	c := mustNewCache(3, LFU)
 	rng := xrand.New(42)
 	weights := []float64{30, 20, 10, 1, 1, 1, 1, 1, 1, 1}
 	for i := 0; i < 3000; i++ {
@@ -212,7 +230,7 @@ func TestHotSetStaysResidentUnderLFU(t *testing.T) {
 
 func TestLargerCacheLowersMissRate(t *testing.T) {
 	run := func(capacity int) float64 {
-		c := MustNew(capacity, LFU)
+		c := mustNewCache(capacity, LFU)
 		rng := xrand.New(7)
 		weights := []float64{8, 5, 3, 2, 1, 1, 1, 1}
 		for i := 0; i < 4000; i++ {
@@ -235,7 +253,7 @@ func TestCacheInvariants(t *testing.T) {
 	if err := quick.Check(func(seed uint32) bool {
 		rr := rng.Split(uint64(seed))
 		policies := []Policy{LFU, LRU, FIFO}
-		c := MustNew(rr.Intn(5)+1, policies[rr.Intn(3)])
+		c := mustNewCache(rr.Intn(5)+1, policies[rr.Intn(3)])
 		for op := 0; op < 200; op++ {
 			key := fmt.Sprintf("k%d", rr.Intn(8))
 			switch rr.Intn(3) {
@@ -271,7 +289,7 @@ func TestLFUHistorySurvivesEviction(t *testing.T) {
 	// A hot model evicted during a burst of other requests regains its
 	// frequency standing when re-admitted: the next eviction removes
 	// the low-history newcomer, not the returning hot model.
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	for i := 0; i < 5; i++ {
 		c.Request("hot", 1)
 	}
@@ -298,7 +316,7 @@ func TestLFUHistorySurvivesEviction(t *testing.T) {
 
 // bytesInvariant checks BytesUsed equals the sum of the sizer over the
 // resident keys — the accounting invariant SetSizer promises.
-func bytesInvariant(t *testing.T, c *Cache, size func(string) int64) {
+func bytesInvariant(t *testing.T, c *cache, size func(string) int64) {
 	t.Helper()
 	var want int64
 	for _, k := range c.Keys() {
@@ -316,7 +334,7 @@ func TestBytesUsedTracksResidentSet(t *testing.T) {
 		fmt.Sscanf(key, "M_%d", &i)
 		return int64(i+1) * 1000
 	}
-	c := MustNew(3, LFU)
+	c := mustNewCache(3, LFU)
 	if c.BytesUsed() != 0 {
 		t.Fatalf("BytesUsed %d before SetSizer, want 0", c.BytesUsed())
 	}

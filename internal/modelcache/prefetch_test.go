@@ -9,7 +9,7 @@ import (
 // nor misses, and that the entry's first real use is counted as a
 // prefetch hit.
 func TestPrefetchAdmitsWithoutLookup(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	admitted, evicted, err := c.Prefetch("a", 1)
 	if err != nil || !admitted || len(evicted) != 0 {
 		t.Fatalf("prefetch a: admitted=%v evicted=%v err=%v", admitted, evicted, err)
@@ -42,7 +42,7 @@ func TestPrefetchAdmitsWithoutLookup(t *testing.T) {
 // TestPrefetchResidentKeyIsNoop: prefetching a model that is already
 // cached must not touch it or count anything.
 func TestPrefetchResidentKeyIsNoop(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	if _, _, err := c.Request("a", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPrefetchResidentKeyIsNoop(t *testing.T) {
 // prefetched entry must survive on-demand eviction pressure while an
 // unpinned victim exists.
 func TestPrefetchPinProtectsFirstUseWindow(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	// "cold" is an ordinary entry with low frequency; "warm" is pinned.
 	if _, _, err := c.Request("cold", 1); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestPrefetchPinProtectsFirstUseWindow(t *testing.T) {
 // prefetched entry becomes an ordinary (and, at freq 0, prime) victim
 // and its eviction counts as wasted.
 func TestPrefetchPinExpires(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	c.SetPinWindow(2)
 	if _, _, err := c.Prefetch("warm", 1); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestPrefetchPinExpires(t *testing.T) {
 // room by displacing pinned entries must decline, while an on-demand
 // Request in the same state falls back to evicting a pinned entry.
 func TestPrefetchBestEffortWhenAllPinned(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	for _, k := range []string{"p1", "p2"} {
 		if admitted, _, err := c.Prefetch(k, 1); err != nil || !admitted {
 			t.Fatalf("prefetch %s: %v", k, err)
@@ -151,7 +151,7 @@ func TestPrefetchBestEffortWhenAllPinned(t *testing.T) {
 
 // TestPrefetchOversizedRejected mirrors Request's size validation.
 func TestPrefetchOversizedRejected(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	if _, _, err := c.Prefetch("big", 3); err == nil {
 		t.Fatal("oversized prefetch accepted")
 	}
@@ -210,7 +210,7 @@ func TestPrefetchNeverEvictsMostRecentlyUsed(t *testing.T) {
 	// Under LFU a long-lived hot entry outranks the model serving the
 	// current scene, so a naive speculative insert would evict the
 	// server. Prefetch must pick the other victim — or decline.
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	for i := 0; i < 10; i++ {
 		c.Request("old-hot", 1)
 	}
@@ -230,7 +230,7 @@ func TestPrefetchNeverEvictsMostRecentlyUsed(t *testing.T) {
 	}
 	// With one slot the only resident entry is the in-use one, so a
 	// prefetch can only decline.
-	one := MustNew(1, LRU)
+	one := mustNewCache(1, LRU)
 	one.Request("current", 1)
 	admitted, _, err = one.Prefetch("next", 1)
 	if err != nil || admitted {
@@ -246,7 +246,7 @@ func TestPrefetchNeverEvictsMostRecentlyUsed(t *testing.T) {
 // every other slot several times over — and only become a victim once
 // its first-use window has lapsed.
 func TestPrefetchPinSurvivesEvictionSweep(t *testing.T) {
-	c := MustNew(4, LFU)
+	c := mustNewCache(4, LFU)
 	c.SetPinWindow(100)
 	if _, _, err := c.Prefetch("pinned", 1); err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 )
 
 // Sharded is a thread-safe model cache for multi-stream serving: the
-// capacity is partitioned across independent shards, each an ordinary
-// Cache guarded by its own mutex, and model keys are hashed to shards.
+// capacity is partitioned across independent shards, each a policy
+// engine guarded by its own mutex, and model keys are hashed to shards.
 // Concurrent requests for different shards proceed in parallel; requests
 // for the same shard serialize on that shard's lock only.
 //
@@ -44,7 +44,7 @@ type Sharded struct {
 
 type shard struct {
 	mu sync.Mutex
-	c  *Cache
+	c  *cache
 }
 
 // NewSharded returns a thread-safe cache of the given total capacity,
@@ -94,7 +94,7 @@ func NewShardedMetrics(capacity int, policy Policy, shards int, reg *telemetry.R
 		if i < extra {
 			cap++
 		}
-		c, err := New(cap, policy)
+		c, err := newCache(cap, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +150,7 @@ func (s *Sharded) Used() int {
 }
 
 // SetSizer installs the key→serialized-bytes function on every shard
-// (see Cache.SetSizer), re-measuring already-resident entries. Call it
+// (see cache.SetSizer), re-measuring already-resident entries. Call it
 // before concurrent traffic starts (e.g. at runtime construction);
 // BytesUsed then tracks the exact resident model bytes.
 func (s *Sharded) SetSizer(fn func(key string) int64) {
@@ -194,7 +194,7 @@ func (s *Sharded) Contains(key string) bool {
 }
 
 // Touch records a use of key and reports whether it was present. It does
-// not move the lookup counters (mirroring Cache.Touch).
+// not move the lookup counters (mirroring cache.Touch).
 func (s *Sharded) Touch(key string) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -202,7 +202,7 @@ func (s *Sharded) Touch(key string) bool {
 	return sh.c.Touch(key)
 }
 
-// Request behaves like Cache.Request against key's shard: a hit touches
+// Request behaves like cache.Request against key's shard: a hit touches
 // the entry; a miss admits it, evicting victims within the shard until
 // it fits. Entries larger than the shard's capacity slice are rejected
 // with an error (with slot-sized models — size 1 — every shard accepts
@@ -230,7 +230,7 @@ func (s *Sharded) Request(key string, size int) (hit bool, evicted []string, err
 	return hit, evicted, err
 }
 
-// Prefetch behaves like Cache.Prefetch against key's shard: a
+// Prefetch behaves like cache.Prefetch against key's shard: a
 // speculative admission that leaves the hit/miss counters alone, never
 // displaces a pinned entry, and pins the new entry until its first use
 // window expires. Safe to call from background prefetch goroutines
@@ -254,7 +254,7 @@ func (s *Sharded) Prefetch(key string, size int) (admitted bool, evicted []strin
 // SetByteCapacity distributes a total byte capacity across shards the
 // same way slot capacity is distributed (even split, first shards take
 // the remainder), so the summed resident bytes never exceed total.
-// Like Cache.SetByteCapacity it only binds while a sizer is installed;
+// Like cache.SetByteCapacity it only binds while a sizer is installed;
 // n <= 0 clears the bound on every shard.
 func (s *Sharded) SetByteCapacity(total int64) {
 	n := int64(len(s.shards))
@@ -286,7 +286,7 @@ func (s *Sharded) ByteCapacity() int64 {
 }
 
 // SetWatermark sets the byte-ceiling fraction on every shard (see
-// Cache.SetWatermark).
+// cache.SetWatermark).
 func (s *Sharded) SetWatermark(frac float64) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -295,7 +295,7 @@ func (s *Sharded) SetWatermark(frac float64) {
 	}
 }
 
-// SweepToWatermark runs Cache.SweepToWatermark on every shard and
+// SweepToWatermark runs cache.SweepToWatermark on every shard and
 // returns all evicted keys. Pinned entries are never evicted.
 func (s *Sharded) SweepToWatermark() []string {
 	var evicted []string
@@ -311,7 +311,7 @@ func (s *Sharded) SweepToWatermark() []string {
 }
 
 // Warm re-admits key into its shard from a restart checkpoint's
-// residency manifest (see Cache.Warm): best-effort, no eviction, no
+// residency manifest (see cache.Warm): best-effort, no eviction, no
 // hit/miss accounting, LFU history seeded with freq.
 func (s *Sharded) Warm(key string, size, freq int) bool {
 	sh := s.shardFor(key)
@@ -326,7 +326,7 @@ func (s *Sharded) Warm(key string, size, freq int) bool {
 }
 
 // SetPinWindow sets the prefetch first-use protection window on every
-// shard (see Cache.SetPinWindow).
+// shard (see cache.SetPinWindow).
 func (s *Sharded) SetPinWindow(n int) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -66,13 +66,13 @@ func TestShardedRequestRejectsBadSize(t *testing.T) {
 }
 
 // TestShardedSingleShardMatchesCache replays one random request sequence
-// through a 1-shard Sharded cache and a plain Cache: every hit/miss,
-// eviction list and counter must agree. This is the equivalence that
-// makes MultiRuntime with one stream reproduce Runtime exactly.
+// through a 1-shard Sharded cache and the bare policy engine: every
+// hit/miss, eviction list and counter must agree, so the shard lock and
+// the atomic counters add nothing to the policy's behavior.
 func TestShardedSingleShardMatchesCache(t *testing.T) {
 	for _, policy := range []Policy{LFU, LRU, FIFO} {
 		t.Run(policy.String(), func(t *testing.T) {
-			plain := MustNew(3, policy)
+			plain := mustNewCache(3, policy)
 			sharded := MustNewSharded(3, policy, 1)
 			rng := xrand.NewLabeled(7, "sharded-equivalence")
 			for i := 0; i < 2000; i++ {

@@ -22,7 +22,7 @@ func residentBytes(keys []string, sizer func(string) int64) int64 {
 }
 
 func TestSweepToWatermarkSparesPinnedEntries(t *testing.T) {
-	c := MustNew(10, LFU)
+	c := mustNewCache(10, LFU)
 	sizer := flatSizer(100)
 	c.SetSizer(sizer)
 	c.SetByteCapacity(1000)
@@ -81,7 +81,7 @@ func TestSweepToWatermarkSparesPinnedEntries(t *testing.T) {
 }
 
 func TestByteCapacityBoundsAdmissions(t *testing.T) {
-	c := MustNew(10, LFU)
+	c := mustNewCache(10, LFU)
 	sizes := map[string]int64{"small": 500, "big": 600, "huge": 1200}
 	c.SetSizer(func(k string) int64 { return sizes[k] })
 	c.SetByteCapacity(1000)
@@ -115,7 +115,7 @@ func TestByteCapacityBoundsAdmissions(t *testing.T) {
 }
 
 func TestWarmReadmitsWithoutEvictingOrCounting(t *testing.T) {
-	c := MustNew(2, LFU)
+	c := mustNewCache(2, LFU)
 	sizer := flatSizer(100)
 	c.SetSizer(sizer)
 	c.SetByteCapacity(250)
@@ -140,7 +140,7 @@ func TestWarmReadmitsWithoutEvictingOrCounting(t *testing.T) {
 		t.Fatal("warm evicted to make room")
 	}
 	// Byte budget full: same best-effort refusal.
-	c2 := MustNew(8, LFU)
+	c2 := mustNewCache(8, LFU)
 	c2.SetSizer(sizer)
 	c2.SetByteCapacity(150)
 	if !c2.Warm("a", 1, 0) || c2.Warm("b", 1, 0) {
