@@ -172,7 +172,8 @@ func TestAdaptChaosCorruptDigestNeverPromotes(t *testing.T) {
 }
 
 // outageFetcher serves model bytes instantly until beginOutage, then
-// fails every fetch: the model-distribution path dies wholesale.
+// fails every fetch: the model-distribution path dies wholesale. It
+// serves demand fetches only; a background start is refused.
 type outageFetcher struct {
 	mu     sync.Mutex
 	down   bool
@@ -195,8 +196,10 @@ func (f *outageFetcher) fetch(name string) (int64, time.Duration, error) {
 	return 0, 0, fmt.Errorf("distribution outage: %s unreachable", name)
 }
 
-func (f *outageFetcher) FetchModel(ctx context.Context, name string) (int64, time.Duration, error) {
-	return f.fetch(name)
+func (f *outageFetcher) Tick() {}
+
+func (f *outageFetcher) StartBackground(name string, _ func(int64, error)) (func() bool, error) {
+	return nil, fmt.Errorf("background fetch of %s not served", name)
 }
 
 func (f *outageFetcher) FetchModelNow(ctx context.Context, name string) (int64, time.Duration, error) {

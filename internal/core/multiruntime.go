@@ -61,7 +61,8 @@ type MultiRuntimeConfig struct {
 	// predicted switch targets are prefetched in the background. Every
 	// processed frame — across all streams — advances the shared link
 	// clock one tick, so the link services one frame-time of transfer
-	// per frame of aggregate work. Call Close to drain the scheduler.
+	// per frame of aggregate work, and prefetches complete inside that
+	// tick. Call Close to cancel the scheduler's pending transfers.
 	Prefetch *prefetch.Config
 	// Metrics, when non-nil, is the shared telemetry registry: the
 	// sharded cache registers its anole_modelcache_* counters on it, the
@@ -130,7 +131,7 @@ type MultiRuntime struct {
 	devs    []*device.Simulator
 	workers int
 	// pf is the shared prefetch scheduler (nil without Prefetch); the
-	// MultiRuntime owns it and Close drains it.
+	// MultiRuntime owns it and Close closes it.
 	pf *prefetch.Scheduler
 	// maxBatch and the reusable working set drive the tick pipeline (see
 	// tick.go).
@@ -444,8 +445,9 @@ func (m *MultiRuntime) PurgeStaleModels() int {
 // prefetching is disabled).
 func (m *MultiRuntime) Prefetcher() *prefetch.Scheduler { return m.pf }
 
-// Close drains the shared prefetch scheduler and detaches it from every
-// stream, and returns the batch working set's scratches to their pools.
+// Close closes the shared prefetch scheduler, cancelling its pending
+// transfers, detaches it from every stream, and returns the batch
+// working set's scratches to their pools.
 // Safe without prefetching; call after the last ProcessStreams.
 func (m *MultiRuntime) Close() {
 	for _, rt := range m.streams {

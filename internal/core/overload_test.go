@@ -187,11 +187,14 @@ func TestMultiRuntimeSwapPurgeByteAccounting(t *testing.T) {
 }
 
 // unreachableFetcher delivers every model at once except the named one,
-// whose repository entry is unreachable: every fetch of it fails.
+// whose repository entry is unreachable: every fetch of it fails. It
+// serves demand fetches only; a background start is refused.
 type unreachableFetcher struct{ name string }
 
-func (f unreachableFetcher) FetchModel(ctx context.Context, name string) (int64, time.Duration, error) {
-	return f.FetchModelNow(ctx, name)
+func (unreachableFetcher) Tick() {}
+
+func (unreachableFetcher) StartBackground(name string, _ func(int64, error)) (func() bool, error) {
+	return nil, errors.New("background fetch not served")
 }
 
 func (f unreachableFetcher) FetchModelNow(_ context.Context, name string) (int64, time.Duration, error) {

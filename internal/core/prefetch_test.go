@@ -166,7 +166,7 @@ func TestMultiRuntimePrefetchShared(t *testing.T) {
 			ps.DemandFetches, ps.DemandFailures, agg.ColdMisses)
 	}
 	m.Close()
-	// After Close every background flight has drained, so the counters
+	// Close cancels every pending background flight, so the counters
 	// must balance.
 	ps = sched.Stats()
 	if ps.Completed+ps.Cancelled+ps.Failed != ps.Issued {

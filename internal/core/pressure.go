@@ -348,15 +348,6 @@ func (m *MultiRuntime) PressureStats() *PressureStats {
 	return out
 }
 
-// PressureLevel returns the monitor's current level (Nominal when the
-// machinery is disabled).
-func (m *MultiRuntime) PressureLevel() pressure.Level {
-	if m.press == nil {
-		return pressure.Nominal
-	}
-	return m.press.mon.Level()
-}
-
 // PressureMonitor exposes the monitor so external subscribers (the
 // adapt loop's uplink gate) can watch the same level the fleet reacts
 // to. Nil when the machinery is disabled.

@@ -43,9 +43,10 @@ type RuntimeConfig struct {
 	// set): model bytes then travel the device↔cloud link, absent
 	// desired models pay an on-demand fetch stall, and predicted next
 	// models are prefetched in the background after each switch. The
-	// runtime owns the scheduler; call Close to drain it. Prefetch
-	// completions insert into the cache from the scheduler, which the
-	// cache's shard lock makes safe.
+	// runtime owns the scheduler; call Close to cancel its pending
+	// transfers. Prefetch completions land inside the scheduler's
+	// per-frame Tick (or a demand fetch) and insert into the cache
+	// there, under the cache's shard lock.
 	Prefetch *prefetch.Config
 	// Prefetcher, when non-nil, attaches a pre-built (possibly shared)
 	// scheduler instead; it takes precedence over Prefetch and is NOT
@@ -362,7 +363,7 @@ func (sr *sizerRegistry) size(key string) int64 {
 // prefetching is disabled).
 func (r *Runtime) Prefetcher() *prefetch.Scheduler { return r.pf }
 
-// Close drains a prefetch scheduler the runtime built for itself
+// Close closes a prefetch scheduler the runtime built for itself
 // (RuntimeConfig.Prefetch) and detaches it. A shared scheduler injected
 // via RuntimeConfig.Prefetcher is only detached — its owner closes it.
 // Safe to call on runtimes without prefetching.

@@ -241,7 +241,6 @@ type Simulator struct {
 
 	busy        time.Duration // time spent computing or loading
 	idle        time.Duration // explicit idle time (waiting for frames)
-	ioTime      time.Duration // background model-transfer time (overlapped)
 	energyJ     float64
 	inited      bool    // framework initialized (first load done)
 	residentMB  float64 // loaded model memory
@@ -335,7 +334,6 @@ func (s *Simulator) LoadModelAsync(model ModelCost) time.Duration {
 		s.inited = true
 	}
 	d := time.Duration(seconds * float64(time.Second))
-	s.ioTime += d
 	s.energyJ += s.ioWatts() * d.Seconds()
 	s.loads++
 	s.residentMB += model.LoadMemoryMB()
@@ -444,11 +442,8 @@ func (s *Simulator) Reset() {
 // ResetCounters keeps the thermal state: a warm device stays warm across
 // the measurement boundary.
 func (s *Simulator) ResetCounters() {
-	s.busy, s.idle, s.ioTime = 0, 0, 0
+	s.busy, s.idle = 0, 0
 	s.energyJ = 0
 	s.inferences, s.loads = 0, 0
 	s.peakMemory = s.residentMB + s.execBoostMB
 }
-
-// IOTime returns the accumulated background-transfer time.
-func (s *Simulator) IOTime() time.Duration { return s.ioTime }

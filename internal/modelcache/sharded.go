@@ -233,8 +233,8 @@ func (s *Sharded) Request(key string, size int) (hit bool, evicted []string, err
 // Prefetch behaves like cache.Prefetch against key's shard: a
 // speculative admission that leaves the hit/miss counters alone, never
 // displaces a pinned entry, and pins the new entry until its first use
-// window expires. Safe to call from background prefetch goroutines
-// while other goroutines Request.
+// window expires. Safe to call from the prefetch scheduler's
+// completions while other goroutines Request.
 func (s *Sharded) Prefetch(key string, size int) (admitted bool, evicted []string, err error) {
 	if size <= 0 {
 		return false, nil, fmt.Errorf("modelcache: size %d for %q", size, key)

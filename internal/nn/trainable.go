@@ -1,30 +1,18 @@
 package nn
 
-import "anole/internal/xrand"
-
 // Trainable quarantines everything mutable about a model under training —
 // gradient accumulators, cached activations, optimizer state spun up by
 // Train — behind one wrapper, so the rest of the system only ever handles
 // the immutable Weights it freezes into. The lifecycle is:
 //
-//	t := nn.NewTrainableMLP(cfg, rng)   // or ThawTrainable(w) to fine-tune
+//	t := nn.ThawTrainable(w0)   // reopen frozen weights to fine-tune
 //	t.Train(trainSet, valSet, tc)
-//	w := t.Freeze()                     // immutable, goroutine-shareable
+//	w := t.Freeze()             // immutable, goroutine-shareable
 //
 // A Trainable is single-goroutine, like the Network it wraps (the trainer
 // itself shards batches across internal clones).
 type Trainable struct {
 	net *Network
-}
-
-// NewTrainable wraps an existing network. The network is owned by the
-// Trainable from then on; callers should not keep running it directly.
-func NewTrainable(net *Network) *Trainable { return &Trainable{net: net} }
-
-// NewTrainableMLP constructs a trainable MLP described by cfg with weights
-// drawn from rng.
-func NewTrainableMLP(cfg MLPConfig, rng *xrand.RNG) *Trainable {
-	return &Trainable{net: NewMLP(cfg, rng)}
 }
 
 // ThawTrainable reopens frozen weights for training: parameters are

@@ -35,13 +35,11 @@ const requestBytes = 256
 // matching the 10 FPS camera streams of the paper's field runs.
 const DefaultFrameInterval = 100 * time.Millisecond
 
-// pendingXfer is one in-flight simulated transfer. Channel transfers
-// (done) park a FetchModel goroutine; callback transfers (notify) were
-// registered through StartBackground and complete synchronously inside
-// the Tick that passes their deadline.
+// pendingXfer is one in-flight simulated transfer, registered through
+// StartBackground. It completes synchronously inside the Tick (or
+// FetchModelNow clock advance) that passes its deadline.
 type pendingXfer struct {
 	deadline time.Duration // sim-clock completion time
-	done     chan struct{}
 	size     int64
 	notify   func(bytes int64, err error)
 	// err is the transfer's predetermined outcome (ErrCorrupt for a
@@ -155,21 +153,6 @@ func (f *LinkFetcher) Now() time.Duration {
 	return f.now
 }
 
-// State returns the link's current state.
-func (f *LinkFetcher) State() netsim.LinkState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.link.State()
-}
-
-// Transferred reports completed clean transfers and their payload bytes
-// (background and demand combined).
-func (f *LinkFetcher) Transferred() (count, bytes int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.transfers, f.simBytes
-}
-
 // LinkStats is a snapshot of the fetcher's transfer counters.
 type LinkStats struct {
 	// Transfers / Bytes count clean completed transfers and their
@@ -200,10 +183,10 @@ func (f *LinkFetcher) Stats() LinkStats {
 }
 
 // Tick advances the simulated clock one frame interval and steps the
-// link chain, completing due transfers. Callback transfers registered
-// through StartBackground are notified before Tick returns, so a caller
-// driving the clock observes their effects (e.g. the scheduler's cache
-// insert) deterministically in frame-tick time. Implements Ticker.
+// link chain, completing due transfers. Transfers registered through
+// StartBackground are notified before Tick returns, so a caller driving
+// the clock observes their effects (e.g. the scheduler's cache insert)
+// deterministically in frame-tick time.
 func (f *LinkFetcher) Tick() {
 	f.mu.Lock()
 	f.now += f.every
@@ -217,29 +200,26 @@ func (f *LinkFetcher) Tick() {
 	notifyDue(due)
 }
 
-// collectDueLocked completes due transfers: channel waiters are released
-// in place and callback transfers are returned for notification outside
-// the lock (their transfer counters are settled here, under it). A
-// transfer predetermined to arrive corrupt is quarantined: it counts as
-// a corruption, not a transfer, and completes with ErrCorrupt.
+// collectDueLocked removes due transfers and returns them for
+// notification outside the lock (their transfer counters are settled
+// here, under it). A transfer predetermined to arrive corrupt is
+// quarantined: it counts as a corruption, not a transfer, and completes
+// with ErrCorrupt.
 func (f *LinkFetcher) collectDueLocked() []*pendingXfer {
 	kept := f.pending[:0]
 	var due []*pendingXfer
 	for _, p := range f.pending {
-		switch {
-		case p.deadline > f.now:
+		if p.deadline > f.now {
 			kept = append(kept, p)
-		case p.notify != nil:
-			if p.err != nil {
-				f.corrupted++
-			} else {
-				f.transfers++
-				f.simBytes += p.size
-			}
-			due = append(due, p)
-		default:
-			close(p.done)
+			continue
 		}
+		if p.err != nil {
+			f.corrupted++
+		} else {
+			f.transfers++
+			f.simBytes += p.size
+		}
+		due = append(due, p)
 	}
 	f.pending = kept
 	return due
@@ -258,12 +238,12 @@ func notifyDue(due []*pendingXfer) {
 // registerLocked creates a transfer at the link's current state, drawing
 // its corruption outcome from the link's injector when it has one; f.mu
 // held. ok=false when the link is down.
-func (f *LinkFetcher) registerLocked(size int64, done chan struct{}, notify func(int64, error)) (*pendingXfer, bool) {
+func (f *LinkFetcher) registerLocked(size int64, notify func(int64, error)) (*pendingXfer, bool) {
 	d, up := f.link.Transfer(requestBytes, size)
 	if !up {
 		return nil, false
 	}
-	p := &pendingXfer{deadline: f.now + d, size: size, done: done, notify: notify}
+	p := &pendingXfer{deadline: f.now + d, size: size, notify: notify}
 	if c, ok := f.link.(TransferCorrupter); ok && c.CorruptTransfer() {
 		p.err = ErrCorrupt
 	}
@@ -277,7 +257,7 @@ func (f *LinkFetcher) registerLocked(size int64, done chan struct{}, notify func
 // synchronously from that call before it returns, with the payload size.
 // A Down link fails registration with ErrLinkDown. The returned cancel
 // reports whether the transfer was still pending — when it returns
-// false, done has run or is about to. Implements BackgroundStarter.
+// false, done has run or is about to.
 func (f *LinkFetcher) StartBackground(name string, done func(bytes int64, err error)) (func() bool, error) {
 	f.mu.Lock()
 	size, ok := f.sizes[name]
@@ -285,7 +265,7 @@ func (f *LinkFetcher) StartBackground(name string, done func(bytes int64, err er
 		f.mu.Unlock()
 		return nil, fmt.Errorf("prefetch: unknown model %q", name)
 	}
-	p, up := f.registerLocked(size, nil, done)
+	p, up := f.registerLocked(size, done)
 	if !up {
 		f.downFails++
 		f.mu.Unlock()
@@ -304,52 +284,6 @@ func (f *LinkFetcher) StartBackground(name string, done func(bytes int64, err er
 		return false
 	}
 	return cancel, nil
-}
-
-// FetchModel is the background path: it registers a transfer at the
-// link's current state and blocks until enough Ticks pass (or ctx is
-// cancelled). A Down link fails immediately with ErrLinkDown — the
-// scheduler will simply re-plan later — and a corrupted arrival fails
-// with ErrCorrupt after the transfer time has elapsed.
-func (f *LinkFetcher) FetchModel(ctx context.Context, name string) (int64, time.Duration, error) {
-	f.mu.Lock()
-	size, ok := f.sizes[name]
-	if !ok {
-		f.mu.Unlock()
-		return 0, 0, fmt.Errorf("prefetch: unknown model %q", name)
-	}
-	p, up := f.registerLocked(size, make(chan struct{}), nil)
-	if !up {
-		f.downFails++
-		f.mu.Unlock()
-		return 0, 0, ErrLinkDown
-	}
-	d := p.deadline - f.now
-	f.mu.Unlock()
-
-	select {
-	case <-p.done:
-		f.mu.Lock()
-		if p.err != nil {
-			f.corrupted++
-			f.mu.Unlock()
-			return 0, d, p.err
-		}
-		f.transfers++
-		f.simBytes += size
-		f.mu.Unlock()
-		return size, d, nil
-	case <-ctx.Done():
-		f.mu.Lock()
-		for i, q := range f.pending {
-			if q == p {
-				f.pending = append(f.pending[:i], f.pending[i+1:]...)
-				break
-			}
-		}
-		f.mu.Unlock()
-		return 0, 0, ctx.Err()
-	}
 }
 
 // demandDownCap is the default bound on how many frame intervals a

@@ -89,32 +89,6 @@ func TestLinkFetcherDemandCorruptCapFails(t *testing.T) {
 	}
 }
 
-func TestLinkFetcherBackgroundCorruptFailsFetch(t *testing.T) {
-	models := []Model{{Name: "M_0", Bytes: 3 << 20}}
-	lf := newCorruptLF(t, alwaysGood(), models, []bool{true})
-
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := lf.FetchModel(context.Background(), "M_0")
-		done <- err
-	}()
-	waitFor(t, func() bool {
-		lf.mu.Lock()
-		defer lf.mu.Unlock()
-		return len(lf.pending) == 1
-	}, "transfer registered")
-	for i := 0; i < 6; i++ {
-		lf.Tick()
-	}
-	if err := <-done; !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	st := lf.Stats()
-	if st.Corrupted != 1 || st.Transfers != 0 {
-		t.Fatalf("corrupted %d transfers %d, want 1/0", st.Corrupted, st.Transfers)
-	}
-}
-
 func TestLinkFetcherStartBackgroundCorruptNotifiesError(t *testing.T) {
 	models := []Model{{Name: "M_0", Bytes: 3 << 20}}
 	lf := newCorruptLF(t, alwaysGood(), models, []bool{true})
@@ -135,6 +109,9 @@ func TestLinkFetcherStartBackgroundCorruptNotifiesError(t *testing.T) {
 	}
 	if gotBytes != 0 {
 		t.Fatalf("notified %d bytes with a corrupt payload, want 0", gotBytes)
+	}
+	if st := lf.Stats(); st.Corrupted != 1 || st.Transfers != 0 {
+		t.Fatalf("corrupted %d transfers %d, want 1/0", st.Corrupted, st.Transfers)
 	}
 }
 

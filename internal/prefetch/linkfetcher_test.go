@@ -54,41 +54,42 @@ func newLF(t *testing.T, cfg netsim.Config, models []Model) *LinkFetcher {
 	return lf
 }
 
+// linkState reads the fetcher's link state under its lock.
+func linkState(lf *LinkFetcher) netsim.LinkState {
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	return lf.link.State()
+}
+
 func TestLinkFetcherBackgroundCompletesOnTicks(t *testing.T) {
-	// 3 MB at 6 MB/s = 500 ms + 40 ms RTT → completes on the 6th tick.
+	// 3 MB at 6 MB/s = 500 ms + 40 ms RTT → completes on the 6th tick,
+	// at 600 ms of simulated time.
 	models := []Model{{Name: "M_0", Bytes: 3 << 20}}
 	lf := newLF(t, alwaysGood(), models)
 
-	done := make(chan error, 1)
-	var gotD time.Duration
-	go func() {
-		_, d, err := lf.FetchModel(context.Background(), "M_0")
-		gotD = d
-		done <- err
-	}()
-	// Wait until the transfer is registered before ticking.
-	waitFor(t, func() bool {
-		lf.mu.Lock()
-		defer lf.mu.Unlock()
-		return len(lf.pending) == 1
-	}, "transfer registered")
+	var doneAt time.Duration
+	var gotErr error
+	fired := false
+	if _, err := lf.StartBackground("M_0", func(_ int64, err error) {
+		fired, gotErr, doneAt = true, err, lf.Now()
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
 		lf.Tick()
-		select {
-		case <-done:
+		if fired {
 			t.Fatalf("transfer completed after %d ticks", i+1)
-		default:
 		}
 	}
 	lf.Tick() // 6 × 100 ms = 600 ms ≥ 540 ms
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if !fired || gotErr != nil {
+		t.Fatalf("fired %v err %v after the due tick", fired, gotErr)
 	}
-	if gotD < 500*time.Millisecond || gotD > 600*time.Millisecond {
-		t.Fatalf("transfer duration %v", gotD)
+	if doneAt != 600*time.Millisecond {
+		t.Fatalf("completed at %v of simulated time, want 600ms", doneAt)
 	}
-	if n, b := lf.Transferred(); n != 1 || b != 3<<20 {
-		t.Fatalf("transferred %d/%d", n, b)
+	if st := lf.Stats(); st.Transfers != 1 || st.Bytes != 3<<20 {
+		t.Fatalf("transferred %d/%d", st.Transfers, st.Bytes)
 	}
 }
 
@@ -99,28 +100,19 @@ func TestLinkFetcherOutageStallsTransfers(t *testing.T) {
 	// the only exit.
 	models := []Model{{Name: "M_0", Bytes: 3 << 20}}
 	lf := newLF(t, goodThenDown(), models)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := lf.FetchModel(ctx, "M_0")
-		done <- err
-	}()
-	waitFor(t, func() bool {
-		lf.mu.Lock()
-		defer lf.mu.Unlock()
-		return len(lf.pending) == 1
-	}, "transfer registered")
+	fired := false
+	cancel, err := lf.StartBackground("M_0", func(int64, error) { fired = true })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		lf.Tick()
 	}
-	select {
-	case err := <-done:
-		t.Fatalf("transfer completed across an outage: %v", err)
-	default:
+	if fired {
+		t.Fatal("transfer completed across an outage")
 	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancel returned %v", err)
+	if !cancel() {
+		t.Fatal("cancel of a stalled transfer returned false")
 	}
 	lf.mu.Lock()
 	rem := len(lf.pending)
@@ -128,17 +120,8 @@ func TestLinkFetcherOutageStallsTransfers(t *testing.T) {
 	if rem != 0 {
 		t.Fatalf("%d pending transfers after cancel", rem)
 	}
-}
-
-func TestLinkFetcherDownFailsBackgroundFetch(t *testing.T) {
-	models := []Model{{Name: "M_0", Bytes: 1 << 20}}
-	lf := newLF(t, goodThenDown(), models)
-	lf.Tick() // Good → Down
-	if lf.State() != netsim.Down {
-		t.Fatalf("state %v after forced transition", lf.State())
-	}
-	if _, _, err := lf.FetchModel(context.Background(), "M_0"); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("down-link fetch returned %v", err)
+	if st := lf.Stats(); st.Transfers != 0 {
+		t.Fatalf("stalled transfer counted: %d", st.Transfers)
 	}
 }
 
@@ -155,8 +138,8 @@ func TestLinkFetcherDemandStallIncludesOutage(t *testing.T) {
 	models := []Model{{Name: "M_0", Bytes: 1 << 20}}
 	lf := newLF(t, downOneFrame(), models)
 	lf.Tick() // now Down
-	if lf.State() != netsim.Down {
-		t.Fatalf("state %v", lf.State())
+	if st := linkState(lf); st != netsim.Down {
+		t.Fatalf("state %v", st)
 	}
 	_, stall, err := lf.FetchModelNow(context.Background(), "M_0")
 	if err != nil {
@@ -191,7 +174,7 @@ func TestLinkFetcherDemandNoWaitWhenUp(t *testing.T) {
 
 func TestLinkFetcherUnknownModel(t *testing.T) {
 	lf := newLF(t, alwaysGood(), []Model{{Name: "M_0", Bytes: 1}})
-	if _, _, err := lf.FetchModel(context.Background(), "nope"); err == nil {
+	if _, err := lf.StartBackground("nope", func(int64, error) {}); err == nil {
 		t.Fatal("unknown model fetched")
 	}
 	if _, _, err := lf.FetchModelNow(context.Background(), "nope"); err == nil {
@@ -251,13 +234,13 @@ func TestSchedulerWithLinkFetcherEndToEnd(t *testing.T) {
 	}
 	wg.Wait()
 	// After 200 ticks (20 s simulated) the M_1 prefetch either finished
-	// or was preempted by the demand fetch; both are legal, but the
-	// counters must balance.
-	waitFor(t, func() bool {
-		st := s.Stats()
-		return st.Completed+st.Cancelled+st.Failed == st.Issued
-	}, "flights settled")
-	if st := s.Stats(); st.DemandFetches != 1 {
+	// inside a Tick or was preempted by the demand fetch; both are
+	// legal, but the counters must balance the moment the ticks stop.
+	st := s.Stats()
+	if st.Completed+st.Cancelled+st.Failed != st.Issued {
+		t.Fatalf("flights unsettled after the last tick: %+v", st)
+	}
+	if st.DemandFetches != 1 {
 		t.Fatalf("demand fetches %d", st.DemandFetches)
 	}
 }
@@ -297,8 +280,8 @@ func TestLinkFetcherStartBackgroundSynchronousCompletion(t *testing.T) {
 	if cancel() {
 		t.Fatal("cancel returned true after completion")
 	}
-	if n, b := lf.Transferred(); n != 1 || b != models[0].Bytes {
-		t.Fatalf("transferred (%d, %d)", n, b)
+	if st := lf.Stats(); st.Transfers != 1 || st.Bytes != models[0].Bytes {
+		t.Fatalf("transferred (%d, %d)", st.Transfers, st.Bytes)
 	}
 }
 
@@ -320,8 +303,8 @@ func TestLinkFetcherStartBackgroundCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled transfer still completed")
 	}
-	if n, _ := lf.Transferred(); n != 0 {
-		t.Fatalf("cancelled transfer counted: %d", n)
+	if st := lf.Stats(); st.Transfers != 0 {
+		t.Fatalf("cancelled transfer counted: %d", st.Transfers)
 	}
 }
 

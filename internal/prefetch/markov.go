@@ -12,9 +12,9 @@
 //   - Scheduler, which turns those predictions into background fetches
 //     into the cache — budgeted, cancellable, and always yielding to the
 //     on-demand miss path;
-//   - LinkFetcher, a Fetcher that moves the bytes over a simulated
-//     netsim.Link in frame-tick time (repo.Client is the real-HTTP
-//     Fetcher for device deployments).
+//   - LinkFetcher, the Fetcher that moves the bytes over a simulated
+//     netsim.Link in frame-tick time; a background transfer completes
+//     inside the Tick that passes its deadline.
 //
 // All types are safe for concurrent use; core.MultiRuntime shares one
 // Scheduler across every stream.

@@ -12,48 +12,37 @@ import (
 	"anole/internal/telemetry"
 )
 
-// Fetcher moves one model's bytes from the repository to the device.
-// Both methods return the payload size and the transfer duration; they
-// differ in whose time the caller spends:
+// Fetcher moves one model's bytes from the repository to the device in
+// simulated frame time. There is one background path and one critical
+// path, and every completion lands inside a call the runtime makes — no
+// transfer finishes on a goroutine of its own:
 //
-//   - FetchModel is the background path. It returns once the transfer
-//     has completed in the fetcher's own notion of time — wall-clock for
-//     repo.Client, simulated frame ticks for LinkFetcher (which blocks
-//     the calling goroutine until enough Ticks elapse).
+//   - StartBackground is the background path. It registers the transfer
+//     and returns at once; the fetcher invokes done synchronously from
+//     inside the Tick (or the FetchModelNow clock advance) that passes
+//     the transfer's deadline. Completion therefore lands before that
+//     call returns, so a model prefetched with enough frames of lead
+//     time is deterministically resident when the switch arrives.
+//     cancel reports whether the transfer was still pending; when it
+//     returns false the done callback has run or is about to, and owns
+//     the accounting.
 //   - FetchModelNow is the critical (miss) path. It never waits on
-//     ticks: it returns the stall immediately so the caller can charge
-//     it as frame latency.
+//     ticks: it returns the payload size and the stall immediately so
+//     the caller can charge it as frame latency.
+//   - Tick advances the fetcher's clock by one frame.
 //
+// LinkFetcher is the implementation; tests substitute fakes.
 // Implementations must be safe for concurrent use.
 type Fetcher interface {
-	FetchModel(ctx context.Context, name string) (bytes int64, d time.Duration, err error)
-	FetchModelNow(ctx context.Context, name string) (bytes int64, d time.Duration, err error)
-}
-
-// Ticker is implemented by fetchers that model time in frame ticks
-// (LinkFetcher). The runtime ticks the scheduler once per processed
-// frame; fetchers keyed to wall-clock simply don't implement it.
-type Ticker interface{ Tick() }
-
-// BackgroundStarter is the tick-synchronous background path, implemented
-// by fetchers whose transfers live entirely in simulated time
-// (LinkFetcher). StartBackground registers the transfer and returns at
-// once; the fetcher invokes done synchronously from inside the Tick that
-// passes the transfer's deadline. The scheduler prefers this path over
-// goroutine + FetchModel when available: completion then lands before
-// the tick returns, so a model prefetched with enough frames of lead
-// time is deterministically resident when the switch arrives — a
-// goroutine racing the real clock would almost never beat a simulated
-// one. cancel reports whether the transfer was still pending; when it
-// returns false the done callback has run or is about to, and owns the
-// accounting.
-type BackgroundStarter interface {
+	Tick()
 	StartBackground(name string, done func(bytes int64, err error)) (cancel func() bool, err error)
+	FetchModelNow(ctx context.Context, name string) (bytes int64, d time.Duration, err error)
 }
 
 // Store is the cache surface the scheduler warms. *modelcache.Sharded
 // satisfies it; the store must be safe for concurrent use, since
-// completed prefetches insert from background goroutines.
+// completed prefetches insert from inside the fetcher's Tick or
+// FetchModelNow, whichever goroutine drives it.
 type Store interface {
 	Prefetch(key string, size int) (admitted bool, evicted []string, err error)
 	Contains(key string) bool
@@ -67,7 +56,21 @@ type Model struct {
 	Bytes int64
 }
 
-// Config parameterizes a Scheduler.
+// Planning constants. minProb skips predictions below this transition
+// probability: with little history every candidate looks alike, and
+// fetching on noise wastes the link. maxInFlight serializes background
+// fetches: prefetches share one link, and one at a time keeps the
+// simulated transfer model honest. smoothing is the transition model's
+// Laplace pseudo-count.
+const (
+	minProb     = 0.02
+	maxInFlight = 1
+	smoothing   = 1
+)
+
+// Config parameterizes a Scheduler. Background completions land inside
+// Fetcher.Tick or a demand fetch's FetchModelNow, never on a goroutine
+// of the scheduler's own.
 type Config struct {
 	// Fetcher moves the bytes (required).
 	Fetcher Fetcher
@@ -76,20 +79,10 @@ type Config struct {
 	// demand fetches still work — which is the "prefetch off" arm of
 	// the benchmarks.
 	TopK int
-	// MinProb skips predictions below this transition probability
-	// (default 0.02): with heavy smoothing or little history every
-	// candidate looks alike, and fetching on noise wastes the link.
-	MinProb float64
 	// BudgetBytes caps the bytes a single Plan may have in flight
 	// (0 = unlimited). Candidates beyond the budget are skipped and
 	// counted, not queued.
 	BudgetBytes int64
-	// MaxInFlight bounds concurrent background fetches (default 1:
-	// prefetches share one link; serializing them keeps the simulated
-	// transfer model honest).
-	MaxInFlight int
-	// Smoothing is the Markov Laplace pseudo-count (≤0 selects 1).
-	Smoothing float64
 	// Metrics, when non-nil, is the telemetry registry the scheduler's
 	// counters are registered on (anole_prefetch_*), so a shared
 	// registry exposes them live on /metrics. Nil keeps them in a
@@ -138,10 +131,9 @@ type SchedulerStats struct {
 	Observations int64
 }
 
-type flight struct {
-	cancel   context.CancelFunc // goroutine path (wall-clock fetchers)
-	cancelBG func() bool        // tick-synchronous path (BackgroundStarter)
-}
+// flight is one pending background transfer; cancel is the fetcher's
+// StartBackground cancel.
+type flight struct{ cancel func() bool }
 
 // Scheduler warms the model cache ahead of predicted switches. Plan
 // consults the transition model and starts background fetches for the
@@ -164,10 +156,6 @@ type Scheduler struct {
 	// path is unaffected. Atomic so the pressure monitor can flip it
 	// from any goroutine without taking the scheduler lock.
 	paused atomic.Bool
-
-	baseCtx   context.Context
-	cancelAll context.CancelFunc
-	wg        sync.WaitGroup
 
 	// Counters live on the telemetry registry (Config.Metrics or a
 	// private one); SchedulerStats is a snapshot view over them.
@@ -195,13 +183,7 @@ func NewScheduler(cfg Config, store Store, models []Model) (*Scheduler, error) {
 	if cfg.TopK == 0 {
 		cfg.TopK = 2
 	}
-	if cfg.MinProb <= 0 {
-		cfg.MinProb = 0.02
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 1
-	}
-	markov, err := NewMarkov(len(models), cfg.Smoothing)
+	markov, err := NewMarkov(len(models), smoothing)
 	if err != nil {
 		return nil, err
 	}
@@ -209,15 +191,12 @@ func NewScheduler(cfg Config, store Store, models []Model) (*Scheduler, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	return &Scheduler{
-		cfg:       cfg,
-		markov:    markov,
-		store:     store,
-		models:    models,
-		inflight:  make(map[int]*flight),
-		baseCtx:   ctx,
-		cancelAll: cancel,
+		cfg:      cfg,
+		markov:   markov,
+		store:    store,
+		models:   models,
+		inflight: make(map[int]*flight),
 
 		issued:          reg.Counter("anole_prefetch_issued_total", "background prefetches started"),
 		completed:       reg.Counter("anole_prefetch_completed_total", "background prefetches whose bytes became resident"),
@@ -241,20 +220,16 @@ func (s *Scheduler) Markov() *Markov { return s.markov }
 // Observe records one model switch into the transition model.
 func (s *Scheduler) Observe(from, to int) { s.markov.Observe(from, to) }
 
-// Tick advances the fetcher's clock by one frame when the fetcher
-// models time in ticks (LinkFetcher); otherwise it is a no-op. The
-// runtime calls it once per processed frame.
-func (s *Scheduler) Tick() {
-	if t, ok := s.cfg.Fetcher.(Ticker); ok {
-		t.Tick()
-	}
-}
+// Tick advances the fetcher's clock by one frame, completing the
+// background transfers that come due. The runtime calls it once per
+// processed frame.
+func (s *Scheduler) Tick() { s.cfg.Fetcher.Tick() }
 
 // Plan reconciles the in-flight prefetch set with the predictions for
 // the current model: fetches whose target is no longer predicted (or
 // already resident) are cancelled, and the likeliest absent models are
-// fetched in the background, within MinProb, BudgetBytes and
-// MaxInFlight. Plans issued while an on-demand fetch is active are
+// fetched in the background, within minProb, BudgetBytes and
+// maxInFlight. Plans issued while an on-demand fetch is active are
 // dropped — the miss path owns the link.
 func (s *Scheduler) Plan(current int) {
 	if s.cfg.TopK < 0 {
@@ -285,7 +260,7 @@ func (s *Scheduler) Plan(current int) {
 	wanted := make(map[int]bool, len(preds))
 	order := make([]int, 0, len(preds))
 	for _, p := range preds {
-		if p.Prob < s.cfg.MinProb {
+		if p.Prob < minProb {
 			continue
 		}
 		m := s.models[p.Model]
@@ -311,7 +286,7 @@ func (s *Scheduler) Plan(current int) {
 		if _, dup := s.inflight[idx]; dup {
 			continue
 		}
-		if len(s.inflight) >= s.cfg.MaxInFlight {
+		if len(s.inflight) >= maxInFlight {
 			break
 		}
 		s.startLocked(idx)
@@ -320,67 +295,22 @@ func (s *Scheduler) Plan(current int) {
 
 // cancelLocked forgets the flight immediately so its slot frees up;
 // s.mu held. Exactly one party counts the cancellation: this caller
-// when the transfer (or goroutine context) was still pending, otherwise
-// the completion path, which finds the flight gone from inflight.
+// when the transfer was still pending, otherwise finishBackground,
+// which finds the flight gone from inflight.
 func (s *Scheduler) cancelLocked(idx int, fl *flight) {
 	delete(s.inflight, idx)
-	if fl.cancelBG != nil {
-		if fl.cancelBG() {
-			s.cancelled.Inc()
-		}
-		return
+	if fl.cancel() {
+		s.cancelled.Inc()
 	}
-	fl.cancel()
 }
 
 // startLocked launches the background fetch of model idx; s.mu held.
+// The done callback can only fire from a later Tick (every transfer
+// costs at least its RTT), never from inside StartBackground, so
+// registering the flight after the call is safe.
 func (s *Scheduler) startLocked(idx int) {
-	if bs, ok := s.cfg.Fetcher.(BackgroundStarter); ok {
-		s.startBackgroundLocked(bs, idx)
-		return
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	fl := &flight{cancel: cancel}
-	s.inflight[idx] = fl
-	s.issued.Inc()
-	// Capture the name while s.mu is held: ExtendModels may replace the
-	// models slice concurrently with this goroutine.
-	name := s.models[idx].Name
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cancel()
-		bytes, _, err := s.cfg.Fetcher.FetchModel(ctx, name)
-		s.mu.Lock()
-		if s.inflight[idx] == fl {
-			delete(s.inflight, idx)
-		}
-		s.mu.Unlock()
-		s.recordOutcome(err)
-		switch {
-		case err == nil:
-			// Slot-unit admission, matching the runtime's Request size.
-			if _, _, err := s.store.Prefetch(name, 1); err == nil {
-				s.completed.Inc()
-				s.prefetchedBytes.Add(bytes)
-			} else {
-				s.failed.Inc()
-			}
-		case errors.Is(err, context.Canceled):
-			s.cancelled.Inc()
-		default:
-			s.failed.Inc()
-		}
-	}()
-}
-
-// startBackgroundLocked launches model idx over the tick-synchronous
-// path; s.mu held. The done callback can only fire from a later Tick
-// (every transfer costs at least its RTT), never from inside
-// StartBackground, so registering the flight after the call is safe.
-func (s *Scheduler) startBackgroundLocked(bs BackgroundStarter, idx int) {
 	fl := &flight{}
-	cancel, err := bs.StartBackground(s.models[idx].Name, func(bytes int64, err error) {
+	cancel, err := s.cfg.Fetcher.StartBackground(s.models[idx].Name, func(bytes int64, err error) {
 		s.finishBackground(idx, fl, bytes, err)
 	})
 	s.issued.Inc()
@@ -389,7 +319,7 @@ func (s *Scheduler) startBackgroundLocked(bs BackgroundStarter, idx int) {
 		s.recordOutcome(err)
 		return
 	}
-	fl.cancelBG = cancel
+	fl.cancel = cancel
 	s.inflight[idx] = fl
 }
 
@@ -410,7 +340,7 @@ func (s *Scheduler) recordOutcome(err error) {
 	}
 }
 
-// finishBackground settles one tick-synchronous flight. It runs inside
+// finishBackground settles one background flight. It runs inside
 // the fetcher's Tick (or a demand fetch's clock advance) with no
 // scheduler lock held, so taking s.mu and the store's lock here cannot
 // deadlock against Plan/DemandFetch, which take s.mu before the
@@ -425,8 +355,7 @@ func (s *Scheduler) finishBackground(idx int, fl *flight, bytes int64, err error
 	s.mu.Unlock()
 	if !current {
 		// Cancelled between the transfer coming due and this callback;
-		// the canceller saw cancelBG report false and left the count to
-		// us.
+		// the canceller saw cancel report false and left the count to us.
 		s.cancelled.Inc()
 		return
 	}
@@ -435,6 +364,7 @@ func (s *Scheduler) finishBackground(idx int, fl *flight, bytes int64, err error
 		s.failed.Inc()
 		return
 	}
+	// Slot-unit admission, matching the runtime's Request size.
 	if _, _, perr := s.store.Prefetch(name, 1); perr == nil {
 		s.completed.Inc()
 		s.prefetchedBytes.Add(bytes)
@@ -481,18 +411,6 @@ func (s *Scheduler) DemandFetch(ctx context.Context, model int) (time.Duration, 
 	s.demandBytes.Add(bytes)
 	s.demandStall.Observe(d.Seconds())
 	return d, nil
-}
-
-// Contains reports whether the model is already resident in the store.
-func (s *Scheduler) Contains(model int) bool {
-	s.mu.Lock()
-	if model < 0 || model >= len(s.models) {
-		s.mu.Unlock()
-		return false
-	}
-	name := s.models[model].Name
-	s.mu.Unlock()
-	return s.store.Contains(name)
 }
 
 // ExtendModels appends newly published models to the repertoire the
@@ -560,22 +478,13 @@ func (s *Scheduler) Stats() SchedulerStats {
 // tighten, because dropping it degrades nothing that is being served.
 func (s *Scheduler) SetPaused(p bool) { s.paused.Store(p) }
 
-// Paused reports whether background planning is suspended.
-func (s *Scheduler) Paused() bool { return s.paused.Load() }
-
-// Breaker returns the scheduler's shared circuit breaker (nil without
-// one).
-func (s *Scheduler) Breaker() *breaker.Breaker { return s.cfg.Breaker }
-
-// Close cancels every in-flight prefetch and waits for the background
-// goroutines to drain. The scheduler is unusable afterwards.
+// Close marks the scheduler closed and cancels every pending
+// background transfer. The scheduler is unusable afterwards.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
 	for idx, fl := range s.inflight {
 		s.cancelLocked(idx, fl)
 	}
-	s.mu.Unlock()
-	s.cancelAll()
-	s.wg.Wait()
 }

@@ -40,8 +40,12 @@ func TestSchedulerBreakerPausesPlans(t *testing.T) {
 
 	// The first plan's fetch fails and opens the breaker.
 	s.Plan(0)
-	waitFor(t, func() bool { return s.Stats().Failed == 1 }, "failed prefetch counted")
-	waitFor(t, func() bool { return br.State() == breaker.Open }, "breaker open")
+	if st := s.Stats(); st.Failed != 1 {
+		t.Fatalf("failed %d, want 1", st.Failed)
+	}
+	if br.State() != breaker.Open {
+		t.Fatalf("state %v after a failed prefetch, want open", br.State())
+	}
 
 	// While open, plans are skipped without issuing fetches.
 	s.Plan(0)
@@ -88,9 +92,12 @@ func TestSchedulerBreakerHalfOpenProbeResumesPrefetch(t *testing.T) {
 		s.Observe(0, 1)
 	}
 	s.Plan(0)
-	name := waitStarted(t, ff)
-	ff.release(name)
-	waitFor(t, func() bool { return s.Stats().Completed == 1 }, "probe prefetch completed")
+	wantStarted(t, ff, "M_1")
+	ff.release("M_1")
+	s.Tick()
+	if st := s.Stats(); st.Completed != 1 {
+		t.Fatalf("completed %d, want the probe prefetch", st.Completed)
+	}
 	if br.State() != breaker.Closed {
 		t.Fatalf("state %v after probe success, want closed", br.State())
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,49 +12,100 @@ import (
 	"anole/internal/modelcache"
 )
 
-// fakeFetcher is a controllable Fetcher: background fetches block until
-// released (or their context is cancelled), demand fetches return
-// immediately with a fixed stall.
+// fakeFetcher is a controllable tick-synchronous Fetcher. StartBackground
+// records the request and parks the transfer; release marks it due, and
+// the fake's next Tick completes every due transfer before returning,
+// as LinkFetcher does. Demand fetches return at once with a fixed stall.
 type fakeFetcher struct {
 	mu       sync.Mutex
-	gates    map[string]chan struct{}
-	started  chan string
+	started  []string
+	pending  []*fakeXfer
 	demanded []string
 	stall    time.Duration
 }
 
-func newFakeFetcher() *fakeFetcher {
-	return &fakeFetcher{
-		gates:   make(map[string]chan struct{}),
-		started: make(chan string, 64),
-		stall:   50 * time.Millisecond,
-	}
+// fakeXfer is one parked background transfer; due transfers complete on
+// the next Tick with err.
+type fakeXfer struct {
+	name string
+	done func(int64, error)
+	due  bool
+	err  error
 }
 
-func (f *fakeFetcher) gate(name string) chan struct{} {
+func newFakeFetcher() *fakeFetcher {
+	return &fakeFetcher{stall: 50 * time.Millisecond}
+}
+
+// release marks the pending background transfer of name due: it
+// completes cleanly on the next Tick.
+func (f *fakeFetcher) release(name string) { f.settle(name, nil) }
+
+// fail marks the pending transfer of name due with err.
+func (f *fakeFetcher) fail(name string, err error) { f.settle(name, err) }
+
+func (f *fakeFetcher) settle(name string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	g, ok := f.gates[name]
-	if !ok {
-		g = make(chan struct{})
-		f.gates[name] = g
+	for _, x := range f.pending {
+		if x.name == name {
+			x.due, x.err = true, err
+			return
+		}
 	}
-	return g
+	panic("fakeFetcher: no pending transfer of " + name)
 }
 
-// release lets a blocked background fetch of name complete.
-func (f *fakeFetcher) release(name string) {
-	close(f.gate(name))
+// startedNames returns the background requests so far, in order.
+func (f *fakeFetcher) startedNames() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.started...)
 }
 
-func (f *fakeFetcher) FetchModel(ctx context.Context, name string) (int64, time.Duration, error) {
-	f.started <- name
-	select {
-	case <-f.gate(name):
-		return 1000, 10 * time.Millisecond, nil
-	case <-ctx.Done():
-		return 0, 0, ctx.Err()
+func (f *fakeFetcher) Tick() {
+	f.mu.Lock()
+	var due []*fakeXfer
+	kept := f.pending[:0]
+	for _, x := range f.pending {
+		if x.due {
+			due = append(due, x)
+		} else {
+			kept = append(kept, x)
+		}
 	}
+	f.pending = kept
+	f.mu.Unlock()
+	for _, x := range due {
+		if x.err != nil {
+			x.done(0, x.err)
+		} else {
+			x.done(1000, nil)
+		}
+	}
+}
+
+// StartBackground parks the transfer. Its cancel reports true only while
+// the transfer is neither due nor completed, matching LinkFetcher, whose
+// due transfers are already committed to their callback.
+func (f *fakeFetcher) StartBackground(name string, done func(int64, error)) (func() bool, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.started = append(f.started, name)
+	x := &fakeXfer{name: name, done: done}
+	f.pending = append(f.pending, x)
+	cancel := func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for i, q := range f.pending {
+			if q == x && !q.due {
+				f.pending = append(f.pending[:i], f.pending[i+1:]...)
+				return true
+			}
+		}
+		return false
+	}
+	return cancel, nil
 }
 
 func (f *fakeFetcher) FetchModelNow(ctx context.Context, name string) (int64, time.Duration, error) {
@@ -71,16 +123,12 @@ func testModels(n int) []Model {
 	return out
 }
 
-// waitStarted blocks until the fetcher reports a background fetch of
-// some model, returning its name.
-func waitStarted(t *testing.T, f *fakeFetcher) string {
+// wantStarted fails unless the fetcher's background requests are
+// exactly names, in order.
+func wantStarted(t *testing.T, f *fakeFetcher, names ...string) {
 	t.Helper()
-	select {
-	case name := <-f.started:
-		return name
-	case <-time.After(5 * time.Second):
-		t.Fatal("no background fetch started")
-		return ""
+	if got := f.startedNames(); !slices.Equal(got, names) {
+		t.Fatalf("background fetches %q, want %q", got, names)
 	}
 }
 
@@ -98,18 +146,26 @@ func TestSchedulerPlanPrefetchesPrediction(t *testing.T) {
 		s.Observe(0, 1)
 	}
 	s.Plan(0)
-	if got := waitStarted(t, ff); got != "M_1" {
-		t.Fatalf("prefetched %q, want M_1", got)
+	wantStarted(t, ff, "M_1")
+	s.Tick()
+	if store.Contains("M_1") {
+		t.Fatal("M_1 admitted before its transfer came due")
 	}
 	ff.release("M_1")
-	waitFor(t, func() bool { return store.Contains("M_1") }, "M_1 admitted")
+	s.Tick()
+	if !store.Contains("M_1") {
+		t.Fatal("M_1 not admitted inside the Tick that completed it")
+	}
 	st := s.Stats()
-	if st.Issued != 1 || st.Completed != 1 {
+	if st.Issued != 1 || st.Completed != 1 || st.PrefetchedBytes != 1000 {
 		t.Fatalf("stats %+v", st)
 	}
 	if cs := store.Stats(); cs.Prefetches != 1 {
 		t.Fatalf("store prefetches %d", cs.Prefetches)
 	}
+	// A resident target is not fetched again.
+	s.Plan(0)
+	wantStarted(t, ff, "M_1")
 }
 
 func TestSchedulerCancelsStaleTarget(t *testing.T) {
@@ -126,21 +182,59 @@ func TestSchedulerCancelsStaleTarget(t *testing.T) {
 		s.Observe(1, 2) // from 1, predict 2
 	}
 	s.Plan(0)
-	if got := waitStarted(t, ff); got != "M_1" {
-		t.Fatalf("first prefetch %q", got)
-	}
+	wantStarted(t, ff, "M_1")
 	// The run moved on: from model 1 the prediction is 2, so the M_1
 	// flight is stale and must be cancelled.
 	s.Plan(1)
-	if got := waitStarted(t, ff); got != "M_2" {
-		t.Fatalf("second prefetch %q", got)
+	wantStarted(t, ff, "M_1", "M_2")
+	if st := s.Stats(); st.Cancelled != 1 {
+		t.Fatalf("cancelled %d, want the stale flight", st.Cancelled)
 	}
-	waitFor(t, func() bool { return s.Stats().Cancelled == 1 }, "stale flight cancelled")
 	ff.release("M_2")
-	waitFor(t, func() bool { return store.Contains("M_2") }, "M_2 admitted")
+	s.Tick()
+	if !store.Contains("M_2") {
+		t.Fatal("M_2 not admitted")
+	}
 	if store.Contains("M_1") {
 		t.Fatal("cancelled prefetch still admitted M_1")
 	}
+	if st := s.Stats(); st.Issued != 2 || st.Completed != 1 || st.Cancelled != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestSchedulerCancelAfterDueCountsOnce pins the exactly-once count when
+// a flight is cancelled after its transfer came due but before the Tick
+// delivering it: the fetcher's cancel reports false, the completion
+// callback finds the flight gone, counts the cancellation and admits
+// nothing.
+func TestSchedulerCancelAfterDueCountsOnce(t *testing.T) {
+	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	ff := newFakeFetcher()
+	s, err := NewScheduler(Config{Fetcher: ff, TopK: 1}, store, testModels(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	for i := 0; i < 10; i++ {
+		s.Observe(0, 1)
+		s.Observe(1, 2)
+	}
+	s.Plan(0)
+	ff.release("M_1")
+	s.Plan(1) // M_1 is stale, but its transfer is already due
+	if st := s.Stats(); st.Cancelled != 0 {
+		t.Fatalf("cancelled %d before the due transfer was delivered", st.Cancelled)
+	}
+	s.Tick()
+	if st := s.Stats(); st.Cancelled != 1 || st.Completed != 0 {
+		t.Fatalf("stats %+v, want one cancellation and no completion", st)
+	}
+	if store.Contains("M_1") {
+		t.Fatal("cancelled prefetch admitted M_1")
+	}
+	wantStarted(t, ff, "M_1", "M_2")
 }
 
 func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
@@ -156,9 +250,7 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 		s.Observe(0, 1)
 	}
 	s.Plan(0)
-	if got := waitStarted(t, ff); got != "M_1" {
-		t.Fatalf("prefetch %q", got)
-	}
+	wantStarted(t, ff, "M_1")
 	// Miss path: the in-flight prefetch must be cancelled, and the
 	// demand stall returned.
 	d, err := s.DemandFetch(context.Background(), 2)
@@ -168,14 +260,25 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 	if d != ff.stall {
 		t.Fatalf("stall %v, want %v", d, ff.stall)
 	}
-	waitFor(t, func() bool { return s.Stats().Cancelled == 1 }, "prefetch preempted")
+	if !slices.Equal(ff.demanded, []string{"M_2"}) {
+		t.Fatalf("demand fetches %q, want [M_2]", ff.demanded)
+	}
 	st := s.Stats()
+	if st.Cancelled != 1 {
+		t.Fatalf("cancelled %d, want the preempted prefetch", st.Cancelled)
+	}
 	if st.DemandFetches != 1 || st.DemandStall != ff.stall {
 		t.Fatalf("demand stats %+v", st)
 	}
 	// DemandFetch must not admit: that's the caller's job.
 	if store.Contains("M_2") {
 		t.Fatal("demand fetch admitted into store")
+	}
+	// The preempted transfer is gone from the fetcher: ticking admits
+	// nothing.
+	s.Tick()
+	if store.Contains("M_1") {
+		t.Fatal("preempted prefetch admitted M_1")
 	}
 }
 
@@ -187,23 +290,20 @@ func TestSchedulerBudgetSkips(t *testing.T) {
 		Fetcher:     ff,
 		TopK:        2,
 		BudgetBytes: 1 << 20, // room for exactly one model
-		MaxInFlight: 2,
 	}, store, models)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	s.Plan(0) // uniform predictions: candidates 1 and 2, budget admits one
-	first := waitStarted(t, ff)
-	if first != "M_1" {
-		t.Fatalf("budgeted prefetch %q", first)
+	// Uniform predictions: candidates 1 and 2. The budget filter runs
+	// before the in-flight cap, so the second candidate is counted as a
+	// budget skip, not merely held back by the one-flight limit.
+	s.Plan(0)
+	wantStarted(t, ff, "M_1")
+	if st := s.Stats(); st.SkippedBudget != 1 || st.Issued != 1 {
+		t.Fatalf("skipped %d issued %d with a one-model budget, want 1/1", st.SkippedBudget, st.Issued)
 	}
-	waitFor(t, func() bool { return s.Stats().SkippedBudget == 1 }, "budget skip counted")
-	if got := s.Stats(); got.Issued != 1 {
-		t.Fatalf("issued %d with one-model budget", got.Issued)
-	}
-	ff.release("M_1")
 }
 
 func TestSchedulerDemandOnlyMode(t *testing.T) {
@@ -218,11 +318,7 @@ func TestSchedulerDemandOnlyMode(t *testing.T) {
 		s.Observe(0, 1)
 	}
 	s.Plan(0)
-	select {
-	case name := <-ff.started:
-		t.Fatalf("demand-only scheduler prefetched %q", name)
-	case <-time.After(50 * time.Millisecond):
-	}
+	wantStarted(t, ff)
 	if _, err := s.DemandFetch(context.Background(), 1); err != nil {
 		t.Fatalf("demand fetch in demand-only mode: %v", err)
 	}
@@ -243,11 +339,7 @@ func TestSchedulerSkipsResidentModels(t *testing.T) {
 		s.Observe(0, 1)
 	}
 	s.Plan(0)
-	select {
-	case name := <-ff.started:
-		t.Fatalf("prefetched resident model %q", name)
-	case <-time.After(50 * time.Millisecond):
-	}
+	wantStarted(t, ff)
 }
 
 func TestSchedulerCloseDrains(t *testing.T) {
@@ -258,14 +350,17 @@ func TestSchedulerCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Plan(0)
-	waitStarted(t, ff)
-	done := make(chan struct{})
-	go func() { s.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not drain in-flight prefetch")
+	wantStarted(t, ff, "M_1")
+	s.Close()
+	if st := s.Stats(); st.Cancelled != 1 {
+		t.Fatalf("cancelled %d, want Close to cancel the pending prefetch", st.Cancelled)
 	}
+	s.Tick()
+	if store.Contains("M_1") {
+		t.Fatal("prefetch completed after Close")
+	}
+	s.Plan(0)
+	wantStarted(t, ff, "M_1")
 	if _, err := s.DemandFetch(context.Background(), 0); err == nil {
 		t.Fatal("DemandFetch after Close succeeded")
 	}
@@ -293,24 +388,13 @@ func TestSchedulerConfigValidation(t *testing.T) {
 	}
 }
 
-// waitFor polls cond for up to 5s.
-func waitFor(t *testing.T, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
-}
-
-// errFetcher always fails; the scheduler must count failures, not hang.
+// errFetcher refuses every fetch; the scheduler must count failures, not
+// hang.
 type errFetcher struct{}
 
-func (errFetcher) FetchModel(ctx context.Context, name string) (int64, time.Duration, error) {
-	return 0, 0, errors.New("boom")
+func (errFetcher) Tick() {}
+func (errFetcher) StartBackground(string, func(int64, error)) (func() bool, error) {
+	return nil, errors.New("boom")
 }
 func (errFetcher) FetchModelNow(ctx context.Context, name string) (int64, time.Duration, error) {
 	return 0, 0, errors.New("boom")
@@ -323,12 +407,34 @@ func TestSchedulerCountsFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Plan(0)
-	waitFor(t, func() bool { return s.Stats().Failed == 1 }, "failed prefetch counted")
+	s.Plan(0) // refused at start
+	if st := s.Stats(); st.Issued != 1 || st.Failed != 1 {
+		t.Fatalf("issued %d failed %d, want 1/1", st.Issued, st.Failed)
+	}
 	if _, err := s.DemandFetch(context.Background(), 1); err == nil {
 		t.Fatal("failing demand fetch succeeded")
 	}
 	if st := s.Stats(); st.DemandFailures != 1 {
 		t.Fatalf("demand failures %d", st.DemandFailures)
 	}
+
+	// A transfer that starts but fails on arrival counts too, and frees
+	// its slot for the next plan.
+	ff := newFakeFetcher()
+	s2, err := NewScheduler(Config{Fetcher: ff, TopK: 1}, store, testModels(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	s2.Plan(0)
+	ff.fail("M_1", errors.New("transfer failed"))
+	s2.Tick()
+	if st := s2.Stats(); st.Failed != 1 || st.Completed != 0 {
+		t.Fatalf("stats %+v, want one failure", st)
+	}
+	if store.Contains("M_1") {
+		t.Fatal("failed transfer admitted M_1")
+	}
+	s2.Plan(0)
+	wantStarted(t, ff, "M_1", "M_1")
 }

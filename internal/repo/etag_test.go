@@ -86,19 +86,8 @@ func TestServerModelEndpoint(t *testing.T) {
 	if !notMod || data2 != nil {
 		t.Fatalf("model revalidation: notMod=%v bytes=%d", notMod, len(data2))
 	}
-	// FetchModel / FetchModelNow report size and duration.
-	n, d, err := c.FetchModel(ctx, det.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(data)) || d < 0 {
-		t.Fatalf("FetchModel: %d bytes in %v, want %d", n, d, len(data))
-	}
-	if n2, _, err := c.FetchModelNow(ctx, det.Name); err != nil || n2 != n {
-		t.Fatalf("FetchModelNow: %d bytes, err %v", n2, err)
-	}
 	// Unknown models 404 and are not retried into success.
-	if _, _, err := c.FetchModel(ctx, "no-such-model"); err == nil {
+	if _, _, _, err := c.FetchModelConditional(ctx, "no-such-model", ""); err == nil {
 		t.Fatal("unknown model fetched")
 	}
 }

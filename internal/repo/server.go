@@ -716,21 +716,6 @@ func (c *Client) FetchGenerationBundle(ctx context.Context, gen uint64) (*core.B
 // modelPath returns the per-model endpoint path for a model name.
 func modelPath(name string) string { return "/v1/model/" + url.PathEscape(name) }
 
-// FetchModel downloads one model's serialized network from the
-// per-model endpoint, reporting the payload size and the wall-clock
-// transfer time. Together with FetchModelNow it structurally satisfies
-// the prefetch package's Fetcher interface, so a Client can back a
-// prefetch scheduler directly: over a real HTTP link the background and
-// demand paths cost the same wall-clock time.
-func (c *Client) FetchModel(ctx context.Context, name string) (int64, time.Duration, error) {
-	start := time.Now()
-	data, err := c.get(ctx, modelPath(name))
-	if err != nil {
-		return 0, 0, err
-	}
-	return int64(len(data)), time.Since(start), nil
-}
-
 // FetchModelVerified downloads one model's bytes and verifies them
 // against the manifest's hex SHA-256 digest. A mismatched payload is
 // quarantined — counted and discarded, never returned — and refetched
@@ -751,12 +736,6 @@ func (c *Client) FetchModelVerified(ctx context.Context, name, sha256hex string)
 		}
 	}
 	return nil, fmt.Errorf("repo: model %q quarantined after %d fetches: digest mismatch", name, c.verifyRetries()+1)
-}
-
-// FetchModelNow is the demand-path twin of FetchModel; for an HTTP
-// client the two are the same wall-clock operation.
-func (c *Client) FetchModelNow(ctx context.Context, name string) (int64, time.Duration, error) {
-	return c.FetchModel(ctx, name)
 }
 
 // FetchModelConditional revalidates one cached model by ETag: a 304

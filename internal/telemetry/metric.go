@@ -183,12 +183,3 @@ func (h *Histogram) bucketCounts() []int64 {
 	}
 	return out
 }
-
-// Bounds returns the configured upper bounds (without the implicit
-// +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}

@@ -127,21 +127,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	}).hist
 }
 
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // SampleBucket is one cumulative histogram bucket of a Sample.
 type SampleBucket struct {
 	Upper float64 `json:"le"`
