@@ -395,3 +395,54 @@ func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiRuntimeSteadyStateAllocs pins the tick pipeline's
+// steady-state allocation rate: once every buffer has grown to the
+// tick shape and every (bundle, model) group has run once, a
+// ProcessStreams tick allocates only its returned results (the outer
+// slice and one shared backing array) and the ready list — a few
+// allocations per tick, whatever the stream count. CI's allocations job
+// re-measures this pin on every push.
+func TestMultiRuntimeSteadyStateAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates per goroutine")
+	}
+	fx := testutil.Shared(t)
+	const streams, ticks = 32, 16
+	frameSets := streamFrames(t, streams, ticks)
+	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+		Streams:     streams,
+		Workers:     4,
+		CacheSlots:  fx.Bundle.NumModels(),
+		CacheShards: 1,
+		Fleet:       device.UniformFleet(device.JetsonTX2NX, streams),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	prewarmCache(t, m.Cache(), fx.Bundle)
+	tickInputs := make([][][]*synth.Frame, ticks)
+	for k := range tickInputs {
+		tickInputs[k] = make([][]*synth.Frame, streams)
+		for s := range tickInputs[k] {
+			tickInputs[k][s] = frameSets[s][k : k+1]
+		}
+	}
+	step := 0
+	runTick := func() {
+		if _, err := m.ProcessStreams(tickInputs[step%ticks], nil); err != nil {
+			t.Fatal(err)
+		}
+		step++
+	}
+	for i := 0; i < 3*ticks; i++ {
+		runTick()
+	}
+	perTick := testing.AllocsPerRun(5*ticks, runTick)
+	t.Logf("%v allocs per tick, %.3f per frame", perTick, perTick/streams)
+	// The returned results and the ready list account for 3.
+	if perTick > 4 {
+		t.Fatalf("steady-state ProcessStreams: %v allocs per tick, want at most 4", perTick)
+	}
+}

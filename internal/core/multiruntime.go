@@ -498,13 +498,16 @@ func (m *MultiRuntime) ProcessStreams(streams [][]*synth.Frame, obs StreamObserv
 	if len(streams) != len(m.streams) {
 		return nil, fmt.Errorf("core: %d frame streams for %d runtime streams", len(streams), len(m.streams))
 	}
-	results := make([][]FrameResult, len(streams))
-	maxLen := 0
+	// Every stream's results share one backing array.
+	total, maxLen := 0, 0
 	for i := range streams {
-		results[i] = make([]FrameResult, len(streams[i]))
-		if len(streams[i]) > maxLen {
-			maxLen = len(streams[i])
-		}
+		total += len(streams[i])
+		maxLen = max(maxLen, len(streams[i]))
+	}
+	backing := make([]FrameResult, total)
+	results := make([][]FrameResult, len(streams))
+	for i := range streams {
+		results[i], backing = backing[:len(streams[i]):len(streams[i])], backing[len(streams[i]):]
 	}
 
 	ready := make([]int, 0, len(streams))

@@ -227,13 +227,16 @@ type Runtime struct {
 	stats     RunStats
 
 	// Reused per-frame working buffers: the frame feature, the
-	// embedding, the score vector, and the per-cell prediction slice.
-	// The bundle's models are frozen weights, so the steady-state frame
-	// step performs no per-frame heap allocations beyond the rank slice.
-	featBuf   tensor.Vector
-	embBuf    tensor.Vector
-	scoresBuf []float64
-	predsBuf  []detect.CellPred
+	// embedding, the score vector, the model ranking, which models were
+	// resident before the frame's cache request, and the per-cell
+	// prediction slice. The bundle's models are frozen weights, so the
+	// steady-state frame step performs no per-frame heap allocations.
+	featBuf     tensor.Vector
+	embBuf      tensor.Vector
+	scoresBuf   []float64
+	rankBuf     []int
+	residentBuf []bool
+	predsBuf    []detect.CellPred
 
 	// met/tracer/streamID are the telemetry attachment (see
 	// RuntimeConfig.Metrics and Tracer); all handles are nil-safe.
@@ -510,7 +513,8 @@ func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
 		res.Latency += decideDur
 	}
 	scores := r.scoresBuf
-	rank := stats.RankDescending(scores)
+	r.rankBuf = stats.RankDescendingInto(r.rankBuf, scores)
+	rank := r.rankBuf
 	res.Desired = r.applyHysteresis(rank[0])
 	res.Confidence = scores[rank[0]]
 	res.Novelty = r.bundle.NoveltyOfEmbedding(r.embBuf)
@@ -521,7 +525,7 @@ func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
 	}
 	if res.Desired != rank[0] {
 		// The smoothed choice leads the ranking used for fallback.
-		rank = prependModel(rank, res.Desired)
+		moveToFront(rank, res.Desired)
 	}
 	r.recordStage(seq, telemetry.StageDecide, res.Desired, decideDur, false, false, nil)
 	return rank
@@ -539,7 +543,10 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 	coldStart := r.cache.Len() == 0
 	var preResident []bool
 	if !coldStart {
-		preResident = make([]bool, len(r.bundle.Detectors))
+		if len(r.residentBuf) != len(r.bundle.Detectors) {
+			r.residentBuf = make([]bool, len(r.bundle.Detectors))
+		}
+		preResident = r.residentBuf
 		for i, det := range r.bundle.Detectors {
 			preResident[i] = r.cache.Contains(det.Name)
 		}
@@ -829,16 +836,16 @@ func (r *Runtime) applyHysteresis(top int) int {
 	return r.committed
 }
 
-// prependModel moves idx to the front of rank without duplicating it.
-func prependModel(rank []int, idx int) []int {
-	out := make([]int, 0, len(rank))
-	out = append(out, idx)
-	for _, m := range rank {
-		if m != idx {
-			out = append(out, m)
+// moveToFront moves idx to the front of rank in place, keeping the
+// order of the other entries.
+func moveToFront(rank []int, idx int) {
+	for i, m := range rank {
+		if m == idx {
+			copy(rank[1:i+1], rank[:i])
+			rank[0] = idx
+			return
 		}
 	}
-	return out
 }
 
 func (r *Runtime) modelIndex(name string) int {

@@ -46,27 +46,34 @@ func newBatchMetrics(reg *telemetry.Registry) batchMetrics {
 
 // bundleBatch is the batched working set for one bundle: held
 // encoder/head batch scratches, the tick positions currently staged on
-// it, and the per-model grouping for the detector pass. Streams on a
-// heterogeneous fleet may run different planner variants, and each
-// variant is its own Bundle — so batching groups by bundle, and a
-// homogeneous fleet collapses to exactly one group.
+// it with their frame features, and the per-model grouping for the
+// detector pass. Streams on a heterogeneous fleet may run different
+// planner variants, and each variant is its own Bundle — so batching
+// groups by bundle, and a homogeneous fleet collapses to exactly one
+// group.
 type bundleBatch struct {
 	bundle *Bundle
-	enc    *nn.BatchScratch // held from this bundle's encoder pool
-	head   *nn.BatchScratch // held from this bundle's decision-head pool
+	enc    *nn.BatchScratch // held for the encoder; its In holds feats
+	head   *nn.BatchScratch // held for the decision head
 
 	// posns lists the tick positions staged on this bundle in the
-	// current chunk; embs/scores hold their batched MSS outputs
-	// row-aligned with posns.
+	// current chunk; feats (the frame features, computed once per frame
+	// and read again by detection), embs and scores are row-aligned
+	// with posns.
 	posns  []int
+	feats  *tensor.Matrix
 	embs   *tensor.Matrix
 	scores *tensor.Matrix
 
-	// Per model u: which tick positions resolved to it, and the reusable
-	// frame/dst slices handed to DetectBatch.
-	members [][]int
-	gframes [][]*synth.Frame
-	gdsts   [][][]detect.CellPred
+	// Per model u: which tick positions resolved to it, the reusable
+	// frame/feature/dst slices handed to DetectBatchFeatures, and the
+	// closure that runs the group on its own goroutine (built once, so
+	// dispatching it allocates nothing).
+	members   [][]int
+	gframes   [][]*synth.Frame
+	gfeats    [][]tensor.Vector
+	gdsts     [][][]detect.CellPred
+	detectFns []func()
 }
 
 func newBundleBatch(b *Bundle) *bundleBatch {
@@ -77,11 +84,12 @@ func newBundleBatch(b *Bundle) *bundleBatch {
 		head:    b.Decision.Head.AcquireBatchScratch(),
 		members: make([][]int, n),
 		gframes: make([][]*synth.Frame, n),
+		gfeats:  make([][]tensor.Vector, n),
 		gdsts:   make([][][]detect.CellPred, n),
 	}
 }
 
-// release returns the held scratches to their bundle's pools.
+// release returns the held scratches to the shared pool.
 func (g *bundleBatch) release() {
 	g.bundle.Encoder.Weights.ReleaseBatchScratch(g.enc)
 	g.bundle.Decision.Head.ReleaseBatchScratch(g.head)
@@ -114,8 +122,16 @@ type batchState struct {
 	// live lists the positions admitted into the pipeline this tick.
 	live []int
 
-	// sem bounds concurrent detector groups at the worker budget.
+	// The current tick's inputs, as processTick received them, for the
+	// detector groups.
+	tick   int
+	ready  []int
+	frames [][]*synth.Frame
+
+	// sem bounds concurrent detector groups at the worker budget; wg
+	// waits for a chunk's groups.
 	sem chan struct{}
+	wg  sync.WaitGroup
 }
 
 func newBatchState(workers int) *batchState {
@@ -166,7 +182,7 @@ func (bs *batchState) releaseUnused(streams []*Runtime) {
 	}
 }
 
-// releaseAll returns every group's scratches to their pools.
+// releaseAll returns every group's scratches to the shared pool.
 func (bs *batchState) releaseAll() {
 	for b, g := range bs.groups {
 		g.release()
@@ -183,6 +199,7 @@ func (bs *batchState) releaseAll() {
 func (m *MultiRuntime) processTick(tick int, ready []int, streams [][]*synth.Frame, results [][]FrameResult, obs StreamObserver) error {
 	bs := m.bstate
 	bs.ensure(len(ready))
+	bs.tick, bs.ready, bs.frames = tick, ready, streams
 	if err := m.admit(tick, ready, streams); err != nil {
 		return err
 	}
@@ -287,6 +304,7 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 		for r, j := range g.posns {
 			synth.FrameFeatureInto(feats.Row(r), streams[ready[j]][tick])
 		}
+		g.feats = feats
 		g.embs = g.bundle.Encoder.EmbedBatchInto(g.enc.Out(rows, g.bundle.Encoder.EmbedDim()), feats, g.enc)
 		g.scores = g.bundle.Decision.ScoresBatchInto(g.head.Out(rows, g.bundle.NumModels()), g.embs, g.head)
 		m.bmet.dispatches.Inc()
@@ -350,27 +368,25 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 		for _, g := range bs.order {
 			for u := range g.members {
 				if len(g.members[u]) > 0 {
-					m.detectGroup(g, tick, u, ready, streams)
+					m.detectGroup(g, u)
 				}
 			}
 		}
 	} else {
-		var wg sync.WaitGroup
 		for _, g := range bs.order {
+			if g.detectFns == nil {
+				g.detectFns = m.detectFuncs(g)
+			}
 			for u := range g.members {
 				if len(g.members[u]) == 0 {
 					continue
 				}
-				wg.Add(1)
+				bs.wg.Add(1)
 				bs.sem <- struct{}{}
-				go func(g *bundleBatch, u int) {
-					defer wg.Done()
-					m.detectGroup(g, tick, u, ready, streams)
-					<-bs.sem
-				}(g, u)
+				go g.detectFns[u]()
 			}
 		}
-		wg.Wait()
+		bs.wg.Wait()
 	}
 
 	// Finish: scoring and bookkeeping in stream order. Every rung at or
@@ -391,19 +407,37 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 }
 
 // detectGroup runs one (bundle, serving model) group's batched detector
-// pass over its member frames, writing each stream's predictions back
+// pass over its member frames of the current tick, reusing the features
+// the decide stage computed, and writes each stream's predictions back
 // into that stream's predsBuf for finishDetect.
-func (m *MultiRuntime) detectGroup(g *bundleBatch, tick, u int, ready []int, streams [][]*synth.Frame) {
+func (m *MultiRuntime) detectGroup(g *bundleBatch, u int) {
+	bs := m.bstate
 	frames := g.gframes[u][:0]
+	feats := g.gfeats[u][:0]
 	dsts := g.gdsts[u][:0]
 	for _, j := range g.members[u] {
-		i := ready[j]
-		frames = append(frames, streams[i][tick])
+		i := bs.ready[j]
+		frames = append(frames, bs.frames[i][bs.tick])
+		feats = append(feats, g.feats.Row(bs.rowOf[j]))
 		dsts = append(dsts, m.streams[i].predsBuf)
 	}
-	out := g.bundle.Detectors[u].DetectBatch(dsts, frames)
+	out := g.bundle.Detectors[u].DetectBatchFeatures(dsts, frames, feats)
 	for k, j := range g.members[u] {
-		m.streams[ready[j]].predsBuf = out[k]
+		m.streams[bs.ready[j]].predsBuf = out[k]
 	}
-	g.gframes[u], g.gdsts[u] = frames, out
+	g.gframes[u], g.gfeats[u], g.gdsts[u] = frames, feats, out
+}
+
+// detectFuncs builds g's per-model closures that run detectGroup on a
+// worker goroutine and release its slot of the worker budget.
+func (m *MultiRuntime) detectFuncs(g *bundleBatch) []func() {
+	fns := make([]func(), len(g.members))
+	for u := range fns {
+		fns[u] = func() {
+			defer m.bstate.wg.Done()
+			m.detectGroup(g, u)
+			<-m.bstate.sem
+		}
+	}
+	return fns
 }

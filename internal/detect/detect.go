@@ -153,6 +153,23 @@ const detectBatchRows = 512
 // one shared Detector; with pre-sized dsts the steady state performs no
 // heap allocations.
 func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]CellPred {
+	return d.detectBatch(dsts, frames, nil)
+}
+
+// DetectBatchFeatures is DetectBatch for a caller that already holds
+// every frame's feature: feats[j] must be synth.FrameFeature of
+// frames[j], and serves as each cell's frame context instead of being
+// computed again. The predictions equal DetectBatch's.
+func (d *Detector) DetectBatchFeatures(dsts [][]CellPred, frames []*synth.Frame, feats []tensor.Vector) [][]CellPred {
+	if len(feats) != len(frames) {
+		panic(fmt.Sprintf("detect: %d frame features for %d frames", len(feats), len(frames)))
+	}
+	return d.detectBatch(dsts, frames, feats)
+}
+
+// detectBatch is DetectBatch's body; feats, when non-nil, supplies each
+// frame's feature.
+func (d *Detector) detectBatch(dsts [][]CellPred, frames []*synth.Frame, feats []tensor.Vector) [][]CellPred {
 	if len(dsts) != len(frames) {
 		dsts = make([][]CellPred, len(frames))
 	}
@@ -161,11 +178,14 @@ func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]Cel
 	}
 	bs := d.weights.AcquireBatchScratch()
 	defer d.weights.ReleaseBatchScratch(bs)
-	// The vector scratch's staging buffer holds the frame context:
-	// FrameFeatureDim and CellInputDim coincide, so it is wide enough.
-	vs := d.weights.AcquireScratch()
-	defer d.weights.ReleaseScratch(vs)
-	ctx := vs.In(synth.FrameFeatureDim(d.featDim))
+	var ctx tensor.Vector
+	if feats == nil {
+		// The vector scratch's staging buffer holds the frame context:
+		// FrameFeatureDim and CellInputDim coincide, so it is wide enough.
+		vs := d.weights.AcquireScratch()
+		defer d.weights.ReleaseScratch(vs)
+		ctx = vs.In(synth.FrameFeatureDim(d.featDim))
+	}
 
 	inDim, outDim := d.weights.InDim(), d.weights.OutDim()
 	start := 0
@@ -185,9 +205,14 @@ func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]Cel
 		r := 0
 		for j := start; j < end; j++ {
 			f := frames[j]
-			synth.FrameFeatureInto(ctx, f)
+			fctx := ctx
+			if feats != nil {
+				fctx = feats[j]
+			} else {
+				synth.FrameFeatureInto(ctx, f)
+			}
 			for c := 0; c < f.NumCells(); c++ {
-				synth.CellInput(in.Row(r), f, c, ctx)
+				synth.CellInput(in.Row(r), f, c, fctx)
 				r++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anole/internal/synth"
+	"anole/internal/tensor"
 	"anole/internal/xrand"
 )
 
@@ -29,6 +30,29 @@ func TestDetectBatchMatchesDetectFrame(t *testing.T) {
 		for c := range want {
 			if got[i][c] != want[c] {
 				t.Fatalf("frame %d cell %d: batched %+v, sequential %+v", i, c, got[i][c], want[c])
+			}
+		}
+	}
+}
+
+// TestDetectBatchFeaturesMatchesDetectBatch pins the form that takes
+// precomputed frame features: handed each frame's FrameFeature, it must
+// predict exactly what DetectBatch does, across staging chunks.
+func TestDetectBatchFeaturesMatchesDetectBatch(t *testing.T) {
+	w := newTestWorld(t, 67)
+	rng := xrand.New(68)
+	d := NewDetector("d", Compressed, 8, rng)
+	frames := genFrames(w, synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}, 11, rng)
+	feats := make([]tensor.Vector, len(frames))
+	for i, f := range frames {
+		feats[i] = synth.FrameFeature(f)
+	}
+	want := d.DetectBatch(nil, frames)
+	got := d.DetectBatchFeatures(nil, frames, feats)
+	for i := range want {
+		for c := range want[i] {
+			if got[i][c] != want[i][c] {
+				t.Fatalf("frame %d cell %d: with features %+v, without %+v", i, c, got[i][c], want[i][c])
 			}
 		}
 	}

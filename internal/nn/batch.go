@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"anole/internal/tensor"
 )
@@ -9,11 +11,12 @@ import (
 // BatchScratch is the per-execution working set for running a Weights
 // program over a whole batch at once: ping-pong activation matrices plus
 // caller-usable input/output staging, all row-major with one sample per
-// row. Buffers grow on demand to the largest batch seen and are then
-// reused, so the steady state (same batch shape) performs no heap
-// allocations. A BatchScratch belongs to one goroutine at a time;
-// acquire from the owning Weights (AcquireBatchScratch) or pass nil to
-// InferBatch and let it borrow one from the pool.
+// row. One package-level pool serves every program: a scratch grows on
+// demand to the widest program and the largest batch it has served and
+// is then reused, so the steady state (same batch shape) performs no
+// heap allocations. A BatchScratch belongs to one goroutine at a time;
+// acquire one with AcquireBatchScratch or pass nil to InferBatch and let
+// it borrow one from the pool.
 type BatchScratch struct {
 	maxDim int
 
@@ -23,8 +26,15 @@ type BatchScratch struct {
 	ping, pong, inM, outM tensor.Matrix
 }
 
-func newBatchScratch(maxDim int) *BatchScratch {
-	return &BatchScratch{maxDim: maxDim}
+// batchPool recycles BatchScratch values across every program.
+var batchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
+
+// fit widens s to serve a program whose widest layer is dim. Matrices
+// already handed out keep their old buffers, which stay valid.
+func (s *BatchScratch) fit(dim int) {
+	if dim > s.maxDim {
+		s.maxDim = dim
+	}
 }
 
 // ensure grows the backing buffers to hold rows samples of the widest
@@ -71,18 +81,21 @@ func (s *BatchScratch) Out(rows, cols int) *tensor.Matrix {
 	return view(&s.outM, s.outBuf, rows, cols)
 }
 
-// AcquireBatchScratch borrows a batch scratch sized for this program
-// from the pool. Pair with ReleaseBatchScratch; holding one across many
-// InferBatch calls keeps the steady-state batch path allocation-free.
+// AcquireBatchScratch borrows a batch scratch from the shared pool,
+// widened to serve this program. Pair with ReleaseBatchScratch; holding
+// one across many InferBatch calls keeps the steady-state batch path
+// allocation-free.
 func (w *Weights) AcquireBatchScratch() *BatchScratch {
-	return w.batchPool.Get().(*BatchScratch)
+	s := batchPool.Get().(*BatchScratch)
+	s.fit(w.maxDim)
+	return s
 }
 
-// ReleaseBatchScratch returns s to the pool. s must not be used
+// ReleaseBatchScratch returns s to the shared pool. s must not be used
 // afterwards.
 func (w *Weights) ReleaseBatchScratch(s *BatchScratch) {
 	if s != nil {
-		w.batchPool.Put(s)
+		batchPool.Put(s)
 	}
 }
 
@@ -90,12 +103,13 @@ func (w *Weights) ReleaseBatchScratch(s *BatchScratch) {
 // row of in) and writes the outputs into dst (one result per row),
 // allocating only when dst is nil or mis-shaped. dst must not alias in.
 // s supplies the intermediate activation matrices; pass nil to borrow
-// one from the program's pool. Dense layers execute as one
-// matrix-matrix product per layer (tensor.MatMulTInto against the
-// frozen out×in weight matrix), so a batch of B samples costs one GEMM
-// instead of B GEMVs. The batched kernel sums each dot product in the
-// same ascending order as MulVec, so per sample the result is
-// bit-identical to Infer.
+// one from the shared pool. Each dense layer, together with a ReLU right
+// after it, executes as one fused kernel call over the whole batch
+// (tensor.DenseInto against the layer's packed weights: product, bias
+// and ReLU before the store), so a batch of B samples costs one GEMM
+// instead of B GEMVs. The kernel sums each dot product in the same
+// ascending order as MulVec and adds the bias after it, so per sample
+// the result is bit-identical to Infer.
 func (w *Weights) InferBatch(dst, in *tensor.Matrix, s *BatchScratch) *tensor.Matrix {
 	return w.inferBatchThrough(len(w.layers), dst, in, s)
 }
@@ -132,37 +146,49 @@ func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScrat
 		s = w.AcquireBatchScratch()
 		release = true
 	}
+	s.fit(w.maxDim)
 	s.ensure(rows)
 	x := in
 	buf, alt := s.pingBuf, s.pongBuf
 	front, back := &s.ping, &s.pong
-	for i := 0; i < k; i++ {
+	for i := 0; i < k; {
 		l := &w.layers[i]
-		last := i == k-1
-		var target *tensor.Matrix
+		next := i + 1
+		// A ReLU right after a dense layer runs inside its kernel call.
+		relu := l.w != nil && next < k && w.layers[next].kind == kindReLU
+		if relu {
+			next++
+		}
+		cols := x.Cols
 		if l.w != nil {
-			if last {
-				target = dst
-			} else {
-				target = view(front, buf, rows, l.w.Rows)
-			}
-			tensor.MatMulTInto(target, x, l.w)
-			for r := 0; r < rows; r++ {
-				target.Row(r).AddScaled(1, l.b)
-			}
-		} else {
-			if last {
-				target = dst
-			} else {
-				target = view(front, buf, rows, x.Cols)
-			}
+			cols = l.w.Rows
+		}
+		target := dst
+		if next < k {
+			target = view(front, buf, rows, cols)
+		}
+		switch l.kind {
+		case kindDense, kindDenseQuant:
+			tensor.DenseInto(target, x, l.packed, relu)
+		case kindReLU:
 			for j, v := range x.Data {
-				target.Data[j] = l.fn(v)
+				target.Data[j] = reluFn(v)
 			}
+		case kindTanh:
+			for j, v := range x.Data {
+				target.Data[j] = math.Tanh(v)
+			}
+		case kindSigmoid:
+			for j, v := range x.Data {
+				target.Data[j] = sigmoidFn(v)
+			}
+		default:
+			panic(fmt.Sprintf("nn: batch infer of layer kind %d", l.kind))
 		}
 		x = target
 		buf, alt = alt, buf
 		front, back = back, front
+		i = next
 	}
 	if release {
 		w.ReleaseBatchScratch(s)

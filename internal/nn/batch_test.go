@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -30,9 +31,8 @@ func batchFixture(t testing.TB, seed uint64) (*nn.Weights, *xrand.RNG) {
 // TestInferBatchMatchesSequential is the batch-equivalence property
 // test at the nn layer: for randomized program shapes and batch sizes
 // (including 0 and 1), running B samples through InferBatch must agree
-// with B independent Infer calls within 1e-12 relative — the only
-// permitted difference is the batched kernel's dot-product
-// reassociation.
+// with B independent Infer calls bit for bit — the batched kernel keeps
+// each dot product's summation order.
 func TestInferBatchMatchesSequential(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		w, rng := batchFixture(t, seed)
@@ -47,18 +47,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 					seed, batch, got.Rows, got.Cols, batch, w.OutDim())
 			}
 			for r := 0; r < batch; r++ {
-				want := w.Infer(nil, in.Row(r), nil)
-				for j := range want {
-					diff := math.Abs(got.At(r, j) - want[j])
-					scale := math.Abs(want[j])
-					if scale < 1 {
-						scale = 1
-					}
-					if diff > 1e-12*scale {
-						t.Fatalf("seed %d batch %d row %d out %d: batched %v, sequential %v",
-							seed, batch, r, j, got.At(r, j), want[j])
-					}
-				}
+				sameRow(t, got.Row(r), w.Infer(nil, in.Row(r), nil), fmt.Sprintf("seed %d batch %d row %d", seed, batch, r))
 			}
 		}
 	}
@@ -78,28 +67,15 @@ func TestInferBatchThroughMatchesSequential(t *testing.T) {
 		got := w.InferBatchThrough(k, nil, in, nil)
 		for r := 0; r < batch; r++ {
 			want := w.InferThrough(k, nil, in.Row(r), nil)
-			if got.Cols != len(want) {
-				t.Fatalf("k=%d: batched width %d, sequential %d", k, got.Cols, len(want))
-			}
-			for j := range want {
-				diff := math.Abs(got.At(r, j) - want[j])
-				scale := math.Abs(want[j])
-				if scale < 1 {
-					scale = 1
-				}
-				if diff > 1e-12*scale {
-					t.Fatalf("k=%d row %d out %d: batched %v, sequential %v", k, r, j, got.At(r, j), want[j])
-				}
-			}
+			sameRow(t, got.Row(r), want, fmt.Sprintf("k=%d row %d", k, r))
 		}
 	}
 }
 
 // TestInferBatchZeroAllocs pins the steady-state allocation contract of
 // the batch path: a held BatchScratch plus scratch-owned staging/output
-// matrices make InferBatch allocation-free, including the row-panel
-// parallel matmul underneath. CI's allocations job re-measures this pin
-// on every push.
+// matrices make InferBatch allocation-free, including the dense kernel
+// underneath. CI's allocations job re-measures this pin on every push.
 func TestInferBatchZeroAllocs(t *testing.T) {
 	_, w, rng := freezeFixture(t, 6)
 	const batch = 64
@@ -110,8 +86,8 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 		in.Data[i] = rng.NormMS(0, 1)
 	}
 	dst := s.Out(batch, w.OutDim())
-	// Warm: grows scratch buffers to this batch shape and spins up the
-	// tensor worker pool, after which the steady state must not allocate.
+	// Warm: grows scratch buffers to this batch shape, after which the
+	// steady state must not allocate.
 	w.InferBatch(dst, in, s)
 	allocs := testing.AllocsPerRun(200, func() {
 		w.InferBatch(dst, in, s)
@@ -191,11 +167,77 @@ func TestInferBatchQuantized(t *testing.T) {
 	}
 	got := q.InferBatch(nil, in, nil)
 	for r := 0; r < batch; r++ {
-		want := q.Infer(nil, in.Row(r), nil)
-		for j := range want {
-			if math.Abs(got.At(r, j)-want[j]) > 1e-12 {
-				t.Fatalf("row %d out %d: %v, want %v", r, j, got.At(r, j), want[j])
-			}
+		sameRow(t, got.Row(r), q.Infer(nil, in.Row(r), nil), fmt.Sprintf("row %d", r))
+	}
+}
+
+// sameRow checks a batched output row against Infer's output for the
+// same sample bit for bit, NaN matching NaN.
+func sameRow(t *testing.T, got, want tensor.Vector, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: batched width %d, sequential %d", label, len(got), len(want))
+	}
+	for j, w := range want {
+		g := got[j]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s out %d: batched %v, sequential %v", label, j, g, w)
+		}
+	}
+}
+
+// TestInferBatchBitIdenticalAcrossTransforms runs InferBatch against
+// Infer on every way a program comes to exist besides Freeze: Quantize
+// and ScaleFinalDense (which replace layers after copying the program,
+// so their packed weights must be rebuilt) and a WriteTo/ReadWeights
+// round trip of each. Inputs include NaN, ±Inf and −0.
+func TestInferBatchBitIdenticalAcrossTransforms(t *testing.T) {
+	_, w, rng := freezeFixture(t, 41)
+	q8, err := w.Quantize(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q4, err := w.Quantize(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := w.ScaleFinalDense(0.37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := map[string]*nn.Weights{"frozen": w, "quantize8": q8, "quantize4": q4, "scaled": scaled}
+	for name, p := range map[string]*nn.Weights{"frozen": w, "quantize4": q4, "scaled": scaled} {
+		var buf bytes.Buffer
+		if _, err := p.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := nn.ReadWeights(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		programs[name+"+roundtrip"] = back
+	}
+	const batch = 13
+	in := tensor.NewMatrix(batch, w.InDim())
+	for i := range in.Data {
+		in.Data[i] = rng.NormMS(0, 1)
+	}
+	in.Set(1, 0, math.NaN())
+	in.Set(2, 3, math.Inf(1))
+	in.Set(3, 5, math.Inf(-1))
+	in.Set(4, 2, math.Copysign(0, -1))
+	for name, p := range programs {
+		got := p.InferBatch(nil, in, nil)
+		for r := 0; r < batch; r++ {
+			sameRow(t, got.Row(r), p.Infer(nil, in.Row(r), nil), fmt.Sprintf("%s row %d", name, r))
+		}
+	}
+	// The transforms must actually change the outputs, or the packing
+	// check above proves nothing.
+	base := w.InferBatch(nil, in, nil)
+	for _, name := range []string{"quantize4", "scaled"} {
+		if got := programs[name].InferBatch(nil, in, nil); got.At(0, 0) == base.At(0, 0) {
+			t.Fatalf("%s: output equals the untransformed program's", name)
 		}
 	}
 }

@@ -28,8 +28,6 @@ type Weights struct {
 	// pool recycles Scratch instances for callers that pass nil; it is a
 	// pointer so Weights values are never copied with a live pool.
 	pool *sync.Pool
-	// batchPool does the same for BatchScratch (see batch.go).
-	batchPool *sync.Pool
 }
 
 // wlayer is one frozen layer: a dense transform (w != nil) or an
@@ -40,6 +38,10 @@ type wlayer struct {
 	b         tensor.Vector
 	quantBits int
 	fn        func(float64) float64 // activation only
+	// packed is w and b laid out for the batched kernel
+	// (tensor.DenseInto); newWeights builds it, so it always matches w
+	// and b.
+	packed *tensor.Packed
 }
 
 // Inferer is the one interface every executable model form satisfies:
@@ -73,8 +75,9 @@ func (n *Network) Freeze() *Weights {
 // Freeze is the free-function form of (*Network).Freeze.
 func Freeze(n *Network) *Weights { return n.Freeze() }
 
-// newWeights validates the layer program and precomputes the static
-// accounting (dims, FLOPs, parameter count, scratch sizing).
+// newWeights validates the layer program, packs every dense layer for
+// the batched kernel and precomputes the static accounting (dims,
+// FLOPs, parameter count, scratch sizing).
 func newWeights(ls []wlayer) *Weights {
 	w := &Weights{layers: ls}
 	lastOut := 0
@@ -84,6 +87,7 @@ func newWeights(ls []wlayer) *Weights {
 			w.flops += int64(lastOut)
 			continue
 		}
+		l.packed = tensor.PackDense(l.w, l.b)
 		in, out := l.w.Cols, l.w.Rows
 		if lastOut != 0 && in != lastOut {
 			panic(fmt.Sprintf("nn: frozen layer %d expects input dim %d but previous layer outputs %d", i, in, lastOut))
@@ -104,16 +108,17 @@ func newWeights(ls []wlayer) *Weights {
 	}
 	dim := w.maxDim
 	w.pool = &sync.Pool{New: func() any { return newScratch(dim) }}
-	w.batchPool = &sync.Pool{New: func() any { return newBatchScratch(dim) }}
 	return w
 }
 
-// clone returns a Weights sharing every layer except those the caller is
-// about to replace; used by the copy-on-write transforms below.
-func (w *Weights) clone() *Weights {
+// cloneLayers returns a copy of the layer program sharing every
+// parameter; the copy-on-write transforms below replace some layers'
+// parameters in it and compile the result with newWeights, which packs
+// every dense layer afresh.
+func (w *Weights) cloneLayers() []wlayer {
 	ls := make([]wlayer, len(w.layers))
 	copy(ls, w.layers)
-	return newWeights(ls)
+	return ls
 }
 
 // InDim returns the input dimension of the first dense layer (0 if none).
@@ -287,9 +292,9 @@ func (w *Weights) Quantize(bits int) (*Weights, error) {
 	if bits < 2 || bits > 16 {
 		return nil, fmt.Errorf("nn: quantization bits %d outside [2,16]", bits)
 	}
-	q := w.clone()
-	for i := range q.layers {
-		l := &q.layers[i]
+	ls := w.cloneLayers()
+	for i := range ls {
+		l := &ls[i]
 		if l.w == nil {
 			continue
 		}
@@ -298,7 +303,7 @@ func (w *Weights) Quantize(bits int) (*Weights, error) {
 		quantizeSlice(b, bits)
 		l.w, l.b, l.quantBits, l.kind = m, b, bits, kindDenseQuant
 	}
-	return q, nil
+	return newWeights(ls), nil
 }
 
 // ScaleFinalDense returns a copy of w whose last dense layer (weights and
@@ -319,12 +324,12 @@ func (w *Weights) ScaleFinalDense(alpha float64) (*Weights, error) {
 	if w.layers[idx].quantBits > 0 {
 		return nil, fmt.Errorf("nn: cannot scale a quantized dense layer")
 	}
-	out := w.clone()
-	m, b := out.layers[idx].w.Clone(), out.layers[idx].b.Clone()
+	ls := w.cloneLayers()
+	m, b := ls[idx].w.Clone(), ls[idx].b.Clone()
 	m.Scale(alpha)
 	b.Scale(alpha)
-	out.layers[idx].w, out.layers[idx].b = m, b
-	return out, nil
+	ls[idx].w, ls[idx].b = m, b
+	return newWeights(ls), nil
 }
 
 // Thaw reconstructs a trainable Network from the frozen program, with

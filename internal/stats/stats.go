@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -442,12 +443,28 @@ func ArgmaxFloat(xs []float64) int {
 // RankDescending returns the indices of xs sorted by value descending,
 // breaking ties by lower index first so ranking is deterministic.
 func RankDescending(xs []float64) []int {
-	idx := make([]int, len(xs))
+	return RankDescendingInto(nil, xs)
+}
+
+// RankDescendingInto is RankDescending writing into dst, which is reused
+// when its capacity suffices (allocating otherwise) and returned. With a
+// held dst it performs no heap allocations.
+func RankDescendingInto(dst []int, xs []float64) []int {
+	if cap(dst) < len(xs) {
+		dst = make([]int, len(xs))
+	}
+	idx := dst[:len(xs)]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return xs[idx[a]] > xs[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch {
+		case xs[a] > xs[b]:
+			return -1
+		case xs[a] < xs[b]:
+			return 1
+		}
+		return 0
 	})
 	return idx
 }

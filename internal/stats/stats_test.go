@@ -276,6 +276,46 @@ func TestRankDescendingStableTies(t *testing.T) {
 	}
 }
 
+// TestRankDescendingIntoMatchesSliceStable checks the allocation-free
+// ranking against the sort.SliceStable ranking it replaced, over random
+// scores with ties, NaN and ±Inf, into a reused dst of varying length,
+// and pins that a held dst makes it allocation-free.
+func TestRankDescendingIntoMatchesSliceStable(t *testing.T) {
+	rng := xrand.New(91)
+	var dst []int
+	for trial := 0; trial < 500; trial++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		for i := range xs {
+			switch rng.Intn(8) {
+			case 0:
+				xs[i] = math.NaN()
+			case 1:
+				xs[i] = math.Inf(1 - 2*rng.Intn(2))
+			case 2, 3:
+				xs[i] = float64(rng.Intn(3)) // ties
+			default:
+				xs[i] = rng.Norm()
+			}
+		}
+		want := make([]int, len(xs))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return xs[want[a]] > xs[want[b]] })
+		dst = RankDescendingInto(dst, xs)
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("trial %d: ranks %v, want %v (scores %v)", trial, dst, want, xs)
+			}
+		}
+	}
+	xs := []float64{0.3, 0.1, 0.9, 0.3}
+	dst = make([]int, len(xs))
+	if allocs := testing.AllocsPerRun(100, func() { RankDescendingInto(dst, xs) }); allocs != 0 {
+		t.Fatalf("RankDescendingInto with held dst: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestQuantilePropertyBounds(t *testing.T) {
 	r := xrand.New(77)
 	if err := quick.Check(func(seed uint32) bool {

@@ -1,0 +1,208 @@
+#include "textflag.h"
+
+// Store masks for the last, partial panel: entry t (t = n mod 4, 1..3)
+// enables the first t lanes. Entry 0 is never used.
+DATA tailmask<>+0x00(SB)/8, $0
+DATA tailmask<>+0x08(SB)/8, $0
+DATA tailmask<>+0x10(SB)/8, $0
+DATA tailmask<>+0x18(SB)/8, $0
+DATA tailmask<>+0x20(SB)/8, $-1
+DATA tailmask<>+0x28(SB)/8, $0
+DATA tailmask<>+0x30(SB)/8, $0
+DATA tailmask<>+0x38(SB)/8, $0
+DATA tailmask<>+0x40(SB)/8, $-1
+DATA tailmask<>+0x48(SB)/8, $-1
+DATA tailmask<>+0x50(SB)/8, $0
+DATA tailmask<>+0x58(SB)/8, $0
+DATA tailmask<>+0x60(SB)/8, $-1
+DATA tailmask<>+0x68(SB)/8, $-1
+DATA tailmask<>+0x70(SB)/8, $-1
+DATA tailmask<>+0x78(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $128
+
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func denseAVX2(dst, x, w, b []float64, rows, k, n int, relu bool)
+//
+// Rows go four at a time (then one at a time for the rest); for each
+// block, every panel of four output columns keeps one accumulator per
+// row. Per input kk the panel's four weights are loaded once, each row's
+// x[kk] is broadcast, multiplied (VMULPD) and added (VADDPD) — never
+// fused — so every lane sums in ascending k from +0 exactly like MulVec.
+// The bias add and the ReLU (VMAXPD against +0 with the sum as the first
+// source: NaN and −0 give +0) run in registers before the store; the
+// partial last panel stores through a lane mask.
+//
+// Registers: AX x row stride, BX dst row stride (bytes), CX 3 x rows,
+// DX dst block base, R13 x block base, SI x cursor, DI dst cursor, R8 w
+// cursor, R9 bias cursor, R10 rows left, R11 k counter, R12 columns left
+// in the row; Y13 tail store mask, Y14 +0.
+TEXT ·denseAVX2(SB), NOSPLIT, $0-121
+	MOVQ x_base+24(FP), R13
+	MOVQ dst_base+0(FP), DX
+	MOVQ rows+96(FP), R10
+	MOVQ k+104(FP), AX
+	SHLQ $3, AX
+	LEAQ (AX)(AX*2), CX
+	MOVQ n+112(FP), BX
+	MOVQ BX, R12
+	ANDQ $3, R12
+	SHLQ $5, R12
+	LEAQ tailmask<>(SB), R11
+	VMOVUPD (R11)(R12*1), Y13
+	SHLQ $3, BX
+	VXORPD Y14, Y14, Y14
+
+block4:
+	CMPQ R10, $4
+	JLT  row1
+	MOVQ w_base+48(FP), R8
+	MOVQ b_base+72(FP), R9
+	MOVQ DX, DI
+	MOVQ n+112(FP), R12
+
+panel4:
+	CMPQ R12, $0
+	JLE  next4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R13, SI
+	MOVQ k+104(FP), R11
+	TESTQ R11, R11
+	JZ   bias4
+
+k4:
+	VMOVUPD      (R8), Y4
+	VBROADCASTSD (SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (SI)(AX*1), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (SI)(AX*2), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD (SI)(CX*1), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $32, R8
+	ADDQ         $8, SI
+	DECQ         R11
+	JNZ          k4
+
+bias4:
+	VMOVUPD (R9), Y4
+	VADDPD  Y4, Y0, Y0
+	VADDPD  Y4, Y1, Y1
+	VADDPD  Y4, Y2, Y2
+	VADDPD  Y4, Y3, Y3
+	CMPB    relu+120(FP), $0
+	JEQ     store4
+	VMAXPD  Y14, Y0, Y0
+	VMAXPD  Y14, Y1, Y1
+	VMAXPD  Y14, Y2, Y2
+	VMAXPD  Y14, Y3, Y3
+
+store4:
+	LEAQ (DI)(BX*2), R11
+	CMPQ R12, $4
+	JLT  mask4
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(BX*1)
+	VMOVUPD Y2, (R11)
+	VMOVUPD Y3, (R11)(BX*1)
+	JMP  adv4
+
+mask4:
+	VMASKMOVPD Y0, Y13, (DI)
+	VMASKMOVPD Y1, Y13, (DI)(BX*1)
+	VMASKMOVPD Y2, Y13, (R11)
+	VMASKMOVPD Y3, Y13, (R11)(BX*1)
+
+adv4:
+	ADDQ $32, R9
+	ADDQ $32, DI
+	SUBQ $4, R12
+	JMP  panel4
+
+next4:
+	LEAQ (R13)(AX*4), R13
+	LEAQ (DX)(BX*4), DX
+	SUBQ $4, R10
+	JMP  block4
+
+row1:
+	TESTQ R10, R10
+	JZ    done
+	MOVQ  w_base+48(FP), R8
+	MOVQ  b_base+72(FP), R9
+	MOVQ  DX, DI
+	MOVQ  n+112(FP), R12
+
+panel1:
+	CMPQ R12, $0
+	JLE  next1
+	VXORPD Y0, Y0, Y0
+	MOVQ R13, SI
+	MOVQ k+104(FP), R11
+	TESTQ R11, R11
+	JZ   bias1
+
+k1:
+	VBROADCASTSD (SI), Y5
+	VMULPD       (R8), Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $32, R8
+	ADDQ         $8, SI
+	DECQ         R11
+	JNZ          k1
+
+bias1:
+	VADDPD (R9), Y0, Y0
+	CMPB   relu+120(FP), $0
+	JEQ    store1
+	VMAXPD Y14, Y0, Y0
+
+store1:
+	CMPQ R12, $4
+	JLT  mask1
+	VMOVUPD Y0, (DI)
+	JMP  adv1
+
+mask1:
+	VMASKMOVPD Y0, Y13, (DI)
+
+adv1:
+	ADDQ $32, R9
+	ADDQ $32, DI
+	SUBQ $4, R12
+	JMP  panel1
+
+next1:
+	ADDQ AX, R13
+	ADDQ BX, DX
+	DECQ R10
+	JMP  row1
+
+done:
+	VZEROUPPER
+	RET

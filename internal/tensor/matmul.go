@@ -2,180 +2,207 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
+	"math"
 	"sync"
 )
 
-// This file holds the GEMM kernels behind the batched inference path:
-// MatMulInto (dst = a·b) and MatMulTInto (dst = a·bᵀ). Both reuse dst,
-// block the shared dimension for cache locality, and split large
-// products into row panels executed on a bounded package-level worker
-// pool. With a correctly-sized dst the steady state performs no heap
-// allocations, which is what lets nn.Weights.InferBatch stay 0-alloc.
+// This file holds the GEMM kernels behind the batched inference path.
+//
+// DenseInto computes a whole dense layer over a batch, dst = act(x·Wᵀ + b),
+// in one pass: the weights are packed once (PackDense) into panels of
+// four output columns, k-major, and each output's dot product, bias add
+// and optional ReLU happen before it is stored. On amd64 with AVX2 an
+// assembly loop computes four output columns of four rows per step
+// (dense_amd64.s); everywhere else a pure-Go loop walks the same layout.
+// Both sum every output in ascending k from +0, then add the bias, so
+// each output is bit-identical to Matrix.MulVec followed by
+// Vector.AddScaled(1, b): the assembly multiplies and adds separately
+// (never FMA), as compiled Go does on amd64, and the portable loop
+// writes MulVec's own expressions.
+//
+// MatMulTInto (dst = a·bᵀ) and MatMulInto (dst = a·b) run the same
+// kernel with a zero bias, packing b into a pooled buffer per call. All
+// reuse dst; with a correctly-sized dst the steady state performs no
+// heap allocations, which is what lets nn.Weights.InferBatch stay
+// 0-alloc. None spawns goroutines: callers parallelize across
+// independent products.
 
-const (
-	// kBlock is the shared-dimension tile: one a-row tile and the
-	// matching b-row panel fit comfortably in L1 at float64.
-	kBlock = 256
-	// parallelFLOPs is the product size (rows × cols × inner) above
-	// which a matmul is split into row panels; below it the
-	// dispatch overhead outweighs the span.
-	parallelFLOPs = 64 * 1024
-	// minPanelRows keeps panels coarse enough that workers do not
-	// contend on tiny slices of the output.
-	minPanelRows = 8
-	// maxMatMulWorkers bounds the pool whatever GOMAXPROCS says.
-	maxMatMulWorkers = 16
-)
+// panelCols is the output-column width of one packed weight panel: one
+// 256-bit vector of float64.
+const panelCols = 4
 
-// panelTask is one contiguous row range [r0, r1) of dst to compute.
-type panelTask struct {
-	dst, a, b *Matrix
-	r0, r1    int
-	transB    bool
-	wg        *sync.WaitGroup
+// Packed is a dense layer's parameters laid out for DenseInto: the
+// weights W (n outputs × k inputs) as ⌈n/4⌉ panels of four output
+// columns, each panel k-major (the four weights of input kk are
+// adjacent), and the bias b. The last panel's unused columns and the
+// bias are zero-padded to a multiple of four. A Packed is immutable once
+// built and safe to share across goroutines.
+type Packed struct {
+	n, k int
+	w    []float64 // ⌈n/4⌉ · k · 4
+	b    []float64 // ⌈n/4⌉ · 4
 }
 
-var (
-	matmulOnce  sync.Once
-	matmulTasks chan panelTask
-	// wgPool recycles the per-call completion WaitGroup so the parallel
-	// dispatch itself does not allocate in steady state.
-	wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
-)
-
-// startMatMulPool lazily spins up the row-panel workers. Pool size is
-// fixed at first use; the goroutines are cheap and live for the process.
-func startMatMulPool() {
-	matmulOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		if n > maxMatMulWorkers {
-			n = maxMatMulWorkers
-		}
-		if n < 1 {
-			n = 1
-		}
-		matmulTasks = make(chan panelTask, 4*n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for t := range matmulTasks {
-					if t.transB {
-						mulPanelT(t.dst, t.a, t.b, t.r0, t.r1)
-					} else {
-						mulPanel(t.dst, t.a, t.b, t.r0, t.r1)
-					}
-					t.wg.Done()
-				}
-			}()
-		}
-	})
+// PackDense packs w (n×k) and its bias b (length n, or nil for a zero
+// bias) for DenseInto.
+func PackDense(w *Matrix, b Vector) *Packed {
+	p := new(Packed)
+	p.pack(w, b, false)
+	return p
 }
 
-// dispatchPanels runs the kernel over dst's rows, in parallel when the
-// product is large enough to amortize the handoff.
-func dispatchPanels(dst, a, b *Matrix, inner int, transB bool) {
-	rows := dst.Rows
-	if int64(rows)*int64(dst.Cols)*int64(inner) < parallelFLOPs || rows < 2*minPanelRows {
-		if transB {
-			mulPanelT(dst, a, b, 0, rows)
-		} else {
-			mulPanel(dst, a, b, 0, rows)
+// pack (re)fills p from w and b, reusing p's buffers when they are large
+// enough. w holds one row per output (n×k), or one column per output
+// (k×n) when byColumn is set.
+func (p *Packed) pack(w *Matrix, b Vector, byColumn bool) {
+	n, k := w.Rows, w.Cols
+	if byColumn {
+		n, k = k, n
+	}
+	if b != nil && len(b) != n {
+		panic(fmt.Sprintf("tensor: PackDense bias length %d for %d outputs", len(b), n))
+	}
+	panels := (n + panelCols - 1) / panelCols
+	p.n, p.k = n, k
+	p.w = resize(p.w, panels*k*panelCols)
+	p.b = resize(p.b, panels*panelCols)
+	for c := 0; c < panels*panelCols; c++ {
+		panel := p.w[(c/panelCols)*k*panelCols:]
+		lane := c % panelCols
+		for kk := 0; kk < k; kk++ {
+			var v float64
+			switch {
+			case c >= n:
+			case byColumn:
+				v = w.Data[kk*n+c]
+			default:
+				v = w.Data[c*k+kk]
+			}
+			panel[kk*panelCols+lane] = v
 		}
+		p.b[c] = 0
+		if b != nil && c < n {
+			p.b[c] = b[c]
+		}
+	}
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// DenseInto computes dst = x·Wᵀ + b for the packed layer p, then clamps
+// every output at +0 when relu is set (NaN and −0 become +0, exactly as
+// max(v, 0) written as `if v > 0 { return v }; return 0`). x is m×k with
+// one sample per row; dst is reused when it has shape m×n (allocated
+// when nil or mis-sized) and returned. dst must not alias x. Each output
+// is bit-identical to W.MulVec on its row followed by adding b.
+func DenseInto(dst, x *Matrix, p *Packed, relu bool) *Matrix {
+	if x.Cols != p.k {
+		panic(fmt.Sprintf("tensor: DenseInto input %dx%d for a %d-input layer", x.Rows, x.Cols, p.k))
+	}
+	if dst == nil || dst.Rows != x.Rows || dst.Cols != p.n {
+		dst = NewMatrix(x.Rows, p.n)
+	}
+	if dst == x {
+		panic("tensor: DenseInto dst aliases its input")
+	}
+	if x.Rows > 0 && p.n > 0 {
+		dense(dst.Data, x.Data, p.w, p.b, x.Rows, p.k, p.n, relu)
+	}
+	return dst
+}
+
+// dense runs the kernel: the AVX2 loop where the CPU has it, the
+// portable loop otherwise.
+func dense(dst, x, w, b []float64, rows, k, n int, relu bool) {
+	if haveAVX2 {
+		denseAVX2(dst, x, w, b, rows, k, n, relu)
 		return
 	}
-	startMatMulPool()
-	panels := rows / minPanelRows
-	if max := cap(matmulTasks); panels > max {
-		panels = max
-	}
-	if panels < 2 {
-		panels = 2
-	}
-	per := (rows + panels - 1) / panels
-	wg := wgPool.Get().(*sync.WaitGroup)
-	for r0 := 0; r0 < rows; r0 += per {
-		r1 := r0 + per
-		if r1 > rows {
-			r1 = rows
-		}
-		wg.Add(1)
-		matmulTasks <- panelTask{dst: dst, a: a, b: b, r0: r0, r1: r1, transB: transB, wg: wg}
-	}
-	wg.Wait()
-	wgPool.Put(wg)
+	denseGeneric(dst, x, w, b, rows, k, n, relu)
 }
 
-// mulPanel computes dst[r0:r1] = a[r0:r1]·b with an ikj loop blocked
-// over the shared dimension. Per output element the k-summation order is
-// ascending, exactly matching the naive ijk triple loop, so results are
-// bit-identical to the reference kernel (NaN and ±Inf included).
-func mulPanel(dst, a, b *Matrix, r0, r1 int) {
-	n, kdim := dst.Cols, a.Cols
-	for i := r0; i < r1; i++ {
-		orow := dst.Data[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		arow := a.Data[i*kdim : (i+1)*kdim]
-		for k0 := 0; k0 < kdim; k0 += kBlock {
-			k1 := k0 + kBlock
-			if k1 > kdim {
-				k1 = kdim
+// denseGeneric is the portable kernel over the packed layout: per row
+// and panel, four accumulators sum in ascending k, then the bias and the
+// optional ReLU apply and the panel's live columns are stored. The
+// expressions mirror MulVec's (`s += x * w`), so where the compiler fuses
+// multiply-adds it fuses both the same way.
+func denseGeneric(dst, x, w, b []float64, rows, k, n int, relu bool) {
+	for r := 0; r < rows; r++ {
+		xr := x[r*k : (r+1)*k]
+		orow := dst[r*n : (r+1)*n]
+		for c0 := 0; c0 < n; c0 += panelCols {
+			s0, s1, s2, s3 := dotPanel(xr, w[c0*k:(c0+panelCols)*k])
+			bias := b[c0 : c0+panelCols]
+			out := [panelCols]float64{s0 + bias[0], s1 + bias[1], s2 + bias[2], s3 + bias[3]}
+			if relu {
+				out = [panelCols]float64{reluOf(out[0]), reluOf(out[1]), reluOf(out[2]), reluOf(out[3])}
 			}
-			for k := k0; k < k1; k++ {
-				av := arow[k]
-				brow := b.Data[k*n : (k+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
+			copy(orow[c0:], out[:])
 		}
 	}
 }
 
-// mulPanelT computes dst[r0:r1] = a[r0:r1]·bᵀ. Both operands stream
-// row-major, so each output element is a dot product of two contiguous
-// rows. The kernel is register-tiled four output columns wide: one pass
-// over the a-row feeds four independent accumulators, which amortizes
-// the a-row loads and breaks the add-latency chain. Each accumulator
-// still sums in ascending k with no reassociation, so every output
-// element is bit-identical to the naive reference (NaN/Inf included).
-func mulPanelT(dst, a, b *Matrix, r0, r1 int) {
-	n, kdim := dst.Cols, a.Cols
-	for i := r0; i < r1; i++ {
-		arow := a.Data[i*kdim : (i+1)*kdim]
-		orow := dst.Data[i*n : (i+1)*n]
-		o := 0
-		for ; o+4 <= n; o += 4 {
-			b0 := b.Data[o*kdim : (o+1)*kdim][:kdim]
-			b1 := b.Data[(o+1)*kdim : (o+2)*kdim][:kdim]
-			b2 := b.Data[(o+2)*kdim : (o+3)*kdim][:kdim]
-			b3 := b.Data[(o+3)*kdim : (o+4)*kdim][:kdim]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			orow[o], orow[o+1], orow[o+2], orow[o+3] = s0, s1, s2, s3
-		}
-		for ; o < n; o++ {
-			brow := b.Data[o*kdim : (o+1)*kdim][:kdim]
-			var sum float64
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			orow[o] = sum
-		}
+// dotPanel returns the dot products of x with the four columns of one
+// packed panel (4·len(x) weights), each summed in ascending k from +0.
+func dotPanel(x, panel []float64) (s0, s1, s2, s3 float64) {
+	if len(x) == 0 {
+		return 0, 0, 0, 0
 	}
+	// One strided view per column keeps every index provably in range.
+	p0 := panel[0 : len(panel)-3]
+	p1 := panel[1 : len(panel)-2]
+	p2 := panel[2 : len(panel)-1]
+	p3 := panel[3:]
+	for i, xv := range x {
+		j := i * panelCols
+		s0 += xv * p0[j]
+		s1 += xv * p1[j]
+		s2 += xv * p2[j]
+		s3 += xv * p3[j]
+	}
+	return s0, s1, s2, s3
+}
+
+// reluOf is the ReLU `if v > 0 { return v }; return 0` (NaN and −0 give
+// +0) computed with a conditional move instead of a branch: the sign of
+// a pre-activation is unpredictable, and a mispredicted branch per
+// output costs more than the output's dot product.
+func reluOf(v float64) float64 {
+	var keep uint64
+	if v > 0 {
+		keep = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & keep)
+}
+
+// packPool recycles the packed copies of b that MatMulInto and
+// MatMulTInto run the kernel on.
+var packPool = sync.Pool{New: func() any { return new(Packed) }}
+
+// matMulPacked computes dst = a·b when b holds one column per output
+// (byColumn, b k×n) and dst = a·bᵀ otherwise (b n×k), through
+// DenseInto's kernel with a zero bias: the sums start at +0 and so are
+// never −0, which makes adding +0 exact, and every element is
+// bit-identical to the naive ascending-k dot product.
+func matMulPacked(dst, a, b *Matrix, byColumn bool) *Matrix {
+	p := packPool.Get().(*Packed)
+	p.pack(b, nil, byColumn)
+	DenseInto(dst, a, p, false)
+	packPool.Put(p)
+	return dst
 }
 
 // MatMulInto computes dst = a·b, reusing dst when it has shape
 // a.Rows × b.Cols (allocating a fresh matrix when dst is nil or
-// mis-sized) and returning dst. dst must not alias a or b. Large
-// products are split into row panels over a bounded worker pool; the
-// per-element summation order matches the naive triple loop, so results
+// mis-sized) and returning dst. dst must not alias a or b. Every
+// element sums in ascending k like the naive triple loop, so results
 // are bit-identical to an unblocked reference (NaN/Inf propagation
 // included).
 func MatMulInto(dst, a, b *Matrix) *Matrix {
@@ -188,17 +215,15 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if dst == a || dst == b {
 		panic("tensor: MatMulInto dst aliases an operand")
 	}
-	dispatchPanels(dst, a, b, a.Cols, false)
-	return dst
+	return matMulPacked(dst, a, b, true)
 }
 
 // MatMulTInto computes dst = a·bᵀ for a of shape m×k and b of shape n×k,
 // reusing dst when it has shape m×n (allocating when dst is nil or
-// mis-sized) and returning dst. dst must not alias a or b. This is the
-// batched dense-layer kernel: with X as a row-per-sample batch and W the
-// out×in weight matrix, X·Wᵀ is the whole batch's pre-activation in one
-// product. Per-element summation is ascending-k with no reassociation,
-// so results are bit-identical to an unblocked reference.
+// mis-sized) and returning dst. dst must not alias a or b. With X as a
+// row-per-sample batch and W the out×in weight matrix, X·Wᵀ is the whole
+// batch's pre-activation in one product; results are bit-identical to
+// the naive reference.
 func MatMulTInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT %dx%d by (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -209,6 +234,5 @@ func MatMulTInto(dst, a, b *Matrix) *Matrix {
 	if dst == a || dst == b {
 		panic("tensor: MatMulTInto dst aliases an operand")
 	}
-	dispatchPanels(dst, a, b, a.Cols, true)
-	return dst
+	return matMulPacked(dst, a, b, false)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,42 +48,10 @@ func randMatrix(rng *xrand.RNG, rows, cols int) *Matrix {
 	return m
 }
 
-// matricesMatch compares got against want element-wise: finite values
-// within relative tolerance tol, NaN matching NaN, infinities matching
-// exactly.
-func matricesMatch(t *testing.T, got, want *Matrix, tol float64, label string) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for i, w := range want.Data {
-		g := got.Data[i]
-		switch {
-		case math.IsNaN(w):
-			if !math.IsNaN(g) {
-				t.Fatalf("%s: element %d = %v, want NaN", label, i, g)
-			}
-		case math.IsInf(w, 0):
-			if g != w {
-				t.Fatalf("%s: element %d = %v, want %v", label, i, g, w)
-			}
-		default:
-			scale := math.Abs(w)
-			if scale < 1 {
-				scale = 1
-			}
-			if math.Abs(g-w) > tol*scale {
-				t.Fatalf("%s: element %d = %v, want %v (diff %v)", label, i, g, w, g-w)
-			}
-		}
-	}
-}
-
 // TestMatMulIntoMatchesNaive sweeps random shapes — including the empty
 // and single-row/column edge cases — and checks both kernels against the
-// naive triple loop. The straight path must agree bitwise (same
-// summation order); the transposed path reassociates (unrolled dot), so
-// it gets a 1e-12 relative tolerance.
+// naive triple loop. Both keep each element's ascending-k summation
+// order, so both must agree bitwise.
 func TestMatMulIntoMatchesNaive(t *testing.T) {
 	rng := xrand.New(42)
 	dims := []int{0, 1, 2, 3, 5, 8, 17, 33, 64}
@@ -94,26 +63,25 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		b := randMatrix(rng, k, n)
 		want := naiveMatMul(a, b)
 		got := MatMulInto(nil, a, b)
-		matricesMatch(t, got, want, 0, "MatMulInto")
+		sameMatrix(t, got, want, "MatMulInto")
 
 		bt := randMatrix(rng, n, k)
 		wantT := naiveMatMulT(a, bt)
 		gotT := MatMulTInto(nil, a, bt)
-		matricesMatch(t, gotT, wantT, 1e-12, "MatMulTInto")
+		sameMatrix(t, gotT, wantT, "MatMulTInto")
 	}
 }
 
-// TestMatMulParallelPathMatchesNaive forces the row-panel worker pool
-// (product far above parallelFLOPs) and checks both kernels still agree
-// with the reference.
-func TestMatMulParallelPathMatchesNaive(t *testing.T) {
+// TestMatMulLargeShapesMatchNaive checks both kernels at shapes well
+// past every register tile and block size.
+func TestMatMulLargeShapesMatchNaive(t *testing.T) {
 	rng := xrand.New(7)
 	a := randMatrix(rng, 300, 70)
 	b := randMatrix(rng, 70, 90)
-	matricesMatch(t, MatMulInto(nil, a, b), naiveMatMul(a, b), 0, "parallel MatMulInto")
+	sameMatrix(t, MatMulInto(nil, a, b), naiveMatMul(a, b), "large MatMulInto")
 
 	bt := randMatrix(rng, 90, 70)
-	matricesMatch(t, MatMulTInto(nil, a, bt), naiveMatMulT(a, bt), 1e-12, "parallel MatMulTInto")
+	sameMatrix(t, MatMulTInto(nil, a, bt), naiveMatMulT(a, bt), "large MatMulTInto")
 }
 
 // TestMatMulNaNInfPropagation pins IEEE semantics: a zero row times a
@@ -124,14 +92,14 @@ func TestMatMulNaNInfPropagation(t *testing.T) {
 	a := FromRows([][]float64{{0, 0}, {1, 2}})
 	b := FromRows([][]float64{{math.NaN(), 1}, {math.Inf(1), math.Inf(-1)}})
 	want := naiveMatMul(a, b)
-	matricesMatch(t, MatMulInto(nil, a, b), want, 0, "NaN/Inf MatMulInto")
+	sameMatrix(t, MatMulInto(nil, a, b), want, "NaN/Inf MatMulInto")
 	if !math.IsNaN(want.At(0, 0)) {
 		t.Fatal("reference lost NaN from a zero row — test fixture broken")
 	}
 
 	bt := FromRows([][]float64{{math.NaN(), math.Inf(1)}, {1, math.Inf(-1)}})
 	wantT := naiveMatMulT(a, bt)
-	matricesMatch(t, MatMulTInto(nil, a, bt), wantT, 1e-12, "NaN/Inf MatMulTInto")
+	sameMatrix(t, MatMulTInto(nil, a, bt), wantT, "NaN/Inf MatMulTInto")
 }
 
 // TestMatMulIntoReusesDst pins the whole point of the Into form: a
@@ -146,7 +114,7 @@ func TestMatMulIntoReusesDst(t *testing.T) {
 	if out := MatMulInto(dst, a, b); out != dst {
 		t.Fatal("MatMulInto reallocated a correctly-sized dst")
 	}
-	matricesMatch(t, dst, naiveMatMul(a, b), 0, "reused dst")
+	sameMatrix(t, dst, naiveMatMul(a, b), "reused dst")
 
 	bt := randMatrix(rng, 5, 6)
 	dstT := NewMatrix(4, 5)
@@ -154,7 +122,7 @@ func TestMatMulIntoReusesDst(t *testing.T) {
 	if out := MatMulTInto(dstT, a, bt); out != dstT {
 		t.Fatal("MatMulTInto reallocated a correctly-sized dst")
 	}
-	matricesMatch(t, dstT, naiveMatMulT(a, bt), 1e-12, "reused dstT")
+	sameMatrix(t, dstT, naiveMatMulT(a, bt), "reused dstT")
 
 	// Mis-sized dst is replaced, not written out of bounds.
 	small := NewMatrix(1, 1)
@@ -169,34 +137,37 @@ func TestMatMulWrapperMatchesInto(t *testing.T) {
 	rng := xrand.New(11)
 	a := randMatrix(rng, 7, 9)
 	b := randMatrix(rng, 9, 4)
-	matricesMatch(t, MatMul(a, b), MatMulInto(nil, a, b), 0, "MatMul wrapper")
+	sameMatrix(t, MatMul(a, b), MatMulInto(nil, a, b), "MatMul wrapper")
 }
 
 // TestMatMulZeroAllocsWithHeldDst pins the steady-state allocation
-// contract for both the serial and the parallel (row-panel pool) paths.
+// contract of every kernel at small and large shapes: MatMulTInto's
+// packed copy of b comes from a pool, and DenseInto writes into dst.
 func TestMatMulZeroAllocsWithHeldDst(t *testing.T) {
 	rng := xrand.New(5)
-	// Small product: stays on the serial path.
 	a, b := randMatrix(rng, 8, 8), randMatrix(rng, 8, 8)
 	dst := NewMatrix(8, 8)
 	if allocs := testing.AllocsPerRun(100, func() { MatMulInto(dst, a, b) }); allocs != 0 {
-		t.Fatalf("serial MatMulInto with held dst: %v allocs/op, want 0", allocs)
+		t.Fatalf("small MatMulInto with held dst: %v allocs/op, want 0", allocs)
 	}
 
-	// Large product: exercises the worker pool; warm it first so the
-	// lazily-started goroutines and pooled WaitGroup are in place.
 	la, lb := randMatrix(rng, 128, 64), randMatrix(rng, 64, 64)
 	ldst := NewMatrix(128, 64)
-	MatMulInto(ldst, la, lb)
 	if allocs := testing.AllocsPerRun(50, func() { MatMulInto(ldst, la, lb) }); allocs > 0 {
-		t.Fatalf("parallel MatMulInto with held dst: %v allocs/op, want 0", allocs)
+		t.Fatalf("large MatMulInto with held dst: %v allocs/op, want 0", allocs)
 	}
 
 	lbt := randMatrix(rng, 64, 64)
 	tdst := NewMatrix(128, 64)
-	MatMulTInto(tdst, la, lbt)
+	MatMulTInto(tdst, la, lbt) // warm the pack pool
 	if allocs := testing.AllocsPerRun(50, func() { MatMulTInto(tdst, la, lbt) }); allocs > 0 {
-		t.Fatalf("parallel MatMulTInto with held dst: %v allocs/op, want 0", allocs)
+		t.Fatalf("large MatMulTInto with held dst: %v allocs/op, want 0", allocs)
+	}
+
+	p := PackDense(randMatrix(rng, 19, 64), randMatrix(rng, 1, 19).Row(0))
+	ddst := NewMatrix(128, 19)
+	if allocs := testing.AllocsPerRun(50, func() { DenseInto(ddst, la, p, true) }); allocs > 0 {
+		t.Fatalf("DenseInto with held dst: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -210,6 +181,9 @@ func TestMatMulIntoPanics(t *testing.T) {
 	sq := NewMatrix(3, 3)
 	mustPanic(t, "dst aliases a", func() { MatMulInto(sq, sq, NewMatrix(3, 3)) })
 	mustPanic(t, "dstT aliases b", func() { MatMulTInto(sq, NewMatrix(3, 3), sq) })
+	mustPanic(t, "dense input mismatch", func() { DenseInto(nil, a, PackDense(b, nil), false) })
+	mustPanic(t, "dense dst aliases x", func() { DenseInto(sq, sq, PackDense(sq, nil), false) })
+	mustPanic(t, "bias length mismatch", func() { PackDense(sq, NewVector(2)) })
 }
 
 func mustPanic(t *testing.T, label string, f func()) {
@@ -222,16 +196,18 @@ func mustPanic(t *testing.T, label string, f func()) {
 	f()
 }
 
-// FuzzMatMulKernels drives both kernels against the naive reference with
-// fuzzer-chosen shapes, seeds and special-value injection (NaN, ±Inf,
-// zeros). The straight path must be bitwise identical; the transposed
-// path must match within 1e-12 relative on finite values and agree on
-// NaN/Inf placement.
+// FuzzMatMulKernels drives every kernel against the naive reference
+// with fuzzer-chosen shapes, seeds and special-value injection (NaN,
+// ±Inf, ±0): MatMulInto, MatMulTInto and, with a bias and ReLU on or off
+// (bit 3 of special), each dense kernel this CPU runs. All must be
+// bitwise identical to the reference, NaN matching NaN.
 func FuzzMatMulKernels(f *testing.F) {
 	f.Add(uint64(1), 3, 4, 5, uint8(0))
 	f.Add(uint64(2), 0, 3, 2, uint8(1))
 	f.Add(uint64(3), 1, 1, 1, uint8(2))
 	f.Add(uint64(4), 33, 17, 9, uint8(3))
+	f.Add(uint64(5), 7, 18, 5, uint8(9))
+	f.Add(uint64(6), 9, 64, 19, uint8(10))
 	f.Fuzz(func(t *testing.T, seed uint64, m, k, n int, special uint8) {
 		const maxDim = 48
 		clamp := func(d int) int {
@@ -245,58 +221,161 @@ func FuzzMatMulKernels(f *testing.F) {
 		a := randMatrix(rng, m, k)
 		b := randMatrix(rng, k, n)
 		bt := randMatrix(rng, n, k)
-		inject := func(mat *Matrix) {
-			if len(mat.Data) == 0 {
-				return
-			}
-			idx := rng.Intn(len(mat.Data))
-			switch special % 4 {
-			case 1:
-				mat.Data[idx] = math.NaN()
-			case 2:
-				mat.Data[idx] = math.Inf(1)
-			case 3:
-				mat.Data[idx] = math.Inf(-1)
-			}
-			mat.Data[rng.Intn(len(mat.Data))] = 0
-		}
-		inject(a)
-		inject(b)
-		inject(bt)
-
-		want := naiveMatMul(a, b)
-		got := MatMulInto(nil, a, b)
-		for i := range want.Data {
-			w, g := want.Data[i], got.Data[i]
-			if w != g && !(math.IsNaN(w) && math.IsNaN(g)) {
-				t.Fatalf("MatMulInto element %d = %v, want %v (bitwise contract)", i, g, w)
-			}
+		bias := randMatrix(rng, 1, n).Data
+		for _, data := range [][]float64{a.Data, b.Data, bt.Data, bias} {
+			injectSpecial(rng, data, special)
 		}
 
-		wantT := naiveMatMulT(a, bt)
-		gotT := MatMulTInto(nil, a, bt)
-		for i := range wantT.Data {
-			w, g := wantT.Data[i], gotT.Data[i]
-			switch {
-			case math.IsNaN(w):
-				if !math.IsNaN(g) {
-					t.Fatalf("MatMulTInto element %d = %v, want NaN", i, g)
-				}
-			case math.IsInf(w, 0):
-				// Reassociation can turn a same-signed-Inf sum into the
-				// same Inf only; a sign flip would be a kernel bug.
-				if g != w && !math.IsNaN(g) {
-					t.Fatalf("MatMulTInto element %d = %v, want %v", i, g, w)
-				}
-			default:
-				scale := math.Abs(w)
-				if scale < 1 {
-					scale = 1
-				}
-				if math.Abs(g-w) > 1e-12*scale {
-					t.Fatalf("MatMulTInto element %d = %v, want %v", i, g, w)
-				}
-			}
-		}
+		sameMatrix(t, MatMulInto(nil, a, b), naiveMatMul(a, b), "MatMulInto")
+		sameMatrix(t, MatMulTInto(nil, a, bt), naiveMatMulT(a, bt), "MatMulTInto")
+
+		relu := special&8 != 0
+		want := naiveDense(a, bt, bias, relu)
+		sameMatrix(t, DenseInto(nil, a, PackDense(bt, bias), relu), want, "DenseInto")
+		checkDenseKernels(t, a, bt, bias, relu, want)
 	})
+}
+
+// injectSpecial overwrites a few elements of data: one with NaN, +Inf or
+// −Inf (special mod 4 = 1, 2, 3; 0 injects none), one with −0 and one
+// with +0.
+func injectSpecial(rng *xrand.RNG, data []float64, special uint8) {
+	if len(data) == 0 {
+		return
+	}
+	switch special % 4 {
+	case 1:
+		data[rng.Intn(len(data))] = math.NaN()
+	case 2:
+		data[rng.Intn(len(data))] = math.Inf(1)
+	case 3:
+		data[rng.Intn(len(data))] = math.Inf(-1)
+	}
+	data[rng.Intn(len(data))] = math.Copysign(0, -1)
+	data[rng.Intn(len(data))] = 0
+}
+
+// naiveDense is the reference for the fused dense kernel: per output the
+// ascending-k dot product from +0 (MulVec's loop), then the bias, then
+// reluFn's `v > 0 ? v : 0` when relu is set.
+func naiveDense(x, w *Matrix, bias []float64, relu bool) *Matrix {
+	out := NewMatrix(x.Rows, w.Rows)
+	for i := 0; i < x.Rows; i++ {
+		for j := 0; j < w.Rows; j++ {
+			var sum float64
+			for k := 0; k < x.Cols; k++ {
+				sum += w.At(j, k) * x.At(i, k)
+			}
+			sum += bias[j]
+			if relu && !(sum > 0) {
+				sum = 0
+			}
+			out.Set(i, j, sum)
+		}
+	}
+	return out
+}
+
+// sameBits reports whether got and want are the same float64 bit for
+// bit, or both NaN (x86 and the Go compiler may pick either operand's
+// NaN payload).
+func sameBits(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+}
+
+func sameMatrix(t *testing.T, got, want *Matrix, label string) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, w := range want.Data {
+		if !sameBits(got.Data[i], w) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", label, i,
+				got.Data[i], math.Float64bits(got.Data[i]), w, math.Float64bits(w))
+		}
+	}
+}
+
+// denseKernels lists the dense kernels this CPU can run, called
+// directly rather than through DenseInto's dispatch.
+func denseKernels() map[string]func(dst, x, w, b []float64, rows, k, n int, relu bool) {
+	ks := map[string]func(dst, x, w, b []float64, rows, k, n int, relu bool){"generic": denseGeneric}
+	if haveAVX2 {
+		ks["avx2"] = denseAVX2
+	}
+	return ks
+}
+
+// checkDenseKernels runs every dense kernel on x against the packed
+// (w, bias) and compares the result with want bit for bit. The output
+// buffer carries guard elements past its end, which no kernel may
+// touch.
+func checkDenseKernels(t *testing.T, x, w *Matrix, bias []float64, relu bool, want *Matrix) {
+	t.Helper()
+	p := PackDense(w, bias)
+	const guard = 8
+	for name, kernel := range denseKernels() {
+		buf := make([]float64, x.Rows*w.Rows+guard)
+		for i := range buf {
+			buf[i] = 12345
+		}
+		if x.Rows > 0 && w.Rows > 0 {
+			kernel(buf[:x.Rows*w.Rows], x.Data, p.w, p.b, x.Rows, x.Cols, w.Rows, relu)
+		}
+		label := fmt.Sprintf("%s kernel %dx%dx%d relu=%v", name, x.Rows, x.Cols, w.Rows, relu)
+		sameMatrix(t, &Matrix{Rows: x.Rows, Cols: w.Rows, Data: buf[:x.Rows*w.Rows]}, want, label)
+		for _, v := range buf[x.Rows*w.Rows:] {
+			if v != 12345 {
+				t.Fatalf("%s: wrote past the output", label)
+			}
+		}
+	}
+}
+
+// TestDenseKernelsMatchNaive sweeps every shape with 1–9 rows (block
+// and row tails), 1–9 output columns (every partial panel) and 1–64
+// inputs, ReLU off and on, with NaN, ±Inf and ±0 injected into inputs,
+// weights and biases, and checks each dense kernel bit for bit against
+// the reference.
+func TestDenseKernelsMatchNaive(t *testing.T) {
+	rng := xrand.New(17)
+	for rows := 1; rows <= 9; rows++ {
+		for cols := 1; cols <= 9; cols++ {
+			for k := 1; k <= 64; k++ {
+				x, w := randMatrix(rng, rows, k), randMatrix(rng, cols, k)
+				bias := randMatrix(rng, 1, cols).Data
+				special := uint8(rng.Intn(4))
+				for _, data := range [][]float64{x.Data, w.Data, bias} {
+					injectSpecial(rng, data, special)
+				}
+				for _, relu := range []bool{false, true} {
+					checkDenseKernels(t, x, w, bias, relu, naiveDense(x, w, bias, relu))
+				}
+			}
+		}
+	}
+}
+
+// TestDenseReLUEdgeValues pins the ReLU epilogue on the values where a
+// max instruction and `v > 0 ? v : 0` could disagree: NaN and −0 sums
+// must come out +0, +Inf stays, −Inf and negatives clamp.
+func TestDenseReLUEdgeValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	// One input, weight 1: each output is 0 + x·1 + bias.
+	inputs := []float64{math.NaN(), negZero, math.Inf(1), math.Inf(-1), -2, 3}
+	x := NewMatrix(len(inputs), 1)
+	copy(x.Data, inputs)
+	w := FromRows([][]float64{{1}, {1}, {1}})
+	bias := []float64{0, negZero, math.NaN()}
+	for _, relu := range []bool{false, true} {
+		want := naiveDense(x, w, bias, relu)
+		if relu {
+			for i, v := range want.Data {
+				if math.Signbit(v) || math.IsNaN(v) {
+					t.Fatalf("reference ReLU output %d = %v", i, v)
+				}
+			}
+		}
+		checkDenseKernels(t, x, w, bias, relu, want)
+	}
 }
