@@ -400,9 +400,9 @@ func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 // steady-state allocation rate: once every buffer has grown to the
 // tick shape and every (bundle, model) group has run once, a
 // ProcessStreams tick allocates only its returned results (the outer
-// slice and one shared backing array) and the ready list — a few
-// allocations per tick, whatever the stream count. CI's allocations job
-// re-measures this pin on every push.
+// slice and one shared backing array) — a few allocations per tick,
+// whatever the stream count. CI's allocations job re-measures this pin
+// on every push.
 func TestMultiRuntimeSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector allocates per goroutine")
@@ -441,8 +441,8 @@ func TestMultiRuntimeSteadyStateAllocs(t *testing.T) {
 	}
 	perTick := testing.AllocsPerRun(5*ticks, runTick)
 	t.Logf("%v allocs per tick, %.3f per frame", perTick, perTick/streams)
-	// The returned results and the ready list account for 3.
-	if perTick > 4 {
-		t.Fatalf("steady-state ProcessStreams: %v allocs per tick, want at most 4", perTick)
+	// The returned results account for 2.
+	if perTick > 3 {
+		t.Fatalf("steady-state ProcessStreams: %v allocs per tick, want at most 3", perTick)
 	}
 }

@@ -510,9 +510,10 @@ func (m *MultiRuntime) ProcessStreams(streams [][]*synth.Frame, obs StreamObserv
 		results[i], backing = backing[:len(streams[i]):len(streams[i])], backing[len(streams[i]):]
 	}
 
-	ready := make([]int, 0, len(streams))
 	for tick := 0; tick < maxLen; tick++ {
-		ready = ready[:0]
+		// The ready list reuses the previous tick's backing array, which
+		// processTick keeps in batchState for the detector groups.
+		ready := m.bstate.ready[:0]
 		for i := range streams {
 			if tick < len(streams[i]) {
 				ready = append(ready, i)

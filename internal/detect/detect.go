@@ -112,29 +112,16 @@ type CellPred struct {
 const objectnessThreshold = 0.5
 
 // DetectFrame runs the head over every cell of f, writing predictions
-// into dst (reused when correctly sized) and returning it. The weights
-// are immutable and the per-call working set (scratch, input staging,
-// output buffer) is acquired once per frame, so DetectFrame is safe to
-// call concurrently on one shared Detector and the per-cell loop
-// performs no heap allocations.
+// into dst (reused when correctly sized) and returning it. It is
+// DetectBatch over the one frame: the frame's cells form one batch and
+// each dense layer runs as one matrix product over them, bit-identical
+// per cell to running the head's Infer on that cell alone. The weights
+// are immutable and the working set comes from shared pools, so
+// DetectFrame is safe to call concurrently on one shared Detector and,
+// with a correctly sized dst, performs no heap allocations.
 func (d *Detector) DetectFrame(dst []CellPred, f *synth.Frame) []CellPred {
-	cells := f.NumCells()
-	if len(dst) != cells {
-		dst = make([]CellPred, cells)
-	}
-	ctx := synth.FrameFeature(f)
-	s := d.weights.AcquireScratch()
-	in := s.In(d.weights.InDim())
-	out := s.Out(d.weights.OutDim())
-	for c := 0; c < cells; c++ {
-		synth.CellInput(in, f, c, ctx)
-		d.weights.Infer(out, in, s)
-		obj := 1 / (1 + math.Exp(-out[0]))
-		classIdx := tensor.Vector(out[1:]).Argmax()
-		dst[c] = CellPred{Objectness: obj, Class: synth.Class(classIdx)}
-	}
-	d.weights.ReleaseScratch(s)
-	return dst
+	dsts, frames := [1][]CellPred{dst}, [1]*synth.Frame{f}
+	return d.detectBatch(dsts[:], frames[:], nil)[0]
 }
 
 // detectBatchRows bounds how many cell rows DetectBatch stages per
@@ -147,11 +134,9 @@ const detectBatchRows = 512
 // time, flushed at detectBatchRows rows) and each dense layer runs as
 // one matrix product for the chunk instead of one per cell. dsts is
 // reused per frame when correctly sized, exactly like DetectFrame's
-// dst. Per cell the predictions are bit-identical to DetectFrame: the
-// batched kernel keeps each dot product's summation order, and the
-// sigmoid/argmax decode is the same code. Safe to call concurrently on
-// one shared Detector; with pre-sized dsts the steady state performs no
-// heap allocations.
+// dst, and per frame the predictions equal DetectFrame's. Safe to call
+// concurrently on one shared Detector; with pre-sized dsts the steady
+// state performs no heap allocations.
 func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]CellPred {
 	return d.detectBatch(dsts, frames, nil)
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"testing"
 
 	"anole/internal/synth"
@@ -108,5 +109,57 @@ func TestDetectBatchReusesDsts(t *testing.T) {
 	}
 	if out := d.DetectBatch(nil, nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %d slots", len(out))
+	}
+}
+
+// TestDetectFrameMatchesPerCellInfer pins DetectFrame, which batches a
+// frame's cells, bitwise against the head run one cell at a time
+// through Weights.Infer, for full-precision heads of both architectures
+// and a quantized one.
+func TestDetectFrameMatchesPerCellInfer(t *testing.T) {
+	w := newTestWorld(t, 63)
+	rng := xrand.New(64)
+	frames := genFrames(w, synth.Scene{Weather: synth.Rainy, Location: synth.Highway, Time: synth.Night}, 6, rng)
+	deep := NewDetector("deep", Deep, 8, rng)
+	small := NewDetector("small", Compressed, 8, rng)
+	qw, err := small.Weights().Quantize(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quant, err := FromWeights("q8", Compressed, 8, qw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Detector{deep, small, quant} {
+		for i, f := range frames {
+			got := d.DetectFrame(nil, f)
+			ctx := synth.FrameFeature(f)
+			for c := 0; c < f.NumCells(); c++ {
+				out := d.Weights().Infer(nil, synth.CellInput(nil, f, c, ctx), nil)
+				obj := 1 / (1 + math.Exp(-out[0]))
+				class := synth.Class(tensor.Vector(out[1:]).Argmax())
+				if math.Float64bits(got[c].Objectness) != math.Float64bits(obj) || got[c].Class != class {
+					t.Fatalf("%s frame %d cell %d: DetectFrame %+v, per-cell Infer {%v %v}", d.Name, i, c, got[c], obj, class)
+				}
+			}
+		}
+	}
+}
+
+// TestDetectFrameZeroAllocs pins DetectFrame with a held dst at zero
+// heap allocations: the batch and vector scratches come from pools and
+// the one-frame batch stays on the stack. CI's allocations job
+// re-measures it on every push.
+func TestDetectFrameZeroAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector makes sync.Pool drop values")
+	}
+	w := newTestWorld(t, 65)
+	rng := xrand.New(66)
+	d := NewDetector("d", Compressed, 8, rng)
+	f := genFrames(w, synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}, 1, rng)[0]
+	dst := d.DetectFrame(nil, f)
+	if allocs := testing.AllocsPerRun(100, func() { dst = d.DetectFrame(dst, f) }); allocs != 0 {
+		t.Fatalf("DetectFrame with held dst: %v allocs/op, want 0", allocs)
 	}
 }

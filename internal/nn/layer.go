@@ -6,10 +6,12 @@
 // capacity and specialization effects emerge from optimization rather than
 // being scripted.
 //
-// The library is deliberately small: everything operates on single samples
-// (tensor.Vector), with mini-batching handled by the Trainer accumulating
-// gradients. That is the right trade-off for the model sizes this
-// repository trains (feature dimensions in the tens to low hundreds).
+// Layers and Network.Forward work on single samples (tensor.Vector).
+// Everything that runs many samples runs them as matrices on
+// tensor.DenseInto's packed kernel: Train backpropagates each
+// mini-batch as matrix products (bit-identical to accumulating the
+// samples' gradients one at a time), MeanLoss and Accuracy use the same
+// batched forward, and frozen Weights serve batches through InferBatch.
 package nn
 
 import (
@@ -21,18 +23,16 @@ import (
 )
 
 // Layer is one differentiable stage of a Network. Forward consumes an
-// input vector and returns the layer output; Backward consumes the gradient
-// of the loss with respect to the output, accumulates parameter gradients
-// internally, and returns the gradient with respect to the input.
+// input vector and returns the layer output. Gradients are not a layer
+// method: Train backpropagates whole mini-batches through the layer
+// stack as matrix products and accumulates into each layer's gradient
+// buffers (Params).
 //
-// Layers cache their most recent forward input/output, so a Network is not
+// Forward writes into a layer-owned output buffer, so a Network is not
 // safe for concurrent use; clone per goroutine instead (see Network.Clone).
 type Layer interface {
 	// Forward computes the layer output for in.
 	Forward(in tensor.Vector) tensor.Vector
-	// Backward propagates gradOut to the input, accumulating parameter
-	// gradients. It must be called after Forward with matching shapes.
-	Backward(gradOut tensor.Vector) tensor.Vector
 	// Params returns the layer's trainable parameter/gradient pairs
 	// (empty for stateless layers).
 	Params() []Param
@@ -75,9 +75,7 @@ type Dense struct {
 	gradW *tensor.Matrix
 	gradB tensor.Vector
 
-	in  tensor.Vector // cached forward input
-	out tensor.Vector
-	gin tensor.Vector
+	out tensor.Vector // Forward's output buffer
 }
 
 // NewDense returns a Dense layer with He-initialized weights drawn from
@@ -101,21 +99,9 @@ func (d *Dense) Forward(in tensor.Vector) tensor.Vector {
 	if len(in) != d.W.Cols {
 		panic(fmt.Sprintf("nn: dense forward dim %d, want %d", len(in), d.W.Cols))
 	}
-	d.in = in
 	d.out = d.W.MulVec(d.out, in)
 	d.out.AddScaled(1, d.B)
 	return d.out
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(gradOut tensor.Vector) tensor.Vector {
-	if len(gradOut) != d.W.Rows {
-		panic(fmt.Sprintf("nn: dense backward dim %d, want %d", len(gradOut), d.W.Rows))
-	}
-	d.gradW.AddOuterScaled(1, gradOut, d.in)
-	d.gradB.AddScaled(1, gradOut)
-	d.gin = d.W.MulVecT(d.gin, gradOut)
-	return d.gin
 }
 
 // Params implements Layer.
@@ -156,9 +142,7 @@ type activation struct {
 	deriv func(x, y float64) float64 // derivative given input x and output y
 	tag   layerKind
 
-	in  tensor.Vector
-	out tensor.Vector
-	gin tensor.Vector
+	out tensor.Vector // Forward's output buffer
 }
 
 // reluFn and sigmoidFn are named so frozen Weights deserialized from disk
@@ -205,7 +189,6 @@ func NewSigmoid() Layer {
 }
 
 func (a *activation) Forward(in tensor.Vector) tensor.Vector {
-	a.in = in
 	if len(a.out) != len(in) {
 		a.out = tensor.NewVector(len(in))
 	}
@@ -213,16 +196,6 @@ func (a *activation) Forward(in tensor.Vector) tensor.Vector {
 		a.out[i] = a.fn(x)
 	}
 	return a.out
-}
-
-func (a *activation) Backward(gradOut tensor.Vector) tensor.Vector {
-	if len(a.gin) != len(gradOut) {
-		a.gin = tensor.NewVector(len(gradOut))
-	}
-	for i, g := range gradOut {
-		a.gin[i] = g * a.deriv(a.in[i], a.out[i])
-	}
-	return a.gin
 }
 
 func (a *activation) Params() []Param { return nil }

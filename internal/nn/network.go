@@ -7,10 +7,10 @@ import (
 	"anole/internal/xrand"
 )
 
-// Network is an ordered stack of layers trained end to end. It caches
-// activations layer by layer, so a Network must not be shared across
-// goroutines; use Clone to obtain per-goroutine replicas that share no
-// state (workers then exchange gradients, not activations).
+// Network is an ordered stack of layers trained end to end (Train). Its
+// layers hold Forward's output buffers and the gradient accumulators, so
+// a Network must not be shared across goroutines; use Clone to obtain
+// replicas that share no state.
 type Network struct {
 	layers []Layer
 }
@@ -92,15 +92,6 @@ func (n *Network) ForwardThrough(k int, in tensor.Vector) tensor.Vector {
 		x = l.Forward(x)
 	}
 	return x
-}
-
-// Backward propagates the loss gradient through all layers, accumulating
-// parameter gradients. Forward must have been called immediately before.
-func (n *Network) Backward(gradOut tensor.Vector) {
-	g := gradOut
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
-	}
 }
 
 // Params returns all trainable parameter/gradient pairs, outermost layer

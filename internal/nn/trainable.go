@@ -1,8 +1,8 @@
 package nn
 
 // Trainable quarantines everything mutable about a model under training —
-// gradient accumulators, cached activations, optimizer state spun up by
-// Train — behind one wrapper, so the rest of the system only ever handles
+// parameters, gradient accumulators, optimizer state spun up by Train —
+// behind one wrapper, so the rest of the system only ever handles
 // the immutable Weights it freezes into. The lifecycle is:
 //
 //	t := nn.ThawTrainable(w0)   // reopen frozen weights to fine-tune
@@ -10,7 +10,7 @@ package nn
 //	w := t.Freeze()             // immutable, goroutine-shareable
 //
 // A Trainable is single-goroutine, like the Network it wraps (the trainer
-// itself shards batches across internal clones).
+// itself shards each batch across worker goroutines).
 type Trainable struct {
 	net *Network
 }

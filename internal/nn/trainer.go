@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"anole/internal/tensor"
@@ -34,8 +35,10 @@ type TrainConfig struct {
 	// improvement; 0 disables early stopping.
 	Patience int
 	// Workers shards each mini-batch's gradient computation across this
-	// many goroutines, each holding a private network clone whose
-	// weights are re-synced from the master every step (default 1).
+	// many goroutines, worker w taking rows w, w+Workers, …; all read
+	// the step's packed weights and keep private gradients (default 1).
+	// The result does not depend on it beyond floating-point summation
+	// order.
 	Workers int
 }
 
@@ -54,6 +57,7 @@ var errNoData = errors.New("nn: empty training set")
 // Train fits net to train by mini-batch gradient descent, optionally
 // early-stopping on val loss (when val is non-empty and cfg.Patience > 0).
 // When early stopping triggers, the best-validation weights are restored.
+// Each step runs the whole mini-batch as matrix products (see trainer).
 func Train(net *Network, train, val []Sample, cfg TrainConfig) (TrainResult, error) {
 	if len(train) == 0 {
 		return TrainResult{}, errNoData
@@ -88,7 +92,7 @@ func Train(net *Network, train, val []Sample, cfg TrainConfig) (TrainResult, err
 		order[i] = i
 	}
 
-	workers := newWorkerPool(net, cfg.Workers)
+	tr := newTrainer(net, cfg.Workers)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		cfg.RNG.ShuffleInts(order)
 		var epochLoss float64
@@ -98,7 +102,7 @@ func Train(net *Network, train, val []Sample, cfg TrainConfig) (TrainResult, err
 				end = len(order)
 			}
 			batch := order[start:end]
-			epochLoss += workers.step(net, train, batch, cfg.Loss, cfg.Optimizer)
+			epochLoss += tr.step(train, batch, cfg.Loss, cfg.Optimizer)
 		}
 		result.TrainLoss = append(result.TrainLoss, epochLoss/float64(len(order)))
 		result.Epochs = epoch + 1
@@ -132,20 +136,20 @@ func Train(net *Network, train, val []Sample, cfg TrainConfig) (TrainResult, err
 }
 
 // MeanLoss evaluates the mean loss of net over samples without touching
-// gradients.
+// gradients. The samples run through the trainer's batched forward, so
+// every output is bit-identical to Network.Forward's.
 func MeanLoss(net *Network, samples []Sample, loss Loss) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	var total float64
-	grad := tensor.NewVector(net.OutDim())
-	for _, s := range samples {
-		out := net.Forward(s.X)
+	var grad tensor.Vector
+	evaluate(net, samples, func(i int, out tensor.Vector) {
 		if len(grad) != len(out) {
 			grad = tensor.NewVector(len(out))
 		}
-		total += loss.Eval(out, s.Y, grad)
-	}
+		total += loss.Eval(out, samples[i].Y, grad)
+	})
 	return total / float64(len(samples))
 }
 
@@ -155,95 +159,302 @@ func Accuracy(net *Network, samples []Sample) float64 {
 		return 0
 	}
 	correct := 0
-	for _, s := range samples {
-		out := net.Forward(s.X)
-		if out.Argmax() == s.Y.Argmax() {
+	evaluate(net, samples, func(i int, out tensor.Vector) {
+		if out.Argmax() == samples[i].Y.Argmax() {
 			correct++
 		}
-	}
+	})
 	return float64(correct) / float64(len(samples))
 }
 
-// workerPool shards mini-batch gradient computation across goroutines.
-// Each worker owns a private clone of the master network; before every
-// step the clones copy the master weights, compute sharded gradients, and
-// the master sums them before the optimizer update. With one worker the
-// master network is used directly and no synchronization happens.
-type workerPool struct {
-	clones []*Network
-}
+// evalRows bounds how many samples MeanLoss and Accuracy run per batched
+// forward, so evaluating a large set keeps a fixed working set.
+const evalRows = 256
 
-func newWorkerPool(master *Network, workers int) *workerPool {
-	p := &workerPool{}
-	if workers <= 1 {
-		return p
-	}
-	p.clones = make([]*Network, workers)
-	for i := range p.clones {
-		p.clones[i] = master.Clone()
-	}
-	return p
-}
-
-// step computes the mean gradient of loss over train[batch], applies opt,
-// zeroes gradients, and returns the summed batch loss.
-func (p *workerPool) step(master *Network, train []Sample, batch []int, loss Loss, opt Optimizer) float64 {
-	scale := 1 / float64(len(batch))
-	var batchLoss float64
-
-	if len(p.clones) == 0 {
-		grad := tensor.NewVector(master.OutDim())
-		for _, idx := range batch {
-			s := train[idx]
-			out := master.Forward(s.X)
-			if len(grad) != len(out) {
-				grad = tensor.NewVector(len(out))
-			}
-			batchLoss += loss.Eval(out, s.Y, grad)
-			grad.Scale(scale)
-			master.Backward(grad)
+// evaluate runs net forward over samples, evalRows at a time, calling
+// visit with each sample's index and output row in ascending order.
+func evaluate(net *Network, samples []Sample, visit func(i int, out tensor.Vector)) {
+	var p stepPack
+	p.build(net, false)
+	var s shard
+	for start := 0; start < len(samples); start += evalRows {
+		s.rows = s.rows[:0]
+		for i := start; i < min(start+evalRows, len(samples)); i++ {
+			s.rows = append(s.rows, i)
 		}
+		out := s.forward(&p, samples)
+		for r, i := range s.rows {
+			visit(i, out.Row(r))
+		}
+	}
+}
+
+// trainer runs Train's optimizer steps as matrix products. Each step
+// packs the master network's current weights once (stepPack) and splits
+// the batch into one shard per worker — the whole batch with one worker,
+// rows w, w+n, w+2n, … for worker w of n — each with private
+// activations and gradient buffers. Every shard reads the same packed
+// weights; the master adds the shard gradients in worker order before
+// the optimizer update.
+//
+// The step computes the same bits as backpropagating the samples one at
+// a time (MulVec forward; AddOuterScaled, AddScaled and MulVecT
+// backward): every sum still starts at +0 and runs in the same
+// ascending order — over a layer's inputs for an output, over its
+// outputs for an input gradient, over the shard's rows for a weight or
+// bias gradient — and a sum that starts at +0 is never −0, so adding
+// the exact zero products the per-sample form skipped changes nothing. The one difference is non-finite values: the
+// per-sample form skipped a zero output gradient outright, while a
+// matrix product multiplies it through, so a zero gradient against an
+// infinite or NaN activation or weight gives a NaN gradient (0·∞) where
+// the per-sample form left 0.
+type trainer struct {
+	net    *Network
+	params []Param
+	pack   stepPack
+	shards []shard
+}
+
+func newTrainer(net *Network, workers int) *trainer {
+	return &trainer{net: net, params: net.Params(), shards: make([]shard, workers)}
+}
+
+// step computes the mean gradient of loss over train[batch], applies
+// opt, zeroes the gradients, and returns the summed batch loss.
+func (t *trainer) step(train []Sample, batch []int, loss Loss, opt Optimizer) float64 {
+	t.pack.build(t.net, true)
+	scale := 1 / float64(len(batch))
+	nw := len(t.shards)
+	for w := range t.shards {
+		s := &t.shards[w]
+		s.rows = s.rows[:0]
+		for bi := w; bi < len(batch); bi += nw {
+			s.rows = append(s.rows, batch[bi])
+		}
+	}
+	if nw == 1 {
+		t.shards[0].gradients(&t.pack, train, loss, scale)
 	} else {
-		nw := len(p.clones)
-		losses := make([]float64, nw)
 		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			clone := p.clones[w]
-			if err := clone.CopyWeightsFrom(master); err != nil {
-				// Architectures are clones by construction; a
-				// mismatch is a programmer error.
-				panic(err)
+		for w := range t.shards {
+			if s := &t.shards[w]; len(s.rows) > 0 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s.gradients(&t.pack, train, loss, scale)
+				}()
 			}
-			clone.ZeroGrad()
-			wg.Add(1)
-			go func(w int, clone *Network) {
-				defer wg.Done()
-				grad := tensor.NewVector(clone.OutDim())
-				for bi := w; bi < len(batch); bi += nw {
-					s := train[batch[bi]]
-					out := clone.Forward(s.X)
-					if len(grad) != len(out) {
-						grad = tensor.NewVector(len(out))
-					}
-					losses[w] += loss.Eval(out, s.Y, grad)
-					grad.Scale(scale)
-					clone.Backward(grad)
-				}
-			}(w, clone)
 		}
 		wg.Wait()
-		masterParams := master.Params()
-		for _, clone := range p.clones {
-			for gi, cp := range clone.Params() {
-				masterParams[gi].Grad.AddScaled(1, cp.Grad)
-			}
-		}
-		for _, l := range losses {
-			batchLoss += l
-		}
 	}
 
-	opt.Step(master.Params())
-	master.ZeroGrad()
+	var batchLoss float64
+	for w := range t.shards {
+		s := &t.shards[w]
+		if len(s.rows) == 0 {
+			continue // an empty shard contributes exact zeros
+		}
+		batchLoss += s.loss
+		for i := range t.pack.layers {
+			if d := t.pack.layers[i].dense; d != nil {
+				tensor.Vector(d.gradW.Data).AddScaled(1, s.gradW[i].Data)
+				d.gradB.AddScaled(1, s.gradB[i])
+			}
+		}
+	}
+	opt.Step(t.params)
+	for _, p := range t.params {
+		p.Grad.Fill(0)
+	}
 	return batchLoss
+}
+
+// stepPack is the read-only view of a network that one step's shards
+// share: every layer, each dense layer's weights and bias packed for the
+// forward product and — when built for backward — its weights packed by
+// column for the input-gradient product G·W.
+type stepPack struct {
+	layers []packedLayer
+	// firstDense indexes the first dense layer; no gradient is needed
+	// below it.
+	firstDense int
+}
+
+// packedLayer is one layer of a stepPack: a dense layer (dense != nil)
+// with its packed weights, or an activation.
+type packedLayer struct {
+	dense    *Dense
+	act      *activation
+	fwd, bwd tensor.Packed
+}
+
+// isReLU reports whether the layer is a ReLU activation.
+func (l *packedLayer) isReLU() bool { return l.act != nil && l.act.tag == kindReLU }
+
+// build (re)packs p from net's current parameters, reusing its buffers.
+func (p *stepPack) build(net *Network, backward bool) {
+	if len(p.layers) != len(net.layers) {
+		p.layers = make([]packedLayer, len(net.layers))
+	}
+	p.firstDense = len(net.layers)
+	for i, l := range net.layers {
+		pl := &p.layers[i]
+		switch t := l.(type) {
+		case *Dense:
+			pl.dense, pl.act = t, nil
+			pl.fwd.Repack(t.W, t.B)
+			p.firstDense = min(p.firstDense, i)
+			if backward && i > p.firstDense {
+				pl.bwd.RepackColumns(t.W)
+			}
+		case *activation:
+			pl.dense, pl.act = nil, t
+		default:
+			panic(fmt.Sprintf("nn: cannot train layer type %T", l))
+		}
+	}
+}
+
+// shard is one worker's private working set for a step: its sample
+// rows, every layer's activations, the gradient flowing back, and its
+// own weight and bias gradients, which the step adds into the master's.
+type shard struct {
+	rows []int
+	// acts[0] holds the staged inputs and acts[i+1] layer i's output,
+	// one row per sample.
+	acts []tensor.Matrix
+	// g and gin ping-pong the gradient at a layer's output and input;
+	// gt is gᵀ for the weight-gradient product.
+	g, gin, gt tensor.Matrix
+	// gradW[i] and gradB[i] are dense layer i's gradients.
+	gradW []tensor.Matrix
+	gradB []tensor.Vector
+	loss  float64
+}
+
+// forward stages samples[s.rows] as the rows of acts[0] and runs every
+// layer over them — dense layers through tensor.DenseInto on the step's
+// packed weights, per row bit-identical to Dense.Forward, activations
+// element-wise — and returns the output, one row per sample.
+func (s *shard) forward(p *stepPack, samples []Sample) *tensor.Matrix {
+	if len(s.acts) != len(p.layers)+1 {
+		s.acts = make([]tensor.Matrix, len(p.layers)+1)
+	}
+	width := len(samples[s.rows[0]].X)
+	x := fitMatrix(&s.acts[0], len(s.rows), width)
+	for r, i := range s.rows {
+		if len(samples[i].X) != width {
+			panic(fmt.Sprintf("nn: sample %d has %d inputs, sample %d has %d", i, len(samples[i].X), s.rows[0], width))
+		}
+		copy(x.Row(r), samples[i].X)
+	}
+	for i := 0; i < len(p.layers); i++ {
+		l := &p.layers[i]
+		if l.dense != nil {
+			// A ReLU right after a dense layer runs inside its kernel
+			// call, leaving acts[i+1] unwritten: the backward pass reads
+			// a ReLU's derivative off its output, never its input.
+			relu := i+1 < len(p.layers) && p.layers[i+1].isReLU()
+			if relu {
+				i++
+			}
+			out := fitMatrix(&s.acts[i+1], x.Rows, l.dense.W.Rows)
+			x = tensor.DenseInto(out, x, &l.fwd, relu)
+			continue
+		}
+		out := fitMatrix(&s.acts[i+1], x.Rows, x.Cols)
+		if l.isReLU() {
+			for j, v := range x.Data {
+				out.Data[j] = reluFn(v)
+			}
+		} else {
+			for j, v := range x.Data {
+				out.Data[j] = l.act.fn(v)
+			}
+		}
+		x = out
+	}
+	return x
+}
+
+// gradients runs the shard's rows forward, evaluates loss on each row
+// into the output gradient (scaled by scale, the batch mean's 1/B), and
+// propagates it back through every layer above the first dense one,
+// leaving the shard's parameter gradients in gradW/gradB and its summed
+// loss in loss.
+func (s *shard) gradients(p *stepPack, samples []Sample, loss Loss, scale float64) {
+	out := s.forward(p, samples)
+	g, gin := fitMatrix(&s.g, out.Rows, out.Cols), &s.gin
+	s.loss = 0
+	for r, i := range s.rows {
+		gr := g.Row(r)
+		s.loss += loss.Eval(out.Row(r), samples[i].Y, gr)
+		gr.Scale(scale)
+	}
+	if len(s.gradW) != len(p.layers) {
+		s.gradW = make([]tensor.Matrix, len(p.layers))
+		s.gradB = make([]tensor.Vector, len(p.layers))
+	}
+	for i := len(p.layers) - 1; i >= p.firstDense; i-- {
+		l := &p.layers[i]
+		in, out := &s.acts[i], &s.acts[i+1]
+		switch {
+		case l.isReLU():
+			// ReLU's derivative is 1 where its output is positive, which
+			// is exactly where its input is.
+			for j, gv := range g.Data {
+				d := 0.0
+				if out.Data[j] > 0 {
+					d = 1
+				}
+				g.Data[j] = gv * d
+			}
+			continue
+		case l.act != nil:
+			for j, gv := range g.Data {
+				g.Data[j] = gv * l.act.deriv(in.Data[j], out.Data[j])
+			}
+			continue
+		}
+		w := l.dense.W
+		// dL/dW = gᵀ·in and dL/dB = Σ rows of g, both over the rows in order.
+		gradW := fitMatrix(&s.gradW[i], w.Rows, w.Cols)
+		tensor.MatMulInto(gradW, transposeInto(&s.gt, g), in)
+		if len(s.gradB[i]) != w.Rows {
+			s.gradB[i] = tensor.NewVector(w.Rows)
+		}
+		gradB := s.gradB[i]
+		gradB.Fill(0)
+		for r := 0; r < g.Rows; r++ {
+			gradB.AddScaled(1, g.Row(r))
+		}
+		if i > p.firstDense {
+			// dL/din = g·W.
+			next := fitMatrix(gin, g.Rows, w.Cols)
+			tensor.DenseInto(next, g, &l.bwd, false)
+			g, gin = next, g
+		}
+	}
+}
+
+// fitMatrix shapes m as rows × cols, reusing its backing array when it
+// is large enough; the contents are left for the caller to overwrite.
+func fitMatrix(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
+}
+
+// transposeInto writes mᵀ into dst (reshaped to fit) and returns it.
+func transposeInto(dst, m *tensor.Matrix) *tensor.Matrix {
+	t := fitMatrix(dst, m.Cols, m.Rows)
+	for r := 0; r < m.Rows; r++ {
+		for c, v := range m.Row(r) {
+			t.Data[c*m.Rows+r] = v
+		}
+	}
+	return t
 }

@@ -11,6 +11,7 @@ import (
 
 	"anole/internal/detect"
 	"anole/internal/synth"
+	"anole/internal/tensor"
 	"anole/internal/xrand"
 )
 
@@ -225,14 +226,28 @@ func Random(models []*detect.Detector, pools []Pool, cfg Config) (Result, error)
 // probe to be accepted at all; an accepted frame is then scored by every
 // model, joining Ψ_j^sub for each accurate model j. The multi-label form
 // is what the paper's allocation vector v^x encodes, and it lets decision
-// training resolve each frame to its best-fit model.
+// training resolve each frame to its best-fit model. The frame feature
+// is computed once for every model, and the gate's score is reused for
+// the pool's own model.
 func acceptedLabels(models []*detect.Detector, poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
-	if models[poolModel].EvaluateFrame(frame).F1 < accept {
+	frames := []*synth.Frame{frame}
+	feats := []tensor.Vector{synth.FrameFeature(frame)}
+	preds := make([][]detect.CellPred, 1)
+	score := func(det *detect.Detector) float64 {
+		det.DetectBatchFeatures(preds, frames, feats)
+		return detect.ScorePredictions(preds[0], frame).F1
+	}
+	gate := score(models[poolModel])
+	if gate < accept {
 		return nil
 	}
 	var out []LabeledFrame
 	for j, det := range models {
-		if f1 := det.EvaluateFrame(frame).F1; f1 >= accept {
+		f1 := gate
+		if j != poolModel {
+			f1 = score(det)
+		}
+		if f1 >= accept {
 			out = append(out, LabeledFrame{Frame: frame, ModelIdx: j, F1: f1})
 		}
 	}

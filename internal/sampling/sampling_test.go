@@ -239,3 +239,48 @@ func toFloat(xs []int) []float64 {
 	}
 	return out
 }
+
+// TestAcceptedLabelsMatchesPerModelEvaluation pins the probe test, which
+// scores the pool's model once and shares one frame feature across
+// models, against the direct form: gate on the pool model's
+// EvaluateFrame, then run EvaluateFrame for every model. Every frame of
+// both pools is probed from both pools at two acceptance levels; the
+// labels, their F1 values and their order must match exactly.
+func TestAcceptedLabelsMatchesPerModelEvaluation(t *testing.T) {
+	fx := buildFixture(t, 91, 30, 30)
+	reference := func(poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
+		if fx.models[poolModel].EvaluateFrame(frame).F1 < accept {
+			return nil
+		}
+		var out []LabeledFrame
+		for j, det := range fx.models {
+			if f1 := det.EvaluateFrame(frame).F1; f1 >= accept {
+				out = append(out, LabeledFrame{Frame: frame, ModelIdx: j, F1: f1})
+			}
+		}
+		return out
+	}
+	accepted := 0
+	for _, accept := range []float64{0.3, 0.6} {
+		for _, pool := range fx.pools {
+			for _, frame := range pool.Frames {
+				for poolModel := range fx.models {
+					got := acceptedLabels(fx.models, poolModel, frame, accept)
+					want := reference(poolModel, frame, accept)
+					if len(got) != len(want) {
+						t.Fatalf("accept %v pool model %d: %d labels, reference %d", accept, poolModel, len(got), len(want))
+					}
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("accept %v pool model %d label %d: %+v, reference %+v", accept, poolModel, k, got[k], want[k])
+						}
+					}
+					accepted += len(got)
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no probe was accepted; the comparison covered nothing")
+	}
+}

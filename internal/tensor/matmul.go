@@ -6,7 +6,8 @@ import (
 	"sync"
 )
 
-// This file holds the GEMM kernels behind the batched inference path.
+// This file holds the GEMM kernels behind batched inference and
+// mini-batch training.
 //
 // DenseInto computes a whole dense layer over a batch, dst = act(x·Wᵀ + b),
 // in one pass: the weights are packed once (PackDense) into panels of
@@ -35,8 +36,9 @@ const panelCols = 4
 // weights W (n outputs × k inputs) as ⌈n/4⌉ panels of four output
 // columns, each panel k-major (the four weights of input kk are
 // adjacent), and the bias b. The last panel's unused columns and the
-// bias are zero-padded to a multiple of four. A Packed is immutable once
-// built and safe to share across goroutines.
+// bias are zero-padded to a multiple of four. Any number of goroutines
+// may run DenseInto on one Packed at once; it changes only when
+// repacked.
 type Packed struct {
 	n, k int
 	w    []float64 // ⌈n/4⌉ · k · 4
@@ -50,6 +52,18 @@ func PackDense(w *Matrix, b Vector) *Packed {
 	p.pack(w, b, false)
 	return p
 }
+
+// Repack refills p from w and b exactly as PackDense packs them, reusing
+// p's buffers when they are large enough: a trainer repacks its layers
+// once per optimizer step. p must not be repacked while a DenseInto
+// reads it.
+func (p *Packed) Repack(w *Matrix, b Vector) { p.pack(w, b, false) }
+
+// RepackColumns refills p with the columns of w (k×n) as its n outputs
+// and a zero bias, so DenseInto(dst, x, p, false) computes x·w — every
+// element bit-identical to MatMulInto(dst, x, w) — without packing w
+// again per call.
+func (p *Packed) RepackColumns(w *Matrix) { p.pack(w, nil, true) }
 
 // pack (re)fills p from w and b, reusing p's buffers when they are large
 // enough. w holds one row per output (n×k), or one column per output
@@ -66,23 +80,34 @@ func (p *Packed) pack(w *Matrix, b Vector, byColumn bool) {
 	p.n, p.k = n, k
 	p.w = resize(p.w, panels*k*panelCols)
 	p.b = resize(p.b, panels*panelCols)
-	for c := 0; c < panels*panelCols; c++ {
-		panel := p.w[(c/panelCols)*k*panelCols:]
-		lane := c % panelCols
+	clear(p.w[max(0, (panels-1)*k*panelCols):]) // the last panel's padding
+	clear(p.b)
+	if b != nil {
+		copy(p.b, b)
+	}
+	// Each loop reads w in storage order; output c's weight for input kk
+	// lands at panel c/4, row kk, lane c%4.
+	if byColumn {
+		// Row kk of w holds input kk's weight for every output: each
+		// panel's four lanes are four consecutive elements of it.
 		for kk := 0; kk < k; kk++ {
-			var v float64
-			switch {
-			case c >= n:
-			case byColumn:
-				v = w.Data[kk*n+c]
-			default:
-				v = w.Data[c*k+kk]
+			row := w.Data[kk*n : (kk+1)*n]
+			c0 := 0
+			for ; c0+panelCols <= n; c0 += panelCols {
+				d, s := p.w[c0*k+kk*panelCols:][:panelCols], row[c0:][:panelCols]
+				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
 			}
-			panel[kk*panelCols+lane] = v
+			if c0 < n {
+				copy(p.w[c0*k+kk*panelCols:], row[c0:])
+			}
 		}
-		p.b[c] = 0
-		if b != nil && c < n {
-			p.b[c] = b[c]
+		return
+	}
+	for c := 0; c < n; c++ {
+		panel := p.w[c/panelCols*k*panelCols:]
+		lane := c % panelCols
+		for kk, v := range w.Data[c*k : (c+1)*k] {
+			panel[kk*panelCols+lane] = v
 		}
 	}
 }

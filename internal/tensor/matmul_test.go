@@ -379,3 +379,22 @@ func TestDenseReLUEdgeValues(t *testing.T) {
 		checkDenseKernels(t, x, w, bias, relu, want)
 	}
 }
+
+// TestRepackMatchesFreshPack checks that repacking a Packed in place —
+// shrinking and growing its buffers across shapes — gives DenseInto
+// the same bits as a fresh PackDense, and that RepackColumns makes
+// DenseInto compute MatMulInto's product.
+func TestRepackMatchesFreshPack(t *testing.T) {
+	rng := xrand.New(12)
+	var p Packed
+	for _, s := range []struct{ m, k, n int }{{5, 18, 16}, {3, 7, 2}, {9, 16, 5}, {1, 1, 1}, {32, 56, 48}} {
+		x, w := randMatrix(rng, s.m, s.k), randMatrix(rng, s.n, s.k)
+		b := randMatrix(rng, 1, s.n).Row(0)
+		p.Repack(w, b)
+		sameMatrix(t, DenseInto(nil, x, PackDense(w, b), true), DenseInto(nil, x, &p, true), fmt.Sprintf("Repack %v", s))
+
+		wc := randMatrix(rng, s.k, s.n)
+		p.RepackColumns(wc)
+		sameMatrix(t, naiveMatMul(x, wc), DenseInto(nil, x, &p, false), fmt.Sprintf("RepackColumns %v", s))
+	}
+}

@@ -256,8 +256,10 @@ func (m *Matrix) MulVec(dst, v Vector) Vector {
 }
 
 // MulVecT computes dst = mᵀ * v for v of length Rows, writing into dst of
-// length Cols and returning dst. Used for backpropagating through dense
-// layers without materializing the transpose.
+// length Cols and returning dst, without materializing the transpose.
+// Rows whose v[i] is zero are skipped, so 0·Inf never forms: unlike the
+// same product through MatMulInto, an infinite or NaN element of m
+// under a zero v[i] leaves dst finite.
 func (m *Matrix) MulVecT(dst, v Vector) Vector {
 	if len(v) != m.Rows {
 		panic(fmt.Sprintf("tensor: MulVecT got %d, want %d", len(v), m.Rows))
@@ -282,8 +284,10 @@ func (m *Matrix) MulVecT(dst, v Vector) Vector {
 }
 
 // AddOuterScaled adds alpha * a ⊗ b to m in place, where a has length Rows
-// and b has length Cols. This is the gradient accumulation of a dense
-// layer's weight matrix.
+// and b has length Cols — one sample's weight gradient of a dense layer.
+// Rows whose alpha·a[i] is zero are skipped, so 0·Inf never forms: an
+// infinite or NaN element of b under a zero multiplier leaves m's row
+// alone.
 func (m *Matrix) AddOuterScaled(alpha float64, a, b Vector) {
 	if len(a) != m.Rows || len(b) != m.Cols {
 		panic("tensor: AddOuterScaled shape mismatch")

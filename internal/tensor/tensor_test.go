@@ -213,6 +213,26 @@ func TestAddOuterScaled(t *testing.T) {
 	}
 }
 
+// TestZeroMultiplierSkipsNonFinite pins the per-sample gradient
+// helpers' zero skip: an infinite element under a zero multiplier
+// contributes nothing to MulVecT or AddOuterScaled, while the same
+// product through MatMulInto forms 0·Inf = NaN.
+func TestZeroMultiplierSkipsNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	m := FromRows([][]float64{{inf, 1}, {2, 3}})
+	if got := m.MulVecT(nil, Vector{0, 1}); got[0] != 2 || got[1] != 3 {
+		t.Fatalf("MulVecT skipping a zero multiplier: %v, want [2 3]", got)
+	}
+	if got := MatMulInto(nil, FromRows([][]float64{{0, 1}}), m); !math.IsNaN(got.At(0, 0)) || got.At(0, 1) != 3 {
+		t.Fatalf("MatMulInto through 0·Inf: %v, want [NaN 3]", got.Data)
+	}
+	o := NewMatrix(2, 2)
+	o.AddOuterScaled(1, Vector{0, 1}, Vector{inf, 1})
+	if o.At(0, 0) != 0 || o.At(0, 1) != 0 || !math.IsInf(o.At(1, 0), 1) || o.At(1, 1) != 1 {
+		t.Fatalf("AddOuterScaled skipping a zero multiplier: %v", o.Data)
+	}
+}
+
 func TestMatMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
