@@ -49,7 +49,9 @@ type ControllerConfig struct {
 	// deployment would hang distillation or quantization here. Returning
 	// an error abandons the retrain (the cluster stays eligible).
 	RetrainHook func(*core.Bundle) (*core.Bundle, error)
-	// Metrics, when non-nil, receives anole_adapt_retrain* counters.
+	// Metrics, when non-nil, receives anole_adapt_retrain* counters. Nil
+	// keeps them in a private registry; Retrains reads the same counter
+	// either way.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one StageAdapt span per cloud-side
 	// causal milestone — cluster, retrain, publish, rollback — tagged
@@ -97,8 +99,6 @@ type Controller struct {
 	clusters []*cluster
 
 	received int64
-	retrains int64
-	failures int64
 
 	mRetrains *telemetry.Counter
 	mFailures *telemetry.Counter
@@ -119,20 +119,23 @@ func NewController(base *core.Bundle, pub Publisher, cfg ControllerConfig) (*Con
 		return nil, fmt.Errorf("adapt: controller needs training frames for pool rebuild")
 	}
 	cfg.fill()
-	c := &Controller{cfg: cfg, base: base, pub: pub}
-	if cfg.Metrics != nil {
-		c.mRetrains = cfg.Metrics.Counter("anole_adapt_retrains_total",
-			"Repertoire expansions published by the adaptation controller.")
-		c.mFailures = cfg.Metrics.Counter("anole_adapt_retrain_failures_total",
-			"Retrain attempts abandoned by error.")
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
-	return c, nil
+	return &Controller{
+		cfg: cfg, base: base, pub: pub,
+		mRetrains: reg.Counter("anole_adapt_retrains_total",
+			"Repertoire expansions published by the adaptation controller."),
+		mFailures: reg.Counter("anole_adapt_retrain_failures_total",
+			"Retrain attempts abandoned by error."),
+	}, nil
 }
 
 // Received reports how many drift reports the controller has absorbed;
 // Retrains how many expansions it has published.
 func (c *Controller) Received() int64 { return c.received }
-func (c *Controller) Retrains() int64 { return c.retrains }
+func (c *Controller) Retrains() int64 { return c.mRetrains.Value() }
 
 // Submit absorbs one drift report. When the report completes a cluster's
 // evidence, the controller retrains and publishes a new generation,
@@ -155,10 +158,7 @@ func (c *Controller) Submit(rep *Report) (uint64, bool, error) {
 	}
 	gen, err := c.retrain(cl, rep.Stream, rep.Trace)
 	if err != nil {
-		c.failures++
-		if c.mFailures != nil {
-			c.mFailures.Inc()
-		}
+		c.mFailures.Inc()
 		return 0, false, err
 	}
 	return gen, true, nil
@@ -255,10 +255,7 @@ func (c *Controller) retrain(cl *cluster, stream int, trace string) (uint64, err
 	cl.retrained = true
 	cl.gen = gen
 	cl.trace = trace
-	c.retrains++
-	if c.mRetrains != nil {
-		c.mRetrains.Inc()
-	}
+	c.mRetrains.Inc()
 	c.span(stream, "publish", trace)
 	return gen, nil
 }

@@ -89,7 +89,9 @@ type LoopConfig struct {
 	// overloaded device spends no control-plane bytes until pressure
 	// relaxes.
 	Pressure *pressure.Monitor
-	// Metrics, when non-nil, receives the anole_adapt_* loop series.
+	// Metrics, when non-nil, receives the anole_adapt_* loop series. Nil
+	// keeps them in a private registry; Stats reads the same counters
+	// either way.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span per control-plane event
 	// (report send, canary start, promotion, rollback) under the
@@ -108,7 +110,10 @@ type LoopConfig struct {
 // events (alongside the frame pipeline's decide/cache/fetch/detect).
 const StageAdapt = "adapt"
 
-// LoopStats summarizes a Run for reports and -json output.
+// LoopStats summarizes a Run for reports and -json output. Loop.Stats
+// reads it from the loop's counters, the ones the registry exports as
+// anole_adapt_*_total (and, for DeferredReports, a child of
+// anole_pressure_deferred_reports_total).
 type LoopStats struct {
 	DriftEvents        int64  `json:"driftEvents"`
 	ReportsSent        int64  `json:"reportsSent"`
@@ -168,11 +173,12 @@ type Loop struct {
 	deferredPubAt time.Duration
 	pending       []*Report
 	chunks        []streamChunk
-	stats         LoopStats
 
+	// Counters on cfg.Metrics or a private registry; mDeferred is a Child
+	// of the pressure monitor's deferred-reports counter.
 	mDrift, mSent, mFailed, mBytes *telemetry.Counter
 	mCanary, mPromote, mRollback   *telemetry.Counter
-	mRejected, mPurged             *telemetry.Counter
+	mRejected, mPurged, mDeferred  *telemetry.Counter
 	gGeneration                    *telemetry.Gauge
 }
 
@@ -209,7 +215,6 @@ func NewLoop(m *core.MultiRuntime, cfg LoopConfig) (*Loop, error) {
 		fleet:    m.Bundle(),
 		chunks:   make([]streamChunk, m.NumStreams()),
 	}
-	l.stats.FleetGeneration = l.fleetGen
 	for i := 0; i < m.NumStreams(); i++ {
 		d, err := NewDriftDetector(i, m.Bundle(), cfg.Drift)
 		if err != nil {
@@ -218,24 +223,43 @@ func NewLoop(m *core.MultiRuntime, cfg LoopConfig) (*Loop, error) {
 		d.gen = l.fleetGen
 		l.dets = append(l.dets, d)
 	}
-	if reg := cfg.Metrics; reg != nil {
-		l.mDrift = reg.Counter("anole_adapt_drift_events_total", "Drift reports emitted by stream detectors.")
-		l.mSent = reg.Counter("anole_adapt_reports_sent_total", "Drift reports delivered over the uplink.")
-		l.mFailed = reg.Counter("anole_adapt_report_failures_total", "Drift report transfers lost to the link.")
-		l.mBytes = reg.Counter("anole_adapt_report_bytes_total", "Upstream bytes spent on drift reports.")
-		l.mCanary = reg.Counter("anole_adapt_canary_starts_total", "Candidate generations deployed to the canary stream.")
-		l.mPromote = reg.Counter("anole_adapt_promotions_total", "Canaries promoted fleet-wide.")
-		l.mRollback = reg.Counter("anole_adapt_rollbacks_total", "Canaries rolled back to the incumbent generation.")
-		l.mRejected = reg.Counter("anole_adapt_rejected_candidates_total", "Published candidates that failed verification before deployment.")
-		l.mPurged = reg.Counter("anole_adapt_purged_models_total", "Stale cached models evicted after promotion or rollback.")
-		l.gGeneration = reg.Gauge("anole_adapt_fleet_generation", "Bundle generation the non-canary fleet serves.")
-		l.gGeneration.Set(float64(l.fleetGen))
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	l.mDrift = reg.Counter("anole_adapt_drift_events_total", "Drift reports emitted by stream detectors.")
+	l.mSent = reg.Counter("anole_adapt_reports_sent_total", "Drift reports delivered over the uplink.")
+	l.mFailed = reg.Counter("anole_adapt_report_failures_total", "Drift report transfers lost to the link.")
+	l.mBytes = reg.Counter("anole_adapt_report_bytes_total", "Upstream bytes spent on drift reports.")
+	l.mCanary = reg.Counter("anole_adapt_canary_starts_total", "Candidate generations deployed to the canary stream.")
+	l.mPromote = reg.Counter("anole_adapt_promotions_total", "Canaries promoted fleet-wide.")
+	l.mRollback = reg.Counter("anole_adapt_rollbacks_total", "Canaries rolled back to the incumbent generation.")
+	l.mRejected = reg.Counter("anole_adapt_rejected_candidates_total", "Published candidates that failed verification before deployment.")
+	l.mPurged = reg.Counter("anole_adapt_purged_models_total", "Stale cached models evicted after promotion or rollback.")
+	l.mDeferred = cfg.Pressure.Counters().DeferredReports.Child()
+	l.gGeneration = reg.Gauge("anole_adapt_fleet_generation", "Bundle generation the non-canary fleet serves.")
+	l.gGeneration.Set(float64(l.fleetGen))
 	return l, nil
 }
 
-// Stats returns the loop counters accumulated so far.
-func (l *Loop) Stats() LoopStats { return l.stats }
+// Stats returns the loop counters accumulated so far. Every promotion
+// applies one generation, so GenerationsApplied equals Promotions.
+func (l *Loop) Stats() LoopStats {
+	return LoopStats{
+		DriftEvents:        l.mDrift.Value(),
+		ReportsSent:        l.mSent.Value(),
+		ReportFailures:     l.mFailed.Value(),
+		ReportBytes:        l.mBytes.Value(),
+		GenerationsApplied: l.mPromote.Value(),
+		CanaryStarts:       l.mCanary.Value(),
+		Promotions:         l.mPromote.Value(),
+		Rollbacks:          l.mRollback.Value(),
+		RejectedCandidates: l.mRejected.Value(),
+		PurgedModels:       l.mPurged.Value(),
+		FleetGeneration:    l.fleetGen,
+		DeferredReports:    l.mDeferred.Value(),
+	}
+}
 
 // Rollout exposes the canary state machine (read-only use).
 func (l *Loop) Rollout() *Rollout { return l.rollout }
@@ -329,13 +353,8 @@ func (l *Loop) controlPhase() error {
 	for i := range l.chunks {
 		c := &l.chunks[i]
 		l.rollout.Accumulate(i == canaryStream, c.frames, c.sumF1, c.degraded)
-		if len(c.reports) > 0 {
-			l.stats.DriftEvents += int64(len(c.reports))
-			if l.mDrift != nil {
-				l.mDrift.Add(int64(len(c.reports)))
-			}
-			l.pending = append(l.pending, c.reports...)
-		}
+		l.mDrift.Add(int64(len(c.reports)))
+		l.pending = append(l.pending, c.reports...)
 		*c = streamChunk{}
 	}
 	if pf := l.m.Prefetcher(); pf != nil && l.rollout.State() == RolloutCanary {
@@ -374,8 +393,7 @@ func (l *Loop) controlPhase() error {
 // first calm control point.
 func (l *Loop) shipReports() error {
 	if l.cfg.Pressure.Level() >= pressure.Critical && len(l.pending) > 0 {
-		l.stats.DeferredReports++
-		l.cfg.Pressure.NoteDeferredReports()
+		l.mDeferred.Inc()
 		return nil
 	}
 	for len(l.pending) > 0 {
@@ -383,22 +401,13 @@ func (l *Loop) shipReports() error {
 		size := rep.SizeBytes()
 		if l.cfg.Uplink != nil {
 			if _, err := l.cfg.Uplink.Send(size); err != nil {
-				l.stats.ReportFailures++
-				if l.mFailed != nil {
-					l.mFailed.Inc()
-				}
+				l.mFailed.Inc()
 				return nil
 			}
 		}
 		l.pending = l.pending[1:]
-		l.stats.ReportsSent++
-		l.stats.ReportBytes += size
-		if l.mSent != nil {
-			l.mSent.Inc()
-		}
-		if l.mBytes != nil {
-			l.mBytes.Add(size)
-		}
+		l.mSent.Inc()
+		l.mBytes.Add(size)
 		l.span(rep.Stream, "report", rep.Trace)
 		gen, published, err := l.cfg.Submitter.Submit(rep)
 		if err != nil {
@@ -440,10 +449,7 @@ func (l *Loop) startCanary(gen uint64, trace string, pubAt time.Duration) error 
 	}
 	nb, err := l.verifyCandidate(gen)
 	if err != nil {
-		l.stats.RejectedCandidates++
-		if l.mRejected != nil {
-			l.mRejected.Inc()
-		}
+		l.mRejected.Inc()
 		l.cfg.Flight.Record(flight.Event{
 			Stream: l.cfg.Rollout.CanaryStream,
 			Kind:   flight.KindSwap,
@@ -480,10 +486,7 @@ func (l *Loop) startCanary(gen uint64, trace string, pubAt time.Duration) error 
 	l.candGen, l.cand = gen, nb
 	l.candTrace, l.candPubAt = trace, pubAt
 	l.dets[canary].SetBundle(nb, gen)
-	l.stats.CanaryStarts++
-	if l.mCanary != nil {
-		l.mCanary.Inc()
-	}
+	l.mCanary.Inc()
 	l.span(canary, "canary_start", trace)
 	return nil
 }
@@ -557,21 +560,14 @@ func (l *Loop) resolveCanary() error {
 			return fmt.Errorf("adapt: promote generation %d: %w", l.candGen, err)
 		}
 		l.fleet, l.fleetGen = l.cand, l.candGen
-		l.stats.FleetGeneration = l.fleetGen
-		l.stats.GenerationsApplied++
 		for _, d := range l.dets {
 			d.SetBundle(l.fleet, l.fleetGen)
 		}
 		if pa, ok := l.cfg.Submitter.(promotionAware); ok {
 			pa.ConfirmPromotion(l.fleetGen, l.fleet)
 		}
-		l.stats.Promotions++
-		if l.mPromote != nil {
-			l.mPromote.Inc()
-		}
-		if l.gGeneration != nil {
-			l.gGeneration.Set(float64(l.fleetGen))
-		}
+		l.mPromote.Inc()
+		l.gGeneration.Set(float64(l.fleetGen))
 		l.span(canary, "promote", l.candTrace)
 		l.cfg.Flight.Record(flight.Event{
 			Stream: flight.GlobalStream,
@@ -593,10 +589,7 @@ func (l *Loop) resolveCanary() error {
 				return fmt.Errorf("adapt: note rollback of generation %d: %w", l.candGen, err)
 			}
 		}
-		l.stats.Rollbacks++
-		if l.mRollback != nil {
-			l.mRollback.Inc()
-		}
+		l.mRollback.Inc()
 		l.span(canary, "rollback", l.candTrace)
 		// A rollback is an anomaly: this Record freezes the flight ring
 		// and captures a diagnostic dump with the journey's trace.
@@ -608,11 +601,7 @@ func (l *Loop) resolveCanary() error {
 			Value:  float64(l.candGen),
 		})
 	}
-	purged := l.m.PurgeStaleModels()
-	l.stats.PurgedModels += int64(purged)
-	if l.mPurged != nil && purged > 0 {
-		l.mPurged.Add(int64(purged))
-	}
+	l.mPurged.Add(int64(l.m.PurgeStaleModels()))
 	l.candGen, l.cand = 0, nil
 	l.candTrace, l.candPubAt = "", 0
 	return nil

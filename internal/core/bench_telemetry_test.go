@@ -12,57 +12,17 @@ import (
 	"anole/internal/testutil"
 )
 
-// benchRuntime builds a runtime over the shared fixture, optionally
-// instrumented. Both variants use the same cache implementation (the
-// metrics-enabled constructor path) so the benchmark isolates the cost
-// of the telemetry writes themselves, not a cache swap.
-func benchRuntime(b *testing.B, reg *telemetry.Registry, tr *telemetry.Tracer) (*core.Runtime, []*synth.Frame) {
-	b.Helper()
-	fx := testutil.Shared(b)
-	frames := fx.Corpus.Frames(synth.Test)
-	if len(frames) == 0 {
-		b.Fatal("fixture has no test frames")
-	}
-	rt, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{
-		CacheSlots: 3,
-		Device:     mustSim(device.JetsonTX2NX),
-		Metrics:    reg,
-		Tracer:     tr,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rt, frames
-}
-
 // BenchmarkProcessFrame_TelemetryOff is the baseline for the telemetry
-// overhead comparison: the full per-frame pipeline with nil registry
-// and tracer (every metric write is a nil-receiver no-op).
-func BenchmarkProcessFrame_TelemetryOff(b *testing.B) {
-	rt, frames := benchRuntime(b, nil, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.ProcessFrame(frames[i%len(frames)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// overhead comparison: one frame per op through the one-stream tick
+// pipeline with nil registry and tracer (counters count, but feed no
+// registry; histogram and span writes are nil-receiver no-ops).
+func BenchmarkProcessFrame_TelemetryOff(b *testing.B) { oneStreamBench(false)(b) }
 
 // BenchmarkProcessFrame_TelemetryOn measures the instrumented hot path:
-// live counters, latency histograms and a full span ring. Compare
-// against BenchmarkProcessFrame_TelemetryOff; the acceptance budget for
-// this PR is <2% overhead.
-func BenchmarkProcessFrame_TelemetryOn(b *testing.B) {
-	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer(0, func() time.Duration { return 0 })
-	rt, frames := benchRuntime(b, reg, tr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.ProcessFrame(frames[i%len(frames)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// counters feeding the registry, latency histograms and a full span
+// ring. Compare against BenchmarkProcessFrame_TelemetryOff; the
+// acceptance budget is <2% overhead.
+func BenchmarkProcessFrame_TelemetryOn(b *testing.B) { oneStreamBench(true)(b) }
 
 // oneStreamBench returns a benchmark of the serving path anole-run
 // drives — MultiRuntime.ProcessStreams at one stream, one tick per op —
@@ -147,7 +107,15 @@ func TestTelemetryOverheadBounded(t *testing.T) {
 // weights with reused per-runtime buffers. CI runs it as a smoke test
 // and tracks allocs/op — the neural-network stages contribute zero.
 func BenchmarkFrameStep(b *testing.B) {
-	rt, frames := benchRuntime(b, nil, nil)
+	fx := testutil.Shared(b)
+	frames := fx.Corpus.Frames(synth.Test)
+	rt, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{
+		CacheSlots: 3,
+		Device:     mustSim(device.JetsonTX2NX),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -67,9 +67,10 @@ type MultiRuntimeConfig struct {
 	// Metrics, when non-nil, is the shared telemetry registry: the
 	// sharded cache registers its anole_modelcache_* counters on it, the
 	// prefetch scheduler its anole_prefetch_* counters (unless the
-	// Prefetch config names its own registry), and every stream binds
-	// the same anole_core_* handles, so the registry's values aggregate
-	// across streams.
+	// Prefetch config names its own registry), the pressure monitor its
+	// anole_pressure_* series, and every stream counts its events on
+	// children of the anole_core_*_total counters, so the registry's
+	// values are the fleet totals of the per-stream RunStats.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, is shared by every stream: each frame's
 	// pipeline-stage spans land in the same bounded ring, tagged with
@@ -270,9 +271,11 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 			cache.SetByteCapacity(byteCap)
 		}
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Gauge("anole_core_streams", "configured frame streams").Set(float64(cfg.Streams))
-		cfg.Metrics.Gauge("anole_core_workers", "concurrent detector groups per tick").Set(float64(workers))
+	cfg.Metrics.Gauge("anole_core_streams", "configured frame streams").Set(float64(cfg.Streams))
+	cfg.Metrics.Gauge("anole_core_workers", "concurrent detector groups per tick").Set(float64(workers))
+	m.press = newPressureState(cfg.Streams, cfg.Deadline, cfg.Pressure, cfg.Metrics, m.pressureReact(cfg.Pressure.criticalWatermark()))
+	if m.press != nil {
+		m.press.latScale = fleetLatencyScales(fleet)
 	}
 	for i := range m.streams {
 		var dev *device.Simulator
@@ -291,7 +294,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 			Device:              dev,
 			SwitchHysteresis:    cfg.SwitchHysteresis,
 			Prefetcher:          m.pf,
-			Metrics:             cfg.Metrics,
+			metrics:             cfg.Metrics,
 			Tracer:              cfg.Tracer,
 			StreamID:            i,
 			sizer:               sizer,
@@ -301,15 +304,14 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: stream %d: %w", i, err)
 		}
+		if m.press != nil {
+			rt.counts.bindPressure(m.press.mon)
+		}
 		m.streams[i] = rt
 		m.devs[i] = dev
 		if m.slo != nil && len(fleet) > 0 {
 			m.slo.SetStreamClass(int32(i), fleet[i].Class)
 		}
-	}
-	m.press = newPressureState(cfg.Streams, cfg.Deadline, cfg.Pressure, cfg.Metrics, m.pressureReact(cfg.Pressure.criticalWatermark()))
-	if m.press != nil {
-		m.press.latScale = fleetLatencyScales(fleet)
 	}
 	if m.plan != nil {
 		if err := m.applyInitialPlan(); err != nil {

@@ -97,10 +97,8 @@ func newPlanState(b *Bundle, cfg *PlanConfig, streams int, reg *telemetry.Regist
 	for i, v := range ps.variants {
 		ps.ests[i] = v.est
 	}
-	if reg != nil {
-		ps.replans = reg.Counter("anole_plan_replans_total", "variant switches applied by per-device re-planning")
-		ps.infeasible = reg.Gauge("anole_plan_infeasible_streams", "streams whose device meets the latency budget on no variant")
-	}
+	ps.replans = reg.Counter("anole_plan_replans_total", "variant switches applied by per-device re-planning")
+	ps.infeasible = reg.Gauge("anole_plan_infeasible_streams", "streams whose device meets the latency budget on no variant")
 	return ps, nil
 }
 
@@ -204,9 +202,7 @@ func (m *MultiRuntime) applyInitialPlan() error {
 		}
 		m.plan.choices[i] = choice.Index
 	}
-	if m.plan.infeasible != nil {
-		m.plan.infeasible.Set(float64(infeasible))
-	}
+	m.plan.infeasible.Set(float64(infeasible))
 	return nil
 }
 
@@ -237,13 +233,9 @@ func (m *MultiRuntime) replanStreams() {
 		}
 		rt.pfOffset = choice.Index * m.bundle.NumModels()
 		m.plan.choices[i] = choice.Index
-		if m.plan.replans != nil {
-			m.plan.replans.Inc()
-		}
+		m.plan.replans.Inc()
 	}
-	if m.plan.infeasible != nil {
-		m.plan.infeasible.Set(float64(infeasible))
-	}
+	m.plan.infeasible.Set(float64(infeasible))
 }
 
 // StreamVariant returns the name of the planner variant stream i runs

@@ -111,11 +111,11 @@ func newPressureState(streams int, deadline time.Duration, cfg *PressureConfig, 
 	}
 	ps := &pressureState{
 		mon:      pressure.NewMonitor(pc.Monitor),
-		wd:       pressure.NewWatchdog(streams, pc.Watchdog),
 		deadline: deadline,
 		active:   make([]bool, streams),
 		progress: make([]bool, streams),
 	}
+	ps.wd = pressure.NewWatchdog(streams, pc.Watchdog, ps.mon.Counters().Quarantines)
 	if deadline > 0 {
 		cc := pc.Controller
 		cc.Target = deadline
@@ -181,7 +181,7 @@ func (r *Runtime) shedFrame() {
 	if r.pf != nil {
 		r.pf.Tick()
 	}
-	r.stats.ShedFrames++
+	r.counts.shed.Inc()
 }
 
 // resolveDowngrade is the rung-2 replacement for stageResolve: serve
@@ -222,9 +222,8 @@ func (r *Runtime) resolveDowngrade(f *synth.Frame, seq int64, res *FrameResult) 
 	}
 	res.Used = best
 	res.Verdict = VerdictDowngraded
-	r.stats.DowngradedServed++
-	r.stats.FallbackServed++
-	r.met.fallback.Inc()
+	r.counts.downgraded.Inc()
+	r.counts.fallback.Inc()
 	r.recordStage(seq, telemetry.StageCache, best, 0, true, false, nil)
 	return true
 }
@@ -232,8 +231,7 @@ func (r *Runtime) resolveDowngrade(f *synth.Frame, seq int64, res *FrameResult) 
 // disposeQuarantined is the terminal result for a frame of a
 // quarantined stream, disposed without processing.
 func (m *MultiRuntime) disposeQuarantined(i int) FrameResult {
-	m.streams[i].stats.QuarantinedFrames++
-	m.press.mon.NoteQuarantinedFrame()
+	m.streams[i].counts.quarantined.Inc()
 	return disposedResult(VerdictQuarantined)
 }
 
@@ -243,24 +241,9 @@ func (m *MultiRuntime) disposeQuarantined(i int) FrameResult {
 // being served; the watchdog releases it for a probe later.
 func (m *MultiRuntime) failFrame(i int) FrameResult {
 	if m.press.wd.Quarantine(i) {
-		m.press.mon.NoteQuarantine()
 		m.flt.Record(flight.Event{Stream: i, Kind: flight.KindQuarantine, Detail: "error"})
 	}
 	return m.disposeQuarantined(i)
-}
-
-// noteShed counts one frame processed under a shed rung above ShedNone
-// by the rung it actually got: dropped, downgraded, or served in full
-// with prefetch planning suppressed. Quarantined frames are not shed.
-func (ps *pressureState) noteShed(v FrameVerdict) {
-	switch v {
-	case VerdictShed:
-		ps.mon.NoteShed(pressure.ShedDrop)
-	case VerdictDowngraded:
-		ps.mon.NoteShed(pressure.ShedDowngrade)
-	case VerdictServed:
-		ps.mon.NoteShed(pressure.ShedPrefetch)
-	}
 }
 
 // observePressureTick folds one completed tick into the controller,
@@ -295,7 +278,6 @@ func (m *MultiRuntime) observePressureTick(tick int, ready []int, results [][]Fr
 	}
 	ps.ctl.ObserveTick(worst, served)
 	for _, qi := range ps.wd.ObserveTick(ps.active, ps.progress) {
-		ps.mon.NoteQuarantine()
 		m.flt.Record(flight.Event{Stream: qi, Kind: flight.KindQuarantine, Detail: "stall"})
 	}
 	var heat float64
@@ -320,9 +302,11 @@ type PressureStats struct {
 	// Level and Rung are the monitor and shed ladder's final state.
 	Level string `json:"level"`
 	Rung  string `json:"rung"`
-	// ShedFrames / DowngradedServed / QuarantinedFrames aggregate the
-	// per-stream verdict counters; Quarantines counts quarantine
-	// entries (a stream can be quarantined more than once).
+	// ShedFrames / DowngradedServed / QuarantinedFrames sum the
+	// per-stream verdict counters; Quarantines counts the watchdog's
+	// quarantine entries (a stream can be quarantined more than once).
+	// Each is read from the counters whose totals the registry exports
+	// as anole_pressure_*_total.
 	ShedFrames        int `json:"shedFrames"`
 	DowngradedServed  int `json:"downgradedServed"`
 	QuarantinedFrames int `json:"quarantinedFrames"`
@@ -341,9 +325,9 @@ func (m *MultiRuntime) PressureStats() *PressureStats {
 		Quarantines: m.press.wd.Quarantines(),
 	}
 	for _, rt := range m.streams {
-		out.ShedFrames += rt.stats.ShedFrames
-		out.DowngradedServed += rt.stats.DowngradedServed
-		out.QuarantinedFrames += rt.stats.QuarantinedFrames
+		out.ShedFrames += int(rt.counts.shed.Value())
+		out.DowngradedServed += int(rt.counts.downgraded.Value())
+		out.QuarantinedFrames += int(rt.counts.quarantined.Value())
 	}
 	return out
 }

@@ -54,19 +54,17 @@ type RuntimeConfig struct {
 	// store must be the same cache this runtime resolves requests
 	// against.
 	Prefetcher *prefetch.Scheduler
-	// Metrics, when non-nil, registers the runtime's frame counters and
-	// latency/stall histograms (anole_core_*) on the given telemetry
-	// registry. Streams sharing one registry share the handles, so the
-	// exported values aggregate across streams while each stream's
-	// RunStats stays per-stream. Nil disables metrics at the cost of
-	// one nil check per instrumentation site.
-	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span per pipeline stage per
 	// frame — decide (scene-encode + decision head), cache, fetch,
 	// detect — into the tracer's bounded ring. StreamID tags the spans
 	// (MultiRuntime sets it per stream).
 	Tracer   *telemetry.Tracer
 	StreamID int
+	// metrics, when non-nil, is the telemetry registry MultiRuntime
+	// shares across its streams: each stream's counted events feed its
+	// anole_core_*_total counters (see streamCounts), and its latency and
+	// stall histograms are registered there.
+	metrics *telemetry.Registry
 	// sizer, when non-nil, is the shared byte-size registry the store's
 	// byte accounting reads (MultiRuntime passes one registry covering
 	// the fleet bundle and every planner variant, so streams on
@@ -131,7 +129,11 @@ type FrameResult struct {
 	Verdict FrameVerdict
 }
 
-// RunStats summarizes a runtime's history.
+// RunStats summarizes a runtime's history. Its event counts (Frames,
+// Switches, ColdMisses, DegradedFrames, FallbackServed and the overload
+// verdicts) are read from the counters the runtime writes once per event,
+// the same counters whose totals the telemetry registry exports, so a
+// report and a /metrics scrape of one run agree by construction.
 type RunStats struct {
 	Frames   int
 	Switches int
@@ -224,7 +226,11 @@ type Runtime struct {
 	committed int
 	candidate int
 	streak    int
-	stats     RunStats
+	// counts holds the stream's counted events; stats holds the rest of
+	// its history (scene durations, per-model counts, detection, latency
+	// sums), and Stats merges the two.
+	counts streamCounts
+	stats  RunStats
 
 	// Reused per-frame working buffers: the frame feature, the
 	// embedding, the score vector, the model ranking, which models were
@@ -239,7 +245,7 @@ type Runtime struct {
 	predsBuf    []detect.CellPred
 
 	// met/tracer/streamID are the telemetry attachment (see
-	// RuntimeConfig.Metrics and Tracer); all handles are nil-safe.
+	// RuntimeConfig.Tracer); all handles are nil-safe.
 	met      frameMetrics
 	tracer   *telemetry.Tracer
 	streamID int
@@ -264,7 +270,7 @@ func NewRuntime(b *Bundle, cfg RuntimeConfig) (*Runtime, error) {
 			cfg.Policy = modelcache.LFU
 		}
 		var err error
-		if store, err = modelcache.NewShardedMetrics(cfg.CacheSlots, cfg.Policy, 1, cfg.Metrics); err != nil {
+		if store, err = modelcache.NewSharded(cfg.CacheSlots, cfg.Policy, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -296,7 +302,8 @@ func NewRuntime(b *Bundle, cfg RuntimeConfig) (*Runtime, error) {
 		prevDesired: -1,
 		committed:   -1,
 		candidate:   -1,
-		met:         newFrameMetrics(cfg.Metrics),
+		met:         newFrameMetrics(cfg.metrics),
+		counts:      newStreamCounts(cfg.metrics),
 		tracer:      cfg.Tracer,
 		streamID:    cfg.StreamID,
 		stats: RunStats{
@@ -575,8 +582,7 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 				res.Degraded = true
 				r.recordStage(seq, telemetry.StageFetch, res.Desired, 0, false, true, errDegradedBackoff)
 			} else {
-				r.stats.ColdMisses++
-				r.met.coldMisses.Inc()
+				r.counts.coldMisses.Inc()
 				stall, ferr := r.pf.DemandFetch(context.Background(), r.pfOffset+res.Desired)
 				r.recordStage(seq, telemetry.StageFetch, res.Desired, stall, false, ferr != nil, ferr)
 				if ferr != nil {
@@ -603,8 +609,7 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 		}
 	}
 	if res.Degraded {
-		r.stats.DegradedFrames++
-		r.met.degraded.Inc()
+		r.counts.degraded.Inc()
 	}
 	var (
 		hit     bool
@@ -662,8 +667,7 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 		res.Used = res.Desired
 	}
 	if res.Used != res.Desired {
-		r.stats.FallbackServed++
-		r.met.fallback.Inc()
+		r.counts.fallback.Inc()
 	}
 	return nil
 }
@@ -700,22 +704,20 @@ func (r *Runtime) stageFinish(res *FrameResult, plan bool) {
 		if res.Switched {
 			r.pf.Observe(r.pfOffset+r.prevDesired, r.pfOffset+res.Desired)
 		}
-		if (res.Switched || r.stats.Frames == 0) && plan {
+		if (res.Switched || r.counts.frames.Value() == 0) && plan {
 			// Warm the cache toward the likeliest next switch targets.
 			r.pf.Plan(r.pfOffset + res.Desired)
 		}
 	}
 	if res.Switched {
-		r.stats.Switches++
-		r.met.switches.Inc()
+		r.counts.switches.Inc()
 		r.stats.SceneDurations = append(r.stats.SceneDurations, r.runLen)
 		r.runLen = 1
 	} else {
 		r.runLen++
 	}
 	r.prevDesired = res.Desired
-	r.stats.Frames++
-	r.met.frames.Inc()
+	r.counts.frames.Inc()
 	r.met.latency.Observe(res.Latency.Seconds())
 	r.stats.DesiredCounts[res.Desired]++
 	r.stats.UsedCounts[res.Used]++
@@ -766,36 +768,14 @@ func (r *Runtime) Stats() RunStats {
 	out.Cache = r.cache.Stats()
 	out.MissRate = r.cache.MissRate()
 	out.Detection = stats.ComputePRF1(r.stats.Detection.TP, r.stats.Detection.FP, r.stats.Detection.FN)
+	c := &r.counts
+	out.Frames, out.Switches = int(c.frames.Value()), int(c.switches.Value())
+	out.ColdMisses, out.DegradedFrames = int(c.coldMisses.Value()), int(c.degraded.Value())
+	out.FallbackServed = int(c.fallback.Value())
+	out.ShedFrames, out.DowngradedServed = int(c.shed.Value()), int(c.downgraded.Value())
+	out.QuarantinedFrames = int(c.quarantined.Value())
 	return out
 }
-
-// Name implements the Selector surface shared with the baselines
-// package, so the harness can evaluate Anole uniformly.
-func (r *Runtime) Name() string { return "Anole" }
-
-// Select implements the Selector surface: it advances the cache exactly
-// as ProcessFrame does and returns the model that would serve the frame.
-func (r *Runtime) Select(f *synth.Frame) *detect.Detector {
-	scores := r.bundle.Decision.Scores(f)
-	rank := stats.RankDescending(scores)
-	desiredName := r.bundle.Detectors[rank[0]].Name
-	if _, _, err := r.cache.Request(desiredName, 1); err != nil {
-		return r.bundle.Detectors[rank[0]]
-	}
-	for _, idx := range rank {
-		if r.cache.Contains(r.bundle.Detectors[idx].Name) {
-			return r.bundle.Detectors[idx]
-		}
-	}
-	return r.bundle.Detectors[rank[0]]
-}
-
-// Detectors implements the Selector surface.
-func (r *Runtime) Detectors() []*detect.Detector { return r.bundle.Detectors }
-
-// OverheadFLOPs implements the Selector surface: the per-frame decision
-// cost.
-func (r *Runtime) OverheadFLOPs() int64 { return r.bundle.Decision.FLOPs() }
 
 // noteDemandFailure advances the degraded-mode backoff: the wait before
 // the next link probe doubles with every consecutive failure, capped at

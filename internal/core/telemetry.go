@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"anole/internal/pressure"
 	"anole/internal/telemetry"
 )
 
@@ -12,37 +13,59 @@ import (
 // window.
 var errDegradedBackoff = errors.New("degraded backoff: link probe skipped")
 
-// frameMetrics are the runtime's telemetry handles, registered under
-// anole_core_* names. All handles are nil-safe no-ops when telemetry is
-// disabled (RuntimeConfig.Metrics nil), so the instrumented hot path
-// pays one nil check per site. N streams sharing one registry share
-// these handles — the exported values are the aggregate across streams,
-// while each stream's RunStats remains its own per-stream view.
+// frameMetrics are the runtime's distribution handles, registered under
+// anole_core_* names: the simulated frame-latency and link-stall
+// histograms, which carry what RunStats' sums do not. Both are nil (no-op)
+// without a registry. Counted events are not here: they live in
+// streamCounts.
 type frameMetrics struct {
-	frames     *telemetry.Counter
-	switches   *telemetry.Counter
-	coldMisses *telemetry.Counter
-	degraded   *telemetry.Counter
-	fallback   *telemetry.Counter
-	latency    *telemetry.Histogram
-	stall      *telemetry.Histogram
+	latency *telemetry.Histogram
+	stall   *telemetry.Histogram
 }
 
-// newFrameMetrics binds the handle set on reg; a nil reg yields all-nil
+// newFrameMetrics binds the handle set on reg; a nil reg yields nil
 // (no-op) handles.
 func newFrameMetrics(reg *telemetry.Registry) frameMetrics {
-	if reg == nil {
-		return frameMetrics{}
-	}
 	return frameMetrics{
-		frames:     reg.Counter("anole_core_frames_total", "frames processed across streams"),
-		switches:   reg.Counter("anole_core_switches_total", "desired-model switches (scene changes)"),
-		coldMisses: reg.Counter("anole_core_cold_misses_total", "frames whose desired model had to cross the link"),
-		degraded:   reg.Counter("anole_core_degraded_frames_total", "frames served stale in degraded mode"),
-		fallback:   reg.Counter("anole_core_fallback_served_total", "frames served by a model other than the decided one"),
-		latency:    reg.Histogram("anole_core_frame_latency_seconds", "simulated end-to-end per-frame latency", nil),
-		stall:      reg.Histogram("anole_core_fetch_stall_seconds", "per-frame stall waiting on the device-cloud link", nil),
+		latency: reg.Histogram("anole_core_frame_latency_seconds", "simulated end-to-end per-frame latency", nil),
+		stall:   reg.Histogram("anole_core_fetch_stall_seconds", "per-frame stall waiting on the device-cloud link", nil),
 	}
+}
+
+// streamCounts is a stream's ledger of counted events, the one record
+// RunStats and the registry both read. Each counter is a Child of the
+// fleet total: an anole_core_*_total counter on the registry (standalone
+// without one), or, once bindPressure runs, the pressure monitor's
+// verdict counter. One Inc per event therefore updates the stream's
+// StreamStats and every exported total, and N streams sharing a registry
+// export the sum of their counts.
+type streamCounts struct {
+	frames, switches, coldMisses, degraded, fallback *telemetry.Counter
+	// Verdict counts of the overload machinery (see RunStats).
+	shed, downgraded, quarantined *telemetry.Counter
+}
+
+func newStreamCounts(reg *telemetry.Registry) streamCounts {
+	return streamCounts{
+		frames:      reg.Counter("anole_core_frames_total", "frames processed across streams").Child(),
+		switches:    reg.Counter("anole_core_switches_total", "desired-model switches (scene changes)").Child(),
+		coldMisses:  reg.Counter("anole_core_cold_misses_total", "frames whose desired model had to cross the link").Child(),
+		degraded:    reg.Counter("anole_core_degraded_frames_total", "frames served stale in degraded mode").Child(),
+		fallback:    reg.Counter("anole_core_fallback_served_total", "frames served by a model other than the decided one").Child(),
+		shed:        new(telemetry.Counter),
+		downgraded:  new(telemetry.Counter),
+		quarantined: new(telemetry.Counter),
+	}
+}
+
+// bindPressure makes the verdict counts children of the monitor's
+// anole_pressure_* counters, which the monitor keeps owning. Call before
+// the stream serves.
+func (c *streamCounts) bindPressure(mon *pressure.Monitor) {
+	pc := mon.Counters()
+	c.shed = pc.ShedDropped.Child()
+	c.downgraded = pc.ShedDowngrade.Child()
+	c.quarantined = pc.QuarantinedFrames.Child()
 }
 
 // recordStage appends one pipeline-stage span for the current frame; a

@@ -33,9 +33,6 @@ type batchMetrics struct {
 }
 
 func newBatchMetrics(reg *telemetry.Registry) batchMetrics {
-	if reg == nil {
-		return batchMetrics{}
-	}
 	return batchMetrics{
 		dispatches:    reg.Counter("anole_core_batch_dispatches_total", "batched decide dispatches"),
 		batchedFrames: reg.Counter("anole_core_batched_frames_total", "frames processed through the batched path"),
@@ -399,8 +396,11 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 			rt.finishDetect(streams[i][tick], bs.seqs[j], bs.durs[j], res)
 			rt.stageFinish(res, bs.rung[j] < pressure.ShedPrefetch)
 		}
-		if bs.rung[j] > pressure.ShedNone {
-			m.press.noteShed(res.Verdict)
+		// A frame served in full above ShedNone had its prefetch planning
+		// suppressed; dropped and downgraded frames were counted by their
+		// stream as the ladder disposed of them.
+		if bs.rung[j] > pressure.ShedNone && res.Verdict == VerdictServed {
+			m.press.mon.Counters().ShedPrefetch.Inc()
 		}
 	}
 	return nil

@@ -120,7 +120,9 @@ type Config struct {
 	// dump — the hook anole-run uses to write the JSON artifact the
 	// moment the anomaly happens rather than at exit.
 	OnDump func(*Dump)
-	// Metrics optionally publishes anole_flight_* series.
+	// Metrics, when non-nil, is the registry the anole_flight_* series
+	// are registered on. Nil keeps them in a private registry; Dropped
+	// reads the same counter either way.
 	Metrics *telemetry.Registry
 }
 
@@ -179,10 +181,9 @@ type Recorder struct {
 	streams map[int]*ring
 	seq     int64
 	frozen  bool
-	dropped int64
 	dump    *Dump
 
-	// Telemetry handles (nil-safe).
+	// Telemetry handles, on cfg.Metrics or a private registry.
 	cEvents  *telemetry.Counter
 	cDropped *telemetry.Counter
 	cTrips   *telemetry.Counter
@@ -193,12 +194,14 @@ type Recorder struct {
 // defaults).
 func NewRecorder(cfg Config) *Recorder {
 	r := &Recorder{cfg: cfg.withDefaults(), streams: make(map[int]*ring)}
-	if reg := r.cfg.Metrics; reg != nil {
-		r.cEvents = reg.Counter("anole_flight_events_total", "flight-recorder events recorded")
-		r.cDropped = reg.Counter("anole_flight_dropped_total", "events dropped while the recorder was frozen")
-		r.cTrips = reg.Counter("anole_flight_trips_total", "anomaly trips that froze the recorder and captured a dump")
-		r.gFrozen = reg.Gauge("anole_flight_frozen", "1 while the recorder is frozen on an anomaly, else 0")
+	reg := r.cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	r.cEvents = reg.Counter("anole_flight_events_total", "flight-recorder events recorded")
+	r.cDropped = reg.Counter("anole_flight_dropped_total", "events dropped while the recorder was frozen")
+	r.cTrips = reg.Counter("anole_flight_trips_total", "anomaly trips that froze the recorder and captured a dump")
+	r.gFrozen = reg.Gauge("anole_flight_frozen", "1 while the recorder is frozen on an anomaly, else 0")
 	return r
 }
 
@@ -213,7 +216,6 @@ func (r *Recorder) Record(ev Event) {
 	}
 	r.mu.Lock()
 	if r.frozen {
-		r.dropped++
 		r.mu.Unlock()
 		r.cDropped.Inc()
 		return
@@ -307,9 +309,7 @@ func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
+	return r.cDropped.Value()
 }
 
 // Snapshot returns the retained global events oldest-first (nil for a

@@ -64,8 +64,16 @@ func (l *BCEWithLogits) Eval(output, target, grad tensor.Vector) float64 {
 		t := target[i]
 		// Numerically stable BCE-with-logits:
 		// max(o,0) - o*t + log(1+exp(-|o|)).
-		loss += math.Max(o, 0) - o*t + math.Log1p(math.Exp(-math.Abs(o)))
-		s := 1 / (1 + math.Exp(-o))
+		e := math.Exp(-math.Abs(o))
+		loss += math.Max(o, 0) - o*t + math.Log1p(e)
+		// sigmoid(o) = 1/(1+exp(-o)). For o >= 0 (−0 included) exp(-o) is
+		// exactly e, so the second Exp is only paid for negative o and NaN.
+		var s float64
+		if o >= 0 {
+			s = 1 / (1 + e)
+		} else {
+			s = 1 / (1 + math.Exp(-o))
+		}
 		grad[i] = (s - t) / n
 	}
 	return loss / n

@@ -84,7 +84,9 @@ type MonitorConfig struct {
 	// immediate; relaxation is damped so the level does not flap at a
 	// threshold boundary. Default: 8.
 	HoldTicks int
-	// Metrics optionally publishes anole_pressure_* series.
+	// Metrics, when non-nil, is the registry the anole_pressure_* series
+	// are registered on. Nil keeps them in a private registry; the
+	// counters exist either way.
 	Metrics *telemetry.Registry
 }
 
@@ -128,44 +130,53 @@ type Monitor struct {
 
 	levelAtomic atomic.Int64 // lock-free Level() reads
 
-	// Telemetry handles (nil-safe).
-	gLevel         *telemetry.Gauge
-	cTransitions   *telemetry.Counter
-	cShedPrefetch  *telemetry.Counter
-	cShedDowngrade *telemetry.Counter
-	cShedDropped   *telemetry.Counter
-	cQuarantines   *telemetry.Counter
-	cQuarFrames    *telemetry.Counter
-	cSweeps        *telemetry.Counter
-	cSweepEvicted  *telemetry.Counter
-	cDeferred      *telemetry.Counter
+	// Telemetry handles, on cfg.Metrics or a private registry.
+	gLevel       *telemetry.Gauge
+	cTransitions *telemetry.Counter
+	c            Counters
+}
+
+// Counters are the monitor's anole_pressure_* event counters. Each event
+// has one writer: NoteSweep counts what only the monitor sees, and a
+// component that keeps its own count of an event (a stream's shed,
+// downgraded and quarantined frames, the watchdog's quarantines, the
+// adaptation loop's deferred reports) counts it on a Child of the
+// matching counter, so its one Inc lands in both.
+type Counters struct {
+	ShedPrefetch, ShedDowngrade, ShedDropped *telemetry.Counter
+	Quarantines, QuarantinedFrames           *telemetry.Counter
+	Sweeps, SweepEvicted, DeferredReports    *telemetry.Counter
 }
 
 // NewMonitor builds a Monitor from cfg (zero-value fields get
 // defaults).
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	m := &Monitor{cfg: cfg.withDefaults()}
-	if reg := m.cfg.Metrics; reg != nil {
-		m.gLevel = reg.Gauge("anole_pressure_level",
-			"Current pressure level: 0 nominal, 1 elevated, 2 critical.")
-		m.cTransitions = reg.Counter("anole_pressure_transitions_total",
-			"Pressure level transitions (either direction).")
-		m.cShedPrefetch = reg.Counter("anole_pressure_shed_prefetch_total",
-			"Frames served with prefetch planning suppressed (ladder rung 1).")
-		m.cShedDowngrade = reg.Counter("anole_pressure_shed_downgrade_total",
-			"Frames downgraded to the cheapest resident model (ladder rung 2).")
-		m.cShedDropped = reg.Counter("anole_pressure_shed_dropped_total",
-			"Frames dropped with a shed verdict (ladder rung 3).")
-		m.cQuarantines = reg.Counter("anole_pressure_quarantines_total",
-			"Streams quarantined by the watchdog.")
-		m.cQuarFrames = reg.Counter("anole_pressure_quarantined_frames_total",
-			"Frames disposed with a quarantined verdict.")
-		m.cSweeps = reg.Counter("anole_pressure_watermark_sweeps_total",
-			"Critical-pressure cache watermark sweeps.")
-		m.cSweepEvicted = reg.Counter("anole_pressure_watermark_evicted_total",
-			"Cache entries evicted by watermark sweeps.")
-		m.cDeferred = reg.Counter("anole_pressure_deferred_reports_total",
-			"Drift report shipments deferred under critical pressure.")
+	reg := m.cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	m.gLevel = reg.Gauge("anole_pressure_level",
+		"Current pressure level: 0 nominal, 1 elevated, 2 critical.")
+	m.cTransitions = reg.Counter("anole_pressure_transitions_total",
+		"Pressure level transitions (either direction).")
+	m.c = Counters{
+		ShedPrefetch: reg.Counter("anole_pressure_shed_prefetch_total",
+			"Frames served with prefetch planning suppressed (ladder rung 1)."),
+		ShedDowngrade: reg.Counter("anole_pressure_shed_downgrade_total",
+			"Frames downgraded to the cheapest resident model (ladder rung 2)."),
+		ShedDropped: reg.Counter("anole_pressure_shed_dropped_total",
+			"Frames dropped with a shed verdict (ladder rung 3)."),
+		Quarantines: reg.Counter("anole_pressure_quarantines_total",
+			"Streams quarantined by the watchdog."),
+		QuarantinedFrames: reg.Counter("anole_pressure_quarantined_frames_total",
+			"Frames disposed with a quarantined verdict."),
+		Sweeps: reg.Counter("anole_pressure_watermark_sweeps_total",
+			"Critical-pressure cache watermark sweeps."),
+		SweepEvicted: reg.Counter("anole_pressure_watermark_evicted_total",
+			"Cache entries evicted by watermark sweeps."),
+		DeferredReports: reg.Counter("anole_pressure_deferred_reports_total",
+			"Drift report shipments deferred under critical pressure."),
 	}
 	return m
 }
@@ -237,9 +248,7 @@ func (m *Monitor) Update(s Sample) Level {
 	m.mu.Unlock()
 
 	if next != prev {
-		if m.gLevel != nil {
-			m.gLevel.Set(float64(next))
-		}
+		m.gLevel.Set(float64(next))
 		m.cTransitions.Inc()
 		for _, fn := range subs {
 			fn(next)
@@ -248,57 +257,19 @@ func (m *Monitor) Update(s Sample) Level {
 	return next
 }
 
-// The Note* methods below are the single funnel for anole_pressure_*
-// event counters; callers hold no Monitor lock and all handles are
-// nil-safe, so they may be invoked from any goroutine including when
-// the Monitor was built without a registry.
-
-// NoteShed counts one frame affected by the given ladder rung.
-func (m *Monitor) NoteShed(r Rung) {
+// Counters returns the monitor's event counters (all nil, so no-ops,
+// for a nil Monitor). Safe from any goroutine: the counters are atomic
+// and the Monitor lock is not taken.
+func (m *Monitor) Counters() Counters {
 	if m == nil {
-		return
+		return Counters{}
 	}
-	switch r {
-	case ShedPrefetch:
-		m.cShedPrefetch.Inc()
-	case ShedDowngrade:
-		m.cShedDowngrade.Inc()
-	case ShedDrop:
-		m.cShedDropped.Inc()
-	}
+	return m.c
 }
 
-// NoteQuarantine counts one stream entering quarantine.
-func (m *Monitor) NoteQuarantine() {
-	if m == nil {
-		return
-	}
-	m.cQuarantines.Inc()
-}
-
-// NoteQuarantinedFrame counts one frame disposed while its stream was
-// quarantined.
-func (m *Monitor) NoteQuarantinedFrame() {
-	if m == nil {
-		return
-	}
-	m.cQuarFrames.Inc()
-}
-
-// NoteSweep counts one watermark sweep that evicted n entries.
+// NoteSweep counts one watermark sweep that evicted n entries. Nil-safe.
 func (m *Monitor) NoteSweep(n int) {
-	if m == nil {
-		return
-	}
-	m.cSweeps.Inc()
-	m.cSweepEvicted.Add(int64(n))
-}
-
-// NoteDeferredReports counts one drift shipment deferred under
-// critical pressure.
-func (m *Monitor) NoteDeferredReports() {
-	if m == nil {
-		return
-	}
-	m.cDeferred.Inc()
+	c := m.Counters()
+	c.Sweeps.Inc()
+	c.SweepEvicted.Add(int64(n))
 }

@@ -70,12 +70,10 @@ func TestNilMonitorIsNominal(t *testing.T) {
 	if m.Level() != Nominal {
 		t.Fatal("nil monitor not Nominal")
 	}
-	// All note funnels must be nil-safe.
-	m.NoteShed(ShedDrop)
-	m.NoteQuarantine()
-	m.NoteQuarantinedFrame()
+	// The note funnel and the counters must be nil-safe.
 	m.NoteSweep(3)
-	m.NoteDeferredReports()
+	m.Counters().ShedDropped.Inc()
+	m.Counters().QuarantinedFrames.Child().Inc()
 }
 
 func TestControllerEscalatesAndRelaxesOneRungAtATime(t *testing.T) {
@@ -150,7 +148,7 @@ func TestNilControllerStaysAtShedNone(t *testing.T) {
 }
 
 func TestWatchdogQuarantinesStalledStreams(t *testing.T) {
-	w := NewWatchdog(3, WatchdogConfig{StallTicks: 2, QuarantineTicks: 3})
+	w := NewWatchdog(3, WatchdogConfig{StallTicks: 2, QuarantineTicks: 3}, nil)
 	active := []bool{true, true, true}
 	progress := []bool{true, false, true}
 	if newly := w.ObserveTick(active, progress); len(newly) != 0 {
@@ -180,7 +178,7 @@ func TestWatchdogQuarantinesStalledStreams(t *testing.T) {
 }
 
 func TestWatchdogForcedQuarantine(t *testing.T) {
-	w := NewWatchdog(2, WatchdogConfig{})
+	w := NewWatchdog(2, WatchdogConfig{}, nil)
 	if !w.Quarantine(0) {
 		t.Fatal("forced quarantine of a live stream reported false")
 	}

@@ -1,6 +1,10 @@
 package pressure
 
-import "sync"
+import (
+	"sync"
+
+	"anole/internal/telemetry"
+)
 
 // WatchdogConfig tunes the per-stream stall watchdog. Zero values
 // select the documented defaults.
@@ -45,18 +49,22 @@ type Watchdog struct {
 	stalled []int // consecutive no-progress ticks per stream
 	quar    []int // remaining quarantine ticks per stream (0 = live)
 
-	quarantines int // total quarantine entries (for stats)
+	quarantines *telemetry.Counter // quarantine entries
 }
 
-// NewWatchdog builds a Watchdog for n streams.
-func NewWatchdog(n int, cfg WatchdogConfig) *Watchdog {
+// NewWatchdog builds a Watchdog for n streams. It counts quarantine
+// entries on a Child of total (the Monitor's Counters().Quarantines), so
+// each entry is one write to both; a nil total leaves the count
+// standalone.
+func NewWatchdog(n int, cfg WatchdogConfig, total *telemetry.Counter) *Watchdog {
 	if n <= 0 {
 		return nil
 	}
 	return &Watchdog{
-		cfg:     cfg.withDefaults(),
-		stalled: make([]int, n),
-		quar:    make([]int, n),
+		cfg:         cfg.withDefaults(),
+		stalled:     make([]int, n),
+		quar:        make([]int, n),
+		quarantines: total.Child(),
 	}
 }
 
@@ -85,7 +93,7 @@ func (w *Watchdog) Quarantine(i int) bool {
 	}
 	w.quar[i] = w.cfg.QuarantineTicks
 	w.stalled[i] = 0
-	w.quarantines++
+	w.quarantines.Inc()
 	return true
 }
 
@@ -119,7 +127,7 @@ func (w *Watchdog) ObserveTick(active, progress []bool) []int {
 		if w.stalled[i] >= w.cfg.StallTicks {
 			w.quar[i] = w.cfg.QuarantineTicks
 			w.stalled[i] = 0
-			w.quarantines++
+			w.quarantines.Inc()
 			newly = append(newly, i)
 		}
 	}
@@ -132,7 +140,5 @@ func (w *Watchdog) Quarantines() int {
 	if w == nil {
 		return 0
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.quarantines
+	return int(w.quarantines.Value())
 }

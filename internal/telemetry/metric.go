@@ -12,19 +12,31 @@ import (
 // is ready to use; a nil *Counter ignores writes and reads as 0, so
 // components can hold handles unconditionally and pay one nil check
 // when telemetry is disabled.
+//
+// A counter made by Child also adds every increment to its parent, so
+// one write feeds both a component's own count (a stream's RunStats) and
+// the total its registry exports. The parent holds no reference to its
+// children.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter
 }
+
+// Child returns a new counter whose every Add also adds to c. On a nil
+// c it returns a standalone counter.
+func (c *Counter) Child() *Counter { return &Counter{parent: c} }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n (negative deltas are ignored — counters only go up).
+// Add adds n to the counter and its parent chain (negative deltas are
+// ignored — counters only go up).
 func (c *Counter) Add(n int64) {
 	if c == nil || n <= 0 {
 		return
 	}
 	c.v.Add(n)
+	c.parent.Add(n)
 }
 
 // Value returns the current count (0 for a nil counter).

@@ -254,3 +254,48 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 		t.Fatalf("gauge = %v, want %d", got, workers*each)
 	}
 }
+
+// TestChildCounters pins the parent chain: a child of a nil parent
+// counts on its own, a parent reads the sum of its children (written
+// concurrently, through a grandchild too) and is what the registry
+// exports, and a non-positive Add changes neither child nor parent.
+func TestChildCounters(t *testing.T) {
+	var none *Counter
+	solo := none.Child()
+	solo.Add(3)
+	solo.Inc()
+	if solo.Value() != 4 {
+		t.Fatalf("standalone child = %d, want 4", solo.Value())
+	}
+
+	r := NewRegistry()
+	parent := r.Counter("anole_test_ops_total", "")
+	a, b := parent.Child(), parent.Child()
+	grand := a.Child()
+	var wg sync.WaitGroup
+	const each = 1000
+	for _, c := range []*Counter{a, b, grand} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	b.Add(5)
+	for _, c := range []*Counter{a, b, grand} {
+		c.Add(0)
+		c.Add(-7)
+	}
+	if grand.Value() != each || a.Value() != 2*each || b.Value() != each+5 {
+		t.Fatalf("children grand=%d a=%d b=%d, want %d, %d, %d", grand.Value(), a.Value(), b.Value(), each, 2*each, each+5)
+	}
+	if want := a.Value() + b.Value(); parent.Value() != want {
+		t.Fatalf("parent = %d, want the sum of its children %d", parent.Value(), want)
+	}
+	if got := Map(r)["anole_test_ops_total"]; got != float64(parent.Value()) {
+		t.Fatalf("registry exports %v, parent holds %d", got, parent.Value())
+	}
+}
