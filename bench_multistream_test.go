@@ -99,8 +99,8 @@ func BenchmarkMultiStream_CacheSweep(b *testing.B) {
 // wide-open pre-warmed cache so the curve isolates execution cost from
 // cache contention. Reported metrics: wall-clock per-frame latency and
 // aggregate throughput on the host. Batching amortizes kernel dispatch
-// over the whole tick (one GEMM per layer instead of one GEMV per
-// stream), so ns/frame should grow sublinearly from 64 to 1024 streams.
+// over the whole tick (one GEMM per layer instead of one single-row
+// call per stream), so ns/frame should grow sublinearly from 64 to 1024 streams.
 func BenchmarkMultiStream_BatchCurve(b *testing.B) {
 	const perStream = 8
 	for _, streams := range []int{64, 256, 1024} {

@@ -485,7 +485,7 @@ func (r *Runtime) beginFrame() int64 {
 }
 
 // computeDecision fills the embedding and score buffers for one frame —
-// the per-frame (GEMV) form. The tick pipeline replaces this with
+// the per-frame (one-row) form. The tick pipeline replaces this with
 // adoptDecision over rows of the tick's batch matrices; both produce
 // bit-identical buffers.
 func (r *Runtime) computeDecision(f *synth.Frame) {

@@ -31,11 +31,13 @@ func randomModel(t *testing.T, seed uint64) *Model {
 }
 
 // TestScoresBatchMatchesSequential pins the batched Model Selection
-// Strategy bitwise against the per-frame path: batched head inference
-// preserves each dot product's summation order and the in-place softmax
-// is the same code, so every probability must be identical.
+// Strategy bitwise against a per-sample reference: the thawed head's
+// Forward (MulVec per layer) followed by the same softmax. Batched head
+// inference preserves each dot product's summation order, so every
+// probability must be identical.
 func TestScoresBatchMatchesSequential(t *testing.T) {
 	m := randomModel(t, 51)
+	head := m.Head.Thaw()
 	rng := xrand.New(52)
 	for _, batch := range []int{0, 1, 2, 9, 40} {
 		embs := tensor.NewMatrix(batch, m.Encoder.EmbedDim())
@@ -47,7 +49,7 @@ func TestScoresBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("batch %d: output %dx%d, want %dx%d", batch, got.Rows, got.Cols, batch, m.N)
 		}
 		for r := 0; r < batch; r++ {
-			want := m.ScoresInto(nil, embs.Row(r))
+			want := tensor.Softmax(nil, head.Forward(embs.Row(r)))
 			sum := 0.0
 			for j := range want {
 				if got.At(r, j) != want[j] {

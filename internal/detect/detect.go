@@ -163,14 +163,6 @@ func (d *Detector) detectBatch(dsts [][]CellPred, frames []*synth.Frame, feats [
 	}
 	bs := d.weights.AcquireBatchScratch()
 	defer d.weights.ReleaseBatchScratch(bs)
-	var ctx tensor.Vector
-	if feats == nil {
-		// The vector scratch's staging buffer holds the frame context:
-		// FrameFeatureDim and CellInputDim coincide, so it is wide enough.
-		vs := d.weights.AcquireScratch()
-		defer d.weights.ReleaseScratch(vs)
-		ctx = vs.In(synth.FrameFeatureDim(d.featDim))
-	}
 
 	inDim, outDim := d.weights.InDim(), d.weights.OutDim()
 	start := 0
@@ -187,6 +179,14 @@ func (d *Detector) detectBatch(dsts [][]CellPred, frames []*synth.Frame, feats [
 			end++
 		}
 		in := bs.In(rows, inDim)
+		var ctx tensor.Vector
+		if feats == nil {
+			// The output matrix is free until InferBatch writes it, so
+			// its first row holds each frame's context while the inputs
+			// are staged: FrameFeatureDim and CellInputDim coincide, so
+			// the row is wide enough.
+			ctx = bs.Out(1, synth.FrameFeatureDim(d.featDim)).Row(0)
+		}
 		r := 0
 		for j := start; j < end; j++ {
 			f := frames[j]

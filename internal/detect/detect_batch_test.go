@@ -114,8 +114,8 @@ func TestDetectBatchReusesDsts(t *testing.T) {
 
 // TestDetectFrameMatchesPerCellInfer pins DetectFrame, which batches a
 // frame's cells, bitwise against the head run one cell at a time
-// through Weights.Infer, for full-precision heads of both architectures
-// and a quantized one.
+// through the thawed network's Forward (MulVec per layer), for
+// full-precision heads of both architectures and a quantized one.
 func TestDetectFrameMatchesPerCellInfer(t *testing.T) {
 	w := newTestWorld(t, 63)
 	rng := xrand.New(64)
@@ -131,15 +131,16 @@ func TestDetectFrameMatchesPerCellInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []*Detector{deep, small, quant} {
+		net := d.Weights().Thaw()
 		for i, f := range frames {
 			got := d.DetectFrame(nil, f)
 			ctx := synth.FrameFeature(f)
 			for c := 0; c < f.NumCells(); c++ {
-				out := d.Weights().Infer(nil, synth.CellInput(nil, f, c, ctx), nil)
+				out := net.Forward(synth.CellInput(nil, f, c, ctx))
 				obj := 1 / (1 + math.Exp(-out[0]))
 				class := synth.Class(tensor.Vector(out[1:]).Argmax())
 				if math.Float64bits(got[c].Objectness) != math.Float64bits(obj) || got[c].Class != class {
-					t.Fatalf("%s frame %d cell %d: DetectFrame %+v, per-cell Infer {%v %v}", d.Name, i, c, got[c], obj, class)
+					t.Fatalf("%s frame %d cell %d: DetectFrame %+v, per-cell Forward {%v %v}", d.Name, i, c, got[c], obj, class)
 				}
 			}
 		}
@@ -147,8 +148,8 @@ func TestDetectFrameMatchesPerCellInfer(t *testing.T) {
 }
 
 // TestDetectFrameZeroAllocs pins DetectFrame with a held dst at zero
-// heap allocations: the batch and vector scratches come from pools and
-// the one-frame batch stays on the stack. CI's allocations job
+// heap allocations: the batch scratch, frame-context buffer included,
+// comes from the shared pool and the one-frame batch stays on the stack. CI's allocations job
 // re-measures it on every push.
 func TestDetectFrameZeroAllocs(t *testing.T) {
 	if raceDetectorEnabled {

@@ -1,79 +1,70 @@
 package detect
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"anole/internal/synth"
+	"anole/internal/tensor"
 	"anole/internal/xrand"
 )
 
-func TestEvaluateFramesParallelMatchesSerial(t *testing.T) {
+// TestSharedDetectorConcurrentUse pins that one frozen Detector is safe
+// to share: goroutines run DetectFrame, and the head's Infer with a nil
+// scratch, on the same Detector at once, each drawing its working set
+// from the shared pool, and every result equals the serial one. Run
+// under -race it also checks that no call writes shared state.
+func TestSharedDetectorConcurrentUse(t *testing.T) {
 	w := newTestWorld(t, 50)
 	rng := xrand.New(51)
-	scene := synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}
-	train := genFrames(w, scene, 80, rng)
-	test := genFrames(w, scene, 60, rng)
-	d := NewDetector("p", Compressed, 8, rng)
-	if err := d.Train(train, nil, TrainConfig{Epochs: 10, RNG: rng}); err != nil {
-		t.Fatal(err)
-	}
-	serial := d.EvaluateFrames(test)
-	for _, workers := range []int{0, 1, 2, 4, 7, 100} {
-		parallel := d.EvaluateFramesParallel(test, workers)
-		if parallel != serial {
-			t.Fatalf("workers=%d: %+v vs %+v", workers, parallel, serial)
-		}
-	}
-}
+	frames := genFrames(w, synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}, 8, rng)
+	d := NewDetector("shared", Compressed, 8, rng)
 
-func TestEvaluateFramesParallelEmpty(t *testing.T) {
-	d := NewDetector("p", Compressed, 8, xrand.New(1))
-	m := d.EvaluateFramesParallel(nil, 4)
-	if m.TP != 0 || m.FP != 0 || m.FN != 0 {
-		t.Fatalf("empty eval: %+v", m)
+	// Serial reference: every frame's predictions, and the head's output
+	// on each frame's first cell.
+	wantPreds := make([][]CellPred, len(frames))
+	cells := make([]tensor.Vector, len(frames))
+	wantOut := make([]tensor.Vector, len(frames))
+	for i, f := range frames {
+		wantPreds[i] = d.DetectFrame(nil, f)
+		cells[i] = synth.CellInput(nil, f, 0, synth.FrameFeature(f))
+		wantOut[i] = d.Weights().Infer(nil, cells[i], nil)
 	}
-}
 
-func TestOracleF1MatchesSerialOracle(t *testing.T) {
-	w := newTestWorld(t, 52)
-	rng := xrand.New(53)
-	sceneA := synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}
-	sceneB := synth.Scene{Weather: synth.Clear, Location: synth.Highway, Time: synth.Night}
-	var test []*synth.Frame
-	test = append(test, genFrames(w, sceneA, 25, rng)...)
-	test = append(test, genFrames(w, sceneB, 25, rng)...)
-
-	mk := func(s synth.Scene, seed uint64) *Detector {
-		r := xrand.New(seed)
-		d := NewDetector("m", Compressed, 8, r)
-		if err := d.Train(genFrames(w, s, 80, r), nil, TrainConfig{Epochs: 10, RNG: r}); err != nil {
-			t.Fatal(err)
-		}
-		return d
+	const workers, passes = 4, 3
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var preds []CellPred
+			out := tensor.NewVector(d.Weights().OutDim())
+			for p := 0; p < passes; p++ {
+				for k := range frames {
+					i := (k + g) % len(frames) // workers start on different frames
+					preds = d.DetectFrame(preds, frames[i])
+					for c, want := range wantPreds[i] {
+						if preds[c] != want {
+							errs <- "DetectFrame differs from the serial run"
+							return
+						}
+					}
+					d.Weights().Infer(out, cells[i], nil)
+					for j, v := range wantOut[i] {
+						if math.Float64bits(out[j]) != math.Float64bits(v) {
+							errs <- "Infer differs from the serial run"
+							return
+						}
+					}
+				}
+			}
+		}(g)
 	}
-	dets := []*Detector{mk(sceneA, 60), mk(sceneB, 61)}
-
-	// Serial reference.
-	var serial struct{ tp, fp, fn int }
-	for _, f := range test {
-		bestF1 := -1.0
-		var best = dets[0].EvaluateFrame(f)
-		bestF1 = best.F1
-		if m := dets[1].EvaluateFrame(f); m.F1 > bestF1 {
-			best = m
-		}
-		serial.tp += best.TP
-		serial.fp += best.FP
-		serial.fn += best.FN
-	}
-	got := OracleF1(dets, test, 4)
-	if got.TP != serial.tp || got.FP != serial.fp || got.FN != serial.fn {
-		t.Fatalf("oracle mismatch: %+v vs %+v", got, serial)
-	}
-	// The oracle must be at least as good as either fixed model.
-	for i, d := range dets {
-		if f1 := d.EvaluateFramesParallel(test, 2).F1; got.F1 < f1 {
-			t.Fatalf("oracle %v below fixed model %d's %v", got.F1, i, f1)
-		}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }

@@ -109,13 +109,14 @@ func (w *Weights) ReleaseBatchScratch(s *BatchScratch) {
 // and ReLU before the store), so a batch of B samples costs one GEMM
 // instead of B GEMVs. The kernel sums each dot product in the same
 // ascending order as MulVec and adds the bias after it, so per sample
-// the result is bit-identical to Infer.
+// the result is bit-identical to the thawed Network's Forward. Infer is
+// this path over one row.
 func (w *Weights) InferBatch(dst, in *tensor.Matrix, s *BatchScratch) *tensor.Matrix {
 	return w.inferBatchThrough(len(w.layers), dst, in, s)
 }
 
 // InferBatchThrough runs the first k layers only over the batch, the
-// batched counterpart of InferThrough (embedding extraction).
+// batch form of InferThrough (embedding extraction).
 func (w *Weights) InferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScratch) *tensor.Matrix {
 	if k < 0 || k > len(w.layers) {
 		panic(fmt.Sprintf("nn: InferBatchThrough(%d) with %d layers", k, len(w.layers)))

@@ -31,11 +31,13 @@ func batchFixture(t testing.TB, seed uint64) (*nn.Weights, *xrand.RNG) {
 // TestInferBatchMatchesSequential is the batch-equivalence property
 // test at the nn layer: for randomized program shapes and batch sizes
 // (including 0 and 1), running B samples through InferBatch must agree
-// with B independent Infer calls bit for bit — the batched kernel keeps
-// each dot product's summation order.
+// bit for bit with B per-sample Forward calls on the thawed network
+// (MulVec, then the bias) — the batched kernel keeps each dot product's
+// summation order.
 func TestInferBatchMatchesSequential(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		w, rng := batchFixture(t, seed)
+		net := w.Thaw()
 		for _, batch := range []int{0, 1, 2, 3, 7, 32, 65} {
 			in := tensor.NewMatrix(batch, w.InDim())
 			for i := range in.Data {
@@ -47,7 +49,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 					seed, batch, got.Rows, got.Cols, batch, w.OutDim())
 			}
 			for r := 0; r < batch; r++ {
-				sameRow(t, got.Row(r), w.Infer(nil, in.Row(r), nil), fmt.Sprintf("seed %d batch %d row %d", seed, batch, r))
+				sameRow(t, got.Row(r), net.Forward(in.Row(r)), fmt.Sprintf("seed %d batch %d row %d", seed, batch, r))
 			}
 		}
 	}
@@ -55,9 +57,10 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 
 // TestInferBatchThroughMatchesSequential covers the layer-prefix form
 // used for batched embedding extraction: every prefix length, batched
-// vs per-row InferThrough.
+// vs per-row ForwardThrough on the thawed network.
 func TestInferBatchThroughMatchesSequential(t *testing.T) {
 	w, rng := batchFixture(t, 99)
+	net := w.Thaw()
 	const batch = 9
 	in := tensor.NewMatrix(batch, w.InDim())
 	for i := range in.Data {
@@ -66,8 +69,7 @@ func TestInferBatchThroughMatchesSequential(t *testing.T) {
 	for k := 0; k <= w.NumLayers(); k++ {
 		got := w.InferBatchThrough(k, nil, in, nil)
 		for r := 0; r < batch; r++ {
-			want := w.InferThrough(k, nil, in.Row(r), nil)
-			sameRow(t, got.Row(r), want, fmt.Sprintf("k=%d row %d", k, r))
+			sameRow(t, got.Row(r), net.ForwardThrough(k, in.Row(r)), fmt.Sprintf("k=%d row %d", k, r))
 		}
 	}
 }
@@ -139,10 +141,11 @@ func TestBatchScratchStagingIsolation(t *testing.T) {
 			t.Fatal("InferBatch clobbered the input staging matrix")
 		}
 	}
-	// The outputs must equal the per-row sequential results, proving dst
+	// The outputs must equal the per-row Forward results, proving dst
 	// was not used as an intermediate buffer.
+	net := w.Thaw()
 	for r := 0; r < batch; r++ {
-		want := w.Infer(nil, in.Row(r), nil)
+		want := net.Forward(in.Row(r))
 		for j := range want {
 			if math.Abs(dst.At(r, j)-want[j]) > 1e-12 {
 				t.Fatalf("row %d out %d: %v, want %v", r, j, dst.At(r, j), want[j])
@@ -152,8 +155,8 @@ func TestBatchScratchStagingIsolation(t *testing.T) {
 }
 
 // TestInferBatchQuantized runs the batch path over a quantized program:
-// a quantized Weights is just another program, so batched and
-// sequential execution must agree there too.
+// a quantized Weights is just another program, so the batch path and
+// the thawed network's per-sample Forward must agree there too.
 func TestInferBatchQuantized(t *testing.T) {
 	_, w, rng := freezeFixture(t, 21)
 	q, err := w.Quantize(8)
@@ -166,13 +169,14 @@ func TestInferBatchQuantized(t *testing.T) {
 		in.Data[i] = rng.NormMS(0, 1)
 	}
 	got := q.InferBatch(nil, in, nil)
+	net := q.Thaw()
 	for r := 0; r < batch; r++ {
-		sameRow(t, got.Row(r), q.Infer(nil, in.Row(r), nil), fmt.Sprintf("row %d", r))
+		sameRow(t, got.Row(r), net.Forward(in.Row(r)), fmt.Sprintf("row %d", r))
 	}
 }
 
-// sameRow checks a batched output row against Infer's output for the
-// same sample bit for bit, NaN matching NaN.
+// sameRow checks a batched output row against the per-sample reference
+// output for the same sample bit for bit, NaN matching NaN.
 func sameRow(t *testing.T, got, want tensor.Vector, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -187,7 +191,8 @@ func sameRow(t *testing.T, got, want tensor.Vector, label string) {
 }
 
 // TestInferBatchBitIdenticalAcrossTransforms runs InferBatch against
-// Infer on every way a program comes to exist besides Freeze: Quantize
+// the thawed network's Forward on every way a program comes to exist
+// besides Freeze: Quantize
 // and ScaleFinalDense (which replace layers after copying the program,
 // so their packed weights must be rebuilt) and a WriteTo/ReadWeights
 // round trip of each. Inputs include NaN, ±Inf and −0.
@@ -228,8 +233,9 @@ func TestInferBatchBitIdenticalAcrossTransforms(t *testing.T) {
 	in.Set(4, 2, math.Copysign(0, -1))
 	for name, p := range programs {
 		got := p.InferBatch(nil, in, nil)
+		net := p.Thaw()
 		for r := 0; r < batch; r++ {
-			sameRow(t, got.Row(r), p.Infer(nil, in.Row(r), nil), fmt.Sprintf("%s row %d", name, r))
+			sameRow(t, got.Row(r), net.Forward(in.Row(r)), fmt.Sprintf("%s row %d", name, r))
 		}
 	}
 	// The transforms must actually change the outputs, or the packing
@@ -245,7 +251,8 @@ func TestInferBatchBitIdenticalAcrossTransforms(t *testing.T) {
 // BenchmarkBatchStep is the CI allocations-job smoke for the batch
 // path: one batched forward pass per op with a held scratch, -benchmem
 // showing the steady state at 0 B/op. The sequential baseline is the
-// same work as B independent Infer calls, for the speedup headline.
+// same work as B independent Infer calls (one-row batches), for the
+// speedup headline.
 func BenchmarkBatchStep(b *testing.B) {
 	_, w, rng := freezeFixture(b, 30)
 	for _, batch := range []int{16, 64, 256} {
@@ -266,9 +273,9 @@ func BenchmarkBatchStep(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("sequential/batch=%d", batch), func(b *testing.B) {
-			s := w.AcquireScratch()
-			defer w.ReleaseScratch(s)
-			dst := s.Out(w.OutDim())
+			s := w.AcquireBatchScratch()
+			defer w.ReleaseBatchScratch(s)
+			dst := tensor.NewVector(w.OutDim())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -145,8 +145,9 @@ type activation struct {
 	out tensor.Vector // Forward's output buffer
 }
 
-// reluFn and sigmoidFn are named so frozen Weights deserialized from disk
-// share the same function values as freshly built layers.
+// reluFn and sigmoidFn are named so the frozen program's forward
+// (inferBatchThrough) applies exactly the activations the trainable
+// layers do.
 func reluFn(x float64) float64 {
 	if x > 0 {
 		return x

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
 	"anole/internal/tensor"
 )
@@ -12,7 +11,7 @@ import (
 // never change after construction. A Weights holds no gradients and no
 // cached activations, so one instance is safe to share across any number
 // of goroutines — every stream, worker, and cache entry can run the same
-// resident copy. All mutable per-execution state lives in a Scratch.
+// resident copy. All mutable per-execution state lives in a BatchScratch.
 //
 // Weights is the unit the rest of the system moves around: the model
 // cache sizes entries by SizeBytes, the repo serializes it, and
@@ -21,38 +20,23 @@ type Weights struct {
 	layers []wlayer
 
 	inDim, outDim int
-	maxDim        int // widest activation, sizes Scratch buffers
+	maxDim        int // widest activation, sizes BatchScratch buffers
 	flops         int64
 	paramCount    int
-
-	// pool recycles Scratch instances for callers that pass nil; it is a
-	// pointer so Weights values are never copied with a live pool.
-	pool *sync.Pool
 }
 
 // wlayer is one frozen layer: a dense transform (w != nil) or an
-// element-wise activation (fn != nil).
+// element-wise activation named by kind.
 type wlayer struct {
 	kind      layerKind
 	w         *tensor.Matrix // out × in, dense only
 	b         tensor.Vector
 	quantBits int
-	fn        func(float64) float64 // activation only
 	// packed is w and b laid out for the batched kernel
 	// (tensor.DenseInto); newWeights builds it, so it always matches w
 	// and b.
 	packed *tensor.Packed
 }
-
-// Inferer is the one interface every executable model form satisfies:
-// full-precision and quantized Weights alike run behind it.
-type Inferer interface {
-	Infer(dst, in tensor.Vector, s *Scratch) tensor.Vector
-	InDim() int
-	OutDim() int
-}
-
-var _ Inferer = (*Weights)(nil)
 
 // Freeze compiles the network's current parameters into an immutable
 // Weights program. The parameters are deep-copied, so later training on
@@ -64,7 +48,7 @@ func (n *Network) Freeze() *Weights {
 		case *Dense:
 			ls[i] = wlayer{kind: t.kind(), w: t.W.Clone(), b: t.B.Clone(), quantBits: t.quantBits}
 		case *activation:
-			ls[i] = wlayer{kind: t.tag, fn: t.fn}
+			ls[i] = wlayer{kind: t.tag}
 		default:
 			panic(fmt.Sprintf("nn: cannot freeze layer type %T", l))
 		}
@@ -106,8 +90,6 @@ func newWeights(ls []wlayer) *Weights {
 			w.maxDim = ls[i].w.Rows
 		}
 	}
-	dim := w.maxDim
-	w.pool = &sync.Pool{New: func() any { return newScratch(dim) }}
 	return w
 }
 
@@ -168,120 +150,38 @@ func (w *Weights) WeightBytes() int64 {
 	return total
 }
 
-// Scratch is the per-execution working set for running a Weights program:
-// two ping-pong activation buffers plus caller-usable input/output
-// buffers, all preallocated to the widest layer. A Scratch belongs to one
-// goroutine at a time; acquire from the owning Weights (AcquireScratch)
-// or pass nil to Infer and let it borrow one from the pool.
-type Scratch struct {
-	ping, pong tensor.Vector
-	in, out    tensor.Vector
-}
+// AcquireScratch is AcquireBatchScratch, kept for callers that name the
+// scratch by its per-sample use; perfbench's replay calls it.
+func (w *Weights) AcquireScratch() *BatchScratch { return w.AcquireBatchScratch() }
 
-func newScratch(maxDim int) *Scratch {
-	return &Scratch{
-		ping: tensor.NewVector(maxDim),
-		pong: tensor.NewVector(maxDim),
-		in:   tensor.NewVector(maxDim),
-		out:  tensor.NewVector(maxDim),
-	}
-}
-
-// In returns the scratch's input staging buffer sliced to n elements,
-// for callers assembling model inputs without allocating per call. The
-// buffer is distinct from the ping-pong and output buffers, so it may be
-// passed to Infer on the same Scratch.
-func (s *Scratch) In(n int) tensor.Vector { return s.in[:n] }
-
-// Out returns the scratch's output buffer sliced to n elements, suitable
-// as Infer's dst while the same Scratch serves the intermediate layers.
-func (s *Scratch) Out(n int) tensor.Vector { return s.out[:n] }
-
-// AcquireScratch borrows a scratch sized for this program from the pool.
-// Pair with ReleaseScratch; holding one across many Infer calls (e.g. a
-// per-frame cell loop) keeps the steady state allocation-free.
-func (w *Weights) AcquireScratch() *Scratch {
-	return w.pool.Get().(*Scratch)
-}
-
-// ReleaseScratch returns s to the pool. s must not be used afterwards.
-func (w *Weights) ReleaseScratch(s *Scratch) {
-	if s != nil {
-		w.pool.Put(s)
-	}
-}
+// ReleaseScratch is ReleaseBatchScratch, kept for the same callers as
+// AcquireScratch.
+func (w *Weights) ReleaseScratch(s *BatchScratch) { w.ReleaseBatchScratch(s) }
 
 // Infer runs the full program on in and writes the output into dst,
 // allocating only when dst is nil or mis-sized. dst must not alias in.
-// s supplies the intermediate activation buffers; pass nil to borrow one
-// from the program's pool. The returned vector is dst: caller-owned, and
-// never aliased by later Infer calls.
-func (w *Weights) Infer(dst, in tensor.Vector, s *Scratch) tensor.Vector {
+// It is InferBatch over one row: in and dst become 1×n matrix headers
+// over the same memory, with no copy. s supplies the intermediate
+// activation buffers; pass nil to borrow one from the shared pool. The
+// returned vector is dst: caller-owned, and never aliased by later Infer
+// calls.
+func (w *Weights) Infer(dst, in tensor.Vector, s *BatchScratch) tensor.Vector {
 	return w.inferThrough(len(w.layers), dst, in, s)
 }
 
 // InferThrough runs the first k layers only, the frozen counterpart of
 // (*Network).ForwardThrough used to extract embeddings.
-func (w *Weights) InferThrough(k int, dst, in tensor.Vector, s *Scratch) tensor.Vector {
+func (w *Weights) InferThrough(k int, dst, in tensor.Vector, s *BatchScratch) tensor.Vector {
 	if k < 0 || k > len(w.layers) {
 		panic(fmt.Sprintf("nn: InferThrough(%d) with %d layers", k, len(w.layers)))
 	}
 	return w.inferThrough(k, dst, in, s)
 }
 
-func (w *Weights) inferThrough(k int, dst, in tensor.Vector, s *Scratch) tensor.Vector {
-	if w.inDim > 0 && len(in) != w.inDim {
-		panic(fmt.Sprintf("nn: infer input dim %d, want %d", len(in), w.inDim))
-	}
-	outDim := len(in)
-	for i := 0; i < k; i++ {
-		if w.layers[i].w != nil {
-			outDim = w.layers[i].w.Rows
-		}
-	}
-	if len(dst) != outDim {
-		dst = tensor.NewVector(outDim)
-	}
-	if k == 0 {
-		copy(dst, in)
-		return dst
-	}
-	release := false
-	if s == nil {
-		s = w.AcquireScratch()
-		release = true
-	}
-	x := in
-	buf, alt := s.ping, s.pong
-	for i := 0; i < k; i++ {
-		l := &w.layers[i]
-		last := i == k-1
-		var target tensor.Vector
-		if l.w != nil {
-			if last {
-				target = dst
-			} else {
-				target = buf[:l.w.Rows]
-			}
-			l.w.MulVec(target, x)
-			target.AddScaled(1, l.b)
-		} else {
-			if last {
-				target = dst
-			} else {
-				target = buf[:len(x)]
-			}
-			for j, v := range x {
-				target[j] = l.fn(v)
-			}
-		}
-		x = target
-		buf, alt = alt, buf
-	}
-	if release {
-		w.ReleaseScratch(s)
-	}
-	return dst
+func (w *Weights) inferThrough(k int, dst, in tensor.Vector, s *BatchScratch) tensor.Vector {
+	x := tensor.Matrix{Rows: 1, Cols: len(in), Data: in}
+	y := tensor.Matrix{Rows: 1, Cols: len(dst), Data: dst}
+	return w.inferBatchThrough(k, &y, &x, s).Data
 }
 
 // Quantize returns a new Weights with every dense layer's parameters

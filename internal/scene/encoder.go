@@ -165,7 +165,7 @@ func (e *Encoder) EmbedFeatureInto(dst, feat tensor.Vector) tensor.Vector {
 // EmbedBatchInto embeds a batch of precomputed frame features (one per
 // row of feats) into dst (one embedding per row, allocating only when
 // dst is nil or mis-shaped) and returns dst. s supplies the intermediate
-// activation matrices; pass nil to borrow one from the backbone's pool.
+// activation matrices; pass nil to borrow one from the shared pool.
 // Each dense layer runs as one matrix product for the whole batch, and
 // per row the result is bit-identical to EmbedFeatureInto.
 func (e *Encoder) EmbedBatchInto(dst, feats *tensor.Matrix, s *nn.BatchScratch) *tensor.Matrix {
@@ -175,9 +175,7 @@ func (e *Encoder) EmbedBatchInto(dst, feats *tensor.Matrix, s *nn.BatchScratch) 
 // Classify returns the predicted class index (position in ClassToScene)
 // for frame f.
 func (e *Encoder) Classify(f *synth.Frame) int {
-	s := e.Weights.AcquireScratch()
-	defer e.Weights.ReleaseScratch(s)
-	return e.Weights.Infer(s.Out(e.Weights.OutDim()), synth.FrameFeature(f), s).Argmax()
+	return e.Weights.Infer(nil, synth.FrameFeature(f), nil).Argmax()
 }
 
 // ClassOf returns the class index of a semantic scene, or -1 when the

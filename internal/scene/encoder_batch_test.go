@@ -22,11 +22,13 @@ func randomEncoder(t *testing.T, seed uint64, featDim int) *Encoder {
 }
 
 // TestEmbedBatchMatchesSequential pins the batched embedding path
-// bitwise against the per-frame path: the batched kernel preserves each
+// bitwise against a per-sample reference, the thawed backbone's
+// ForwardThrough (MulVec per layer): the batched kernel preserves each
 // dot product's summation order, so no tolerance is needed.
 func TestEmbedBatchMatchesSequential(t *testing.T) {
 	const featDim = 18
 	enc := randomEncoder(t, 41, featDim)
+	net := enc.Weights.Thaw()
 	rng := xrand.New(42)
 	for _, batch := range []int{0, 1, 3, 17, 64} {
 		feats := tensor.NewMatrix(batch, featDim)
@@ -38,7 +40,7 @@ func TestEmbedBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("batch %d: output %dx%d, want %dx%d", batch, got.Rows, got.Cols, batch, enc.EmbedDim())
 		}
 		for r := 0; r < batch; r++ {
-			want := enc.EmbedFeatureInto(nil, feats.Row(r))
+			want := net.ForwardThrough(enc.embedLayers, feats.Row(r))
 			for j := range want {
 				if got.At(r, j) != want[j] {
 					t.Fatalf("batch %d row %d dim %d: batched %v, sequential %v",

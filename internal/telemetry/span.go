@@ -55,9 +55,16 @@ const TraceHeader = "X-Anole-Trace"
 // FrameTrace mints the deterministic trace ID assigned at frame
 // admission: "f<stream>.<seq>". Seq is globally monotone across
 // streams sharing a Tracer, so the ID is unique within a run and
-// reproducible across seeded reruns.
+// reproducible across seeded reruns. It runs on every served frame with
+// a Tracer attached, so it builds the ID in a stack buffer and allocates
+// only the returned string.
 func FrameTrace(stream int, seq int64) string {
-	return "f" + strconv.Itoa(stream) + "." + strconv.FormatInt(seq, 10)
+	var buf [48]byte // 'f', '.' and two 20-byte int64s
+	b := append(buf[:0], 'f')
+	b = strconv.AppendInt(b, int64(stream), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, seq, 10)
+	return string(b)
 }
 
 // DriftTrace mints the deterministic trace ID assigned at drift-report

@@ -72,3 +72,31 @@ func TestTracerConcurrentRecord(t *testing.T) {
 		t.Fatalf("retained %d spans", got)
 	}
 }
+
+// TestFrameTraceFormat pins the frame trace ID format "f<stream>.<seq>"
+// across the digit counts strconv treats differently (0, below 100, at
+// least 100), and that minting one allocates only the returned string.
+func TestFrameTraceFormat(t *testing.T) {
+	for _, c := range []struct {
+		stream int
+		seq    int64
+		want   string
+	}{
+		{0, 0, "f0.0"},
+		{0, 7, "f0.7"},
+		{3, 0, "f3.0"},
+		{42, 99, "f42.99"},
+		{99, 100, "f99.100"},
+		{100, 42, "f100.42"},
+		{1234, 9876543210, "f1234.9876543210"},
+		{-1, -5, "f-1.-5"},
+	} {
+		if got := FrameTrace(c.stream, c.seq); got != c.want {
+			t.Errorf("FrameTrace(%d, %d) = %q, want %q", c.stream, c.seq, got, c.want)
+		}
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = FrameTrace(1234, 9876543210) }); allocs != 1 {
+		t.Fatalf("FrameTrace: %v allocs/op, want 1 (%s)", allocs, sink)
+	}
+}
