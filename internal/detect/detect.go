@@ -267,7 +267,7 @@ func (d *Detector) EvaluateFrames(frames []*synth.Frame) stats.PRF1 {
 // TrainConfig controls detector training.
 type TrainConfig struct {
 	// Epochs, BatchSize and LR configure the underlying nn.Train run
-	// (defaults 12, 32, 0.01).
+	// (defaults 25, 32, 0.01).
 	Epochs    int
 	BatchSize int
 	LR        float64

@@ -12,6 +12,9 @@ type Loss interface {
 	// Eval returns the loss value and writes dLoss/dOutput into grad
 	// (which has the output's length and is overwritten).
 	Eval(output, target tensor.Vector, grad tensor.Vector) float64
+	// Grad writes the same dLoss/dOutput as Eval, bit for bit, without
+	// computing the loss value; the training step needs only this.
+	Grad(output, target tensor.Vector, grad tensor.Vector)
 	// Name identifies the loss for logs.
 	Name() string
 }
@@ -43,6 +46,14 @@ func (l *SoftmaxCrossEntropy) Eval(output, target, grad tensor.Vector) float64 {
 		grad[i] = probs[i] - t
 	}
 	return loss
+}
+
+// Grad implements Loss: softmax(o) − t, with grad as softmax scratch.
+func (l *SoftmaxCrossEntropy) Grad(output, target, grad tensor.Vector) {
+	probs := tensor.Softmax(grad, output)
+	for i, t := range target {
+		grad[i] = probs[i] - t
+	}
 }
 
 // Name implements Loss.
@@ -79,6 +90,16 @@ func (l *BCEWithLogits) Eval(output, target, grad tensor.Vector) float64 {
 	return loss / n
 }
 
+// Grad implements Loss: (sigmoid(o) − t)/n per element. Eval's
+// sigmoid reuses exp(-|o|) only where it equals exp(-o), so one Exp per
+// element gives the same bits, and the loss's Log1p is never paid.
+func (l *BCEWithLogits) Grad(output, target, grad tensor.Vector) {
+	n := float64(len(output))
+	for i, o := range output {
+		grad[i] = (1/(1+math.Exp(-o)) - target[i]) / n
+	}
+}
+
 // Name implements Loss.
 func (l *BCEWithLogits) Name() string { return "bce-logits" }
 
@@ -99,6 +120,14 @@ func (l *MSE) Eval(output, target, grad tensor.Vector) float64 {
 		grad[i] = 2 * d / n
 	}
 	return loss / n
+}
+
+// Grad implements Loss.
+func (l *MSE) Grad(output, target, grad tensor.Vector) {
+	n := float64(len(output))
+	for i, o := range output {
+		grad[i] = 2 * (o - target[i]) / n
+	}
 }
 
 // Name implements Loss.

@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"anole/internal/tensor"
@@ -42,10 +43,11 @@ type TrainConfig struct {
 	Workers int
 }
 
-// TrainResult reports what a training run did.
+// TrainResult reports what a training run did. The training loss is
+// not reported: the step computes only the loss's gradient (Loss.Grad),
+// and validation losses come from MeanLoss.
 type TrainResult struct {
 	Epochs       int
-	TrainLoss    []float64
 	ValLoss      []float64
 	BestValLoss  float64
 	EarlyStopped bool
@@ -95,16 +97,13 @@ func Train(net *Network, train, val []Sample, cfg TrainConfig) (TrainResult, err
 	tr := newTrainer(net, cfg.Workers)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		cfg.RNG.ShuffleInts(order)
-		var epochLoss float64
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			end := start + cfg.BatchSize
 			if end > len(order) {
 				end = len(order)
 			}
-			batch := order[start:end]
-			epochLoss += tr.step(train, batch, cfg.Loss, cfg.Optimizer)
+			tr.step(train, order[start:end], cfg.Loss, cfg.Optimizer)
 		}
-		result.TrainLoss = append(result.TrainLoss, epochLoss/float64(len(order)))
 		result.Epochs = epoch + 1
 
 		if len(val) == 0 || cfg.Patience <= 0 {
@@ -220,8 +219,8 @@ func newTrainer(net *Network, workers int) *trainer {
 }
 
 // step computes the mean gradient of loss over train[batch], applies
-// opt, zeroes the gradients, and returns the summed batch loss.
-func (t *trainer) step(train []Sample, batch []int, loss Loss, opt Optimizer) float64 {
+// opt and zeroes the gradients.
+func (t *trainer) step(train []Sample, batch []int, loss Loss, opt Optimizer) {
 	t.pack.build(t.net, true)
 	scale := 1 / float64(len(batch))
 	nw := len(t.shards)
@@ -248,13 +247,11 @@ func (t *trainer) step(train []Sample, batch []int, loss Loss, opt Optimizer) fl
 		wg.Wait()
 	}
 
-	var batchLoss float64
 	for w := range t.shards {
 		s := &t.shards[w]
 		if len(s.rows) == 0 {
 			continue // an empty shard contributes exact zeros
 		}
-		batchLoss += s.loss
 		for i := range t.pack.layers {
 			if d := t.pack.layers[i].dense; d != nil {
 				tensor.Vector(d.gradW.Data).AddScaled(1, s.gradW[i].Data)
@@ -266,7 +263,6 @@ func (t *trainer) step(train []Sample, batch []int, loss Loss, opt Optimizer) fl
 	for _, p := range t.params {
 		p.Grad.Fill(0)
 	}
-	return batchLoss
 }
 
 // stepPack is the read-only view of a network that one step's shards
@@ -329,7 +325,6 @@ type shard struct {
 	// gradW[i] and gradB[i] are dense layer i's gradients.
 	gradW []tensor.Matrix
 	gradB []tensor.Vector
-	loss  float64
 }
 
 // forward stages samples[s.rows] as the rows of acts[0] and runs every
@@ -377,18 +372,16 @@ func (s *shard) forward(p *stepPack, samples []Sample) *tensor.Matrix {
 	return x
 }
 
-// gradients runs the shard's rows forward, evaluates loss on each row
-// into the output gradient (scaled by scale, the batch mean's 1/B), and
-// propagates it back through every layer above the first dense one,
-// leaving the shard's parameter gradients in gradW/gradB and its summed
-// loss in loss.
+// gradients runs the shard's rows forward, writes loss's gradient on
+// each row into the output gradient (scaled by scale, the batch mean's
+// 1/B), and propagates it back through every layer above the first
+// dense one, leaving the shard's parameter gradients in gradW/gradB.
 func (s *shard) gradients(p *stepPack, samples []Sample, loss Loss, scale float64) {
 	out := s.forward(p, samples)
 	g, gin := fitMatrix(&s.g, out.Rows, out.Cols), &s.gin
-	s.loss = 0
 	for r, i := range s.rows {
 		gr := g.Row(r)
-		s.loss += loss.Eval(out.Row(r), samples[i].Y, gr)
+		loss.Grad(out.Row(r), samples[i].Y, gr)
 		gr.Scale(scale)
 	}
 	if len(s.gradW) != len(p.layers) {
@@ -403,11 +396,7 @@ func (s *shard) gradients(p *stepPack, samples []Sample, loss Loss, scale float6
 			// ReLU's derivative is 1 where its output is positive, which
 			// is exactly where its input is.
 			for j, gv := range g.Data {
-				d := 0.0
-				if out.Data[j] > 0 {
-					d = 1
-				}
-				g.Data[j] = gv * d
+				g.Data[j] = reluGrad(gv, out.Data[j])
 			}
 			continue
 		case l.act != nil:
@@ -435,6 +424,19 @@ func (s *shard) gradients(p *stepPack, samples []Sample, loss Loss, scale float6
 			g, gin = next, g
 		}
 	}
+}
+
+// reluGrad is g·d for ReLU's derivative d — 1 where out > 0, else 0 —
+// with d picked by a bit mask instead of a branch, since the sign of an
+// activation is unpredictable. It multiplies even by 0, so a NaN or
+// infinite g below a non-positive output still gives NaN and a negative
+// g gives −0, exactly as the branch form does.
+func reluGrad(g, out float64) float64 {
+	var keep uint64
+	if out > 0 {
+		keep = ^uint64(0)
+	}
+	return g * math.Float64frombits(math.Float64bits(1)&keep)
 }
 
 // fitMatrix shapes m as rows × cols, reusing its backing array when it

@@ -8,6 +8,9 @@ package sampling
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"anole/internal/detect"
 	"anole/internal/synth"
@@ -132,7 +135,9 @@ func WellSampledBound(gammaSize int, theta float64) float64 {
 // pᵢ ~ Beta(αᵢ, βᵢ) for the rest, probes one frame from the pool with the
 // highest draw, and tests the pool's model on the frame: accurate frames
 // join Ψᵢ^sub. The loop stops after Kappa accepted samples, when every
-// pool is well sampled, or at MaxRounds.
+// pool is well sampled, or at MaxRounds. Every model's F1 on every pool
+// frame is scored once, batched, before the loop (see newF1Table), so a
+// probe is a table lookup.
 //
 // Interpretation note: the paper's text increments the sampled pool's α,
 // which in isolation concentrates sampling on one pool — the opposite of
@@ -158,6 +163,7 @@ func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, erro
 		bounds[i] = WellSampledBound(len(p.Frames), cfg.Theta)
 	}
 
+	table := newF1Table(models, pools)
 	res := Result{Counts: make([]int, n)}
 	accepted := 0
 	for res.Rounds = 0; res.Rounds < cfg.MaxRounds && accepted < cfg.Kappa; res.Rounds++ {
@@ -173,10 +179,9 @@ func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, erro
 		if best < 0 {
 			break // every pool is well sampled
 		}
-		pool := pools[best]
-		frame := pool.Frames[cfg.RNG.Intn(len(pool.Frames))]
+		k := cfg.RNG.Intn(len(pools[best].Frames))
 		res.Counts[best]++
-		if labels := acceptedLabels(models, pool.ModelIdx, frame, cfg.AcceptF1); len(labels) > 0 {
+		if labels := table.labels(best, k, pools[best].ModelIdx, cfg.AcceptF1); len(labels) > 0 {
 			res.Samples = append(res.Samples, labels...)
 			accepted++
 		}
@@ -195,7 +200,7 @@ func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, erro
 // probability proportional to its size (equivalent to drawing a frame
 // uniformly from the union of pools), tests the pool's model, and keeps
 // accurate samples. It produces the unbalanced Ψ^sub distribution of
-// Fig. 3(a).
+// Fig. 3(a). Probes read the same F1 table as Adaptive's.
 func Random(models []*detect.Detector, pools []Pool, cfg Config) (Result, error) {
 	if err := validate(models, pools); err != nil {
 		return Result{}, err
@@ -206,14 +211,14 @@ func Random(models []*detect.Detector, pools []Pool, cfg Config) (Result, error)
 	for i, p := range pools {
 		weights[i] = float64(len(p.Frames))
 	}
+	table := newF1Table(models, pools)
 	res := Result{Counts: make([]int, len(pools))}
 	accepted := 0
 	for res.Rounds = 0; res.Rounds < cfg.MaxRounds && accepted < cfg.Kappa; res.Rounds++ {
 		i := cfg.RNG.Categorical(weights)
-		pool := pools[i]
-		frame := pool.Frames[cfg.RNG.Intn(len(pool.Frames))]
+		k := cfg.RNG.Intn(len(pools[i].Frames))
 		res.Counts[i]++
-		if labels := acceptedLabels(models, pool.ModelIdx, frame, cfg.AcceptF1); len(labels) > 0 {
+		if labels := table.labels(i, k, pools[i].ModelIdx, cfg.AcceptF1); len(labels) > 0 {
 			res.Samples = append(res.Samples, labels...)
 			accepted++
 		}
@@ -221,34 +226,87 @@ func Random(models []*detect.Detector, pools []Pool, cfg Config) (Result, error)
 	return res, nil
 }
 
-// acceptedLabels implements the Ψ^sub membership test for one probed
-// frame: the probing pool's model must be accurate (F1 ≥ accept) for the
-// probe to be accepted at all; an accepted frame is then scored by every
-// model, joining Ψ_j^sub for each accurate model j. The multi-label form
-// is what the paper's allocation vector v^x encodes, and it lets decision
-// training resolve each frame to its best-fit model. The frame feature
-// is computed once for every model, and the gate's score is reused for
-// the pool's own model.
-func acceptedLabels(models []*detect.Detector, poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
-	frames := []*synth.Frame{frame}
-	feats := []tensor.Vector{synth.FrameFeature(frame)}
-	preds := make([][]detect.CellPred, 1)
-	score := func(det *detect.Detector) float64 {
-		det.DetectBatchFeatures(preds, frames, feats)
-		return detect.ScorePredictions(preds[0], frame).F1
+// f1Table holds every model's per-frame F1 on every distinct pool
+// frame, scored before the probe loop so that a probe is a lookup.
+type f1Table struct {
+	// f1[m][i] is model m's F1 on distinct frame i.
+	f1 [][]float64
+	// frames[i] is distinct frame i, in first-seen order over the pools.
+	frames []*synth.Frame
+	// at[p][k] is the distinct index of pools[p].Frames[k].
+	at [][]int
+}
+
+// tableChunk is how many frames one DetectBatchFeatures call scores.
+const tableChunk = 64
+
+// newF1Table scores every model on every distinct frame of the pools.
+// Each frame's feature is computed once and shared by all models; each
+// model runs DetectBatchFeatures over chunks of frames on its own
+// goroutine, at most GOMAXPROCS at a time. Batched predictions equal
+// one-frame DetectFrame's, so every F1 is the one a per-probe
+// EvaluateFrame would give.
+func newF1Table(models []*detect.Detector, pools []Pool) *f1Table {
+	t := &f1Table{at: make([][]int, len(pools))}
+	index := make(map[*synth.Frame]int)
+	for p, pool := range pools {
+		t.at[p] = make([]int, len(pool.Frames))
+		for k, f := range pool.Frames {
+			i, ok := index[f]
+			if !ok {
+				i = len(t.frames)
+				index[f] = i
+				t.frames = append(t.frames, f)
+			}
+			t.at[p][k] = i
+		}
 	}
-	gate := score(models[poolModel])
-	if gate < accept {
+	feats := make([]tensor.Vector, len(t.frames))
+	for i, f := range t.frames {
+		feats[i] = synth.FrameFeature(f)
+	}
+
+	t.f1 = make([][]float64, len(models))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(models)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			preds := make([][]detect.CellPred, tableChunk)
+			for m := int(next.Add(1) - 1); m < len(models); m = int(next.Add(1) - 1) {
+				row := make([]float64, len(t.frames))
+				for lo := 0; lo < len(t.frames); lo += tableChunk {
+					hi := min(lo+tableChunk, len(t.frames))
+					frames := t.frames[lo:hi]
+					out := models[m].DetectBatchFeatures(preds[:len(frames)], frames, feats[lo:hi])
+					for k, f := range frames {
+						row[lo+k] = detect.ScorePredictions(out[k], f).F1
+					}
+				}
+				t.f1[m] = row
+			}
+		}()
+	}
+	wg.Wait()
+	return t
+}
+
+// labels implements the Ψ^sub membership test for frame k of pool p
+// with model poolModel: the probing pool's model must be accurate
+// (F1 ≥ accept) for the probe to be accepted at all; an accepted frame
+// then joins Ψ_j^sub for each accurate model j. The multi-label form is
+// what the paper's allocation vector v^x encodes, and it lets decision
+// training resolve each frame to its best-fit model.
+func (t *f1Table) labels(p, k, poolModel int, accept float64) []LabeledFrame {
+	i := t.at[p][k]
+	if t.f1[poolModel][i] < accept {
 		return nil
 	}
 	var out []LabeledFrame
-	for j, det := range models {
-		f1 := gate
-		if j != poolModel {
-			f1 = score(det)
-		}
-		if f1 >= accept {
-			out = append(out, LabeledFrame{Frame: frame, ModelIdx: j, F1: f1})
+	for j, row := range t.f1 {
+		if f1 := row[i]; f1 >= accept {
+			out = append(out, LabeledFrame{Frame: t.frames[i], ModelIdx: j, F1: f1})
 		}
 	}
 	return out

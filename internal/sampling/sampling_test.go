@@ -1,11 +1,14 @@
 package sampling
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"anole/internal/detect"
 	"anole/internal/stats"
 	"anole/internal/synth"
+	"anole/internal/tensor"
 	"anole/internal/xrand"
 )
 
@@ -240,14 +243,15 @@ func toFloat(xs []int) []float64 {
 	return out
 }
 
-// TestAcceptedLabelsMatchesPerModelEvaluation pins the probe test, which
-// scores the pool's model once and shares one frame feature across
-// models, against the direct form: gate on the pool model's
-// EvaluateFrame, then run EvaluateFrame for every model. Every frame of
-// both pools is probed from both pools at two acceptance levels; the
-// labels, their F1 values and their order must match exactly.
+// TestAcceptedLabelsMatchesPerModelEvaluation pins the F1 table's probe
+// test, which scores every frame with batched detection once, against
+// the direct form: gate on the pool model's EvaluateFrame, then run
+// EvaluateFrame for every model. Every frame of both pools is probed
+// from both pools' models at two acceptance levels; the labels, their
+// F1 values and their order must match exactly.
 func TestAcceptedLabelsMatchesPerModelEvaluation(t *testing.T) {
 	fx := buildFixture(t, 91, 30, 30)
+	table := newF1Table(fx.models, fx.pools)
 	reference := func(poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
 		if fx.models[poolModel].EvaluateFrame(frame).F1 < accept {
 			return nil
@@ -262,18 +266,13 @@ func TestAcceptedLabelsMatchesPerModelEvaluation(t *testing.T) {
 	}
 	accepted := 0
 	for _, accept := range []float64{0.3, 0.6} {
-		for _, pool := range fx.pools {
-			for _, frame := range pool.Frames {
+		for p, pool := range fx.pools {
+			for k, frame := range pool.Frames {
 				for poolModel := range fx.models {
-					got := acceptedLabels(fx.models, poolModel, frame, accept)
+					got := table.labels(p, k, poolModel, accept)
 					want := reference(poolModel, frame, accept)
-					if len(got) != len(want) {
-						t.Fatalf("accept %v pool model %d: %d labels, reference %d", accept, poolModel, len(got), len(want))
-					}
-					for k := range want {
-						if got[k] != want[k] {
-							t.Fatalf("accept %v pool model %d label %d: %+v, reference %+v", accept, poolModel, k, got[k], want[k])
-						}
+					if !sameLabels(got, want) {
+						t.Fatalf("accept %v pool model %d: %+v, reference %+v", accept, poolModel, got, want)
 					}
 					accepted += len(got)
 				}
@@ -282,5 +281,192 @@ func TestAcceptedLabelsMatchesPerModelEvaluation(t *testing.T) {
 	}
 	if accepted == 0 {
 		t.Fatal("no probe was accepted; the comparison covered nothing")
+	}
+}
+
+// sameLabels reports whether two label lists are equal element by
+// element, F1 compared by bits.
+func sameLabels(a, b []LabeledFrame) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Frame != b[i].Frame || a[i].ModelIdx != b[i].ModelIdx ||
+			math.Float64bits(a[i].F1) != math.Float64bits(b[i].F1) {
+			return false
+		}
+	}
+	return true
+}
+
+// acceptedLabels is the per-probe test the F1 table replaced: score the
+// probing pool's model on the one frame, and on acceptance score every
+// other model on it too, sharing the frame's feature.
+func acceptedLabels(models []*detect.Detector, poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
+	frames := []*synth.Frame{frame}
+	feats := []tensor.Vector{synth.FrameFeature(frame)}
+	preds := make([][]detect.CellPred, 1)
+	score := func(det *detect.Detector) float64 {
+		det.DetectBatchFeatures(preds, frames, feats)
+		return detect.ScorePredictions(preds[0], frame).F1
+	}
+	gate := score(models[poolModel])
+	if gate < accept {
+		return nil
+	}
+	var out []LabeledFrame
+	for j, det := range models {
+		f1 := gate
+		if j != poolModel {
+			f1 = score(det)
+		}
+		if f1 >= accept {
+			out = append(out, LabeledFrame{Frame: frame, ModelIdx: j, F1: f1})
+		}
+	}
+	return out
+}
+
+// refAdaptive is Adaptive scoring each probe as it is drawn, with
+// acceptedLabels.
+func refAdaptive(models []*detect.Detector, pools []Pool, cfg Config) Result {
+	cfg.setDefaults()
+	n := len(pools)
+	alpha := make([]float64, n)
+	beta := make([]float64, n)
+	for i := range alpha {
+		alpha[i], beta[i] = 1, 1
+	}
+	bounds := make([]float64, n)
+	for i, p := range pools {
+		bounds[i] = WellSampledBound(len(p.Frames), cfg.Theta)
+	}
+	res := Result{Counts: make([]int, n)}
+	accepted := 0
+	for res.Rounds = 0; res.Rounds < cfg.MaxRounds && accepted < cfg.Kappa; res.Rounds++ {
+		best, bestDraw := -1, -1.0
+		for i := range pools {
+			if float64(res.Counts[i]) > bounds[i] {
+				continue
+			}
+			if draw := cfg.RNG.Beta(alpha[i], beta[i]); draw > bestDraw {
+				best, bestDraw = i, draw
+			}
+		}
+		if best < 0 {
+			break
+		}
+		pool := pools[best]
+		frame := pool.Frames[cfg.RNG.Intn(len(pool.Frames))]
+		res.Counts[best]++
+		if labels := acceptedLabels(models, pool.ModelIdx, frame, cfg.AcceptF1); len(labels) > 0 {
+			res.Samples = append(res.Samples, labels...)
+			accepted++
+		}
+		for i := range pools {
+			if i == best {
+				beta[i]++
+			} else {
+				alpha[i]++
+			}
+		}
+	}
+	return res
+}
+
+// refRandom is Random scoring each probe as it is drawn, with
+// acceptedLabels.
+func refRandom(models []*detect.Detector, pools []Pool, cfg Config) Result {
+	cfg.setDefaults()
+	weights := make([]float64, len(pools))
+	for i, p := range pools {
+		weights[i] = float64(len(p.Frames))
+	}
+	res := Result{Counts: make([]int, len(pools))}
+	accepted := 0
+	for res.Rounds = 0; res.Rounds < cfg.MaxRounds && accepted < cfg.Kappa; res.Rounds++ {
+		i := cfg.RNG.Categorical(weights)
+		pool := pools[i]
+		frame := pool.Frames[cfg.RNG.Intn(len(pool.Frames))]
+		res.Counts[i]++
+		if labels := acceptedLabels(models, pool.ModelIdx, frame, cfg.AcceptF1); len(labels) > 0 {
+			res.Samples = append(res.Samples, labels...)
+			accepted++
+		}
+	}
+	return res
+}
+
+// TestSamplersMatchPerProbeReference checks Adaptive and Random, which
+// look probes up in the F1 table, against the per-probe reference: the
+// whole Result — every sample with its F1 bits, the counts and the
+// rounds — must be equal. The 100 distinct frames span two table
+// chunks, and the pools share frames: pool 2 is drawn from
+// both other pools' frames, and pool 3 repeats pool 0 for model 2, so a
+// frame is probed through several pools and models. The runs cover a
+// MaxRounds that stops the loop first, a Kappa reached mid-run, and a
+// run that ends with every pool well sampled.
+func TestSamplersMatchPerProbeReference(t *testing.T) {
+	fx := buildFixture(t, 93, 70, 30)
+	a, b := fx.pools[0].Frames, fx.pools[1].Frames
+	var mixed []*synth.Frame
+	for i := 0; i < 12; i++ {
+		mixed = append(mixed, a[2*i], b[i])
+	}
+	rng := xrand.New(94)
+	third := detect.NewDetector("C", detect.Compressed, 8, rng)
+	if err := third.Train(mixed, nil, detect.TrainConfig{Epochs: 6, RNG: rng}); err != nil {
+		t.Fatal(err)
+	}
+	models := append(append([]*detect.Detector(nil), fx.models...), third)
+	pools := append(append([]Pool(nil), fx.pools...), Pool{ModelIdx: 2, Frames: mixed}, Pool{ModelIdx: 2, Frames: a})
+
+	type sampler struct {
+		name string
+		run  func([]*detect.Detector, []Pool, Config) (Result, error)
+		ref  func([]*detect.Detector, []Pool, Config) Result
+	}
+	samplers := []sampler{{"adaptive", Adaptive, refAdaptive}, {"random", Random, refRandom}}
+	configs := map[string]Config{
+		"max-rounds":   {Kappa: 1000, MaxRounds: 25, AcceptF1: 0.3},
+		"kappa":        {Kappa: 15, MaxRounds: 1000, AcceptF1: 0.3},
+		"well-sampled": {Kappa: 100000, MaxRounds: 5000, AcceptF1: 0.5},
+	}
+	for _, s := range samplers {
+		for name, cfg := range configs {
+			if s.name == "random" && name == "well-sampled" {
+				continue // Random has no well-sampled stop
+			}
+			t.Run(s.name+"/"+name, func(t *testing.T) {
+				cfg.RNG = xrand.New(95)
+				got, err := s.run(models, pools, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.RNG = xrand.New(95)
+				want := s.ref(models, pools, cfg)
+				if got.Rounds != want.Rounds || !slices.Equal(got.Counts, want.Counts) || !sameLabels(got.Samples, want.Samples) {
+					t.Fatalf("rounds %d counts %v %d samples, reference rounds %d counts %v %d samples",
+						got.Rounds, got.Counts, len(got.Samples), want.Rounds, want.Counts, len(want.Samples))
+				}
+				if len(want.Samples) == 0 {
+					t.Fatal("no probe was accepted; the comparison covered nothing")
+				}
+				switch name {
+				case "max-rounds":
+					if want.Rounds != cfg.MaxRounds {
+						t.Fatalf("ran %d rounds, want MaxRounds %d", want.Rounds, cfg.MaxRounds)
+					}
+				case "kappa":
+					if want.Rounds >= cfg.MaxRounds {
+						t.Fatalf("ran all %d rounds; Kappa %d should stop the run", want.Rounds, cfg.Kappa)
+					}
+				case "well-sampled":
+					if want.Rounds >= cfg.MaxRounds {
+						t.Fatalf("ran all %d rounds; the pools should be well sampled first", want.Rounds)
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package scene
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"anole/internal/detect"
@@ -38,15 +40,16 @@ type RepertoireConfig struct {
 	// is still short of N at MaxK, the repertoire is returned as-is.
 	MaxK int
 	// MinSceneFrames drops semantic scenes with fewer training frames
-	// from clustering (default 4).
+	// from clustering (default 2).
 	MinSceneFrames int
 	// Restarts is the k-means restart count (default 4).
 	Restarts int
 	// Train configures each compressed model's training run; its RNG
 	// field is ignored (per-model streams are split from RNG).
 	Train detect.TrainConfig
-	// Workers bounds concurrent model training at each level (default
-	// GOMAXPROCS-friendly 4).
+	// Workers bounds concurrent model training across all levels: one
+	// pool of this many goroutines trains every level's candidates
+	// (default 4).
 	Workers int
 	// RNG is required for determinism.
 	RNG *xrand.RNG
@@ -80,7 +83,9 @@ func (c *RepertoireConfig) setDefaults() {
 // the encoder, run k-means for k = 2, 3, … over the scene embeddings,
 // train one compressed detector per cluster, and bank every model whose
 // validation F1 exceeds δ, until N models are banked or MaxK is reached.
-// Banked models are named "M_1" … "M_n" in acceptance order.
+// Banked models are named "M_1" … "M_n" in acceptance order. Candidates
+// train on one worker pool shared by every level (see trainBank); the
+// bank equals training the levels one after another.
 func TrainCompressedModels(enc *Encoder, train, val []*synth.Frame, cfg RepertoireConfig) ([]*BankedModel, error) {
 	cfg.setDefaults()
 	if enc == nil {
@@ -90,17 +95,30 @@ func TrainCompressedModels(enc *Encoder, train, val []*synth.Frame, cfg Repertoi
 		return nil, fmt.Errorf("scene: no training frames")
 	}
 
-	// Group frames by semantic scene and compute per-scene mean
-	// embeddings (the Hᵢ of Algorithm 1).
 	trainByScene := groupByScene(train)
 	valByScene := groupByScene(val)
+	sceneIdxs, embeddings := sceneEmbeddings(enc, trainByScene, cfg.MinSceneFrames)
+	if len(sceneIdxs) < 2 {
+		return nil, fmt.Errorf("scene: only %d scenes have enough frames", len(sceneIdxs))
+	}
+
+	cluster := func(k int) (KMeansResult, error) {
+		return KMeans(embeddings, k, cfg.Restarts, cfg.RNG.Split(uint64(k)))
+	}
+	return trainBank(cluster, sceneIdxs, trainByScene, valByScene, train[0].FeatDim(), cfg)
+}
+
+// sceneEmbeddings returns, in ascending scene order, every semantic
+// scene with at least minFrames training frames and its mean embedding
+// (the Hᵢ of Algorithm 1).
+func sceneEmbeddings(enc *Encoder, trainByScene map[int][]*synth.Frame, minFrames int) ([]int, []tensor.Vector) {
 	var (
 		sceneIdxs  []int
 		embeddings []tensor.Vector
 	)
 	for _, idx := range sortedKeys(trainByScene) {
 		frames := trainByScene[idx]
-		if len(frames) < cfg.MinSceneFrames {
+		if len(frames) < minFrames {
 			continue
 		}
 		mean := tensor.NewVector(enc.EmbedDim())
@@ -111,27 +129,135 @@ func TrainCompressedModels(enc *Encoder, train, val []*synth.Frame, cfg Repertoi
 		sceneIdxs = append(sceneIdxs, idx)
 		embeddings = append(embeddings, mean)
 	}
-	if len(sceneIdxs) < 2 {
-		return nil, fmt.Errorf("scene: only %d scenes have enough frames", len(sceneIdxs))
-	}
+	return sceneIdxs, embeddings
+}
 
-	featDim := train[0].FeatDim()
-	var bank []*BankedModel
-	for k := 2; k <= cfg.MaxK && len(bank) < cfg.N; k++ {
-		res, err := KMeans(embeddings, k, cfg.Restarts, cfg.RNG.Split(uint64(k)))
-		if err != nil {
-			return nil, fmt.Errorf("scene: level %d: %w", k, err)
+// bankJob is one cluster's candidate model: the cluster's frames and
+// RNG stream going in, the trained candidate (nil if training failed)
+// coming out.
+type bankJob struct {
+	level, cluster int
+	scenes         []int
+	train, val     []*synth.Frame
+	rng            *xrand.RNG
+	model          *BankedModel
+	finished       bool
+}
+
+// run trains the job's candidate detector and scores it on the
+// cluster's validation frames (its training frames when it has none).
+func (j *bankJob) run(featDim int, tc detect.TrainConfig) {
+	tc.RNG = j.rng
+	det := detect.NewDetector(fmt.Sprintf("k%d/c%d", j.level, j.cluster), detect.Compressed, featDim, j.rng)
+	if err := det.Train(j.train, j.val, tc); err != nil {
+		return // cluster too small to train; skip silently
+	}
+	evalFrames := j.val
+	if len(evalFrames) == 0 {
+		evalFrames = j.train
+	}
+	j.model = &BankedModel{
+		Detector:    det,
+		Level:       j.level,
+		Cluster:     j.cluster,
+		TrainScenes: j.scenes,
+		ValF1:       det.EvaluateFrames(evalFrames).F1,
+	}
+}
+
+// passes reports whether a finished job's candidate clears δ.
+func (j *bankJob) passes(delta float64) bool { return j.model != nil && j.model.ValF1 > delta }
+
+// trainBank runs Algorithm 1's levels k = 2, 3, … on one pool of
+// cfg.Workers goroutines. cluster(k) clusters the scenes at level k.
+//
+// The calling goroutine owns every decision. It clusters a level and
+// draws its clusters' RNG streams only once the levels already started
+// cannot bank N models even if every unfinished candidate passes δ —
+// exactly when the level-by-level loop would reach it — so the clusters
+// and streams are that loop's. It hands the workers the largest pending
+// training set first, from whichever level, and banks candidates in
+// (level, cluster) order as they resolve. Each candidate depends only on
+// its own frames and stream, so the bank does not depend on the worker
+// count or on completion order. Jobs not yet started when the bank is
+// decided are dropped; running ones are waited for before returning.
+func trainBank(cluster func(k int) (KMeansResult, error), sceneIdxs []int,
+	trainByScene, valByScene map[int][]*synth.Frame, featDim int, cfg RepertoireConfig) ([]*BankedModel, error) {
+
+	work := make(chan *bankJob)
+	// One slot per worker, so a worker finishing while this goroutine
+	// is clustering a level hands its result back without waiting.
+	done := make(chan *bankJob, cfg.Workers)
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range work {
+				j.run(featDim, cfg.Train)
+				done <- j
+			}
+		}()
+	}
+	var (
+		cands   []*bankJob // every started level's jobs, in (level, cluster) order
+		next    int        // first candidate neither banked nor rejected
+		pending []*bankJob // jobs not yet handed out, largest training set first
+		running int
+		bank    []*BankedModel
+		level   = 1 // last level started; the first is k = 2
+	)
+	defer func() {
+		close(work)
+		for ; running > 0; running-- {
+			<-done
 		}
-		candidates := trainLevel(enc, res, sceneIdxs, trainByScene, valByScene, featDim, k, cfg)
-		for _, cand := range candidates {
-			if cand == nil || cand.ValF1 <= cfg.Delta {
-				continue
+		wg.Wait()
+	}()
+	for {
+		for next < len(cands) && cands[next].finished && len(bank) < cfg.N {
+			if c := cands[next]; c.passes(cfg.Delta) {
+				c.model.Detector.Name = fmt.Sprintf("M_%d", len(bank)+1)
+				bank = append(bank, c.model)
 			}
-			if len(bank) >= cfg.N {
-				break
+			next++
+		}
+		if len(bank) >= cfg.N {
+			break
+		}
+		reachable := len(bank)
+		for _, c := range cands[next:] {
+			if !c.finished || c.passes(cfg.Delta) {
+				reachable++
 			}
-			cand.Detector.Name = fmt.Sprintf("M_%d", len(bank)+1)
-			bank = append(bank, cand)
+		}
+		if reachable < cfg.N && level < cfg.MaxK {
+			level++
+			res, err := cluster(level)
+			if err != nil {
+				return nil, fmt.Errorf("scene: level %d: %w", level, err)
+			}
+			jobs := levelJobs(res, sceneIdxs, trainByScene, valByScene, level, cfg.RNG)
+			cands = append(cands, jobs...)
+			pending = append(pending, jobs...)
+			slices.SortStableFunc(pending, func(a, b *bankJob) int { return cmp.Compare(len(b.train), len(a.train)) })
+			continue
+		}
+		if next == len(cands) {
+			break // every candidate resolved and no level left
+		}
+		var send chan<- *bankJob
+		var head *bankJob
+		if len(pending) > 0 {
+			send, head = work, pending[0]
+		}
+		select {
+		case send <- head:
+			pending = pending[1:]
+			running++
+		case j := <-done:
+			j.finished = true
+			running--
 		}
 	}
 	if len(bank) == 0 {
@@ -140,17 +266,14 @@ func TrainCompressedModels(enc *Encoder, train, val []*synth.Frame, cfg Repertoi
 	return bank, nil
 }
 
-// trainLevel trains one candidate model per cluster of a clustering
-// level, in parallel, preserving cluster order in the result.
-func trainLevel(enc *Encoder, res KMeansResult, sceneIdxs []int,
-	trainByScene, valByScene map[int][]*synth.Frame,
-	featDim, level int, cfg RepertoireConfig) []*BankedModel {
+// levelJobs turns a clustering level into one job per cluster that has
+// training frames, in cluster order, drawing each job's RNG stream from
+// rng in that order.
+func levelJobs(res KMeansResult, sceneIdxs []int, trainByScene, valByScene map[int][]*synth.Frame,
+	level int, rng *xrand.RNG) []*bankJob {
 
-	k := len(res.Centroids)
-	out := make([]*BankedModel, k)
-	sem := make(chan struct{}, cfg.Workers)
-	var wg sync.WaitGroup
-	for j := 0; j < k; j++ {
+	var jobs []*bankJob
+	for j := range res.Centroids {
 		var scenes []int
 		for si, assign := range res.Assign {
 			if assign == j {
@@ -168,33 +291,13 @@ func trainLevel(enc *Encoder, res KMeansResult, sceneIdxs []int,
 		if len(trainFrames) == 0 {
 			continue
 		}
-		rng := cfg.RNG.Split(uint64(level)<<16 | uint64(j))
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j int, scenes []int, trainFrames, valFrames []*synth.Frame, rng *xrand.RNG) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			tc := cfg.Train
-			tc.RNG = rng
-			det := detect.NewDetector(fmt.Sprintf("k%d/c%d", level, j), detect.Compressed, featDim, rng)
-			if err := det.Train(trainFrames, valFrames, tc); err != nil {
-				return // cluster too small to train; skip silently
-			}
-			evalFrames := valFrames
-			if len(evalFrames) == 0 {
-				evalFrames = trainFrames
-			}
-			out[j] = &BankedModel{
-				Detector:    det,
-				Level:       level,
-				Cluster:     j,
-				TrainScenes: scenes,
-				ValF1:       det.EvaluateFrames(evalFrames).F1,
-			}
-		}(j, scenes, trainFrames, valFrames, rng)
+		jobs = append(jobs, &bankJob{
+			level: level, cluster: j, scenes: scenes,
+			train: trainFrames, val: valFrames,
+			rng: rng.Split(uint64(level)<<16 | uint64(j)),
+		})
 	}
-	wg.Wait()
-	return out
+	return jobs
 }
 
 // PoolFrames returns the training pool Γᵢ of a banked model: every frame
