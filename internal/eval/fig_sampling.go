@@ -38,17 +38,16 @@ func RunFig3(l *Lab, kappa int) (Fig3Result, error) {
 		pools[i] = sampling.Pool{ModelIdx: i, Frames: frames}
 	}
 	cfg := sampling.Config{Kappa: kappa, AcceptF1: l.Config.Profile.Sampling.AcceptF1}
-
+	// Both samplers probe the same models on the same pools: score them
+	// once.
+	table, err := sampling.NewTable(l.Bundle.Detectors, pools)
+	if err != nil {
+		return Fig3Result{}, err
+	}
 	cfg.RNG = xrand.NewLabeled(l.Config.Seed, "fig3-random")
-	random, err := sampling.Random(l.Bundle.Detectors, pools, cfg)
-	if err != nil {
-		return Fig3Result{}, err
-	}
+	random := table.Random(cfg)
 	cfg.RNG = xrand.NewLabeled(l.Config.Seed, "fig3-adaptive")
-	adaptive, err := sampling.Adaptive(l.Bundle.Detectors, pools, cfg)
-	if err != nil {
-		return Fig3Result{}, err
-	}
+	adaptive := table.Adaptive(cfg)
 	return Fig3Result{
 		Models:         len(pools),
 		Random:         random.NormalizedCounts(),

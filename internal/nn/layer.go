@@ -175,7 +175,7 @@ func NewReLU() Layer {
 func NewTanh() Layer {
 	return &activation{
 		fn:    math.Tanh,
-		deriv: func(_, y float64) float64 { return 1 - y*y },
+		deriv: func(_, y float64) float64 { return 1 - float64(y*y) },
 		tag:   kindTanh,
 	}
 }

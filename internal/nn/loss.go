@@ -41,7 +41,7 @@ func (l *SoftmaxCrossEntropy) Eval(output, target, grad tensor.Vector) float64 {
 			if p < 1e-12 {
 				p = 1e-12
 			}
-			loss -= t * math.Log(p)
+			loss -= float64(t * math.Log(p))
 		}
 		grad[i] = probs[i] - t
 	}
@@ -76,7 +76,7 @@ func (l *BCEWithLogits) Eval(output, target, grad tensor.Vector) float64 {
 		// Numerically stable BCE-with-logits:
 		// max(o,0) - o*t + log(1+exp(-|o|)).
 		e := math.Exp(-math.Abs(o))
-		loss += math.Max(o, 0) - o*t + math.Log1p(e)
+		loss += math.Max(o, 0) - float64(o*t) + math.Log1p(e)
 		// sigmoid(o) = 1/(1+exp(-o)). For o >= 0 (−0 included) exp(-o) is
 		// exactly e, so the second Exp is only paid for negative o and NaN.
 		var s float64
@@ -116,7 +116,7 @@ func (l *MSE) Eval(output, target, grad tensor.Vector) float64 {
 	n := float64(len(output))
 	for i, o := range output {
 		d := o - target[i]
-		loss += d * d
+		loss += float64(d * d)
 		grad[i] = 2 * d / n
 	}
 	return loss / n

@@ -75,18 +75,15 @@ func numericalGradient(net *Network, loss Loss, x, y tensor.Vector) []tensor.Vec
 func checkGradients(t *testing.T, net *Network, loss Loss, x, y tensor.Vector) {
 	t.Helper()
 	numeric := numericalGradient(net, loss, x, y)
-	// The analytic gradient is the trainer's: one shard of one row.
-	var p stepPack
-	p.build(net, true)
-	s := shard{rows: []int{0}}
-	s.gradients(&p, []Sample{{X: x, Y: y}}, loss, 1)
-	var analytic []tensor.Vector
-	for i, l := range p.layers {
-		if l.dense != nil {
-			analytic = append(analytic, tensor.Vector(s.gradW[i].Data), s.gradB[i])
-		}
-	}
-	for gi, g := range analytic {
+	// The analytic gradient is the trainer's: one shard of one row,
+	// written into the network's own gradients.
+	tr := newTrainer(net, 1)
+	tr.pack.build(net)
+	s := &tr.shards[0]
+	s.rows = []int{0}
+	s.gradients(&tr.pack, []Sample{{X: x, Y: y}}, loss, 1)
+	for gi, p := range net.Params() {
+		g := p.Grad
 		for j := range g {
 			if !almostEqual(g[j], numeric[gi][j], 1e-5+1e-4*math.Abs(numeric[gi][j])) {
 				t.Fatalf("param group %d[%d]: analytic %v vs numeric %v", gi, j, g[j], numeric[gi][j])

@@ -74,7 +74,7 @@ func QuantAccuracyFactor(bits int) float64 {
 		return 1
 	}
 	saved := float64(16-bits) / 14 // 0 at 16 bits → 1 at 2 bits
-	return 1 - 0.12*saved*saved
+	return 1 - float64(0.12*saved*saved)
 }
 
 // QuantBits returns the bit width the network's dense layers were

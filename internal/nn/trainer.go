@@ -37,7 +37,8 @@ type TrainConfig struct {
 	Patience int
 	// Workers shards each mini-batch's gradient computation across this
 	// many goroutines, worker w taking rows w, w+Workers, …; all read
-	// the step's packed weights and keep private gradients (default 1).
+	// the step's weights, and with more than one each keeps private
+	// gradients (default 1).
 	// The result does not depend on it beyond floating-point summation
 	// order.
 	Workers int
@@ -60,6 +61,7 @@ var errNoData = errors.New("nn: empty training set")
 // early-stopping on val loss (when val is non-empty and cfg.Patience > 0).
 // When early stopping triggers, the best-validation weights are restored.
 // Each step runs the whole mini-batch as matrix products (see trainer).
+// On return each Param's Grad holds the last step's gradient.
 func Train(net *Network, train, val []Sample, cfg TrainConfig) (TrainResult, error) {
 	if len(train) == 0 {
 		return TrainResult{}, errNoData
@@ -174,7 +176,7 @@ const evalRows = 256
 // visit with each sample's index and output row in ascending order.
 func evaluate(net *Network, samples []Sample, visit func(i int, out tensor.Vector)) {
 	var p stepPack
-	p.build(net, false)
+	p.build(net)
 	var s shard
 	for start := 0; start < len(samples); start += evalRows {
 		s.rows = s.rows[:0]
@@ -189,12 +191,16 @@ func evaluate(net *Network, samples []Sample, visit func(i int, out tensor.Vecto
 }
 
 // trainer runs Train's optimizer steps as matrix products. Each step
-// packs the master network's current weights once (stepPack) and splits
-// the batch into one shard per worker — the whole batch with one worker,
-// rows w, w+n, w+2n, … for worker w of n — each with private
-// activations and gradient buffers. Every shard reads the same packed
-// weights; the master adds the shard gradients in worker order before
-// the optimizer update.
+// packs the master network's current weights once for the forward
+// products (stepPack) and splits the batch into one shard per worker —
+// the whole batch with one worker, rows w, w+n, w+2n, … for worker w of
+// n — each with private activations. The backward products read the
+// output gradient, the layer inputs and the weights where they lie. A
+// lone shard writes the parameter gradients straight into each
+// Param.Grad; with several, each shard writes its own, and the master
+// copies the first shard's and adds the others' in worker order. A
+// gradient is a sum from +0 and so never −0, which makes the copy the
+// same bits as adding it to zero.
 //
 // The step computes the same bits as backpropagating the samples one at
 // a time (MulVec forward; AddOuterScaled, AddScaled and MulVecT
@@ -214,14 +220,32 @@ type trainer struct {
 	shards []shard
 }
 
+// newTrainer sets up the shards' gradient destinations: the master's own
+// buffers for a lone shard, private ones otherwise.
 func newTrainer(net *Network, workers int) *trainer {
-	return &trainer{net: net, params: net.Params(), shards: make([]shard, workers)}
+	t := &trainer{net: net, params: net.Params(), shards: make([]shard, workers)}
+	for w := range t.shards {
+		s := &t.shards[w]
+		s.gradW = make([]*tensor.Matrix, len(net.layers))
+		s.gradB = make([]tensor.Vector, len(net.layers))
+		for i, l := range net.layers {
+			d, ok := l.(*Dense)
+			switch {
+			case !ok:
+			case workers == 1:
+				s.gradW[i], s.gradB[i] = d.gradW, d.gradB
+			default:
+				s.gradW[i], s.gradB[i] = tensor.NewMatrix(d.W.Rows, d.W.Cols), tensor.NewVector(d.W.Rows)
+			}
+		}
+	}
+	return t
 }
 
-// step computes the mean gradient of loss over train[batch], applies
-// opt and zeroes the gradients.
+// step computes the mean gradient of loss over train[batch] into the
+// parameters' gradients and applies opt.
 func (t *trainer) step(train []Sample, batch []int, loss Loss, opt Optimizer) {
-	t.pack.build(t.net, true)
+	t.pack.build(t.net)
 	scale := 1 / float64(len(batch))
 	nw := len(t.shards)
 	for w := range t.shards {
@@ -233,42 +257,42 @@ func (t *trainer) step(train []Sample, batch []int, loss Loss, opt Optimizer) {
 	}
 	if nw == 1 {
 		t.shards[0].gradients(&t.pack, train, loss, scale)
-	} else {
-		var wg sync.WaitGroup
-		for w := range t.shards {
-			if s := &t.shards[w]; len(s.rows) > 0 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s.gradients(&t.pack, train, loss, scale)
-				}()
-			}
-		}
-		wg.Wait()
+		opt.Step(t.params)
+		return
 	}
-
+	var wg sync.WaitGroup
 	for w := range t.shards {
-		s := &t.shards[w]
-		if len(s.rows) == 0 {
-			continue // an empty shard contributes exact zeros
+		if s := &t.shards[w]; len(s.rows) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.gradients(&t.pack, train, loss, scale)
+			}()
 		}
-		for i := range t.pack.layers {
-			if d := t.pack.layers[i].dense; d != nil {
+	}
+	wg.Wait()
+
+	// Shard 0 always has rows; an empty shard contributes exact zeros.
+	for i := range t.pack.layers {
+		d := t.pack.layers[i].dense
+		if d == nil {
+			continue
+		}
+		copy(d.gradW.Data, t.shards[0].gradW[i].Data)
+		copy(d.gradB, t.shards[0].gradB[i])
+		for w := 1; w < nw; w++ {
+			if s := &t.shards[w]; len(s.rows) > 0 {
 				tensor.Vector(d.gradW.Data).AddScaled(1, s.gradW[i].Data)
 				d.gradB.AddScaled(1, s.gradB[i])
 			}
 		}
 	}
 	opt.Step(t.params)
-	for _, p := range t.params {
-		p.Grad.Fill(0)
-	}
 }
 
 // stepPack is the read-only view of a network that one step's shards
-// share: every layer, each dense layer's weights and bias packed for the
-// forward product and — when built for backward — its weights packed by
-// column for the input-gradient product G·W.
+// share: every layer, with each dense layer's weights and bias packed
+// for the forward product.
 type stepPack struct {
 	layers []packedLayer
 	// firstDense indexes the first dense layer; no gradient is needed
@@ -279,16 +303,16 @@ type stepPack struct {
 // packedLayer is one layer of a stepPack: a dense layer (dense != nil)
 // with its packed weights, or an activation.
 type packedLayer struct {
-	dense    *Dense
-	act      *activation
-	fwd, bwd tensor.Packed
+	dense *Dense
+	act   *activation
+	fwd   tensor.Packed
 }
 
 // isReLU reports whether the layer is a ReLU activation.
 func (l *packedLayer) isReLU() bool { return l.act != nil && l.act.tag == kindReLU }
 
 // build (re)packs p from net's current parameters, reusing its buffers.
-func (p *stepPack) build(net *Network, backward bool) {
+func (p *stepPack) build(net *Network) {
 	if len(p.layers) != len(net.layers) {
 		p.layers = make([]packedLayer, len(net.layers))
 	}
@@ -300,9 +324,6 @@ func (p *stepPack) build(net *Network, backward bool) {
 			pl.dense, pl.act = t, nil
 			pl.fwd.Repack(t.W, t.B)
 			p.firstDense = min(p.firstDense, i)
-			if backward && i > p.firstDense {
-				pl.bwd.RepackColumns(t.W)
-			}
 		case *activation:
 			pl.dense, pl.act = nil, t
 		default:
@@ -311,19 +332,18 @@ func (p *stepPack) build(net *Network, backward bool) {
 	}
 }
 
-// shard is one worker's private working set for a step: its sample
-// rows, every layer's activations, the gradient flowing back, and its
-// own weight and bias gradients, which the step adds into the master's.
+// shard is one worker's working set for a step: its sample rows, every
+// layer's activations, the gradient flowing back, and where its weight
+// and bias gradients go (see newTrainer).
 type shard struct {
 	rows []int
 	// acts[0] holds the staged inputs and acts[i+1] layer i's output,
 	// one row per sample.
 	acts []tensor.Matrix
-	// g and gin ping-pong the gradient at a layer's output and input;
-	// gt is gᵀ for the weight-gradient product.
-	g, gin, gt tensor.Matrix
-	// gradW[i] and gradB[i] are dense layer i's gradients.
-	gradW []tensor.Matrix
+	// g and gin ping-pong the gradient at a layer's output and input.
+	g, gin tensor.Matrix
+	// gradW[i] and gradB[i] receive dense layer i's gradients.
+	gradW []*tensor.Matrix
 	gradB []tensor.Vector
 }
 
@@ -375,7 +395,7 @@ func (s *shard) forward(p *stepPack, samples []Sample) *tensor.Matrix {
 // gradients runs the shard's rows forward, writes loss's gradient on
 // each row into the output gradient (scaled by scale, the batch mean's
 // 1/B), and propagates it back through every layer above the first
-// dense one, leaving the shard's parameter gradients in gradW/gradB.
+// dense one, overwriting the shard's parameter gradients in gradW/gradB.
 func (s *shard) gradients(p *stepPack, samples []Sample, loss Loss, scale float64) {
 	out := s.forward(p, samples)
 	g, gin := fitMatrix(&s.g, out.Rows, out.Cols), &s.gin
@@ -383,10 +403,6 @@ func (s *shard) gradients(p *stepPack, samples []Sample, loss Loss, scale float6
 		gr := g.Row(r)
 		loss.Grad(out.Row(r), samples[i].Y, gr)
 		gr.Scale(scale)
-	}
-	if len(s.gradW) != len(p.layers) {
-		s.gradW = make([]tensor.Matrix, len(p.layers))
-		s.gradB = make([]tensor.Vector, len(p.layers))
 	}
 	for i := len(p.layers) - 1; i >= p.firstDense; i-- {
 		l := &p.layers[i]
@@ -406,21 +422,20 @@ func (s *shard) gradients(p *stepPack, samples []Sample, loss Loss, scale float6
 			continue
 		}
 		w := l.dense.W
-		// dL/dW = gᵀ·in and dL/dB = Σ rows of g, both over the rows in order.
-		gradW := fitMatrix(&s.gradW[i], w.Rows, w.Cols)
-		tensor.MatMulInto(gradW, transposeInto(&s.gt, g), in)
-		if len(s.gradB[i]) != w.Rows {
-			s.gradB[i] = tensor.NewVector(w.Rows)
-		}
+		// dL/dW = gᵀ·in and dL/dB = Σ rows of g, both over the rows in
+		// order from +0.
+		tensor.TMatMulInto(s.gradW[i], g, in)
 		gradB := s.gradB[i]
-		gradB.Fill(0)
+		clear(gradB)
 		for r := 0; r < g.Rows; r++ {
-			gradB.AddScaled(1, g.Row(r))
+			for j, gv := range g.Row(r) {
+				gradB[j] += gv
+			}
 		}
 		if i > p.firstDense {
 			// dL/din = g·W.
 			next := fitMatrix(gin, g.Rows, w.Cols)
-			tensor.DenseInto(next, g, &l.bwd, false)
+			tensor.MatMulInto(next, g, w)
 			g, gin = next, g
 		}
 	}
@@ -448,15 +463,4 @@ func fitMatrix(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
-}
-
-// transposeInto writes mᵀ into dst (reshaped to fit) and returns it.
-func transposeInto(dst, m *tensor.Matrix) *tensor.Matrix {
-	t := fitMatrix(dst, m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c, v := range m.Row(r) {
-			t.Data[c*m.Rows+r] = v
-		}
-	}
-	return t
 }

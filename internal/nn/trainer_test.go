@@ -326,3 +326,22 @@ func TestTrainZeroGradientTimesInf(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainerStepZeroAllocs pins a one-worker optimizer step at zero
+// heap allocations once its buffers are sized: the forward repack, the
+// backward products that write straight into the parameters' gradients,
+// and the Adam update all reuse memory.
+func TestTrainerStepZeroAllocs(t *testing.T) {
+	rng := xrand.New(76)
+	net := NewMLP(MLPConfig{InDim: 18, Hidden: []int{16, 12}, OutDim: 5}, rng)
+	train := trainSamples(rng, 64, 18, 5, false)
+	batch := make([]int, 32)
+	for i := range batch {
+		batch[i] = 2 * i
+	}
+	tr, loss, opt := newTrainer(net, 1), NewSoftmaxCrossEntropy(), NewAdam(0.01)
+	tr.step(train, batch, loss, opt)
+	if allocs := testing.AllocsPerRun(20, func() { tr.step(train, batch, loss, opt) }); allocs != 0 {
+		t.Fatalf("trainer step: %v allocs/op, want 0", allocs)
+	}
+}

@@ -21,8 +21,9 @@
 package prefetch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -196,28 +197,34 @@ func (m *Markov) RestoreState(n int, obs int64, counts, rowSum []float64) error 
 // The current model itself is excluded — prefetching what is already
 // running is never useful. k is clamped to n-1.
 func (m *Markov) TopK(current, k int) []Prediction {
+	return m.TopKInto(nil, current, k)
+}
+
+// TopKInto is TopK writing into dst's backing array, which it grows
+// only when its capacity is short of n-1: a caller that keeps the
+// returned slice plans without allocating.
+func (m *Markov) TopKInto(dst []Prediction, current, k int) []Prediction {
+	dst = dst[:0]
 	if current < 0 || k <= 0 {
-		return nil
+		return dst
 	}
-	row := m.Row(current)
-	if current >= len(row) {
-		return nil
+	m.mu.RLock()
+	if current >= m.n {
+		m.mu.RUnlock()
+		return dst
 	}
-	preds := make([]Prediction, 0, len(row)-1)
-	for j, p := range row {
-		if j == current {
-			continue
+	denom := m.rowSum[current] + m.alpha*float64(m.n)
+	for j, c := range m.counts[current*m.n : (current+1)*m.n] {
+		if j != current {
+			dst = append(dst, Prediction{Model: j, Prob: (c + m.alpha) / denom})
 		}
-		preds = append(preds, Prediction{Model: j, Prob: p})
 	}
-	sort.SliceStable(preds, func(a, b int) bool {
-		if preds[a].Prob != preds[b].Prob {
-			return preds[a].Prob > preds[b].Prob
+	m.mu.RUnlock()
+	slices.SortStableFunc(dst, func(a, b Prediction) int {
+		if c := cmp.Compare(b.Prob, a.Prob); c != 0 {
+			return c
 		}
-		return preds[a].Model < preds[b].Model
+		return cmp.Compare(a.Model, b.Model)
 	})
-	if k > len(preds) {
-		k = len(preds)
-	}
-	return preds[:k]
+	return dst[:min(k, len(dst))]
 }

@@ -2,6 +2,8 @@ package prefetch
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -125,5 +127,44 @@ func TestMarkovConcurrent(t *testing.T) {
 	wg.Wait()
 	if m.Observations() == 0 {
 		t.Fatal("no observations recorded")
+	}
+}
+
+// TestMarkovTopKIntoMatchesSortedRow checks TopKInto, reusing one
+// buffer throughout, against the full smoothed row sorted stably by
+// descending probability and then model index, for every current model
+// and k, on counts with many tied probabilities.
+func TestMarkovTopKIntoMatchesSortedRow(t *testing.T) {
+	const n = 7
+	m, _ := NewMarkov(n, 0.5)
+	for i := 0; i < 60; i++ {
+		m.Observe(i%n, (i*i+3)%n)
+	}
+	var buf []Prediction
+	for current := -1; current <= n; current++ {
+		for k := -1; k <= n+1; k++ {
+			var want []Prediction
+			if current >= 0 && k > 0 && current < n {
+				for j, p := range m.Row(current) {
+					if j != current {
+						want = append(want, Prediction{Model: j, Prob: p})
+					}
+				}
+				sort.SliceStable(want, func(a, b int) bool {
+					if want[a].Prob != want[b].Prob {
+						return want[a].Prob > want[b].Prob
+					}
+					return want[a].Model < want[b].Model
+				})
+				want = want[:min(k, len(want))]
+			}
+			buf = m.TopKInto(buf, current, k)
+			if !slices.Equal(buf, want) {
+				t.Fatalf("TopKInto(%d, %d) = %+v, want %+v", current, k, buf, want)
+			}
+			if got := m.TopK(current, k); !slices.Equal(got, want) {
+				t.Fatalf("TopK(%d, %d) = %+v, want %+v", current, k, got, want)
+			}
+		}
 	}
 }

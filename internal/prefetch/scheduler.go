@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,6 +152,10 @@ type Scheduler struct {
 	inflight     map[int]*flight
 	demandActive int
 	closed       bool
+	// preds and order are Plan's working buffers, reused under mu so
+	// that planning does not allocate.
+	preds []Prediction
+	order []int
 
 	// paused suspends background planning (see SetPaused); the demand
 	// path is unaffected. Atomic so the pressure monitor can flip it
@@ -248,18 +253,16 @@ func (s *Scheduler) Plan(current int) {
 		s.skippedBreaker.Inc()
 		return
 	}
-	preds := s.markov.TopK(current, s.cfg.TopK)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.demandActive > 0 {
 		return
 	}
+	s.preds = s.markov.TopKInto(s.preds, current, s.cfg.TopK)
 	limited := s.cfg.BudgetBytes > 0
 	remaining := s.cfg.BudgetBytes
-	wanted := make(map[int]bool, len(preds))
-	order := make([]int, 0, len(preds))
-	for _, p := range preds {
+	s.order = s.order[:0]
+	for _, p := range s.preds {
 		if p.Prob < minProb {
 			continue
 		}
@@ -274,15 +277,14 @@ func (s *Scheduler) Plan(current int) {
 			}
 			remaining -= m.Bytes
 		}
-		wanted[p.Model] = true
-		order = append(order, p.Model)
+		s.order = append(s.order, p.Model)
 	}
 	for idx, fl := range s.inflight {
-		if !wanted[idx] {
+		if !slices.Contains(s.order, idx) {
 			s.cancelLocked(idx, fl)
 		}
 	}
-	for _, idx := range order {
+	for _, idx := range s.order {
 		if _, dup := s.inflight[idx]; dup {
 			continue
 		}

@@ -438,3 +438,35 @@ func TestSchedulerCountsFailures(t *testing.T) {
 	s2.Plan(0)
 	wantStarted(t, ff, "M_1", "M_1")
 }
+
+// TestSchedulerPlanZeroAllocs pins steady-state planning at zero heap
+// allocations: a Plan whose prediction is already in flight, and one
+// whose prediction is resident, reuse the scheduler's buffers and start
+// nothing.
+func TestSchedulerPlanZeroAllocs(t *testing.T) {
+	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	ff := newFakeFetcher()
+	s, err := NewScheduler(Config{Fetcher: ff, TopK: 1}, store, testModels(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 10; i++ {
+		s.Observe(0, 1)
+	}
+	s.Plan(0) // starts M_1 and sizes the buffers
+	pin := func(state string) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(100, func() { s.Plan(0) }); allocs != 0 {
+			t.Fatalf("Plan with the prediction %s: %v allocs/op, want 0", state, allocs)
+		}
+	}
+	pin("in flight")
+	ff.release("M_1")
+	s.Tick()
+	if !store.Contains("M_1") {
+		t.Fatal("M_1 not admitted")
+	}
+	pin("resident")
+	wantStarted(t, ff, "M_1")
+}

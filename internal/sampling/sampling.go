@@ -136,7 +136,7 @@ func WellSampledBound(gammaSize int, theta float64) float64 {
 // highest draw, and tests the pool's model on the frame: accurate frames
 // join Ψᵢ^sub. The loop stops after Kappa accepted samples, when every
 // pool is well sampled, or at MaxRounds. Every model's F1 on every pool
-// frame is scored once, batched, before the loop (see newF1Table), so a
+// frame is scored once, batched, before the loop (see NewTable), so a
 // probe is a table lookup.
 //
 // Interpretation note: the paper's text increments the sampled pool's α,
@@ -147,11 +147,18 @@ func WellSampledBound(gammaSize int, theta float64) float64 {
 // and the selection counts equalize. EXPERIMENTS.md records this
 // deviation.
 func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, error) {
-	if err := validate(models, pools); err != nil {
+	t, err := NewTable(models, pools)
+	if err != nil {
 		return Result{}, err
 	}
-	cfg.setDefaults()
+	return t.Adaptive(cfg), nil
+}
 
+// Adaptive runs the package-level Adaptive on the table's models and
+// pools.
+func (t *Table) Adaptive(cfg Config) Result {
+	cfg.setDefaults()
+	pools := t.pools
 	n := len(pools)
 	alpha := make([]float64, n)
 	beta := make([]float64, n)
@@ -163,7 +170,6 @@ func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, erro
 		bounds[i] = WellSampledBound(len(p.Frames), cfg.Theta)
 	}
 
-	table := newF1Table(models, pools)
 	res := Result{Counts: make([]int, n)}
 	accepted := 0
 	for res.Rounds = 0; res.Rounds < cfg.MaxRounds && accepted < cfg.Kappa; res.Rounds++ {
@@ -181,7 +187,7 @@ func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, erro
 		}
 		k := cfg.RNG.Intn(len(pools[best].Frames))
 		res.Counts[best]++
-		if labels := table.labels(best, k, pools[best].ModelIdx, cfg.AcceptF1); len(labels) > 0 {
+		if labels := t.labels(best, k, pools[best].ModelIdx, cfg.AcceptF1); len(labels) > 0 {
 			res.Samples = append(res.Samples, labels...)
 			accepted++
 		}
@@ -193,7 +199,7 @@ func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, erro
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Random is the baseline sampler: each round picks a pool with
@@ -202,33 +208,42 @@ func Adaptive(models []*detect.Detector, pools []Pool, cfg Config) (Result, erro
 // accurate samples. It produces the unbalanced Ψ^sub distribution of
 // Fig. 3(a). Probes read the same F1 table as Adaptive's.
 func Random(models []*detect.Detector, pools []Pool, cfg Config) (Result, error) {
-	if err := validate(models, pools); err != nil {
+	t, err := NewTable(models, pools)
+	if err != nil {
 		return Result{}, err
 	}
+	return t.Random(cfg), nil
+}
+
+// Random runs the package-level Random on the table's models and pools.
+func (t *Table) Random(cfg Config) Result {
 	cfg.setDefaults()
+	pools := t.pools
 
 	weights := make([]float64, len(pools))
 	for i, p := range pools {
 		weights[i] = float64(len(p.Frames))
 	}
-	table := newF1Table(models, pools)
 	res := Result{Counts: make([]int, len(pools))}
 	accepted := 0
 	for res.Rounds = 0; res.Rounds < cfg.MaxRounds && accepted < cfg.Kappa; res.Rounds++ {
 		i := cfg.RNG.Categorical(weights)
 		k := cfg.RNG.Intn(len(pools[i].Frames))
 		res.Counts[i]++
-		if labels := table.labels(i, k, pools[i].ModelIdx, cfg.AcceptF1); len(labels) > 0 {
+		if labels := t.labels(i, k, pools[i].ModelIdx, cfg.AcceptF1); len(labels) > 0 {
 			res.Samples = append(res.Samples, labels...)
 			accepted++
 		}
 	}
-	return res, nil
+	return res
 }
 
-// f1Table holds every model's per-frame F1 on every distinct pool
-// frame, scored before the probe loop so that a probe is a lookup.
-type f1Table struct {
+// Table holds every model's per-frame F1 on every distinct frame of a
+// set of pools, scored once before any probe loop, so that a probe is a
+// lookup and several sampling runs over the same models and pools share
+// one scoring pass.
+type Table struct {
+	pools []Pool
 	// f1[m][i] is model m's F1 on distinct frame i.
 	f1 [][]float64
 	// frames[i] is distinct frame i, in first-seen order over the pools.
@@ -240,14 +255,18 @@ type f1Table struct {
 // tableChunk is how many frames one DetectBatchFeatures call scores.
 const tableChunk = 64
 
-// newF1Table scores every model on every distinct frame of the pools.
+// NewTable validates the pools against the models and scores every
+// model on every distinct frame of the pools.
 // Each frame's feature is computed once and shared by all models; each
 // model runs DetectBatchFeatures over chunks of frames on its own
 // goroutine, at most GOMAXPROCS at a time. Batched predictions equal
 // one-frame DetectFrame's, so every F1 is the one a per-probe
 // EvaluateFrame would give.
-func newF1Table(models []*detect.Detector, pools []Pool) *f1Table {
-	t := &f1Table{at: make([][]int, len(pools))}
+func NewTable(models []*detect.Detector, pools []Pool) (*Table, error) {
+	if err := validate(models, pools); err != nil {
+		return nil, err
+	}
+	t := &Table{pools: pools, at: make([][]int, len(pools))}
 	index := make(map[*synth.Frame]int)
 	for p, pool := range pools {
 		t.at[p] = make([]int, len(pool.Frames))
@@ -289,7 +308,7 @@ func newF1Table(models []*detect.Detector, pools []Pool) *f1Table {
 		}()
 	}
 	wg.Wait()
-	return t
+	return t, nil
 }
 
 // labels implements the Ψ^sub membership test for frame k of pool p
@@ -298,7 +317,7 @@ func newF1Table(models []*detect.Detector, pools []Pool) *f1Table {
 // then joins Ψ_j^sub for each accurate model j. The multi-label form is
 // what the paper's allocation vector v^x encodes, and it lets decision
 // training resolve each frame to its best-fit model.
-func (t *f1Table) labels(p, k, poolModel int, accept float64) []LabeledFrame {
+func (t *Table) labels(p, k, poolModel int, accept float64) []LabeledFrame {
 	i := t.at[p][k]
 	if t.f1[poolModel][i] < accept {
 		return nil

@@ -251,7 +251,10 @@ func toFloat(xs []int) []float64 {
 // F1 values and their order must match exactly.
 func TestAcceptedLabelsMatchesPerModelEvaluation(t *testing.T) {
 	fx := buildFixture(t, 91, 30, 30)
-	table := newF1Table(fx.models, fx.pools)
+	table, err := NewTable(fx.models, fx.pools)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reference := func(poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
 		if fx.models[poolModel].EvaluateFrame(frame).F1 < accept {
 			return nil
@@ -398,8 +401,9 @@ func refRandom(models []*detect.Detector, pools []Pool, cfg Config) Result {
 }
 
 // TestSamplersMatchPerProbeReference checks Adaptive and Random, which
-// look probes up in the F1 table, against the per-probe reference: the
-// whole Result — every sample with its F1 bits, the counts and the
+// look probes up in the F1 table, against the per-probe reference, both
+// as package functions and as methods of one Table shared by every run:
+// the whole Result — every sample with its F1 bits, the counts and the
 // rounds — must be equal. The 100 distinct frames span two table
 // chunks, and the pools share frames: pool 2 is drawn from
 // both other pools' frames, and pool 3 repeats pool 0 for model 2, so a
@@ -421,12 +425,19 @@ func TestSamplersMatchPerProbeReference(t *testing.T) {
 	models := append(append([]*detect.Detector(nil), fx.models...), third)
 	pools := append(append([]Pool(nil), fx.pools...), Pool{ModelIdx: 2, Frames: mixed}, Pool{ModelIdx: 2, Frames: a})
 
-	type sampler struct {
-		name string
-		run  func([]*detect.Detector, []Pool, Config) (Result, error)
-		ref  func([]*detect.Detector, []Pool, Config) Result
+	// Every run also goes through one Table shared by both samplers and
+	// all runs, as RunFig3 uses it.
+	table, err := NewTable(models, pools)
+	if err != nil {
+		t.Fatal(err)
 	}
-	samplers := []sampler{{"adaptive", Adaptive, refAdaptive}, {"random", Random, refRandom}}
+	type sampler struct {
+		name   string
+		run    func([]*detect.Detector, []Pool, Config) (Result, error)
+		shared func(*Table, Config) Result
+		ref    func([]*detect.Detector, []Pool, Config) Result
+	}
+	samplers := []sampler{{"adaptive", Adaptive, (*Table).Adaptive, refAdaptive}, {"random", Random, (*Table).Random, refRandom}}
 	configs := map[string]Config{
 		"max-rounds":   {Kappa: 1000, MaxRounds: 25, AcceptF1: 0.3},
 		"kappa":        {Kappa: 15, MaxRounds: 1000, AcceptF1: 0.3},
@@ -445,9 +456,13 @@ func TestSamplersMatchPerProbeReference(t *testing.T) {
 				}
 				cfg.RNG = xrand.New(95)
 				want := s.ref(models, pools, cfg)
-				if got.Rounds != want.Rounds || !slices.Equal(got.Counts, want.Counts) || !sameLabels(got.Samples, want.Samples) {
-					t.Fatalf("rounds %d counts %v %d samples, reference rounds %d counts %v %d samples",
-						got.Rounds, got.Counts, len(got.Samples), want.Rounds, want.Counts, len(want.Samples))
+				cfg.RNG = xrand.New(95)
+				shared := s.shared(table, cfg)
+				for form, got := range map[string]Result{"per-call table": got, "shared table": shared} {
+					if got.Rounds != want.Rounds || !slices.Equal(got.Counts, want.Counts) || !sameLabels(got.Samples, want.Samples) {
+						t.Fatalf("%s: rounds %d counts %v %d samples, reference rounds %d counts %v %d samples",
+							form, got.Rounds, got.Counts, len(got.Samples), want.Rounds, want.Counts, len(want.Samples))
+					}
 				}
 				if len(want.Samples) == 0 {
 					t.Fatal("no probe was accepted; the comparison covered nothing")

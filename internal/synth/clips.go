@@ -2,6 +2,9 @@ package synth
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"anole/internal/xrand"
 )
@@ -163,11 +166,18 @@ type Corpus struct {
 
 // GenerateCorpus builds the corpus from profiles, marking roughly one in
 // ten clips per dataset as unseen (at least one when a dataset has ≥2
-// clips).
+// clips). Each clip's RNG stream is split off in clip order; the clips
+// are then generated on up to GOMAXPROCS goroutines, which is safe
+// because GenerateClip only reads the World, and gives the same corpus
+// as generating them one after another.
 func (w *World) GenerateCorpus(profiles []Profile) *Corpus {
+	type job struct {
+		p    Profile
+		rng  *xrand.RNG
+		seen bool
+	}
 	rng := xrand.NewLabeled(w.cfg.Seed, "synth-corpus")
-	corpus := &Corpus{World: w}
-	clipID := 0
+	var jobs []job
 	for _, p := range profiles {
 		unseen := p.Clips / 10
 		if unseen == 0 && p.Clips >= 2 {
@@ -175,12 +185,24 @@ func (w *World) GenerateCorpus(profiles []Profile) *Corpus {
 		}
 		// The last `unseen` clips of each dataset are held out.
 		for i := 0; i < p.Clips; i++ {
-			clip := w.GenerateClip(p, clipID, rng.Split(uint64(clipID)))
-			clip.Seen = i < p.Clips-unseen
-			corpus.Clips = append(corpus.Clips, clip)
-			clipID++
+			jobs = append(jobs, job{p: p, rng: rng.Split(uint64(len(jobs))), seen: i < p.Clips-unseen})
 		}
 	}
+	corpus := &Corpus{World: w, Clips: make([]*Clip, len(jobs))}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := int(next.Add(1) - 1); id < len(jobs); id = int(next.Add(1) - 1) {
+				clip := w.GenerateClip(jobs[id].p, id, jobs[id].rng)
+				clip.Seen = jobs[id].seen
+				corpus.Clips[id] = clip
+			}
+		}()
+	}
+	wg.Wait()
 	return corpus
 }
 

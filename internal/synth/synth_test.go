@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -378,6 +379,60 @@ func TestCorpusDeterministic(t *testing.T) {
 	for i := range fa.Cells {
 		if fa.Cells[i] != fb.Cells[i] {
 			t.Fatal("corpora differ despite identical seeds")
+		}
+	}
+}
+
+// TestGenerateCorpusMatchesSerial checks the parallel GenerateCorpus,
+// at four goroutines, against generating every clip in order on the
+// calling goroutine: the same clips, and every frame's scene, place,
+// illumination, objects and feature cells bit for bit.
+func TestGenerateCorpusMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	w := testWorld(t, 33)
+	profiles := DefaultProfiles(0.15)
+	got := w.GenerateCorpus(profiles)
+
+	rng := xrand.NewLabeled(w.cfg.Seed, "synth-corpus")
+	var want []*Clip
+	for _, p := range profiles {
+		unseen := p.Clips / 10
+		if unseen == 0 && p.Clips >= 2 {
+			unseen = 1
+		}
+		for i := 0; i < p.Clips; i++ {
+			id := len(want)
+			clip := w.GenerateClip(p, id, rng.Split(uint64(id)))
+			clip.Seen = i < p.Clips-unseen
+			want = append(want, clip)
+		}
+	}
+
+	bits := math.Float64bits
+	if len(got.Clips) != len(want) {
+		t.Fatalf("%d clips, serial %d", len(got.Clips), len(want))
+	}
+	for c, wc := range want {
+		gc := got.Clips[c]
+		if gc.Dataset != wc.Dataset || gc.ID != wc.ID || gc.Seen != wc.Seen || len(gc.Frames) != len(wc.Frames) {
+			t.Fatalf("clip %d: %v/%d seen=%v with %d frames, serial %v/%d seen=%v with %d",
+				c, gc.Dataset, gc.ID, gc.Seen, len(gc.Frames), wc.Dataset, wc.ID, wc.Seen, len(wc.Frames))
+		}
+		for i, wf := range wc.Frames {
+			gf := gc.Frames[i]
+			same := gf.Scene == wf.Scene && gf.Dataset == wf.Dataset && gf.Clip == wf.Clip && gf.Index == wf.Index &&
+				gf.featDim == wf.featDim && bits(gf.Brightness) == bits(wf.Brightness) && bits(gf.Contrast) == bits(wf.Contrast) &&
+				len(gf.Objects) == len(wf.Objects) && len(gf.Cells) == len(wf.Cells)
+			for j := 0; same && j < len(wf.Objects); j++ {
+				g, w := gf.Objects[j], wf.Objects[j]
+				same = g.Cell == w.Cell && g.Class == w.Class && bits(g.Size) == bits(w.Size)
+			}
+			for j := 0; same && j < len(wf.Cells); j++ {
+				same = bits(gf.Cells[j]) == bits(wf.Cells[j])
+			}
+			if !same {
+				t.Fatalf("clip %d frame %d differs from the serial corpus", c, i)
+			}
 		}
 	}
 }

@@ -1,7 +1,8 @@
 package tensor
 
 // haveAVX2 reports whether the CPU and OS support AVX2, checked once at
-// start-up; DenseInto runs the assembly kernel only when it holds.
+// start-up; the dense kernel and AdamStep.Update run their assembly
+// loops only when it holds.
 var haveAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 needs CPUID leaf 1's OSXSAVE and AVX bits, XCR0's XMM and
@@ -32,7 +33,14 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // denseAVX2 is the assembly form of denseGeneric (same arguments, same
-// packed layout, bit-identical results). It requires haveAVX2.
+// strides, bit-identical results). It requires haveAVX2.
 //
 //go:noescape
-func denseAVX2(dst, x, w, b []float64, rows, k, n int, relu bool)
+func denseAVX2(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool)
+
+// adamAVX2 is the assembly form of AdamStep.Update's Go loop over the
+// first len(value)/4·4 elements (bit-identical results; c1 = 1−β₁,
+// c2 = 1−β₂). It requires haveAVX2.
+//
+//go:noescape
+func adamAVX2(value, grad, m, v []float64, wd, b1, c1, b2, c2, bc1, bc2, lr, eps float64)

@@ -1,0 +1,17 @@
+//go:build !amd64
+
+package tensor
+
+// haveAVX2 is false off amd64: the dense kernel and AdamStep.Update
+// always run their Go loops.
+const haveAVX2 = false
+
+// denseAVX2 exists only on amd64; dense never calls it here.
+func denseAVX2(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+// adamAVX2 exists only on amd64; AdamStep.Update never calls it here.
+func adamAVX2(value, grad, m, v []float64, wd, b1, c1, b2, c2, bc1, bc2, lr, eps float64) {
+	panic("tensor: AVX2 Adam called off amd64")
+}

@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// Store masks for the last, partial panel: entry t (t = n mod 4, 1..3)
-// enables the first t lanes. Entry 0 is never used.
+// Lane masks for the last, partial panel: entry t (t = n mod 4, 1..3)
+// enables the first t lanes of its loads and stores. Entry 0 is never
+// used.
 DATA tailmask<>+0x00(SB)/8, $0
 DATA tailmask<>+0x08(SB)/8, $0
 DATA tailmask<>+0x10(SB)/8, $0
@@ -39,34 +40,48 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func denseAVX2(dst, x, w, b []float64, rows, k, n int, relu bool)
+// func denseAVX2(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool)
 //
-// Rows go four at a time (then one at a time for the rest); for each
-// block, every panel of four output columns keeps one accumulator per
-// row. Per input kk the panel's four weights are loaded once, each row's
-// x[kk] is broadcast, multiplied (VMULPD) and added (VADDPD) — never
-// fused — so every lane sums in ascending k from +0 exactly like MulVec.
-// The bias add and the ReLU (VMAXPD against +0 with the sum as the first
-// source: NaN and −0 give +0) run in registers before the store; the
-// partial last panel stores through a lane mask.
+// Element (r, kk) of x sits at x[r·xr + kk·xs]; output column c's weight
+// for input kk at w[(c/4)·wp + kk·wk + c%4], so each panel's four lanes
+// are adjacent and every other step is a stride. Rows go four at a time
+// (then one at a time for the rest); for each block, every panel of four
+// output columns keeps one accumulator per row. Per input kk the panel's
+// four weights are loaded once, each row's x element is broadcast,
+// multiplied (VMULPD) and added (VADDPD) — never fused — so every lane
+// sums in ascending k from +0 exactly like MulVec. An empty b adds
+// nothing, which is exact: a sum from +0 is never −0. The bias add and
+// the ReLU (VMAXPD against +0 with the sum as the first source: NaN and
+// −0 give +0) run in registers before the store. The partial last panel
+// loads its weights and bias and stores its outputs through the lane
+// mask, so no access goes past an operand.
 //
-// Registers: AX x row stride, BX dst row stride (bytes), CX 3 x rows,
-// DX dst block base, R13 x block base, SI x cursor, DI dst cursor, R8 w
-// cursor, R9 bias cursor, R10 rows left, R11 k counter, R12 columns left
-// in the row; Y13 tail store mask, Y14 +0.
-TEXT ·denseAVX2(SB), NOSPLIT, $0-121
+// Registers: AX x row stride (bytes), CX 3·AX, R9 x element stride
+// (bytes), BX dst row stride (bytes), R12 weight k stride (bytes), DX
+// dst block base, R13 x block base, SI x cursor, DI dst cursor, R8 w
+// panel base, R14 w cursor, R10 rows left, R11 k counter and scratch;
+// Y13 tail lane mask, Y14 +0. Locals: the columns left in the row and
+// the panel stride (bytes).
+TEXT ·denseAVX2(SB), NOSPLIT, $16-153
 	MOVQ x_base+24(FP), R13
 	MOVQ dst_base+0(FP), DX
 	MOVQ rows+96(FP), R10
-	MOVQ k+104(FP), AX
+	MOVQ xr+128(FP), AX
 	SHLQ $3, AX
 	LEAQ (AX)(AX*2), CX
+	MOVQ xs+120(FP), R9
+	SHLQ $3, R9
+	MOVQ wk+144(FP), R12
+	SHLQ $3, R12
+	MOVQ wp+136(FP), R11
+	SHLQ $3, R11
+	MOVQ R11, wpb-16(SP)
 	MOVQ n+112(FP), BX
-	MOVQ BX, R12
-	ANDQ $3, R12
-	SHLQ $5, R12
-	LEAQ tailmask<>(SB), R11
-	VMOVUPD (R11)(R12*1), Y13
+	MOVQ BX, R11
+	ANDQ $3, R11
+	SHLQ $5, R11
+	LEAQ tailmask<>(SB), R8
+	VMOVUPD (R8)(R11*1), Y13
 	SHLQ $3, BX
 	VXORPD Y14, Y14, Y14
 
@@ -74,24 +89,27 @@ block4:
 	CMPQ R10, $4
 	JLT  row1
 	MOVQ w_base+48(FP), R8
-	MOVQ b_base+72(FP), R9
 	MOVQ DX, DI
-	MOVQ n+112(FP), R12
+	MOVQ n+112(FP), R11
+	MOVQ R11, cols-8(SP)
 
 panel4:
-	CMPQ R12, $0
+	CMPQ cols-8(SP), $0
 	JLE  next4
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	MOVQ R13, SI
+	MOVQ R8, R14
 	MOVQ k+104(FP), R11
 	TESTQ R11, R11
 	JZ   bias4
+	CMPQ cols-8(SP), $4
+	JLT  k4m
 
 k4:
-	VMOVUPD      (R8), Y4
+	VMOVUPD      (R14), Y4
 	VBROADCASTSD (SI), Y5
 	VMULPD       Y4, Y5, Y5
 	VADDPD       Y5, Y0, Y0
@@ -104,27 +122,62 @@ k4:
 	VBROADCASTSD (SI)(CX*1), Y8
 	VMULPD       Y4, Y8, Y8
 	VADDPD       Y8, Y3, Y3
-	ADDQ         $32, R8
-	ADDQ         $8, SI
+	ADDQ         R12, R14
+	ADDQ         R9, SI
 	DECQ         R11
 	JNZ          k4
+	JMP          bias4
+
+k4m:
+	VMASKMOVPD   (R14), Y13, Y4
+	VBROADCASTSD (SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (SI)(AX*1), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (SI)(AX*2), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD (SI)(CX*1), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         R12, R14
+	ADDQ         R9, SI
+	DECQ         R11
+	JNZ          k4m
 
 bias4:
-	VMOVUPD (R9), Y4
-	VADDPD  Y4, Y0, Y0
-	VADDPD  Y4, Y1, Y1
-	VADDPD  Y4, Y2, Y2
-	VADDPD  Y4, Y3, Y3
-	CMPB    relu+120(FP), $0
-	JEQ     store4
-	VMAXPD  Y14, Y0, Y0
-	VMAXPD  Y14, Y1, Y1
-	VMAXPD  Y14, Y2, Y2
-	VMAXPD  Y14, Y3, Y3
+	CMPQ b_len+80(FP), $0
+	JEQ  relu4
+	MOVQ DI, R11
+	SUBQ DX, R11
+	ADDQ b_base+72(FP), R11
+	CMPQ cols-8(SP), $4
+	JLT  biasm4
+	VMOVUPD (R11), Y4
+	JMP  addb4
+
+biasm4:
+	VMASKMOVPD (R11), Y13, Y4
+
+addb4:
+	VADDPD Y4, Y0, Y0
+	VADDPD Y4, Y1, Y1
+	VADDPD Y4, Y2, Y2
+	VADDPD Y4, Y3, Y3
+
+relu4:
+	CMPB relu+152(FP), $0
+	JEQ  store4
+	VMAXPD Y14, Y0, Y0
+	VMAXPD Y14, Y1, Y1
+	VMAXPD Y14, Y2, Y2
+	VMAXPD Y14, Y3, Y3
 
 store4:
 	LEAQ (DI)(BX*2), R11
-	CMPQ R12, $4
+	CMPQ cols-8(SP), $4
 	JLT  mask4
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, (DI)(BX*1)
@@ -139,9 +192,9 @@ mask4:
 	VMASKMOVPD Y3, Y13, (R11)(BX*1)
 
 adv4:
-	ADDQ $32, R9
+	ADDQ wpb-16(SP), R8
 	ADDQ $32, DI
-	SUBQ $4, R12
+	SUBQ $4, cols-8(SP)
 	JMP  panel4
 
 next4:
@@ -154,36 +207,64 @@ row1:
 	TESTQ R10, R10
 	JZ    done
 	MOVQ  w_base+48(FP), R8
-	MOVQ  b_base+72(FP), R9
 	MOVQ  DX, DI
-	MOVQ  n+112(FP), R12
+	MOVQ  n+112(FP), R11
+	MOVQ  R11, cols-8(SP)
 
 panel1:
-	CMPQ R12, $0
+	CMPQ cols-8(SP), $0
 	JLE  next1
 	VXORPD Y0, Y0, Y0
 	MOVQ R13, SI
+	MOVQ R8, R14
 	MOVQ k+104(FP), R11
 	TESTQ R11, R11
 	JZ   bias1
+	CMPQ cols-8(SP), $4
+	JLT  k1m
 
 k1:
 	VBROADCASTSD (SI), Y5
-	VMULPD       (R8), Y5, Y5
+	VMULPD       (R14), Y5, Y5
 	VADDPD       Y5, Y0, Y0
-	ADDQ         $32, R8
-	ADDQ         $8, SI
+	ADDQ         R12, R14
+	ADDQ         R9, SI
 	DECQ         R11
 	JNZ          k1
+	JMP          bias1
+
+k1m:
+	VMASKMOVPD   (R14), Y13, Y4
+	VBROADCASTSD (SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         R12, R14
+	ADDQ         R9, SI
+	DECQ         R11
+	JNZ          k1m
 
 bias1:
-	VADDPD (R9), Y0, Y0
-	CMPB   relu+120(FP), $0
-	JEQ    store1
+	CMPQ b_len+80(FP), $0
+	JEQ  relu1
+	MOVQ DI, R11
+	SUBQ DX, R11
+	ADDQ b_base+72(FP), R11
+	CMPQ cols-8(SP), $4
+	JLT  biasm1
+	VADDPD (R11), Y0, Y0
+	JMP  relu1
+
+biasm1:
+	VMASKMOVPD (R11), Y13, Y4
+	VADDPD     Y4, Y0, Y0
+
+relu1:
+	CMPB relu+152(FP), $0
+	JEQ  store1
 	VMAXPD Y14, Y0, Y0
 
 store1:
-	CMPQ R12, $4
+	CMPQ cols-8(SP), $4
 	JLT  mask1
 	VMOVUPD Y0, (DI)
 	JMP  adv1
@@ -192,9 +273,9 @@ mask1:
 	VMASKMOVPD Y0, Y13, (DI)
 
 adv1:
-	ADDQ $32, R9
+	ADDQ wpb-16(SP), R8
 	ADDQ $32, DI
-	SUBQ $4, R12
+	SUBQ $4, cols-8(SP)
 	JMP  panel1
 
 next1:

@@ -1,0 +1,31 @@
+package tensor
+
+import (
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guardedCopy returns a copy of data that ends where a page the process
+// may not touch begins, so a kernel that loads past the operand faults
+// (callNoFault turns the fault into a test failure).
+func guardedCopy(t *testing.T, data []float64) []float64 {
+	t.Helper()
+	if len(data) == 0 {
+		return nil
+	}
+	page := syscall.Getpagesize()
+	size := (len(data)*8+page-1)/page*page + page
+	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[size-page:], syscall.PROT_NONE); err != nil {
+		t.Fatal(err)
+	}
+	body := mem[size-page-len(data)*8 : size-page]
+	out := unsafe.Slice((*float64)(unsafe.Pointer(&body[0])), len(data))
+	copy(out, data)
+	return out
+}

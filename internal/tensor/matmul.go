@@ -6,50 +6,62 @@ import (
 	"sync"
 )
 
-// This file holds the GEMM kernels behind batched inference and
-// mini-batch training.
+// This file holds the one GEMM kernel behind batched inference and
+// mini-batch training, and the products built on it.
 //
-// DenseInto computes a whole dense layer over a batch, dst = act(x·Wᵀ + b),
-// in one pass: the weights are packed once (PackDense) into panels of
-// four output columns, k-major, and each output's dot product, bias add
-// and optional ReLU happen before it is stored. On amd64 with AVX2 an
-// assembly loop computes four output columns of four rows per step
-// (dense_amd64.s); everywhere else a pure-Go loop walks the same layout.
-// Both sum every output in ascending k from +0, then add the bias, so
-// each output is bit-identical to Matrix.MulVec followed by
-// Vector.AddScaled(1, b): the assembly multiplies and adds separately
-// (never FMA), as compiled Go does on amd64, and the portable loop
-// writes MulVec's own expressions.
+// The kernel computes dst = act(x·w + b) for a row-major dst, reading x
+// and w through strides: element (r, kk) of x sits at x[r·xr + kk·xs],
+// and output column c's weight for input kk at w[(c/4)·wp + kk·wk + c%4]
+// — the weights come in panels of four adjacent output columns. Each
+// output's dot product, bias add and optional ReLU happen before it is
+// stored. On amd64 with AVX2 an assembly loop computes four output
+// columns of four rows per step (dense_amd64.s); everywhere else a
+// pure-Go loop reads the same strides. Both sum every output in
+// ascending k from +0, then add the bias, so each output is
+// bit-identical to Matrix.MulVec followed by Vector.AddScaled(1, b): the
+// assembly multiplies and adds separately (never FMA), as compiled Go
+// does on amd64, and the portable loop rounds each product before
+// adding it, as MulVec does.
 //
-// MatMulTInto (dst = a·bᵀ) and MatMulInto (dst = a·b) run the same
-// kernel with a zero bias, packing b into a pooled buffer per call. All
-// reuse dst; with a correctly-sized dst the steady state performs no
-// heap allocations, which is what lets nn.Weights.InferBatch stay
+// The strides let each product read its operands where they lie:
+//
+//   - DenseInto reads a Packed layer, whose weights were copied once
+//     into k-major panels (wp = 4k, wk = 4), so that a layer stored one
+//     row per output can be applied many times.
+//   - MatMulInto (a·b) and TMatMulInto (aᵀ·b) read row-major b in place
+//     (wp = 4, wk = b.Cols); TMatMulInto reads a's columns as rows
+//     (xs = a.Cols, xr = 1).
+//   - MatMulTInto (a·bᵀ) packs b into a pooled Packed per call: the
+//     lanes of one panel would be b.Cols apart in place.
+//
+// A partial last panel loads and stores only its live lanes, so no
+// access goes past an operand. Every product reuses dst; with a
+// correctly-sized dst the steady state performs no heap allocations,
+// which is what lets nn.Weights.InferBatch and the trainer's step stay
 // 0-alloc. None spawns goroutines: callers parallelize across
 // independent products.
 
-// panelCols is the output-column width of one packed weight panel: one
-// 256-bit vector of float64.
+// panelCols is the output-column width of one weight panel: one 256-bit
+// vector of float64.
 const panelCols = 4
 
 // Packed is a dense layer's parameters laid out for DenseInto: the
 // weights W (n outputs × k inputs) as ⌈n/4⌉ panels of four output
 // columns, each panel k-major (the four weights of input kk are
-// adjacent), and the bias b. The last panel's unused columns and the
-// bias are zero-padded to a multiple of four. Any number of goroutines
-// may run DenseInto on one Packed at once; it changes only when
-// repacked.
+// adjacent), and the bias b. The last panel's unused lanes are never
+// read. Any number of goroutines may run DenseInto on one Packed at
+// once; it changes only when repacked.
 type Packed struct {
 	n, k int
 	w    []float64 // ⌈n/4⌉ · k · 4
-	b    []float64 // ⌈n/4⌉ · 4
+	b    []float64 // n, or empty for a zero bias
 }
 
 // PackDense packs w (n×k) and its bias b (length n, or nil for a zero
 // bias) for DenseInto.
 func PackDense(w *Matrix, b Vector) *Packed {
 	p := new(Packed)
-	p.pack(w, b, false)
+	p.Repack(w, b)
 	return p
 }
 
@@ -57,52 +69,16 @@ func PackDense(w *Matrix, b Vector) *Packed {
 // p's buffers when they are large enough: a trainer repacks its layers
 // once per optimizer step. p must not be repacked while a DenseInto
 // reads it.
-func (p *Packed) Repack(w *Matrix, b Vector) { p.pack(w, b, false) }
-
-// RepackColumns refills p with the columns of w (k×n) as its n outputs
-// and a zero bias, so DenseInto(dst, x, p, false) computes x·w — every
-// element bit-identical to MatMulInto(dst, x, w) — without packing w
-// again per call.
-func (p *Packed) RepackColumns(w *Matrix) { p.pack(w, nil, true) }
-
-// pack (re)fills p from w and b, reusing p's buffers when they are large
-// enough. w holds one row per output (n×k), or one column per output
-// (k×n) when byColumn is set.
-func (p *Packed) pack(w *Matrix, b Vector, byColumn bool) {
+func (p *Packed) Repack(w *Matrix, b Vector) {
 	n, k := w.Rows, w.Cols
-	if byColumn {
-		n, k = k, n
-	}
 	if b != nil && len(b) != n {
 		panic(fmt.Sprintf("tensor: PackDense bias length %d for %d outputs", len(b), n))
 	}
-	panels := (n + panelCols - 1) / panelCols
 	p.n, p.k = n, k
-	p.w = resize(p.w, panels*k*panelCols)
-	p.b = resize(p.b, panels*panelCols)
-	clear(p.w[max(0, (panels-1)*k*panelCols):]) // the last panel's padding
-	clear(p.b)
-	if b != nil {
-		copy(p.b, b)
-	}
-	// Each loop reads w in storage order; output c's weight for input kk
-	// lands at panel c/4, row kk, lane c%4.
-	if byColumn {
-		// Row kk of w holds input kk's weight for every output: each
-		// panel's four lanes are four consecutive elements of it.
-		for kk := 0; kk < k; kk++ {
-			row := w.Data[kk*n : (kk+1)*n]
-			c0 := 0
-			for ; c0+panelCols <= n; c0 += panelCols {
-				d, s := p.w[c0*k+kk*panelCols:][:panelCols], row[c0:][:panelCols]
-				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
-			}
-			if c0 < n {
-				copy(p.w[c0*k+kk*panelCols:], row[c0:])
-			}
-		}
-		return
-	}
+	p.w = resize(p.w, (n+panelCols-1)/panelCols*k*panelCols)
+	p.b = append(p.b[:0], b...)
+	// Read w in storage order: output c's weight for input kk lands at
+	// panel c/4, row kk, lane c%4.
 	for c := 0; c < n; c++ {
 		panel := p.w[c/panelCols*k*panelCols:]
 		lane := c % panelCols
@@ -138,61 +114,71 @@ func DenseInto(dst, x *Matrix, p *Packed, relu bool) *Matrix {
 		panic("tensor: DenseInto dst aliases its input")
 	}
 	if x.Rows > 0 && p.n > 0 {
-		dense(dst.Data, x.Data, p.w, p.b, x.Rows, p.k, p.n, relu)
+		dense(dst.Data, x.Data, p.w, p.b, x.Rows, p.k, p.n, 1, p.k, panelCols*p.k, panelCols, relu)
 	}
 	return dst
 }
 
-// dense runs the kernel: the AVX2 loop where the CPU has it, the
-// portable loop otherwise.
-func dense(dst, x, w, b []float64, rows, k, n int, relu bool) {
+// dense runs the kernel (see the top of this file for the strides): the
+// AVX2 loop where the CPU has it, the portable loop otherwise.
+func dense(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool) {
 	if haveAVX2 {
-		denseAVX2(dst, x, w, b, rows, k, n, relu)
+		denseAVX2(dst, x, w, b, rows, k, n, xs, xr, wp, wk, relu)
 		return
 	}
-	denseGeneric(dst, x, w, b, rows, k, n, relu)
+	denseGeneric(dst, x, w, b, rows, k, n, xs, xr, wp, wk, relu)
 }
 
-// denseGeneric is the portable kernel over the packed layout: per row
-// and panel, four accumulators sum in ascending k, then the bias and the
-// optional ReLU apply and the panel's live columns are stored. The
-// expressions mirror MulVec's (`s += x * w`), so where the compiler fuses
-// multiply-adds it fuses both the same way.
-func denseGeneric(dst, x, w, b []float64, rows, k, n int, relu bool) {
+// denseGeneric is the portable kernel: per row and panel, up to four
+// accumulators sum in ascending k, then the bias (when b is not empty)
+// and the optional ReLU apply and the panel's live columns are stored.
+func denseGeneric(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool) {
 	for r := 0; r < rows; r++ {
-		xr := x[r*k : (r+1)*k]
 		orow := dst[r*n : (r+1)*n]
 		for c0 := 0; c0 < n; c0 += panelCols {
-			s0, s1, s2, s3 := dotPanel(xr, w[c0*k:(c0+panelCols)*k])
-			bias := b[c0 : c0+panelCols]
-			out := [panelCols]float64{s0 + bias[0], s1 + bias[1], s2 + bias[2], s3 + bias[3]}
-			if relu {
-				out = [panelCols]float64{reluOf(out[0]), reluOf(out[1]), reluOf(out[2]), reluOf(out[3])}
+			lanes := min(panelCols, n-c0)
+			out := dotPanel(x, r*xr, xs, w, c0/panelCols*wp, wk, k, lanes)
+			live := out[:lanes]
+			if len(b) > 0 {
+				for l, bv := range b[c0 : c0+lanes] {
+					live[l] += bv
+				}
 			}
-			copy(orow[c0:], out[:])
+			if relu {
+				for l, v := range live {
+					live[l] = reluOf(v)
+				}
+			}
+			copy(orow[c0:], live)
 		}
 	}
 }
 
-// dotPanel returns the dot products of x with the four columns of one
-// packed panel (4·len(x) weights), each summed in ascending k from +0.
-func dotPanel(x, panel []float64) (s0, s1, s2, s3 float64) {
-	if len(x) == 0 {
-		return 0, 0, 0, 0
+// dotPanel returns the dot products of the k elements of x from xi at
+// stride xs with the first lanes columns of one weight panel, whose
+// weights for input kk start at w[wi + kk·wk]; each sums in ascending k
+// from +0. The explicit float64 conversion rounds each product before
+// the add, so no platform fuses them into a multiply-add.
+func dotPanel(x []float64, xi, xs int, w []float64, wi, wk, k, lanes int) (s [panelCols]float64) {
+	if lanes == panelCols {
+		for ; k > 0; k-- {
+			xv, p := x[xi], w[wi:wi+panelCols]
+			s[0] += float64(xv * p[0])
+			s[1] += float64(xv * p[1])
+			s[2] += float64(xv * p[2])
+			s[3] += float64(xv * p[3])
+			xi, wi = xi+xs, wi+wk
+		}
+		return s
 	}
-	// One strided view per column keeps every index provably in range.
-	p0 := panel[0 : len(panel)-3]
-	p1 := panel[1 : len(panel)-2]
-	p2 := panel[2 : len(panel)-1]
-	p3 := panel[3:]
-	for i, xv := range x {
-		j := i * panelCols
-		s0 += xv * p0[j]
-		s1 += xv * p1[j]
-		s2 += xv * p2[j]
-		s3 += xv * p3[j]
+	for ; k > 0; k-- {
+		xv := x[xi]
+		for l, wv := range w[wi : wi+lanes] {
+			s[l] += float64(xv * wv)
+		}
+		xi, wi = xi+xs, wi+wk
 	}
-	return s0, s1, s2, s3
+	return s
 }
 
 // reluOf is the ReLU `if v > 0 { return v }; return 0` (NaN and −0 give
@@ -207,29 +193,16 @@ func reluOf(v float64) float64 {
 	return math.Float64frombits(math.Float64bits(v) & keep)
 }
 
-// packPool recycles the packed copies of b that MatMulInto and
-// MatMulTInto run the kernel on.
+// packPool recycles the packed copies of b that MatMulTInto runs the
+// kernel on.
 var packPool = sync.Pool{New: func() any { return new(Packed) }}
-
-// matMulPacked computes dst = a·b when b holds one column per output
-// (byColumn, b k×n) and dst = a·bᵀ otherwise (b n×k), through
-// DenseInto's kernel with a zero bias: the sums start at +0 and so are
-// never −0, which makes adding +0 exact, and every element is
-// bit-identical to the naive ascending-k dot product.
-func matMulPacked(dst, a, b *Matrix, byColumn bool) *Matrix {
-	p := packPool.Get().(*Packed)
-	p.pack(b, nil, byColumn)
-	DenseInto(dst, a, p, false)
-	packPool.Put(p)
-	return dst
-}
 
 // MatMulInto computes dst = a·b, reusing dst when it has shape
 // a.Rows × b.Cols (allocating a fresh matrix when dst is nil or
 // mis-sized) and returning dst. dst must not alias a or b. Every
 // element sums in ascending k like the naive triple loop, so results
 // are bit-identical to an unblocked reference (NaN/Inf propagation
-// included).
+// included). The kernel reads b in place.
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -240,7 +213,33 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if dst == a || dst == b {
 		panic("tensor: MatMulInto dst aliases an operand")
 	}
-	return matMulPacked(dst, a, b, true)
+	if a.Rows > 0 && b.Cols > 0 {
+		dense(dst.Data, a.Data, b.Data, nil, a.Rows, a.Cols, b.Cols, 1, a.Cols, panelCols, b.Cols, false)
+	}
+	return dst
+}
+
+// TMatMulInto computes dst = aᵀ·b for a of shape k×m and b of shape k×n,
+// reusing dst when it has shape m×n (allocating when dst is nil or
+// mis-sized) and returning dst. dst must not alias a or b. The kernel
+// reads both operands in place, a's columns as the rows of aᵀ. With G
+// and X two batches of one row per sample, Gᵀ·X is a dense layer's
+// weight gradient summed over the batch, in ascending sample order;
+// results are bit-identical to the naive reference.
+func TMatMulInto(dst, a, b *Matrix) *Matrix {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("tensor: TMatMul (%dx%d)ᵀ by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst == nil || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		dst = NewMatrix(a.Cols, b.Cols)
+	}
+	if dst == a || dst == b {
+		panic("tensor: TMatMulInto dst aliases an operand")
+	}
+	if a.Cols > 0 && b.Cols > 0 {
+		dense(dst.Data, a.Data, b.Data, nil, a.Cols, a.Rows, b.Cols, a.Cols, 1, panelCols, b.Cols, false)
+	}
+	return dst
 }
 
 // MatMulTInto computes dst = a·bᵀ for a of shape m×k and b of shape n×k,
@@ -248,7 +247,7 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 // mis-sized) and returning dst. dst must not alias a or b. With X as a
 // row-per-sample batch and W the out×in weight matrix, X·Wᵀ is the whole
 // batch's pre-activation in one product; results are bit-identical to
-// the naive reference.
+// the naive reference. b is packed into a pooled buffer per call.
 func MatMulTInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT %dx%d by (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -259,5 +258,9 @@ func MatMulTInto(dst, a, b *Matrix) *Matrix {
 	if dst == a || dst == b {
 		panic("tensor: MatMulTInto dst aliases an operand")
 	}
-	return matMulPacked(dst, a, b, false)
+	p := packPool.Get().(*Packed)
+	p.Repack(b, nil)
+	DenseInto(dst, a, p, false)
+	packPool.Put(p)
+	return dst
 }

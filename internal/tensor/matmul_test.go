@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"anole/internal/xrand"
@@ -40,6 +41,18 @@ func naiveMatMulT(a, b *Matrix) *Matrix {
 	return out
 }
 
+// transposed returns mᵀ, for handing TMatMulInto the transpose of a
+// naive reference's left operand.
+func transposed(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			t.Set(c, r, m.At(r, c))
+		}
+	}
+	return t
+}
+
 func randMatrix(rng *xrand.RNG, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := range m.Data {
@@ -49,9 +62,9 @@ func randMatrix(rng *xrand.RNG, rows, cols int) *Matrix {
 }
 
 // TestMatMulIntoMatchesNaive sweeps random shapes — including the empty
-// and single-row/column edge cases — and checks both kernels against the
-// naive triple loop. Both keep each element's ascending-k summation
-// order, so both must agree bitwise.
+// and single-row/column edge cases — and checks every product against
+// the naive triple loop. All keep each element's ascending-k summation
+// order, so all must agree bitwise.
 func TestMatMulIntoMatchesNaive(t *testing.T) {
 	rng := xrand.New(42)
 	dims := []int{0, 1, 2, 3, 5, 8, 17, 33, 64}
@@ -64,6 +77,7 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		want := naiveMatMul(a, b)
 		got := MatMulInto(nil, a, b)
 		sameMatrix(t, got, want, "MatMulInto")
+		sameMatrix(t, TMatMulInto(nil, transposed(a), b), want, "TMatMulInto")
 
 		bt := randMatrix(rng, n, k)
 		wantT := naiveMatMulT(a, bt)
@@ -72,13 +86,14 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMatMulLargeShapesMatchNaive checks both kernels at shapes well
+// TestMatMulLargeShapesMatchNaive checks every product at shapes well
 // past every register tile and block size.
 func TestMatMulLargeShapesMatchNaive(t *testing.T) {
 	rng := xrand.New(7)
 	a := randMatrix(rng, 300, 70)
 	b := randMatrix(rng, 70, 90)
 	sameMatrix(t, MatMulInto(nil, a, b), naiveMatMul(a, b), "large MatMulInto")
+	sameMatrix(t, TMatMulInto(nil, transposed(a), b), naiveMatMul(a, b), "large TMatMulInto")
 
 	bt := randMatrix(rng, 90, 70)
 	sameMatrix(t, MatMulTInto(nil, a, bt), naiveMatMulT(a, bt), "large MatMulTInto")
@@ -93,6 +108,7 @@ func TestMatMulNaNInfPropagation(t *testing.T) {
 	b := FromRows([][]float64{{math.NaN(), 1}, {math.Inf(1), math.Inf(-1)}})
 	want := naiveMatMul(a, b)
 	sameMatrix(t, MatMulInto(nil, a, b), want, "NaN/Inf MatMulInto")
+	sameMatrix(t, TMatMulInto(nil, transposed(a), b), want, "NaN/Inf TMatMulInto")
 	if !math.IsNaN(want.At(0, 0)) {
 		t.Fatal("reference lost NaN from a zero row — test fixture broken")
 	}
@@ -141,26 +157,31 @@ func TestMatMulWrapperMatchesInto(t *testing.T) {
 }
 
 // TestMatMulZeroAllocsWithHeldDst pins the steady-state allocation
-// contract of every kernel at small and large shapes: MatMulInto's and
-// MatMulTInto's packed copy of b comes from a pool, and DenseInto writes
-// into dst. The race detector makes sync.Pool drop a share of the values
-// put back, so under -race only the pool-free DenseInto pin runs.
+// contract of every product at small and large shapes: MatMulInto,
+// TMatMulInto and DenseInto write into dst, and MatMulTInto's packed
+// copy of b comes from a pool. The race detector makes sync.Pool drop a
+// share of the values put back, so under -race the MatMulTInto pin
+// skips.
 func TestMatMulZeroAllocsWithHeldDst(t *testing.T) {
 	rng := xrand.New(5)
-	la := randMatrix(rng, 128, 64)
+	a, b := randMatrix(rng, 8, 8), randMatrix(rng, 8, 8)
+	dst := NewMatrix(8, 8)
+	if allocs := testing.AllocsPerRun(100, func() { MatMulInto(dst, a, b) }); allocs != 0 {
+		t.Fatalf("small MatMulInto with held dst: %v allocs/op, want 0", allocs)
+	}
+
+	la, lb := randMatrix(rng, 128, 64), randMatrix(rng, 64, 64)
+	ldst := NewMatrix(128, 64)
+	if allocs := testing.AllocsPerRun(50, func() { MatMulInto(ldst, la, lb) }); allocs > 0 {
+		t.Fatalf("large MatMulInto with held dst: %v allocs/op, want 0", allocs)
+	}
+	ta := randMatrix(rng, 128, 64)
+	tndst := NewMatrix(64, 64)
+	if allocs := testing.AllocsPerRun(50, func() { TMatMulInto(tndst, ta, la) }); allocs > 0 {
+		t.Fatalf("large TMatMulInto with held dst: %v allocs/op, want 0", allocs)
+	}
+
 	if !raceDetectorEnabled {
-		a, b := randMatrix(rng, 8, 8), randMatrix(rng, 8, 8)
-		dst := NewMatrix(8, 8)
-		if allocs := testing.AllocsPerRun(100, func() { MatMulInto(dst, a, b) }); allocs != 0 {
-			t.Fatalf("small MatMulInto with held dst: %v allocs/op, want 0", allocs)
-		}
-
-		lb := randMatrix(rng, 64, 64)
-		ldst := NewMatrix(128, 64)
-		if allocs := testing.AllocsPerRun(50, func() { MatMulInto(ldst, la, lb) }); allocs > 0 {
-			t.Fatalf("large MatMulInto with held dst: %v allocs/op, want 0", allocs)
-		}
-
 		lbt := randMatrix(rng, 64, 64)
 		tdst := NewMatrix(128, 64)
 		MatMulTInto(tdst, la, lbt) // warm the pack pool
@@ -183,9 +204,11 @@ func TestMatMulIntoPanics(t *testing.T) {
 	b := NewMatrix(4, 2)
 	mustPanic(t, "inner mismatch", func() { MatMulInto(nil, a, b) })
 	mustPanic(t, "transposed mismatch", func() { MatMulTInto(nil, a, b) })
+	mustPanic(t, "left-transposed mismatch", func() { TMatMulInto(nil, a, b) })
 	sq := NewMatrix(3, 3)
 	mustPanic(t, "dst aliases a", func() { MatMulInto(sq, sq, NewMatrix(3, 3)) })
 	mustPanic(t, "dstT aliases b", func() { MatMulTInto(sq, NewMatrix(3, 3), sq) })
+	mustPanic(t, "left-transposed dst aliases a", func() { TMatMulInto(sq, sq, NewMatrix(3, 3)) })
 	mustPanic(t, "dense input mismatch", func() { DenseInto(nil, a, PackDense(b, nil), false) })
 	mustPanic(t, "dense dst aliases x", func() { DenseInto(sq, sq, PackDense(sq, nil), false) })
 	mustPanic(t, "bias length mismatch", func() { PackDense(sq, NewVector(2)) })
@@ -203,9 +226,9 @@ func mustPanic(t *testing.T, label string, f func()) {
 
 // FuzzMatMulKernels drives every kernel against the naive reference
 // with fuzzer-chosen shapes, seeds and special-value injection (NaN,
-// ±Inf, ±0): MatMulInto, MatMulTInto and, with a bias and ReLU on or off
-// (bit 3 of special), each dense kernel this CPU runs. All must be
-// bitwise identical to the reference, NaN matching NaN.
+// ±Inf, ±0): MatMulInto, TMatMulInto, MatMulTInto and, with a bias and
+// ReLU on or off (bit 3 of special), each dense kernel this CPU runs.
+// All must be bitwise identical to the reference, NaN matching NaN.
 func FuzzMatMulKernels(f *testing.F) {
 	f.Add(uint64(1), 3, 4, 5, uint8(0))
 	f.Add(uint64(2), 0, 3, 2, uint8(1))
@@ -232,6 +255,7 @@ func FuzzMatMulKernels(f *testing.F) {
 		}
 
 		sameMatrix(t, MatMulInto(nil, a, b), naiveMatMul(a, b), "MatMulInto")
+		sameMatrix(t, TMatMulInto(nil, transposed(a), b), naiveMatMul(a, b), "TMatMulInto")
 		sameMatrix(t, MatMulTInto(nil, a, bt), naiveMatMulT(a, bt), "MatMulTInto")
 
 		relu := special&8 != 0
@@ -301,10 +325,14 @@ func sameMatrix(t *testing.T, got, want *Matrix, label string) {
 	}
 }
 
+// kernelFunc is the dense kernel's signature (see matmul.go for the
+// strides).
+type kernelFunc func(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool)
+
 // denseKernels lists the dense kernels this CPU can run, called
-// directly rather than through DenseInto's dispatch.
-func denseKernels() map[string]func(dst, x, w, b []float64, rows, k, n int, relu bool) {
-	ks := map[string]func(dst, x, w, b []float64, rows, k, n int, relu bool){"generic": denseGeneric}
+// directly rather than through the dispatch.
+func denseKernels() map[string]kernelFunc {
+	ks := map[string]kernelFunc{"generic": denseGeneric}
 	if haveAVX2 {
 		ks["avx2"] = denseAVX2
 	}
@@ -318,23 +346,104 @@ func denseKernels() map[string]func(dst, x, w, b []float64, rows, k, n int, relu
 func checkDenseKernels(t *testing.T, x, w *Matrix, bias []float64, relu bool, want *Matrix) {
 	t.Helper()
 	p := PackDense(w, bias)
-	const guard = 8
 	for name, kernel := range denseKernels() {
-		buf := make([]float64, x.Rows*w.Rows+guard)
-		for i := range buf {
-			buf[i] = 12345
-		}
-		if x.Rows > 0 && w.Rows > 0 {
-			kernel(buf[:x.Rows*w.Rows], x.Data, p.w, p.b, x.Rows, x.Cols, w.Rows, relu)
-		}
 		label := fmt.Sprintf("%s kernel %dx%dx%d relu=%v", name, x.Rows, x.Cols, w.Rows, relu)
-		sameMatrix(t, &Matrix{Rows: x.Rows, Cols: w.Rows, Data: buf[:x.Rows*w.Rows]}, want, label)
-		for _, v := range buf[x.Rows*w.Rows:] {
-			if v != 12345 {
-				t.Fatalf("%s: wrote past the output", label)
+		got := runGuarded(t, label, x.Rows, w.Rows, func(dst []float64) {
+			if x.Rows > 0 && w.Rows > 0 {
+				kernel(dst, x.Data, p.w, p.b, x.Rows, x.Cols, w.Rows, 1, x.Cols, panelCols*x.Cols, panelCols, relu)
+			}
+		})
+		sameMatrix(t, got, want, label)
+	}
+}
+
+// runGuarded calls run on a rows×n output buffer followed by guard
+// elements, fails if run writes past the buffer, and returns the output.
+func runGuarded(t *testing.T, label string, rows, n int, run func(dst []float64)) *Matrix {
+	t.Helper()
+	const guard = 8
+	buf := make([]float64, rows*n+guard)
+	for i := range buf {
+		buf[i] = 12345
+	}
+	run(buf[:rows*n])
+	for _, v := range buf[rows*n:] {
+		if v != 12345 {
+			t.Fatalf("%s: wrote past the output", label)
+		}
+	}
+	return &Matrix{Rows: rows, Cols: n, Data: buf[:rows*n]}
+}
+
+// TestStridedKernelsMatchNaive runs every dense kernel on operands read
+// where they lie — x row-major or given transposed, the weights as a
+// row-major k×n matrix — against the naive ascending-k loop, bit for
+// bit: rows 0–9, 1–8 output columns (every tail width n mod 4 = 0–3),
+// 0–6 inputs, with and without a bias and ReLU, and NaN, ±Inf and ±0
+// injected. Each operand ends where an unreadable page begins
+// (guardedCopy), so a load past it faults, and the output carries guard
+// elements.
+func TestStridedKernelsMatchNaive(t *testing.T) {
+	rng := xrand.New(23)
+	for rows := 0; rows <= 9; rows++ {
+		for n := 1; n <= 8; n++ {
+			for _, k := range []int{0, 1, 3, 6} {
+				xd, wd := randMatrix(rng, 1, rows*k).Data, randMatrix(rng, 1, k*n).Data
+				bias := randMatrix(rng, 1, n).Data
+				special := uint8(rng.Intn(4))
+				for _, data := range [][]float64{xd, wd, bias} {
+					injectSpecial(rng, data, special)
+				}
+				gx, gw, gb := guardedCopy(t, xd), guardedCopy(t, wd), guardedCopy(t, bias)
+				for _, transposed := range []bool{false, true} {
+					xs, xr := 1, k
+					if transposed {
+						xs, xr = rows, 1
+					}
+					for _, b := range [][]float64{nil, gb} {
+						for _, relu := range []bool{false, true} {
+							want := NewMatrix(rows, n)
+							for r := 0; r < rows; r++ {
+								for c := 0; c < n; c++ {
+									var sum float64
+									for kk := 0; kk < k; kk++ {
+										sum += xd[r*xr+kk*xs] * wd[kk*n+c]
+									}
+									if b != nil {
+										sum += bias[c]
+									}
+									if relu && !(sum > 0) {
+										sum = 0
+									}
+									want.Set(r, c, sum)
+								}
+							}
+							for name, kernel := range denseKernels() {
+								label := fmt.Sprintf("%s %dx%dx%d transposed=%v bias=%v relu=%v", name, rows, k, n, transposed, b != nil, relu)
+								got := runGuarded(t, label, rows, n, func(dst []float64) {
+									callNoFault(t, label, func() { kernel(dst, gx, gw, b, rows, k, n, xs, xr, panelCols, n, relu) })
+								})
+								sameMatrix(t, got, want, label)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
+}
+
+// callNoFault runs f and fails the test if it panics, a memory fault
+// included (a read past a guardedCopy operand).
+func callNoFault(t *testing.T, label string, f func()) {
+	t.Helper()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: %v", label, r)
+		}
+	}()
+	f()
 }
 
 // TestDenseKernelsMatchNaive sweeps every shape with 1–9 rows (block
@@ -386,9 +495,8 @@ func TestDenseReLUEdgeValues(t *testing.T) {
 }
 
 // TestRepackMatchesFreshPack checks that repacking a Packed in place —
-// shrinking and growing its buffers across shapes — gives DenseInto
-// the same bits as a fresh PackDense, and that RepackColumns makes
-// DenseInto compute MatMulInto's product.
+// shrinking and growing its buffers across shapes, with and without a
+// bias — gives DenseInto the same bits as a fresh PackDense.
 func TestRepackMatchesFreshPack(t *testing.T) {
 	rng := xrand.New(12)
 	var p Packed
@@ -397,9 +505,7 @@ func TestRepackMatchesFreshPack(t *testing.T) {
 		b := randMatrix(rng, 1, s.n).Row(0)
 		p.Repack(w, b)
 		sameMatrix(t, DenseInto(nil, x, PackDense(w, b), true), DenseInto(nil, x, &p, true), fmt.Sprintf("Repack %v", s))
-
-		wc := randMatrix(rng, s.k, s.n)
-		p.RepackColumns(wc)
-		sameMatrix(t, naiveMatMul(x, wc), DenseInto(nil, x, &p, false), fmt.Sprintf("RepackColumns %v", s))
+		p.Repack(w, nil)
+		sameMatrix(t, DenseInto(nil, x, PackDense(w, nil), false), DenseInto(nil, x, &p, false), fmt.Sprintf("Repack %v, no bias", s))
 	}
 }

@@ -1,8 +1,17 @@
 // Package tensor provides the dense float64 vector and matrix primitives
 // underlying the neural-network library in internal/nn. It implements only
 // what gradient-descent training of small MLPs needs — GEMM/GEMV, axpy,
-// element-wise maps, stable softmax — with bounds checking on construction
-// and panics reserved for programmer errors (shape mismatches).
+// element-wise maps, stable softmax, the Adam update — with bounds
+// checking on construction and panics reserved for programmer errors
+// (shape mismatches).
+//
+// Every matrix product runs one kernel that reads its operands through
+// strides (matmul.go), so a product reads each operand where it lies
+// unless a layer is applied often enough to pack its weights once. The
+// kernel and AdamStep.Update have AVX2 assembly paths on amd64, picked
+// at start-up by CPUID, and Go loops everywhere else. Every product is
+// rounded before the sum it feeds (float64(x*y) + z), so no platform
+// fuses a multiply-add and the Go loops give amd64's bits on arm64.
 package tensor
 
 import (
@@ -32,7 +41,7 @@ func (v Vector) Dot(w Vector) float64 {
 	}
 	var sum float64
 	for i := range v {
-		sum += v[i] * w[i]
+		sum += float64(v[i] * w[i])
 	}
 	return sum
 }
@@ -44,7 +53,7 @@ func (v Vector) AddScaled(alpha float64, w Vector) {
 		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(v), len(w)))
 	}
 	for i := range v {
-		v[i] += alpha * w[i]
+		v[i] += float64(alpha * w[i])
 	}
 }
 
@@ -66,7 +75,7 @@ func (v Vector) Fill(x float64) {
 func (v Vector) Norm2() float64 {
 	var sum float64
 	for _, x := range v {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	return math.Sqrt(sum)
 }
@@ -95,7 +104,7 @@ func (v Vector) SquaredDistance(w Vector) float64 {
 	var sum float64
 	for i := range v {
 		d := v[i] - w[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }
@@ -230,7 +239,7 @@ func (m *Matrix) AddScaled(alpha float64, other *Matrix) {
 		panic("tensor: AddScaled shape mismatch")
 	}
 	for i := range m.Data {
-		m.Data[i] += alpha * other.Data[i]
+		m.Data[i] += float64(alpha * other.Data[i])
 	}
 }
 
@@ -248,7 +257,7 @@ func (m *Matrix) MulVec(dst, v Vector) Vector {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var sum float64
 		for j, x := range row {
-			sum += x * v[j]
+			sum += float64(x * v[j])
 		}
 		dst[i] = sum
 	}
@@ -277,7 +286,7 @@ func (m *Matrix) MulVecT(dst, v Vector) Vector {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, x := range row {
-			dst[j] += x * vi
+			dst[j] += float64(x * vi)
 		}
 	}
 	return dst
@@ -299,7 +308,7 @@ func (m *Matrix) AddOuterScaled(alpha float64, a, b Vector) {
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j := range row {
-			row[j] += ai * b[j]
+			row[j] += float64(ai * b[j])
 		}
 	}
 }

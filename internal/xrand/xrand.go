@@ -121,7 +121,7 @@ func (r *RNG) Norm() float64 {
 // NormMS returns a normal deviate with the given mean and standard
 // deviation.
 func (r *RNG) NormMS(mean, std float64) float64 {
-	return mean + std*r.Norm()
+	return mean + float64(std*r.Norm())
 }
 
 // Exp returns an exponentially distributed deviate with rate 1.
