@@ -6,7 +6,7 @@
 // Usage:
 //
 //	anole-run -bundle anole.bundle [-seed N] [-clips N] [-frames N]
-//	          [-device nano|tx2|laptop] [-cache N] [-streams N]
+//	          [-device nano|tx2|laptop|cpu-fast|cpu-slow] [-cache N] [-streams N]
 //	          [-fleet SPEC] [-plan]
 //	          [-prefetch] [-prefetch-budget BYTES] [-link-stability P]
 //	          [-chaos] [-outage-rate P] [-corrupt-rate P]
@@ -101,6 +101,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"anole/internal/adapt"
@@ -142,7 +143,7 @@ func run(w io.Writer, args []string) error {
 		seed        = fs.Uint64("seed", 1, "seed of the world the bundle was profiled on")
 		clips       = fs.Int("clips", 3, "number of trace clips to stream")
 		frames      = fs.Int("frames", 150, "frames per trace clip")
-		devName     = fs.String("device", "tx2", "device profile: nano, tx2 or laptop")
+		devName     = fs.String("device", "tx2", "device profile: "+strings.Join(device.RegistryNames(), ", "))
 		cache       = fs.Int("cache", 5, "model cache capacity in compressed-model slots")
 		streams     = fs.Int("streams", 1, "independent frame streams sharing the model cache")
 		fleetSpec   = fs.String("fleet", "", "heterogeneous device fleet spec, e.g. \"nano:40,tx2:40,laptop:20\" (overrides -device)")
@@ -203,6 +204,10 @@ func run(w io.Writer, args []string) error {
 	if *planOn && *adaptOn {
 		return fmt.Errorf("-plan and -adapt both own bundle assignment; pick one")
 	}
+	profile, ok := device.LookupProfile(*devName)
+	if !ok {
+		return fmt.Errorf("unknown device %q (want one of %s)", *devName, strings.Join(device.RegistryNames(), ", "))
+	}
 
 	bundle, err := repo.LoadFile(*bundlePath)
 	if err != nil {
@@ -210,17 +215,6 @@ func run(w io.Writer, args []string) error {
 	}
 	fmt.Fprintf(w, "bundle: %d compressed models, feat dim %d\n", bundle.NumModels(), bundle.FeatDim)
 
-	var profile device.Profile
-	switch *devName {
-	case "nano":
-		profile = device.JetsonNano
-	case "tx2":
-		profile = device.JetsonTX2NX
-	case "laptop":
-		profile = device.Laptop
-	default:
-		return fmt.Errorf("unknown device %q (want nano, tx2 or laptop)", *devName)
-	}
 	var fleet device.Fleet
 	if *fleetSpec != "" {
 		if fleet, err = device.BuildFleet(*fleetSpec, *streams, *seed); err != nil {

@@ -22,8 +22,8 @@ import (
 
 func TestRunRejectsUnknownDevice(t *testing.T) {
 	err := run(io.Discard, []string{"-bundle", "/nonexistent", "-device", "gpu9000"})
-	if err == nil {
-		t.Fatal("expected error")
+	if err == nil || !strings.Contains(err.Error(), `unknown device "gpu9000"`) {
+		t.Fatalf("expected unknown-device error, got %v", err)
 	}
 }
 

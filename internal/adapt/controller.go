@@ -39,19 +39,13 @@ type ControllerConfig struct {
 	// MinFrames is the fewest pooled exemplar frames to train on
 	// (default 30, matching ExpandRepertoire's floor).
 	MinFrames int
-	// ClusterRadius is the embedding-space distance within which two
-	// report centroids describe the same emerging scene, in units of the
-	// base bundle's calibrated NoveltyScale (default 1.0 — roughly one
-	// in-scene 95th-percentile radius).
-	ClusterRadius float64
 	// RetrainHook, when non-nil, post-processes each retrained bundle
 	// before publication. Tests use it to inject regressions; a real
 	// deployment would hang distillation or quantization here. Returning
 	// an error abandons the retrain (the cluster stays eligible).
 	RetrainHook func(*core.Bundle) (*core.Bundle, error)
 	// Metrics, when non-nil, receives anole_adapt_retrain* counters. Nil
-	// keeps them in a private registry; Retrains reads the same counter
-	// either way.
+	// keeps them in a private registry.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one StageAdapt span per cloud-side
 	// causal milestone — cluster, retrain, publish, rollback — tagged
@@ -60,15 +54,18 @@ type ControllerConfig struct {
 	Tracer *telemetry.Tracer
 }
 
+// clusterRadius is the embedding-space distance within which two report
+// centroids describe the same emerging scene, in units of the base
+// bundle's calibrated NoveltyScale: roughly one in-scene 95th-percentile
+// radius.
+const clusterRadius = 1.0
+
 func (c *ControllerConfig) fill() {
 	if c.MinReports <= 0 {
 		c.MinReports = 2
 	}
 	if c.MinFrames <= 0 {
 		c.MinFrames = 30
-	}
-	if c.ClusterRadius <= 0 {
-		c.ClusterRadius = 1.0
 	}
 }
 
@@ -97,8 +94,6 @@ type Controller struct {
 	pub  Publisher
 
 	clusters []*cluster
-
-	received int64
 
 	mRetrains *telemetry.Counter
 	mFailures *telemetry.Counter
@@ -132,11 +127,6 @@ func NewController(base *core.Bundle, pub Publisher, cfg ControllerConfig) (*Con
 	}, nil
 }
 
-// Received reports how many drift reports the controller has absorbed;
-// Retrains how many expansions it has published.
-func (c *Controller) Received() int64 { return c.received }
-func (c *Controller) Retrains() int64 { return c.mRetrains.Value() }
-
 // Submit absorbs one drift report. When the report completes a cluster's
 // evidence, the controller retrains and publishes a new generation,
 // returning (generation, true). Otherwise it returns (0, false); a nil
@@ -149,7 +139,6 @@ func (c *Controller) Submit(rep *Report) (uint64, bool, error) {
 		return 0, false, fmt.Errorf("adapt: report centroid dim %d, encoder %d",
 			len(rep.Centroid), c.base.Encoder.EmbedDim())
 	}
-	c.received++
 	cl := c.assign(rep.Centroid)
 	cl.frames = append(cl.frames, rep.Exemplars...)
 	c.span(rep.Stream, "cluster", rep.Trace)
@@ -165,7 +154,7 @@ func (c *Controller) Submit(rep *Report) (uint64, bool, error) {
 }
 
 // assign merges the centroid into the nearest cluster within
-// ClusterRadius, or opens a new one. The matched cluster's centroid
+// clusterRadius, or opens a new one. The matched cluster's centroid
 // shifts toward the report (running mean over merged reports).
 func (c *Controller) assign(centroid tensor.Vector) *cluster {
 	var best *cluster
@@ -176,7 +165,7 @@ func (c *Controller) assign(centroid tensor.Vector) *cluster {
 			best, bestDist = cl, d
 		}
 	}
-	if best != nil && bestDist <= c.cfg.ClusterRadius*c.base.NoveltyScale {
+	if best != nil && bestDist <= clusterRadius*c.base.NoveltyScale {
 		best.weight++
 		// new_mean = old + (x - old)/n
 		alpha := 1 / float64(best.weight)

@@ -26,6 +26,7 @@ import (
 
 	"anole/internal/core"
 	"anole/internal/detect"
+	"anole/internal/prefetch"
 	"anole/internal/pressure"
 	"anole/internal/synth"
 	"anole/internal/telemetry"
@@ -76,13 +77,6 @@ type DriftConfig struct {
 	// emission is suppressed (default 2×Window): one drifting scene
 	// should produce a trickle of reports, not one per window.
 	Cooldown int
-	// Clock, when non-nil, timestamps reports (injectable for tests and
-	// for alignment with a simulated link clock). Nil falls back to the
-	// detector's own frame counter at FrameInterval per frame.
-	Clock func() time.Duration
-	// FrameInterval is the per-frame duration of the fallback clock
-	// (default prefetch.DefaultFrameInterval's 100ms).
-	FrameInterval time.Duration
 }
 
 func (c *DriftConfig) fill() {
@@ -115,9 +109,6 @@ func (c *DriftConfig) fill() {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * c.Window
-	}
-	if c.FrameInterval <= 0 {
-		c.FrameInterval = 100 * time.Millisecond
 	}
 }
 
@@ -367,11 +358,10 @@ func (d *DriftDetector) RestoreState(w pressure.DriftWindow) {
 	d.emitted = w.Emitted
 }
 
+// now timestamps a report by the detector's own frame counter, one
+// prefetch.DefaultFrameInterval per frame.
 func (d *DriftDetector) now() time.Duration {
-	if d.cfg.Clock != nil {
-		return d.cfg.Clock()
-	}
-	return time.Duration(d.seen) * d.cfg.FrameInterval
+	return time.Duration(d.seen) * prefetch.DefaultFrameInterval
 }
 
 // probeDisagreement runs the serving model and the decision head's

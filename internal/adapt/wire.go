@@ -68,6 +68,9 @@ func ReadReport(r io.Reader) (*Report, error) {
 	if err := json.NewDecoder(r).Decode(&w); err != nil {
 		return nil, fmt.Errorf("adapt: decode report envelope: %w", err)
 	}
+	if len(w.Trace) > maxReportTrace {
+		return nil, fmt.Errorf("adapt: report trace %d bytes exceeds limit %d", len(w.Trace), maxReportTrace)
+	}
 	frames, packTrace, err := synth.DecodeFramesTrace(bytes.NewReader(w.Exemplars))
 	if err != nil {
 		return nil, fmt.Errorf("adapt: decode exemplars: %w", err)
@@ -91,6 +94,11 @@ func ReadReport(r io.Reader) (*Report, error) {
 		Trace:        trace,
 	}, nil
 }
+
+// maxReportTrace is the longest trace ID a report may carry: the frame
+// pack's own limit, so every report ReadReport accepts can be written
+// again.
+const maxReportTrace = 256
 
 // maxReportBody bounds a drift report upload: 48 exemplars of the
 // default geometry are well under a megabyte, so 8 MiB leaves room for

@@ -1,15 +1,16 @@
 // Package breaker implements the circuit breaker guarding the
-// device↔cloud path. Repeated fetch failures — outages, 5xx bursts,
-// corrupted payloads — trip the breaker open; while open, callers fail
-// fast instead of stacking doomed attempts on a dead link. After a
-// cooldown the breaker goes half-open and tentatively admits traffic: the
-// first success closes it, the first failure reopens it. One breaker is
-// shared between repo.Client and the prefetch scheduler, so a link that
-// cannot serve demand fetches also pauses speculative prefetching.
+// device↔cloud path. Repeated fetch failures — outages, corrupted
+// payloads — trip the breaker open; while open, callers fail fast
+// instead of stacking doomed attempts on a dead link. After a cooldown
+// the breaker goes half-open and tentatively admits traffic: the first
+// success closes it, the first failure reopens it. The prefetch
+// scheduler feeds it every fetch outcome, demand and background alike,
+// so a link that cannot serve demand fetches also pauses speculative
+// prefetching.
 //
-// Time is read through an injectable monotonic clock so the breaker works
-// both on the wall clock (HTTP fetches) and on a simulated frame-tick
-// clock (prefetch.LinkFetcher.Now), keeping chaos runs deterministic.
+// Time is read through an injectable monotonic clock (wall time by
+// default); the runtime passes the simulated frame-tick clock
+// (prefetch.LinkFetcher.Now), keeping chaos runs deterministic.
 package breaker
 
 import (

@@ -273,7 +273,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 	}
 	cfg.Metrics.Gauge("anole_core_streams", "configured frame streams").Set(float64(cfg.Streams))
 	cfg.Metrics.Gauge("anole_core_workers", "concurrent detector groups per tick").Set(float64(workers))
-	m.press = newPressureState(cfg.Streams, cfg.Deadline, cfg.Pressure, cfg.Metrics, m.pressureReact(cfg.Pressure.criticalWatermark()))
+	m.press = newPressureState(cfg.Streams, cfg.Deadline, cfg.Pressure, cfg.Metrics, m.pressureReact())
 	if m.press != nil {
 		m.press.latScale = fleetLatencyScales(fleet)
 	}
@@ -326,7 +326,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 // link and cache budget go to demand traffic), Critical tightens the
 // cache's byte watermark and sweeps unpinned entries down to it.
 // Dropping back below each threshold undoes the reaction.
-func (m *MultiRuntime) pressureReact(watermark float64) func(pressure.Level) {
+func (m *MultiRuntime) pressureReact() func(pressure.Level) {
 	return func(lv pressure.Level) {
 		m.flt.Record(flight.Event{
 			Stream: flight.GlobalStream,
@@ -338,7 +338,7 @@ func (m *MultiRuntime) pressureReact(watermark float64) func(pressure.Level) {
 			m.pf.SetPaused(lv >= pressure.Elevated)
 		}
 		if lv >= pressure.Critical {
-			m.cache.SetWatermark(watermark)
+			m.cache.SetWatermark(criticalWatermark)
 			evicted := m.cache.SweepToWatermark()
 			m.press.mon.NoteSweep(len(evicted))
 		} else {

@@ -22,37 +22,25 @@ import (
 
 // PlanConfig tunes per-device model/quantization selection.
 type PlanConfig struct {
-	// QuantLadder lists the detector bit widths offered as variants in
-	// addition to the full-precision bundle (default 8, 6, 4).
-	QuantLadder []int
 	// LatencyBudget is the per-frame target every device should meet
 	// (default 33ms — the paper's 30 FPS regime). Devices that cannot
 	// meet it on any variant run the fastest one that fits in memory.
 	LatencyBudget time.Duration
-	// CellsHint is the frame grid cell count used for FLOP estimates
-	// (default 64, the synthetic world's 8×8 grid).
-	CellsHint int
 }
 
-func (c *PlanConfig) ladder() []int {
-	if c == nil || len(c.QuantLadder) == 0 {
-		return []int{8, 6, 4}
-	}
-	return c.QuantLadder
-}
+// quantLadder lists the detector bit widths offered as variants in
+// addition to the full-precision bundle.
+var quantLadder = []int{8, 6, 4}
+
+// planCells is the frame grid cell count used for FLOP estimates: the
+// synthetic world's 8×8 grid.
+const planCells = 64
 
 func (c *PlanConfig) budget() time.Duration {
 	if c == nil || c.LatencyBudget <= 0 {
 		return 33 * time.Millisecond
 	}
 	return c.LatencyBudget
-}
-
-func (c *PlanConfig) cells() int {
-	if c == nil || c.CellsHint <= 0 {
-		return 64
-	}
-	return c.CellsHint
 }
 
 // planVariant couples one runnable bundle with its planning estimates.
@@ -83,15 +71,14 @@ func newPlanState(b *Bundle, cfg *PlanConfig, streams int, reg *telemetry.Regist
 		budget:  cfg.budget(),
 		choices: make([]int, streams),
 	}
-	cells := cfg.cells()
-	ps.variants = append(ps.variants, planVariant{bundle: b, est: variantEstimate(b, "fp32", 0, cells)})
-	for _, bits := range cfg.ladder() {
+	ps.variants = append(ps.variants, planVariant{bundle: b, est: variantEstimate(b, "fp32", 0)})
+	for _, bits := range quantLadder {
 		qb, err := quantVariantBundle(b, bits)
 		if err != nil {
 			return nil, err
 		}
 		name := fmt.Sprintf("q%d", bits)
-		ps.variants = append(ps.variants, planVariant{bundle: qb, est: variantEstimate(qb, name, bits, cells)})
+		ps.variants = append(ps.variants, planVariant{bundle: qb, est: variantEstimate(qb, name, bits)})
 	}
 	ps.ests = make([]plan.Variant, len(ps.variants))
 	for i, v := range ps.variants {
@@ -106,10 +93,10 @@ func newPlanState(b *Bundle, cfg *PlanConfig, streams int, reg *telemetry.Regist
 // the worst detector's per-frame cost, the repertoire's total resident
 // size (cache sizer units), and expected accuracy (mean validation F1
 // scaled by the quantization penalty).
-func variantEstimate(b *Bundle, name string, bits, cells int) plan.Variant {
+func variantEstimate(b *Bundle, name string, bits int) plan.Variant {
 	var detectFLOPs, size int64
 	for _, d := range b.Detectors {
-		if f := d.FrameFLOPs(cells); f > detectFLOPs {
+		if f := d.FrameFLOPs(planCells); f > detectFLOPs {
 			detectFLOPs = f
 		}
 		size += d.SizeBytes()

@@ -58,17 +58,11 @@ func (v FrameVerdict) String() string {
 type PressureConfig struct {
 	// Monitor tunes the pressure-level thresholds and hysteresis.
 	Monitor pressure.MonitorConfig
-	// Controller tunes the shed ladder's escalation persistence; its
-	// Target field is ignored (MultiRuntimeConfig.Deadline is the
-	// target).
-	Controller pressure.ControllerConfig
-	// Watchdog tunes stall detection and quarantine length.
-	Watchdog pressure.WatchdogConfig
-	// CriticalWatermark is the cache byte-watermark fraction applied
-	// while the monitor reads Critical (default 0.75); Nominal and
-	// Elevated restore 1.0.
-	CriticalWatermark float64
 }
+
+// criticalWatermark is the cache byte-watermark fraction applied while
+// the monitor reads Critical; Nominal and Elevated restore 1.0.
+const criticalWatermark = 0.75
 
 // pressureState is the MultiRuntime's attachment of the pressure
 // machinery: one monitor, one fleet-level deadline controller, one
@@ -115,11 +109,9 @@ func newPressureState(streams int, deadline time.Duration, cfg *PressureConfig, 
 		active:   make([]bool, streams),
 		progress: make([]bool, streams),
 	}
-	ps.wd = pressure.NewWatchdog(streams, pc.Watchdog, ps.mon.Counters().Quarantines)
+	ps.wd = pressure.NewWatchdog(streams, pressure.WatchdogConfig{}, ps.mon.Counters().Quarantines)
 	if deadline > 0 {
-		cc := pc.Controller
-		cc.Target = deadline
-		ps.ctl = pressure.NewController(cc)
+		ps.ctl = pressure.NewController(pressure.ControllerConfig{Target: deadline})
 	}
 	if onLevel != nil {
 		ps.mon.Subscribe(onLevel)
@@ -156,15 +148,6 @@ func fleetLatencyScales(fleet device.Fleet) []float64 {
 		scales[i] = fastest / gflops[i]
 	}
 	return scales
-}
-
-// criticalWatermark returns the sweep fraction for a config (0.75
-// default).
-func (cfg *PressureConfig) criticalWatermark() float64 {
-	if cfg != nil && cfg.CriticalWatermark > 0 && cfg.CriticalWatermark <= 1 {
-		return cfg.CriticalWatermark
-	}
-	return 0.75
 }
 
 // disposedResult is the terminal FrameResult for a frame that never

@@ -41,16 +41,18 @@ type Config struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
-	// ValFraction carves a validation slice off the samples for early
-	// stopping (default 0.2 when Patience > 0).
-	ValFraction float64
-	// Patience enables early stopping (default 0, disabled).
+	// Patience enables early stopping on a valFraction validation slice
+	// (default 0, disabled).
 	Patience int
 	// Workers shards gradient computation.
 	Workers int
 	// RNG is required for determinism.
 	RNG *xrand.RNG
 }
+
+// valFraction is the share of the samples Train holds out for early
+// stopping when Patience > 0.
+const valFraction = 0.2
 
 func (c *Config) setDefaults() {
 	if len(c.Hidden) == 0 {
@@ -64,9 +66,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.LR <= 0 {
 		c.LR = 0.01
-	}
-	if c.ValFraction <= 0 || c.ValFraction >= 1 {
-		c.ValFraction = 0.2
 	}
 	if c.RNG == nil {
 		c.RNG = xrand.New(0)
@@ -120,7 +119,7 @@ func Train(enc *scene.Encoder, samples []sampling.LabeledFrame, n int, cfg Confi
 	train := all
 	var val []nn.Sample
 	if cfg.Patience > 0 && len(all) >= 10 {
-		cut := len(all) - int(float64(len(all))*cfg.ValFraction)
+		cut := len(all) - int(float64(len(all))*valFraction)
 		train, val = all[:cut], all[cut:]
 	}
 
@@ -189,11 +188,6 @@ func (m *Model) ScoresBatchInto(dst, embs *tensor.Matrix, s *nn.BatchScratch) *t
 		tensor.Softmax(row, row)
 	}
 	return dst
-}
-
-// Rank returns model indices ordered by decreasing suitability for f.
-func (m *Model) Rank(f *synth.Frame) []int {
-	return stats.RankDescending(m.Scores(f))
 }
 
 // Best returns the top-ranked model index and its probability, the

@@ -72,12 +72,6 @@ func FromWeights(name string, arch Arch, featDim int, w *nn.Weights) (*Detector,
 	return &Detector{Name: name, Arch: arch, weights: w, featDim: featDim}, nil
 }
 
-// FromNetwork freezes an existing (e.g. freshly trained) network and
-// wraps it as a detector.
-func FromNetwork(name string, arch Arch, featDim int, net *nn.Network) (*Detector, error) {
-	return FromWeights(name, arch, featDim, net.Freeze())
-}
-
 // FeatDim returns the per-cell feature dimension the detector expects.
 func (d *Detector) FeatDim() int { return d.featDim }
 
@@ -271,10 +265,6 @@ type TrainConfig struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
-	// BackgroundPerObject is the number of background cells sampled per
-	// object cell when building training samples (default 1.5). Using
-	// every background cell would drown the loss in negatives.
-	BackgroundPerObject float64
 	// Patience enables early stopping on validation loss when > 0.
 	Patience int
 	// Workers shards gradient computation (default 1).
@@ -293,13 +283,15 @@ func (c *TrainConfig) setDefaults() {
 	if c.LR <= 0 {
 		c.LR = 0.01
 	}
-	if c.BackgroundPerObject <= 0 {
-		c.BackgroundPerObject = 1.5
-	}
 	if c.RNG == nil {
 		c.RNG = xrand.New(0)
 	}
 }
+
+// backgroundPerObject is the number of background cells Train samples
+// per object cell. Using every background cell would drown the loss in
+// negatives.
+const backgroundPerObject = 1.5
 
 // BuildSamples converts frames into per-cell training samples: every
 // object cell plus bgPerObject background cells per object (at least one
@@ -344,13 +336,13 @@ func BuildSamples(frames []*synth.Frame, bgPerObject float64, rng *xrand.RNG) []
 // on the same Detector.
 func (d *Detector) Train(trainFrames, valFrames []*synth.Frame, cfg TrainConfig) error {
 	cfg.setDefaults()
-	train := BuildSamples(trainFrames, cfg.BackgroundPerObject, cfg.RNG)
+	train := BuildSamples(trainFrames, backgroundPerObject, cfg.RNG)
 	if len(train) == 0 {
 		return fmt.Errorf("detect: no training samples from %d frames", len(trainFrames))
 	}
 	var val []nn.Sample
 	if len(valFrames) > 0 && cfg.Patience > 0 {
-		val = BuildSamples(valFrames, cfg.BackgroundPerObject, cfg.RNG)
+		val = BuildSamples(valFrames, backgroundPerObject, cfg.RNG)
 	}
 	tr := nn.ThawTrainable(d.weights)
 	_, err := tr.Train(train, val, nn.TrainConfig{

@@ -63,15 +63,15 @@ func TestDetectFrameShape(t *testing.T) {
 func TestFromNetworkValidation(t *testing.T) {
 	rng := xrand.New(4)
 	good := nn.NewMLP(nn.MLPConfig{InDim: synth.CellInputDim(8), Hidden: []int{4}, OutDim: synth.DetectorOutDim}, rng)
-	if _, err := FromNetwork("x", Compressed, 8, good); err != nil {
+	if _, err := FromWeights("x", Compressed, 8, good.Freeze()); err != nil {
 		t.Fatalf("valid network rejected: %v", err)
 	}
 	badIn := nn.NewMLP(nn.MLPConfig{InDim: 7, OutDim: synth.DetectorOutDim}, rng)
-	if _, err := FromNetwork("x", Compressed, 8, badIn); err == nil {
+	if _, err := FromWeights("x", Compressed, 8, badIn.Freeze()); err == nil {
 		t.Fatal("wrong input dim accepted")
 	}
 	badOut := nn.NewMLP(nn.MLPConfig{InDim: synth.CellInputDim(8), OutDim: 3}, rng)
-	if _, err := FromNetwork("x", Compressed, 8, badOut); err == nil {
+	if _, err := FromWeights("x", Compressed, 8, badOut.Freeze()); err == nil {
 		t.Fatal("wrong output dim accepted")
 	}
 }

@@ -237,7 +237,6 @@ func (m ModelCost) ExecMemoryMB() float64 { return m.LoadMemoryMB()*3 + 450 }
 type Simulator struct {
 	profile Profile
 	mode    PowerMode
-	modeIdx int
 
 	busy        time.Duration // time spent computing or loading
 	idle        time.Duration // explicit idle time (waiting for frames)
@@ -245,7 +244,6 @@ type Simulator struct {
 	inited      bool    // framework initialized (first load done)
 	residentMB  float64 // loaded model memory
 	inferences  int
-	loads       int
 	peakMemory  float64
 	execBoostMB float64 // transient execution memory of the last inference
 
@@ -271,7 +269,7 @@ func NewSimulatorAtMode(profile Profile, mode int) (*Simulator, error) {
 	if mode < 0 || mode >= len(profile.Modes) {
 		return nil, fmt.Errorf("device: %s has no mode %d", profile.Name, mode)
 	}
-	return &Simulator{profile: profile, mode: profile.Modes[mode], modeIdx: mode}, nil
+	return &Simulator{profile: profile, mode: profile.Modes[mode]}, nil
 }
 
 // Profile returns the simulated device profile.
@@ -279,22 +277,6 @@ func (s *Simulator) Profile() Profile { return s.profile }
 
 // Mode returns the active power mode.
 func (s *Simulator) Mode() PowerMode { return s.mode }
-
-// ModeIndex returns the index of the active power mode within the
-// profile's Modes.
-func (s *Simulator) ModeIndex() int { return s.modeIdx }
-
-// SetMode switches the simulator to another power mode mid-run (DVFS).
-// Accrued time, energy and thermal state carry over — only the wattage
-// and throughput of subsequent work change.
-func (s *Simulator) SetMode(mode int) error {
-	if mode < 0 || mode >= len(s.profile.Modes) {
-		return fmt.Errorf("device: %s has no mode %d", s.profile.Name, mode)
-	}
-	s.mode = s.profile.Modes[mode]
-	s.modeIdx = mode
-	return nil
-}
 
 // Infer charges one inference of model and returns its simulated
 // latency, lengthened by thermal throttling when a thermal model is
@@ -335,7 +317,6 @@ func (s *Simulator) LoadModelAsync(model ModelCost) time.Duration {
 	}
 	d := time.Duration(seconds * float64(time.Second))
 	s.energyJ += s.ioWatts() * d.Seconds()
-	s.loads++
 	s.residentMB += model.LoadMemoryMB()
 	if m := s.residentMB + s.execBoostMB; m > s.peakMemory {
 		s.peakMemory = m
@@ -357,7 +338,6 @@ func (s *Simulator) LoadModel(model ModelCost) time.Duration {
 	d := time.Duration(seconds * float64(time.Second))
 	s.busy += d
 	s.energyJ += s.mode.ActiveW * d.Seconds()
-	s.loads++
 	s.residentMB += model.LoadMemoryMB()
 	if m := s.residentMB + s.execBoostMB; m > s.peakMemory {
 		s.peakMemory = m
@@ -387,9 +367,6 @@ func (s *Simulator) Idle(d time.Duration) {
 // Elapsed returns total simulated time (busy + idle).
 func (s *Simulator) Elapsed() time.Duration { return s.busy + s.idle }
 
-// BusyTime returns the simulated compute + load time.
-func (s *Simulator) BusyTime() time.Duration { return s.busy }
-
 // EnergyJ returns accumulated energy in joules.
 func (s *Simulator) EnergyJ() float64 { return s.energyJ }
 
@@ -412,11 +389,8 @@ func (s *Simulator) FPS() float64 {
 	return float64(s.inferences) / b
 }
 
-// Inferences and Loads report operation counts.
+// Inferences returns the number of inferences charged.
 func (s *Simulator) Inferences() int { return s.inferences }
-
-// Loads returns the number of model loads charged.
-func (s *Simulator) Loads() int { return s.loads }
 
 // ResidentMemoryMB returns the currently loaded model memory.
 func (s *Simulator) ResidentMemoryMB() float64 { return s.residentMB }
@@ -424,16 +398,10 @@ func (s *Simulator) ResidentMemoryMB() float64 { return s.residentMB }
 // PeakMemoryMB returns the peak of resident + execution memory.
 func (s *Simulator) PeakMemoryMB() float64 { return s.peakMemory }
 
-// FitsInMemory reports whether adding a model would stay within the
-// device's GPU memory, including execution headroom.
-func (s *Simulator) FitsInMemory(model ModelCost) bool {
-	return s.residentMB+model.ExecMemoryMB() <= s.profile.GPUMemoryMB
-}
-
 // Reset clears all counters but keeps the framework-initialized flag
 // cleared too (a fresh process).
 func (s *Simulator) Reset() {
-	*s = Simulator{profile: s.profile, mode: s.mode, modeIdx: s.modeIdx}
+	*s = Simulator{profile: s.profile, mode: s.mode}
 }
 
 // ResetCounters zeroes time, energy and operation counters while keeping
@@ -444,6 +412,6 @@ func (s *Simulator) Reset() {
 func (s *Simulator) ResetCounters() {
 	s.busy, s.idle = 0, 0
 	s.energyJ = 0
-	s.inferences, s.loads = 0, 0
+	s.inferences = 0
 	s.peakMemory = s.residentMB + s.execBoostMB
 }

@@ -1,9 +1,7 @@
 // Package faults is a deterministic, seeded fault injector for the
-// device↔cloud path. It wraps the two transports a device fetches model
-// bytes over — the simulated netsim link (WrapLink) and the repo HTTP
-// transport (WrapTransport) — and injects the failures real deployments
-// see: outage bursts and flapping connectivity, 5xx bursts, response
-// stalls, truncated bodies and bit-flipped payloads.
+// device↔cloud path. It wraps the simulated netsim link a device fetches
+// model bytes over (WrapLink) and injects the failures real deployments
+// see: outage bursts, flapping connectivity and corrupted transfers.
 //
 // Every decision is drawn from an xrand stream derived from Config.Seed,
 // so a chaos run replays identically from its seed: the regression tests
@@ -11,114 +9,38 @@
 // Stats so tests can assert the chaos actually bit.
 package faults
 
-import (
-	"time"
-
-	"anole/internal/xrand"
-)
-
 // Config parameterizes an injector. The zero value injects nothing.
 type Config struct {
 	// Seed derives the injector's private random stream; two injectors
 	// with equal Config produce identical fault schedules.
 	Seed uint64
 
-	// GraceSteps suppresses all injection for the first N steps (link
-	// Step calls, or HTTP requests), so a run's cold start — the one
-	// fetch that has no cached model to fall back on — completes before
-	// the chaos begins.
+	// GraceSteps suppresses all injection for the first N link Step
+	// calls, so a run's cold start — the one fetch that has no cached
+	// model to fall back on — completes before the chaos begins.
 	GraceSteps int
 
 	// OutageRate is the per-step probability of starting a forced outage
-	// burst; during a burst the link reports Down (or, for HTTP, every
-	// request fails at the transport) regardless of the underlying
-	// state. Burst lengths are geometric with mean OutageMeanSteps
-	// (default 5), so short bursts dominate — the flapping-connectivity
-	// pattern — with an exponential tail of longer outages.
+	// burst; during a burst the link reports Down regardless of the
+	// underlying state. Burst lengths are geometric with mean
+	// OutageMeanSteps (default 5), so short bursts dominate — the
+	// flapping-connectivity pattern — with an exponential tail of longer
+	// outages.
 	OutageRate      float64
 	OutageMeanSteps float64
 
 	// CorruptRate is the per-transfer probability the payload arrives
-	// damaged: bit-flipped for the HTTP transport, flagged corrupt for
-	// the simulated link (whose transfers carry no real bytes).
+	// damaged, flagged corrupt (the simulated link's transfers carry no
+	// real bytes).
 	CorruptRate float64
-
-	// ErrorRate is the per-request probability of starting a 5xx burst
-	// (HTTP only); during a burst the transport synthesizes 503s without
-	// touching the server. Burst lengths are geometric with mean
-	// ErrorBurstMean (default 3).
-	ErrorRate      float64
-	ErrorBurstMean float64
-
-	// TruncateRate is the per-response probability the body is cut short
-	// mid-stream (HTTP only): the reader fails with an unexpected-EOF
-	// after roughly half the payload, as if the connection dropped.
-	TruncateRate float64
-
-	// StallRate delays a response by Stall before the first byte (HTTP
-	// only), modelling a wedged server; context cancellation cuts the
-	// stall short.
-	StallRate float64
-	Stall     time.Duration
 }
 
 // Stats counts injected faults.
 type Stats struct {
 	// Outages counts forced outage bursts; OutageSteps the total steps
-	// (or HTTP requests) spent inside them.
+	// spent inside them.
 	Outages     int64
 	OutageSteps int64
 	// Corrupted counts payloads delivered damaged.
 	Corrupted int64
-	// Errors counts synthesized 5xx responses, Truncated cut-short
-	// bodies, Stalled delayed responses (all HTTP only).
-	Errors    int64
-	Truncated int64
-	Stalled   int64
-}
-
-// injector is the shared seeded decision core: a private random stream
-// plus the burst state machine. Not safe for concurrent use on its own;
-// Link relies on its caller's serialization, Transport wraps it in a
-// mutex.
-type injector struct {
-	cfg   Config
-	rng   *xrand.RNG
-	steps int
-	stats Stats
-}
-
-func newInjector(cfg Config, label string) *injector {
-	return &injector{cfg: cfg, rng: xrand.NewLabeled(cfg.Seed, label)}
-}
-
-// active reports whether the grace window has passed. Callers increment
-// steps before consulting it, so the first GraceSteps steps are exactly
-// the protected ones.
-func (in *injector) active() bool { return in.steps > in.cfg.GraceSteps }
-
-// geometric draws a burst length ≥ 1 with the given mean (clamped to 1).
-func (in *injector) geometric(mean float64) int {
-	if mean <= 1 {
-		return 1
-	}
-	// Geometric on {1, 2, ...} with success probability 1/mean.
-	p := 1 / mean
-	n := 1
-	for !in.rng.Bool(p) {
-		n++
-	}
-	return n
-}
-
-// corruptPayload decides whether one delivered payload is damaged.
-func (in *injector) corruptPayload() bool {
-	if !in.active() || in.cfg.CorruptRate <= 0 {
-		return false
-	}
-	if in.rng.Bool(in.cfg.CorruptRate) {
-		in.stats.Corrupted++
-		return true
-	}
-	return false
 }

@@ -1,12 +1,6 @@
 package faults
 
 import (
-	"context"
-	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -137,161 +131,5 @@ func TestLinkOutageBurstsHaveGeometricTail(t *testing.T) {
 	mean := float64(st.OutageSteps) / float64(st.Outages)
 	if mean < 2 || mean > 7 {
 		t.Fatalf("mean burst length %.2f, want near 4", mean)
-	}
-}
-
-func newFaultyServer(t *testing.T, payload string) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, payload)
-	}))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-func roundTrip(t *testing.T, rt http.RoundTripper, url string) (*http.Response, error) {
-	t.Helper()
-	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt.RoundTrip(req)
-}
-
-func TestTransportInjectsOutages(t *testing.T) {
-	srv := newFaultyServer(t, "payload")
-	tr := WrapTransport(srv.Client().Transport, Config{Seed: 1, OutageRate: 1})
-	if _, err := roundTrip(t, tr, srv.URL); !errors.Is(err, ErrInjectedOutage) {
-		t.Fatalf("err = %v, want ErrInjectedOutage", err)
-	}
-	if st := tr.Stats(); st.Outages != 1 {
-		t.Fatalf("Outages = %d, want 1", st.Outages)
-	}
-}
-
-func TestTransportSynthesizes5xx(t *testing.T) {
-	srv := newFaultyServer(t, "payload")
-	tr := WrapTransport(srv.Client().Transport, Config{Seed: 1, ErrorRate: 1})
-	resp, err := roundTrip(t, tr, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	if st := tr.Stats(); st.Errors != 1 {
-		t.Fatalf("Errors = %d, want 1", st.Errors)
-	}
-}
-
-func TestTransportTruncatesBodies(t *testing.T) {
-	payload := strings.Repeat("x", 4096)
-	srv := newFaultyServer(t, payload)
-	tr := WrapTransport(srv.Client().Transport, Config{Seed: 1, TruncateRate: 1})
-	resp, err := roundTrip(t, tr, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("read err = %v, want ErrUnexpectedEOF", err)
-	}
-	if len(data) >= len(payload) {
-		t.Fatalf("read %d bytes of %d, want a truncated prefix", len(data), len(payload))
-	}
-	if st := tr.Stats(); st.Truncated != 1 {
-		t.Fatalf("Truncated = %d, want 1", st.Truncated)
-	}
-}
-
-func TestTransportFlipsBitsInvisibly(t *testing.T) {
-	payload := strings.Repeat("y", 1024)
-	srv := newFaultyServer(t, payload)
-	tr := WrapTransport(srv.Client().Transport, Config{Seed: 1, CorruptRate: 1})
-	resp, err := roundTrip(t, tr, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("corrupted body must read cleanly, got %v", err)
-	}
-	if len(data) != len(payload) {
-		t.Fatalf("corrupted body length %d, want %d (damage must be invisible to the transport)", len(data), len(payload))
-	}
-	if string(data) == payload {
-		t.Fatal("payload arrived undamaged with corrupt rate 1")
-	}
-	if st := tr.Stats(); st.Corrupted != 1 {
-		t.Fatalf("Corrupted = %d, want 1", st.Corrupted)
-	}
-}
-
-func TestTransportStallRespectsContext(t *testing.T) {
-	srv := newFaultyServer(t, "payload")
-	tr := WrapTransport(srv.Client().Transport, Config{
-		Seed:      1,
-		StallRate: 1,
-		Stall:     10 * time.Second,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = tr.RoundTrip(req)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("stall ignored cancellation, blocked %v", elapsed)
-	}
-	if st := tr.Stats(); st.Stalled != 1 {
-		t.Fatalf("Stalled = %d, want 1", st.Stalled)
-	}
-}
-
-func TestTransportGraceSteps(t *testing.T) {
-	srv := newFaultyServer(t, "payload")
-	tr := WrapTransport(srv.Client().Transport, Config{Seed: 1, GraceSteps: 3, OutageRate: 1})
-	for i := 0; i < 3; i++ {
-		resp, err := roundTrip(t, tr, srv.URL)
-		if err != nil {
-			t.Fatalf("request %d inside grace window failed: %v", i+1, err)
-		}
-		resp.Body.Close()
-	}
-	if _, err := roundTrip(t, tr, srv.URL); !errors.Is(err, ErrInjectedOutage) {
-		t.Fatalf("first post-grace request: err = %v, want ErrInjectedOutage", err)
-	}
-}
-
-func TestTransportDeterministicReplay(t *testing.T) {
-	payload := strings.Repeat("z", 2048)
-	srv := newFaultyServer(t, payload)
-	cfg := Config{Seed: 5, OutageRate: 0.2, ErrorRate: 0.2, TruncateRate: 0.1, CorruptRate: 0.1}
-	run := func() Stats {
-		tr := WrapTransport(srv.Client().Transport, cfg)
-		for i := 0; i < 300; i++ {
-			resp, err := roundTrip(t, tr, srv.URL)
-			if err != nil {
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		return tr.Stats()
-	}
-	st1, st2 := run(), run()
-	if st1 != st2 {
-		t.Fatalf("replay stats diverged: %+v vs %+v", st1, st2)
-	}
-	if st1.Outages == 0 || st1.Errors == 0 || st1.Truncated == 0 || st1.Corrupted == 0 {
-		t.Fatalf("chaos never bit: %+v", st1)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"anole/internal/netsim"
+	"anole/internal/xrand"
 )
 
 // Link wraps a netsim.Medium with seeded forced outages and payload
@@ -18,7 +19,10 @@ import (
 // it under the fetcher's lock.
 type Link struct {
 	inner  netsim.Medium
-	inj    *injector
+	cfg    Config
+	rng    *xrand.RNG
+	steps  int
+	stats  Stats
 	forced int // remaining steps of the current forced outage
 }
 
@@ -29,7 +33,7 @@ func WrapLink(inner netsim.Medium, cfg Config) *Link {
 	if cfg.OutageMeanSteps <= 0 {
 		cfg.OutageMeanSteps = 5
 	}
-	return &Link{inner: inner, inj: newInjector(cfg, "faults-link")}
+	return &Link{inner: inner, cfg: cfg, rng: xrand.NewLabeled(cfg.Seed, "faults-link")}
 }
 
 // State returns the effective link state: Down during a forced outage,
@@ -47,17 +51,17 @@ func (l *Link) State() netsim.LinkState {
 // with probability OutageRate once the grace window has passed.
 func (l *Link) Step() netsim.LinkState {
 	s := l.inner.Step()
-	l.inj.steps++
+	l.steps++
 	if l.forced > 0 {
 		l.forced--
-		l.inj.stats.OutageSteps++
+		l.stats.OutageSteps++
 		return netsim.Down
 	}
-	if l.inj.active() && l.inj.cfg.OutageRate > 0 && l.inj.rng.Bool(l.inj.cfg.OutageRate) {
+	if l.active() && l.cfg.OutageRate > 0 && l.rng.Bool(l.cfg.OutageRate) {
 		// The burst includes this step.
-		l.forced = l.inj.geometric(l.inj.cfg.OutageMeanSteps) - 1
-		l.inj.stats.Outages++
-		l.inj.stats.OutageSteps++
+		l.forced = l.geometric(l.cfg.OutageMeanSteps) - 1
+		l.stats.Outages++
+		l.stats.OutageSteps++
 		return netsim.Down
 	}
 	return s
@@ -76,7 +80,14 @@ func (l *Link) Transfer(upBytes, downBytes int64) (time.Duration, bool) {
 // should arrive damaged; the draw both decides and counts the fault.
 // Implements prefetch.TransferCorrupter.
 func (l *Link) CorruptTransfer() bool {
-	return l.inj.corruptPayload()
+	if !l.active() || l.cfg.CorruptRate <= 0 {
+		return false
+	}
+	if l.rng.Bool(l.cfg.CorruptRate) {
+		l.stats.Corrupted++
+		return true
+	}
+	return false
 }
 
 // ForceOutage starts a scripted outage of exactly steps Step calls,
@@ -87,10 +98,29 @@ func (l *Link) ForceOutage(steps int) {
 		return
 	}
 	if l.forced == 0 {
-		l.inj.stats.Outages++
+		l.stats.Outages++
 	}
 	l.forced = steps
 }
 
 // Stats returns the fault counters so far.
-func (l *Link) Stats() Stats { return l.inj.stats }
+func (l *Link) Stats() Stats { return l.stats }
+
+// active reports whether the grace window has passed. Step increments
+// steps before consulting it, so the first GraceSteps steps are exactly
+// the protected ones.
+func (l *Link) active() bool { return l.steps > l.cfg.GraceSteps }
+
+// geometric draws a burst length ≥ 1 with the given mean (clamped to 1).
+func (l *Link) geometric(mean float64) int {
+	if mean <= 1 {
+		return 1
+	}
+	// Geometric on {1, 2, ...} with success probability 1/mean.
+	p := 1 / mean
+	n := 1
+	for !l.rng.Bool(p) {
+		n++
+	}
+	return n
+}

@@ -251,35 +251,6 @@ func (r *Recorder) Record(ev Event) {
 	}
 }
 
-// Trip manually freezes the recorder and captures a dump, as if an
-// anomaly event had landed. The trigger event is recorded first.
-// No-op while already frozen. Nil-safe.
-func (r *Recorder) Trip(reason string, trigger Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.frozen {
-		r.mu.Unlock()
-		return
-	}
-	r.seq++
-	trigger.Seq = r.seq
-	trigger.At = r.cfg.Now()
-	r.global.push(trigger, r.cfg.GlobalCap)
-	dump := r.buildDumpLocked(reason, trigger)
-	r.dump = dump
-	r.frozen = true
-	r.mu.Unlock()
-
-	r.cEvents.Inc()
-	r.cTrips.Inc()
-	r.gFrozen.Set(1)
-	if r.cfg.OnDump != nil {
-		r.cfg.OnDump(dump)
-	}
-}
-
 // Thaw unfreezes the recorder so it records again. The captured dump
 // stays available via LastDump until the next trip replaces it.
 // Nil-safe.

@@ -152,27 +152,9 @@ func TestTripFreezesAndDumps(t *testing.T) {
 	}
 }
 
-func TestManualTrip(t *testing.T) {
-	r := NewRecorder(Config{Now: tickClock()})
-	r.Trip("watchdog stall", Event{Stream: GlobalStream, Kind: KindQuarantine, Detail: "manual"})
-	if !r.Frozen() || r.LastDump() == nil {
-		t.Fatal("manual trip did not freeze/capture")
-	}
-	if r.LastDump().Reason != "watchdog stall" {
-		t.Fatalf("reason %q", r.LastDump().Reason)
-	}
-	// A second trip while frozen is a no-op.
-	first := r.LastDump()
-	r.Trip("again", Event{Kind: KindRollback})
-	if r.LastDump() != first {
-		t.Fatal("trip while frozen replaced the dump")
-	}
-}
-
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Kind: KindRollback})
-	r.Trip("x", Event{})
 	r.Thaw()
 	if r.Frozen() || r.Snapshot() != nil || r.StreamSnapshot(0) != nil || r.LastDump() != nil || r.Dropped() != 0 {
 		t.Fatal("nil recorder not inert")
@@ -196,7 +178,7 @@ func TestRecorderConcurrentWriters(t *testing.T) {
 					r.Record(Event{Stream: w, Kind: KindPressure, Detail: "critical"})
 					r.Thaw()
 				case 31:
-					r.Trip("stress", Event{Stream: w, Kind: KindQuarantine})
+					r.Record(Event{Stream: w, Kind: KindQuarantine})
 					r.Thaw()
 				default:
 					r.Record(Event{Stream: w, Kind: KindVerdict, Detail: "shed", Trace: "f0.1"})

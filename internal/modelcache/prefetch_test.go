@@ -195,7 +195,7 @@ func TestShardedPrefetchCounters(t *testing.T) {
 	}
 	// Per-shard prefetch counters must sum to the merged view.
 	var pf, ph, pw int64
-	for _, sh := range s.ShardStats() {
+	for _, sh := range shardStats(s) {
 		pf += sh.Prefetches
 		ph += sh.PrefetchHits
 		pw += sh.PrefetchWasted

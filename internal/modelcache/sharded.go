@@ -32,9 +32,7 @@ import (
 type Sharded struct {
 	shards   []*shard
 	capacity int
-	policy   Policy
 
-	reg       *telemetry.Registry
 	lookups   *telemetry.Counter
 	hits      *telemetry.Counter
 	misses    *telemetry.Counter
@@ -61,8 +59,8 @@ func NewSharded(capacity int, policy Policy, shards int) (*Sharded, error) {
 // NewShardedMetrics is NewSharded with the cache's counters registered
 // on reg under the anole_modelcache_* names, so a shared registry
 // exposes live cache behavior on /metrics. A nil reg keeps the counters
-// in a private registry (reachable via Registry()); either way Stats
-// and MissRate read the same handles.
+// in a private registry; either way Stats and MissRate read the same
+// handles.
 func NewShardedMetrics(capacity int, policy Policy, shards int, reg *telemetry.Registry) (*Sharded, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("modelcache: capacity %d", capacity)
@@ -78,10 +76,8 @@ func NewShardedMetrics(capacity int, policy Policy, shards int, reg *telemetry.R
 	}
 	s := &Sharded{
 		capacity: capacity,
-		policy:   policy,
 		shards:   make([]*shard, shards),
 
-		reg:       reg,
 		lookups:   reg.Counter("anole_modelcache_lookups_total", "Request calls with a valid size"),
 		hits:      reg.Counter("anole_modelcache_hits_total", "Requests served by a resident model"),
 		misses:    reg.Counter("anole_modelcache_misses_total", "Requests that had to admit the model"),
@@ -129,9 +125,6 @@ func (s *Sharded) shardFor(key string) *shard {
 
 // Capacity returns the total configured capacity in size units.
 func (s *Sharded) Capacity() int { return s.capacity }
-
-// Policy returns the per-shard eviction policy.
-func (s *Sharded) Policy() Policy { return s.policy }
 
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
@@ -394,23 +387,6 @@ func (s *Sharded) Stats() Stats {
 // Lookups returns the total Request calls with a valid size; it always
 // equals Stats().Hits + Stats().Misses at quiescence.
 func (s *Sharded) Lookups() int64 { return s.lookups.Value() }
-
-// Registry returns the telemetry registry holding the cache's counters
-// — the one passed to NewShardedMetrics, or the private registry
-// NewSharded created.
-func (s *Sharded) Registry() *telemetry.Registry { return s.reg }
-
-// ShardStats returns each shard's own counters, read under the shard
-// locks.
-func (s *Sharded) ShardStats() []Stats {
-	out := make([]Stats, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		out[i] = sh.c.Stats()
-		sh.mu.Unlock()
-	}
-	return out
-}
 
 // MissRate returns misses / lookups from the atomic counters, 0 when
 // idle.

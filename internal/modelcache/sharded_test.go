@@ -186,7 +186,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 				t.Fatalf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, s.Lookups())
 			}
 			var perShard Stats
-			for _, sh := range s.ShardStats() {
+			for _, sh := range shardStats(s) {
 				perShard.Hits += sh.Hits
 				perShard.Misses += sh.Misses
 				perShard.Evictions += sh.Evictions
@@ -238,4 +238,16 @@ func TestShardedConcurrentDisjointKeys(t *testing.T) {
 			t.Fatalf("resident key %q has zero frequency", key)
 		}
 	}
+}
+
+// shardStats returns each shard's own counters, read under the shard
+// locks.
+func shardStats(s *Sharded) []Stats {
+	out := make([]Stats, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		out[i] = sh.c.Stats()
+		sh.mu.Unlock()
+	}
+	return out
 }

@@ -1,7 +1,7 @@
 // Package nn is a from-scratch neural-network library: dense layers,
-// standard activations, classification and regression losses, SGD and Adam
-// optimizers, a mini-batch trainer, FLOPs/parameter accounting, and binary
-// weight serialization. It substitutes for the paper's PyTorch/TensorRT
+// standard activations, classification losses, the Adam optimizer, a
+// mini-batch trainer, FLOPs/parameter accounting, and binary weight
+// serialization. It substitutes for the paper's PyTorch/TensorRT
 // stack (see DESIGN.md §2) — training here is real gradient descent, so
 // capacity and specialization effects emerge from optimization rather than
 // being scripted.

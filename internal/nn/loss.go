@@ -102,33 +102,3 @@ func (l *BCEWithLogits) Grad(output, target, grad tensor.Vector) {
 
 // Name implements Loss.
 func (l *BCEWithLogits) Name() string { return "bce-logits" }
-
-// MSE is the mean squared error loss, used in tests and for regression
-// probes.
-type MSE struct{}
-
-// NewMSE returns a mean-squared-error loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// Eval implements Loss.
-func (l *MSE) Eval(output, target, grad tensor.Vector) float64 {
-	var loss float64
-	n := float64(len(output))
-	for i, o := range output {
-		d := o - target[i]
-		loss += float64(d * d)
-		grad[i] = 2 * d / n
-	}
-	return loss / n
-}
-
-// Grad implements Loss.
-func (l *MSE) Grad(output, target, grad tensor.Vector) {
-	n := float64(len(output))
-	for i, o := range output {
-		grad[i] = 2 * (o - target[i]) / n
-	}
-}
-
-// Name implements Loss.
-func (l *MSE) Name() string { return "mse" }

@@ -104,13 +104,6 @@ func (n *Network) Params() []Param {
 	return params
 }
 
-// ZeroGrad clears all accumulated gradients.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.Grad.Fill(0)
-	}
-}
-
 // Clone returns a deep copy of the network (weights copied, caches fresh).
 func (n *Network) Clone() *Network {
 	layers := make([]Layer, len(n.layers))

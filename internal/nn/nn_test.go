@@ -108,14 +108,6 @@ func TestGradientCheckBCE(t *testing.T) {
 	checkGradients(t, net, NewBCEWithLogits(), x, y)
 }
 
-func TestGradientCheckMSE(t *testing.T) {
-	rng := xrand.New(13)
-	net := NewMLP(MLPConfig{InDim: 2, Hidden: []int{4, 3}, OutDim: 2, Activation: NewTanh}, rng)
-	x := tensor.Vector{0.6, -0.2}
-	y := tensor.Vector{0.5, -1}
-	checkGradients(t, net, NewMSE(), x, y)
-}
-
 func TestGradientCheckReLU(t *testing.T) {
 	rng := xrand.New(14)
 	net := NewMLP(MLPConfig{InDim: 3, Hidden: []int{8}, OutDim: 2}, rng)
@@ -148,23 +140,6 @@ func TestTrainXORAdam(t *testing.T) {
 	}
 	if acc := Accuracy(net, xorSamples()); acc != 1 {
 		t.Fatalf("XOR accuracy = %v, want 1", acc)
-	}
-}
-
-func TestTrainXORSGD(t *testing.T) {
-	rng := xrand.New(22)
-	net := NewMLP(MLPConfig{InDim: 2, Hidden: []int{12}, OutDim: 2, Activation: NewTanh}, rng)
-	_, err := Train(net, xorSamples(), nil, TrainConfig{
-		Epochs:    2000,
-		BatchSize: 4,
-		Optimizer: NewSGD(0.3, 0.9),
-		RNG:       rng,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(net, xorSamples()); acc != 1 {
-		t.Fatalf("XOR accuracy with SGD = %v, want 1", acc)
 	}
 }
 
@@ -208,7 +183,7 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 		_, err := Train(net, samples, nil, TrainConfig{
 			Epochs:    30,
 			BatchSize: 4,
-			Optimizer: NewSGD(0.1, 0),
+			Optimizer: NewAdam(0.1),
 			RNG:       rng,
 			Workers:   workers,
 		})
@@ -348,32 +323,11 @@ func TestInOutDim(t *testing.T) {
 
 func TestMeanLossAndAccuracyEmpty(t *testing.T) {
 	net := NewMLP(MLPConfig{InDim: 2, OutDim: 2}, xrand.New(1))
-	if MeanLoss(net, nil, NewMSE()) != 0 {
+	if MeanLoss(net, nil, NewSoftmaxCrossEntropy()) != 0 {
 		t.Fatal("empty mean loss should be 0")
 	}
 	if Accuracy(net, nil) != 0 {
 		t.Fatal("empty accuracy should be 0")
-	}
-}
-
-func TestSGDWeightDecayShrinksWeights(t *testing.T) {
-	rng := xrand.New(77)
-	net := NewMLP(MLPConfig{InDim: 2, OutDim: 2}, rng)
-	opt := NewSGD(0.1, 0)
-	opt.WeightDecay = 0.5
-	var normBefore float64
-	for _, p := range net.Params() {
-		normBefore += p.Value.Norm2()
-	}
-	// Zero gradients: the update is pure decay.
-	net.ZeroGrad()
-	opt.Step(net.Params())
-	var normAfter float64
-	for _, p := range net.Params() {
-		normAfter += p.Value.Norm2()
-	}
-	if normAfter >= normBefore {
-		t.Fatalf("weight decay did not shrink weights: %v -> %v", normBefore, normAfter)
 	}
 }
 
@@ -385,19 +339,13 @@ func TestOptimizerReset(t *testing.T) {
 	if adam.t != 0 || adam.m != nil {
 		t.Fatal("Adam reset incomplete")
 	}
-	sgd := NewSGD(0.1, 0.9)
-	sgd.Step(net.Params())
-	sgd.Reset()
-	if sgd.velocity != nil {
-		t.Fatal("SGD reset incomplete")
-	}
 }
 
 func TestLossNames(t *testing.T) {
-	if NewSoftmaxCrossEntropy().Name() == "" || NewBCEWithLogits().Name() == "" || NewMSE().Name() == "" {
+	if NewSoftmaxCrossEntropy().Name() == "" || NewBCEWithLogits().Name() == "" {
 		t.Fatal("losses must be named")
 	}
-	if NewAdam(0.1).Name() != "adam" || NewSGD(0.1, 0).Name() != "sgd" {
+	if NewAdam(0.1).Name() != "adam" {
 		t.Fatal("optimizer names wrong")
 	}
 }

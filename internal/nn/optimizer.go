@@ -17,46 +17,6 @@ type Optimizer interface {
 	Name() string
 }
 
-// SGD is stochastic gradient descent with classical momentum and optional
-// L2 weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity []tensor.Vector
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []Param) {
-	if len(o.velocity) != len(params) {
-		o.velocity = make([]tensor.Vector, len(params))
-		for i, p := range params {
-			o.velocity[i] = tensor.NewVector(len(p.Value))
-		}
-	}
-	for i, p := range params {
-		v := o.velocity[i]
-		for j := range p.Value {
-			g := p.Grad[j] + float64(o.WeightDecay*p.Value[j])
-			v[j] = float64(o.Momentum*v[j]) - float64(o.LR*g)
-			p.Value[j] += v[j]
-		}
-	}
-}
-
-// Reset implements Optimizer.
-func (o *SGD) Reset() { o.velocity = nil }
-
-// Name implements Optimizer.
-func (o *SGD) Name() string { return "sgd" }
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction. Its
 // update is tensor.AdamStep's, four elements at a time where the CPU has
 // AVX2.

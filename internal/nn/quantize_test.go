@@ -142,10 +142,11 @@ func TestQuantizedSerializationRoundtrip(t *testing.T) {
 		if overhead < 0 || overhead > 160 {
 			t.Fatalf("bits %d: framing overhead %d", bits, overhead)
 		}
-		got, err := ReadNetwork(&buf)
+		w, err := ReadWeights(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := w.Thaw()
 		if got.QuantBits() != bits {
 			t.Fatalf("bits %d: roundtrip bits %d", bits, got.QuantBits())
 		}

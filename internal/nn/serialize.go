@@ -116,19 +116,9 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 	return n.Freeze().WriteTo(w)
 }
 
-// ReadNetwork deserializes a trainable network written by WriteTo,
-// verifying the checksum and allocating fresh gradient buffers.
-func ReadNetwork(r io.Reader) (*Network, error) {
-	w, err := ReadWeights(r)
-	if err != nil {
-		return nil, err
-	}
-	return w.Thaw(), nil
-}
-
 // ReadWeights deserializes a frozen program written by WriteTo, verifying
-// the checksum. The result carries no training state; use Thaw (or
-// ReadNetwork) to obtain a trainable form.
+// the checksum. The result carries no training state; use Thaw to obtain
+// a trainable form.
 func ReadWeights(r io.Reader) (*Weights, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)

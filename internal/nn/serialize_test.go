@@ -24,10 +24,11 @@ func TestSerializeRoundtrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
 	}
-	got, err := ReadNetwork(&buf)
+	w, err := ReadWeights(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := w.Thaw()
 	x := tensor.Vector{0.5, -1.5, 2}
 	want := net.Forward(x).Clone()
 	out := got.Forward(x)
@@ -48,10 +49,11 @@ func TestDeserializedNetworkTrainable(t *testing.T) {
 	if _, err := net.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadNetwork(&buf)
+	w, err := ReadWeights(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := w.Thaw()
 	if _, err := Train(loaded, xorSamples(), nil, TrainConfig{
 		Epochs: 300, BatchSize: 4, Optimizer: NewAdam(0.05), RNG: rng,
 	}); err != nil {
@@ -63,7 +65,7 @@ func TestDeserializedNetworkTrainable(t *testing.T) {
 }
 
 func TestReadNetworkBadMagic(t *testing.T) {
-	if _, err := ReadNetwork(strings.NewReader("XXXXgarbage")); err == nil {
+	if _, err := ReadWeights(strings.NewReader("XXXXgarbage")); err == nil {
 		t.Fatal("expected bad-magic error")
 	}
 }
@@ -77,7 +79,7 @@ func TestReadNetworkTruncated(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{3, 5, 10, len(data) / 2, len(data) - 1} {
-		if _, err := ReadNetwork(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadWeights(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -93,13 +95,13 @@ func TestReadNetworkCorrupted(t *testing.T) {
 	data := buf.Bytes()
 	// Flip a byte in the weight payload; the CRC must catch it.
 	data[len(data)/2] ^= 0xFF
-	if _, err := ReadNetwork(bytes.NewReader(data)); err == nil {
+	if _, err := ReadWeights(bytes.NewReader(data)); err == nil {
 		t.Fatal("corruption not detected")
 	}
 }
 
 func TestReadNetworkEmpty(t *testing.T) {
-	if _, err := ReadNetwork(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadWeights(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error on empty input")
 	}
 }

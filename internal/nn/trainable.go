@@ -20,10 +20,6 @@ type Trainable struct {
 // frozen copy keeps serving inference while this one learns.
 func ThawTrainable(w *Weights) *Trainable { return &Trainable{net: w.Thaw()} }
 
-// Network exposes the wrapped trainable network for loss/accuracy
-// evaluation during training.
-func (t *Trainable) Network() *Network { return t.net }
-
 // Train fits the wrapped network (see the Train free function).
 func (t *Trainable) Train(train, val []Sample, cfg TrainConfig) (TrainResult, error) {
 	return Train(t.net, train, val, cfg)

@@ -56,9 +56,6 @@ func (n *Network) Freeze() *Weights {
 	return newWeights(ls)
 }
 
-// Freeze is the free-function form of (*Network).Freeze.
-func Freeze(n *Network) *Weights { return n.Freeze() }
-
 // newWeights validates the layer program, packs every dense layer for
 // the batched kernel and precomputes the static accounting (dims,
 // FLOPs, parameter count, scratch sizing).

@@ -96,14 +96,6 @@ func (c *Controller) Rung() Rung {
 	return c.rung
 }
 
-// Target returns the configured per-frame deadline (0 when inert).
-func (c *Controller) Target() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.Target
-}
-
 // ObserveTick folds one tick's worst served-frame sojourn into the
 // controller and returns the rung for the next tick. served reports
 // whether any frame actually completed this tick: ticks with no

@@ -2,7 +2,7 @@ package repo
 
 import (
 	"bytes"
-	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,6 +10,29 @@ import (
 	"anole/internal/nn"
 	"anole/internal/testutil"
 )
+
+// getTagged GETs url, sending inm as If-None-Match when it is not
+// empty, and returns the status, the ETag and the body.
+func getTagged(t *testing.T, url, inm string) (status int, etag string, body []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("ETag"), body
+}
 
 func TestServerETagRevalidation(t *testing.T) {
 	fx := testutil.Shared(t)
@@ -19,35 +42,27 @@ func TestServerETagRevalidation(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := Client{BaseURL: ts.URL}
-	ctx := context.Background()
+	url := ts.URL + "/v1/bundle"
 
 	// First fetch pays the full payload and yields an ETag.
-	b, etag, notMod, err := c.FetchBundleConditional(ctx, "")
-	if err != nil {
-		t.Fatal(err)
+	status, etag, body := getTagged(t, url, "")
+	if status != http.StatusOK || etag == "" {
+		t.Fatalf("first fetch: status %d etag %q", status, etag)
 	}
-	if notMod || b == nil || etag == "" {
-		t.Fatalf("first fetch: notMod=%v bundle=%v etag=%q", notMod, b != nil, etag)
+	if _, err := ReadBundle(bytes.NewReader(body)); err != nil {
+		t.Fatalf("decode bundle payload: %v", err)
 	}
 	// Revalidation with the same ETag costs a 304, no payload.
-	b2, etag2, notMod, err := c.FetchBundleConditional(ctx, etag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !notMod || b2 != nil {
-		t.Fatalf("revalidation: notMod=%v bundle=%v", notMod, b2 != nil)
+	status, etag2, body := getTagged(t, url, etag)
+	if status != http.StatusNotModified || len(body) != 0 {
+		t.Fatalf("revalidation: status %d, %d bytes", status, len(body))
 	}
 	if etag2 != etag {
 		t.Fatalf("etag changed on 304: %q vs %q", etag2, etag)
 	}
 	// A stale ETag downloads the bundle again.
-	b3, _, notMod, err := c.FetchBundleConditional(ctx, `"stale"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if notMod || b3 == nil {
-		t.Fatal("stale etag did not refetch")
+	if status, _, body := getTagged(t, url, `"stale"`); status != http.StatusOK || len(body) == 0 {
+		t.Fatalf("stale etag: status %d, %d bytes", status, len(body))
 	}
 }
 
@@ -59,16 +74,12 @@ func TestServerModelEndpoint(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := Client{BaseURL: ts.URL}
-	ctx := context.Background()
 
 	det := fx.Bundle.Detectors[0]
-	data, etag, notMod, err := c.FetchModelConditional(ctx, det.Name, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if notMod || len(data) == 0 || etag == "" {
-		t.Fatalf("model fetch: notMod=%v bytes=%d etag=%q", notMod, len(data), etag)
+	url := ts.URL + "/v1/model/" + det.Name
+	status, etag, data := getTagged(t, url, "")
+	if status != http.StatusOK || len(data) == 0 || etag == "" {
+		t.Fatalf("model fetch: status %d bytes=%d etag=%q", status, len(data), etag)
 	}
 	// The payload is the model's serialized network, byte for byte.
 	net, err := nn.ReadWeights(bytes.NewReader(data))
@@ -79,16 +90,11 @@ func TestServerModelEndpoint(t *testing.T) {
 		t.Fatalf("decoded params %d, want %d", net.ParamCount(), det.Weights().ParamCount())
 	}
 	// Revalidation costs a 304.
-	data2, _, notMod, err := c.FetchModelConditional(ctx, det.Name, etag)
-	if err != nil {
-		t.Fatal(err)
+	if status, _, data := getTagged(t, url, etag); status != http.StatusNotModified || len(data) != 0 {
+		t.Fatalf("model revalidation: status %d, %d bytes", status, len(data))
 	}
-	if !notMod || data2 != nil {
-		t.Fatalf("model revalidation: notMod=%v bytes=%d", notMod, len(data2))
-	}
-	// Unknown models 404 and are not retried into success.
-	if _, _, _, err := c.FetchModelConditional(ctx, "no-such-model", ""); err == nil {
-		t.Fatal("unknown model fetched")
+	if status, _, _ := getTagged(t, ts.URL+"/v1/model/no-such-model", ""); status != http.StatusNotFound {
+		t.Fatalf("unknown model: status %d, want 404", status)
 	}
 }
 
@@ -101,43 +107,19 @@ func TestServerManifestETagAndMatching(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	etag := resp.Header.Get("ETag")
+	url := ts.URL + "/v1/manifest"
+	_, etag, _ := getTagged(t, url, "")
 	if etag == "" {
 		t.Fatal("manifest response has no ETag")
 	}
 	// If-None-Match list and wildcard forms both revalidate.
 	for _, inm := range []string{etag, `"other", ` + etag, "W/" + etag, "*"} {
-		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/manifest", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("If-None-Match", inm)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotModified {
-			t.Fatalf("If-None-Match %q: status %d", inm, resp.StatusCode)
+		if status, _, _ := getTagged(t, url, inm); status != http.StatusNotModified {
+			t.Fatalf("If-None-Match %q: status %d", inm, status)
 		}
 	}
 	// A non-matching tag serves the full manifest.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/manifest", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("If-None-Match", `"nope"`)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("non-matching If-None-Match: status %d", resp2.StatusCode)
+	if status, _, _ := getTagged(t, url, `"nope"`); status != http.StatusOK {
+		t.Fatalf("non-matching If-None-Match: status %d", status)
 	}
 }

@@ -2,8 +2,6 @@ package repo
 
 import (
 	"bytes"
-	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -131,16 +129,7 @@ func TestServerGenerationEndpoints(t *testing.T) {
 
 	get := func(path string) (int, string, []byte) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, resp.Header.Get("ETag"), body
+		return getTagged(t, ts.URL+path, "")
 	}
 
 	_, seedManifestTag, _ := get("/v1/manifest")
@@ -158,18 +147,8 @@ func TestServerGenerationEndpoints(t *testing.T) {
 		t.Fatalf("archived bundle ETag %q, want %q", gen1Tag, want)
 	}
 	// Archived payloads are immutable, so their ETag revalidates forever.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/generation/1/bundle", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("If-None-Match", gen1Tag)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("revalidation of an archived generation: status %d, want 304", resp.StatusCode)
+	if status, _, _ := getTagged(t, ts.URL+"/v1/generation/1/bundle", gen1Tag); status != http.StatusNotModified {
+		t.Fatalf("revalidation of an archived generation: status %d, want 304", status)
 	}
 
 	_, postPublishTag, _ := get("/v1/manifest")
@@ -198,36 +177,5 @@ func TestServerGenerationEndpoints(t *testing.T) {
 		if status, _, _ := get(path); status != want {
 			t.Errorf("GET %s: status %d, want %d", path, status, want)
 		}
-	}
-}
-
-// TestClientFetchGenerationBundle pins the device-side rollout path: a
-// canary fetches the exact generation its controller named, even after
-// the active generation has moved on.
-func TestClientFetchGenerationBundle(t *testing.T) {
-	fx := testutil.Shared(t)
-	srv, err := NewServer(fx.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Publish(fx.Bundle, "newer"); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	c := Client{BaseURL: ts.URL}
-	b, err := c.FetchGenerationBundle(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if b.NumModels() != fx.Bundle.NumModels() {
-		t.Fatalf("archived bundle has %d models, want %d", b.NumModels(), fx.Bundle.NumModels())
-	}
-	if _, err := c.FetchGenerationBundle(context.Background(), 42); err == nil {
-		t.Fatal("fetch of a never-published generation succeeded")
 	}
 }

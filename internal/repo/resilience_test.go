@@ -3,18 +3,13 @@ package repo
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"anole/internal/breaker"
-	"anole/internal/telemetry"
 	"anole/internal/testutil"
 )
 
@@ -24,11 +19,9 @@ import (
 type truncatingHandler struct {
 	inner http.Handler
 	cut   atomic.Int64
-	hits  atomic.Int64
 }
 
 func (h *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.hits.Add(1)
 	if h.cut.Add(-1) < 0 {
 		h.inner.ServeHTTP(w, r)
 		return
@@ -46,7 +39,7 @@ func (h *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func TestClientRetriesMidStreamTruncation(t *testing.T) {
+func TestClientRejectsMidStreamTruncation(t *testing.T) {
 	fx := testutil.Shared(t)
 	srv, err := NewServer(fx.Bundle)
 	if err != nil {
@@ -57,25 +50,17 @@ func TestClientRetriesMidStreamTruncation(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	// Without retries the truncated body is a hard failure…
-	noRetry := Client{BaseURL: ts.URL}
-	if _, err := noRetry.FetchBundle(context.Background()); err == nil {
-		t.Fatal("truncated fetch succeeded without retries")
+	c := Client{BaseURL: ts.URL}
+	if _, err := c.FetchBundle(context.Background()); err == nil {
+		t.Fatal("truncated fetch succeeded")
 	}
-
-	// …with one retry the second, whole response recovers the fetch.
-	h.cut.Store(1)
-	h.hits.Store(0)
-	c := Client{BaseURL: ts.URL, Retries: 2, RetryDelay: time.Millisecond}
+	// The next, whole response is served.
 	b, err := c.FetchBundle(context.Background())
 	if err != nil {
-		t.Fatalf("retry did not recover from mid-stream truncation: %v", err)
+		t.Fatalf("whole response after a truncated one: %v", err)
 	}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if got := h.hits.Load(); got != 2 {
-		t.Fatalf("server saw %d attempts, want 2 (truncated + whole)", got)
 	}
 }
 
@@ -96,11 +81,7 @@ func TestManifestCarriesContentDigests(t *testing.T) {
 	if len(m.BundleSHA256) != 64 {
 		t.Fatalf("bundle digest %q, want 64 hex chars", m.BundleSHA256)
 	}
-	data, err := c.get(context.Background(), "/v1/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digestFor(data) != m.BundleSHA256 {
+	if _, _, data := getTagged(t, ts.URL+"/v1/bundle", ""); digestFor(data) != m.BundleSHA256 {
 		t.Fatal("bundle digest does not match the served payload")
 	}
 	if len(m.Models) == 0 {
@@ -110,27 +91,26 @@ func TestManifestCarriesContentDigests(t *testing.T) {
 		if len(mm.SHA256) != 64 {
 			t.Fatalf("model %q digest %q, want 64 hex chars", mm.Name, mm.SHA256)
 		}
-		payload, err := c.FetchModelVerified(context.Background(), mm.Name, mm.SHA256)
-		if err != nil {
-			t.Fatalf("verified fetch of %q against its manifest digest: %v", mm.Name, err)
+		status, _, data := getTagged(t, ts.URL+"/v1/model/"+mm.Name, "")
+		if status != http.StatusOK || len(data) == 0 {
+			t.Fatalf("model %q: status %d, %d bytes", mm.Name, status, len(data))
 		}
-		if int64(len(payload)) == 0 {
-			t.Fatalf("model %q payload empty", mm.Name)
+		if digestFor(data) != mm.SHA256 {
+			t.Fatalf("model %q payload does not match its manifest digest", mm.Name)
 		}
-	}
-	if got := c.Quarantined(); got != 0 {
-		t.Fatalf("%d payloads quarantined on a clean path", got)
 	}
 }
 
 // corruptingHandler flips one byte in the first `bad` response bodies,
-// preserving length — only a content digest can catch it.
+// preserving length — only a content checksum can catch it.
 type corruptingHandler struct {
 	inner http.Handler
 	bad   atomic.Int64
+	hits  atomic.Int64
 }
 
 func (h *corruptingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.hits.Add(1)
 	rec := httptest.NewRecorder()
 	h.inner.ServeHTTP(rec, r)
 	body := rec.Body.Bytes()
@@ -141,49 +121,6 @@ func (h *corruptingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", fmt.Sprint(len(body)))
 	w.WriteHeader(rec.Code)
 	w.Write(body)
-}
-
-func TestClientFetchModelVerifiedQuarantinesCorruption(t *testing.T) {
-	fx := testutil.Shared(t)
-	srv, err := NewServer(fx.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &corruptingHandler{inner: srv.Handler()}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	c := Client{BaseURL: ts.URL, VerifyRetries: 2}
-	m, err := c.FetchManifest(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, digest := m.Models[0].Name, m.Models[0].SHA256
-
-	// One corrupted response: quarantined, refetched, served clean.
-	h.bad.Store(1)
-	data, err := c.FetchModelVerified(context.Background(), name, digest)
-	if err != nil {
-		t.Fatalf("refetch after quarantine failed: %v", err)
-	}
-	if digestFor(data) != digest {
-		t.Fatal("returned payload does not match the digest")
-	}
-	if got := c.Quarantined(); got != 1 {
-		t.Fatalf("quarantined %d, want 1", got)
-	}
-
-	// Persistent corruption: every fetch is quarantined; corrupt bytes
-	// are never returned.
-	h.bad.Store(1 << 30)
-	if _, err := c.FetchModelVerified(context.Background(), name, digest); err == nil {
-		t.Fatal("persistently corrupted model fetch succeeded")
-	} else if !strings.Contains(err.Error(), "quarantined") {
-		t.Fatalf("error %q does not mention quarantine", err)
-	}
-	if got := c.Quarantined(); got != 1+int64(c.verifyRetries())+1 {
-		t.Fatalf("quarantined %d, want %d", got, 1+c.verifyRetries()+1)
-	}
 }
 
 func TestClientBundleChecksumQuarantine(t *testing.T) {
@@ -197,204 +134,30 @@ func TestClientBundleChecksumQuarantine(t *testing.T) {
 	defer ts.Close()
 
 	// The bundle format's own checksum rejects the damaged payload; the
-	// client quarantines and refetches.
+	// client discards it and fetches again.
 	h.bad.Store(1)
 	c := Client{BaseURL: ts.URL}
 	b, err := c.FetchBundle(context.Background())
 	if err != nil {
-		t.Fatalf("refetch after bundle quarantine failed: %v", err)
+		t.Fatalf("refetch after a rejected bundle failed: %v", err)
 	}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Quarantined(); got != 1 {
-		t.Fatalf("quarantined %d, want 1", got)
-	}
-}
-
-func TestClientBreakerFailsFastAndRecovers(t *testing.T) {
-	fx := testutil.Shared(t)
-	srv, err := NewServer(fx.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var broken atomic.Bool
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		if broken.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	var mu sync.Mutex
-	var now time.Duration
-	clock := func() time.Duration { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now += d; mu.Unlock() }
-
-	br := breaker.New(breaker.Config{FailureThreshold: 2, Cooldown: time.Second, Now: clock})
-	c := Client{BaseURL: ts.URL, Breaker: br}
-
-	// Two failures open the breaker.
-	broken.Store(true)
-	for i := 0; i < 2; i++ {
-		if _, err := c.FetchManifest(context.Background()); err == nil {
-			t.Fatal("fetch against a 503 server succeeded")
-		}
-	}
-	if br.State() != breaker.Open {
-		t.Fatalf("breaker %v after threshold failures, want open", br.State())
+	if got := h.hits.Load(); got != 2 {
+		t.Fatalf("server saw %d fetches, want 2 (corrupt + whole)", got)
 	}
 
-	// While open, fetches fail fast without touching the server.
-	before := hits.Load()
-	if _, err := c.FetchManifest(context.Background()); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	// Persistent corruption: every payload is rejected, the budget is
+	// spent, and corrupt bytes are never returned.
+	h.bad.Store(1 << 30)
+	h.hits.Store(0)
+	if _, err := c.FetchBundle(context.Background()); err == nil {
+		t.Fatal("persistently corrupted bundle fetch succeeded")
+	} else if !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("error %q does not say the bundle was rejected", err)
 	}
-	if hits.Load() != before {
-		t.Fatal("open breaker let a request through")
-	}
-
-	// After the cooldown the half-open probe goes through; its success
-	// closes the breaker.
-	broken.Store(false)
-	advance(2 * time.Second)
-	if _, err := c.FetchManifest(context.Background()); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if br.State() != breaker.Closed {
-		t.Fatalf("breaker %v after probe success, want closed", br.State())
-	}
-}
-
-func TestClientBreakerIgnoresCallerCancellation(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done()
-	}))
-	defer ts.Close()
-
-	br := breaker.New(breaker.Config{FailureThreshold: 1})
-	c := Client{BaseURL: ts.URL, Breaker: br}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := c.FetchManifest(ctx); err == nil {
-		t.Fatal("cancelled fetch succeeded")
-	}
-	// The caller gave up; that says nothing about the path, so the
-	// breaker must not trip.
-	if br.State() != breaker.Closed {
-		t.Fatalf("breaker %v after caller cancellation, want closed", br.State())
-	}
-}
-
-func TestClientAttemptTimeoutBoundsStalls(t *testing.T) {
-	fx := testutil.Shared(t)
-	srv, err := NewServer(fx.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &stallOnceHandler{inner: srv.Handler(), stall: time.Hour, stalled: make(map[string]bool)}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	// No overall HTTP timeout: only AttemptTimeout cuts the stall.
-	c := Client{
-		BaseURL:        ts.URL,
-		HTTPClient:     &http.Client{},
-		AttemptTimeout: 100 * time.Millisecond,
-		Retries:        1,
-		RetryDelay:     time.Millisecond,
-	}
-	start := time.Now()
-	if _, err := c.FetchManifest(context.Background()); err != nil {
-		t.Fatalf("retry after attempt timeout failed: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("stalled attempt was not cut by AttemptTimeout (%v)", elapsed)
-	}
-}
-
-func TestClientBackoffSchedule(t *testing.T) {
-	c := Client{RetryDelay: 100 * time.Millisecond, BackoffFactor: 2, MaxRetryDelay: 500 * time.Millisecond}
-	want := []time.Duration{
-		100 * time.Millisecond,
-		200 * time.Millisecond,
-		400 * time.Millisecond,
-		500 * time.Millisecond, // capped
-		500 * time.Millisecond,
-	}
-	for i, w := range want {
-		if got := c.attemptDelay(i + 1); got != w {
-			t.Fatalf("attempt %d delay %v, want %v", i+1, got, w)
-		}
-	}
-}
-
-func TestClientBackoffJitterIsSeededAndBounded(t *testing.T) {
-	mk := func() *Client {
-		return &Client{
-			RetryDelay:    100 * time.Millisecond,
-			BackoffFactor: 1,
-			JitterFrac:    0.5,
-			JitterSeed:    7,
-		}
-	}
-	a, b := mk(), mk()
-	varied := false
-	for i := 1; i <= 50; i++ {
-		da, db := a.attemptDelay(i), b.attemptDelay(i)
-		if da != db {
-			t.Fatalf("attempt %d: same seed produced %v vs %v", i, da, db)
-		}
-		if da < 50*time.Millisecond || da > 150*time.Millisecond {
-			t.Fatalf("attempt %d delay %v outside ±50%% jitter band", i, da)
-		}
-		if da != 100*time.Millisecond {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Fatal("jitter never moved the delay")
-	}
-}
-
-// TestClientMetricsOnSharedRegistry pins the anole_repo_* wiring: a
-// caller-supplied registry receives the client's attempt/retry/
-// quarantine counters, and their values track the observable fetch
-// behavior (server hit counts, Quarantined()).
-func TestClientMetricsOnSharedRegistry(t *testing.T) {
-	fx := testutil.Shared(t)
-	srv, err := NewServer(fx.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &truncatingHandler{inner: srv.Handler()}
-	h.cut.Store(1)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	reg := telemetry.NewRegistry()
-	c := Client{BaseURL: ts.URL, Retries: 2, RetryDelay: time.Millisecond, Metrics: reg}
-	if _, err := c.FetchBundle(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m := telemetry.Map(reg)
-	if got := m["anole_repo_attempts_total"]; got != 2 {
-		t.Fatalf("attempts counter %v, want 2 (truncated + whole)", got)
-	}
-	if got := m["anole_repo_retries_total"]; got != 1 {
-		t.Fatalf("retries counter %v, want 1", got)
-	}
-	if got := m["anole_repo_attempt_failures_total"]; got != 1 {
-		t.Fatalf("failures counter %v, want 1", got)
-	}
-	if got := m["anole_repo_quarantined_total"]; got != float64(c.Quarantined()) {
-		t.Fatalf("quarantined counter %v, Quarantined() %v", got, c.Quarantined())
-	}
-	if err := telemetry.ValidateScheme(reg.Gather()); err != nil {
-		t.Fatalf("scheme: %v", err)
+	if got := h.hits.Load(); got != bundleRefetches+1 {
+		t.Fatalf("server saw %d fetches, want %d", got, bundleRefetches+1)
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -17,10 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anole/internal/breaker"
 	"anole/internal/core"
-	"anole/internal/telemetry"
-	"anole/internal/xrand"
 )
 
 // Manifest is the JSON summary a device can inspect before committing to
@@ -89,8 +84,7 @@ type ManifestModel struct {
 	WeightBytes int64   `json:"weightBytes"`
 	SceneCount  int     `json:"sceneCount"`
 	// SHA256 is the hex digest of this model's serialized network, for
-	// client-side verification of per-model downloads (see
-	// Client.FetchModelVerified).
+	// client-side verification of per-model downloads.
 	SHA256 string `json:"sha256"`
 	// Version is the generation in which this model (by name) first
 	// appeared. Seed models carry the seed generation; models appended
@@ -137,7 +131,6 @@ type generationState struct {
 	blob         []byte
 	blobTag      string
 	models       map[string]blobWithTag
-	bundle       *core.Bundle
 }
 
 type blobWithTag struct {
@@ -222,7 +215,6 @@ func buildGeneration(b *core.Bundle, gen uint64, versions map[string]uint64, lin
 		blob:         buf.Bytes(),
 		blobTag:      etagFor(buf.Bytes()),
 		models:       models,
-		bundle:       b,
 	}, added, nil
 }
 
@@ -335,7 +327,6 @@ func (s *Server) RollbackTraced(to uint64, note, trace string) error {
 		blob:         st.blob,
 		blobTag:      st.blobTag,
 		models:       st.models,
-		bundle:       st.bundle,
 	}
 	s.lineage = lineage
 	s.history[to] = restored
@@ -353,9 +344,6 @@ func (s *Server) Lineage() []LineageEntry {
 	defer s.mu.Unlock()
 	return append([]LineageEntry(nil), s.lineage...)
 }
-
-// Bundle returns the active generation's in-memory bundle.
-func (s *Server) Bundle() *core.Bundle { return s.cur.Load().bundle }
 
 // BundleBytes returns the active generation's serialized payload (not a
 // copy; callers must not mutate it).
@@ -468,173 +456,16 @@ func (s *Server) Handler() http.Handler {
 // Manifest returns the active generation's manifest.
 func (s *Server) Manifest() Manifest { return s.cur.Load().manifest }
 
-// ErrBreakerOpen reports a fetch refused because the client's circuit
-// breaker is open: recent attempts failed, so the client fails fast
-// instead of stacking more load on a struggling path.
-var ErrBreakerOpen = errors.New("repo: circuit breaker open")
-
-// Client downloads bundles from a repository server. The zero value uses
-// http.DefaultClient with a 30 s timeout and no retries. Client is safe
-// for concurrent use, but must not be copied after first use.
+// Client downloads bundles from a repository server. Client is safe for
+// concurrent use.
 type Client struct {
 	// BaseURL is the repository root, e.g. "http://cloud:8080".
 	BaseURL string
-	// HTTPClient overrides the transport when non-nil.
-	HTTPClient *http.Client
-	// Retries is the number of additional attempts after a failed
-	// fetch (default 0). Transport errors — including client-side
-	// timeouts against a stalled server and bodies that fail or cut
-	// short mid-stream — and 5xx statuses are retried; other statuses
-	// are not. A cancelled context always stops immediately.
-	Retries int
-	// RetryDelay spaces attempts (default 100ms when Retries > 0); each
-	// further attempt multiplies it by BackoffFactor (default 2 —
-	// exponential backoff; 1 keeps the spacing constant), capped at
-	// MaxRetryDelay (default 2s).
-	RetryDelay    time.Duration
-	BackoffFactor float64
-	MaxRetryDelay time.Duration
-	// JitterFrac spreads every delay by a uniform factor in [1-f, 1+f]
-	// (0 = none, clamped to 1). Jitter decorrelates retry storms across
-	// a fleet of devices; the stream is seeded from JitterSeed, so a
-	// given client's schedule is reproducible.
-	JitterFrac float64
-	JitterSeed uint64
-	// AttemptTimeout bounds each individual attempt, connect through
-	// last body byte (0 = only HTTPClient's own timeout applies). With
-	// it, a stalled server costs one attempt, not the whole fetch.
-	AttemptTimeout time.Duration
-	// Breaker, when non-nil, is consulted before every attempt and fed
-	// every attempt's outcome. While open, fetches fail fast with an
-	// error wrapping ErrBreakerOpen. Sharing one breaker between the
-	// client and a prefetch scheduler makes demand failures pause
-	// speculative traffic too.
-	Breaker *breaker.Breaker
-	// VerifyRetries is how many refetches a checksum-failed payload
-	// earns (default 2). A payload whose digest or checksum does not
-	// match is quarantined — counted and discarded, never returned.
-	VerifyRetries int
-	// Metrics, when non-nil, registers the client's counters
-	// (anole_repo_*) on the given telemetry registry before first use,
-	// so a shared registry exposes fetch behavior on /metrics. Nil
-	// keeps them in a private registry.
-	Metrics *telemetry.Registry
-
-	jitterMu sync.Mutex
-	jitter   *xrand.RNG
-
-	// traceMu guards trace, the causal trace ID stamped on outgoing
-	// requests as the X-Anole-Trace header (see SetTrace).
-	traceMu sync.Mutex
-	trace   string
-
-	metOnce sync.Once
-	met     *clientMetrics
 }
 
-// SetTrace sets the causal trace ID stamped on subsequent requests as
-// the telemetry.TraceHeader header (empty clears it). The adaptation
-// loop sets it around a canary fetch so the repository's span ring
-// links the download to the drift journey that published the bundle.
-func (c *Client) SetTrace(trace string) {
-	c.traceMu.Lock()
-	c.trace = trace
-	c.traceMu.Unlock()
-}
-
-// currentTrace returns the trace ID to stamp on a request.
-func (c *Client) currentTrace() string {
-	c.traceMu.Lock()
-	defer c.traceMu.Unlock()
-	return c.trace
-}
-
-// clientMetrics are the repo.Client telemetry handles, bound lazily on
-// first use so the zero-value Client keeps working.
-type clientMetrics struct {
-	attempts    *telemetry.Counter
-	failures    *telemetry.Counter
-	retries     *telemetry.Counter
-	notModified *telemetry.Counter
-	rejects     *telemetry.Counter
-	quarantined *telemetry.Counter
-}
-
-// metrics returns the lazily bound handle set; Config.Metrics nil binds
-// against a private registry so counters like Quarantined still count.
-func (c *Client) metrics() *clientMetrics {
-	c.metOnce.Do(func() {
-		reg := c.Metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		c.met = &clientMetrics{
-			attempts:    reg.Counter("anole_repo_attempts_total", "individual fetch attempts (retries included)"),
-			failures:    reg.Counter("anole_repo_attempt_failures_total", "attempts that errored"),
-			retries:     reg.Counter("anole_repo_retries_total", "attempts after the first for one fetch"),
-			notModified: reg.Counter("anole_repo_not_modified_total", "conditional fetches answered 304"),
-			rejects:     reg.Counter("anole_repo_breaker_rejects_total", "fetches failed fast on an open breaker"),
-			quarantined: reg.Counter("anole_repo_quarantined_total", "payloads that failed verification and were discarded"),
-		}
-	})
-	return c.met
-}
-
-// Quarantined reports how many fetched payloads failed verification and
-// were discarded.
-func (c *Client) Quarantined() int64 { return c.metrics().quarantined.Value() }
-
-// verifyRetries returns the quarantine refetch budget.
-func (c *Client) verifyRetries() int {
-	if c.VerifyRetries > 0 {
-		return c.VerifyRetries
-	}
-	return 2
-}
-
-// attemptDelay returns the backoff before retry `attempt` (1-based):
-// RetryDelay · BackoffFactor^(attempt-1), capped at MaxRetryDelay, then
-// jittered.
-func (c *Client) attemptDelay(attempt int) time.Duration {
-	base := c.RetryDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	factor := c.BackoffFactor
-	if factor == 0 {
-		factor = 2
-	}
-	if factor < 1 {
-		factor = 1
-	}
-	d := float64(base) * math.Pow(factor, float64(attempt-1))
-	limit := c.MaxRetryDelay
-	if limit <= 0 {
-		limit = 2 * time.Second
-	}
-	if d > float64(limit) {
-		d = float64(limit)
-	}
-	if f := c.JitterFrac; f > 0 {
-		if f > 1 {
-			f = 1
-		}
-		c.jitterMu.Lock()
-		if c.jitter == nil {
-			c.jitter = xrand.NewLabeled(c.JitterSeed, "repo-client-jitter")
-		}
-		d *= 1 + c.jitter.Range(-f, f)
-		c.jitterMu.Unlock()
-	}
-	return time.Duration(d)
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return &http.Client{Timeout: 30 * time.Second}
-}
+// bundleRefetches is how many more downloads FetchBundle makes after one
+// whose checksum the bundle format rejects.
+const bundleRefetches = 2
 
 // FetchManifest downloads and decodes the repository manifest.
 func (c *Client) FetchManifest(ctx context.Context) (Manifest, error) {
@@ -651,11 +482,11 @@ func (c *Client) FetchManifest(ctx context.Context) (Manifest, error) {
 
 // FetchBundle downloads and deserializes the full bundle — the device's
 // one-time offline download before inference begins. A payload the
-// bundle format's checksum rejects is quarantined and refetched up to
-// VerifyRetries times; corrupt bytes are never returned.
+// bundle format's checksum rejects is discarded and fetched again, up to
+// bundleRefetches times; corrupt bytes are never returned.
 func (c *Client) FetchBundle(ctx context.Context) (*core.Bundle, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.verifyRetries(); attempt++ {
+	for attempt := 0; attempt <= bundleRefetches; attempt++ {
 		data, err := c.get(ctx, "/v1/bundle")
 		if err != nil {
 			return nil, err
@@ -664,187 +495,38 @@ func (c *Client) FetchBundle(ctx context.Context) (*core.Bundle, error) {
 		if err == nil {
 			return b, nil
 		}
-		c.metrics().quarantined.Inc()
 		lastErr = err
 		if ctx.Err() != nil {
 			break
 		}
 	}
-	return nil, fmt.Errorf("repo: bundle quarantined after %d fetches: %w", c.verifyRetries()+1, lastErr)
+	return nil, fmt.Errorf("repo: bundle rejected after %d fetches: %w", bundleRefetches+1, lastErr)
 }
 
-// FetchBundleConditional revalidates a previously downloaded bundle:
-// with the ETag of the cached copy the server answers 304 Not Modified
-// and no payload travels (bundle nil, notModified true). On a miss (or
-// an empty etag) it behaves like FetchBundle and returns the new ETag
-// for the next revalidation.
-func (c *Client) FetchBundleConditional(ctx context.Context, etag string) (b *core.Bundle, newETag string, notModified bool, err error) {
-	data, newETag, notModified, err := c.getConditional(ctx, "/v1/bundle", etag)
-	if err != nil || notModified {
-		return nil, newETag, notModified, err
-	}
-	b, err = ReadBundle(bytes.NewReader(data))
-	return b, newETag, false, err
-}
-
-// FetchGenerationBundle downloads and deserializes one archived
-// generation's bundle — the rollout path, where a device mid-canary
-// pins the exact generation its controller named rather than whatever
-// is active when the fetch lands. Verification mirrors FetchBundle:
-// checksum-rejected payloads are quarantined and refetched.
-func (c *Client) FetchGenerationBundle(ctx context.Context, gen uint64) (*core.Bundle, error) {
-	path := fmt.Sprintf("/v1/generation/%d/bundle", gen)
-	var lastErr error
-	for attempt := 0; attempt <= c.verifyRetries(); attempt++ {
-		data, err := c.get(ctx, path)
-		if err != nil {
-			return nil, err
-		}
-		b, err := ReadBundle(bytes.NewReader(data))
-		if err == nil {
-			return b, nil
-		}
-		c.metrics().quarantined.Inc()
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, fmt.Errorf("repo: generation %d bundle quarantined after %d fetches: %w", gen, c.verifyRetries()+1, lastErr)
-}
-
-// modelPath returns the per-model endpoint path for a model name.
-func modelPath(name string) string { return "/v1/model/" + url.PathEscape(name) }
-
-// FetchModelVerified downloads one model's bytes and verifies them
-// against the manifest's hex SHA-256 digest. A mismatched payload is
-// quarantined — counted and discarded, never returned — and refetched
-// up to VerifyRetries times, so a bit-flip on the path costs a retry,
-// not a poisoned cache. An empty digest skips verification.
-func (c *Client) FetchModelVerified(ctx context.Context, name, sha256hex string) ([]byte, error) {
-	for attempt := 0; attempt <= c.verifyRetries(); attempt++ {
-		data, err := c.get(ctx, modelPath(name))
-		if err != nil {
-			return nil, err
-		}
-		if sha256hex == "" || digestFor(data) == sha256hex {
-			return data, nil
-		}
-		c.metrics().quarantined.Inc()
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, fmt.Errorf("repo: model %q quarantined after %d fetches: digest mismatch", name, c.verifyRetries()+1)
-}
-
-// FetchModelConditional revalidates one cached model by ETag: a 304
-// returns (nil, etag, true, nil) for the cost of the headers; otherwise
-// the serialized network and its new ETag are returned.
-func (c *Client) FetchModelConditional(ctx context.Context, name, etag string) (data []byte, newETag string, notModified bool, err error) {
-	return c.getConditional(ctx, modelPath(name), etag)
-}
-
+// get performs one GET and reads the whole body. A status other than 200
+// and a body shorter or longer than its Content-Length are errors.
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	data, _, _, err := c.getConditional(ctx, path, "")
-	return data, err
-}
-
-// getConditional performs the retrying GET; a non-empty etag is sent as
-// If-None-Match, and a 304 answer yields notModified with nil data. The
-// whole body is buffered inside the retry loop, so failures while
-// reading it mid-stream — a dropped connection, a truncated payload —
-// are retried exactly like connect failures.
-func (c *Client) getConditional(ctx context.Context, path, etag string) (data []byte, newETag string, notModified bool, err error) {
-	met := c.metrics()
-	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, "", false, fmt.Errorf("repo: fetch %s: %w", path, ctx.Err())
-			case <-time.After(c.attemptDelay(attempt)):
-			}
-			met.retries.Inc()
-		}
-		if br := c.Breaker; br != nil && !br.Allow() {
-			met.rejects.Inc()
-			return nil, "", false, fmt.Errorf("repo: fetch %s: %w", path, ErrBreakerOpen)
-		}
-		met.attempts.Inc()
-		data, newETag, notModified, retryable, err := c.fetchOnce(ctx, path, etag)
-		c.recordOutcome(ctx, retryable, err)
-		if err == nil {
-			if notModified {
-				met.notModified.Inc()
-			}
-			return data, newETag, notModified, nil
-		}
-		met.failures.Inc()
-		lastErr = err
-		if !retryable || ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, "", false, lastErr
-}
-
-// recordOutcome feeds one attempt's result to the breaker (no-op
-// without one). Only link-health signals move it: a clean response is a
-// success; a retryable failure (transport error, per-attempt timeout,
-// 5xx, damaged body) a failure — unless the caller's own context ended,
-// which says nothing about the path. Non-retryable statuses mean the
-// server answered and leave the breaker alone.
-func (c *Client) recordOutcome(ctx context.Context, retryable bool, err error) {
-	if c.Breaker == nil {
-		return
-	}
-	switch {
-	case err == nil:
-		c.Breaker.Success()
-	case retryable && ctx.Err() == nil:
-		c.Breaker.Failure()
-	}
-}
-
-// fetchOnce performs a single GET, reading the entire body; retryable
-// reports whether a failure is worth another attempt (transport errors,
-// 5xx responses, and bodies that fail or come up short mid-stream).
-func (c *Client) fetchOnce(ctx context.Context, path, etag string) (data []byte, newETag string, notModified, retryable bool, err error) {
-	if c.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.AttemptTimeout)
-		defer cancel()
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
-		return nil, "", false, false, fmt.Errorf("repo: %w", err)
+		return nil, fmt.Errorf("repo: %w", err)
 	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	if trace := c.currentTrace(); trace != "" {
-		req.Header.Set(telemetry.TraceHeader, trace)
-	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
-		return nil, "", false, true, fmt.Errorf("repo: fetch %s: %w", path, err)
+		return nil, fmt.Errorf("repo: fetch %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	newETag = resp.Header.Get("ETag")
-	if etag != "" && resp.StatusCode == http.StatusNotModified {
-		return nil, newETag, true, false, nil
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, "", false, resp.StatusCode >= 500, fmt.Errorf("repo: fetch %s: status %s", path, resp.Status)
+		return nil, fmt.Errorf("repo: fetch %s: status %s", path, resp.Status)
 	}
-	data, err = io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, "", false, true, fmt.Errorf("repo: read %s body: %w", path, err)
+		return nil, fmt.Errorf("repo: read %s body: %w", path, err)
 	}
 	if resp.ContentLength >= 0 && int64(len(data)) != resp.ContentLength {
-		return nil, "", false, true,
-			fmt.Errorf("repo: fetch %s: truncated body (%d of %d bytes)", path, len(data), resp.ContentLength)
+		return nil, fmt.Errorf("repo: fetch %s: truncated body (%d of %d bytes)", path, len(data), resp.ContentLength)
 	}
-	return data, newETag, false, false, nil
+	return data, nil
 }
+
+// httpClient bounds every fetch at 30 s, connect through last body byte.
+var httpClient = &http.Client{Timeout: 30 * time.Second}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"anole/internal/synth"
 	"anole/internal/testutil"
@@ -38,8 +37,6 @@ func TestServerConcurrentFetches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One Client per goroutine is not required — Client is
-			// stateless — but exercising a shared one is the point:
 			c := Client{BaseURL: ts.URL}
 			m, err := c.FetchManifest(context.Background())
 			if err != nil {
@@ -70,97 +67,8 @@ func TestServerConcurrentFetches(t *testing.T) {
 	wg.Wait()
 }
 
-// stallOnceHandler stalls the first hit to each path longer than the
-// client's timeout, then delegates to the real handler.
-type stallOnceHandler struct {
-	inner   http.Handler
-	stall   time.Duration
-	mu      sync.Mutex
-	stalled map[string]bool
-	hits    atomic.Int64
-}
-
-func (h *stallOnceHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.hits.Add(1)
-	h.mu.Lock()
-	first := !h.stalled[r.URL.Path]
-	h.stalled[r.URL.Path] = true
-	h.mu.Unlock()
-	if first {
-		select {
-		case <-r.Context().Done(): // client gave up
-		case <-time.After(h.stall):
-		}
-		return
-	}
-	h.inner.ServeHTTP(w, r)
-}
-
-// TestClientTimeoutThenRetry points a short-timeout client at a server
-// whose first response stalls: without retries the fetch fails; with
-// retries the second attempt succeeds.
-func TestClientTimeoutThenRetry(t *testing.T) {
-	fx := testutil.Shared(t)
-	srv, err := NewServer(fx.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &stallOnceHandler{inner: srv.Handler(), stall: 5 * time.Second, stalled: make(map[string]bool)}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	impatient := &http.Client{Timeout: 100 * time.Millisecond}
-
-	noRetry := Client{BaseURL: ts.URL, HTTPClient: impatient}
-	if _, err := noRetry.FetchManifest(context.Background()); err == nil {
-		t.Fatal("stalled fetch succeeded without retries")
-	}
-
-	h.hits.Store(0)
-	h.mu.Lock()
-	h.stalled = make(map[string]bool)
-	h.mu.Unlock()
-	withRetry := Client{BaseURL: ts.URL, HTTPClient: impatient, Retries: 2, RetryDelay: 10 * time.Millisecond}
-	m, err := withRetry.FetchManifest(context.Background())
-	if err != nil {
-		t.Fatalf("retry did not recover: %v", err)
-	}
-	if len(m.Models) != fx.Bundle.NumModels() {
-		t.Fatalf("manifest after retry lists %d models, want %d", len(m.Models), fx.Bundle.NumModels())
-	}
-	if got := h.hits.Load(); got != 2 {
-		t.Fatalf("server saw %d attempts, want 2 (stall + success)", got)
-	}
-	if b, err := withRetry.FetchBundle(context.Background()); err != nil {
-		t.Fatalf("bundle after stall: %v", err)
-	} else if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClientRetryRespectsContext cancels between attempts: the retry
-// loop must stop on the context, not sleep through it.
-func TestClientRetryRespectsContext(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	c := Client{BaseURL: ts.URL, Retries: 100, RetryDelay: 30 * time.Millisecond}
-	start := time.Now()
-	_, err := c.FetchManifest(ctx)
-	if err == nil {
-		t.Fatal("fetch against a 503 server succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("retry loop ignored context for %v", elapsed)
-	}
-}
-
-// TestClientDoesNotRetryClientErrors: a 404 is definitive; the client
-// must not hammer the server.
+// TestClientDoesNotRetryClientErrors: a 404 is definitive; only a
+// payload the bundle checksum rejects is fetched again.
 func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -169,39 +77,12 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := Client{BaseURL: ts.URL, Retries: 5, RetryDelay: time.Millisecond}
-	_, err := c.FetchManifest(context.Background())
+	c := Client{BaseURL: ts.URL}
+	_, err := c.FetchBundle(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("want 404 error, got %v", err)
 	}
 	if got := hits.Load(); got != 1 {
 		t.Fatalf("client retried a 404 (%d attempts)", got)
-	}
-}
-
-// TestClientRetries5xx: a transient 500 burst is retried until the
-// server recovers.
-func TestClientRetries5xx(t *testing.T) {
-	fx := testutil.Shared(t)
-	srv, err := NewServer(fx.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			http.Error(w, "warming up", http.StatusInternalServerError)
-			return
-		}
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	c := Client{BaseURL: ts.URL, Retries: 3, RetryDelay: time.Millisecond}
-	if _, err := c.FetchManifest(context.Background()); err != nil {
-		t.Fatalf("retry did not outlast the 500 burst: %v", err)
-	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3", got)
 	}
 }

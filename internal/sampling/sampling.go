@@ -83,18 +83,6 @@ type Result struct {
 	Rounds  int
 }
 
-// AcceptedPerModel returns how many accepted samples each model
-// contributed to Ψ^sub.
-func (r Result) AcceptedPerModel(n int) []int {
-	out := make([]int, n)
-	for _, s := range r.Samples {
-		if s.ModelIdx >= 0 && s.ModelIdx < n {
-			out[s.ModelIdx]++
-		}
-	}
-	return out
-}
-
 // NormalizedCounts returns Counts scaled so the maximum is 1, the exact
 // form of Fig. 3's y-axis.
 func (r Result) NormalizedCounts() []float64 {

@@ -39,9 +39,6 @@ type RepertoireConfig struct {
 	// MaxK bounds the multi-level clustering (default 8); if the bank
 	// is still short of N at MaxK, the repertoire is returned as-is.
 	MaxK int
-	// MinSceneFrames drops semantic scenes with fewer training frames
-	// from clustering (default 2).
-	MinSceneFrames int
 	// Restarts is the k-means restart count (default 4).
 	Restarts int
 	// Train configures each compressed model's training run; its RNG
@@ -55,6 +52,10 @@ type RepertoireConfig struct {
 	RNG *xrand.RNG
 }
 
+// minSceneFrames is the fewest training frames a semantic scene needs to
+// take part in clustering.
+const minSceneFrames = 2
+
 func (c *RepertoireConfig) setDefaults() {
 	if c.N <= 0 {
 		c.N = 19
@@ -64,9 +65,6 @@ func (c *RepertoireConfig) setDefaults() {
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 8
-	}
-	if c.MinSceneFrames <= 0 {
-		c.MinSceneFrames = 2
 	}
 	if c.Restarts <= 0 {
 		c.Restarts = 4
@@ -97,7 +95,7 @@ func TrainCompressedModels(enc *Encoder, train, val []*synth.Frame, cfg Repertoi
 
 	trainByScene := groupByScene(train)
 	valByScene := groupByScene(val)
-	sceneIdxs, embeddings := sceneEmbeddings(enc, trainByScene, cfg.MinSceneFrames)
+	sceneIdxs, embeddings := sceneEmbeddings(enc, trainByScene)
 	if len(sceneIdxs) < 2 {
 		return nil, fmt.Errorf("scene: only %d scenes have enough frames", len(sceneIdxs))
 	}
@@ -109,16 +107,16 @@ func TrainCompressedModels(enc *Encoder, train, val []*synth.Frame, cfg Repertoi
 }
 
 // sceneEmbeddings returns, in ascending scene order, every semantic
-// scene with at least minFrames training frames and its mean embedding
+// scene with at least minSceneFrames training frames and its mean embedding
 // (the Hᵢ of Algorithm 1).
-func sceneEmbeddings(enc *Encoder, trainByScene map[int][]*synth.Frame, minFrames int) ([]int, []tensor.Vector) {
+func sceneEmbeddings(enc *Encoder, trainByScene map[int][]*synth.Frame) ([]int, []tensor.Vector) {
 	var (
 		sceneIdxs  []int
 		embeddings []tensor.Vector
 	)
 	for _, idx := range sortedKeys(trainByScene) {
 		frames := trainByScene[idx]
-		if len(frames) < minFrames {
+		if len(frames) < minSceneFrames {
 			continue
 		}
 		mean := tensor.NewVector(enc.EmbedDim())

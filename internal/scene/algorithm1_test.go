@@ -23,7 +23,7 @@ func refTrainCompressedModels(enc *Encoder, train, val []*synth.Frame, cfg Reper
 	cfg.setDefaults()
 	trainByScene := groupByScene(train)
 	valByScene := groupByScene(val)
-	sceneIdxs, embeddings := sceneEmbeddings(enc, trainByScene, cfg.MinSceneFrames)
+	sceneIdxs, embeddings := sceneEmbeddings(enc, trainByScene)
 	featDim := train[0].FeatDim()
 	var bank []*BankedModel
 	for k := 2; k <= cfg.MaxK && len(bank) < cfg.N; k++ {
@@ -233,7 +233,7 @@ func TestTrainCompressedModelsMatchesLevelByLevel(t *testing.T) {
 func TestTrainBankClusteringError(t *testing.T) {
 	fx := newBankFixture(t)
 	trainByScene, valByScene := groupByScene(fx.train), groupByScene(fx.val)
-	sceneIdxs, embeddings := sceneEmbeddings(fx.enc, trainByScene, 2)
+	sceneIdxs, embeddings := sceneEmbeddings(fx.enc, trainByScene)
 	errLevel := errors.New("clustering failed")
 	for _, c := range []struct {
 		name    string

@@ -138,63 +138,3 @@ func NearestCentroid(centroids []tensor.Vector, p tensor.Vector) int {
 	}
 	return best
 }
-
-// Silhouette returns the mean silhouette coefficient of a clustering: for
-// each point, (b−a)/max(a,b) where a is the mean distance to its own
-// cluster's other members and b the smallest mean distance to another
-// cluster. Values near 1 indicate compact, well-separated clusters; near
-// 0, overlapping ones. Points in singleton clusters contribute 0. Used as
-// a diagnostic for Algorithm 1's clustering levels.
-func Silhouette(points []tensor.Vector, assign []int, k int) float64 {
-	if len(points) == 0 || len(points) != len(assign) || k <= 1 {
-		return 0
-	}
-	// Mean pairwise distance from each point to each cluster.
-	var total float64
-	counted := 0
-	for i, p := range points {
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for j, q := range points {
-			if i == j {
-				continue
-			}
-			c := assign[j]
-			if c < 0 || c >= k {
-				return 0
-			}
-			sums[c] += math.Sqrt(p.SquaredDistance(q))
-			counts[c]++
-		}
-		own := assign[i]
-		if own < 0 || own >= k {
-			return 0
-		}
-		if counts[own] == 0 {
-			counted++ // singleton: contributes 0
-			continue
-		}
-		a := sums[own] / float64(counts[own])
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == own || counts[c] == 0 {
-				continue
-			}
-			if m := sums[c] / float64(counts[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			counted++
-			continue
-		}
-		if m := math.Max(a, b); m > 0 {
-			total += (b - a) / m
-		}
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
-}

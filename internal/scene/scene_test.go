@@ -334,69 +334,6 @@ func TestTrainCompressedModelsValidation(t *testing.T) {
 	}
 }
 
-func TestSilhouetteSeparatedBlobs(t *testing.T) {
-	rng := xrand.New(500)
-	var points []tensor.Vector
-	var assign []int
-	for i := 0; i < 30; i++ {
-		points = append(points, tensor.Vector{rng.NormMS(0, 0.2), rng.NormMS(0, 0.2)})
-		assign = append(assign, 0)
-		points = append(points, tensor.Vector{rng.NormMS(10, 0.2), rng.NormMS(10, 0.2)})
-		assign = append(assign, 1)
-	}
-	s := Silhouette(points, assign, 2)
-	if s < 0.9 {
-		t.Fatalf("well-separated blobs silhouette %v, want ~1", s)
-	}
-	// Scrambled assignment should score poorly.
-	scrambled := make([]int, len(assign))
-	for i := range scrambled {
-		scrambled[i] = rng.Intn(2)
-	}
-	if s2 := Silhouette(points, scrambled, 2); s2 >= s/2 {
-		t.Fatalf("scrambled silhouette %v should be far below %v", s2, s)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	if Silhouette(nil, nil, 2) != 0 {
-		t.Fatal("empty silhouette should be 0")
-	}
-	pts := []tensor.Vector{{0}, {1}}
-	if Silhouette(pts, []int{0, 0}, 1) != 0 {
-		t.Fatal("k=1 silhouette should be 0")
-	}
-	if Silhouette(pts, []int{0}, 2) != 0 {
-		t.Fatal("length mismatch should be 0")
-	}
-	// Singleton clusters contribute zero, not NaN.
-	if s := Silhouette(pts, []int{0, 1}, 2); s != 0 {
-		t.Fatalf("all-singleton silhouette = %v", s)
-	}
-}
-
-func TestSilhouetteAgreesWithKMeans(t *testing.T) {
-	rng := xrand.New(501)
-	var points []tensor.Vector
-	for i := 0; i < 40; i++ {
-		points = append(points, tensor.Vector{rng.NormMS(0, 0.3), 0})
-		points = append(points, tensor.Vector{rng.NormMS(8, 0.3), 0})
-	}
-	res2, err := KMeans(points, 2, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res5, err := KMeans(points, 5, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := Silhouette(points, res2.Assign, 2)
-	s5 := Silhouette(points, res5.Assign, 5)
-	if s2 <= s5 {
-		t.Fatalf("true k=2 silhouette %v should beat over-split k=5 %v", s2, s5)
-	}
-}
-
 func TestInterleavedEmbedsAreIndependent(t *testing.T) {
 	// Regression for the Network.Forward aliasing footgun: Embed used to
 	// return a view of layer state and compensate with a defensive

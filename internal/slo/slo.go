@@ -49,9 +49,6 @@ type Config struct {
 	// and 10s of engine-clock time.
 	ShortWindow time.Duration
 	LongWindow  time.Duration
-	// BurnAlert is the burn-rate threshold both windows must exceed
-	// for an objective to alert. Default 1.0.
-	BurnAlert float64
 	// MaxSamples bounds the retained per-frame samples (default 16384);
 	// older samples are overwritten, so a window longer than the ring's
 	// reach degrades gracefully to the retained span.
@@ -62,6 +59,10 @@ type Config struct {
 	// every Status call.
 	Metrics *telemetry.Registry
 }
+
+// burnAlert is the burn-rate threshold both windows must exceed for an
+// objective to alert.
+const burnAlert = 1.0
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -85,9 +86,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.LongWindow < out.ShortWindow {
 		out.ShortWindow, out.LongWindow = out.LongWindow, out.ShortWindow
-	}
-	if out.BurnAlert <= 0 {
-		out.BurnAlert = 1.0
 	}
 	if out.MaxSamples <= 0 {
 		out.MaxSamples = 16384
@@ -258,9 +256,9 @@ type Burn struct {
 	Long  float64 `json:"long"`
 }
 
-// alerting reports whether both windows burn past the threshold.
-func (b Burn) alerting(threshold float64) bool {
-	return b.Short > threshold && b.Long > threshold
+// alerting reports whether both windows burn past burnAlert.
+func (b Burn) alerting() bool {
+	return b.Short > burnAlert && b.Long > burnAlert
 }
 
 // WindowStats is one window's objective readings.
@@ -381,7 +379,7 @@ func (e *Engine) Status() Status {
 		"latency": st.LatencyBurn, "served": st.ServedBurn,
 		"degraded": st.DegradedBurn, "staleness": st.StalenessBurn,
 	} {
-		if b.alerting(e.cfg.BurnAlert) {
+		if b.alerting() {
 			st.Alerts = append(st.Alerts, name)
 		}
 	}

@@ -145,20 +145,6 @@ func CDF(xs []float64) []CDFPoint {
 	return points
 }
 
-// CDFAt returns the empirical P(X <= v) for sample xs.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	count := 0
-	for _, x := range xs {
-		if x <= v {
-			count++
-		}
-	}
-	return float64(count) / float64(len(xs))
-}
-
 // Histogram counts xs into nbins equal-width bins spanning [lo, hi].
 // Values outside the range are clamped into the boundary bins.
 func Histogram(xs []float64, lo, hi float64, nbins int) []int {
@@ -206,25 +192,6 @@ func Gini(xs []float64) float64 {
 		return 0
 	}
 	return (2*cum)/(float64(n)*total) - (float64(n)+1)/float64(n)
-}
-
-// Normalize scales xs so that the maximum is 1. A zero-max sample is
-// returned unchanged (copied).
-func Normalize(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	var max float64
-	for _, x := range out {
-		if x > max {
-			max = x
-		}
-	}
-	if max == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] /= max
-	}
-	return out
 }
 
 // NormalizedEntropy returns the Shannon entropy of the distribution
@@ -467,42 +434,4 @@ func RankDescendingInto(dst []int, xs []float64) []int {
 		return 0
 	})
 	return idx
-}
-
-// ECE computes the Expected Calibration Error of a classifier from
-// (confidence, correct) pairs: predictions are bucketed into nbins
-// equal-width confidence bins and the bin-weighted mean |accuracy −
-// confidence| is returned. 0 means perfectly calibrated confidences.
-func ECE(confidences []float64, correct []bool, nbins int) float64 {
-	if len(confidences) == 0 || len(confidences) != len(correct) || nbins <= 0 {
-		return 0
-	}
-	sumConf := make([]float64, nbins)
-	hits := make([]int, nbins)
-	counts := make([]int, nbins)
-	for i, c := range confidences {
-		b := int(c * float64(nbins))
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		sumConf[b] += c
-		counts[b]++
-		if correct[i] {
-			hits[b]++
-		}
-	}
-	var ece float64
-	n := float64(len(confidences))
-	for b := 0; b < nbins; b++ {
-		if counts[b] == 0 {
-			continue
-		}
-		acc := float64(hits[b]) / float64(counts[b])
-		conf := sumConf[b] / float64(counts[b])
-		ece += float64(counts[b]) / n * math.Abs(acc-conf)
-	}
-	return ece
 }

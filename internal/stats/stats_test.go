@@ -96,16 +96,6 @@ func TestCDFTies(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CDFAt(xs, 2.5); got != 0.5 {
-		t.Fatalf("CDFAt = %v", got)
-	}
-	if got := CDFAt(nil, 1); got != 0 {
-		t.Fatalf("empty CDFAt = %v", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	counts := Histogram([]float64{0, 0.5, 1.5, 2.5, 10, -5}, 0, 3, 3)
 	if counts[0] != 3 || counts[1] != 1 || counts[2] != 2 {
@@ -141,17 +131,6 @@ func TestGiniOrderInvariant(t *testing.T) {
 	b := Gini([]float64{9, 2, 5, 1})
 	if !almostEqual(a, b, 1e-12) {
 		t.Fatalf("Gini order-dependent: %v vs %v", a, b)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 8})
-	if out[2] != 1 || out[0] != 0.25 {
-		t.Fatalf("normalize: %v", out)
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 {
-		t.Fatal("zero normalize should stay zero")
 	}
 }
 
@@ -360,46 +339,5 @@ func TestPRF1PropertyF1BetweenPandR(t *testing.T) {
 		return m.F1 >= lo-1e-12 && m.F1 <= hi+1e-12
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestECEPerfectlyCalibrated(t *testing.T) {
-	// Confidence 0.75, accuracy 0.75 → ECE ~0.
-	r := xrand.New(21)
-	var confs []float64
-	var correct []bool
-	for i := 0; i < 8000; i++ {
-		confs = append(confs, 0.75)
-		correct = append(correct, r.Bool(0.75))
-	}
-	if e := ECE(confs, correct, 10); e > 0.02 {
-		t.Fatalf("calibrated ECE = %v", e)
-	}
-}
-
-func TestECEOverconfident(t *testing.T) {
-	// Confidence 0.95 but accuracy 0.5 → ECE ≈ 0.45.
-	r := xrand.New(22)
-	var confs []float64
-	var correct []bool
-	for i := 0; i < 8000; i++ {
-		confs = append(confs, 0.95)
-		correct = append(correct, r.Bool(0.5))
-	}
-	e := ECE(confs, correct, 10)
-	if e < 0.4 || e > 0.5 {
-		t.Fatalf("overconfident ECE = %v, want ~0.45", e)
-	}
-}
-
-func TestECEDegenerate(t *testing.T) {
-	if ECE(nil, nil, 10) != 0 {
-		t.Fatal("empty ECE should be 0")
-	}
-	if ECE([]float64{0.5}, []bool{true, false}, 10) != 0 {
-		t.Fatal("length mismatch should be 0")
-	}
-	if ECE([]float64{0.5}, []bool{true}, 0) != 0 {
-		t.Fatal("zero bins should be 0")
 	}
 }

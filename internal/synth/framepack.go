@@ -34,16 +34,11 @@ const (
 	maxPackTrace           = 256
 )
 
-// EncodeFrames serializes frames as a version-1 frame pack. All frames
-// must share one cell count and feature dimension; at least one frame
-// is required (an empty pack has no geometry to pin).
-func EncodeFrames(w io.Writer, frames []*Frame) error {
-	return EncodeFramesTrace(w, frames, "")
-}
-
 // EncodeFramesTrace serializes frames as a frame pack carrying a causal
-// trace ID. An empty trace writes the version-1 layout (bit-identical
-// to EncodeFrames); a non-empty one writes version 2.
+// trace ID. An empty trace writes the version-1 layout; a non-empty one
+// writes version 2. All frames must share one cell count and feature
+// dimension; at least one frame is required (an empty pack has no
+// geometry to pin).
 func EncodeFramesTrace(w io.Writer, frames []*Frame, trace string) error {
 	if len(frames) == 0 {
 		return fmt.Errorf("synth: empty frame pack")
@@ -96,18 +91,11 @@ func EncodeFramesTrace(w io.Writer, frames []*Frame, trace string) error {
 	return nil
 }
 
-// DecodeFrames deserializes a frame pack written by EncodeFrames (or
-// EncodeFramesTrace — the trace is discarded), verifying the checksum.
-// The frames carry their scene labels and ground-truth objects;
-// Dataset/Clip/Index provenance does not travel.
-func DecodeFrames(r io.Reader) ([]*Frame, error) {
-	frames, _, err := DecodeFramesTrace(r)
-	return frames, err
-}
-
 // DecodeFramesTrace deserializes a frame pack of either version,
-// returning the causal trace ID a version-2 pack carries (empty for
-// version 1).
+// verifying the checksum, and returns the causal trace ID a version-2
+// pack carries (empty for version 1). The frames carry their scene
+// labels and ground-truth objects; Dataset/Clip/Index provenance does
+// not travel.
 func DecodeFramesTrace(r io.Reader) ([]*Frame, string, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)

@@ -25,10 +25,10 @@ func packFixture(t *testing.T, n int) []*Frame {
 func TestFramePackRoundTrip(t *testing.T) {
 	frames := packFixture(t, 7)
 	var buf bytes.Buffer
-	if err := EncodeFrames(&buf, frames); err != nil {
+	if err := EncodeFramesTrace(&buf, frames, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrames(bytes.NewReader(buf.Bytes()))
+	got, _, err := DecodeFramesTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestFramePackRoundTrip(t *testing.T) {
 // packs, no nil frames, one geometry per pack.
 func TestFramePackEncodeRejects(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EncodeFrames(&buf, nil); err == nil {
+	if err := EncodeFramesTrace(&buf, nil, ""); err == nil {
 		t.Fatal("empty pack encoded")
 	}
 	frames := packFixture(t, 2)
-	if err := EncodeFrames(&buf, []*Frame{frames[0], nil}); err == nil {
+	if err := EncodeFramesTrace(&buf, []*Frame{frames[0], nil}, ""); err == nil {
 		t.Fatal("nil frame encoded")
 	}
 	// A frame from a world with a different feature dimension must not
@@ -88,7 +88,7 @@ func TestFramePackEncodeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	alien := w2.GenerateFrame(SceneFromIndex(0), 1, xrand.NewLabeled(4, "framepack-test-alien"))
-	if err := EncodeFrames(&buf, []*Frame{frames[0], alien}); err == nil {
+	if err := EncodeFramesTrace(&buf, []*Frame{frames[0], alien}, ""); err == nil {
 		t.Fatal("mixed-geometry pack encoded")
 	}
 }
@@ -99,7 +99,7 @@ func TestFramePackEncodeRejects(t *testing.T) {
 func TestFramePackDecodeRejectsDamage(t *testing.T) {
 	frames := packFixture(t, 4)
 	var buf bytes.Buffer
-	if err := EncodeFrames(&buf, frames); err != nil {
+	if err := EncodeFramesTrace(&buf, frames, ""); err != nil {
 		t.Fatal(err)
 	}
 	pack := buf.Bytes()
@@ -107,7 +107,7 @@ func TestFramePackDecodeRejectsDamage(t *testing.T) {
 	damage := func(mutate func([]byte)) error {
 		cp := append([]byte(nil), pack...)
 		mutate(cp)
-		_, err := DecodeFrames(bytes.NewReader(cp))
+		_, _, err := DecodeFramesTrace(bytes.NewReader(cp))
 		return err
 	}
 
@@ -125,10 +125,10 @@ func TestFramePackDecodeRejectsDamage(t *testing.T) {
 	if err := damage(func(b []byte) { b[len(b)-2] ^= 0x01 }); err == nil {
 		t.Fatal("checksum tamper decoded")
 	}
-	if _, err := DecodeFrames(bytes.NewReader(pack[:len(pack)-3])); err == nil {
+	if _, _, err := DecodeFramesTrace(bytes.NewReader(pack[:len(pack)-3])); err == nil {
 		t.Fatal("truncated pack decoded")
 	}
-	if _, err := DecodeFrames(bytes.NewReader(nil)); err == nil {
+	if _, _, err := DecodeFramesTrace(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input decoded")
 	}
 }

@@ -218,16 +218,26 @@ func readFrame(r io.Reader, cfg Config) (*Frame, error) {
 		}
 		f.Objects = append(f.Objects, Object{Cell: int(cell), Class: Class(class), Size: size})
 	}
-	f.Cells = make([]float64, cells*cfg.FeatDim)
-	buf := make([]byte, 8*len(f.Cells))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	for i := range f.Cells {
-		f.Cells[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	// The geometry comes from the input's header, so the cells are read
+	// a chunk at a time: memory grows with the bytes actually delivered,
+	// never with what a header claims.
+	n := cells * cfg.FeatDim
+	f.Cells = make([]float64, 0, min(n, readChunk))
+	buf := make([]byte, 8*min(n, readChunk))
+	for len(f.Cells) < n {
+		chunk := buf[:8*min(n-len(f.Cells), readChunk)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(chunk); i += 8 {
+			f.Cells = append(f.Cells, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
+		}
 	}
 	return f, nil
 }
+
+// readChunk is how many cell values readFrame reads at a time.
+const readChunk = 4096
 
 // SaveCorpusFile writes the corpus to path atomically.
 func SaveCorpusFile(path string, c *Corpus) error {

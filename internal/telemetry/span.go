@@ -136,14 +136,6 @@ func (t *Tracer) Record(s Span) {
 	t.total++
 }
 
-// Cap returns the ring capacity (0 for nil).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return cap(t.ring)
-}
-
 // Total returns how many spans have ever been recorded, including
 // overwritten ones (0 for nil).
 func (t *Tracer) Total() int64 {

@@ -47,8 +47,8 @@ func TestTracerRingOverwritesOldestFirst(t *testing.T) {
 
 func TestTracerDefaultCapacity(t *testing.T) {
 	tr := NewTracer(0, nil)
-	if tr.Cap() != DefaultSpanBuffer {
-		t.Fatalf("cap = %d, want %d", tr.Cap(), DefaultSpanBuffer)
+	if got := cap(tr.ring); got != DefaultSpanBuffer {
+		t.Fatalf("cap = %d, want %d", got, DefaultSpanBuffer)
 	}
 }
 

@@ -5,8 +5,8 @@
 // time.
 //
 // Every instrumented component — the core runtime, the sharded model
-// cache, the prefetch scheduler, the circuit breaker, the repo client
-// and server — registers its counters here under one naming scheme,
+// cache, the prefetch scheduler, the circuit breaker, the HTTP servers
+// — registers its counters here under one naming scheme,
 //
 //	anole_<pkg>_<name>[_total|_seconds|_bytes]
 //

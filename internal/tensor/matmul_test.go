@@ -104,8 +104,8 @@ func TestMatMulLargeShapesMatchNaive(t *testing.T) {
 // dropped it), and mixed ±Inf columns collapse to NaN exactly as the
 // naive sum does.
 func TestMatMulNaNInfPropagation(t *testing.T) {
-	a := FromRows([][]float64{{0, 0}, {1, 2}})
-	b := FromRows([][]float64{{math.NaN(), 1}, {math.Inf(1), math.Inf(-1)}})
+	a := fromRows([][]float64{{0, 0}, {1, 2}})
+	b := fromRows([][]float64{{math.NaN(), 1}, {math.Inf(1), math.Inf(-1)}})
 	want := naiveMatMul(a, b)
 	sameMatrix(t, MatMulInto(nil, a, b), want, "NaN/Inf MatMulInto")
 	sameMatrix(t, TMatMulInto(nil, transposed(a), b), want, "NaN/Inf TMatMulInto")
@@ -113,7 +113,7 @@ func TestMatMulNaNInfPropagation(t *testing.T) {
 		t.Fatal("reference lost NaN from a zero row — test fixture broken")
 	}
 
-	bt := FromRows([][]float64{{math.NaN(), math.Inf(1)}, {1, math.Inf(-1)}})
+	bt := fromRows([][]float64{{math.NaN(), math.Inf(1)}, {1, math.Inf(-1)}})
 	wantT := naiveMatMulT(a, bt)
 	sameMatrix(t, MatMulTInto(nil, a, bt), wantT, "NaN/Inf MatMulTInto")
 }
@@ -479,7 +479,7 @@ func TestDenseReLUEdgeValues(t *testing.T) {
 	inputs := []float64{math.NaN(), negZero, math.Inf(1), math.Inf(-1), -2, 3}
 	x := NewMatrix(len(inputs), 1)
 	copy(x.Data, inputs)
-	w := FromRows([][]float64{{1}, {1}, {1}})
+	w := fromRows([][]float64{{1}, {1}, {1}})
 	bias := []float64{0, negZero, math.NaN()}
 	for _, relu := range []bool{false, true} {
 		want := naiveDense(x, w, bias, relu)

@@ -34,18 +34,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Dot returns the inner product of v and w. It panics on length mismatch.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("tensor: dot length mismatch %d vs %d", len(v), len(w)))
-	}
-	var sum float64
-	for i := range v {
-		sum += float64(v[i] * w[i])
-	}
-	return sum
-}
-
 // AddScaled adds alpha*w to v in place (axpy). It panics on length
 // mismatch.
 func (v Vector) AddScaled(alpha float64, w Vector) {
@@ -69,15 +57,6 @@ func (v Vector) Fill(x float64) {
 	for i := range v {
 		v[i] = x
 	}
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	var sum float64
-	for _, x := range v {
-		sum += float64(x * x)
-	}
-	return math.Sqrt(sum)
 }
 
 // Argmax returns the index of the largest element (first winner on ties),
@@ -178,23 +157,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic("tensor: negative matrix dimensions")
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices, which must all share one
-// length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic("tensor: ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
 }
 
 // At returns the element at (i, j).

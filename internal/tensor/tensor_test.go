@@ -12,21 +12,13 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-func TestVectorDot(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	if got := v.Dot(w); got != 32 {
-		t.Fatalf("dot = %v", got)
+// fromRows builds a matrix from row slices of one length.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
 	}
-}
-
-func TestVectorDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Vector{1}.Dot(Vector{1, 2})
+	return m
 }
 
 func TestVectorAddScaled(t *testing.T) {
@@ -46,12 +38,6 @@ func TestVectorScaleFill(t *testing.T) {
 	v.Fill(7)
 	if v[0] != 7 || v[1] != 7 {
 		t.Fatalf("fill: %v", v)
-	}
-}
-
-func TestVectorNorm2(t *testing.T) {
-	if got := (Vector{3, 4}).Norm2(); got != 5 {
-		t.Fatalf("norm = %v", got)
 	}
 }
 
@@ -148,28 +134,8 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestFromRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	if m.At(1, 0) != 3 {
-		t.Fatalf("FromRows: %+v", m)
-	}
-	empty := FromRows(nil)
-	if empty.Rows != 0 {
-		t.Fatal("empty FromRows")
-	}
-}
-
-func TestFromRowsPanicsOnRagged(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1}, {1, 2}})
-}
-
 func TestMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	out := m.MulVec(nil, Vector{1, 1})
 	if out[0] != 3 || out[1] != 7 {
 		t.Fatalf("mulvec: %v", out)
@@ -177,7 +143,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestMulVecT(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	out := m.MulVecT(nil, Vector{1, 1})
 	if out[0] != 4 || out[1] != 6 {
 		t.Fatalf("mulvecT: %v", out)
@@ -219,11 +185,11 @@ func TestAddOuterScaled(t *testing.T) {
 // product through MatMulInto forms 0·Inf = NaN.
 func TestZeroMultiplierSkipsNonFinite(t *testing.T) {
 	inf := math.Inf(1)
-	m := FromRows([][]float64{{inf, 1}, {2, 3}})
+	m := fromRows([][]float64{{inf, 1}, {2, 3}})
 	if got := m.MulVecT(nil, Vector{0, 1}); got[0] != 2 || got[1] != 3 {
 		t.Fatalf("MulVecT skipping a zero multiplier: %v, want [2 3]", got)
 	}
-	if got := MatMulInto(nil, FromRows([][]float64{{0, 1}}), m); !math.IsNaN(got.At(0, 0)) || got.At(0, 1) != 3 {
+	if got := MatMulInto(nil, fromRows([][]float64{{0, 1}}), m); !math.IsNaN(got.At(0, 0)) || got.At(0, 1) != 3 {
 		t.Fatalf("MatMulInto through 0·Inf: %v, want [NaN 3]", got.Data)
 	}
 	o := NewMatrix(2, 2)
@@ -234,8 +200,8 @@ func TestZeroMultiplierSkipsNonFinite(t *testing.T) {
 }
 
 func TestMatMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := MatMul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
@@ -257,7 +223,7 @@ func TestMatMulPanics(t *testing.T) {
 }
 
 func TestMatrixCloneScaleAddScaled(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}})
+	m := fromRows([][]float64{{1, 2}})
 	c := m.Clone()
 	c.Scale(10)
 	if m.At(0, 0) != 1 {

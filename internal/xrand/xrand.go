@@ -92,11 +92,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Range returns a uniform value in [lo, hi).
-func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Norm returns a standard normal deviate via the Box-Muller transform.
 func (r *RNG) Norm() float64 {
 	if r.spareOK {

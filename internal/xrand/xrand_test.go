@@ -309,16 +309,6 @@ func TestBoolFrequency(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	r := New(16)
-	for i := 0; i < 10000; i++ {
-		v := r.Range(-2, 3)
-		if v < -2 || v >= 3 {
-			t.Fatalf("Range(-2,3) returned %v", v)
-		}
-	}
-}
-
 func TestMul128(t *testing.T) {
 	tests := []struct {
 		a, b   uint64
