@@ -347,11 +347,11 @@ func TestMultiRuntimeBatchMetricsAndChunking(t *testing.T) {
 
 // TestMultiRuntimeBatchedStressMatchesSequential is the 1k-stream
 // equivalence stress: 1024 streams × 4 frames through the MultiRuntime
-// (chunked decide batches, parallel per-model detector groups) against
-// a pre-warmed all-models cache, with every stream's results compared
-// bit-for-bit to a sequential single-stream Runtime pass over the same
-// frames. Run with -race: the detector groups are the only concurrent
-// stage and must stay disjoint.
+// (chunked decide batches, fanned-out features, ranking and detect
+// slices) against a pre-warmed all-models cache, with every stream's
+// results compared bit-for-bit to a sequential single-stream Runtime
+// pass over the same frames. Run with -race: the fan-out items must
+// stay disjoint.
 func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-stream stress skipped in -short")

@@ -1,0 +1,290 @@
+package core_test
+
+import (
+	"testing"
+	"time"
+
+	"anole/internal/core"
+	"anole/internal/device"
+	"anole/internal/modelcache"
+	"anole/internal/stats"
+	"anole/internal/synth"
+	"anole/internal/testutil"
+)
+
+// fanOutWorkers are the worker budgets the fan-out tests compare.
+// Workers 1 runs every stage inline on the ProcessStreams goroutine.
+var fanOutWorkers = []int{1, 2, 3, 8}
+
+// TestMultiRuntimeFanOutMatchesSerial pins the tick pipeline's fan-out:
+// whatever the worker budget, every FrameResult and every stat must be
+// bit-identical. Three fleets:
+//
+//   - 64 uniform streams over a pre-warmed all-models cache, where each
+//     stream's own Runtime.ProcessFrame is the reference at every
+//     worker count;
+//   - a mixed, planned fleet on an 8-slot cache under a deadline it
+//     cannot meet, so the shed ladder climbs from none through
+//     prefetch and downgrade to drop — downgrades onto resident models,
+//     shed frames — across several bundle partitions;
+//   - a 3-slot cache under a 19-model repertoire behind a prefetching
+//     link that goes down mid-run, so misses, demand fetches, degraded
+//     frames and fallbacks occur.
+//
+// Per-stream Runtimes cannot reproduce a shed ladder or a shared link's
+// tick order, so on the last two fleets the Workers 1 run is the
+// reference.
+func TestMultiRuntimeFanOutMatchesSerial(t *testing.T) {
+	fx := testutil.Shared(t)
+
+	t.Run("uniform", func(t *testing.T) {
+		const streams, perStream, hysteresis = 64, 8, 2
+		frameSets := streamFrames(t, streams, perStream)
+		fleet := device.UniformFleet(device.JetsonTX2NX, streams)
+		want, _ := perStreamReference(t, fx.Bundle, frameSets, hysteresis, fleet)
+		for _, workers := range fanOutWorkers {
+			m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+				Streams:          streams,
+				Workers:          workers,
+				CacheSlots:       fx.Bundle.NumModels(),
+				CacheShards:      1,
+				SwitchHysteresis: hysteresis,
+				Fleet:            fleet,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prewarmCache(t, m.Cache(), fx.Bundle)
+			got, err := m.ProcessStreams(frameSets, nil)
+			m.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, workers, got, want)
+		}
+	})
+
+	t.Run("planned-shed", func(t *testing.T) {
+		const streams, perStream = 12, 60
+		fleet, err := device.BuildFleet("nano:4,tx2:4,laptop:4", streams, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frameSets := streamFrames(t, streams, perStream)
+		run := func(workers int) ([][]core.FrameResult, core.RunStats, core.PressureStats, int) {
+			m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+				Streams:    streams,
+				Workers:    workers,
+				CacheSlots: 8,
+				Fleet:      fleet,
+				Plan:       &core.PlanConfig{},
+				Thermal:    &device.ThermalModel{SustainedW: 4, TimeConstant: 200 * time.Millisecond, MaxDerate: 0.8},
+				Deadline:   30 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			got, err := m.ProcessStreams(frameSets, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bundles := map[*core.Bundle]bool{}
+			for i := 0; i < streams; i++ {
+				bundles[m.StreamBundle(i)] = true
+			}
+			return got, m.Stats(), *m.PressureStats(), len(bundles)
+		}
+		want, wstats, wpress, partitions := run(1)
+		if wpress.ShedFrames == 0 || wpress.DowngradedServed == 0 {
+			t.Fatalf("the ladder never shed and downgraded: %+v", wpress)
+		}
+		if partitions < 2 {
+			t.Fatalf("planned fleet ran %d bundle, want several partitions", partitions)
+		}
+		for _, workers := range fanOutWorkers[1:] {
+			got, gstats, gpress, _ := run(workers)
+			compareResults(t, workers, got, want)
+			compareStats(t, workers, gstats, wstats)
+			if gpress != wpress {
+				t.Fatalf("workers %d: pressure stats %+v, want %+v", workers, gpress, wpress)
+			}
+		}
+	})
+
+	t.Run("contended-prefetch", func(t *testing.T) {
+		const streams, warmup, outage, perStream = 8, 10, 30, 60
+		frameSets := streamFrames(t, streams, perStream)
+		split := func(from, to int) [][]*synth.Frame {
+			out := make([][]*synth.Frame, streams)
+			for s := range out {
+				out[s] = frameSets[s][from:to]
+			}
+			return out
+		}
+		run := func(workers int) ([][]core.FrameResult, core.RunStats) {
+			pf, flink := faultyLinkConfig(t, fx.Bundle, 2)
+			m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+				Streams:          streams,
+				Workers:          workers,
+				CacheSlots:       3,
+				SwitchHysteresis: 1,
+				Prefetch:         pf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			var all [][]core.FrameResult
+			for _, phase := range [][2]int{{0, warmup}, {warmup, perStream}} {
+				if phase[0] == warmup {
+					flink.ForceOutage(outage)
+				}
+				got, err := m.ProcessStreams(split(phase[0], phase[1]), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if all == nil {
+					all = got
+					continue
+				}
+				for s := range all {
+					all[s] = append(all[s], got[s]...)
+				}
+			}
+			return all, m.Stats()
+		}
+		want, wstats := run(1)
+		if wstats.Cache.Misses == 0 || wstats.DegradedFrames == 0 || wstats.FallbackServed == 0 {
+			t.Fatalf("the contended run never missed, degraded or fell back: %+v", wstats)
+		}
+		for _, workers := range fanOutWorkers[1:] {
+			got, gstats := run(workers)
+			compareResults(t, workers, got, want)
+			compareStats(t, workers, gstats, wstats)
+		}
+	})
+}
+
+func compareResults(t *testing.T, workers int, got, want [][]core.FrameResult) {
+	t.Helper()
+	for s := range want {
+		if len(got[s]) != len(want[s]) {
+			t.Fatalf("workers %d stream %d: %d results, want %d", workers, s, len(got[s]), len(want[s]))
+		}
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("workers %d stream %d frame %d diverged:\n got %+v\nwant %+v", workers, s, i, got[s][i], want[s][i])
+			}
+		}
+	}
+}
+
+func compareStats(t *testing.T, workers int, got, want core.RunStats) {
+	t.Helper()
+	if got.Frames != want.Frames || got.Switches != want.Switches || got.Cache != want.Cache ||
+		got.Detection != want.Detection || got.TotalLatency != want.TotalLatency ||
+		got.ColdMisses != want.ColdMisses || got.FetchStall != want.FetchStall ||
+		got.DegradedFrames != want.DegradedFrames || got.FallbackServed != want.FallbackServed ||
+		got.ShedFrames != want.ShedFrames || got.DowngradedServed != want.DowngradedServed {
+		t.Fatalf("workers %d: stats diverged:\n got %+v\nwant %+v", workers, got, want)
+	}
+}
+
+// TestRuntimeMissServesBestResidentBeforeRequest pins CMD's fallback
+// rule with the residency probe skipped on hits: on a miss the frame is
+// served by the best-ranked model resident before the request — even
+// when that request's admission evicts it — and on a hit by the desired
+// model.
+func TestRuntimeMissServesBestResidentBeforeRequest(t *testing.T) {
+	fx := testutil.Shared(t)
+	b := fx.Bundle
+	f := fx.Corpus.Frames(synth.Test)[0]
+	emb := b.Encoder.EmbedFeatureInto(nil, synth.FrameFeatureInto(nil, f))
+	rank := stats.RankDescending(b.Decision.ScoresInto(nil, emb))
+	name := func(i int) string { return b.Detectors[i].Name }
+
+	// Two slots holding the second- and third-ranked models; the
+	// second-ranked one is the LFU victim when the top model is admitted.
+	store := modelcache.MustNewSharded(2, modelcache.LFU, 1)
+	rt, err := core.NewRuntime(b, core.RuntimeConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !store.Warm(name(rank[1]), 1, 1) || !store.Warm(name(rank[2]), 1, 5) {
+		t.Fatal("warming the cache failed")
+	}
+	res, err := rt.ProcessFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Desired != rank[0] || res.Hit {
+		t.Fatalf("frame desired %d (hit %v), want a miss on %d", res.Desired, res.Hit, rank[0])
+	}
+	if store.Contains(name(rank[1])) {
+		t.Fatalf("admitting %s did not evict %s: %v", name(rank[0]), name(rank[1]), store.Keys())
+	}
+	if res.Used != rank[1] {
+		t.Fatalf("miss served model %d, want %d, the best resident before the request", res.Used, rank[1])
+	}
+
+	// The desired model is resident now: the same frame hits and is
+	// served by it.
+	res, err = rt.ProcessFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Hit || res.Used != rank[0] {
+		t.Fatalf("resident desired model: hit %v, used %d, want a hit served by %d", res.Hit, res.Used, rank[0])
+	}
+}
+
+// TestMultiRuntimeFanOutAllocs pins the fan-out's allocation cost: a
+// steady-state tick at Workers 2 allocates no more than the same tick
+// at Workers 1, where every stage runs inline. CI's allocations job
+// re-measures this pin on every push.
+func TestMultiRuntimeFanOutAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates per goroutine")
+	}
+	fx := testutil.Shared(t)
+	const streams, ticks = 32, 16
+	frameSets := streamFrames(t, streams, ticks)
+	tickInputs := make([][][]*synth.Frame, ticks)
+	for k := range tickInputs {
+		tickInputs[k] = make([][]*synth.Frame, streams)
+		for s := range tickInputs[k] {
+			tickInputs[k][s] = frameSets[s][k : k+1]
+		}
+	}
+	perTick := func(workers int) float64 {
+		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+			Streams:     streams,
+			Workers:     workers,
+			CacheSlots:  fx.Bundle.NumModels(),
+			CacheShards: 1,
+			Fleet:       device.UniformFleet(device.JetsonTX2NX, streams),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		prewarmCache(t, m.Cache(), fx.Bundle)
+		step := 0
+		runTick := func() {
+			if _, err := m.ProcessStreams(tickInputs[step%ticks], nil); err != nil {
+				t.Fatal(err)
+			}
+			step++
+		}
+		for i := 0; i < 3*ticks; i++ {
+			runTick()
+		}
+		return testing.AllocsPerRun(5*ticks, runTick)
+	}
+	serial, fanned := perTick(1), perTick(2)
+	t.Logf("allocs per tick: %v at Workers 1, %v at Workers 2", serial, fanned)
+	if fanned > serial {
+		t.Fatalf("a steady tick allocates %v at Workers 2, more than %v at Workers 1", fanned, serial)
+	}
+}

@@ -34,9 +34,11 @@ type MultiRuntimeConfig struct {
 	// SwitchHysteresis is applied per stream (see
 	// RuntimeConfig.SwitchHysteresis).
 	SwitchHysteresis int
-	// Workers bounds how many per-model detector groups of one tick run
-	// concurrently (≤0 selects GOMAXPROCS; always capped at Streams).
-	// Every other pipeline stage runs on the ProcessStreams goroutine.
+	// Workers bounds how many goroutines run a tick's stream-local work
+	// — frame features, ranking, detection and scoring — the
+	// ProcessStreams goroutine among them (≤0 selects GOMAXPROCS; always
+	// capped at Streams). The stages that touch shared state run on the
+	// ProcessStreams goroutine in stream order.
 	Workers int
 	// Fleet assigns each stream its own device profile and power mode:
 	// Fleet[i] is stream i's device, so a mixed fleet (Jetsons, laptops,
@@ -216,12 +218,12 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 		devs:     make([]*device.Simulator, cfg.Streams),
 		workers:  workers,
 		maxBatch: maxBatch,
-		bstate:   newBatchState(workers),
 		bmet:     newBatchMetrics(cfg.Metrics),
 		fleet:    fleet,
 		flt:      cfg.Flight,
 		slo:      cfg.SLO,
 	}
+	m.bstate = newBatchState(m, workers)
 	// One byte-size registry covers the fleet bundle and every planner
 	// variant, so streams on different variants share correct byte
 	// accounting in the shared cache.
@@ -272,7 +274,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 		}
 	}
 	cfg.Metrics.Gauge("anole_core_streams", "configured frame streams").Set(float64(cfg.Streams))
-	cfg.Metrics.Gauge("anole_core_workers", "concurrent detector groups per tick").Set(float64(workers))
+	cfg.Metrics.Gauge("anole_core_workers", "goroutines running a tick's stream-local work").Set(float64(workers))
 	m.press = newPressureState(cfg.Streams, cfg.Deadline, cfg.Pressure, cfg.Metrics, m.pressureReact())
 	if m.press != nil {
 		m.press.latScale = fleetLatencyScales(fleet)
@@ -354,7 +356,7 @@ func (m *MultiRuntime) pressureReact() func(pressure.Level) {
 // NumStreams returns the configured stream count.
 func (m *MultiRuntime) NumStreams() int { return len(m.streams) }
 
-// Workers returns how many detector groups a tick runs concurrently.
+// Workers returns how many goroutines run a tick's stream-local work.
 func (m *MultiRuntime) Workers() int { return m.workers }
 
 // Bundle returns the shared, read-only bundle every stream runs on.
@@ -487,8 +489,10 @@ type StreamObserver func(stream int, f *synth.Frame, res FrameResult) error
 // frames, assign each frame its shed rung) → decide (MSS as one matrix
 // batch per bundle) → resolve (CMD against the shared cache, one frame
 // at a time in ascending stream order, so the run is deterministic) →
-// detect (MI as one batched pass per serving model, groups in parallel
-// up to Workers) → finish (scoring and bookkeeping in stream order).
+// detect (MI as batched passes over slices of each serving model's
+// frames, with scoring) → finish (spans and bookkeeping in stream
+// order). Frame features, ranking and the detect slices fan out over
+// Workers goroutines; the result does not depend on their number.
 //
 // len(streams) must equal NumStreams. It returns the per-stream frame
 // results. With the pressure machinery on, a frame error quarantines
@@ -514,7 +518,7 @@ func (m *MultiRuntime) ProcessStreams(streams [][]*synth.Frame, obs StreamObserv
 
 	for tick := 0; tick < maxLen; tick++ {
 		// The ready list reuses the previous tick's backing array, which
-		// processTick keeps in batchState for the detector groups.
+		// processTick keeps in batchState for the fan-out stages.
 		ready := m.bstate.ready[:0]
 		for i := range streams {
 			if tick < len(streams[i]) {

@@ -445,13 +445,15 @@ func (r *Runtime) ProcessFrame(f *synth.Frame) (FrameResult, error) {
 	var res FrameResult
 	seq := r.beginFrame()
 	r.computeDecision(f)
+	r.rankDecision(&res)
 	rank := r.stageDecide(seq, &res)
 	if err := r.stageResolve(f, seq, rank, &res); err != nil {
 		return FrameResult{}, err
 	}
 	detectDur := r.detectAccount(f, &res)
 	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
-	r.finishDetect(f, seq, detectDur, &res)
+	res.Metrics = detect.ScorePredictions(r.predsBuf, f)
+	r.finishDetect(seq, detectDur, &res)
 	r.stageFinish(&res, true)
 	return res, nil
 }
@@ -495,8 +497,8 @@ func (r *Runtime) computeDecision(f *synth.Frame) {
 }
 
 // adoptDecision copies a batched embedding/score row pair into the
-// runtime's decision buffers, after which stageDecide proceeds exactly
-// as in the per-frame path.
+// runtime's decision buffers, after which rankDecision and stageDecide
+// proceed exactly as in the per-frame path.
 func (r *Runtime) adoptDecision(emb tensor.Vector, scores []float64) {
 	if len(r.embBuf) != len(emb) {
 		r.embBuf = tensor.NewVector(len(emb))
@@ -508,21 +510,15 @@ func (r *Runtime) adoptDecision(emb tensor.Vector, scores []float64) {
 	copy(r.scoresBuf, scores)
 }
 
-// stageDecide is MSS: it charges the decision cost to the device, ranks
-// the repertoire from the score buffer, applies hysteresis and scores
-// novelty. The scene embedding is computed once (computeDecision or
-// adoptDecision) and shared by the decision head and the novelty score —
-// they run as one simulated op, so they share the decide span.
-func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
-	var decideDur time.Duration
-	if r.dev != nil {
-		decideDur = r.dev.Infer(r.bundle.DecisionCost())
-		res.Latency += decideDur
-	}
+// rankDecision is the stream-local arithmetic of MSS: it ranks the
+// repertoire from the score buffer and scores the frame's confidence,
+// runner-up, novelty and entropy into res. It reads only the runtime's
+// decision buffers (filled by computeDecision or adoptDecision), so the
+// tick pipeline runs it on its workers.
+func (r *Runtime) rankDecision(res *FrameResult) {
 	scores := r.scoresBuf
 	r.rankBuf = stats.RankDescendingInto(r.rankBuf, scores)
 	rank := r.rankBuf
-	res.Desired = r.applyHysteresis(rank[0])
 	res.Confidence = scores[rank[0]]
 	res.Novelty = r.bundle.NoveltyOfEmbedding(r.embBuf)
 	res.Entropy = stats.NormalizedEntropy(scores)
@@ -530,6 +526,21 @@ func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
 	if len(rank) > 1 {
 		res.RunnerUp = rank[1]
 	}
+}
+
+// stageDecide is the rest of MSS, after rankDecision: it charges the
+// decision cost to the device and applies hysteresis to the ranking.
+// The scene embedding is computed once and shared by the decision head
+// and the novelty score — they run as one simulated op, so they share
+// the decide span.
+func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
+	var decideDur time.Duration
+	if r.dev != nil {
+		decideDur = r.dev.Infer(r.bundle.DecisionCost())
+		res.Latency += decideDur
+	}
+	rank := r.rankBuf
+	res.Desired = r.applyHysteresis(rank[0])
 	if res.Desired != rank[0] {
 		// The smoothed choice leads the ranking used for fallback.
 		moveToFront(rank, res.Desired)
@@ -548,17 +559,15 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 	// desired model loads in the background; only the very first frame,
 	// with an empty cache, blocks on its load.
 	coldStart := r.cache.Len() == 0
-	var preResident []bool
-	if !coldStart {
-		if len(r.residentBuf) != len(r.bundle.Detectors) {
-			r.residentBuf = make([]bool, len(r.bundle.Detectors))
-		}
-		preResident = r.residentBuf
-		for i, det := range r.bundle.Detectors {
-			preResident[i] = r.cache.Contains(det.Name)
-		}
-	}
 	desiredName := r.bundle.Detectors[res.Desired].Name
+	resident := r.cache.Contains(desiredName)
+	// The fallback set — which models were resident before this frame's
+	// request — is read only on a miss. A resident desired model hits,
+	// so the set is probed only when the desired model is absent.
+	var preResident []bool
+	if !coldStart && !resident {
+		preResident = r.probeResident()
+	}
 
 	// With a prefetch scheduler the desired model's bytes must cross the
 	// link before admission: a resident model (warm or prefetched) is
@@ -575,7 +584,7 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 	// how long after link restoration the decided model returns.
 	demandLoaded, demandFailed := false, false
 	if r.pf != nil {
-		if !r.cache.Contains(desiredName) {
+		if !resident {
 			if r.degradedWait > 0 && !coldStart {
 				r.degradedWait--
 				demandFailed = true
@@ -655,6 +664,13 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 	if hit || coldStart || demandLoaded {
 		res.Used = res.Desired
 	} else {
+		if preResident == nil {
+			// The desired model was resident at the probe, yet the request
+			// missed: another user of a shared store evicted it in between.
+			// The fallback set is what is resident now.
+			preResident = r.probeResident()
+			preResident[res.Desired] = false
+		}
 		for _, idx := range rank {
 			if preResident[idx] {
 				res.Used = idx
@@ -672,6 +688,18 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 	return nil
 }
 
+// probeResident marks, in the runtime's reused buffer, which of the
+// bundle's models the cache holds.
+func (r *Runtime) probeResident() []bool {
+	if len(r.residentBuf) != len(r.bundle.Detectors) {
+		r.residentBuf = make([]bool, len(r.bundle.Detectors))
+	}
+	for i, det := range r.bundle.Detectors {
+		r.residentBuf[i] = r.cache.Contains(det.Name)
+	}
+	return r.residentBuf
+}
+
 // detectAccount charges the serving model's inference cost to the
 // device simulator — the accounting half of MI, kept apart from the
 // actual detector run so the tick pipeline can account per stream while
@@ -685,12 +713,9 @@ func (r *Runtime) detectAccount(f *synth.Frame, res *FrameResult) time.Duration 
 	return detectDur
 }
 
-// finishDetect scores the predictions in predsBuf against ground truth
-// and closes the detect span. The caller has already filled predsBuf —
-// DetectFrame in the per-frame path, a grouped DetectBatch in the
-// tick pipeline.
-func (r *Runtime) finishDetect(f *synth.Frame, seq int64, detectDur time.Duration, res *FrameResult) {
-	res.Metrics = detect.ScorePredictions(r.predsBuf, f)
+// finishDetect closes the frame's detect span, once its predictions
+// have been scored into res.Metrics.
+func (r *Runtime) finishDetect(seq int64, detectDur time.Duration, res *FrameResult) {
 	r.recordStage(seq, telemetry.StageDetect, res.Used, detectDur, res.Used == res.Desired, res.Degraded, nil)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anole/internal/detect"
@@ -62,27 +63,16 @@ type bundleBatch struct {
 	embs   *tensor.Matrix
 	scores *tensor.Matrix
 
-	// Per model u: which tick positions resolved to it, the reusable
-	// frame/feature/dst slices handed to DetectBatchFeatures, and the
-	// closure that runs the group on its own goroutine (built once, so
-	// dispatching it allocates nothing).
-	members   [][]int
-	gframes   [][]*synth.Frame
-	gfeats    [][]tensor.Vector
-	gdsts     [][][]detect.CellPred
-	detectFns []func()
+	// members[u] lists the tick positions that resolved to model u.
+	members [][]int
 }
 
 func newBundleBatch(b *Bundle) *bundleBatch {
-	n := b.NumModels()
 	return &bundleBatch{
 		bundle:  b,
 		enc:     b.Encoder.Weights.AcquireBatchScratch(),
 		head:    b.Decision.Head.AcquireBatchScratch(),
-		members: make([][]int, n),
-		gframes: make([][]*synth.Frame, n),
-		gfeats:  make([][]tensor.Vector, n),
-		gdsts:   make([][][]detect.CellPred, n),
+		members: make([][]int, b.NumModels()),
 	}
 }
 
@@ -93,12 +83,28 @@ func (g *bundleBatch) release() {
 	g.enc, g.head = nil, nil
 }
 
+// detectSliceFrames is how many frames one detect work item carries:
+// one detector batch chunk (detect's 512-row budget) of 64-cell frames.
+const detectSliceFrames = 8
+
+// detectSlice is one detect work item: up to detectSliceFrames tick
+// positions served by model u of g's bundle, with its own reusable
+// frame/feature/destination slices for DetectBatchFeatures.
+type detectSlice struct {
+	g      *bundleBatch
+	u      int
+	posns  []int
+	frames []*synth.Frame
+	feats  []tensor.Vector
+	dsts   [][]detect.CellPred
+}
+
 // batchState is the reusable working set of the tick pipeline: one
 // bundleBatch per distinct stream bundle (lazily created; planner
 // variants keep theirs across re-plans, swapped-out bundles release
 // theirs on the swap), and the per-position frame bookkeeping of the
-// current tick. It belongs to the ProcessStreams goroutine; the
-// detector groups borrow disjoint slices of it.
+// current tick. It belongs to the ProcessStreams goroutine; the fan-out
+// stages lend its workers disjoint rows and slices of it.
 type batchState struct {
 	groups map[*Bundle]*bundleBatch
 	order  []*bundleBatch // groups in first-staged order this chunk
@@ -116,26 +122,32 @@ type batchState struct {
 	seqs    []int64
 	durs    []time.Duration
 
-	// live lists the positions admitted into the pipeline this tick.
-	live []int
+	// live lists the positions admitted into the pipeline this tick;
+	// staged the chunk's positions staged on a bundle (every frame the
+	// chunk serves), in chunk order; work the chunk's detect slices.
+	live   []int
+	staged []int
+	work   []detectSlice
 
 	// The current tick's inputs, as processTick received them, for the
-	// detector groups.
+	// fan-out stages.
 	tick   int
 	ready  []int
 	frames [][]*synth.Frame
 
-	// sem bounds concurrent detector groups at the worker budget; wg
-	// waits for a chunk's groups.
-	sem chan struct{}
-	wg  sync.WaitGroup
+	// pool runs the fan-out stages; featureFn, rankFn and detectFn are
+	// its per-item functions, built once so a tick allocates nothing.
+	pool                        *fanOut
+	featureFn, rankFn, detectFn func(int)
 }
 
-func newBatchState(workers int) *batchState {
-	return &batchState{
+func newBatchState(m *MultiRuntime, workers int) *batchState {
+	bs := &batchState{
 		groups: make(map[*Bundle]*bundleBatch),
-		sem:    make(chan struct{}, workers),
+		pool:   newFanOut(workers),
 	}
+	bs.featureFn, bs.rankFn, bs.detectFn = m.featureRow, m.rankRow, m.detectSlice
+	return bs
 }
 
 // ensure sizes the per-position bookkeeping for an n-frame tick.
@@ -269,11 +281,17 @@ func (m *MultiRuntime) admit(tick int, ready []int, streams [][]*synth.Frame) er
 // frame's hysteresis, cache resolution and device accounting — or, for
 // a dropped frame, only its link tick — sequentially in ascending stream
 // order, so the shared cache and link see the same order every run.
-// Detect runs one batched detector pass per (bundle, serving model)
-// group. Finish scores, books and plans prefetches in stream order
-// again. Per frame the arithmetic is bit-identical to
-// Runtime.ProcessFrame: the batched kernels preserve each dot product's
-// summation order and the stage methods are shared.
+// Detect runs each (bundle, serving model) group's frames through the
+// batched detector in slices and scores them. Finish records spans,
+// books and plans prefetches in stream order again.
+//
+// The stream-local work — frame features, ranking, novelty and entropy,
+// detection and scoring — fans out over the worker budget: each item
+// reads and writes only its own frame's rows, result and stream
+// buffers, so the worker count changes no result. Per frame the
+// arithmetic is bit-identical to Runtime.ProcessFrame: the batched
+// kernels preserve each dot product's summation order and the stage
+// methods are shared.
 func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*synth.Frame) error {
 	bs := m.bstate
 
@@ -282,7 +300,7 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 	for _, g := range bs.order {
 		g.posns = g.posns[:0]
 	}
-	bs.order = bs.order[:0]
+	bs.order, bs.staged = bs.order[:0], bs.staged[:0]
 	for _, j := range chunk {
 		if bs.rung[j] >= pressure.ShedDrop {
 			continue
@@ -294,20 +312,21 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 		bs.groupOf[j] = g
 		bs.rowOf[j] = len(g.posns)
 		g.posns = append(g.posns, j)
+		bs.staged = append(bs.staged, j)
 	}
 	for _, g := range bs.order {
+		g.feats = g.enc.In(len(g.posns), synth.FrameFeatureDim(g.bundle.FeatDim))
+	}
+	bs.pool.run(len(bs.staged), bs.featureFn)
+	for _, g := range bs.order {
 		rows := len(g.posns)
-		feats := g.enc.In(rows, synth.FrameFeatureDim(g.bundle.FeatDim))
-		for r, j := range g.posns {
-			synth.FrameFeatureInto(feats.Row(r), streams[ready[j]][tick])
-		}
-		g.feats = feats
-		g.embs = g.bundle.Encoder.EmbedBatchInto(g.enc.Out(rows, g.bundle.Encoder.EmbedDim()), feats, g.enc)
+		g.embs = g.bundle.Encoder.EmbedBatchInto(g.enc.Out(rows, g.bundle.Encoder.EmbedDim()), g.feats, g.enc)
 		g.scores = g.bundle.Decision.ScoresBatchInto(g.head.Out(rows, g.bundle.NumModels()), g.embs, g.head)
 		m.bmet.dispatches.Inc()
 		m.bmet.batchSize.Observe(float64(rows))
 		m.bmet.batchedFrames.Add(int64(rows))
 	}
+	bs.pool.run(len(bs.staged), bs.rankFn)
 
 	// Resolve: clocks, hysteresis, cache and link in global ascending
 	// stream order — interleaving the partitions here keeps the shared
@@ -323,8 +342,6 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 			continue
 		}
 		seq := rt.beginFrame()
-		g, r := bs.groupOf[j], bs.rowOf[j]
-		rt.adoptDecision(g.embs.Row(r), g.scores.Row(r))
 		rank := rt.stageDecide(seq, res)
 		if !(bs.rung[j] >= pressure.ShedDowngrade && rt.resolveDowngrade(f, seq, res)) {
 			// Below ShedDowngrade (or nothing resident to downgrade onto)
@@ -341,59 +358,37 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 		bs.seqs[j] = seq
 	}
 
-	// Detect: one batched detector pass per (bundle, serving model)
-	// group, groups in parallel up to the worker budget. Each stream
-	// belongs to exactly one group, so the groups touch disjoint predsBuf
-	// sets.
-	groups := 0
+	// Detect and score: each (bundle, serving model) group's frames are
+	// cut into slices of at most detectSliceFrames, and the workers pull
+	// the slices. Each stream belongs to exactly one slice, so the
+	// slices touch disjoint predsBuf sets and results.
+	bs.work = bs.work[:0]
 	for _, g := range bs.order {
 		for u := range g.members {
 			g.members[u] = g.members[u][:0]
 		}
 		for _, j := range g.posns {
-			if bs.done[j] {
-				continue
+			if !bs.done[j] {
+				u := bs.res[j].Used
+				g.members[u] = append(g.members[u], j)
 			}
-			u := bs.res[j].Used
-			if len(g.members[u]) == 0 {
-				groups++
+		}
+		for u, posns := range g.members {
+			for off := 0; off < len(posns); off += detectSliceFrames {
+				bs.addSlice(g, u, posns[off:min(off+detectSliceFrames, len(posns))])
 			}
-			g.members[u] = append(g.members[u], j)
 		}
 	}
-	if groups <= 1 || m.workers <= 1 {
-		for _, g := range bs.order {
-			for u := range g.members {
-				if len(g.members[u]) > 0 {
-					m.detectGroup(g, u)
-				}
-			}
-		}
-	} else {
-		for _, g := range bs.order {
-			if g.detectFns == nil {
-				g.detectFns = m.detectFuncs(g)
-			}
-			for u := range g.members {
-				if len(g.members[u]) == 0 {
-					continue
-				}
-				bs.wg.Add(1)
-				bs.sem <- struct{}{}
-				go g.detectFns[u]()
-			}
-		}
-		bs.wg.Wait()
-	}
+	bs.pool.run(len(bs.work), bs.detectFn)
 
-	// Finish: scoring and bookkeeping in stream order. Every rung at or
+	// Finish: spans and bookkeeping in stream order. Every rung at or
 	// above ShedPrefetch suppresses background prefetch planning.
 	for _, j := range chunk {
 		i := ready[j]
 		res := &bs.res[j]
 		if !bs.done[j] {
 			rt := m.streams[i]
-			rt.finishDetect(streams[i][tick], bs.seqs[j], bs.durs[j], res)
+			rt.finishDetect(bs.seqs[j], bs.durs[j], res)
 			rt.stageFinish(res, bs.rung[j] < pressure.ShedPrefetch)
 		}
 		// A frame served in full above ShedNone had its prefetch planning
@@ -406,38 +401,103 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 	return nil
 }
 
-// detectGroup runs one (bundle, serving model) group's batched detector
-// pass over its member frames of the current tick, reusing the features
-// the decide stage computed, and writes each stream's predictions back
-// into that stream's predsBuf for finishDetect.
-func (m *MultiRuntime) detectGroup(g *bundleBatch, u int) {
-	bs := m.bstate
-	frames := g.gframes[u][:0]
-	feats := g.gfeats[u][:0]
-	dsts := g.gdsts[u][:0]
-	for _, j := range g.members[u] {
-		i := bs.ready[j]
-		frames = append(frames, bs.frames[i][bs.tick])
-		feats = append(feats, g.feats.Row(bs.rowOf[j]))
-		dsts = append(dsts, m.streams[i].predsBuf)
+// addSlice appends a detect slice over posns, reusing the slot's
+// buffers from earlier ticks.
+func (bs *batchState) addSlice(g *bundleBatch, u int, posns []int) {
+	if len(bs.work) < cap(bs.work) {
+		bs.work = bs.work[:len(bs.work)+1]
+	} else {
+		bs.work = append(bs.work, detectSlice{})
 	}
-	out := g.bundle.Detectors[u].DetectBatchFeatures(dsts, frames, feats)
-	for k, j := range g.members[u] {
-		m.streams[bs.ready[j]].predsBuf = out[k]
-	}
-	g.gframes[u], g.gfeats[u], g.gdsts[u] = frames, feats, out
+	s := &bs.work[len(bs.work)-1]
+	s.g, s.u, s.posns = g, u, posns
 }
 
-// detectFuncs builds g's per-model closures that run detectGroup on a
-// worker goroutine and release its slot of the worker budget.
-func (m *MultiRuntime) detectFuncs(g *bundleBatch) []func() {
-	fns := make([]func(), len(g.members))
-	for u := range fns {
-		fns[u] = func() {
-			defer m.bstate.wg.Done()
-			m.detectGroup(g, u)
-			<-m.bstate.sem
-		}
+// featureRow computes staged frame k's feature into its partition's
+// encoder input row.
+func (m *MultiRuntime) featureRow(k int) {
+	bs := m.bstate
+	j := bs.staged[k]
+	synth.FrameFeatureInto(bs.groupOf[j].feats.Row(bs.rowOf[j]), bs.frames[bs.ready[j]][bs.tick])
+}
+
+// rankRow hands staged frame k's embedding and score rows to its stream
+// and runs the stream-local half of MSS on them.
+func (m *MultiRuntime) rankRow(k int) {
+	bs := m.bstate
+	j := bs.staged[k]
+	g, r := bs.groupOf[j], bs.rowOf[j]
+	rt := m.streams[bs.ready[j]]
+	rt.adoptDecision(g.embs.Row(r), g.scores.Row(r))
+	rt.rankDecision(&bs.res[j])
+}
+
+// detectSlice runs detect slice k: one batched detector pass over its
+// frames, reusing the features the decide stage computed, with each
+// stream's predictions written back into its predsBuf and scored
+// against ground truth into its result.
+func (m *MultiRuntime) detectSlice(k int) {
+	bs := m.bstate
+	s := &bs.work[k]
+	s.frames, s.feats, s.dsts = s.frames[:0], s.feats[:0], s.dsts[:0]
+	for _, j := range s.posns {
+		i := bs.ready[j]
+		s.frames = append(s.frames, bs.frames[i][bs.tick])
+		s.feats = append(s.feats, s.g.feats.Row(bs.rowOf[j]))
+		s.dsts = append(s.dsts, m.streams[i].predsBuf)
 	}
-	return fns
+	s.dsts = s.g.bundle.Detectors[s.u].DetectBatchFeatures(s.dsts, s.frames, s.feats)
+	for n, j := range s.posns {
+		m.streams[bs.ready[j]].predsBuf = s.dsts[n]
+		bs.res[j].Metrics = detect.ScorePredictions(s.dsts[n], s.frames[n])
+	}
+}
+
+// fanOut is the tick's worker pool. run(n, fn) calls fn(k) for every k
+// in [0, n) on up to workers goroutines — the caller's among them — that
+// pull indices from a shared counter, and returns once every call has.
+// With one worker or one item no goroutine starts and the caller runs
+// every item. The per-item functions are built once and helpers start
+// from a prebuilt method value, so a run allocates nothing.
+type fanOut struct {
+	workers int
+	n       int
+	fn      func(int)
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	helpFn  func()
+}
+
+func newFanOut(workers int) *fanOut {
+	p := &fanOut{workers: workers}
+	p.helpFn = p.help
+	return p
+}
+
+func (p *fanOut) run(n int, fn func(int)) {
+	p.n, p.fn = n, fn
+	p.next.Store(0)
+	for range min(p.workers, n) - 1 {
+		p.wg.Add(1)
+		go p.helpFn()
+	}
+	p.drain()
+	p.wg.Wait()
+}
+
+// help is a helper goroutine's body.
+func (p *fanOut) help() {
+	p.drain()
+	p.wg.Done()
+}
+
+// drain runs items until none is left.
+func (p *fanOut) drain() {
+	for {
+		k := int(p.next.Add(1)) - 1
+		if k >= p.n {
+			return
+		}
+		p.fn(k)
+	}
 }

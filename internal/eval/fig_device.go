@@ -30,7 +30,6 @@ type Fig4aResult struct {
 	DeepMs  []float64
 	TinyMs  []float64
 	Clips   int
-	Window  int
 	SpeedUp float64 // steady-state deep/tiny latency ratio
 }
 
@@ -155,13 +154,12 @@ func (r Table2Result) Render(w io.Writer) {
 
 // Table4Row is one (model, device) measurement of Table IV.
 type Table4Row struct {
-	Model       string
-	Device      string
-	LatencyMs   float64
-	LoadMemMB   float64
-	ExecMemMB   float64
-	LoadTimeMs  float64
-	PerModelMem bool
+	Model      string
+	Device     string
+	LatencyMs  float64
+	LoadMemMB  float64
+	ExecMemMB  float64
+	LoadTimeMs float64
 }
 
 // Table4Result is the latency/memory table across the three devices.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"anole/internal/telemetry"
 )
@@ -32,6 +33,10 @@ import (
 type Sharded struct {
 	shards   []*shard
 	capacity int
+	// entries is the resident model count over all shards. Every change
+	// to a shard's entries folds into it under that shard's lock, so Len
+	// is one atomic load.
+	entries atomic.Int64
 
 	lookups   *telemetry.Counter
 	hits      *telemetry.Counter
@@ -166,16 +171,18 @@ func (s *Sharded) BytesUsed() int64 {
 	return total
 }
 
-// Len returns the number of cached models summed over shards (same
-// snapshot caveat as Used).
-func (s *Sharded) Len() int {
-	var n int
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.c.Len()
-		sh.mu.Unlock()
+// Len returns the number of cached models over all shards, without
+// taking a lock.
+func (s *Sharded) Len() int { return int(s.entries.Load()) }
+
+// noteLen folds the change in sh's entry count since it held before
+// entries into the cache-wide count and the resident gauge. The caller
+// holds sh's lock.
+func (s *Sharded) noteLen(sh *shard, before int) {
+	if d := sh.c.Len() - before; d != 0 {
+		s.entries.Add(int64(d))
+		s.resident.Add(float64(d))
 	}
-	return n
 }
 
 // Contains reports whether key is cached, without recording a use.
@@ -207,19 +214,17 @@ func (s *Sharded) Request(key string, size int) (hit bool, evicted []string, err
 	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
+	n := sh.c.Len()
 	hit, evicted, err = sh.c.Request(key, size)
+	s.noteLen(sh, n)
 	sh.mu.Unlock()
 	s.lookups.Add(1)
 	if hit {
 		s.hits.Add(1)
 	} else {
 		s.misses.Add(1)
-		if err == nil {
-			s.resident.Add(1)
-		}
 	}
 	s.evictions.Add(int64(len(evicted)))
-	s.resident.Add(-float64(len(evicted)))
 	return hit, evicted, err
 }
 
@@ -234,13 +239,11 @@ func (s *Sharded) Prefetch(key string, size int) (admitted bool, evicted []strin
 	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
+	n := sh.c.Len()
 	admitted, evicted, err = sh.c.Prefetch(key, size)
+	s.noteLen(sh, n)
 	sh.mu.Unlock()
 	s.evictions.Add(int64(len(evicted)))
-	if admitted {
-		s.resident.Add(1)
-	}
-	s.resident.Add(-float64(len(evicted)))
 	return admitted, evicted, err
 }
 
@@ -294,12 +297,13 @@ func (s *Sharded) SweepToWatermark() []string {
 	var evicted []string
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		n := sh.c.Len()
 		ev := sh.c.SweepToWatermark()
+		s.noteLen(sh, n)
 		sh.mu.Unlock()
 		evicted = append(evicted, ev...)
 	}
 	s.evictions.Add(int64(len(evicted)))
-	s.resident.Add(-float64(len(evicted)))
 	return evicted
 }
 
@@ -309,12 +313,10 @@ func (s *Sharded) SweepToWatermark() []string {
 func (s *Sharded) Warm(key string, size, freq int) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	resident := sh.c.Contains(key)
+	n := sh.c.Len()
 	ok := sh.c.Warm(key, size, freq)
+	s.noteLen(sh, n)
 	sh.mu.Unlock()
-	if ok && !resident {
-		s.resident.Add(1)
-	}
 	return ok
 }
 
@@ -333,11 +335,10 @@ func (s *Sharded) SetPinWindow(n int) {
 func (s *Sharded) Remove(key string) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
+	n := sh.c.Len()
 	removed := sh.c.Remove(key)
+	s.noteLen(sh, n)
 	sh.mu.Unlock()
-	if removed {
-		s.resident.Add(-1)
-	}
 	return removed
 }
 

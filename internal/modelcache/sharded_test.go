@@ -251,3 +251,100 @@ func shardStats(s *Sharded) []Stats {
 	}
 	return out
 }
+
+// shardLenSum is the resident count read shard by shard under each
+// shard's lock — what Len summed before it became one atomic count.
+func shardLenSum(s *Sharded) int {
+	var n int
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += sh.c.Len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestShardedLenMatchesShardCounts pins Len's atomic entry count to the
+// per-shard entry counts: after random Request, Prefetch, Warm, Remove
+// and watermark-sweep sequences run by concurrent goroutines (with a
+// reader calling Len throughout, for -race), Len equals the shard sum.
+func TestShardedLenMatchesShardCounts(t *testing.T) {
+	const (
+		goroutines = 4
+		opsPerG    = 2000
+		keySpace   = 24
+	)
+	s := MustNewSharded(9, LFU, 4)
+	s.SetSizer(func(key string) int64 { return int64(len(key)) * 10 })
+	s.SetByteCapacity(200)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := s.Len(); n < 0 || n > s.Capacity() {
+				t.Errorf("Len %d outside [0, %d] mid-flight", n, s.Capacity())
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := xrand.NewLabeled(uint64(g), "sharded-len")
+			for i := 0; i < opsPerG; i++ {
+				key := fmt.Sprintf("m%d", rng.Intn(keySpace))
+				switch rng.Intn(10) {
+				case 0, 1:
+					s.Remove(key)
+				case 2, 3:
+					s.Prefetch(key, 1)
+				case 4:
+					s.Warm(key, 1, rng.Intn(4))
+				case 5:
+					s.SetWatermark(0.5)
+					s.SweepToWatermark()
+					s.SetWatermark(1)
+				default:
+					s.Request(key, 1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	if got, want := s.Len(), shardLenSum(s); got != want {
+		t.Fatalf("Len %d, per-shard counts sum to %d", got, want)
+	}
+	if got, want := s.Len(), len(s.Keys()); got != want {
+		t.Fatalf("Len %d, %d resident keys", got, want)
+	}
+
+	// One goroutine, one operation at a time: Len tracks the shard sum
+	// after every step.
+	seq := MustNewSharded(5, LRU, 3)
+	rng := xrand.NewLabeled(9, "sharded-len-seq")
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("m%d", rng.Intn(12))
+		switch rng.Intn(4) {
+		case 0:
+			seq.Remove(key)
+		case 1:
+			seq.Prefetch(key, 1)
+		default:
+			seq.Request(key, 1)
+		}
+		if got, want := seq.Len(), shardLenSum(seq); got != want {
+			t.Fatalf("step %d: Len %d, per-shard counts sum to %d", i, got, want)
+		}
+	}
+}

@@ -185,25 +185,24 @@ func ReadWeights(r io.Reader) (*Weights, error) {
 				return nil, fmt.Errorf("nn: layer %d claims %d weights, over budget", i, weights)
 			}
 			weightBudget -= weights
-			l := wlayer{kind: layerKind(kind), quantBits: bits}
-			l.w = tensor.NewMatrix(int(outDim), int(inDim))
-			l.b = make([]float64, outDim)
+			read := readFloats
 			if bits > 0 {
-				if err := readQuantized(tr, l.w.Data, bits); err != nil {
-					return nil, fmt.Errorf("nn: read layer %d weights: %w", i, err)
-				}
-				if err := readQuantized(tr, l.b, bits); err != nil {
-					return nil, fmt.Errorf("nn: read layer %d bias: %w", i, err)
-				}
-			} else {
-				if err := readFloats(tr, l.w.Data); err != nil {
-					return nil, fmt.Errorf("nn: read layer %d weights: %w", i, err)
-				}
-				if err := readFloats(tr, l.b); err != nil {
-					return nil, fmt.Errorf("nn: read layer %d bias: %w", i, err)
-				}
+				read = func(r io.Reader, n int) ([]float64, error) { return readQuantized(r, n, bits) }
 			}
-			layers = append(layers, l)
+			data, err := read(tr, int(weights))
+			if err != nil {
+				return nil, fmt.Errorf("nn: read layer %d weights: %w", i, err)
+			}
+			bias, err := read(tr, int(outDim))
+			if err != nil {
+				return nil, fmt.Errorf("nn: read layer %d bias: %w", i, err)
+			}
+			layers = append(layers, wlayer{
+				kind:      layerKind(kind),
+				quantBits: bits,
+				w:         &tensor.Matrix{Rows: int(outDim), Cols: int(inDim), Data: data},
+				b:         bias,
+			})
 		default:
 			return nil, fmt.Errorf("nn: unknown layer kind %d", kind)
 		}
@@ -297,39 +296,44 @@ func writeQuantized(w io.Writer, xs []float64, bits int) error {
 	return err
 }
 
-func readQuantized(r io.Reader, xs []float64, bits int) error {
-	var scale float64
-	if err := readBin(r, &scale); err != nil {
-		return err
-	}
-	wide := bits > 8
-	size := 1
-	if wide {
-		size = 2
-	}
-	buf := make([]byte, size*len(xs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range xs {
-		var q int64
-		if wide {
-			q = int64(int16(binary.LittleEndian.Uint16(buf[i*2:])))
-		} else {
-			q = int64(int8(buf[i]))
+// readChunk is how many values readValues stages at a time. A layer's
+// dims come from the input's header, so its values are read a chunk at
+// a time: memory grows with the bytes actually delivered, never with
+// what a header claims.
+const readChunk = 4096
+
+// readValues reads n values of size bytes each, decoding each with
+// decode.
+func readValues(r io.Reader, n, size int, decode func([]byte) float64) ([]float64, error) {
+	xs := make([]float64, 0, min(n, readChunk))
+	buf := make([]byte, size*min(n, readChunk))
+	for len(xs) < n {
+		chunk := buf[:size*min(n-len(xs), readChunk)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, err
 		}
-		xs[i] = float64(q) * scale
+		for i := 0; i < len(chunk); i += size {
+			xs = append(xs, decode(chunk[i:]))
+		}
 	}
-	return nil
+	return xs, nil
 }
 
-func readFloats(r io.Reader, xs []float64) error {
-	buf := make([]byte, 8*len(xs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+// readQuantized reads n values stored by writeQuantized.
+func readQuantized(r io.Reader, n, bits int) ([]float64, error) {
+	var scale float64
+	if err := readBin(r, &scale); err != nil {
+		return nil, err
 	}
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	if bits > 8 {
+		return readValues(r, n, 2, func(b []byte) float64 {
+			return float64(int64(int16(binary.LittleEndian.Uint16(b)))) * scale
+		})
 	}
-	return nil
+	return readValues(r, n, 1, func(b []byte) float64 { return float64(int64(int8(b[0]))) * scale })
+}
+
+// readFloats reads n little-endian float64s.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	return readValues(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }

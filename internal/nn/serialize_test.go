@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,5 +119,30 @@ func TestSerializeSizeMatchesWeightBytes(t *testing.T) {
 	overhead := int64(buf.Len()) - net.WeightBytes()
 	if overhead < 0 || overhead > 128 {
 		t.Fatalf("framing overhead = %d bytes", overhead)
+	}
+}
+
+// TestReadWeightsBoundsAllocationByInput pins the network decoder
+// against header-driven allocation: a 17-byte blob whose one dense
+// layer claims 4096×4096 weights (the whole weight budget) and carries
+// none must not make ReadWeights allocate the matrix before it finds
+// the weights missing.
+func TestReadWeightsBoundsAllocationByInput(t *testing.T) {
+	blob := []byte(netMagic)
+	blob = binary.LittleEndian.AppendUint16(blob, netVersion)
+	blob = binary.LittleEndian.AppendUint16(blob, 1)
+	blob = append(blob, byte(kindDense))
+	blob = binary.LittleEndian.AppendUint32(blob, 4096)
+	blob = binary.LittleEndian.AppendUint32(blob, 4096)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadWeights(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("network with no weight data decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte network allocated %d bytes, want < 1 MiB", len(blob), got)
 	}
 }

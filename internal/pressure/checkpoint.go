@@ -264,14 +264,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if !plausibleFinite(alpha) || alpha < 0 {
 			return nil, fmt.Errorf("pressure: implausible markov alpha %v", alpha)
 		}
-		m := &MarkovState{
-			N:      int(n),
-			Alpha:  alpha,
-			Obs:    int64(obs),
-			Counts: make([]float64, int(n)*int(n)),
-			RowSum: make([]float64, n),
+		m := &MarkovState{N: int(n), Alpha: alpha, Obs: int64(obs)}
+		var err error
+		if m.Counts, err = readFloats(tr, int(n)*int(n)); err != nil {
+			return nil, fmt.Errorf("pressure: read markov matrix: %w", err)
 		}
-		if err := binRead(tr, m.Counts, m.RowSum); err != nil {
+		if m.RowSum, err = readFloats(tr, int(n)); err != nil {
 			return nil, fmt.Errorf("pressure: read markov matrix: %w", err)
 		}
 		for _, v := range m.Counts {
@@ -295,7 +293,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if cacheN > maxCacheEntries {
 		return nil, fmt.Errorf("pressure: implausible cache entry count %d", cacheN)
 	}
-	c.Cache = make([]CacheEntry, 0, cacheN)
+	c.Cache = make([]CacheEntry, 0, min(cacheN, readChunk))
 	for i := 0; i < int(cacheN); i++ {
 		var keyLen uint16
 		if err := binRead(tr, &keyLen); err != nil {
@@ -321,7 +319,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if driftN > maxDriftWindows {
 		return nil, fmt.Errorf("pressure: implausible drift window count %d", driftN)
 	}
-	c.Drift = make([]DriftWindow, 0, driftN)
+	c.Drift = make([]DriftWindow, 0, min(driftN, readChunk))
 	for i := 0; i < int(driftN); i++ {
 		var (
 			stream, count, probes, cooldown uint32
@@ -357,7 +355,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("pressure: implausible fleet stream count %d", fleetN)
 		}
 		if fleetN > 0 {
-			c.Fleet = make([]string, 0, fleetN)
+			c.Fleet = make([]string, 0, min(fleetN, readChunk))
 			for i := 0; i < int(fleetN); i++ {
 				var classLen uint16
 				if err := binRead(tr, &classLen); err != nil {
@@ -387,6 +385,28 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("pressure: trailing data after checkpoint")
 	}
 	return c, nil
+}
+
+// readChunk bounds what the decoder allocates ahead of the bytes that
+// back it: header counts preallocate at most readChunk elements, and
+// float sections are read readChunk values at a time, so memory grows
+// with the bytes actually delivered, never with what a header claims.
+const readChunk = 4096
+
+// readFloats reads n little-endian float64s, a chunk at a time.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	xs := make([]float64, 0, min(n, readChunk))
+	buf := make([]byte, 8*min(n, readChunk))
+	for len(xs) < n {
+		chunk := buf[:8*min(n-len(xs), readChunk)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(chunk); i += 8 {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
+		}
+	}
+	return xs, nil
 }
 
 func plausibleFinite(v float64) bool {

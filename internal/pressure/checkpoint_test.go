@@ -2,11 +2,13 @@ package pressure
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -183,6 +185,37 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 // damage: it may reject, but it must never panic, and whatever it does
 // accept must be internally consistent — finite, within bounds, and
 // bit-for-bit re-encodable (no partial restore).
+// TestReadCheckpointBoundsAllocationByInput pins the checkpoint decoder
+// against header-driven allocation: a checkpoint a few dozen bytes long
+// whose header claims the largest Markov matrix, cache manifest or drift
+// section and carries none of it must not make ReadCheckpoint allocate
+// what the header claims before it finds the data missing.
+func TestReadCheckpointBoundsAllocationByInput(t *testing.T) {
+	header := binary.LittleEndian.AppendUint16([]byte(checkpointMagic), checkpointVersion)
+	header = binary.LittleEndian.AppendUint64(header, 1) // generation
+	markov := append(append([]byte(nil), header...), 1)
+	markov = binary.LittleEndian.AppendUint32(markov, maxMarkovModels)
+	markov = binary.LittleEndian.AppendUint64(markov, math.Float64bits(0.5)) // alpha
+	markov = binary.LittleEndian.AppendUint64(markov, 0)                     // observations
+	cache := append(append([]byte(nil), header...), 0)
+	cache = binary.LittleEndian.AppendUint32(cache, maxCacheEntries)
+	drift := binary.LittleEndian.AppendUint32(append(append([]byte(nil), header...), 0), 0)
+	drift = binary.LittleEndian.AppendUint32(drift, maxDriftWindows)
+	for name, blob := range map[string][]byte{"markov": markov, "cache": cache, "drift": drift} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := ReadCheckpoint(bytes.NewReader(blob))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: checkpoint with no section data decoded", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: a %d-byte checkpoint allocated %d bytes, want < 1 MiB", name, len(blob), got)
+		}
+	}
+}
+
 func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(encode(f, sampleCheckpoint()))
 	f.Add(encode(f, &Checkpoint{}))
