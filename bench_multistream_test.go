@@ -96,9 +96,11 @@ func BenchmarkMultiStream_CacheSweep(b *testing.B) {
 
 // BenchmarkMultiStream_BatchCurve is the streams-vs-throughput curve of
 // the tick pipeline: stream counts from 64 to 1024, all against a
-// wide-open pre-warmed cache so the curve isolates execution cost from
-// cache contention. Reported metrics: wall-clock per-frame latency and
-// aggregate throughput on the host. Batching amortizes kernel dispatch
+// wide-open pre-warmed cache — one shard holding every model, so no
+// hash collision evicts — so the curve isolates execution cost from
+// cache contention; a run that misses fails the benchmark. Reported
+// metrics: wall-clock per-frame latency and aggregate throughput on the
+// host. Batching amortizes kernel dispatch
 // over the whole tick (one GEMM per layer instead of one single-row
 // call per stream), so ns/frame should grow sublinearly from 64 to 1024 streams.
 func BenchmarkMultiStream_BatchCurve(b *testing.B) {
@@ -110,8 +112,9 @@ func BenchmarkMultiStream_BatchCurve(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mrt, err := core.NewMultiRuntime(l.Bundle, core.MultiRuntimeConfig{
-					Streams:    streams,
-					CacheSlots: l.Bundle.NumModels(),
+					Streams:     streams,
+					CacheSlots:  l.Bundle.NumModels(),
+					CacheShards: 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -121,8 +124,12 @@ func BenchmarkMultiStream_BatchCurve(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				warm := mrt.Cache().Stats()
 				if _, err := mrt.ProcessStreams(inputs, nil); err != nil {
 					b.Fatal(err)
+				}
+				if st := mrt.Cache().Stats(); st.Misses != warm.Misses || st.Evictions != warm.Evictions {
+					b.Fatalf("pre-warmed cache: %d misses and %d evictions while serving", st.Misses-warm.Misses, st.Evictions-warm.Evictions)
 				}
 				mrt.Close()
 			}

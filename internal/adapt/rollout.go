@@ -113,9 +113,8 @@ func NewRollout(cfg RolloutConfig) *Rollout {
 	return &Rollout{cfg: cfg, state: RolloutIdle}
 }
 
-// State and Candidate expose the machine's position.
+// State exposes the machine's position.
 func (r *Rollout) State() RolloutState { return r.state }
-func (r *Rollout) Candidate() uint64   { return r.candidate }
 
 // LastVerdict returns the decision that ended the most recent canary.
 func (r *Rollout) LastVerdict() Verdict { return r.verdict }

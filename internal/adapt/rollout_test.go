@@ -20,11 +20,11 @@ func TestRolloutLifecycle(t *testing.T) {
 	if err := r.Begin(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if r.State() != RolloutCanary || r.Candidate() != 2 {
-		t.Fatalf("canary state %v cand %d", r.State(), r.Candidate())
+	if r.State() != RolloutCanary {
+		t.Fatalf("canary state %v", r.State())
 	}
-	if err := r.Begin(3, 1); err == nil {
-		t.Fatal("nested Begin must fail")
+	if err := r.Begin(3, 1); err == nil || !strings.Contains(err.Error(), "generation 2 already active") {
+		t.Fatalf("nested Begin must fail naming the active candidate 2, got %v", err)
 	}
 	if r.Ready() {
 		t.Fatal("ready with zero frames")
@@ -45,8 +45,11 @@ func TestRolloutLifecycle(t *testing.T) {
 	if err := r.Begin(3, 2); err != nil {
 		t.Fatal(err)
 	}
-	if r.State() != RolloutCanary || r.Candidate() != 3 {
-		t.Fatalf("restarted canary state %v cand %d", r.State(), r.Candidate())
+	if r.State() != RolloutCanary {
+		t.Fatalf("restarted canary state %v", r.State())
+	}
+	if err := r.Begin(4, 2); err == nil || !strings.Contains(err.Error(), "generation 3 already active") {
+		t.Fatalf("Begin during the restarted canary must fail naming candidate 3, got %v", err)
 	}
 }
 

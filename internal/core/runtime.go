@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"anole/internal/detect"
 	"anole/internal/device"
 	"anole/internal/modelcache"
 	"anole/internal/prefetch"
@@ -233,16 +232,15 @@ type Runtime struct {
 	stats  RunStats
 
 	// Reused per-frame working buffers: the frame feature, the
-	// embedding, the score vector, the model ranking, which models were
-	// resident before the frame's cache request, and the per-cell
-	// prediction slice. The bundle's models are frozen weights, so the
-	// steady-state frame step performs no per-frame heap allocations.
+	// embedding, the score vector, the model ranking and which models
+	// were resident before the frame's cache request. The bundle's
+	// models are frozen weights, so the steady-state frame step performs
+	// no per-frame heap allocations.
 	featBuf     tensor.Vector
 	embBuf      tensor.Vector
 	scoresBuf   []float64
 	rankBuf     []int
 	residentBuf []bool
-	predsBuf    []detect.CellPred
 
 	// met/tracer/streamID are the telemetry attachment (see
 	// RuntimeConfig.Tracer); all handles are nil-safe.
@@ -451,8 +449,8 @@ func (r *Runtime) ProcessFrame(f *synth.Frame) (FrameResult, error) {
 		return FrameResult{}, err
 	}
 	detectDur := r.detectAccount(f, &res)
-	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
-	res.Metrics = detect.ScorePredictions(r.predsBuf, f)
+	scores, frames, feats := [1]stats.PRF1{}, [1]*synth.Frame{f}, [1]tensor.Vector{r.featBuf}
+	res.Metrics = r.bundle.Detectors[res.Used].ScoreBatch(scores[:], frames[:], feats[:])[0]
 	r.finishDetect(seq, detectDur, &res)
 	r.stageFinish(&res, true)
 	return res, nil

@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anole/internal/detect"
 	"anole/internal/nn"
 	"anole/internal/pressure"
+	"anole/internal/stats"
 	"anole/internal/synth"
 	"anole/internal/telemetry"
 	"anole/internal/tensor"
@@ -89,14 +89,14 @@ const detectSliceFrames = 8
 
 // detectSlice is one detect work item: up to detectSliceFrames tick
 // positions served by model u of g's bundle, with its own reusable
-// frame/feature/destination slices for DetectBatchFeatures.
+// frame/feature/score slices for ScoreBatch.
 type detectSlice struct {
 	g      *bundleBatch
 	u      int
 	posns  []int
 	frames []*synth.Frame
 	feats  []tensor.Vector
-	dsts   [][]detect.CellPred
+	scores []stats.PRF1
 }
 
 // batchState is the reusable working set of the tick pipeline: one
@@ -361,7 +361,7 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 	// Detect and score: each (bundle, serving model) group's frames are
 	// cut into slices of at most detectSliceFrames, and the workers pull
 	// the slices. Each stream belongs to exactly one slice, so the
-	// slices touch disjoint predsBuf sets and results.
+	// slices write disjoint results.
 	bs.work = bs.work[:0]
 	for _, g := range bs.order {
 		for u := range g.members {
@@ -411,6 +411,9 @@ func (bs *batchState) addSlice(g *bundleBatch, u int, posns []int) {
 	}
 	s := &bs.work[len(bs.work)-1]
 	s.g, s.u, s.posns = g, u, posns
+	if s.scores == nil {
+		s.scores = make([]stats.PRF1, detectSliceFrames)
+	}
 }
 
 // featureRow computes staged frame k's feature into its partition's
@@ -434,22 +437,18 @@ func (m *MultiRuntime) rankRow(k int) {
 
 // detectSlice runs detect slice k: one batched detector pass over its
 // frames, reusing the features the decide stage computed, with each
-// stream's predictions written back into its predsBuf and scored
-// against ground truth into its result.
+// frame scored against ground truth into its result.
 func (m *MultiRuntime) detectSlice(k int) {
 	bs := m.bstate
 	s := &bs.work[k]
-	s.frames, s.feats, s.dsts = s.frames[:0], s.feats[:0], s.dsts[:0]
+	s.frames, s.feats = s.frames[:0], s.feats[:0]
 	for _, j := range s.posns {
-		i := bs.ready[j]
-		s.frames = append(s.frames, bs.frames[i][bs.tick])
+		s.frames = append(s.frames, bs.frames[bs.ready[j]][bs.tick])
 		s.feats = append(s.feats, s.g.feats.Row(bs.rowOf[j]))
-		s.dsts = append(s.dsts, m.streams[i].predsBuf)
 	}
-	s.dsts = s.g.bundle.Detectors[s.u].DetectBatchFeatures(s.dsts, s.frames, s.feats)
+	scores := s.g.bundle.Detectors[s.u].ScoreBatch(s.scores[:len(s.posns)], s.frames, s.feats)
 	for n, j := range s.posns {
-		m.streams[bs.ready[j]].predsBuf = s.dsts[n]
-		bs.res[j].Metrics = detect.ScorePredictions(s.dsts[n], s.frames[n])
+		bs.res[j].Metrics = scores[n]
 	}
 }
 

@@ -105,6 +105,32 @@ type CellPred struct {
 // detection decision.
 const objectnessThreshold = 0.5
 
+// sigmoid decodes the head's objectness logit into a probability.
+func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+
+// objLogitMin is the smallest float64 logit whose sigmoid exceeds
+// objectnessThreshold (3·2⁻⁵⁴ with amd64's math.Exp), so a cell is
+// predicted exactly when its logit is at least objLogitMin — the
+// decision ScorePredictions takes on the decoded probability, without
+// evaluating the exponential. NaN compares false either way.
+var objLogitMin = thresholdLogit()
+
+// thresholdLogit bisects the positive float64 bit patterns, which order
+// as their values, for the first logit sigmoid puts above the threshold:
+// 0 decodes to exactly 0.5 and 1 to about 0.73.
+func thresholdLogit() float64 {
+	lo, hi := math.Float64bits(0), math.Float64bits(1)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if sigmoid(math.Float64frombits(mid)) > objectnessThreshold {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
 // DetectFrame runs the head over every cell of f, writing predictions
 // into dst (reused when correctly sized) and returning it. It is
 // DetectBatch over the one frame: the frame's cells form one batch and
@@ -115,49 +141,81 @@ const objectnessThreshold = 0.5
 // with a correctly sized dst, performs no heap allocations.
 func (d *Detector) DetectFrame(dst []CellPred, f *synth.Frame) []CellPred {
 	dsts, frames := [1][]CellPred{dst}, [1]*synth.Frame{f}
-	return d.detectBatch(dsts[:], frames[:], nil)[0]
+	return d.DetectBatch(dsts[:], frames[:])[0]
 }
 
-// detectBatchRows bounds how many cell rows DetectBatch stages per
-// matrix product, so batching over many frames keeps a fixed working
-// set instead of materializing frames × cells rows at once.
+// detectBatchRows bounds how many cell rows one matrix product stages,
+// so batching over many frames keeps a fixed working set instead of
+// materializing frames × cells rows at once.
 const detectBatchRows = 512
 
-// DetectBatch runs the head over every cell of every frame, batched:
-// cell inputs are assembled into a staging matrix (whole frames at a
-// time, flushed at detectBatchRows rows) and each dense layer runs as
-// one matrix product for the chunk instead of one per cell. dsts is
-// reused per frame when correctly sized, exactly like DetectFrame's
-// dst, and per frame the predictions equal DetectFrame's. Safe to call
+// DetectBatch runs the head over every cell of every frame, batched, and
+// decodes each cell's objectness probability and class. dsts is reused
+// per frame when correctly sized, exactly like DetectFrame's dst, and
+// per frame the predictions equal DetectFrame's. Safe to call
 // concurrently on one shared Detector; with pre-sized dsts the steady
 // state performs no heap allocations.
 func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]CellPred {
-	return d.detectBatch(dsts, frames, nil)
-}
-
-// DetectBatchFeatures is DetectBatch for a caller that already holds
-// every frame's feature: feats[j] must be synth.FrameFeature of
-// frames[j], and serves as each cell's frame context instead of being
-// computed again. The predictions equal DetectBatch's.
-func (d *Detector) DetectBatchFeatures(dsts [][]CellPred, frames []*synth.Frame, feats []tensor.Vector) [][]CellPred {
-	if len(feats) != len(frames) {
-		panic(fmt.Sprintf("detect: %d frame features for %d frames", len(feats), len(frames)))
-	}
-	return d.detectBatch(dsts, frames, feats)
-}
-
-// detectBatch is DetectBatch's body; feats, when non-nil, supplies each
-// frame's feature.
-func (d *Detector) detectBatch(dsts [][]CellPred, frames []*synth.Frame, feats []tensor.Vector) [][]CellPred {
 	if len(dsts) != len(frames) {
 		dsts = make([][]CellPred, len(frames))
 	}
+	outDim := d.weights.OutDim()
+	d.infer(frames, nil, func(j int, logits []float64) {
+		dsts[j] = decodeLogits(dsts[j], logits, outDim)
+	})
+	return dsts
+}
+
+// decodeLogits decodes one frame's head outputs (a row of outDim logits
+// per cell) into per-cell predictions, reusing dst when correctly sized.
+func decodeLogits(dst []CellPred, logits []float64, outDim int) []CellPred {
+	cells := len(logits) / outDim
+	if len(dst) != cells {
+		dst = make([]CellPred, cells)
+	}
+	for c := range dst {
+		row := tensor.Vector(logits[c*outDim : (c+1)*outDim])
+		dst[c] = CellPred{Objectness: sigmoid(row[0]), Class: synth.Class(row[1:].Argmax())}
+	}
+	return dst
+}
+
+// ScoreBatch runs the head over every frame, batched as DetectBatch, and
+// scores each frame against its ground truth straight from the logits:
+// dst[j] equals ScorePredictions(DetectBatch(...)[j], frames[j]). dst is
+// reused when it has one slot per frame. feats, when non-nil, must hold
+// synth.FrameFeature of each frame and serves as the frame's context
+// instead of being computed again. Safe to call concurrently on one
+// shared Detector; with a held dst it performs no heap allocations.
+func (d *Detector) ScoreBatch(dst []stats.PRF1, frames []*synth.Frame, feats []tensor.Vector) []stats.PRF1 {
+	if feats != nil && len(feats) != len(frames) {
+		panic(fmt.Sprintf("detect: %d frame features for %d frames", len(feats), len(frames)))
+	}
+	if len(dst) != len(frames) {
+		dst = make([]stats.PRF1, len(frames))
+	}
+	outDim := d.weights.OutDim()
+	d.infer(frames, feats, func(j int, logits []float64) {
+		dst[j] = scoreLogits(logits, outDim, frames[j])
+	})
+	return dst
+}
+
+// infer is the body DetectBatch and ScoreBatch share. Each frame's cell
+// inputs — the cell's features, the frame's channel means, brightness
+// and contrast — are staged as rows of one matrix (whole frames at a
+// time, flushed at detectBatchRows rows), each dense layer runs as one
+// matrix product per chunk, and tail(j, logits) receives frame j's
+// head outputs, one row of OutDim logits per cell. feats, when non-nil,
+// supplies each frame's feature.
+func (d *Detector) infer(frames []*synth.Frame, feats []tensor.Vector, tail func(j int, logits []float64)) {
 	if len(frames) == 0 {
-		return dsts
+		return
 	}
 	bs := d.weights.AcquireBatchScratch()
 	defer d.weights.ReleaseBatchScratch(bs)
 
+	fd := d.featDim
 	inDim, outDim := d.weights.InDim(), d.weights.OutDim()
 	start := 0
 	for start < len(frames) {
@@ -172,49 +230,51 @@ func (d *Detector) detectBatch(dsts [][]CellPred, frames []*synth.Frame, feats [
 			rows += cells
 			end++
 		}
-		in := bs.In(rows, inDim)
+		inM := bs.In(rows, inDim)
+		in := inM.Data
 		var ctx tensor.Vector
 		if feats == nil {
 			// The output matrix is free until InferBatch writes it, so
 			// its first row holds each frame's context while the inputs
 			// are staged: FrameFeatureDim and CellInputDim coincide, so
 			// the row is wide enough.
-			ctx = bs.Out(1, synth.FrameFeatureDim(d.featDim)).Row(0)
+			ctx = bs.Out(1, synth.FrameFeatureDim(fd)).Row(0)
 		}
 		r := 0
 		for j := start; j < end; j++ {
 			f := frames[j]
+			if f.FeatDim() != fd {
+				panic(fmt.Sprintf("detect: frame feat dim %d, detector %d", f.FeatDim(), fd))
+			}
 			fctx := ctx
 			if feats != nil {
 				fctx = feats[j]
 			} else {
 				synth.FrameFeatureInto(ctx, f)
 			}
-			for c := 0; c < f.NumCells(); c++ {
-				synth.CellInput(in.Row(r), f, c, fctx)
-				r++
+			means, bright, contrast := fctx[:fd], f.Brightness, f.Contrast
+			cells := f.NumCells()
+			src, dst := f.Cells[:cells*fd], in[r*inDim:(r+cells)*inDim]
+			for len(src) >= fd && len(dst) >= inDim {
+				row := dst[:inDim]
+				copy(row[:fd], src[:fd])
+				copy(row[fd:], means)
+				row[2*fd] = bright
+				row[2*fd+1] = contrast
+				src, dst = src[fd:], dst[inDim:]
 			}
+			r += cells
 		}
 		out := bs.Out(rows, outDim)
-		d.weights.InferBatch(out, in, bs)
+		d.weights.InferBatch(out, inM, bs)
 		r = 0
 		for j := start; j < end; j++ {
-			f := frames[j]
-			cells := f.NumCells()
-			if len(dsts[j]) != cells {
-				dsts[j] = make([]CellPred, cells)
-			}
-			for c := 0; c < cells; c++ {
-				orow := out.Row(r)
-				obj := 1 / (1 + math.Exp(-orow[0]))
-				classIdx := tensor.Vector(orow[1:]).Argmax()
-				dsts[j][c] = CellPred{Objectness: obj, Class: synth.Class(classIdx)}
-				r++
-			}
+			cells := frames[j].NumCells()
+			tail(j, out.Data[r*outDim:(r+cells)*outDim])
+			r += cells
 		}
 		start = end
 	}
-	return dsts
 }
 
 // EvaluateFrame scores the detector on one frame with cell-level
@@ -222,8 +282,9 @@ func (d *Detector) detectBatch(dsts [][]CellPred, frames []*synth.Frame, feats [
 // an object of the predicted class; a class mistake counts as both a
 // false positive and a missed object.
 func (d *Detector) EvaluateFrame(f *synth.Frame) stats.PRF1 {
-	preds := d.DetectFrame(nil, f)
-	return ScorePredictions(preds, f)
+	var m [1]stats.PRF1
+	frames := [1]*synth.Frame{f}
+	return d.ScoreBatch(m[:], frames[:], nil)[0]
 }
 
 // ScorePredictions computes the matching counts between per-cell
@@ -248,12 +309,51 @@ func ScorePredictions(preds []CellPred, f *synth.Frame) stats.PRF1 {
 	return stats.ComputePRF1(tp, fp, fn)
 }
 
+// scoreLogits is ScorePredictions over one frame's head outputs (a row
+// of outDim logits per cell) without decoding them: a cell is predicted
+// when its objectness logit reaches objLogitMin; a true positive is a
+// predicted object cell whose class argmax matches the object (the
+// first object listed on a cell, as ObjectAt finds it); every other
+// predicted cell is a false positive and every other object cell a
+// missed object.
+func scoreLogits(logits []float64, outDim int, f *synth.Frame) stats.PRF1 {
+	cells := len(logits) / outDim
+	predicted := 0
+	for c := range cells {
+		if logits[c*outDim] >= objLogitMin {
+			predicted++
+		}
+	}
+	tp, objects := 0, 0
+	for k, o := range f.Objects {
+		if uint(o.Cell) >= uint(cells) || cellListed(f.Objects[:k], o.Cell) {
+			continue
+		}
+		objects++
+		row := tensor.Vector(logits[o.Cell*outDim : (o.Cell+1)*outDim])
+		if row[0] >= objLogitMin && synth.Class(row[1:].Argmax()) == o.Class {
+			tp++
+		}
+	}
+	return stats.ComputePRF1(tp, predicted-tp, objects-tp)
+}
+
+// cellListed reports whether any of objs sits on cell.
+func cellListed(objs []synth.Object, cell int) bool {
+	for _, o := range objs {
+		if o.Cell == cell {
+			return true
+		}
+	}
+	return false
+}
+
 // EvaluateFrames accumulates matching counts over frames and returns the
 // aggregate metrics.
 func (d *Detector) EvaluateFrames(frames []*synth.Frame) stats.PRF1 {
 	var agg stats.PRF1
-	for _, f := range frames {
-		agg = agg.Add(d.EvaluateFrame(f))
+	for _, m := range d.ScoreBatch(nil, frames, nil) {
+		agg = agg.Add(m)
 	}
 	return agg
 }

@@ -36,10 +36,11 @@ func TestDetectBatchMatchesDetectFrame(t *testing.T) {
 	}
 }
 
-// TestDetectBatchFeaturesMatchesDetectBatch pins the form that takes
-// precomputed frame features: handed each frame's FrameFeature, it must
-// predict exactly what DetectBatch does, across staging chunks.
-func TestDetectBatchFeaturesMatchesDetectBatch(t *testing.T) {
+// TestScoreBatchMatchesDetectBatch pins the scoring tail against the
+// decoding one across staging chunks: per frame, ScoreBatch — with each
+// frame's FrameFeature handed in and without — counts exactly what
+// ScorePredictions counts on DetectBatch's predictions.
+func TestScoreBatchMatchesDetectBatch(t *testing.T) {
 	w := newTestWorld(t, 67)
 	rng := xrand.New(68)
 	d := NewDetector("d", Compressed, 8, rng)
@@ -48,14 +49,17 @@ func TestDetectBatchFeaturesMatchesDetectBatch(t *testing.T) {
 	for i, f := range frames {
 		feats[i] = synth.FrameFeature(f)
 	}
-	want := d.DetectBatch(nil, frames)
-	got := d.DetectBatchFeatures(nil, frames, feats)
-	for i := range want {
-		for c := range want[i] {
-			if got[i][c] != want[i][c] {
-				t.Fatalf("frame %d cell %d: with features %+v, without %+v", i, c, got[i][c], want[i][c])
-			}
+	preds := d.DetectBatch(nil, frames)
+	withFeats := d.ScoreBatch(nil, frames, feats)
+	without := d.ScoreBatch(nil, frames, nil)
+	for i, f := range frames {
+		want := ScorePredictions(preds[i], f)
+		if withFeats[i] != want || without[i] != want {
+			t.Fatalf("frame %d: ScoreBatch %+v (features given) / %+v (computed), ScorePredictions %+v", i, withFeats[i], without[i], want)
 		}
+	}
+	if out := d.ScoreBatch(nil, nil, nil); len(out) != 0 {
+		t.Fatalf("empty batch returned %d scores", len(out))
 	}
 }
 
@@ -162,5 +166,33 @@ func TestDetectFrameZeroAllocs(t *testing.T) {
 	dst := d.DetectFrame(nil, f)
 	if allocs := testing.AllocsPerRun(100, func() { dst = d.DetectFrame(dst, f) }); allocs != 0 {
 		t.Fatalf("DetectFrame with held dst: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestScoreBatchZeroAllocs pins ScoreBatch with a held dst at zero heap
+// allocations, with frame features handed in (the tick's and the F1
+// table's form) and without (EvaluateFrame's). CI's allocations job
+// re-measures it on every push.
+func TestScoreBatchZeroAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector makes sync.Pool drop values")
+	}
+	w := newTestWorld(t, 69)
+	rng := xrand.New(70)
+	d := NewDetector("d", Compressed, 8, rng)
+	frames := genFrames(w, synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}, 3, rng)
+	feats := make([]tensor.Vector, len(frames))
+	for i, f := range frames {
+		feats[i] = synth.FrameFeature(f)
+	}
+	dst := d.ScoreBatch(nil, frames, feats)
+	for _, fs := range [][]tensor.Vector{feats, nil} {
+		if allocs := testing.AllocsPerRun(100, func() { dst = d.ScoreBatch(dst, frames, fs) }); allocs != 0 {
+			t.Fatalf("ScoreBatch with held dst (features given: %v): %v allocs/op, want 0", fs != nil, allocs)
+		}
+	}
+	f := frames[0]
+	if allocs := testing.AllocsPerRun(100, func() { d.EvaluateFrame(f) }); allocs != 0 {
+		t.Fatalf("EvaluateFrame: %v allocs/op, want 0", allocs)
 	}
 }

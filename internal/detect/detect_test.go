@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"anole/internal/nn"
+	"anole/internal/stats"
 	"anole/internal/synth"
+	"anole/internal/tensor"
 	"anole/internal/xrand"
 )
 
@@ -251,5 +253,23 @@ func BenchmarkDetectFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.DetectFrame(preds, f)
+	}
+}
+
+// BenchmarkScoreBatch scores one frame with its feature handed in, the
+// form the serving tick runs.
+func BenchmarkScoreBatch(b *testing.B) {
+	w, err := synth.NewWorld(synth.DefaultConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(2)
+	d := NewDetector("x", Compressed, 8, rng)
+	frames := []*synth.Frame{w.GenerateFrame(synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}, 1, rng)}
+	feats := []tensor.Vector{synth.FrameFeature(frames[0])}
+	dst := make([]stats.PRF1, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ScoreBatch(dst, frames, feats)
 	}
 }

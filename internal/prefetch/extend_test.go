@@ -32,7 +32,7 @@ func TestMarkovGrowPreservesCounts(t *testing.T) {
 		t.Fatalf("grow lost the learned edge: P(1|0)=%v P(2|0)=%v P(3|0)=%v",
 			m.Prob(0, 1), m.Prob(0, 2), m.Prob(0, 3))
 	}
-	if top := m.TopK(0, 1); len(top) != 1 || top[0].Model != 1 {
+	if top := m.TopKInto(nil, 0, 1); len(top) != 1 || top[0].Model != 1 {
 		t.Fatalf("TopK after grow: %+v", top)
 	}
 	// Rows stay distributions.

@@ -192,17 +192,13 @@ func (m *Markov) RestoreState(n int, obs int64, counts, rowSum []float64) error 
 	return nil
 }
 
-// TopK returns the k likeliest next models given the current one, in
+// TopKInto returns the k likeliest next models given the current one, in
 // descending probability (ties broken by model index for determinism).
 // The current model itself is excluded — prefetching what is already
-// running is never useful. k is clamped to n-1.
-func (m *Markov) TopK(current, k int) []Prediction {
-	return m.TopKInto(nil, current, k)
-}
-
-// TopKInto is TopK writing into dst's backing array, which it grows
-// only when its capacity is short of n-1: a caller that keeps the
-// returned slice plans without allocating.
+// running is never useful. k is clamped to n-1. The result is written
+// into dst's backing array, which grows only when its capacity is short
+// of n-1: a caller that keeps the returned slice plans without
+// allocating.
 func (m *Markov) TopKInto(dst []Prediction, current, k int) []Prediction {
 	dst = dst[:0]
 	if current < 0 || k <= 0 {

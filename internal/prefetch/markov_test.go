@@ -47,9 +47,9 @@ func TestMarkovLearnsTransitions(t *testing.T) {
 	if p := m.Prob(0, 1); math.Abs(p-51.0/53.0) > 1e-12 {
 		t.Fatalf("P(1|0) = %v", p)
 	}
-	top := m.TopK(0, 2)
+	top := m.TopKInto(nil, 0, 2)
 	if len(top) != 2 || top[0].Model != 1 {
-		t.Fatalf("TopK(0) = %+v", top)
+		t.Fatalf("TopKInto(nil, 0, 2) = %+v", top)
 	}
 	if top[0].Prob <= top[1].Prob {
 		t.Fatalf("TopK not sorted: %+v", top)
@@ -67,7 +67,7 @@ func TestMarkovLearnsTransitions(t *testing.T) {
 
 func TestMarkovTopKExcludesCurrentAndClamps(t *testing.T) {
 	m, _ := NewMarkov(3, 1)
-	top := m.TopK(1, 10)
+	top := m.TopKInto(nil, 1, 10)
 	if len(top) != 2 {
 		t.Fatalf("TopK clamp: %+v", top)
 	}
@@ -80,7 +80,7 @@ func TestMarkovTopKExcludesCurrentAndClamps(t *testing.T) {
 	if top[0].Model != 0 || top[1].Model != 2 {
 		t.Fatalf("tie-break order: %+v", top)
 	}
-	if m.TopK(-1, 2) != nil || m.TopK(3, 2) != nil || m.TopK(0, 0) != nil {
+	if m.TopKInto(nil, -1, 2) != nil || m.TopKInto(nil, 3, 2) != nil || m.TopKInto(nil, 0, 0) != nil {
 		t.Fatal("out-of-range TopK should be nil")
 	}
 }
@@ -108,7 +108,7 @@ func TestMarkovSmoothingDefaultsAndErrors(t *testing.T) {
 	}
 }
 
-// TestMarkovConcurrent hammers Observe/TopK/Prob from many goroutines;
+// TestMarkovConcurrent hammers Observe/TopKInto/Prob from many goroutines;
 // run with -race.
 func TestMarkovConcurrent(t *testing.T) {
 	m, _ := NewMarkov(5, 1)
@@ -119,7 +119,7 @@ func TestMarkovConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				m.Observe(g%5, (g+i)%5)
-				_ = m.TopK(i%5, 3)
+				_ = m.TopKInto(nil, i%5, 3)
 				_ = m.Prob(i%5, (i+1)%5)
 			}
 		}(g)
@@ -162,8 +162,8 @@ func TestMarkovTopKIntoMatchesSortedRow(t *testing.T) {
 			if !slices.Equal(buf, want) {
 				t.Fatalf("TopKInto(%d, %d) = %+v, want %+v", current, k, buf, want)
 			}
-			if got := m.TopK(current, k); !slices.Equal(got, want) {
-				t.Fatalf("TopK(%d, %d) = %+v, want %+v", current, k, got, want)
+			if got := m.TopKInto(nil, current, k); !slices.Equal(got, want) {
+				t.Fatalf("TopKInto(nil, %d, %d) = %+v, want %+v", current, k, got, want)
 			}
 		}
 	}

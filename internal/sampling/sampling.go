@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"anole/internal/detect"
+	"anole/internal/stats"
 	"anole/internal/synth"
 	"anole/internal/tensor"
 	"anole/internal/xrand"
@@ -240,16 +241,16 @@ type Table struct {
 	at [][]int
 }
 
-// tableChunk is how many frames one DetectBatchFeatures call scores.
+// tableChunk is how many frames one ScoreBatch call scores.
 const tableChunk = 64
 
 // NewTable validates the pools against the models and scores every
 // model on every distinct frame of the pools.
 // Each frame's feature is computed once and shared by all models; each
-// model runs DetectBatchFeatures over chunks of frames on its own
-// goroutine, at most GOMAXPROCS at a time. Batched predictions equal
-// one-frame DetectFrame's, so every F1 is the one a per-probe
-// EvaluateFrame would give.
+// model runs ScoreBatch over chunks of frames on its own goroutine, at
+// most GOMAXPROCS at a time. Batched scores equal one-frame
+// EvaluateFrame's, so every F1 is the one a per-probe EvaluateFrame
+// would give.
 func NewTable(models []*detect.Detector, pools []Pool) (*Table, error) {
 	if err := validate(models, pools); err != nil {
 		return nil, err
@@ -280,15 +281,13 @@ func NewTable(models []*detect.Detector, pools []Pool) (*Table, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			preds := make([][]detect.CellPred, tableChunk)
+			scores := make([]stats.PRF1, tableChunk)
 			for m := int(next.Add(1) - 1); m < len(models); m = int(next.Add(1) - 1) {
 				row := make([]float64, len(t.frames))
 				for lo := 0; lo < len(t.frames); lo += tableChunk {
 					hi := min(lo+tableChunk, len(t.frames))
-					frames := t.frames[lo:hi]
-					out := models[m].DetectBatchFeatures(preds[:len(frames)], frames, feats[lo:hi])
-					for k, f := range frames {
-						row[lo+k] = detect.ScorePredictions(out[k], f).F1
+					for k, sc := range models[m].ScoreBatch(scores[:hi-lo], t.frames[lo:hi], feats[lo:hi]) {
+						row[lo+k] = sc.F1
 					}
 				}
 				t.f1[m] = row

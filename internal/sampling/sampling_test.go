@@ -8,7 +8,6 @@ import (
 	"anole/internal/detect"
 	"anole/internal/stats"
 	"anole/internal/synth"
-	"anole/internal/tensor"
 	"anole/internal/xrand"
 )
 
@@ -295,15 +294,11 @@ func sameLabels(a, b []LabeledFrame) bool {
 }
 
 // acceptedLabels is the per-probe test the F1 table replaced: score the
-// probing pool's model on the one frame, and on acceptance score every
-// other model on it too, sharing the frame's feature.
+// probing pool's model on the one frame from its decoded per-cell
+// predictions, and on acceptance score every other model on it too.
 func acceptedLabels(models []*detect.Detector, poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
-	frames := []*synth.Frame{frame}
-	feats := []tensor.Vector{synth.FrameFeature(frame)}
-	preds := make([][]detect.CellPred, 1)
 	score := func(det *detect.Detector) float64 {
-		det.DetectBatchFeatures(preds, frames, feats)
-		return detect.ScorePredictions(preds[0], frame).F1
+		return detect.ScorePredictions(det.DetectFrame(nil, frame), frame).F1
 	}
 	gate := score(models[poolModel])
 	if gate < accept {

@@ -67,37 +67,6 @@ func TestQuantileEmptyIsZero(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketBoundary pins which bin a value exactly on an
-// interior boundary lands in: idx = floor((x-lo)/width), so a boundary
-// value belongs to the higher bin, and hi itself clamps into the last.
-func TestHistogramBucketBoundary(t *testing.T) {
-	// [0,10) in 5 bins of width 2, boundaries at 2,4,6,8: by the floor
-	// rule 2 -> bin 1, 4 -> bin 2, 6 -> bin 3, 8 -> bin 4.
-	counts := Histogram([]float64{2, 4, 6, 8}, 0, 10, 5)
-	want := []int{0, 1, 1, 1, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("boundary binning = %v, want %v", counts, want)
-		}
-	}
-
-	// hi and values above it clamp into the last bin; lo and below into
-	// the first.
-	counts = Histogram([]float64{-5, 0, 10, 15}, 0, 10, 5)
-	if counts[0] != 2 || counts[4] != 2 {
-		t.Fatalf("clamping = %v, want 2 in first and last", counts)
-	}
-}
-
-// TestHistogramSingleBucket pins nbins=1: everything lands in the one
-// bin regardless of range position.
-func TestHistogramSingleBucket(t *testing.T) {
-	counts := Histogram([]float64{-1, 0, 0.5, 1, 2}, 0, 1, 1)
-	if len(counts) != 1 || counts[0] != 5 {
-		t.Fatalf("single-bucket = %v", counts)
-	}
-}
-
 // TestSummarizeSingleSample pins Summary on one observation: std 0 (not
 // NaN from an n-1 division), all positional stats equal to the sample.
 func TestSummarizeSingleSample(t *testing.T) {

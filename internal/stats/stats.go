@@ -145,31 +145,6 @@ func CDF(xs []float64) []CDFPoint {
 	return points
 }
 
-// Histogram counts xs into nbins equal-width bins spanning [lo, hi].
-// Values outside the range are clamped into the boundary bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		return nil
-	}
-	counts := make([]int, nbins)
-	if hi <= lo {
-		counts[0] = len(xs)
-		return counts
-	}
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		counts[idx]++
-	}
-	return counts
-}
-
 // Gini returns the Gini coefficient of non-negative xs: 0 for perfectly
 // balanced samples, approaching 1 for maximal concentration. Used as the
 // imbalance measure in the adaptive-sampling experiment (Fig. 3).

@@ -96,23 +96,6 @@ func TestCDFTies(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{0, 0.5, 1.5, 2.5, 10, -5}, 0, 3, 3)
-	if counts[0] != 3 || counts[1] != 1 || counts[2] != 2 {
-		t.Fatalf("histogram: %v", counts)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	counts := Histogram([]float64{1, 2}, 5, 5, 4)
-	if counts[0] != 2 {
-		t.Fatalf("degenerate histogram: %v", counts)
-	}
-	if Histogram(nil, 0, 1, 0) != nil {
-		t.Fatal("zero bins should return nil")
-	}
-}
-
 func TestGiniBalanced(t *testing.T) {
 	if g := Gini([]float64{5, 5, 5, 5}); !almostEqual(g, 0, 1e-12) {
 		t.Fatalf("balanced Gini = %v", g)
