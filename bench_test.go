@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"anole/internal/core"
 	"anole/internal/eval"
 	"anole/internal/stats"
 	"anole/internal/synth"
@@ -304,7 +305,7 @@ func BenchmarkAblation_CachePolicy(b *testing.B) {
 // the host CPU.
 func BenchmarkEndToEnd_RuntimeFrame(b *testing.B) {
 	l := lab(b)
-	rt, err := l.NewRuntime(5, 0)
+	rt, err := core.NewRuntime(l.Bundle, core.RuntimeConfig{CacheSlots: 5})
 	if err != nil {
 		b.Fatal(err)
 	}

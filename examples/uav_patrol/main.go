@@ -88,16 +88,21 @@ func run() error {
 	for _, leg := range plan {
 		var legAnole, legSDM, legSSM stats.PRF1
 		used := make(map[string]int)
-		for i := 0; i < leg.frames; i++ {
-			f := world.GenerateFrame(leg.scene, 1, flightRNG)
-			res, err := rt.ProcessFrame(f)
+		frames := make([]*synth.Frame, leg.frames)
+		for i := range frames {
+			frames[i] = world.GenerateFrame(leg.scene, 1, flightRNG)
+			res, err := rt.ProcessFrame(frames[i])
 			if err != nil {
 				return err
 			}
 			legAnole = legAnole.Add(res.Metrics)
 			used[bundle.Detectors[res.Used].Name]++
-			legSDM = legSDM.Add(baselines.EvaluateFrame(sdm, f))
-			legSSM = legSSM.Add(baselines.EvaluateFrame(ssm, f))
+		}
+		for _, m := range baselines.Score(sdm, frames) {
+			legSDM = legSDM.Add(m)
+		}
+		for _, m := range baselines.Score(ssm, frames) {
+			legSSM = legSSM.Add(m)
 		}
 		totAnole = totAnole.Add(legAnole)
 		totSDM = totSDM.Add(legSDM)

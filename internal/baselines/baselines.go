@@ -33,29 +33,31 @@ type Selector interface {
 	OverheadFLOPs() int64
 }
 
-// EvaluateFrame runs a selector's chosen model on one frame and scores
-// it.
-func EvaluateFrame(s Selector, f *synth.Frame) stats.PRF1 {
-	return s.Select(f).EvaluateFrame(f)
-}
-
-// WindowedF1 evaluates a selector over consecutive windows of frames,
-// matching the paper's "F1 every ten frames" protocol.
-func WindowedF1(s Selector, frames []*synth.Frame, window int) []float64 {
-	if window <= 0 {
-		window = 10
+// Score runs a selector over frames and returns each frame's counts:
+// out[i] is s.Select(frames[i]).EvaluateFrame(frames[i]). Frames are
+// grouped by the detector s selects for them, in first-seen order, and
+// each group is scored with one ScoreBatch call; batched scores equal
+// one-frame ones, so the grouping changes no count.
+func Score(s Selector, frames []*synth.Frame) []stats.PRF1 {
+	out := make([]stats.PRF1, len(frames))
+	var dets []*detect.Detector
+	groups := make(map[*detect.Detector][]int)
+	for i, f := range frames {
+		d := s.Select(f)
+		if _, ok := groups[d]; !ok {
+			dets = append(dets, d)
+		}
+		groups[d] = append(groups[d], i)
 	}
-	var out []float64
-	for start := 0; start < len(frames); start += window {
-		end := start + window
-		if end > len(frames) {
-			end = len(frames)
+	for _, d := range dets {
+		idx := groups[d]
+		group := make([]*synth.Frame, len(idx))
+		for k, i := range idx {
+			group[k] = frames[i]
 		}
-		var agg stats.PRF1
-		for _, f := range frames[start:end] {
-			agg = agg.Add(EvaluateFrame(s, f))
+		for k, m := range d.ScoreBatch(nil, group, nil) {
+			out[idx[k]] = m
 		}
-		out = append(out, agg.F1)
 	}
 	return out
 }

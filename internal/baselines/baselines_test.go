@@ -171,41 +171,66 @@ func TestTrainValidationErrors(t *testing.T) {
 	}
 }
 
-func TestWindowedF1(t *testing.T) {
-	corpus := smallCorpus(t, 14)
+// TestBaselineScoreMatchesSelect pins Score, which scores each selected
+// detector's frames in one batch, against the per-frame form
+// s.Select(f).EvaluateFrame(f) for all four selectors, on shuffled test
+// frames so CDG's and DMM's groups interleave, with DMM missing the SHD
+// model so SHD frames take its fallback.
+func TestBaselineScoreMatchesSelect(t *testing.T) {
+	corpus := smallCorpus(t, 16)
 	train := corpus.Frames(synth.Train)
-	s, err := TrainSSM(train, nil, detect.TrainConfig{Epochs: 5, RNG: xrand.New(15)})
+	var noSHD []*synth.Frame
+	for _, f := range train {
+		if f.Dataset != synth.SHD {
+			noSHD = append(noSHD, f)
+		}
+	}
+	tc := detect.TrainConfig{Epochs: 2, RNG: xrand.New(17)}
+	sdm, err := TrainSDM(train, nil, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssm, err := TrainSSM(train, nil, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdg, err := TrainCDG(train, nil, CDGConfig{K: 3, Train: tc, RNG: xrand.New(18)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmm, err := TrainDMM(noSHD, nil, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := corpus.Frames(synth.Test)
-	if len(frames) > 35 {
-		frames = frames[:35]
-	}
-	f1s := WindowedF1(s, frames, 10)
-	want := (len(frames) + 9) / 10
-	if len(f1s) != want {
-		t.Fatalf("windows = %d, want %d", len(f1s), want)
-	}
-	for _, v := range f1s {
-		if v < 0 || v > 1 {
-			t.Fatalf("window F1 %v", v)
+	xrand.New(19).Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
+	frames = frames[:min(len(frames), 150)]
+	fallback := 0
+	for _, f := range frames {
+		if _, ok := dmm.byDataset[f.Dataset]; !ok {
+			fallback++
 		}
 	}
-	if got := WindowedF1(s, frames, 0); len(got) != want {
-		t.Fatal("default window wrong")
+	if fallback == 0 || fallback == len(frames) {
+		t.Fatalf("%d of %d frames take DMM's fallback; want some, not all", fallback, len(frames))
 	}
-}
-
-func TestEvaluateFrame(t *testing.T) {
-	corpus := smallCorpus(t, 16)
-	train := corpus.Frames(synth.Train)
-	s, err := TrainSSM(train, nil, detect.TrainConfig{Epochs: 5, RNG: xrand.New(17)})
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range []Selector{sdm, ssm, cdg, dmm} {
+		got := Score(s, frames)
+		if len(got) != len(frames) {
+			t.Fatalf("%s: %d counts for %d frames", s.Name(), len(got), len(frames))
+		}
+		used := make(map[*detect.Detector]bool)
+		for i, f := range frames {
+			used[s.Select(f)] = true
+			if want := s.Select(f).EvaluateFrame(f); got[i] != want {
+				t.Fatalf("%s frame %d: Score %+v, Select(f).EvaluateFrame(f) %+v", s.Name(), i, got[i], want)
+			}
+		}
+		if s != Selector(sdm) && s != Selector(ssm) && len(used) < 2 {
+			t.Fatalf("%s selected one detector for every frame; the grouping went untested", s.Name())
+		}
 	}
-	m := EvaluateFrame(s, train[0])
-	if m.TP < 0 || m.FP < 0 || m.FN < 0 {
-		t.Fatalf("metrics: %+v", m)
+	if got := Score(sdm, nil); len(got) != 0 {
+		t.Fatalf("Score with no frames: %d counts", len(got))
 	}
 }

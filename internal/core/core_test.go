@@ -248,27 +248,6 @@ func TestRuntimeCacheBoundsResidency(t *testing.T) {
 	}
 }
 
-func TestRuntimeProcessClipWindows(t *testing.T) {
-	fx := testutil.Shared(t)
-	rt, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := fx.Corpus.Frames(synth.Test)[:25]
-	f1s, err := rt.ProcessClip(frames, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f1s) != 3 {
-		t.Fatalf("windows = %d", len(f1s))
-	}
-	for _, v := range f1s {
-		if v < 0 || v > 1 {
-			t.Fatalf("window F1 %v", v)
-		}
-	}
-}
-
 func TestRuntimeAccuracyBeatsRandomSelection(t *testing.T) {
 	// Anole's selection should beat picking a fixed arbitrary
 	// repertoire model for everything.

@@ -748,36 +748,6 @@ func (r *Runtime) stageFinish(res *FrameResult, plan bool) {
 	r.stats.TotalLatency += res.Latency
 }
 
-// ProcessClip runs every frame of a clip in order and returns the
-// windowed F1 series (window 10, the Fig. 8 protocol).
-func (r *Runtime) ProcessClip(frames []*synth.Frame, window int) ([]float64, error) {
-	if window <= 0 {
-		window = 10
-	}
-	var (
-		out []float64
-		agg stats.PRF1
-		n   int
-	)
-	for _, f := range frames {
-		res, err := r.ProcessFrame(f)
-		if err != nil {
-			return nil, err
-		}
-		agg = agg.Add(res.Metrics)
-		n++
-		if n == window {
-			out = append(out, agg.F1)
-			agg = stats.PRF1{}
-			n = 0
-		}
-	}
-	if n > 0 {
-		out = append(out, agg.F1)
-	}
-	return out, nil
-}
-
 // Stats returns a snapshot of the run, closing the open desired-model run
 // into SceneDurations.
 func (r *Runtime) Stats() RunStats {

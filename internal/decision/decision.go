@@ -211,15 +211,17 @@ func (m *Model) WeightBytes() int64 {
 
 // ConfusionOn evaluates top-1 model selection against the oracle best
 // model (highest per-frame F1, ties to the lower index) over frames,
-// producing the Fig. 6(b) confusion matrix. Frames where every model
-// scores zero F1 are skipped, since no selection is "right" there.
+// producing the Fig. 6(b) confusion matrix; the models are scored with
+// detect.ScoreTable. Frames where every model scores zero F1 are
+// skipped, since no selection is "right" there.
 func (m *Model) ConfusionOn(models []*detect.Detector, frames []*synth.Frame) *stats.ConfusionMatrix {
 	cm := stats.NewConfusionMatrix(m.N)
-	for _, f := range frames {
+	scores := detect.ScoreTable(models, frames)
+	for i, f := range frames {
 		bestIdx, bestF1 := -1, 0.0
-		for i, det := range models {
-			if f1 := det.EvaluateFrame(f).F1; f1 > bestF1 {
-				bestIdx, bestF1 = i, f1
+		for k := range models {
+			if f1 := scores[k][i].F1; f1 > bestF1 {
+				bestIdx, bestF1 = k, f1
 			}
 		}
 		if bestIdx < 0 {

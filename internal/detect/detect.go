@@ -10,6 +10,9 @@ package detect
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"anole/internal/nn"
 	"anole/internal/stats"
@@ -183,10 +186,11 @@ func decodeLogits(dst []CellPred, logits []float64, outDim int) []CellPred {
 // ScoreBatch runs the head over every frame, batched as DetectBatch, and
 // scores each frame against its ground truth straight from the logits:
 // dst[j] equals ScorePredictions(DetectBatch(...)[j], frames[j]). dst is
-// reused when it has one slot per frame. feats, when non-nil, must hold
-// synth.FrameFeature of each frame and serves as the frame's context
-// instead of being computed again. Safe to call concurrently on one
-// shared Detector; with a held dst it performs no heap allocations.
+// reused when it has one slot per frame. feats, when non-nil, must start
+// with each frame's channel means (synth.FrameFeature or
+// synth.ChannelMeansInto of the frame), which then serve as the frame's
+// context instead of being computed again. Safe to call concurrently on
+// one shared Detector; with a held dst it performs no heap allocations.
 func (d *Detector) ScoreBatch(dst []stats.PRF1, frames []*synth.Frame, feats []tensor.Vector) []stats.PRF1 {
 	if feats != nil && len(feats) != len(frames) {
 		panic(fmt.Sprintf("detect: %d frame features for %d frames", len(feats), len(frames)))
@@ -207,7 +211,7 @@ func (d *Detector) ScoreBatch(dst []stats.PRF1, frames []*synth.Frame, feats []t
 // time, flushed at detectBatchRows rows), each dense layer runs as one
 // matrix product per chunk, and tail(j, logits) receives frame j's
 // head outputs, one row of OutDim logits per cell. feats, when non-nil,
-// supplies each frame's feature.
+// supplies each frame's channel means.
 func (d *Detector) infer(frames []*synth.Frame, feats []tensor.Vector, tail func(j int, logits []float64)) {
 	if len(frames) == 0 {
 		return
@@ -232,13 +236,12 @@ func (d *Detector) infer(frames []*synth.Frame, feats []tensor.Vector, tail func
 		}
 		inM := bs.In(rows, inDim)
 		in := inM.Data
-		var ctx tensor.Vector
+		var means tensor.Vector
 		if feats == nil {
 			// The output matrix is free until InferBatch writes it, so
-			// its first row holds each frame's context while the inputs
-			// are staged: FrameFeatureDim and CellInputDim coincide, so
-			// the row is wide enough.
-			ctx = bs.Out(1, synth.FrameFeatureDim(fd)).Row(0)
+			// its first row holds each frame's channel means while the
+			// inputs are staged.
+			means = bs.Out(1, fd).Row(0)
 		}
 		r := 0
 		for j := start; j < end; j++ {
@@ -246,19 +249,19 @@ func (d *Detector) infer(frames []*synth.Frame, feats []tensor.Vector, tail func
 			if f.FeatDim() != fd {
 				panic(fmt.Sprintf("detect: frame feat dim %d, detector %d", f.FeatDim(), fd))
 			}
-			fctx := ctx
+			fmeans := means
 			if feats != nil {
-				fctx = feats[j]
+				fmeans = feats[j][:fd]
 			} else {
-				synth.FrameFeatureInto(ctx, f)
+				synth.ChannelMeansInto(means, f)
 			}
-			means, bright, contrast := fctx[:fd], f.Brightness, f.Contrast
+			bright, contrast := f.Brightness, f.Contrast
 			cells := f.NumCells()
 			src, dst := f.Cells[:cells*fd], in[r*inDim:(r+cells)*inDim]
 			for len(src) >= fd && len(dst) >= inDim {
 				row := dst[:inDim]
 				copy(row[:fd], src[:fd])
-				copy(row[fd:], means)
+				copy(row[fd:], fmeans)
 				row[2*fd] = bright
 				row[2*fd+1] = contrast
 				src, dst = src[fd:], dst[inDim:]
@@ -356,6 +359,42 @@ func (d *Detector) EvaluateFrames(frames []*synth.Frame) stats.PRF1 {
 		agg = agg.Add(m)
 	}
 	return agg
+}
+
+// tableChunk is how many frames one ScoreTable ScoreBatch call scores.
+const tableChunk = 64
+
+// ScoreTable scores every model on every frame: table[m][i] is
+// models[m]'s counts on frames[i], equal to models[m].EvaluateFrame of
+// the frame. Each frame's channel means are computed once and shared by
+// all models; each model runs ScoreBatch over chunks of tableChunk
+// frames on its own goroutine, at most GOMAXPROCS at a time. Batched
+// scores equal one-frame ones whatever the chunking, so the table does
+// not depend on the core count.
+func ScoreTable(models []*Detector, frames []*synth.Frame) [][]stats.PRF1 {
+	means := make([]tensor.Vector, len(frames))
+	for i, f := range frames {
+		means[i] = synth.ChannelMeansInto(nil, f)
+	}
+	table := make([][]stats.PRF1, len(models))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(models)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for m := int(next.Add(1) - 1); m < len(models); m = int(next.Add(1) - 1) {
+				row := make([]stats.PRF1, len(frames))
+				for lo := 0; lo < len(frames); lo += tableChunk {
+					hi := min(lo+tableChunk, len(frames))
+					models[m].ScoreBatch(row[lo:hi], frames[lo:hi], means[lo:hi])
+				}
+				table[m] = row
+			}
+		}()
+	}
+	wg.Wait()
+	return table
 }
 
 // TrainConfig controls detector training.
@@ -459,26 +498,4 @@ func (d *Detector) Train(trainFrames, valFrames []*synth.Frame, cfg TrainConfig)
 	}
 	d.weights = tr.Freeze()
 	return nil
-}
-
-// WindowedF1 returns the F1 score of the detector computed over
-// consecutive windows of `window` frames of a clip, the form plotted in
-// Fig. 8 ("F1 score is calculated every ten frames").
-func (d *Detector) WindowedF1(frames []*synth.Frame, window int) []float64 {
-	if window <= 0 {
-		window = 10
-	}
-	var out []float64
-	for start := 0; start < len(frames); start += window {
-		end := start + window
-		if end > len(frames) {
-			end = len(frames)
-		}
-		var agg stats.PRF1
-		for _, f := range frames[start:end] {
-			agg = agg.Add(d.EvaluateFrame(f))
-		}
-		out = append(out, agg.F1)
-	}
-	return out
 }

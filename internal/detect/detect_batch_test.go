@@ -196,3 +196,45 @@ func TestScoreBatchZeroAllocs(t *testing.T) {
 		t.Fatalf("EvaluateFrame: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestScoreTableMatchesEvaluateFrame pins the (model × frame) table
+// against one-frame EvaluateFrame for every cell, at one frame short of,
+// exactly at and one frame past a ScoreBatch chunk, and with no frames.
+// One model is trained so true positives occur; the others are not.
+func TestScoreTableMatchesEvaluateFrame(t *testing.T) {
+	w := newTestWorld(t, 71)
+	rng := xrand.New(72)
+	var frames []*synth.Frame
+	for _, s := range []synth.Scene{
+		{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime},
+		{Weather: synth.Rainy, Location: synth.Highway, Time: synth.Night},
+	} {
+		frames = append(frames, genFrames(w, s, (tableChunk+2)/2, rng)...)
+	}
+	trained := NewDetector("trained", Compressed, 8, rng)
+	if err := trained.Train(frames[:20], nil, TrainConfig{Epochs: 5, RNG: rng}); err != nil {
+		t.Fatal(err)
+	}
+	models := []*Detector{trained, NewDetector("c", Compressed, 8, rng), NewDetector("d", Deep, 8, rng)}
+	tp := 0
+	for _, n := range []int{0, tableChunk - 1, tableChunk, tableChunk + 1} {
+		table := ScoreTable(models, frames[:n])
+		if len(table) != len(models) {
+			t.Fatalf("%d frames: %d rows for %d models", n, len(table), len(models))
+		}
+		for m, d := range models {
+			if len(table[m]) != n {
+				t.Fatalf("%d frames: model %d row has %d cells", n, m, len(table[m]))
+			}
+			for i, f := range frames[:n] {
+				if want := d.EvaluateFrame(f); table[m][i] != want {
+					t.Fatalf("%d frames: model %s frame %d: table %+v, EvaluateFrame %+v", n, d.Name, i, table[m][i], want)
+				}
+				tp += table[m][i].TP
+			}
+		}
+	}
+	if tp == 0 {
+		t.Fatal("no true positive in any table; the comparison covered no match")
+	}
+}

@@ -196,25 +196,6 @@ func TestScorePredictionsMatching(t *testing.T) {
 	}
 }
 
-func TestWindowedF1(t *testing.T) {
-	w := newTestWorld(t, 14)
-	rng := xrand.New(15)
-	d := NewDetector("x", Compressed, 8, rng)
-	frames := genFrames(w, synth.Scene{Weather: synth.Clear, Location: synth.Urban, Time: synth.Daytime}, 25, rng)
-	f1s := d.WindowedF1(frames, 10)
-	if len(f1s) != 3 {
-		t.Fatalf("windows = %d, want 3", len(f1s))
-	}
-	for _, v := range f1s {
-		if v < 0 || v > 1 {
-			t.Fatalf("window F1 %v", v)
-		}
-	}
-	if got := d.WindowedF1(frames, 0); len(got) != 3 {
-		t.Fatalf("default window: %d", len(got))
-	}
-}
-
 func TestFrameFLOPs(t *testing.T) {
 	rng := xrand.New(16)
 	d := NewDetector("x", Compressed, 8, rng)

@@ -39,32 +39,73 @@ func RunFig8(l *Lab, window int) (Fig8Result, error) {
 		if len(clips) == 0 {
 			continue
 		}
-		var series []Fig8Series
-		// Baselines.
-		for _, sel := range l.Selectors() {
-			var f1s []float64
-			for _, frames := range clips {
-				f1s = append(f1s, baselines.WindowedF1(sel, frames, window)...)
-			}
-			series = append(series, newFig8Series(sel.Name(), f1s))
-		}
-		// Anole: one runtime per dataset stream, clips in order.
-		rt, err := core.NewRuntime(l.Bundle, core.RuntimeConfig{CacheSlots: 5})
+		// Anole runs one runtime per dataset stream, clips in order.
+		counts, err := methodCounts(l, clips)
 		if err != nil {
 			return Fig8Result{}, err
 		}
-		var f1s []float64
-		for _, frames := range clips {
-			ws, err := rt.ProcessClip(frames, window)
-			if err != nil {
-				return Fig8Result{}, err
+		var series []Fig8Series
+		for m, name := range MethodNames() {
+			var f1s []float64
+			for _, c := range counts[m] {
+				f1s = append(f1s, windowedF1(c, window)...)
 			}
-			f1s = append(f1s, ws...)
+			series = append(series, newFig8Series(name, f1s))
 		}
-		series = append(series, newFig8Series("Anole", f1s))
 		res.Dataset[ds] = series
 	}
 	return res, nil
+}
+
+// methodCounts runs every method over a run of clips and returns each
+// one's per-frame counts: counts[m][c][i] is method MethodNames()[m] on
+// frame i of clips[c]. The baselines score through baselines.Score; Anole
+// is one fresh runtime that streams the clips in order.
+func methodCounts(l *Lab, clips [][]*synth.Frame) ([][][]stats.PRF1, error) {
+	var counts [][][]stats.PRF1
+	for _, sel := range l.Selectors() {
+		var perClip [][]stats.PRF1
+		for _, frames := range clips {
+			perClip = append(perClip, baselines.Score(sel, frames))
+		}
+		counts = append(counts, perClip)
+	}
+	rt, err := core.NewRuntime(l.Bundle, core.RuntimeConfig{CacheSlots: 5})
+	if err != nil {
+		return nil, err
+	}
+	var anole [][]stats.PRF1
+	for _, frames := range clips {
+		c := make([]stats.PRF1, len(frames))
+		for i, f := range frames {
+			res, err := rt.ProcessFrame(f)
+			if err != nil {
+				return nil, err
+			}
+			c[i] = res.Metrics
+		}
+		anole = append(anole, c)
+	}
+	return append(counts, anole), nil
+}
+
+// windowedF1 pools per-frame counts over consecutive windows of window
+// frames (the last may be shorter) and returns each window's F1, the
+// form Fig. 8 plots ("F1 score is calculated every ten frames"); window
+// ≤ 0 means 10. A window of len(counts) pools the whole run.
+func windowedF1(counts []stats.PRF1, window int) []float64 {
+	if window <= 0 {
+		window = 10
+	}
+	var out []float64
+	for start := 0; start < len(counts); start += window {
+		var agg stats.PRF1
+		for _, c := range counts[start:min(start+window, len(counts))] {
+			agg = agg.Add(c)
+		}
+		out = append(out, agg.F1)
+	}
+	return out
 }
 
 func newFig8Series(name string, f1s []float64) Fig8Series {
@@ -140,39 +181,25 @@ func RunTable3(l *Lab) (Table3Result, error) {
 		return Table3Result{}, fmt.Errorf("eval: corpus has no unseen clips")
 	}
 	res := Table3Result{Mean: make(map[string]float64)}
-	counts := make(map[string]int)
 	for _, clip := range unseen {
 		row := Table3Row{
 			Label:   fmt.Sprintf("%s #%d (%s)", clip.Dataset, clip.ID, dominantScene(clip)),
 			Dataset: clip.Dataset,
 			F1:      make(map[string]float64),
 		}
-		for _, sel := range l.Selectors() {
-			var agg stats.PRF1
-			for _, f := range clip.Frames {
-				agg = agg.Add(baselines.EvaluateFrame(sel, f))
-			}
-			row.F1[sel.Name()] = agg.F1
-		}
-		rt, err := core.NewRuntime(l.Bundle, core.RuntimeConfig{CacheSlots: 5})
+		counts, err := methodCounts(l, [][]*synth.Frame{clip.Frames})
 		if err != nil {
 			return Table3Result{}, err
 		}
-		for _, f := range clip.Frames {
-			if _, err := rt.ProcessFrame(f); err != nil {
-				return Table3Result{}, err
-			}
-		}
-		row.F1["Anole"] = rt.Stats().Detection.F1
-		for m, v := range row.F1 {
-			res.Mean[m] += v
-			counts[m]++
+		for m, name := range MethodNames() {
+			row.F1[name] = windowedF1(counts[m][0], len(clip.Frames))[0]
+			res.Mean[name] += row.F1[name]
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	best, bestV := "", -1.0
 	for m := range res.Mean {
-		res.Mean[m] /= float64(counts[m])
+		res.Mean[m] /= float64(len(res.Rows))
 		if res.Mean[m] > bestV {
 			best, bestV = m, res.Mean[m]
 		}
@@ -257,25 +284,13 @@ func RunFig10(l *Lab, framesPerScenario int) (Fig10Result, error) {
 	for si, sc := range scenarios {
 		clip := l.World.GenerateScenarioClip(synth.SHD, 1000+si, sc.s, framesPerScenario, 0.9, rng.Split(uint64(si)))
 		row := Fig10Row{Scenario: sc.name, F1: make(map[string]float64)}
-		for _, sel := range l.Selectors() {
-			var agg stats.PRF1
-			for _, f := range clip.Frames {
-				agg = agg.Add(baselines.EvaluateFrame(sel, f))
-			}
-			row.F1[sel.Name()] = agg.F1
-		}
-		rt, err := core.NewRuntime(l.Bundle, core.RuntimeConfig{CacheSlots: 5})
+		counts, err := methodCounts(l, [][]*synth.Frame{clip.Frames})
 		if err != nil {
 			return Fig10Result{}, err
 		}
-		for _, f := range clip.Frames {
-			if _, err := rt.ProcessFrame(f); err != nil {
-				return Fig10Result{}, err
-			}
-		}
-		row.F1["Anole"] = rt.Stats().Detection.F1
-		for m, v := range row.F1 {
-			res.Mean[m] += v / float64(len(scenarios))
+		for m, name := range MethodNames() {
+			row.F1[name] = windowedF1(counts[m][0], len(clip.Frames))[0]
+			res.Mean[name] += row.F1[name] / float64(len(scenarios))
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -11,7 +11,6 @@ import (
 	"anole/internal/baselines"
 	"anole/internal/core"
 	"anole/internal/detect"
-	"anole/internal/modelcache"
 	"anole/internal/synth"
 	"anole/internal/xrand"
 )
@@ -143,11 +142,6 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 		CDG:    cdg,
 		DMM:    dmm,
 	}, nil
-}
-
-// NewRuntime builds a fresh Anole runtime with the lab's bundle.
-func (l *Lab) NewRuntime(cacheSlots int, policy modelcache.Policy) (*core.Runtime, error) {
-	return core.NewRuntime(l.Bundle, core.RuntimeConfig{CacheSlots: cacheSlots, Policy: policy})
 }
 
 // Selectors returns the four baseline methods in the paper's table order

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"anole/internal/core"
+	"anole/internal/detect"
 	"anole/internal/device"
 	"anole/internal/netsim"
 	"anole/internal/stats"
@@ -104,7 +105,9 @@ func RunOffload(l *Lab, frames int, stabilities []float64) (OffloadResult, error
 	)
 	deep := deepModelCost(l, l.World.Config().Cells())
 	cloudInfer := time.Duration(deep.ScaledFLOPs() / (10 * 1330e9) * float64(time.Second))
-	sdm := l.SDM.Detectors()[0]
+	// The cloud's SDM scores each frame the same whatever the link does,
+	// so the stream is scored once for every stability.
+	sdm := detect.ScoreTable(l.SDM.Detectors(), stream)[0]
 
 	for _, stability := range stabilities {
 		link, err := netsim.NewLink(netsim.DefaultConfig(stability),
@@ -115,7 +118,7 @@ func RunOffload(l *Lab, frames int, stabilities []float64) (OffloadResult, error
 		var delivered []float64
 		var agg stats.PRF1
 		missed := 0
-		for _, f := range stream {
+		for i, f := range stream {
 			link.Step()
 			transfer, ok := link.Transfer(upBytes, downBytes)
 			if !ok {
@@ -129,7 +132,7 @@ func RunOffload(l *Lab, frames int, stabilities []float64) (OffloadResult, error
 			if lat > deadline {
 				missed++
 			}
-			agg = agg.Add(sdm.EvaluateFrame(f))
+			agg = agg.Add(sdm[i])
 		}
 		sort.Float64s(delivered)
 		row := OffloadRow{

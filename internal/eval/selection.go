@@ -6,9 +6,9 @@ import (
 	"math"
 
 	"anole/internal/core"
+	"anole/internal/detect"
 	"anole/internal/stats"
 	"anole/internal/synth"
-	"anole/internal/tensor"
 )
 
 // SelectionResult decomposes where Anole's accuracy comes from and where
@@ -65,19 +65,16 @@ func RunSelection(l *Lab, maxFrames int) (SelectionResult, error) {
 		return SelectionResult{}, err
 	}
 
-	// scores[m][i] is repertoire model m's counts on test frame i.
-	feats := make([]tensor.Vector, len(test))
-	for i, f := range test {
-		feats[i] = synth.FrameFeature(f)
-	}
-	scores := make([][]stats.PRF1, len(l.Bundle.Detectors))
-	for m, det := range l.Bundle.Detectors {
-		scores[m] = det.ScoreBatch(nil, test, feats)
-	}
+	// scores[m][i] is repertoire model m's counts on test frame i; the
+	// table's last row is SDM's.
+	n := len(l.Bundle.Detectors)
+	table := detect.ScoreTable(append(l.Bundle.Detectors[:n:n], l.SDM.Detectors()[0]), test)
+	scores, sdm := table[:n], table[n]
 
-	var sceneOracle, decTop, runtime stats.PRF1
+	var sceneOracle, decTop, runtime, sdmAgg stats.PRF1
 	agree := 0
 	for i, f := range test {
+		sdmAgg = sdmAgg.Add(sdm[i])
 		bestIdx, bestF1 := -1, -1.0
 		for m := range scores {
 			if f1 := scores[m][i].F1; f1 > bestF1 {
@@ -108,7 +105,7 @@ func RunSelection(l *Lab, maxFrames int) (SelectionResult, error) {
 		SceneOracle:   sceneOracle.F1,
 		DecisionTop1:  decTop.F1,
 		Runtime:       runtime.F1,
-		SDM:           l.SDM.Detectors()[0].EvaluateFrames(test).F1,
+		SDM:           sdmAgg.F1,
 		Top1Agreement: float64(agree) / float64(len(test)),
 	}, nil
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"testing"
 
 	"anole/internal/stats"
@@ -117,5 +118,38 @@ func TestPooledOracleSkipsAllZeroFrames(t *testing.T) {
 	got := pooledOracle(scores)
 	if want := stats.ComputePRF1(5, 0, 2); got != want {
 		t.Fatalf("oracle %+v, want %+v", got, want)
+	}
+}
+
+// TestWindowedF1 pins the windowing Fig. 8 plots and Table III and
+// Fig. 10 pool with: 25 frames at window 10 give two full windows and a
+// five-frame tail, a window ≤ 0 means 10, and a window of the whole run
+// pools it.
+func TestWindowedF1(t *testing.T) {
+	counts := make([]stats.PRF1, 25)
+	for i := range counts {
+		switch {
+		case i < 10:
+			counts[i] = stats.ComputePRF1(1, 0, 0)
+		case i < 20:
+			counts[i] = stats.ComputePRF1(0, 0, 1)
+		default:
+			counts[i] = stats.ComputePRF1(1, 1, 0)
+		}
+	}
+	want := []float64{1, 0, stats.ComputePRF1(5, 5, 0).F1}
+	for _, window := range []int{10, 0, -3} {
+		if got := windowedF1(counts, window); !slices.Equal(got, want) {
+			t.Fatalf("window %d: %v, want %v", window, got, want)
+		}
+	}
+	if got, want := windowedF1(counts, len(counts)), stats.ComputePRF1(15, 5, 10).F1; len(got) != 1 || got[0] != want {
+		t.Fatalf("whole-run window: %v, want [%v]", got, want)
+	}
+	if got := windowedF1(counts, 7); len(got) != 4 {
+		t.Fatalf("window 7: %d windows, want 4", len(got))
+	}
+	if got := windowedF1(nil, 10); len(got) != 0 {
+		t.Fatalf("no frames: %v", got)
 	}
 }

@@ -8,14 +8,10 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"anole/internal/detect"
 	"anole/internal/stats"
 	"anole/internal/synth"
-	"anole/internal/tensor"
 	"anole/internal/xrand"
 )
 
@@ -195,7 +191,7 @@ func (t *Table) Adaptive(cfg Config) Result {
 // probability proportional to its size (equivalent to drawing a frame
 // uniformly from the union of pools), tests the pool's model, and keeps
 // accurate samples. It produces the unbalanced Ψ^sub distribution of
-// Fig. 3(a). Probes read the same F1 table as Adaptive's.
+// Fig. 3(a). Probes read the same count table as Adaptive's.
 func Random(models []*detect.Detector, pools []Pool, cfg Config) (Result, error) {
 	t, err := NewTable(models, pools)
 	if err != nil {
@@ -227,30 +223,23 @@ func (t *Table) Random(cfg Config) Result {
 	return res
 }
 
-// Table holds every model's per-frame F1 on every distinct frame of a
-// set of pools, scored once before any probe loop, so that a probe is a
-// lookup and several sampling runs over the same models and pools share
-// one scoring pass.
+// Table holds every model's per-frame counts on every distinct frame of
+// a set of pools, scored once before any probe loop, so that a probe is
+// a lookup and several sampling runs over the same models and pools
+// share one scoring pass.
 type Table struct {
 	pools []Pool
-	// f1[m][i] is model m's F1 on distinct frame i.
-	f1 [][]float64
+	// counts[m][i] is model m's counts on distinct frame i.
+	counts [][]stats.PRF1
 	// frames[i] is distinct frame i, in first-seen order over the pools.
 	frames []*synth.Frame
 	// at[p][k] is the distinct index of pools[p].Frames[k].
 	at [][]int
 }
 
-// tableChunk is how many frames one ScoreBatch call scores.
-const tableChunk = 64
-
 // NewTable validates the pools against the models and scores every
-// model on every distinct frame of the pools.
-// Each frame's feature is computed once and shared by all models; each
-// model runs ScoreBatch over chunks of frames on its own goroutine, at
-// most GOMAXPROCS at a time. Batched scores equal one-frame
-// EvaluateFrame's, so every F1 is the one a per-probe EvaluateFrame
-// would give.
+// model on every distinct frame of the pools with detect.ScoreTable, so
+// every F1 is the one a per-probe EvaluateFrame would give.
 func NewTable(models []*detect.Detector, pools []Pool) (*Table, error) {
 	if err := validate(models, pools); err != nil {
 		return nil, err
@@ -269,32 +258,7 @@ func NewTable(models []*detect.Detector, pools []Pool) (*Table, error) {
 			t.at[p][k] = i
 		}
 	}
-	feats := make([]tensor.Vector, len(t.frames))
-	for i, f := range t.frames {
-		feats[i] = synth.FrameFeature(f)
-	}
-
-	t.f1 = make([][]float64, len(models))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(runtime.GOMAXPROCS(0), len(models)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scores := make([]stats.PRF1, tableChunk)
-			for m := int(next.Add(1) - 1); m < len(models); m = int(next.Add(1) - 1) {
-				row := make([]float64, len(t.frames))
-				for lo := 0; lo < len(t.frames); lo += tableChunk {
-					hi := min(lo+tableChunk, len(t.frames))
-					for k, sc := range models[m].ScoreBatch(scores[:hi-lo], t.frames[lo:hi], feats[lo:hi]) {
-						row[lo+k] = sc.F1
-					}
-				}
-				t.f1[m] = row
-			}
-		}()
-	}
-	wg.Wait()
+	t.counts = detect.ScoreTable(models, t.frames)
 	return t, nil
 }
 
@@ -306,12 +270,12 @@ func NewTable(models []*detect.Detector, pools []Pool) (*Table, error) {
 // training resolve each frame to its best-fit model.
 func (t *Table) labels(p, k, poolModel int, accept float64) []LabeledFrame {
 	i := t.at[p][k]
-	if t.f1[poolModel][i] < accept {
+	if t.counts[poolModel][i].F1 < accept {
 		return nil
 	}
 	var out []LabeledFrame
-	for j, row := range t.f1 {
-		if f1 := row[i]; f1 >= accept {
+	for j, row := range t.counts {
+		if f1 := row[i].F1; f1 >= accept {
 			out = append(out, LabeledFrame{Frame: t.frames[i], ModelIdx: j, F1: f1})
 		}
 	}

@@ -234,7 +234,7 @@ func toFloat(xs []int) []float64 {
 	return out
 }
 
-// TestAcceptedLabelsMatchesPerModelEvaluation pins the F1 table's probe
+// TestAcceptedLabelsMatchesPerModelEvaluation pins the count table's probe
 // test, which scores every frame with batched detection once, against
 // the direct form: gate on the pool model's EvaluateFrame, then run
 // EvaluateFrame for every model. Every frame of both pools is probed
@@ -293,7 +293,7 @@ func sameLabels(a, b []LabeledFrame) bool {
 	return true
 }
 
-// acceptedLabels is the per-probe test the F1 table replaced: score the
+// acceptedLabels is the per-probe test the count table replaced: score the
 // probing pool's model on the one frame from its decoded per-cell
 // predictions, and on acceptance score every other model on it too.
 func acceptedLabels(models []*detect.Detector, poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
@@ -388,7 +388,7 @@ func refRandom(models []*detect.Detector, pools []Pool, cfg Config) Result {
 }
 
 // TestSamplersMatchPerProbeReference checks Adaptive and Random, which
-// look probes up in the F1 table, against the per-probe reference, both
+// look probes up in the count table, against the per-probe reference, both
 // as package functions and as methods of one Table shared by every run:
 // the whole Result — every sample with its F1 bits, the counts and the
 // rounds — must be equal. The 100 distinct frames span two table

@@ -36,18 +36,9 @@ func FrameFeatureInto(dst tensor.Vector, f *Frame) tensor.Vector {
 	if cells == 0 {
 		return out
 	}
-	mean := out[:d]
+	mean := ChannelMeansInto(out[:d], f)
 	std := out[d : 2*d]
-	for c := 0; c < cells; c++ {
-		cell := f.Cell(c)
-		for j, x := range cell {
-			mean[j] += x
-		}
-	}
 	inv := 1 / float64(cells)
-	for j := range mean {
-		mean[j] *= inv
-	}
 	for c := 0; c < cells; c++ {
 		cell := f.Cell(c)
 		for j, x := range cell {
@@ -61,6 +52,33 @@ func FrameFeatureInto(dst tensor.Vector, f *Frame) tensor.Vector {
 	out[2*d] = f.Brightness
 	out[2*d+1] = f.Contrast
 	return out
+}
+
+// ChannelMeansInto computes the frame's per-channel feature means — the
+// first FeatDim entries of FrameFeature, summed in the same order — into
+// dst (allocating only when dst is mis-sized) and returns dst. It is
+// the part of the descriptor a detector reads.
+func ChannelMeansInto(dst tensor.Vector, f *Frame) tensor.Vector {
+	d := f.FeatDim()
+	if len(dst) != d {
+		dst = tensor.NewVector(d)
+	} else {
+		dst.Fill(0)
+	}
+	cells := f.NumCells()
+	if cells == 0 {
+		return dst
+	}
+	for c := 0; c < cells; c++ {
+		for j, x := range f.Cell(c) {
+			dst[j] += x
+		}
+	}
+	inv := 1 / float64(cells)
+	for j := range dst {
+		dst[j] *= inv
+	}
+	return dst
 }
 
 // CellInputDim returns the dimensionality of CellInput's output: the cell

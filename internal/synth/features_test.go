@@ -7,7 +7,8 @@ import (
 	"anole/internal/xrand"
 )
 
-// TestFrameFeatureIntoMatchesFrameFeature pins the Into form against the
+// TestFrameFeatureIntoMatchesFrameFeature pins the Into form, and
+// ChannelMeansInto against the descriptor's mean entries, against the
 // allocating form, including on a dirty reused destination: the buffer
 // must be fully re-derived from the frame, not accumulated on top of
 // stale contents.
@@ -19,6 +20,7 @@ func TestFrameFeatureIntoMatchesFrameFeature(t *testing.T) {
 	rng := xrand.New(72)
 	s := Scene{Weather: Clear, Location: Urban, Time: Daytime}
 	dst := tensor.NewVector(FrameFeatureDim(w.Config().FeatDim))
+	means := tensor.NewVector(w.Config().FeatDim)
 	for i := 0; i < 5; i++ {
 		f := w.GenerateFrame(s, 1.2, rng)
 		want := FrameFeature(f)
@@ -30,6 +32,15 @@ func TestFrameFeatureIntoMatchesFrameFeature(t *testing.T) {
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("frame %d elem %d: %v, want %v", i, j, got[j], want[j])
+			}
+		}
+		means.Fill(999)
+		if got := ChannelMeansInto(means, f); &got[0] != &means[0] {
+			t.Fatal("ChannelMeansInto should reuse a correctly-sized dst")
+		}
+		for j := range means {
+			if means[j] != want[j] {
+				t.Fatalf("frame %d mean %d: %v, want %v", i, j, means[j], want[j])
 			}
 		}
 	}
