@@ -3,10 +3,13 @@ package eval
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"anole/internal/baselines"
+	"anole/internal/core"
 	"anole/internal/synth"
 )
 
@@ -264,6 +267,76 @@ func TestRunTable3(t *testing.T) {
 		t.Fatalf("means: %v best: %q", res.Mean, res.Best)
 	}
 	renderNonEmpty(t, res.Render)
+}
+
+// TestBaselineClipWindows windows each baseline's per-frame counts over
+// 35 test frames: four windows at 10 (three full, a five-frame tail), the
+// same at the default window, every F1 in [0, 1], and methodCounts hands
+// out exactly what baselines.Score gives.
+func TestBaselineClipWindows(t *testing.T) {
+	lab := quickLab(t)
+	frames := lab.Corpus.Frames(synth.Test)
+	if len(frames) < 35 {
+		t.Fatalf("%d test frames, want at least 35", len(frames))
+	}
+	frames = frames[:35]
+	counts, err := methodCounts(lab, [][]*synth.Frame{frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, sel := range lab.Selectors() {
+		name := MethodNames()[m]
+		c := baselines.Score(sel, frames)
+		if !slices.Equal(counts[m][0], c) {
+			t.Fatalf("%s: methodCounts differs from baselines.Score", name)
+		}
+		for _, window := range []int{10, 0} {
+			f1s := windowedF1(c, window)
+			if len(f1s) != 4 {
+				t.Fatalf("%s window %d: %d windows, want 4", name, window, len(f1s))
+			}
+			for _, v := range f1s {
+				if v < 0 || v > 1 {
+					t.Fatalf("%s window %d: F1 %v", name, window, v)
+				}
+			}
+		}
+	}
+}
+
+// TestAnoleClipWindows streams a 25-frame clip through methodCounts'
+// Anole leg: its counts are a fresh runtime's per-frame metrics in frame
+// order, and windowed at 10 they give three windows with F1 in [0, 1].
+func TestAnoleClipWindows(t *testing.T) {
+	lab := quickLab(t)
+	frames := lab.Corpus.Frames(synth.Test)[:25]
+	counts, err := methodCounts(lab, [][]*synth.Frame{frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	anole := counts[len(counts)-1][0]
+	rt, err := core.NewRuntime(lab.Bundle, core.RuntimeConfig{CacheSlots: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		res, err := rt.ProcessFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if anole[i] != res.Metrics {
+			t.Fatalf("frame %d: counts %+v, runtime %+v", i, anole[i], res.Metrics)
+		}
+	}
+	f1s := windowedF1(anole, 10)
+	if len(f1s) != 3 {
+		t.Fatalf("windows = %d, want 3", len(f1s))
+	}
+	for _, v := range f1s {
+		if v < 0 || v > 1 {
+			t.Fatalf("window F1 %v", v)
+		}
+	}
 }
 
 func TestRunTable4(t *testing.T) {

@@ -121,11 +121,11 @@ func TestPooledOracleSkipsAllZeroFrames(t *testing.T) {
 	}
 }
 
-// TestWindowedF1 pins the windowing Fig. 8 plots and Table III and
-// Fig. 10 pool with: 25 frames at window 10 give two full windows and a
-// five-frame tail, a window ≤ 0 means 10, and a window of the whole run
+// TestWindowingPoolsCounts pins the windowing Fig. 8 plots and Table III
+// and Fig. 10 pool with: 25 frames at window 10 give two full windows and
+// a five-frame tail, a window ≤ 0 means 10, and a window of the whole run
 // pools it.
-func TestWindowedF1(t *testing.T) {
+func TestWindowingPoolsCounts(t *testing.T) {
 	counts := make([]stats.PRF1, 25)
 	for i := range counts {
 		switch {
