@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -16,13 +17,24 @@ import (
 // Workers 1 runs every stage inline on the ProcessStreams goroutine.
 var fanOutWorkers = []int{1, 2, 3, 8}
 
+// decideBlockRows mirrors the tick's decide block size (tick.go), so
+// the fleets below can straddle block boundaries on purpose.
+const decideBlockRows = 16
+
 // TestMultiRuntimeFanOutMatchesSerial pins the tick pipeline's fan-out:
 // whatever the worker budget, every FrameResult and every stat must be
-// bit-identical. Three fleets:
+// bit-identical. Four fleets:
 //
-//   - 64 uniform streams over a pre-warmed all-models cache, where each
+//   - uniform fleets of 1, 15, 17, 33 and 64 streams over a pre-warmed
+//     all-models cache — one short decide block, one block and a
+//     one-row tail, two blocks and a tail, whole blocks — where each
 //     stream's own Runtime.ProcessFrame is the reference at every
 //     worker count;
+//   - a planned mixed fleet of 60 streams whose two bundle partitions
+//     (40 and 20 rows, interleaved in stream order) each end in a
+//     partial block, over a pre-warmed cache of both partitions'
+//     models, again against each stream's own Runtime on its planned
+//     bundle;
 //   - a mixed, planned fleet on an 8-slot cache under a deadline it
 //     cannot meet, so the shed ladder climbs from none through
 //     prefetch and downgrade to drop — downgrades onto resident models,
@@ -38,23 +50,77 @@ func TestMultiRuntimeFanOutMatchesSerial(t *testing.T) {
 	fx := testutil.Shared(t)
 
 	t.Run("uniform", func(t *testing.T) {
-		const streams, perStream, hysteresis = 64, 8, 2
+		const perStream, hysteresis = 8, 2
+		for _, streams := range []int{1, decideBlockRows - 1, decideBlockRows + 1, 2*decideBlockRows + 1, 4 * decideBlockRows} {
+			t.Run(fmt.Sprintf("%d-streams", streams), func(t *testing.T) {
+				frameSets := streamFrames(t, streams, perStream)
+				fleet := device.UniformFleet(device.JetsonTX2NX, streams)
+				want, _ := perStreamReference(t, fx.Bundle, frameSets, hysteresis, fleet)
+				for _, workers := range fanOutWorkers {
+					m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+						Streams:          streams,
+						Workers:          workers,
+						CacheSlots:       fx.Bundle.NumModels(),
+						CacheShards:      1,
+						SwitchHysteresis: hysteresis,
+						Fleet:            fleet,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					prewarmCache(t, m.Cache(), fx.Bundle)
+					got, err := m.ProcessStreams(frameSets, nil)
+					m.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareResults(t, workers, got, want)
+				}
+			})
+		}
+	})
+
+	t.Run("planned-blocks", func(t *testing.T) {
+		const streams, perStream, hysteresis = 60, 6, 1
+		fleet, err := device.BuildFleet("nano:1,tx2:1,laptop:1", streams, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
 		frameSets := streamFrames(t, streams, perStream)
-		fleet := device.UniformFleet(device.JetsonTX2NX, streams)
-		want, _ := perStreamReference(t, fx.Bundle, frameSets, hysteresis, fleet)
+		var want [][]core.FrameResult
 		for _, workers := range fanOutWorkers {
 			m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 				Streams:          streams,
 				Workers:          workers,
-				CacheSlots:       fx.Bundle.NumModels(),
+				CacheSlots:       4 * fx.Bundle.NumModels(),
 				CacheShards:      1,
 				SwitchHysteresis: hysteresis,
 				Fleet:            fleet,
+				Plan:             &core.PlanConfig{},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			prewarmCache(t, m.Cache(), fx.Bundle)
+			rows := map[*core.Bundle]int{}
+			for i := 0; i < streams; i++ {
+				rows[m.StreamBundle(i)]++
+			}
+			straddles := 0
+			for b, n := range rows {
+				prewarmCache(t, m.Cache(), b)
+				if n > decideBlockRows && n%decideBlockRows != 0 {
+					straddles++
+				}
+			}
+			if len(rows) < 2 || straddles < 2 {
+				t.Fatalf("partition rows %v: want at least two partitions, each past a block and ending in a partial one", rows)
+			}
+			if want == nil {
+				for i := 0; i < streams; i++ {
+					ref, _ := perStreamReference(t, m.StreamBundle(i), frameSets[i:i+1], hysteresis, fleet[i:i+1])
+					want = append(want, ref[0])
+				}
+			}
 			got, err := m.ProcessStreams(frameSets, nil)
 			m.Close()
 			if err != nil {
@@ -241,8 +307,14 @@ func TestRuntimeMissServesBestResidentBeforeRequest(t *testing.T) {
 
 // TestMultiRuntimeFanOutAllocs pins the fan-out's allocation cost: a
 // steady-state tick at Workers 2 allocates no more than the same tick
-// at Workers 1, where every stage runs inline. CI's allocations job
-// re-measures this pin on every push.
+// at Workers 1, where every stage runs inline. NewMultiRuntime plus
+// its first tick allocate no more at Workers 2 than at Workers 1 either,
+// on a fleet of one block and a one-row tail and on one of four whole
+// blocks. And at Workers 1 the stream that opens a fourth decide block
+// costs no more than the stream that fills the third: the decide
+// scratches are one per worker, borrowed from the shared pool for the
+// decide stage, not one per block. CI's allocations job re-measures
+// these pins on every push.
 func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector allocates per goroutine")
@@ -286,5 +358,41 @@ func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 	t.Logf("allocs per tick: %v at Workers 1, %v at Workers 2", serial, fanned)
 	if fanned > serial {
 		t.Fatalf("a steady tick allocates %v at Workers 2, more than %v at Workers 1", fanned, serial)
+	}
+
+	firstTick := func(workers, streams int) float64 {
+		frameSets := streamFrames(t, streams, 1)
+		fleet := device.UniformFleet(device.JetsonTX2NX, streams)
+		return testing.AllocsPerRun(10, func() {
+			m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+				Streams:     streams,
+				Workers:     workers,
+				CacheSlots:  fx.Bundle.NumModels(),
+				CacheShards: 1,
+				Fleet:       fleet,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prewarmCache(t, m.Cache(), fx.Bundle)
+			if _, err := m.ProcessStreams(frameSets, nil); err != nil {
+				t.Fatal(err)
+			}
+			m.Close()
+		})
+	}
+	for _, streams := range []int{decideBlockRows + 1, 4 * decideBlockRows} {
+		serial, fanned := firstTick(1, streams), firstTick(2, streams)
+		t.Logf("%d streams, set-up and first tick: %v allocs at Workers 1, %v at Workers 2", streams, serial, fanned)
+		if fanned > serial {
+			t.Fatalf("%d streams: set-up and the first tick allocate %v at Workers 2, more than %v at Workers 1", streams, fanned, serial)
+		}
+	}
+	// 47 → 48 streams fills the third block, 48 → 49 opens the fourth;
+	// no slice the tick appends to doubles its capacity between them.
+	before, full, opened := firstTick(1, 3*decideBlockRows-1), firstTick(1, 3*decideBlockRows), firstTick(1, 3*decideBlockRows+1)
+	t.Logf("set-up and first tick at Workers 1: %v, %v, %v allocs at 47, 48, 49 streams", before, full, opened)
+	if opened-full > full-before {
+		t.Fatalf("the stream opening a decide block costs %v allocs, the one filling a block %v", opened-full, full-before)
 	}
 }

@@ -35,8 +35,9 @@ type MultiRuntimeConfig struct {
 	// RuntimeConfig.SwitchHysteresis).
 	SwitchHysteresis int
 	// Workers bounds how many goroutines run a tick's stream-local work
-	// — frame features, ranking, detection and scoring — the
-	// ProcessStreams goroutine among them (≤0 selects GOMAXPROCS; always
+	// — the decide blocks (frame features, scene encoder and decision
+	// head, ranking) and the detect slices — the ProcessStreams
+	// goroutine among them (≤0 selects GOMAXPROCS; always
 	// capped at Streams). The stages that touch shared state run on the
 	// ProcessStreams goroutine in stream order.
 	Workers int
@@ -450,8 +451,8 @@ func (m *MultiRuntime) PurgeStaleModels() int {
 func (m *MultiRuntime) Prefetcher() *prefetch.Scheduler { return m.pf }
 
 // Close closes the shared prefetch scheduler, cancelling its pending
-// transfers, detaches it from every stream, and returns the batch
-// working set's scratches to their pools.
+// transfers, detaches it from every stream, and drops the batch
+// working set's per-bundle groups.
 // Safe without prefetching; call after the last ProcessStreams.
 func (m *MultiRuntime) Close() {
 	for _, rt := range m.streams {

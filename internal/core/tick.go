@@ -42,45 +42,69 @@ func newBatchMetrics(reg *telemetry.Registry) batchMetrics {
 	}
 }
 
-// bundleBatch is the batched working set for one bundle: held
-// encoder/head batch scratches, the tick positions currently staged on
-// it with their frame features, and the per-model grouping for the
-// detector pass. Streams on a heterogeneous fleet may run different
-// planner variants, and each variant is its own Bundle — so batching
-// groups by bundle, and a homogeneous fleet collapses to exactly one
-// group.
+// bundleBatch is the batched working set for one bundle: the tick
+// positions currently staged on it, their features, embeddings and
+// scores, and the per-model grouping for the detector pass. Streams on
+// a heterogeneous fleet may run different planner variants, and each
+// variant is its own Bundle — so batching groups by bundle, and a
+// homogeneous fleet collapses to exactly one group.
 type bundleBatch struct {
 	bundle *Bundle
-	enc    *nn.BatchScratch // held for the encoder; its In holds feats
-	head   *nn.BatchScratch // held for the decision head
 
 	// posns lists the tick positions staged on this bundle in the
 	// current chunk; feats (the frame features, computed once per frame
 	// and read again by detection), embs and scores are row-aligned
-	// with posns.
-	posns  []int
-	feats  *tensor.Matrix
-	embs   *tensor.Matrix
-	scores *tensor.Matrix
+	// with posns, carved from the batch state's stage.
+	posns               []int
+	feats, embs, scores tensor.Matrix
 
 	// members[u] lists the tick positions that resolved to model u.
 	members [][]int
 }
 
 func newBundleBatch(b *Bundle) *bundleBatch {
-	return &bundleBatch{
-		bundle:  b,
-		enc:     b.Encoder.Weights.AcquireBatchScratch(),
-		head:    b.Decision.Head.AcquireBatchScratch(),
-		members: make([][]int, b.NumModels()),
-	}
+	return &bundleBatch{bundle: b, members: make([][]int, b.NumModels())}
 }
 
-// release returns the held scratches to the shared pool.
-func (g *bundleBatch) release() {
-	g.bundle.Encoder.Weights.ReleaseBatchScratch(g.enc)
-	g.bundle.Decision.Head.ReleaseBatchScratch(g.head)
-	g.enc, g.head = nil, nil
+// dims returns the widths of one staged row's frame feature,
+// embedding and scores.
+func (g *bundleBatch) dims() (fd, ed, nm int) {
+	return synth.FrameFeatureDim(g.bundle.FeatDim), g.bundle.Encoder.EmbedDim(), g.bundle.NumModels()
+}
+
+// shape carves feats, embs and scores for the rows staged on g from the
+// front of stage and returns the rest.
+func (g *bundleBatch) shape(stage []float64) []float64 {
+	rows := len(g.posns)
+	fd, ed, nm := g.dims()
+	g.feats = tensor.Matrix{Rows: rows, Cols: fd, Data: stage[:rows*fd]}
+	stage = stage[rows*fd:]
+	g.embs = tensor.Matrix{Rows: rows, Cols: ed, Data: stage[:rows*ed]}
+	stage = stage[rows*ed:]
+	g.scores = tensor.Matrix{Rows: rows, Cols: nm, Data: stage[:rows*nm]}
+	return stage[rows*nm:]
+}
+
+// decideBlockRows is how many rows of a bundle partition one decide
+// work item carries: their frame features, the scene encoder and
+// decision head over those rows as one GEMM per layer, and their
+// ranking.
+const decideBlockRows = 16
+
+// decideBlock is one decide work item: rows [lo, hi) of g's partition.
+type decideBlock struct {
+	g      *bundleBatch
+	lo, hi int
+}
+
+// decideWorker is one worker's decide working set: the scratch behind
+// the encoder's and head's intermediate activations for every block the
+// worker runs in a chunk (borrowed from the shared pool for the decide
+// stage), and the headers of the block's row views of its partition's
+// feats, embs and scores.
+type decideWorker struct {
+	scratch             *nn.BatchScratch
+	feats, embs, scores tensor.Matrix
 }
 
 // detectSliceFrames is how many frames one detect work item carries:
@@ -112,21 +136,22 @@ type batchState struct {
 	// Per tick position j (index into the tick's ready list): the
 	// in-flight frame result, the frame's shed rung, whether the result
 	// is already terminal (disposed, shed or failed — later stages skip
-	// it), the group and batch row it was staged on, the tracer
-	// sequence, and the simulated detect duration.
-	res     []FrameResult
-	rung    []pressure.Rung
-	done    []bool
-	groupOf []*bundleBatch
-	rowOf   []int
-	seqs    []int64
-	durs    []time.Duration
+	// it), the row it was staged on in its bundle's partition, the
+	// tracer sequence, and the simulated detect duration.
+	res   []FrameResult
+	rung  []pressure.Rung
+	done  []bool
+	rowOf []int
+	seqs  []int64
+	durs  []time.Duration
 
 	// live lists the positions admitted into the pipeline this tick;
-	// staged the chunk's positions staged on a bundle (every frame the
-	// chunk serves), in chunk order; work the chunk's detect slices.
+	// stage backs every partition's feats, embs and scores in the
+	// current chunk; blocks are the chunk's decide blocks and work its
+	// detect slices.
 	live   []int
-	staged []int
+	stage  []float64
+	blocks []decideBlock
 	work   []detectSlice
 
 	// The current tick's inputs, as processTick received them, for the
@@ -135,18 +160,22 @@ type batchState struct {
 	ready  []int
 	frames [][]*synth.Frame
 
-	// pool runs the fan-out stages; featureFn, rankFn and detectFn are
-	// its per-item functions, built once so a tick allocates nothing.
-	pool                        *fanOut
-	featureFn, rankFn, detectFn func(int)
+	// pool runs the fan-out stages; decideFn and detectFn are its
+	// per-item functions, built once so a tick allocates nothing.
+	// decide[w] is worker w's decide working set.
+	pool               *fanOut
+	decideFn, detectFn func(w, k int)
+	decide             []decideWorker
 }
 
 func newBatchState(m *MultiRuntime, workers int) *batchState {
 	bs := &batchState{
 		groups: make(map[*Bundle]*bundleBatch),
+		blocks: make([]decideBlock, 0, (m.maxBatch+decideBlockRows-1)/decideBlockRows),
 		pool:   newFanOut(workers),
+		decide: make([]decideWorker, workers),
 	}
-	bs.featureFn, bs.rankFn, bs.detectFn = m.featureRow, m.rankRow, m.detectSlice
+	bs.decideFn, bs.detectFn = m.decideBlock, m.detectSlice
 	return bs
 }
 
@@ -156,7 +185,6 @@ func (bs *batchState) ensure(n int) {
 		bs.res = make([]FrameResult, n)
 		bs.rung = make([]pressure.Rung, n)
 		bs.done = make([]bool, n)
-		bs.groupOf = make([]*bundleBatch, n)
 		bs.rowOf = make([]int, n)
 		bs.seqs = make([]int64, n)
 		bs.durs = make([]time.Duration, n)
@@ -164,7 +192,6 @@ func (bs *batchState) ensure(n int) {
 	bs.res = bs.res[:n]
 	bs.rung = bs.rung[:n]
 	bs.done = bs.done[:n]
-	bs.groupOf = bs.groupOf[:n]
 	bs.rowOf = bs.rowOf[:n]
 	bs.seqs = bs.seqs[:n]
 	bs.durs = bs.durs[:n]
@@ -180,23 +207,19 @@ func (bs *batchState) groupFor(b *Bundle) *bundleBatch {
 	return g
 }
 
-// releaseUnused returns the scratches of groups whose bundle no stream
-// runs any more — a canary rolled back and its candidate retired.
+// releaseUnused drops the groups whose bundle no stream runs any more
+// — a canary rolled back and its candidate retired.
 func (bs *batchState) releaseUnused(streams []*Runtime) {
-	for b, g := range bs.groups {
+	for b := range bs.groups {
 		if !slices.ContainsFunc(streams, func(rt *Runtime) bool { return rt.Bundle() == b }) {
-			g.release()
 			delete(bs.groups, b)
 		}
 	}
 }
 
-// releaseAll returns every group's scratches to the shared pool.
+// releaseAll drops every group.
 func (bs *batchState) releaseAll() {
-	for b, g := range bs.groups {
-		g.release()
-		delete(bs.groups, b)
-	}
+	clear(bs.groups)
 	bs.order = bs.order[:0]
 }
 
@@ -276,8 +299,10 @@ func (m *MultiRuntime) admit(tick int, ready []int, streams [][]*synth.Frame) er
 //
 // Decide partitions the frames to serve by the bundle each stream
 // currently runs (one partition on a homogeneous fleet, one per planner
-// variant in use on a mixed fleet) and runs the scene encoder and
-// decision head as one matrix batch per partition. Resolve runs every
+// variant in use on a mixed fleet) and cuts each partition into blocks
+// of at most decideBlockRows rows. One block computes its frames'
+// features, runs the scene encoder and decision head over its rows as
+// one GEMM per layer, and ranks each row. Resolve runs every
 // frame's hysteresis, cache resolution and device accounting — or, for
 // a dropped frame, only its link tick — sequentially in ascending stream
 // order, so the shared cache and link see the same order every run.
@@ -285,13 +310,12 @@ func (m *MultiRuntime) admit(tick int, ready []int, streams [][]*synth.Frame) er
 // batched detector in slices and scores them. Finish records spans,
 // books and plans prefetches in stream order again.
 //
-// The stream-local work — frame features, ranking, novelty and entropy,
-// detection and scoring — fans out over the worker budget: each item
-// reads and writes only its own frame's rows, result and stream
-// buffers, so the worker count changes no result. Per frame the
-// arithmetic is bit-identical to Runtime.ProcessFrame: the batched
-// kernels preserve each dot product's summation order and the stage
-// methods are shared.
+// The decide blocks and the detect slices fan out over the worker
+// budget: each item reads and writes only its own frames' rows, results
+// and stream buffers, so the worker count changes no result. Per frame
+// the arithmetic is bit-identical to Runtime.ProcessFrame: the dense
+// kernel computes each output on its own, in ascending k, however the
+// rows are grouped, and the stage methods are shared.
 func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*synth.Frame) error {
 	bs := m.bstate
 
@@ -300,7 +324,7 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 	for _, g := range bs.order {
 		g.posns = g.posns[:0]
 	}
-	bs.order, bs.staged = bs.order[:0], bs.staged[:0]
+	bs.order, bs.blocks = bs.order[:0], bs.blocks[:0]
 	for _, j := range chunk {
 		if bs.rung[j] >= pressure.ShedDrop {
 			continue
@@ -309,24 +333,42 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 		if len(g.posns) == 0 {
 			bs.order = append(bs.order, g)
 		}
-		bs.groupOf[j] = g
 		bs.rowOf[j] = len(g.posns)
 		g.posns = append(g.posns, j)
-		bs.staged = append(bs.staged, j)
 	}
+	need, widest := 0, 0
 	for _, g := range bs.order {
-		g.feats = g.enc.In(len(g.posns), synth.FrameFeatureDim(g.bundle.FeatDim))
+		fd, ed, nm := g.dims()
+		need += len(g.posns) * (fd + ed + nm)
+		widest = max(widest, fd+ed+nm)
 	}
-	bs.pool.run(len(bs.staged), bs.featureFn)
+	if cap(bs.stage) < need {
+		// A chunk's partitions hold at most len(chunk) rows in all.
+		bs.stage = make([]float64, len(chunk)*widest)
+	}
+	stage := bs.stage
 	for _, g := range bs.order {
+		stage = g.shape(stage)
 		rows := len(g.posns)
-		g.embs = g.bundle.Encoder.EmbedBatchInto(g.enc.Out(rows, g.bundle.Encoder.EmbedDim()), g.feats, g.enc)
-		g.scores = g.bundle.Decision.ScoresBatchInto(g.head.Out(rows, g.bundle.NumModels()), g.embs, g.head)
+		for lo := 0; lo < rows; lo += decideBlockRows {
+			bs.blocks = append(bs.blocks, decideBlock{g, lo, min(lo+decideBlockRows, rows)})
+		}
 		m.bmet.dispatches.Inc()
 		m.bmet.batchSize.Observe(float64(rows))
 		m.bmet.batchedFrames.Add(int64(rows))
 	}
-	bs.pool.run(len(bs.staged), bs.rankFn)
+	// Each worker the fan-out starts borrows one scratch for the stage
+	// and hands it back to the pool for the detect slices.
+	enc := m.bundle.Encoder.Weights
+	workers := bs.decide[:min(len(bs.decide), len(bs.blocks))]
+	for i := range workers {
+		workers[i].scratch = enc.AcquireBatchScratch()
+	}
+	bs.pool.run(len(bs.blocks), bs.decideFn)
+	for i := range workers {
+		enc.ReleaseBatchScratch(workers[i].scratch)
+		workers[i].scratch = nil
+	}
 
 	// Resolve: clocks, hysteresis, cache and link in global ascending
 	// stream order — interleaving the partitions here keeps the shared
@@ -416,29 +458,40 @@ func (bs *batchState) addSlice(g *bundleBatch, u int, posns []int) {
 	}
 }
 
-// featureRow computes staged frame k's feature into its partition's
-// encoder input row.
-func (m *MultiRuntime) featureRow(k int) {
+// decideBlock runs decide block k on worker w: its frames' features
+// into the partition's feats rows, the encoder and the head with
+// softmax over the block's rows into its embs and scores rows, and the
+// stream-local half of MSS on each row. Worker w's scratch holds the
+// intermediate activations.
+func (m *MultiRuntime) decideBlock(w, k int) {
 	bs := m.bstate
-	j := bs.staged[k]
-	synth.FrameFeatureInto(bs.groupOf[j].feats.Row(bs.rowOf[j]), bs.frames[bs.ready[j]][bs.tick])
+	blk := bs.blocks[k]
+	g, dw := blk.g, &bs.decide[w]
+	for r := blk.lo; r < blk.hi; r++ {
+		j := g.posns[r]
+		synth.FrameFeatureInto(g.feats.Row(r), bs.frames[bs.ready[j]][bs.tick])
+	}
+	feats := rowBlock(&dw.feats, &g.feats, blk.lo, blk.hi)
+	embs := g.bundle.Encoder.EmbedBatchInto(rowBlock(&dw.embs, &g.embs, blk.lo, blk.hi), feats, dw.scratch)
+	g.bundle.Decision.ScoresBatchInto(rowBlock(&dw.scores, &g.scores, blk.lo, blk.hi), embs, dw.scratch)
+	for r := blk.lo; r < blk.hi; r++ {
+		j := g.posns[r]
+		rt := m.streams[bs.ready[j]]
+		rt.adoptDecision(g.embs.Row(r), g.scores.Row(r))
+		rt.rankDecision(&bs.res[j])
+	}
 }
 
-// rankRow hands staged frame k's embedding and score rows to its stream
-// and runs the stream-local half of MSS on them.
-func (m *MultiRuntime) rankRow(k int) {
-	bs := m.bstate
-	j := bs.staged[k]
-	g, r := bs.groupOf[j], bs.rowOf[j]
-	rt := m.streams[bs.ready[j]]
-	rt.adoptDecision(g.embs.Row(r), g.scores.Row(r))
-	rt.rankDecision(&bs.res[j])
+// rowBlock points view at rows [lo, hi) of m and returns it.
+func rowBlock(view, m *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	view.Rows, view.Cols, view.Data = hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols]
+	return view
 }
 
 // detectSlice runs detect slice k: one batched detector pass over its
 // frames, reusing the features the decide stage computed, with each
 // frame scored against ground truth into its result.
-func (m *MultiRuntime) detectSlice(k int) {
+func (m *MultiRuntime) detectSlice(_, k int) {
 	bs := m.bstate
 	s := &bs.work[k]
 	s.frames, s.feats = s.frames[:0], s.feats[:0]
@@ -452,17 +505,21 @@ func (m *MultiRuntime) detectSlice(k int) {
 	}
 }
 
-// fanOut is the tick's worker pool. run(n, fn) calls fn(k) for every k
-// in [0, n) on up to workers goroutines — the caller's among them — that
-// pull indices from a shared counter, and returns once every call has.
-// With one worker or one item no goroutine starts and the caller runs
-// every item. The per-item functions are built once and helpers start
-// from a prebuilt method value, so a run allocates nothing.
+// fanOut is the tick's worker pool. run(n, fn) calls fn(w, k) for
+// every k in [0, n) on min(workers, n) goroutines — the caller's,
+// worker 0, among them — that pull indices from a shared counter, and
+// returns once every call has. w is the calling worker's slot in
+// [0, min(workers, n)), so an item may use that worker's scratch: no
+// two calls with the same w overlap. With one worker or one item no goroutine starts and the
+// caller runs every item. The per-item functions are built once and
+// helpers start from a prebuilt method value, so a run allocates
+// nothing.
 type fanOut struct {
 	workers int
 	n       int
-	fn      func(int)
+	fn      func(w, k int)
 	next    atomic.Int64
+	slot    atomic.Int64 // the last worker slot handed to a helper
 	wg      sync.WaitGroup
 	helpFn  func()
 }
@@ -473,30 +530,31 @@ func newFanOut(workers int) *fanOut {
 	return p
 }
 
-func (p *fanOut) run(n int, fn func(int)) {
+func (p *fanOut) run(n int, fn func(w, k int)) {
 	p.n, p.fn = n, fn
 	p.next.Store(0)
+	p.slot.Store(0)
 	for range min(p.workers, n) - 1 {
 		p.wg.Add(1)
 		go p.helpFn()
 	}
-	p.drain()
+	p.drain(0)
 	p.wg.Wait()
 }
 
-// help is a helper goroutine's body.
+// help is a helper goroutine's body: it takes the next worker slot.
 func (p *fanOut) help() {
-	p.drain()
+	p.drain(int(p.slot.Add(1)))
 	p.wg.Done()
 }
 
-// drain runs items until none is left.
-func (p *fanOut) drain() {
+// drain runs items on worker w until none is left.
+func (p *fanOut) drain(w int) {
 	for {
 		k := int(p.next.Add(1)) - 1
 		if k >= p.n {
 			return
 		}
-		p.fn(k)
+		p.fn(w, k)
 	}
 }

@@ -388,6 +388,10 @@ func RankDescending(xs []float64) []int {
 	return RankDescendingInto(nil, xs)
 }
 
+// shortRank is the longest input RankDescendingInto sorts by straight
+// insertion; slices.SortStableFunc insertion-sorts blocks of 20.
+const shortRank = 20
+
 // RankDescendingInto is RankDescending writing into dst, which is reused
 // when its capacity suffices (allocating otherwise) and returned. With a
 // held dst it performs no heap allocations.
@@ -398,6 +402,17 @@ func RankDescendingInto(dst []int, xs []float64) []int {
 	idx := dst[:len(xs)]
 	for i := range idx {
 		idx[i] = i
+	}
+	if len(idx) <= shortRank {
+		// The insertion sort slices.SortStableFunc runs on a block this
+		// short, without the comparison closure: same swaps, same result,
+		// NaN included.
+		for i := 1; i < len(idx); i++ {
+			for j := i; j > 0 && xs[idx[j]] > xs[idx[j-1]]; j-- {
+				idx[j], idx[j-1] = idx[j-1], idx[j]
+			}
+		}
+		return idx
 	}
 	slices.SortStableFunc(idx, func(a, b int) int {
 		switch {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -275,6 +276,65 @@ func TestRankDescendingIntoMatchesSliceStable(t *testing.T) {
 	dst = make([]int, len(xs))
 	if allocs := testing.AllocsPerRun(100, func() { RankDescendingInto(dst, xs) }); allocs != 0 {
 		t.Fatalf("RankDescendingInto with held dst: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRankDescendingIntoMatchesSortStableFunc pins the short-input
+// insertion sort against the slices.SortStableFunc ranking it stands in
+// for, at every length from 0 to 2·shortRank+1 (both sides of the
+// cut-over), over scores with ties, NaN and ±Inf.
+func TestRankDescendingIntoMatchesSortStableFunc(t *testing.T) {
+	rng := xrand.New(93)
+	var dst []int
+	for n := 0; n <= 2*shortRank+1; n++ {
+		for trial := 0; trial < 200; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch rng.Intn(8) {
+				case 0:
+					xs[i] = math.NaN()
+				case 1:
+					xs[i] = math.Inf(1 - 2*rng.Intn(2))
+				case 2, 3:
+					xs[i] = float64(rng.Intn(3)) // ties
+				default:
+					xs[i] = rng.Norm()
+				}
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			slices.SortStableFunc(want, func(a, b int) int {
+				switch {
+				case xs[a] > xs[b]:
+					return -1
+				case xs[a] < xs[b]:
+					return 1
+				}
+				return 0
+			})
+			dst = RankDescendingInto(dst, xs)
+			if !slices.Equal(dst, want) {
+				t.Fatalf("n %d trial %d: ranks %v, want %v (scores %v)", n, trial, dst, want, xs)
+			}
+		}
+	}
+}
+
+// BenchmarkRankDescendingInto ranks one frame's scores over a 19-model
+// repertoire into a held destination, as every served frame does.
+func BenchmarkRankDescendingInto(b *testing.B) {
+	rng := xrand.New(94)
+	xs := make([]float64, 19)
+	for i := range xs {
+		xs[i] = rng.Float64()
+	}
+	dst := make([]int, len(xs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = RankDescendingInto(dst, xs)
 	}
 }
 

@@ -30,53 +30,88 @@ func FrameFeatureInto(dst tensor.Vector, f *Frame) tensor.Vector {
 	out := dst
 	if len(out) != FrameFeatureDim(d) {
 		out = tensor.NewVector(FrameFeatureDim(d))
-	} else {
-		out.Fill(0)
 	}
 	if cells == 0 {
+		out.Fill(0)
 		return out
 	}
 	mean := ChannelMeansInto(out[:d], f)
 	std := out[d : 2*d]
+	xs, n := f.Cells, cells*d
 	inv := 1 / float64(cells)
-	for c := 0; c < cells; c++ {
-		cell := f.Cell(c)
-		for j, x := range cell {
-			dxy := x - mean[j]
-			std[j] += dxy * dxy
+	// The squared deviations accumulate like the means: channelGroup
+	// channels per pass, each in ascending cell order.
+	j := 0
+	for ; j+channelGroup <= d; j += channelGroup {
+		m0, m1, m2, m3 := mean[j], mean[j+1], mean[j+2], mean[j+3]
+		var s0, s1, s2, s3 float64
+		for off := j; off < n; off += d {
+			x := xs[off : off+channelGroup : off+channelGroup]
+			e0, e1, e2, e3 := x[0]-m0, x[1]-m1, x[2]-m2, x[3]-m3
+			s0 += e0 * e0
+			s1 += e1 * e1
+			s2 += e2 * e2
+			s3 += e3 * e3
 		}
+		std[j] = math.Sqrt(s0 * inv)
+		std[j+1] = math.Sqrt(s1 * inv)
+		std[j+2] = math.Sqrt(s2 * inv)
+		std[j+3] = math.Sqrt(s3 * inv)
 	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] * inv)
+	for ; j < d; j++ {
+		m := mean[j]
+		var s float64
+		for off := j; off < n; off += d {
+			e := xs[off] - m
+			s += e * e
+		}
+		std[j] = math.Sqrt(s * inv)
 	}
 	out[2*d] = f.Brightness
 	out[2*d+1] = f.Contrast
 	return out
 }
 
+// channelGroup is how many channels ChannelMeansInto and
+// FrameFeatureInto sum per pass over the cells, in local accumulators.
+const channelGroup = 4
+
 // ChannelMeansInto computes the frame's per-channel feature means — the
-// first FeatDim entries of FrameFeature, summed in the same order — into
-// dst (allocating only when dst is mis-sized) and returns dst. It is
-// the part of the descriptor a detector reads.
+// first FeatDim entries of FrameFeature — into dst (allocating only
+// when dst is mis-sized) and returns dst. It is the part of the
+// descriptor a detector reads. Each channel sums its cells in ascending
+// order from +0, channelGroup channels per pass, then scales by
+// 1/cells.
 func ChannelMeansInto(dst tensor.Vector, f *Frame) tensor.Vector {
 	d := f.FeatDim()
 	if len(dst) != d {
 		dst = tensor.NewVector(d)
-	} else {
-		dst.Fill(0)
 	}
 	cells := f.NumCells()
 	if cells == 0 {
+		dst.Fill(0)
 		return dst
 	}
-	for c := 0; c < cells; c++ {
-		for j, x := range f.Cell(c) {
-			dst[j] += x
-		}
-	}
+	xs, n := f.Cells, cells*d
 	inv := 1 / float64(cells)
-	for j := range dst {
-		dst[j] *= inv
+	j := 0
+	for ; j+channelGroup <= d; j += channelGroup {
+		var s0, s1, s2, s3 float64
+		for off := j; off < n; off += d {
+			x := xs[off : off+channelGroup : off+channelGroup]
+			s0 += x[0]
+			s1 += x[1]
+			s2 += x[2]
+			s3 += x[3]
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0*inv, s1*inv, s2*inv, s3*inv
+	}
+	for ; j < d; j++ {
+		var s float64
+		for off := j; off < n; off += d {
+			s += xs[off]
+		}
+		dst[j] = s * inv
 	}
 	return dst
 }
