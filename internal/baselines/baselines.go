@@ -34,10 +34,10 @@ type Selector interface {
 }
 
 // Score runs a selector over frames and returns each frame's counts:
-// out[i] is s.Select(frames[i]).EvaluateFrame(frames[i]). Frames are
-// grouped by the detector s selects for them, in first-seen order, and
-// each group is scored with one ScoreBatch call; batched scores equal
-// one-frame ones, so the grouping changes no count.
+// out[i] is what s.Select(frames[i]).ScoreBatch counts on frames[i]
+// alone. Frames are grouped by the detector s selects for them, in
+// first-seen order, and each group is scored with one ScoreBatch call;
+// batched scores equal one-frame ones, so the grouping changes no count.
 func Score(s Selector, frames []*synth.Frame) []stats.PRF1 {
 	out := make([]stats.PRF1, len(frames))
 	var dets []*detect.Detector

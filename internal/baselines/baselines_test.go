@@ -173,7 +173,7 @@ func TestTrainValidationErrors(t *testing.T) {
 
 // TestBaselineScoreMatchesSelect pins Score, which scores each selected
 // detector's frames in one batch, against the per-frame form
-// s.Select(f).EvaluateFrame(f) for all four selectors, on shuffled test
+// s.Select(f) scoring f alone, for all four selectors, on shuffled test
 // frames so CDG's and DMM's groups interleave, with DMM missing the SHD
 // model so SHD frames take its fallback.
 func TestBaselineScoreMatchesSelect(t *testing.T) {
@@ -222,8 +222,8 @@ func TestBaselineScoreMatchesSelect(t *testing.T) {
 		used := make(map[*detect.Detector]bool)
 		for i, f := range frames {
 			used[s.Select(f)] = true
-			if want := s.Select(f).EvaluateFrame(f); got[i] != want {
-				t.Fatalf("%s frame %d: Score %+v, Select(f).EvaluateFrame(f) %+v", s.Name(), i, got[i], want)
+			if want := s.Select(f).ScoreBatch(nil, []*synth.Frame{f}, nil)[0]; got[i] != want {
+				t.Fatalf("%s frame %d: Score %+v, Select(f) on the frame alone %+v", s.Name(), i, got[i], want)
 			}
 		}
 		if s != Selector(sdm) && s != Selector(ssm) && len(used) < 2 {

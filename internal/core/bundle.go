@@ -131,7 +131,7 @@ func (b *Bundle) NoveltyOfEmbedding(emb tensor.Vector) float64 {
 	}
 	min := math.Inf(1)
 	for _, c := range b.Centroids {
-		if d := emb.SquaredDistance(c); d < min {
+		if d := emb.SquaredDistanceBelow(c, min); d < min {
 			min = d
 		}
 	}

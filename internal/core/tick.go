@@ -107,8 +107,10 @@ type decideWorker struct {
 	feats, embs, scores tensor.Matrix
 }
 
-// detectSliceFrames is how many frames one detect work item carries:
-// one detector batch chunk (detect's 512-row budget) of 64-cell frames.
+// detectSliceFrames is how many frames one detect work item carries.
+// The detector runs each frame's cells as one batch whatever the slice
+// holds, so the size sets only the fan-out granularity: how many work
+// items a tick's detection is cut into for the workers to pull.
 const detectSliceFrames = 8
 
 // detectSlice is one detect work item: up to detectSliceFrames tick

@@ -12,9 +12,9 @@ import (
 
 // TestScoreBatchMatchesScorePredictionsOnBundle runs every model of the
 // profiled test bundle over the whole corpus: per frame, ScoreBatch —
-// with frame features handed in and without — and EvaluateFrame count
-// exactly what ScorePredictions counts on DetectBatch's predictions, and
-// EvaluateFrames is their sum.
+// with frame features handed in, without, and over the frame alone —
+// counts exactly what ScorePredictions counts on DetectBatch's
+// predictions, and EvaluateFrames is their sum.
 func TestScoreBatchMatchesScorePredictionsOnBundle(t *testing.T) {
 	fx := testutil.Shared(t)
 	var frames []*synth.Frame
@@ -36,8 +36,8 @@ func TestScoreBatchMatchesScorePredictionsOnBundle(t *testing.T) {
 				t.Fatalf("%s frame %d: ScoreBatch %+v (features given) / %+v (computed), ScorePredictions %+v", d.Name, i, withFeats[i], without[i], want)
 			}
 			if i%97 == 0 {
-				if got := d.EvaluateFrame(f); got != want {
-					t.Fatalf("%s frame %d: EvaluateFrame %+v, ScorePredictions %+v", d.Name, i, got, want)
+				if got := d.ScoreBatch(nil, frames[i:i+1], nil)[0]; got != want {
+					t.Fatalf("%s frame %d: one-frame ScoreBatch %+v, ScorePredictions %+v", d.Name, i, got, want)
 				}
 			}
 			sum = sum.Add(want)

@@ -147,11 +147,6 @@ func (d *Detector) DetectFrame(dst []CellPred, f *synth.Frame) []CellPred {
 	return d.DetectBatch(dsts[:], frames[:])[0]
 }
 
-// detectBatchRows bounds how many cell rows one matrix product stages,
-// so batching over many frames keeps a fixed working set instead of
-// materializing frames × cells rows at once.
-const detectBatchRows = 512
-
 // DetectBatch runs the head over every cell of every frame, batched, and
 // decodes each cell's objectness probability and class. dsts is reused
 // per frame when correctly sized, exactly like DetectFrame's dst, and
@@ -205,13 +200,15 @@ func (d *Detector) ScoreBatch(dst []stats.PRF1, frames []*synth.Frame, feats []t
 	return dst
 }
 
-// infer is the body DetectBatch and ScoreBatch share. Each frame's cell
-// inputs — the cell's features, the frame's channel means, brightness
-// and contrast — are staged as rows of one matrix (whole frames at a
-// time, flushed at detectBatchRows rows), each dense layer runs as one
-// matrix product per chunk, and tail(j, logits) receives frame j's
-// head outputs, one row of OutDim logits per cell. feats, when non-nil,
-// supplies each frame's channel means.
+// infer is the body DetectBatch and ScoreBatch share. Each cell's input
+// is the cell's features followed by the frame's context — its channel
+// means, brightness and contrast — which is the same for every cell of
+// the frame. So per frame the head runs once over the frame's cells,
+// read in place from f.Cells as a cells × FeatDim matrix, with the
+// context written into one small row and read by the first dense layer
+// as a shared suffix (nn.Weights.InferBatchSuffix); tail(j, logits)
+// receives frame j's head outputs, one row of OutDim logits per cell.
+// feats, when non-nil, supplies each frame's channel means.
 func (d *Detector) infer(frames []*synth.Frame, feats []tensor.Vector, tail func(j int, logits []float64)) {
 	if len(frames) == 0 {
 		return
@@ -220,78 +217,30 @@ func (d *Detector) infer(frames []*synth.Frame, feats []tensor.Vector, tail func
 	defer d.weights.ReleaseBatchScratch(bs)
 
 	fd := d.featDim
-	inDim, outDim := d.weights.InDim(), d.weights.OutDim()
-	start := 0
-	for start < len(frames) {
-		// Take whole frames until the chunk would exceed the row budget
-		// (always at least one frame, however many cells it has).
-		end, rows := start, 0
-		for end < len(frames) {
-			cells := frames[end].NumCells()
-			if end > start && rows+cells > detectBatchRows {
-				break
-			}
-			rows += cells
-			end++
+	outDim := d.weights.OutDim()
+	ctx := bs.In(1, fd+2).Row(0)
+	for j, f := range frames {
+		if f.FeatDim() != fd {
+			panic(fmt.Sprintf("detect: frame feat dim %d, detector %d", f.FeatDim(), fd))
 		}
-		inM := bs.In(rows, inDim)
-		in := inM.Data
-		var means tensor.Vector
-		if feats == nil {
-			// The output matrix is free until InferBatch writes it, so
-			// its first row holds each frame's channel means while the
-			// inputs are staged.
-			means = bs.Out(1, fd).Row(0)
+		if feats != nil {
+			copy(ctx[:fd], feats[j][:fd])
+		} else {
+			synth.ChannelMeansInto(ctx[:fd], f)
 		}
-		r := 0
-		for j := start; j < end; j++ {
-			f := frames[j]
-			if f.FeatDim() != fd {
-				panic(fmt.Sprintf("detect: frame feat dim %d, detector %d", f.FeatDim(), fd))
-			}
-			fmeans := means
-			if feats != nil {
-				fmeans = feats[j][:fd]
-			} else {
-				synth.ChannelMeansInto(means, f)
-			}
-			bright, contrast := f.Brightness, f.Contrast
-			cells := f.NumCells()
-			src, dst := f.Cells[:cells*fd], in[r*inDim:(r+cells)*inDim]
-			for len(src) >= fd && len(dst) >= inDim {
-				row := dst[:inDim]
-				copy(row[:fd], src[:fd])
-				copy(row[fd:], fmeans)
-				row[2*fd] = bright
-				row[2*fd+1] = contrast
-				src, dst = src[fd:], dst[inDim:]
-			}
-			r += cells
-		}
-		out := bs.Out(rows, outDim)
-		d.weights.InferBatch(out, inM, bs)
-		r = 0
-		for j := start; j < end; j++ {
-			cells := frames[j].NumCells()
-			tail(j, out.Data[r*outDim:(r+cells)*outDim])
-			r += cells
-		}
-		start = end
+		ctx[fd], ctx[fd+1] = f.Brightness, f.Contrast
+		cells := f.NumCells()
+		x := tensor.Matrix{Rows: cells, Cols: fd, Data: f.Cells[:cells*fd]}
+		out := bs.Out(cells, outDim)
+		d.weights.InferBatchSuffix(out, &x, ctx, bs)
+		tail(j, out.Data)
 	}
 }
 
-// EvaluateFrame scores the detector on one frame with cell-level
-// matching: a true positive requires a predicted object on a cell holding
-// an object of the predicted class; a class mistake counts as both a
-// false positive and a missed object.
-func (d *Detector) EvaluateFrame(f *synth.Frame) stats.PRF1 {
-	var m [1]stats.PRF1
-	frames := [1]*synth.Frame{f}
-	return d.ScoreBatch(m[:], frames[:], nil)[0]
-}
-
-// ScorePredictions computes the matching counts between per-cell
-// predictions and frame ground truth.
+// ScorePredictions computes the cell-level matching counts between
+// per-cell predictions and frame ground truth: a true positive requires
+// a predicted object on a cell holding an object of the predicted class;
+// a class mistake counts as both a false positive and a missed object.
 func ScorePredictions(preds []CellPred, f *synth.Frame) stats.PRF1 {
 	var tp, fp, fn int
 	for c := 0; c < f.NumCells(); c++ {
@@ -365,8 +314,8 @@ func (d *Detector) EvaluateFrames(frames []*synth.Frame) stats.PRF1 {
 const tableChunk = 64
 
 // ScoreTable scores every model on every frame: table[m][i] is
-// models[m]'s counts on frames[i], equal to models[m].EvaluateFrame of
-// the frame. Each frame's channel means are computed once and shared by
+// models[m]'s counts on frames[i], equal to its ScoreBatch over that
+// frame alone. Each frame's channel means are computed once and shared by
 // all models; each model runs ScoreBatch over chunks of tableChunk
 // frames on its own goroutine, at most GOMAXPROCS at a time. Batched
 // scores equal one-frame ones whatever the chunking, so the table does

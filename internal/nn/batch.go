@@ -11,15 +11,15 @@ import (
 // BatchScratch is the per-execution working set for running a Weights
 // program over a whole batch at once: ping-pong activation matrices plus
 // caller-usable input/output staging, all row-major with one sample per
-// row. One package-level pool serves every program: a scratch grows on
-// demand to the widest program and the largest batch it has served and
-// is then reused, so the steady state (same batch shape) performs no
-// heap allocations. A BatchScratch belongs to one goroutine at a time;
+// row. One package-level pool serves every program. Each buffer grows
+// on demand to the largest shape asked of it — the activations to the
+// batch rows times the widest layer of the programs run on the scratch,
+// the staging matrices to the shapes their callers request — and is
+// then reused, so the steady state (same batch shape) performs no heap
+// allocations. A BatchScratch belongs to one goroutine at a time;
 // acquire one with AcquireBatchScratch or pass nil to InferBatch and let
 // it borrow one from the pool.
 type BatchScratch struct {
-	maxDim int
-
 	pingBuf, pongBuf, inBuf, outBuf []float64
 	// Reused matrix headers re-sliced over the buffers per call, so
 	// callers and the layer loop never allocate tensor.Matrix values.
@@ -29,25 +29,14 @@ type BatchScratch struct {
 // batchPool recycles BatchScratch values across every program.
 var batchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 
-// fit widens s to serve a program whose widest layer is dim. Matrices
-// already handed out keep their old buffers, which stay valid.
-func (s *BatchScratch) fit(dim int) {
-	if dim > s.maxDim {
-		s.maxDim = dim
+// grow returns buf with room for n values, reallocating only when its
+// capacity is short. Matrices already handed out over the old buffer
+// keep it, and stay valid.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-}
-
-// ensure grows the backing buffers to hold rows samples of the widest
-// layer.
-func (s *BatchScratch) ensure(rows int) {
-	need := rows * s.maxDim
-	if need <= cap(s.pingBuf) {
-		return
-	}
-	s.pingBuf = make([]float64, need)
-	s.pongBuf = make([]float64, need)
-	s.inBuf = make([]float64, need)
-	s.outBuf = make([]float64, need)
+	return buf[:cap(buf)]
 }
 
 // view re-points one of the scratch's matrix headers at buf with the
@@ -59,14 +48,11 @@ func view(m *tensor.Matrix, buf []float64, rows, cols int) *tensor.Matrix {
 
 // In returns the scratch's input staging matrix shaped rows × cols, for
 // callers assembling batch inputs (one sample per row) without
-// allocating per call. cols must not exceed the owning program's widest
-// layer. The matrix is distinct from the ping-pong and output buffers,
-// so it may be passed to InferBatch on the same BatchScratch.
+// allocating per call. The matrix is distinct from the ping-pong and
+// output buffers, so it may be passed to InferBatch on the same
+// BatchScratch.
 func (s *BatchScratch) In(rows, cols int) *tensor.Matrix {
-	if cols > s.maxDim {
-		panic(fmt.Sprintf("nn: batch staging width %d exceeds program max %d", cols, s.maxDim))
-	}
-	s.ensure(rows)
+	s.inBuf = grow(s.inBuf, rows*cols)
 	return view(&s.inM, s.inBuf, rows, cols)
 }
 
@@ -74,21 +60,15 @@ func (s *BatchScratch) In(rows, cols int) *tensor.Matrix {
 // as InferBatch's dst while the same scratch serves the intermediate
 // layers.
 func (s *BatchScratch) Out(rows, cols int) *tensor.Matrix {
-	if cols > s.maxDim {
-		panic(fmt.Sprintf("nn: batch output width %d exceeds program max %d", cols, s.maxDim))
-	}
-	s.ensure(rows)
+	s.outBuf = grow(s.outBuf, rows*cols)
 	return view(&s.outM, s.outBuf, rows, cols)
 }
 
-// AcquireBatchScratch borrows a batch scratch from the shared pool,
-// widened to serve this program. Pair with ReleaseBatchScratch; holding
-// one across many InferBatch calls keeps the steady-state batch path
-// allocation-free.
+// AcquireBatchScratch borrows a batch scratch from the shared pool. Pair
+// with ReleaseBatchScratch; holding one across many InferBatch calls
+// keeps the steady-state batch path allocation-free.
 func (w *Weights) AcquireBatchScratch() *BatchScratch {
-	s := batchPool.Get().(*BatchScratch)
-	s.fit(w.maxDim)
-	return s
+	return batchPool.Get().(*BatchScratch)
 }
 
 // ReleaseBatchScratch returns s to the shared pool. s must not be used
@@ -112,7 +92,7 @@ func (w *Weights) ReleaseBatchScratch(s *BatchScratch) {
 // the result is bit-identical to the thawed Network's Forward. Infer is
 // this path over one row.
 func (w *Weights) InferBatch(dst, in *tensor.Matrix, s *BatchScratch) *tensor.Matrix {
-	return w.inferBatchThrough(len(w.layers), dst, in, s)
+	return w.inferBatchThrough(len(w.layers), dst, in, nil, s)
 }
 
 // InferBatchThrough runs the first k layers only over the batch, the
@@ -121,12 +101,25 @@ func (w *Weights) InferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScrat
 	if k < 0 || k > len(w.layers) {
 		panic(fmt.Sprintf("nn: InferBatchThrough(%d) with %d layers", k, len(w.layers)))
 	}
-	return w.inferBatchThrough(k, dst, in, s)
+	return w.inferBatchThrough(k, dst, in, nil, s)
 }
 
-func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScratch) *tensor.Matrix {
-	if w.inDim > 0 && in.Cols != w.inDim {
-		panic(fmt.Sprintf("nn: batch infer input dim %d, want %d", in.Cols, w.inDim))
+// InferBatchSuffix is InferBatch over the rows [x_r | c]: each sample's
+// input is its row of x followed by the same suffix c, which the first
+// dense layer reads in place (tensor.DenseSuffixInto), so rows that
+// share a context need not be staged. x.Cols + len(c) must be InDim, and
+// each output row is bit-identical to InferBatch on the staged row.
+func (w *Weights) InferBatchSuffix(dst, x *tensor.Matrix, c tensor.Vector, s *BatchScratch) *tensor.Matrix {
+	return w.inferBatchThrough(len(w.layers), dst, x, c, s)
+}
+
+// inferBatchThrough runs the first k layers over the rows [in_r | c].
+func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, c tensor.Vector, s *BatchScratch) *tensor.Matrix {
+	if w.inDim > 0 && in.Cols+len(c) != w.inDim {
+		panic(fmt.Sprintf("nn: batch infer input dim %d+%d, want %d", in.Cols, len(c), w.inDim))
+	}
+	if len(c) > 0 && (k == 0 || w.layers[0].w == nil) {
+		panic("nn: a batch input suffix needs a dense first layer")
 	}
 	rows := in.Rows
 	outDim := in.Cols
@@ -147,8 +140,8 @@ func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScrat
 		s = w.AcquireBatchScratch()
 		release = true
 	}
-	s.fit(w.maxDim)
-	s.ensure(rows)
+	s.pingBuf = grow(s.pingBuf, rows*w.maxDim)
+	s.pongBuf = grow(s.pongBuf, rows*w.maxDim)
 	x := in
 	buf, alt := s.pingBuf, s.pongBuf
 	front, back := &s.ping, &s.pong
@@ -170,7 +163,8 @@ func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScrat
 		}
 		switch l.kind {
 		case kindDense, kindDenseQuant:
-			tensor.DenseInto(target, x, l.packed, relu)
+			tensor.DenseSuffixInto(target, x, c, l.packed, relu)
+			c = nil
 		case kindReLU:
 			for j, v := range x.Data {
 				target.Data[j] = reluFn(v)

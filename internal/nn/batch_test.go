@@ -74,6 +74,65 @@ func TestInferBatchThroughMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestInferBatchSuffixMatchesStaged pins the shared-suffix form against
+// InferBatch on the staged rows [x_r | c], bit for bit: randomized
+// programs with random biases, full-precision and quantized to 8 and 4
+// bits, batches of 0, 1, 7 and 64 rows, and every split of the input
+// between the rows and the suffix.
+func TestInferBatchSuffixMatchesStaged(t *testing.T) {
+	for seed := uint64(0); seed < 12; seed++ {
+		w, rng := batchFixture(t, seed)
+		net := w.Thaw()
+		for _, p := range net.Params() {
+			for i := range p.Value {
+				p.Value[i] = rng.NormMS(0, 1)
+			}
+		}
+		full := net.Freeze()
+		q8, err := full.Quantize(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q4, err := full.Quantize(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := full.InDim()
+		for _, w := range []*nn.Weights{full, q8, q4} {
+			for _, batch := range []int{0, 1, 7, 64} {
+				staged := tensor.NewMatrix(batch, in)
+				c := randVec(rng, in)
+				for kc := 0; kc <= in; kc++ {
+					x := tensor.NewMatrix(batch, in-kc)
+					for r := 0; r < batch; r++ {
+						copy(x.Row(r), randVec(rng, in-kc))
+						copy(staged.Row(r), x.Row(r))
+						copy(staged.Row(r)[in-kc:], c[:kc])
+					}
+					want := w.InferBatch(nil, staged, nil)
+					got := w.InferBatchSuffix(nil, x, c[:kc], nil)
+					for r := 0; r < batch; r++ {
+						sameRow(t, got.Row(r), want.Row(r), fmt.Sprintf("seed %d batch %d suffix %d row %d", seed, batch, kc, r))
+					}
+				}
+			}
+		}
+	}
+	w, _ := batchFixture(t, 0)
+	mustPanic(t, func() { w.InferBatchSuffix(nil, tensor.NewMatrix(2, w.InDim()), tensor.NewVector(1), nil) })
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	f()
+}
+
 // TestInferBatchZeroAllocs pins the steady-state allocation contract of
 // the batch path: a held BatchScratch plus scratch-owned staging/output
 // matrices make InferBatch allocation-free, including the dense kernel

@@ -20,7 +20,7 @@ type Weights struct {
 	layers []wlayer
 
 	inDim, outDim int
-	maxDim        int // widest activation, sizes BatchScratch buffers
+	maxDim        int // widest activation, sizes BatchScratch's ping-pong buffers
 	flops         int64
 	paramCount    int
 }
@@ -178,7 +178,7 @@ func (w *Weights) InferThrough(k int, dst, in tensor.Vector, s *BatchScratch) te
 func (w *Weights) inferThrough(k int, dst, in tensor.Vector, s *BatchScratch) tensor.Vector {
 	x := tensor.Matrix{Rows: 1, Cols: len(in), Data: in}
 	y := tensor.Matrix{Rows: 1, Cols: len(dst), Data: dst}
-	return w.inferBatchThrough(k, &y, &x, s).Data
+	return w.inferBatchThrough(k, &y, &x, nil, s).Data
 }
 
 // Quantize returns a new Weights with every dense layer's parameters

@@ -27,8 +27,8 @@ func bundlesEquivalent(t *testing.T, a, b *core.Bundle, f *synth.Frame) {
 		}
 	}
 	for i := range a.Detectors {
-		ma := a.Detectors[i].EvaluateFrame(f)
-		mb := b.Detectors[i].EvaluateFrame(f)
+		ma := a.Detectors[i].ScoreBatch(nil, []*synth.Frame{f}, nil)[0]
+		mb := b.Detectors[i].ScoreBatch(nil, []*synth.Frame{f}, nil)[0]
 		if ma != mb {
 			t.Fatalf("detector %d differs: %+v vs %+v", i, ma, mb)
 		}

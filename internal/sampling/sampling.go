@@ -239,7 +239,8 @@ type Table struct {
 
 // NewTable validates the pools against the models and scores every
 // model on every distinct frame of the pools with detect.ScoreTable, so
-// every F1 is the one a per-probe EvaluateFrame would give.
+// every F1 is the one a per-probe ScoreBatch over the one frame would
+// give.
 func NewTable(models []*detect.Detector, pools []Pool) (*Table, error) {
 	if err := validate(models, pools); err != nil {
 		return nil, err

@@ -152,7 +152,7 @@ func TestAdaptiveSamplesAreAccurate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range res.Samples {
-		if f1 := fx.models[s.ModelIdx].EvaluateFrame(s.Frame).F1; f1 < cfg.AcceptF1 {
+		if f1 := evaluateFrame(fx.models[s.ModelIdx], s.Frame).F1; f1 < cfg.AcceptF1 {
 			t.Fatalf("accepted sample with F1 %v < %v", f1, cfg.AcceptF1)
 		}
 	}
@@ -234,10 +234,15 @@ func toFloat(xs []int) []float64 {
 	return out
 }
 
+// evaluateFrame scores d on f alone: ScoreBatch over the one frame.
+func evaluateFrame(d *detect.Detector, f *synth.Frame) stats.PRF1 {
+	return d.ScoreBatch(nil, []*synth.Frame{f}, nil)[0]
+}
+
 // TestAcceptedLabelsMatchesPerModelEvaluation pins the count table's probe
 // test, which scores every frame with batched detection once, against
-// the direct form: gate on the pool model's EvaluateFrame, then run
-// EvaluateFrame for every model. Every frame of both pools is probed
+// the direct form: gate on the pool model's one-frame score, then score
+// the frame alone with every model. Every frame of both pools is probed
 // from both pools' models at two acceptance levels; the labels, their
 // F1 values and their order must match exactly.
 func TestAcceptedLabelsMatchesPerModelEvaluation(t *testing.T) {
@@ -247,12 +252,12 @@ func TestAcceptedLabelsMatchesPerModelEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reference := func(poolModel int, frame *synth.Frame, accept float64) []LabeledFrame {
-		if fx.models[poolModel].EvaluateFrame(frame).F1 < accept {
+		if evaluateFrame(fx.models[poolModel], frame).F1 < accept {
 			return nil
 		}
 		var out []LabeledFrame
 		for j, det := range fx.models {
-			if f1 := det.EvaluateFrame(frame).F1; f1 >= accept {
+			if f1 := evaluateFrame(det, frame).F1; f1 >= accept {
 				out = append(out, LabeledFrame{Frame: frame, ModelIdx: j, F1: f1})
 			}
 		}

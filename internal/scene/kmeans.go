@@ -61,7 +61,7 @@ func kmeansOnce(points []tensor.Vector, k int, rng *xrand.RNG) KMeansResult {
 		for i, p := range points {
 			bestC, bestD := 0, math.Inf(1)
 			for c, cent := range centroids {
-				if d := p.SquaredDistance(cent); d < bestD {
+				if d := p.SquaredDistanceBelow(cent, bestD); d < bestD {
 					bestC, bestD = c, d
 				}
 			}
@@ -110,7 +110,7 @@ func seedPlusPlus(points []tensor.Vector, k int, rng *xrand.RNG) []tensor.Vector
 		for i, p := range points {
 			d := math.Inf(1)
 			for _, c := range centroids {
-				if v := p.SquaredDistance(c); v < d {
+				if v := p.SquaredDistanceBelow(c, d); v < d {
 					d = v
 				}
 			}
@@ -132,7 +132,7 @@ func seedPlusPlus(points []tensor.Vector, k int, rng *xrand.RNG) []tensor.Vector
 func NearestCentroid(centroids []tensor.Vector, p tensor.Vector) int {
 	best, bestD := -1, math.Inf(1)
 	for i, c := range centroids {
-		if d := p.SquaredDistance(c); d < bestD {
+		if d := p.SquaredDistanceBelow(c, bestD); d < bestD {
 			best, bestD = i, d
 		}
 	}

@@ -36,7 +36,7 @@ func xgetbv() (eax, edx uint32)
 // strides, bit-identical results). It requires haveAVX2.
 //
 //go:noescape
-func denseAVX2(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool)
+func denseAVX2(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool)
 
 // adamAVX2 is the assembly form of AdamStep.Update's Go loop over the
 // first len(value)/4·4 elements (bit-identical results; c1 = 1−β₁,

@@ -7,7 +7,7 @@ package tensor
 const haveAVX2 = false
 
 // denseAVX2 exists only on amd64; dense never calls it here.
-func denseAVX2(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool) {
+func denseAVX2(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool) {
 	panic("tensor: AVX2 kernel called off amd64")
 }
 

@@ -40,16 +40,20 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func denseAVX2(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool)
+// func denseAVX2(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool)
 //
-// Element (r, kk) of x sits at x[r·xr + kk·xs]; output column c's weight
-// for input kk at w[(c/4)·wp + kk·wk + c%4], so each panel's four lanes
+// Element (r, kk) of x sits at x[r·xr + kk·xs]; output column j's weight
+// for input kk at w[(j/4)·wp + kk·wk + j%4], so each panel's four lanes
 // are adjacent and every other step is a stride. Rows go four at a time
 // (then one at a time for the rest); for each block, every panel of four
 // output columns keeps one accumulator per row. Per input kk the panel's
 // four weights are loaded once, each row's x element is broadcast,
 // multiplied (VMULPD) and added (VADDPD) — never fused — so every lane
-// sums in ascending k from +0 exactly like MulVec. An empty b adds
+// sums in ascending k from +0 exactly like MulVec. The accumulators then
+// carry on over the kc suffix inputs of c, whose weights follow x's in
+// the panel: per input one weight load, one broadcast and one multiply
+// serve the whole block, and the product is added to every row's
+// accumulator (each row would compute the same product). An empty b adds
 // nothing, which is exact: a sum from +0 is never −0. The bias add and
 // the ReLU (VMAXPD against +0 with the sum as the first source: NaN and
 // −0 give +0) run in registers before the store. The partial last panel
@@ -58,25 +62,25 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 //
 // Registers: AX x row stride (bytes), CX 3·AX, R9 x element stride
 // (bytes), BX dst row stride (bytes), R12 weight k stride (bytes), DX
-// dst block base, R13 x block base, SI x cursor, DI dst cursor, R8 w
-// panel base, R14 w cursor, R10 rows left, R11 k counter and scratch;
-// Y13 tail lane mask, Y14 +0. Locals: the columns left in the row and
-// the panel stride (bytes).
-TEXT ·denseAVX2(SB), NOSPLIT, $16-153
+// dst block base, R13 x block base, SI x cursor and then c cursor, DI
+// dst cursor, R8 w panel base, R14 w cursor, R10 rows left, R11 k and
+// kc counter and scratch; Y13 tail lane mask, Y14 +0. Locals: the
+// columns left in the row and the panel stride (bytes).
+TEXT ·denseAVX2(SB), NOSPLIT, $16-185
 	MOVQ x_base+24(FP), R13
 	MOVQ dst_base+0(FP), DX
-	MOVQ rows+96(FP), R10
-	MOVQ xr+128(FP), AX
+	MOVQ rows+120(FP), R10
+	MOVQ xr+160(FP), AX
 	SHLQ $3, AX
 	LEAQ (AX)(AX*2), CX
-	MOVQ xs+120(FP), R9
+	MOVQ xs+152(FP), R9
 	SHLQ $3, R9
-	MOVQ wk+144(FP), R12
+	MOVQ wk+176(FP), R12
 	SHLQ $3, R12
-	MOVQ wp+136(FP), R11
+	MOVQ wp+168(FP), R11
 	SHLQ $3, R11
 	MOVQ R11, wpb-16(SP)
-	MOVQ n+112(FP), BX
+	MOVQ n+144(FP), BX
 	MOVQ BX, R11
 	ANDQ $3, R11
 	SHLQ $5, R11
@@ -90,7 +94,7 @@ block4:
 	JLT  row1
 	MOVQ w_base+48(FP), R8
 	MOVQ DX, DI
-	MOVQ n+112(FP), R11
+	MOVQ n+144(FP), R11
 	MOVQ R11, cols-8(SP)
 
 panel4:
@@ -102,9 +106,9 @@ panel4:
 	VXORPD Y3, Y3, Y3
 	MOVQ R13, SI
 	MOVQ R8, R14
-	MOVQ k+104(FP), R11
+	MOVQ k+128(FP), R11
 	TESTQ R11, R11
-	JZ   bias4
+	JZ   sfx4
 	CMPQ cols-8(SP), $4
 	JLT  k4m
 
@@ -126,7 +130,7 @@ k4:
 	ADDQ         R9, SI
 	DECQ         R11
 	JNZ          k4
-	JMP          bias4
+	JMP          sfx4
 
 k4m:
 	VMASKMOVPD   (R14), Y13, Y4
@@ -146,6 +150,41 @@ k4m:
 	ADDQ         R9, SI
 	DECQ         R11
 	JNZ          k4m
+
+sfx4:
+	MOVQ kc+136(FP), R11
+	TESTQ R11, R11
+	JZ   bias4
+	MOVQ c_base+96(FP), SI
+	CMPQ cols-8(SP), $4
+	JLT  c4m
+
+c4:
+	VMOVUPD      (R14), Y4
+	VBROADCASTSD (SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y5, Y2, Y2
+	VADDPD       Y5, Y3, Y3
+	ADDQ         R12, R14
+	ADDQ         $8, SI
+	DECQ         R11
+	JNZ          c4
+	JMP          bias4
+
+c4m:
+	VMASKMOVPD   (R14), Y13, Y4
+	VBROADCASTSD (SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y5, Y2, Y2
+	VADDPD       Y5, Y3, Y3
+	ADDQ         R12, R14
+	ADDQ         $8, SI
+	DECQ         R11
+	JNZ          c4m
 
 bias4:
 	CMPQ b_len+80(FP), $0
@@ -168,7 +207,7 @@ addb4:
 	VADDPD Y4, Y3, Y3
 
 relu4:
-	CMPB relu+152(FP), $0
+	CMPB relu+184(FP), $0
 	JEQ  store4
 	VMAXPD Y14, Y0, Y0
 	VMAXPD Y14, Y1, Y1
@@ -208,7 +247,7 @@ row1:
 	JZ    done
 	MOVQ  w_base+48(FP), R8
 	MOVQ  DX, DI
-	MOVQ  n+112(FP), R11
+	MOVQ  n+144(FP), R11
 	MOVQ  R11, cols-8(SP)
 
 panel1:
@@ -217,9 +256,9 @@ panel1:
 	VXORPD Y0, Y0, Y0
 	MOVQ R13, SI
 	MOVQ R8, R14
-	MOVQ k+104(FP), R11
+	MOVQ k+128(FP), R11
 	TESTQ R11, R11
-	JZ   bias1
+	JZ   sfx1
 	CMPQ cols-8(SP), $4
 	JLT  k1m
 
@@ -231,7 +270,7 @@ k1:
 	ADDQ         R9, SI
 	DECQ         R11
 	JNZ          k1
-	JMP          bias1
+	JMP          sfx1
 
 k1m:
 	VMASKMOVPD   (R14), Y13, Y4
@@ -242,6 +281,34 @@ k1m:
 	ADDQ         R9, SI
 	DECQ         R11
 	JNZ          k1m
+
+sfx1:
+	MOVQ kc+136(FP), R11
+	TESTQ R11, R11
+	JZ   bias1
+	MOVQ c_base+96(FP), SI
+	CMPQ cols-8(SP), $4
+	JLT  c1m
+
+c1:
+	VBROADCASTSD (SI), Y5
+	VMULPD       (R14), Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         R12, R14
+	ADDQ         $8, SI
+	DECQ         R11
+	JNZ          c1
+	JMP          bias1
+
+c1m:
+	VMASKMOVPD   (R14), Y13, Y4
+	VBROADCASTSD (SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         R12, R14
+	ADDQ         $8, SI
+	DECQ         R11
+	JNZ          c1m
 
 bias1:
 	CMPQ b_len+80(FP), $0
@@ -259,7 +326,7 @@ biasm1:
 	VADDPD     Y4, Y0, Y0
 
 relu1:
-	CMPB relu+152(FP), $0
+	CMPB relu+184(FP), $0
 	JEQ  store1
 	VMAXPD Y14, Y0, Y0
 

@@ -9,25 +9,32 @@ import (
 // This file holds the one GEMM kernel behind batched inference and
 // mini-batch training, and the products built on it.
 //
-// The kernel computes dst = act(x·w + b) for a row-major dst, reading x
-// and w through strides: element (r, kk) of x sits at x[r·xr + kk·xs],
-// and output column c's weight for input kk at w[(c/4)·wp + kk·wk + c%4]
-// — the weights come in panels of four adjacent output columns. Each
+// The kernel computes dst = act([x | c]·w + b) for a row-major dst: each
+// row's inputs are its own k elements of x followed by the same kc
+// elements of a shared suffix c (kc = 0 for every product but
+// DenseSuffixInto). It reads x and w through strides: element (r, kk)
+// of x sits at x[r·xr + kk·xs], and output column j's weight for input
+// kk (suffix inputs numbered on from k) at w[(j/4)·wp + kk·wk + j%4] —
+// the weights come in panels of four adjacent output columns. Each
 // output's dot product, bias add and optional ReLU happen before it is
 // stored. On amd64 with AVX2 an assembly loop computes four output
 // columns of four rows per step (dense_amd64.s); everywhere else a
 // pure-Go loop reads the same strides. Both sum every output in
-// ascending k from +0, then add the bias, so each output is
-// bit-identical to Matrix.MulVec followed by Vector.AddScaled(1, b): the
-// assembly multiplies and adds separately (never FMA), as compiled Go
-// does on amd64, and the portable loop rounds each product before
-// adding it, as MulVec does.
+// ascending k from +0, x's inputs then c's, then add the bias, so each
+// output is bit-identical to Matrix.MulVec on the row [x | c] followed
+// by Vector.AddScaled(1, b): the assembly multiplies and adds
+// separately (never FMA), as compiled Go does on amd64, and the
+// portable loop rounds each product before adding it, as MulVec does.
 //
 // The strides let each product read its operands where they lie:
 //
 //   - DenseInto reads a Packed layer, whose weights were copied once
 //     into k-major panels (wp = 4k, wk = 4), so that a layer stored one
-//     row per output can be applied many times.
+//     row per output can be applied many times. DenseSuffixInto reads
+//     the same panels with the layer's last inputs taken from c: rows
+//     that share a context (a frame's cells and the frame's descriptor)
+//     are never staged, and each suffix product is computed once per
+//     block of rows.
 //   - MatMulInto (a·b) and TMatMulInto (aᵀ·b) read row-major b in place
 //     (wp = 4, wk = b.Cols); TMatMulInto reads a's columns as rows
 //     (xs = a.Cols, xr = 1).
@@ -104,8 +111,16 @@ func resize(buf []float64, n int) []float64 {
 // when nil or mis-sized) and returned. dst must not alias x. Each output
 // is bit-identical to W.MulVec on its row followed by adding b.
 func DenseInto(dst, x *Matrix, p *Packed, relu bool) *Matrix {
-	if x.Cols != p.k {
-		panic(fmt.Sprintf("tensor: DenseInto input %dx%d for a %d-input layer", x.Rows, x.Cols, p.k))
+	return DenseSuffixInto(dst, x, nil, p, relu)
+}
+
+// DenseSuffixInto is DenseInto over the rows [x_r | c]: every row of x
+// followed by the same suffix c, read in place, so x.Cols + len(c) must
+// be p's input count. Each output is bit-identical to DenseInto on the
+// staged m×(x.Cols + len(c)) matrix.
+func DenseSuffixInto(dst, x *Matrix, c Vector, p *Packed, relu bool) *Matrix {
+	if x.Cols+len(c) != p.k {
+		panic(fmt.Sprintf("tensor: dense input %dx%d and a %d-value suffix for a %d-input layer", x.Rows, x.Cols, len(c), p.k))
 	}
 	if dst == nil || dst.Rows != x.Rows || dst.Cols != p.n {
 		dst = NewMatrix(x.Rows, p.n)
@@ -114,30 +129,34 @@ func DenseInto(dst, x *Matrix, p *Packed, relu bool) *Matrix {
 		panic("tensor: DenseInto dst aliases its input")
 	}
 	if x.Rows > 0 && p.n > 0 {
-		dense(dst.Data, x.Data, p.w, p.b, x.Rows, p.k, p.n, 1, p.k, panelCols*p.k, panelCols, relu)
+		dense(dst.Data, x.Data, p.w, p.b, c, x.Rows, x.Cols, len(c), p.n, 1, x.Cols, panelCols*p.k, panelCols, relu)
 	}
 	return dst
 }
 
 // dense runs the kernel (see the top of this file for the strides): the
 // AVX2 loop where the CPU has it, the portable loop otherwise.
-func dense(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool) {
+func dense(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool) {
 	if haveAVX2 {
-		denseAVX2(dst, x, w, b, rows, k, n, xs, xr, wp, wk, relu)
+		denseAVX2(dst, x, w, b, c, rows, k, kc, n, xs, xr, wp, wk, relu)
 		return
 	}
-	denseGeneric(dst, x, w, b, rows, k, n, xs, xr, wp, wk, relu)
+	denseGeneric(dst, x, w, b, c, rows, k, kc, n, xs, xr, wp, wk, relu)
 }
 
 // denseGeneric is the portable kernel: per row and panel, up to four
-// accumulators sum in ascending k, then the bias (when b is not empty)
-// and the optional ReLU apply and the panel's live columns are stored.
-func denseGeneric(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool) {
+// accumulators sum x's k inputs and then c's kc in ascending order, then
+// the bias (when b is not empty) and the optional ReLU apply and the
+// panel's live columns are stored.
+func denseGeneric(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool) {
 	for r := 0; r < rows; r++ {
 		orow := dst[r*n : (r+1)*n]
 		for c0 := 0; c0 < n; c0 += panelCols {
 			lanes := min(panelCols, n-c0)
-			out := dotPanel(x, r*xr, xs, w, c0/panelCols*wp, wk, k, lanes)
+			wi := c0 / panelCols * wp
+			var out [panelCols]float64
+			dotPanel(&out, x, r*xr, xs, w, wi, wk, k, lanes)
+			dotPanel(&out, c, 0, 1, w, wi+k*wk, wk, kc, lanes)
 			live := out[:lanes]
 			if len(b) > 0 {
 				for l, bv := range b[c0 : c0+lanes] {
@@ -154,22 +173,24 @@ func denseGeneric(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu b
 	}
 }
 
-// dotPanel returns the dot products of the k elements of x from xi at
+// dotPanel adds to s the products of the k elements of x from xi at
 // stride xs with the first lanes columns of one weight panel, whose
-// weights for input kk start at w[wi + kk·wk]; each sums in ascending k
-// from +0. The explicit float64 conversion rounds each product before
-// the add, so no platform fuses them into a multiply-add.
-func dotPanel(x []float64, xi, xs int, w []float64, wi, wk, k, lanes int) (s [panelCols]float64) {
+// weights for input kk start at w[wi + kk·wk], in ascending k. The
+// explicit float64 conversion rounds each product before the add, so no
+// platform fuses them into a multiply-add.
+func dotPanel(s *[panelCols]float64, x []float64, xi, xs int, w []float64, wi, wk, k, lanes int) {
 	if lanes == panelCols {
+		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 		for ; k > 0; k-- {
 			xv, p := x[xi], w[wi:wi+panelCols]
-			s[0] += float64(xv * p[0])
-			s[1] += float64(xv * p[1])
-			s[2] += float64(xv * p[2])
-			s[3] += float64(xv * p[3])
+			s0 += float64(xv * p[0])
+			s1 += float64(xv * p[1])
+			s2 += float64(xv * p[2])
+			s3 += float64(xv * p[3])
 			xi, wi = xi+xs, wi+wk
 		}
-		return s
+		s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+		return
 	}
 	for ; k > 0; k-- {
 		xv := x[xi]
@@ -178,7 +199,6 @@ func dotPanel(x []float64, xi, xs int, w []float64, wi, wk, k, lanes int) (s [pa
 		}
 		xi, wi = xi+xs, wi+wk
 	}
-	return s
 }
 
 // reluOf is the ReLU `if v > 0 { return v }; return 0` (NaN and −0 give
@@ -214,7 +234,7 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 		panic("tensor: MatMulInto dst aliases an operand")
 	}
 	if a.Rows > 0 && b.Cols > 0 {
-		dense(dst.Data, a.Data, b.Data, nil, a.Rows, a.Cols, b.Cols, 1, a.Cols, panelCols, b.Cols, false)
+		dense(dst.Data, a.Data, b.Data, nil, nil, a.Rows, a.Cols, 0, b.Cols, 1, a.Cols, panelCols, b.Cols, false)
 	}
 	return dst
 }
@@ -237,7 +257,7 @@ func TMatMulInto(dst, a, b *Matrix) *Matrix {
 		panic("tensor: TMatMulInto dst aliases an operand")
 	}
 	if a.Cols > 0 && b.Cols > 0 {
-		dense(dst.Data, a.Data, b.Data, nil, a.Cols, a.Rows, b.Cols, a.Cols, 1, panelCols, b.Cols, false)
+		dense(dst.Data, a.Data, b.Data, nil, nil, a.Cols, a.Rows, 0, b.Cols, a.Cols, 1, panelCols, b.Cols, false)
 	}
 	return dst
 }

@@ -195,6 +195,10 @@ func TestMatMulZeroAllocsWithHeldDst(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { DenseInto(ddst, la, p, true) }); allocs > 0 {
 		t.Fatalf("DenseInto with held dst: %v allocs/op, want 0", allocs)
 	}
+	sx, sc := &Matrix{Rows: 128, Cols: 54, Data: la.Data[:128*54]}, la.Row(0)[:10]
+	if allocs := testing.AllocsPerRun(50, func() { DenseSuffixInto(ddst, sx, sc, p, true) }); allocs > 0 {
+		t.Fatalf("DenseSuffixInto with held dst: %v allocs/op, want 0", allocs)
+	}
 }
 
 // TestMatMulIntoPanics pins the programmer-error surface: inner-dimension
@@ -211,6 +215,7 @@ func TestMatMulIntoPanics(t *testing.T) {
 	mustPanic(t, "left-transposed dst aliases a", func() { TMatMulInto(sq, sq, NewMatrix(3, 3)) })
 	mustPanic(t, "dense input mismatch", func() { DenseInto(nil, a, PackDense(b, nil), false) })
 	mustPanic(t, "dense dst aliases x", func() { DenseInto(sq, sq, PackDense(sq, nil), false) })
+	mustPanic(t, "dense suffix mismatch", func() { DenseSuffixInto(nil, a, NewVector(2), PackDense(NewMatrix(2, 4), nil), false) })
 	mustPanic(t, "bias length mismatch", func() { PackDense(sq, NewVector(2)) })
 }
 
@@ -327,7 +332,7 @@ func sameMatrix(t *testing.T, got, want *Matrix, label string) {
 
 // kernelFunc is the dense kernel's signature (see matmul.go for the
 // strides).
-type kernelFunc func(dst, x, w, b []float64, rows, k, n, xs, xr, wp, wk int, relu bool)
+type kernelFunc func(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool)
 
 // denseKernels lists the dense kernels this CPU can run, called
 // directly rather than through the dispatch.
@@ -350,7 +355,7 @@ func checkDenseKernels(t *testing.T, x, w *Matrix, bias []float64, relu bool, wa
 		label := fmt.Sprintf("%s kernel %dx%dx%d relu=%v", name, x.Rows, x.Cols, w.Rows, relu)
 		got := runGuarded(t, label, x.Rows, w.Rows, func(dst []float64) {
 			if x.Rows > 0 && w.Rows > 0 {
-				kernel(dst, x.Data, p.w, p.b, x.Rows, x.Cols, w.Rows, 1, x.Cols, panelCols*x.Cols, panelCols, relu)
+				kernel(dst, x.Data, p.w, p.b, nil, x.Rows, x.Cols, 0, w.Rows, 1, x.Cols, panelCols*x.Cols, panelCols, relu)
 			}
 		})
 		sameMatrix(t, got, want, label)
@@ -421,10 +426,73 @@ func TestStridedKernelsMatchNaive(t *testing.T) {
 							for name, kernel := range denseKernels() {
 								label := fmt.Sprintf("%s %dx%dx%d transposed=%v bias=%v relu=%v", name, rows, k, n, transposed, b != nil, relu)
 								got := runGuarded(t, label, rows, n, func(dst []float64) {
-									callNoFault(t, label, func() { kernel(dst, gx, gw, b, rows, k, n, xs, xr, panelCols, n, relu) })
+									callNoFault(t, label, func() { kernel(dst, gx, gw, b, nil, rows, k, 0, n, xs, xr, panelCols, n, relu) })
 								})
 								sameMatrix(t, got, want, label)
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSuffixKernelsMatchNaive runs every dense kernel with a shared
+// suffix operand — each row's inputs are its own k elements of x (row-major
+// or given transposed) followed by the same kc elements of c, the weights
+// packed as DenseSuffixInto packs them — against the naive ascending-k
+// loop over the staged row [x_r | c], bit for bit: rows 0–9, 1–8 output
+// columns, k and kc each 0, 1, 3 or 10, with and without a bias and
+// ReLU, and NaN, ±Inf and ±0 injected into every operand. Each operand
+// ends where an unreadable page begins and the output carries guard
+// elements. DenseSuffixInto must equal DenseInto on the staged matrix.
+func TestSuffixKernelsMatchNaive(t *testing.T) {
+	rng := xrand.New(29)
+	for rows := 0; rows <= 9; rows++ {
+		for n := 1; n <= 8; n++ {
+			for _, k := range []int{0, 1, 3, 10} {
+				for _, kc := range []int{0, 1, 3, 10} {
+					xd, cd := randMatrix(rng, 1, rows*k).Data, randMatrix(rng, 1, kc).Data
+					w := randMatrix(rng, n, k+kc)
+					bias := randMatrix(rng, 1, n).Data
+					special := uint8(rng.Intn(4))
+					for _, data := range [][]float64{xd, cd, w.Data, bias} {
+						injectSpecial(rng, data, special)
+					}
+					p := PackDense(w, bias)
+					gx, gc, gw, gb := guardedCopy(t, xd), guardedCopy(t, cd), guardedCopy(t, p.w), guardedCopy(t, bias)
+					for _, transposed := range []bool{false, true} {
+						xs, xr := 1, k
+						if transposed {
+							xs, xr = rows, 1
+						}
+						staged := NewMatrix(rows, k+kc)
+						for r := 0; r < rows; r++ {
+							for kk := 0; kk < k; kk++ {
+								staged.Set(r, kk, xd[r*xr+kk*xs])
+							}
+							copy(staged.Row(r)[k:], cd)
+						}
+						for _, b := range [][]float64{nil, gb} {
+							for _, relu := range []bool{false, true} {
+								want := naiveDense(staged, w, make([]float64, n), relu)
+								if b != nil {
+									want = naiveDense(staged, w, bias, relu)
+								}
+								for name, kernel := range denseKernels() {
+									label := fmt.Sprintf("%s %dx(%d+%d)x%d transposed=%v bias=%v relu=%v", name, rows, k, kc, n, transposed, b != nil, relu)
+									got := runGuarded(t, label, rows, n, func(dst []float64) {
+										callNoFault(t, label, func() { kernel(dst, gx, gw, b, gc, rows, k, kc, n, xs, xr, panelCols*(k+kc), panelCols, relu) })
+									})
+									sameMatrix(t, got, want, label)
+								}
+							}
+						}
+						if !transposed {
+							x := &Matrix{Rows: rows, Cols: k, Data: xd}
+							label := fmt.Sprintf("DenseSuffixInto %dx(%d+%d)x%d", rows, k, kc, n)
+							sameMatrix(t, DenseSuffixInto(nil, x, cd, p, true), DenseInto(nil, staged, p, true), label)
 						}
 					}
 				}

@@ -88,6 +88,31 @@ func (v Vector) SquaredDistance(w Vector) float64 {
 	return sum
 }
 
+// SquaredDistanceBelow is SquaredDistance for argmin scans: it returns
+// v.SquaredDistance(w), bit for bit, when that is below bound, and
+// otherwise some value that is not below bound, stopping as soon as the
+// partial sum reaches bound. The terms are never negative, so under
+// round-to-nearest no later term lowers a partial sum: once one reaches
+// bound the full sum cannot fall below it. A NaN partial sum never
+// reaches bound, so the scan runs on and returns NaN, as the full sum
+// is. A scan that keeps the first d < min therefore picks the same
+// index and the same minimum with either form. It panics on length
+// mismatch.
+func (v Vector) SquaredDistanceBelow(w Vector, bound float64) float64 {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("tensor: distance length mismatch %d vs %d", len(v), len(w)))
+	}
+	var sum float64
+	for i := range v {
+		d := v[i] - w[i]
+		sum += float64(d * d)
+		if sum >= bound {
+			return sum
+		}
+	}
+	return sum
+}
+
 // Softmax writes the softmax of v into dst (allocating when dst is nil or
 // mis-sized) using the max-subtraction trick for numerical stability, and
 // returns dst.

@@ -66,6 +66,61 @@ func TestSquaredDistance(t *testing.T) {
 	}
 }
 
+// TestSquaredDistanceBelowMatchesFullScan pins the bounded distance
+// against the full one: for every bound, the result is below the bound
+// exactly when the full distance is, and then equal to it bit for bit;
+// and a first-minimum argmin scan over centroids picks the same index and
+// minimum bits with either form. Embeddings are random with NaN, ±Inf
+// and ±0 injected, and centroids repeat (ties) and coincide with the
+// point (zero distance).
+func TestSquaredDistanceBelowMatchesFullScan(t *testing.T) {
+	rng := xrand.New(31)
+	inf := math.Inf(1)
+	for trial := 0; trial < 2000; trial++ {
+		dim := 1 + rng.Intn(17)
+		p := randMatrix(rng, 1, dim).Row(0)
+		cents := make([]Vector, 1+rng.Intn(12))
+		for i := range cents {
+			switch {
+			case i > 0 && rng.Intn(4) == 0:
+				cents[i] = cents[rng.Intn(i)]
+			case rng.Intn(8) == 0:
+				cents[i] = p.Clone()
+			default:
+				cents[i] = randMatrix(rng, 1, dim).Row(0)
+			}
+			if rng.Intn(3) == 0 {
+				injectSpecial(rng, cents[i], uint8(rng.Intn(4)))
+			}
+		}
+		if rng.Intn(4) == 0 {
+			injectSpecial(rng, p, uint8(rng.Intn(4)))
+		}
+		for _, c := range cents {
+			full := p.SquaredDistance(c)
+			for _, bound := range []float64{inf, -inf, math.NaN(), 0, full, math.Nextafter(full, inf), math.Nextafter(full, -inf), full / 2, rng.Float64() * 2 * float64(dim)} {
+				got := p.SquaredDistanceBelow(c, bound)
+				if (got < bound) != (full < bound) || (full < bound && !sameBits(got, full)) {
+					t.Fatalf("trial %d: SquaredDistanceBelow(bound %v) = %v, full distance %v", trial, bound, got, full)
+				}
+			}
+		}
+		wantI, wantD := -1, inf
+		gotI, gotD := -1, inf
+		for i, c := range cents {
+			if d := p.SquaredDistance(c); d < wantD {
+				wantI, wantD = i, d
+			}
+			if d := p.SquaredDistanceBelow(c, gotD); d < gotD {
+				gotI, gotD = i, d
+			}
+		}
+		if gotI != wantI || !sameBits(gotD, wantD) {
+			t.Fatalf("trial %d: bounded scan picks %d (%v), full scan %d (%v)", trial, gotI, gotD, wantI, wantD)
+		}
+	}
+}
+
 func TestSoftmaxSumsToOne(t *testing.T) {
 	out := Softmax(nil, Vector{1, 2, 3})
 	var sum float64
