@@ -13,7 +13,8 @@ import (
 
 // batchFixture freezes a randomized MLP with fuzz-ish shape diversity:
 // hidden widths and depth vary per seed so the batch path is exercised
-// across narrow, wide, deep and shallow programs.
+// across narrow, wide, deep and shallow programs. Every parameter is
+// random, biases included, so the kernel's bias add is exercised too.
 func batchFixture(t testing.TB, seed uint64) (*nn.Weights, *xrand.RNG) {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -25,7 +26,19 @@ func batchFixture(t testing.TB, seed uint64) (*nn.Weights, *xrand.RNG) {
 	in := 1 + rng.Intn(30)
 	out := 1 + rng.Intn(12)
 	net := nn.NewMLP(nn.MLPConfig{InDim: in, Hidden: hidden, OutDim: out}, rng)
+	randomizeParams(net, rng)
 	return net.Freeze(), rng
+}
+
+// randomizeParams draws every parameter from N(0, 1). NewMLP leaves
+// biases at zero, which would let a kernel that mishandles the bias
+// pass a batch-equivalence test.
+func randomizeParams(net *nn.Network, rng *xrand.RNG) {
+	for _, p := range net.Params() {
+		for i := range p.Value {
+			p.Value[i] = rng.NormMS(0, 1)
+		}
+	}
 }
 
 // TestInferBatchMatchesSequential is the batch-equivalence property
@@ -81,14 +94,7 @@ func TestInferBatchThroughMatchesSequential(t *testing.T) {
 // between the rows and the suffix.
 func TestInferBatchSuffixMatchesStaged(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
-		w, rng := batchFixture(t, seed)
-		net := w.Thaw()
-		for _, p := range net.Params() {
-			for i := range p.Value {
-				p.Value[i] = rng.NormMS(0, 1)
-			}
-		}
-		full := net.Freeze()
+		full, rng := batchFixture(t, seed)
 		q8, err := full.Quantize(8)
 		if err != nil {
 			t.Fatal(err)

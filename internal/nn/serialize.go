@@ -1,13 +1,12 @@
 package nn
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"anole/internal/codec"
 	"anole/internal/tensor"
 )
 
@@ -35,52 +34,30 @@ const (
 // WriteTo serializes the frozen program to w in the binary format above.
 // It returns the number of bytes written, which always equals SizeBytes.
 func (wts *Weights) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	if _, err := cw.Write([]byte(netMagic)); err != nil {
-		return cw.n, err
-	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(cw, crc)
-
-	if err := writeBin(mw, uint16(netVersion), uint16(len(wts.layers))); err != nil {
-		return cw.n, err
-	}
+	cw := codec.NewWriter(w, netMagic)
+	cw.Uint16(netVersion)
+	cw.Uint16(uint16(len(wts.layers)))
 	for i := range wts.layers {
 		l := &wts.layers[i]
-		if err := writeBin(mw, uint8(l.kind)); err != nil {
-			return cw.n, err
-		}
+		cw.Uint8(uint8(l.kind))
 		if l.w == nil {
 			continue
 		}
 		if l.quantBits > 0 {
-			if err := writeBin(mw, uint8(l.quantBits)); err != nil {
-				return cw.n, err
-			}
+			cw.Uint8(uint8(l.quantBits))
 		}
-		if err := writeBin(mw, uint32(l.w.Cols), uint32(l.w.Rows)); err != nil {
-			return cw.n, err
-		}
+		cw.Uint32(uint32(l.w.Cols))
+		cw.Uint32(uint32(l.w.Rows))
 		if l.quantBits > 0 {
-			if err := writeQuantized(mw, l.w.Data, l.quantBits); err != nil {
-				return cw.n, err
-			}
-			if err := writeQuantized(mw, l.b, l.quantBits); err != nil {
-				return cw.n, err
-			}
+			writeQuantized(cw, l.w.Data, l.quantBits)
+			writeQuantized(cw, l.b, l.quantBits)
 			continue
 		}
-		if err := writeFloats(mw, l.w.Data); err != nil {
-			return cw.n, err
-		}
-		if err := writeFloats(mw, l.b); err != nil {
-			return cw.n, err
-		}
+		cw.Float64s(l.w.Data)
+		cw.Float64s(l.b)
 	}
-	if err := writeBin(cw, crc.Sum32()); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	err := cw.Close()
+	return cw.N(), err
 }
 
 // SizeBytes returns the exact serialized length of the frozen program —
@@ -120,25 +97,17 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 // the checksum. The result carries no training state; use Thaw to obtain
 // a trainable form.
 func ReadWeights(r io.Reader) (*Weights, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("nn: read magic: %w", err)
-	}
-	if string(magic) != netMagic {
-		return nil, fmt.Errorf("nn: bad magic %q", magic)
-	}
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-
-	var version, layerCount uint16
-	if err := readBin(tr, &version, &layerCount); err != nil {
+	cr := codec.NewReader(r, netMagic)
+	version, layerCount := cr.Uint16(), cr.Uint16()
+	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("nn: read header: %w", err)
 	}
 	if version != netVersion {
 		return nil, fmt.Errorf("nn: unsupported version %d", version)
 	}
-	layers := make([]wlayer, 0, layerCount)
+	// layers grows as layers arrive: the count comes from the header,
+	// so it must not size an allocation the payload never backs.
+	var layers []wlayer
 	// Cumulative budget across layers: a stream may not claim more
 	// weights in total than one layer is allowed to, or a long chain of
 	// individually-plausible layers still thrashes the allocator before
@@ -146,32 +115,24 @@ func ReadWeights(r io.Reader) (*Weights, error) {
 	const maxWeights = 1 << 24
 	weightBudget := uint64(maxWeights)
 	for i := 0; i < int(layerCount); i++ {
-		var kind uint8
-		if err := readBin(tr, &kind); err != nil {
+		kind := layerKind(cr.Uint8())
+		if err := cr.Err(); err != nil {
 			return nil, fmt.Errorf("nn: read layer %d kind: %w", i, err)
 		}
-		switch layerKind(kind) {
-		case kindReLU:
-			layers = append(layers, wlayer{kind: kindReLU})
-		case kindTanh:
-			layers = append(layers, wlayer{kind: kindTanh})
-		case kindSigmoid:
-			layers = append(layers, wlayer{kind: kindSigmoid})
+		switch kind {
+		case kindReLU, kindTanh, kindSigmoid:
+			layers = append(layers, wlayer{kind: kind})
 		case kindDense, kindDenseQuant:
 			bits := 0
-			if layerKind(kind) == kindDenseQuant {
-				var b uint8
-				if err := readBin(tr, &b); err != nil {
-					return nil, fmt.Errorf("nn: read layer %d bits: %w", i, err)
-				}
-				if b < 2 || b > 16 {
-					return nil, fmt.Errorf("nn: layer %d has invalid quant bits %d", i, b)
-				}
-				bits = int(b)
+			if kind == kindDenseQuant {
+				bits = int(cr.Uint8())
 			}
-			var inDim, outDim uint32
-			if err := readBin(tr, &inDim, &outDim); err != nil {
+			inDim, outDim := cr.Uint32(), cr.Uint32()
+			if err := cr.Err(); err != nil {
 				return nil, fmt.Errorf("nn: read layer %d dims: %w", i, err)
+			}
+			if kind == kindDenseQuant && (bits < 2 || bits > 16) {
+				return nil, fmt.Errorf("nn: layer %d has invalid quant bits %d", i, bits)
 			}
 			const maxDim = 1 << 20
 			if inDim == 0 || outDim == 0 || inDim > maxDim || outDim > maxDim {
@@ -185,20 +146,16 @@ func ReadWeights(r io.Reader) (*Weights, error) {
 				return nil, fmt.Errorf("nn: layer %d claims %d weights, over budget", i, weights)
 			}
 			weightBudget -= weights
-			read := readFloats
+			read := cr.Float64s
 			if bits > 0 {
-				read = func(r io.Reader, n int) ([]float64, error) { return readQuantized(r, n, bits) }
+				read = func(n int) []float64 { return readQuantized(cr, n, bits) }
 			}
-			data, err := read(tr, int(weights))
-			if err != nil {
+			data, bias := read(int(weights)), read(int(outDim))
+			if err := cr.Err(); err != nil {
 				return nil, fmt.Errorf("nn: read layer %d weights: %w", i, err)
 			}
-			bias, err := read(tr, int(outDim))
-			if err != nil {
-				return nil, fmt.Errorf("nn: read layer %d bias: %w", i, err)
-			}
 			layers = append(layers, wlayer{
-				kind:      layerKind(kind),
+				kind:      kind,
 				quantBits: bits,
 				w:         &tensor.Matrix{Rows: int(outDim), Cols: int(inDim), Data: data},
 				b:         bias,
@@ -207,13 +164,8 @@ func ReadWeights(r io.Reader) (*Weights, error) {
 			return nil, fmt.Errorf("nn: unknown layer kind %d", kind)
 		}
 	}
-	wantCRC := crc.Sum32()
-	var gotCRC uint32
-	if err := readBin(br, &gotCRC); err != nil {
-		return nil, fmt.Errorf("nn: read checksum: %w", err)
-	}
-	if gotCRC != wantCRC {
-		return nil, fmt.Errorf("nn: checksum mismatch: stored %08x, computed %08x", gotCRC, wantCRC)
+	if err := cr.Close(); err != nil {
+		return nil, fmt.Errorf("nn: %w", err)
 	}
 	// Validate adjacent dense dimensions before compiling the program;
 	// untrusted streams must fail with an error, not a panic.
@@ -230,110 +182,31 @@ func ReadWeights(r io.Reader) (*Weights, error) {
 	return newWeights(layers), nil
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func writeBin(w io.Writer, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readBin(r io.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeFloats(w io.Writer, xs []float64) error {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
 // writeQuantized stores xs as scale + integers: the values must already
 // lie on the symmetric grid produced by Quantize, so v/scale is integral.
-func writeQuantized(w io.Writer, xs []float64, bits int) error {
+func writeQuantized(w *codec.Writer, xs []float64, bits int) {
 	scale := quantScale(xs, bits)
-	if err := writeBin(w, scale); err != nil {
-		return err
-	}
-	wide := bits > 8
-	size := 1
-	if wide {
-		size = 2
-	}
-	buf := make([]byte, size*len(xs))
-	for i, x := range xs {
-		var q int64
-		if scale != 0 {
-			q = int64(math.Round(x / scale))
+	w.Float64(scale)
+	q := func(x float64) int64 {
+		if scale == 0 {
+			return 0
 		}
-		if wide {
-			binary.LittleEndian.PutUint16(buf[i*2:], uint16(int16(q)))
-		} else {
-			buf[i] = byte(int8(q))
-		}
+		return int64(math.Round(x / scale))
 	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// readChunk is how many values readValues stages at a time. A layer's
-// dims come from the input's header, so its values are read a chunk at
-// a time: memory grows with the bytes actually delivered, never with
-// what a header claims.
-const readChunk = 4096
-
-// readValues reads n values of size bytes each, decoding each with
-// decode.
-func readValues(r io.Reader, n, size int, decode func([]byte) float64) ([]float64, error) {
-	xs := make([]float64, 0, min(n, readChunk))
-	buf := make([]byte, size*min(n, readChunk))
-	for len(xs) < n {
-		chunk := buf[:size*min(n-len(xs), readChunk)]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, err
-		}
-		for i := 0; i < len(chunk); i += size {
-			xs = append(xs, decode(chunk[i:]))
-		}
+	if bits > 8 {
+		w.Floats(xs, 2, func(b []byte, x float64) { binary.LittleEndian.PutUint16(b, uint16(int16(q(x)))) })
+		return
 	}
-	return xs, nil
+	w.Floats(xs, 1, func(b []byte, x float64) { b[0] = byte(int8(q(x))) })
 }
 
 // readQuantized reads n values stored by writeQuantized.
-func readQuantized(r io.Reader, n, bits int) ([]float64, error) {
-	var scale float64
-	if err := readBin(r, &scale); err != nil {
-		return nil, err
-	}
+func readQuantized(r *codec.Reader, n, bits int) []float64 {
+	scale := r.Float64()
 	if bits > 8 {
-		return readValues(r, n, 2, func(b []byte) float64 {
+		return r.Floats(n, 2, func(b []byte) float64 {
 			return float64(int64(int16(binary.LittleEndian.Uint16(b)))) * scale
 		})
 	}
-	return readValues(r, n, 1, func(b []byte) float64 { return float64(int64(int8(b[0]))) * scale })
-}
-
-// readFloats reads n little-endian float64s.
-func readFloats(r io.Reader, n int) ([]float64, error) {
-	return readValues(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
+	return r.Floats(n, 1, func(b []byte) float64 { return float64(int64(int8(b[0]))) * scale })
 }

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -126,23 +128,77 @@ func TestSerializeSizeMatchesWeightBytes(t *testing.T) {
 // against header-driven allocation: a 17-byte blob whose one dense
 // layer claims 4096×4096 weights (the whole weight budget) and carries
 // none must not make ReadWeights allocate the matrix before it finds
-// the weights missing.
+// the weights missing, and an 8-byte blob claiming 65535 layers must
+// not make it reserve room for them.
 func TestReadWeightsBoundsAllocationByInput(t *testing.T) {
-	blob := []byte(netMagic)
-	blob = binary.LittleEndian.AppendUint16(blob, netVersion)
-	blob = binary.LittleEndian.AppendUint16(blob, 1)
-	blob = append(blob, byte(kindDense))
-	blob = binary.LittleEndian.AppendUint32(blob, 4096)
-	blob = binary.LittleEndian.AppendUint32(blob, 4096)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := ReadWeights(bytes.NewReader(blob))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("network with no weight data decoded")
+	header := func(layers uint16) []byte {
+		blob := binary.LittleEndian.AppendUint16([]byte(netMagic), netVersion)
+		return binary.LittleEndian.AppendUint16(blob, layers)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("a %d-byte network allocated %d bytes, want < 1 MiB", len(blob), got)
+	dense := append(header(1), byte(kindDense))
+	dense = binary.LittleEndian.AppendUint32(dense, 4096)
+	dense = binary.LittleEndian.AppendUint32(dense, 4096)
+	for name, blob := range map[string][]byte{"dense": dense, "layer count": header(0xFFFF)} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := ReadWeights(bytes.NewReader(blob))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: network with no payload decoded", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: a %d-byte network allocated %d bytes, want < 1 MiB", name, len(blob), got)
+		}
+	}
+}
+
+// TestWeightsBytesPinned pins the ANLN encoding byte for byte: programs
+// built from literal parameters, so the digests hold on every GOARCH,
+// at full precision and quantized to int8 (q8) and int16 (q12) payloads.
+func TestWeightsBytesPinned(t *testing.T) {
+	dense := func(kind layerKind, bits, rows, cols int, w, b []float64) wlayer {
+		return wlayer{kind: kind, quantBits: bits, w: &tensor.Matrix{Rows: rows, Cols: cols, Data: w}, b: b}
+	}
+	program := func(kind layerKind, bits int) *Weights {
+		return newWeights([]wlayer{
+			dense(kind, bits, 2, 3, []float64{0.5, -1.25, 2, 0.375, -0.0625, 1}, []float64{0.25, -0.75}),
+			{kind: kindReLU},
+			dense(kind, bits, 3, 2, []float64{1.5, -2, 0.125, 0.875, -0.5, 3}, []float64{-0.125, 0, 0.5}),
+			{kind: kindTanh},
+			dense(kind, bits, 1, 3, []float64{-1, 0.25, 0.75}, []float64{0.0625}),
+			{kind: kindSigmoid},
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		w    *Weights
+		want string
+	}{
+		{"full", program(kindDense, 0), "c743c0791e40b2a592b2fdef786ce2904c56507f9b2b25204f8986b43d737cf4"},
+		{"q8", program(kindDenseQuant, 8), "42412c28ca1d9cd074d27daeca00524aa554c00980cdb2acb2796a274e5fe2c0"},
+		{"q12", program(kindDenseQuant, 12), "a1973d8aad64a91cade407f7f67e39ca085fccf8f59df00dd0ef59516afa695b"},
+	} {
+		var buf bytes.Buffer
+		n, err := tc.w.WriteTo(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n != int64(buf.Len()) || n != tc.w.SizeBytes() {
+			t.Fatalf("%s: WriteTo reported %d bytes, wrote %d, SizeBytes %d", tc.name, n, buf.Len(), tc.w.SizeBytes())
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("%s: ANLN encoding sha256 %s, want %s", tc.name, got, tc.want)
+		}
+		// The decoder must take the pinned bytes back to a program
+		// that encodes to them again.
+		back, err := ReadWeights(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var again bytes.Buffer
+		if _, err := back.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Errorf("%s: decoded program re-encodes differently (err %v)", tc.name, err)
+		}
 	}
 }

@@ -14,6 +14,7 @@ func freezeFixture(t testing.TB, seed uint64) (*nn.Network, *nn.Weights, *xrand.
 	t.Helper()
 	rng := xrand.New(seed)
 	net := nn.NewMLP(nn.MLPConfig{InDim: 12, Hidden: []int{24, 16}, OutDim: 7}, rng)
+	randomizeParams(net, rng)
 	return net, net.Freeze(), rng
 }
 

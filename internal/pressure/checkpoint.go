@@ -1,14 +1,12 @@
 package pressure
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
+
+	"anole/internal/codec"
 )
 
 // Checkpoint format (all little-endian):
@@ -106,24 +104,6 @@ type DriftWindow struct {
 	Emitted    int64
 }
 
-func binWrite(w io.Writer, vs ...any) error {
-	for _, v := range vs {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func binRead(r io.Reader, vs ...any) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCheckpoint serializes c.
 func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 	if c == nil {
@@ -138,14 +118,9 @@ func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 	if len(c.Fleet) > maxFleetStreams {
 		return fmt.Errorf("pressure: %d fleet streams exceed limit %d", len(c.Fleet), maxFleetStreams)
 	}
-	if _, err := w.Write([]byte(checkpointMagic)); err != nil {
-		return fmt.Errorf("pressure: write magic: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if err := binWrite(mw, uint16(checkpointVersion), c.Generation); err != nil {
-		return fmt.Errorf("pressure: write header: %w", err)
-	}
+	cw := codec.NewWriter(w, checkpointMagic)
+	cw.Uint16(checkpointVersion)
+	cw.Uint64(c.Generation)
 	if m := c.Markov; m != nil {
 		if m.N <= 0 || m.N > maxMarkovModels {
 			return fmt.Errorf("pressure: implausible markov dimension %d", m.N)
@@ -154,17 +129,16 @@ func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 			return fmt.Errorf("pressure: markov geometry mismatch: n=%d counts=%d rowSum=%d",
 				m.N, len(m.Counts), len(m.RowSum))
 		}
-		if err := binWrite(mw, uint8(1), uint32(m.N), m.Alpha, uint64(m.Obs), m.Counts, m.RowSum); err != nil {
-			return fmt.Errorf("pressure: write markov: %w", err)
-		}
+		cw.Uint8(1)
+		cw.Uint32(uint32(m.N))
+		cw.Float64(m.Alpha)
+		cw.Uint64(uint64(m.Obs))
+		cw.Float64s(m.Counts)
+		cw.Float64s(m.RowSum)
 	} else {
-		if err := binWrite(mw, uint8(0)); err != nil {
-			return fmt.Errorf("pressure: write markov flag: %w", err)
-		}
+		cw.Uint8(0)
 	}
-	if err := binWrite(mw, uint32(len(c.Cache))); err != nil {
-		return fmt.Errorf("pressure: write cache count: %w", err)
-	}
+	cw.Uint32(uint32(len(c.Cache)))
 	for i, e := range c.Cache {
 		if len(e.Key) == 0 || len(e.Key) > maxCacheKeyLen {
 			return fmt.Errorf("pressure: cache entry %d key length %d out of range", i, len(e.Key))
@@ -172,90 +146,58 @@ func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 		if e.Freq < 0 {
 			return fmt.Errorf("pressure: cache entry %d negative freq %d", i, e.Freq)
 		}
-		if err := binWrite(mw, uint16(len(e.Key))); err != nil {
-			return fmt.Errorf("pressure: write cache entry %d: %w", i, err)
-		}
-		if _, err := mw.Write([]byte(e.Key)); err != nil {
-			return fmt.Errorf("pressure: write cache entry %d: %w", i, err)
-		}
-		if err := binWrite(mw, uint32(e.Freq)); err != nil {
-			return fmt.Errorf("pressure: write cache entry %d: %w", i, err)
-		}
+		cw.String16(e.Key)
+		cw.Uint32(uint32(e.Freq))
 	}
-	if err := binWrite(mw, uint32(len(c.Drift))); err != nil {
-		return fmt.Errorf("pressure: write drift count: %w", err)
-	}
+	cw.Uint32(uint32(len(c.Drift)))
 	for i, d := range c.Drift {
 		if d.Stream < 0 || d.Count < 0 || d.Probes < 0 || d.Cooldown < 0 {
 			return fmt.Errorf("pressure: drift window %d has negative fields", i)
 		}
-		if err := binWrite(mw,
-			uint32(d.Stream), uint32(d.Count), d.SumEntropy, d.SumNovelty,
-			uint32(d.Probes), d.Disagreed, uint32(d.Cooldown),
-			uint64(d.Seen), uint64(d.Flagged), uint64(d.Emitted)); err != nil {
-			return fmt.Errorf("pressure: write drift window %d: %w", i, err)
-		}
+		cw.Uint32(uint32(d.Stream))
+		cw.Uint32(uint32(d.Count))
+		cw.Float64(d.SumEntropy)
+		cw.Float64(d.SumNovelty)
+		cw.Uint32(uint32(d.Probes))
+		cw.Float64(d.Disagreed)
+		cw.Uint32(uint32(d.Cooldown))
+		cw.Uint64(uint64(d.Seen))
+		cw.Uint64(uint64(d.Flagged))
+		cw.Uint64(uint64(d.Emitted))
 	}
-	if err := binWrite(mw, uint32(len(c.Fleet))); err != nil {
-		return fmt.Errorf("pressure: write fleet count: %w", err)
-	}
+	cw.Uint32(uint32(len(c.Fleet)))
 	for i, class := range c.Fleet {
 		if len(class) == 0 || len(class) > maxCacheKeyLen {
 			return fmt.Errorf("pressure: fleet stream %d class length %d out of range", i, len(class))
 		}
-		if err := binWrite(mw, uint16(len(class))); err != nil {
-			return fmt.Errorf("pressure: write fleet stream %d: %w", i, err)
-		}
-		if _, err := mw.Write([]byte(class)); err != nil {
-			return fmt.Errorf("pressure: write fleet stream %d: %w", i, err)
-		}
+		cw.String16(class)
 	}
-	if err := binWrite(w, crc.Sum32()); err != nil {
-		return fmt.Errorf("pressure: write checksum: %w", err)
+	if err := cw.Close(); err != nil {
+		return fmt.Errorf("pressure: write checkpoint: %w", err)
 	}
 	return nil
 }
 
 // ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint,
 // verifying version, plausibility bounds, and the trailing CRC.
-// Any malformed input — truncation, bit flips, version skew — yields
-// an error and no partial state; callers treat every error as "cold
-// start".
+// Any malformed input — truncation, bit flips, version skew, trailing
+// bytes — yields an error and no partial state; callers treat every
+// error as "cold start".
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("pressure: read magic: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("pressure: bad checkpoint magic %q", magic)
-	}
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-	var (
-		version uint16
-		gen     uint64
-	)
-	if err := binRead(tr, &version, &gen); err != nil {
+	cr := codec.NewReader(r, checkpointMagic)
+	version, gen, hasMarkov := cr.Uint16(), cr.Uint64(), cr.Uint8()
+	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("pressure: read header: %w", err)
 	}
 	if version != 1 && version != checkpointVersion {
 		return nil, fmt.Errorf("pressure: unsupported checkpoint version %d", version)
 	}
 	c := &Checkpoint{Generation: gen}
-	var hasMarkov uint8
-	if err := binRead(tr, &hasMarkov); err != nil {
-		return nil, fmt.Errorf("pressure: read markov flag: %w", err)
-	}
 	switch hasMarkov {
 	case 0:
 	case 1:
-		var (
-			n     uint32
-			alpha float64
-			obs   uint64
-		)
-		if err := binRead(tr, &n, &alpha, &obs); err != nil {
+		n, alpha, obs := cr.Uint32(), cr.Float64(), cr.Uint64()
+		if err := cr.Err(); err != nil {
 			return nil, fmt.Errorf("pressure: read markov header: %w", err)
 		}
 		if n == 0 || n > maxMarkovModels {
@@ -265,11 +207,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("pressure: implausible markov alpha %v", alpha)
 		}
 		m := &MarkovState{N: int(n), Alpha: alpha, Obs: int64(obs)}
-		var err error
-		if m.Counts, err = readFloats(tr, int(n)*int(n)); err != nil {
-			return nil, fmt.Errorf("pressure: read markov matrix: %w", err)
-		}
-		if m.RowSum, err = readFloats(tr, int(n)); err != nil {
+		m.Counts, m.RowSum = cr.Float64s(int(n)*int(n)), cr.Float64s(int(n))
+		if err := cr.Err(); err != nil {
 			return nil, fmt.Errorf("pressure: read markov matrix: %w", err)
 		}
 		for _, v := range m.Counts {
@@ -286,158 +225,79 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	default:
 		return nil, fmt.Errorf("pressure: bad markov flag %d", hasMarkov)
 	}
-	var cacheN uint32
-	if err := binRead(tr, &cacheN); err != nil {
-		return nil, fmt.Errorf("pressure: read cache count: %w", err)
-	}
+	// Sections grow as their entries arrive, never to a header's count.
+	// A count that fails to read is zero: its loop is skipped and Close
+	// reports the error.
+	cacheN := cr.Uint32()
 	if cacheN > maxCacheEntries {
 		return nil, fmt.Errorf("pressure: implausible cache entry count %d", cacheN)
 	}
-	c.Cache = make([]CacheEntry, 0, min(cacheN, readChunk))
 	for i := 0; i < int(cacheN); i++ {
-		var keyLen uint16
-		if err := binRead(tr, &keyLen); err != nil {
+		key, freq := cr.String16(maxCacheKeyLen), cr.Uint32()
+		if err := cr.Err(); err != nil {
 			return nil, fmt.Errorf("pressure: read cache entry %d: %w", i, err)
 		}
-		if keyLen == 0 || keyLen > maxCacheKeyLen {
-			return nil, fmt.Errorf("pressure: cache entry %d implausible key length %d", i, keyLen)
+		if key == "" {
+			return nil, fmt.Errorf("pressure: cache entry %d has an empty key", i)
 		}
-		key := make([]byte, keyLen)
-		if _, err := io.ReadFull(tr, key); err != nil {
-			return nil, fmt.Errorf("pressure: read cache entry %d key: %w", i, err)
-		}
-		var freq uint32
-		if err := binRead(tr, &freq); err != nil {
-			return nil, fmt.Errorf("pressure: read cache entry %d freq: %w", i, err)
-		}
-		c.Cache = append(c.Cache, CacheEntry{Key: string(key), Freq: int(freq)})
+		c.Cache = append(c.Cache, CacheEntry{Key: key, Freq: int(freq)})
 	}
-	var driftN uint32
-	if err := binRead(tr, &driftN); err != nil {
-		return nil, fmt.Errorf("pressure: read drift count: %w", err)
-	}
+	driftN := cr.Uint32()
 	if driftN > maxDriftWindows {
 		return nil, fmt.Errorf("pressure: implausible drift window count %d", driftN)
 	}
-	c.Drift = make([]DriftWindow, 0, min(driftN, readChunk))
 	for i := 0; i < int(driftN); i++ {
-		var (
-			stream, count, probes, cooldown uint32
-			sumE, sumN, disagreed           float64
-			seen, flagged, emitted          uint64
-		)
-		if err := binRead(tr, &stream, &count, &sumE, &sumN, &probes, &disagreed, &cooldown,
-			&seen, &flagged, &emitted); err != nil {
+		d := DriftWindow{
+			Stream:     int(cr.Uint32()),
+			Count:      int(cr.Uint32()),
+			SumEntropy: cr.Float64(),
+			SumNovelty: cr.Float64(),
+			Probes:     int(cr.Uint32()),
+			Disagreed:  cr.Float64(),
+			Cooldown:   int(cr.Uint32()),
+			Seen:       int64(cr.Uint64()),
+			Flagged:    int64(cr.Uint64()),
+			Emitted:    int64(cr.Uint64()),
+		}
+		if err := cr.Err(); err != nil {
 			return nil, fmt.Errorf("pressure: read drift window %d: %w", i, err)
 		}
-		if !plausibleFinite(sumE) || !plausibleFinite(sumN) || !plausibleFinite(disagreed) {
+		if !plausibleFinite(d.SumEntropy) || !plausibleFinite(d.SumNovelty) || !plausibleFinite(d.Disagreed) {
 			return nil, fmt.Errorf("pressure: drift window %d has non-finite sums", i)
 		}
-		c.Drift = append(c.Drift, DriftWindow{
-			Stream:     int(stream),
-			Count:      int(count),
-			SumEntropy: sumE,
-			SumNovelty: sumN,
-			Probes:     int(probes),
-			Disagreed:  disagreed,
-			Cooldown:   int(cooldown),
-			Seen:       int64(seen),
-			Flagged:    int64(flagged),
-			Emitted:    int64(emitted),
-		})
+		c.Drift = append(c.Drift, d)
 	}
 	if version >= 2 {
-		var fleetN uint32
-		if err := binRead(tr, &fleetN); err != nil {
-			return nil, fmt.Errorf("pressure: read fleet count: %w", err)
-		}
+		fleetN := cr.Uint32()
 		if fleetN > maxFleetStreams {
 			return nil, fmt.Errorf("pressure: implausible fleet stream count %d", fleetN)
 		}
-		if fleetN > 0 {
-			c.Fleet = make([]string, 0, min(fleetN, readChunk))
-			for i := 0; i < int(fleetN); i++ {
-				var classLen uint16
-				if err := binRead(tr, &classLen); err != nil {
-					return nil, fmt.Errorf("pressure: read fleet stream %d: %w", i, err)
-				}
-				if classLen == 0 || classLen > maxCacheKeyLen {
-					return nil, fmt.Errorf("pressure: fleet stream %d implausible class length %d", i, classLen)
-				}
-				class := make([]byte, classLen)
-				if _, err := io.ReadFull(tr, class); err != nil {
-					return nil, fmt.Errorf("pressure: read fleet stream %d class: %w", i, err)
-				}
-				c.Fleet = append(c.Fleet, string(class))
+		for i := 0; i < int(fleetN); i++ {
+			class := cr.String16(maxCacheKeyLen)
+			if err := cr.Err(); err != nil {
+				return nil, fmt.Errorf("pressure: read fleet stream %d: %w", i, err)
 			}
+			if class == "" {
+				return nil, fmt.Errorf("pressure: fleet stream %d has an empty class", i)
+			}
+			c.Fleet = append(c.Fleet, class)
 		}
 	}
-	wantCRC := crc.Sum32()
-	var gotCRC uint32
-	if err := binRead(br, &gotCRC); err != nil {
-		return nil, fmt.Errorf("pressure: read checksum: %w", err)
-	}
-	if gotCRC != wantCRC {
-		return nil, fmt.Errorf("pressure: checkpoint checksum mismatch: stored %08x, computed %08x", gotCRC, wantCRC)
-	}
-	// Trailing garbage means the file is not what we wrote.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("pressure: trailing data after checkpoint")
+	if err := cr.Close(); err != nil {
+		return nil, fmt.Errorf("pressure: checkpoint: %w", err)
 	}
 	return c, nil
-}
-
-// readChunk bounds what the decoder allocates ahead of the bytes that
-// back it: header counts preallocate at most readChunk elements, and
-// float sections are read readChunk values at a time, so memory grows
-// with the bytes actually delivered, never with what a header claims.
-const readChunk = 4096
-
-// readFloats reads n little-endian float64s, a chunk at a time.
-func readFloats(r io.Reader, n int) ([]float64, error) {
-	xs := make([]float64, 0, min(n, readChunk))
-	buf := make([]byte, 8*min(n, readChunk))
-	for len(xs) < n {
-		chunk := buf[:8*min(n-len(xs), readChunk)]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, err
-		}
-		for i := 0; i < len(chunk); i += 8 {
-			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-		}
-	}
-	return xs, nil
 }
 
 func plausibleFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// SaveCheckpoint writes c to path atomically (temp file + rename in
-// the destination directory), so a crash mid-write leaves either the
-// previous checkpoint or none — never a torn file.
+// SaveCheckpoint writes c to path atomically (codec.SaveFile), so a
+// crash mid-write leaves either the previous checkpoint or none —
+// never a torn file.
 func SaveCheckpoint(path string, c *Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("pressure: create checkpoint temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteCheckpoint(tmp, c); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("pressure: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("pressure: close checkpoint temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("pressure: publish checkpoint: %w", err)
-	}
-	return nil
+	return codec.SaveFile(path, func(w io.Writer) error { return WriteCheckpoint(w, c) })
 }
 
 // LoadCheckpoint reads a checkpoint from path. Every failure mode —

@@ -2,8 +2,12 @@ package pressure
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -255,4 +259,49 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatalf("decode∘encode not idempotent:\n got %+v\nwant %+v", c2, c)
 		}
 	})
+}
+
+// TestCheckpointBytesPinned pins the ANLC encoding byte for byte: the
+// literal sampleCheckpoint (Markov, cache, drift and fleet sections)
+// must encode to the recorded version-2 digest, and a recorded
+// version-1 file (no fleet section) must decode to the same state with
+// Fleet nil.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const wantV2 = "4c3223df48034b246e77ad8defd3970b1e38687b314d8accc7531f43aff2282d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(encode(t, sampleCheckpoint()))); got != wantV2 {
+		t.Errorf("ANLC v2 encoding sha256 %s, want %s", got, wantV2)
+	}
+	v1, err := hex.DecodeString("" +
+		"414e4c43010007000000000000000103000000000000000000e03f2a00000000" +
+		"0000000000000000000000000000000000f03f00000000000000400000000000" +
+		"0008400000000000001040000000000000144000000000000018400000000000" +
+		"001c400000000000002040000000000000084000000000000028400000000000" +
+		"0035400200000003004d5f310900000003004d5f340200000002000000000000" +
+		"0005000000000000000000f43f000000000000e03f02000000000000000000f0" +
+		"3f03000000640000000000000004000000000000000100000000000000010000" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"00000000000700000000000000000000000000000000000000000000001785df" +
+		"6b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCheckpoint(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatalf("recorded version-1 checkpoint unreadable: %v", err)
+	}
+	want := sampleCheckpoint()
+	want.Fleet = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-1 decode mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// binWrite writes vs little-endian, for hand-assembling test streams.
+func binWrite(w io.Writer, vs ...any) error {
+	for _, v := range vs {
+		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -6,15 +6,13 @@
 package repo
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 
+	"anole/internal/codec"
 	"anole/internal/core"
 	"anole/internal/decision"
 	"anole/internal/detect"
@@ -60,62 +58,41 @@ func WriteBundle(w io.Writer, b *core.Bundle) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	if _, err := w.Write([]byte(bundleMagic)); err != nil {
-		return fmt.Errorf("repo: write magic: %w", err)
+	embedDim := b.Encoder.EmbedDim()
+	for i, c := range b.Centroids {
+		if len(c) != embedDim {
+			return fmt.Errorf("repo: centroid %d has dim %d, embed dim %d", i, len(c), embedDim)
+		}
 	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-
-	if err := writeBin(mw,
-		uint16(bundleVersion),
-		uint32(b.FeatDim),
-		uint32(b.Encoder.EmbedDim()),
-	); err != nil {
-		return fmt.Errorf("repo: write header: %w", err)
-	}
-	if err := writeInts(mw, b.Encoder.ClassToScene); err != nil {
+	cw := codec.NewWriter(w, bundleMagic)
+	cw.Uint16(bundleVersion)
+	cw.Uint32(uint32(b.FeatDim))
+	cw.Uint32(uint32(embedDim))
+	if err := writeInts(cw, b.Encoder.ClassToScene); err != nil {
 		return fmt.Errorf("repo: write scene map: %w", err)
 	}
-	if err := writeNetBlob(mw, b.Encoder.Weights); err != nil {
-		return fmt.Errorf("repo: write encoder: %w", err)
+	writeNetBlob(cw, b.Encoder.Weights)
+	writeNetBlob(cw, b.Decision.Head)
+	cw.Float64(b.NoveltyScale)
+	cw.Uint32(uint32(len(b.Centroids)))
+	for _, c := range b.Centroids {
+		cw.Float64s(c)
 	}
-	if err := writeNetBlob(mw, b.Decision.Head); err != nil {
-		return fmt.Errorf("repo: write decision head: %w", err)
-	}
-	if err := writeBin(mw, b.NoveltyScale, uint32(len(b.Centroids))); err != nil {
-		return fmt.Errorf("repo: write novelty header: %w", err)
-	}
-	for i, c := range b.Centroids {
-		if len(c) != b.Encoder.EmbedDim() {
-			return fmt.Errorf("repo: centroid %d has dim %d, embed dim %d", i, len(c), b.Encoder.EmbedDim())
-		}
-		if err := writeFloats(mw, c); err != nil {
-			return fmt.Errorf("repo: write centroid %d: %w", i, err)
-		}
-	}
-	if err := writeBin(mw, uint16(len(b.Detectors))); err != nil {
-		return fmt.Errorf("repo: write model count: %w", err)
-	}
+	cw.Uint16(uint16(len(b.Detectors)))
 	for i, det := range b.Detectors {
 		info := b.Infos[i]
-		if err := writeString(mw, det.Name); err != nil {
-			return fmt.Errorf("repo: model %d name: %w", i, err)
-		}
-		if err := writeString(mw, det.Arch.Name); err != nil {
-			return fmt.Errorf("repo: model %d arch: %w", i, err)
-		}
-		if err := writeBin(mw, uint16(info.Level), int16(info.Cluster), info.ValF1); err != nil {
-			return fmt.Errorf("repo: model %d meta: %w", i, err)
-		}
-		if err := writeInts(mw, info.TrainScenes); err != nil {
+		cw.String16(det.Name)
+		cw.String16(det.Arch.Name)
+		cw.Uint16(uint16(info.Level))
+		cw.Uint16(uint16(int16(info.Cluster)))
+		cw.Float64(info.ValF1)
+		if err := writeInts(cw, info.TrainScenes); err != nil {
 			return fmt.Errorf("repo: model %d scenes: %w", i, err)
 		}
-		if err := writeNetBlob(mw, det.Weights()); err != nil {
-			return fmt.Errorf("repo: model %d net: %w", i, err)
-		}
+		writeNetBlob(cw, det.Weights())
 	}
-	if err := writeBin(w, crc.Sum32()); err != nil {
-		return fmt.Errorf("repo: write checksum: %w", err)
+	if err := cw.Close(); err != nil {
+		return fmt.Errorf("repo: write bundle: %w", err)
 	}
 	return nil
 }
@@ -123,22 +100,9 @@ func WriteBundle(w io.Writer, b *core.Bundle) error {
 // ReadBundle deserializes a bundle written by WriteBundle, verifying the
 // checksum and reconstructing the encoder, decision model and detectors.
 func ReadBundle(r io.Reader) (*core.Bundle, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("repo: read magic: %w", err)
-	}
-	if string(magic) != bundleMagic {
-		return nil, fmt.Errorf("repo: bad magic %q", magic)
-	}
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-
-	var (
-		version           uint16
-		featDim, embedDim uint32
-	)
-	if err := readBin(tr, &version, &featDim, &embedDim); err != nil {
+	cr := codec.NewReader(r, bundleMagic)
+	version, featDim, embedDim := cr.Uint16(), cr.Uint32(), cr.Uint32()
+	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("repo: read header: %w", err)
 	}
 	if version != bundleVersion {
@@ -150,21 +114,20 @@ func ReadBundle(r io.Reader) (*core.Bundle, error) {
 	if embedDim == 0 || embedDim > maxDim {
 		return nil, fmt.Errorf("repo: implausible embedding dim %d", embedDim)
 	}
-	classToScene, err := readInts(tr)
+	classToScene, err := readInts(cr)
 	if err != nil {
 		return nil, fmt.Errorf("repo: read scene map: %w", err)
 	}
-	encNet, err := readNetBlob(tr)
+	encNet, err := readNetBlob(cr)
 	if err != nil {
 		return nil, fmt.Errorf("repo: read encoder: %w", err)
 	}
-	headNet, err := readNetBlob(tr)
+	headNet, err := readNetBlob(cr)
 	if err != nil {
 		return nil, fmt.Errorf("repo: read decision head: %w", err)
 	}
-	var noveltyScale float64
-	var centroidCount uint32
-	if err := readBin(tr, &noveltyScale, &centroidCount); err != nil {
+	noveltyScale, centroidCount := cr.Float64(), cr.Uint32()
+	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("repo: read novelty header: %w", err)
 	}
 	if centroidCount > maxCentroids {
@@ -173,17 +136,14 @@ func ReadBundle(r io.Reader) (*core.Bundle, error) {
 	if total := uint64(centroidCount) * uint64(embedDim); total > 1<<22 {
 		return nil, fmt.Errorf("repo: implausible centroid payload (%d floats)", total)
 	}
-	centroids := make([]tensor.Vector, centroidCount)
-	for i := range centroids {
-		c := tensor.NewVector(int(embedDim))
-		if err := readFloats(tr, c); err != nil {
-			return nil, fmt.Errorf("repo: read centroid %d: %w", i, err)
-		}
-		centroids[i] = c
+	// The centroids grow as they arrive: the count comes from the header.
+	var centroids []tensor.Vector
+	for i := 0; i < int(centroidCount) && cr.Err() == nil; i++ {
+		centroids = append(centroids, cr.Float64s(int(embedDim)))
 	}
-	var modelCount uint16
-	if err := readBin(tr, &modelCount); err != nil {
-		return nil, fmt.Errorf("repo: read model count: %w", err)
+	modelCount := cr.Uint16()
+	if err := cr.Err(); err != nil {
+		return nil, fmt.Errorf("repo: read centroids: %w", err)
 	}
 	if modelCount == 0 || int(modelCount) > maxModels {
 		return nil, fmt.Errorf("repo: implausible model count %d", modelCount)
@@ -201,25 +161,13 @@ func ReadBundle(r io.Reader) (*core.Bundle, error) {
 	detectors := make([]*detect.Detector, modelCount)
 	infos := make([]core.ModelInfo, modelCount)
 	for i := 0; i < int(modelCount); i++ {
-		name, err := readString(tr)
+		name, archName := cr.String16(math.MaxUint16), cr.String16(math.MaxUint16)
+		level, cluster, valF1 := cr.Uint16(), int16(cr.Uint16()), cr.Float64()
+		scenes, err := readInts(cr)
 		if err != nil {
-			return nil, fmt.Errorf("repo: model %d name: %w", i, err)
-		}
-		archName, err := readString(tr)
-		if err != nil {
-			return nil, fmt.Errorf("repo: model %d arch: %w", i, err)
-		}
-		var level uint16
-		var cluster int16
-		var valF1 float64
-		if err := readBin(tr, &level, &cluster, &valF1); err != nil {
 			return nil, fmt.Errorf("repo: model %d meta: %w", i, err)
 		}
-		scenes, err := readInts(tr)
-		if err != nil {
-			return nil, fmt.Errorf("repo: model %d scenes: %w", i, err)
-		}
-		w, err := readNetBlob(tr)
+		w, err := readNetBlob(cr)
 		if err != nil {
 			return nil, fmt.Errorf("repo: model %d net: %w", i, err)
 		}
@@ -240,14 +188,8 @@ func ReadBundle(r io.Reader) (*core.Bundle, error) {
 			ValF1:       valF1,
 		}
 	}
-
-	wantCRC := crc.Sum32()
-	var gotCRC uint32
-	if err := readBin(br, &gotCRC); err != nil {
-		return nil, fmt.Errorf("repo: read checksum: %w", err)
-	}
-	if gotCRC != wantCRC {
-		return nil, fmt.Errorf("repo: checksum mismatch: stored %08x, computed %08x", gotCRC, wantCRC)
+	if err := cr.Close(); err != nil {
+		return nil, fmt.Errorf("repo: %w", err)
 	}
 
 	bundle := &core.Bundle{
@@ -265,25 +207,9 @@ func ReadBundle(r io.Reader) (*core.Bundle, error) {
 	return bundle, nil
 }
 
-// SaveFile writes the bundle to path atomically (write to a temp file in
-// the same directory, then rename).
+// SaveFile writes the bundle to path atomically (codec.SaveFile).
 func SaveFile(path string, b *core.Bundle) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".bundle-*")
-	if err != nil {
-		return fmt.Errorf("repo: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteBundle(tmp, b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("repo: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("repo: %w", err)
-	}
-	return nil
+	return codec.SaveFile(path, func(w io.Writer) error { return WriteBundle(w, b) })
 }
 
 // LoadFile reads a bundle from disk.
@@ -308,140 +234,46 @@ func ArchByName(name string) (detect.Arch, error) {
 	}
 }
 
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
-}
-
-func writeBin(w io.Writer, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readBin(r io.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("string too long (%d bytes)", len(s))
-	}
-	if err := writeBin(w, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint16
-	if err := readBin(r, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func writeInts(w io.Writer, xs []int) error {
+func writeInts(w *codec.Writer, xs []int) error {
 	if len(xs) > maxScenes {
 		return fmt.Errorf("int list too long (%d)", len(xs))
 	}
-	if err := writeBin(w, uint32(len(xs))); err != nil {
-		return err
-	}
+	w.Uint32(uint32(len(xs)))
 	for _, x := range xs {
 		if x < math.MinInt32 || x > math.MaxInt32 {
 			return fmt.Errorf("int %d out of int32 range", x)
 		}
-		if err := writeBin(w, int32(x)); err != nil {
-			return err
-		}
+		w.Uint32(uint32(int32(x)))
 	}
 	return nil
 }
 
-func readInts(r io.Reader) ([]int, error) {
-	var n uint32
-	if err := readBin(r, &n); err != nil {
-		return nil, err
-	}
+func readInts(r *codec.Reader) ([]int, error) {
+	n := r.Uint32()
 	if n > maxScenes {
 		return nil, fmt.Errorf("implausible int list length %d", n)
 	}
 	out := make([]int, n)
 	for i := range out {
-		var v int32
-		if err := readBin(r, &v); err != nil {
-			return nil, err
-		}
-		out[i] = int(v)
+		out[i] = int(int32(r.Uint32()))
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func writeFloats(w io.Writer, xs []float64) error {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFloats(r io.Reader, xs []float64) error {
-	buf := make([]byte, 8*len(xs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return nil
-}
-
-func writeNetBlob(w io.Writer, weights *nn.Weights) error {
+func writeNetBlob(w *codec.Writer, weights *nn.Weights) {
 	var buf bytes.Buffer
-	if _, err := weights.WriteTo(&buf); err != nil {
-		return err
-	}
-	if err := writeBin(w, uint64(buf.Len())); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
+	_, _ = weights.WriteTo(&buf) // writes to a bytes.Buffer cannot fail
+	w.Blob(buf.Bytes())
 }
 
-func readNetBlob(r io.Reader) (*nn.Weights, error) {
-	var n uint64
-	if err := readBin(r, &n); err != nil {
-		return nil, err
-	}
+func readNetBlob(r *codec.Reader) (*nn.Weights, error) {
 	const maxBlob = 1 << 30
-	if n == 0 || n > maxBlob {
-		return nil, fmt.Errorf("implausible network blob size %d", n)
-	}
-	// Copy incrementally rather than pre-allocating n bytes: a
-	// corrupted length field on a truncated stream then fails at EOF
-	// without ever committing the full claimed allocation.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+	blob := r.Blob(maxBlob)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nn.ReadWeights(&buf)
+	return nn.ReadWeights(bytes.NewReader(blob))
 }

@@ -2,7 +2,9 @@ package repo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 
 	"anole/internal/core"
@@ -99,4 +101,37 @@ func FuzzReadBundle(f *testing.F) {
 			t.Fatalf("decoded bundle does not re-serialize: %v", err)
 		}
 	})
+}
+
+// TestReadBundleBoundsAllocationByInput pins the bundle decoder against
+// header-driven allocation: a bundle whose novelty header claims the
+// most centroids the dims allow (65536 of dimension 1) and carries none
+// of them must not make ReadBundle reserve room for them.
+func TestReadBundleBoundsAllocationByInput(t *testing.T) {
+	b := tinyBundle(t)
+	blob := binary.LittleEndian.AppendUint16([]byte(bundleMagic), bundleVersion)
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(b.FeatDim))
+	blob = binary.LittleEndian.AppendUint32(blob, 1) // embedDim
+	blob = binary.LittleEndian.AppendUint32(blob, 0) // empty scene map
+	for _, w := range []*nn.Weights{b.Encoder.Weights, b.Decision.Head} {
+		var net bytes.Buffer
+		if _, err := w.WriteTo(&net); err != nil {
+			t.Fatal(err)
+		}
+		blob = binary.LittleEndian.AppendUint64(blob, uint64(net.Len()))
+		blob = append(blob, net.Bytes()...)
+	}
+	blob = binary.LittleEndian.AppendUint64(blob, 0) // novelty scale
+	blob = binary.LittleEndian.AppendUint32(blob, maxCentroids)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadBundle(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("bundle with no centroid data decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte bundle allocated %d bytes, want < 1 MiB", len(blob), got)
+	}
 }

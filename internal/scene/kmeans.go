@@ -50,7 +50,6 @@ func KMeans(points []tensor.Vector, k, restarts int, rng *xrand.RNG) (KMeansResu
 }
 
 func kmeansOnce(points []tensor.Vector, k int, rng *xrand.RNG) KMeansResult {
-	dim := len(points[0])
 	centroids := seedPlusPlus(points, k, rng)
 	assign := make([]int, len(points))
 	counts := make([]int, k)
@@ -73,8 +72,10 @@ func kmeansOnce(points []tensor.Vector, k int, rng *xrand.RNG) KMeansResult {
 		if !changed && iter > 0 {
 			break
 		}
+		// Each centroid is a private clone (seedPlusPlus or the
+		// empty-cluster re-seed below), so it is summed in place.
 		for c := range centroids {
-			centroids[c] = tensor.NewVector(dim)
+			clear(centroids[c])
 			counts[c] = 0
 		}
 		for i, p := range points {

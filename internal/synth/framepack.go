@@ -1,10 +1,10 @@
 package synth
 
 import (
-	"bufio"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"anole/internal/codec"
 )
 
 // Frame-pack format (all little-endian):
@@ -63,30 +63,21 @@ func EncodeFramesTrace(w io.Writer, frames []*Frame, trace string) error {
 	if trace != "" {
 		version = framePackVersionTraced
 	}
-	if _, err := w.Write([]byte(framePackMagic)); err != nil {
-		return fmt.Errorf("synth: write magic: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if err := binWrite(mw, version, uint16(featDim), uint16(cells), uint32(len(frames))); err != nil {
-		return fmt.Errorf("synth: write pack header: %w", err)
-	}
+	cw := codec.NewWriter(w, framePackMagic)
+	cw.Uint16(version)
+	cw.Uint16(uint16(featDim))
+	cw.Uint16(uint16(cells))
+	cw.Uint32(uint32(len(frames)))
 	if version == framePackVersionTraced {
-		if err := binWrite(mw, uint16(len(trace))); err != nil {
-			return fmt.Errorf("synth: write pack trace length: %w", err)
-		}
-		if _, err := mw.Write([]byte(trace)); err != nil {
-			return fmt.Errorf("synth: write pack trace: %w", err)
-		}
+		cw.String16(trace)
 	}
-	cfg := Config{GridW: cells, GridH: 1, FeatDim: featDim}
 	for i, f := range frames {
-		if err := writeFrame(mw, cfg, f); err != nil {
+		if err := writeFrame(cw, cells, featDim, f); err != nil {
 			return fmt.Errorf("synth: write pack frame %d: %w", i, err)
 		}
 	}
-	if err := binWrite(w, crc.Sum32()); err != nil {
-		return fmt.Errorf("synth: write pack checksum: %w", err)
+	if err := cw.Close(); err != nil {
+		return fmt.Errorf("synth: write frame pack: %w", err)
 	}
 	return nil
 }
@@ -97,21 +88,9 @@ func EncodeFramesTrace(w io.Writer, frames []*Frame, trace string) error {
 // labels and ground-truth objects; Dataset/Clip/Index provenance does
 // not travel.
 func DecodeFramesTrace(r io.Reader) ([]*Frame, string, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, "", fmt.Errorf("synth: read magic: %w", err)
-	}
-	if string(magic) != framePackMagic {
-		return nil, "", fmt.Errorf("synth: bad frame-pack magic %q", magic)
-	}
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-	var (
-		version, featDim, cells uint16
-		count                   uint32
-	)
-	if err := binRead(tr, &version, &featDim, &cells, &count); err != nil {
+	cr := codec.NewReader(r, framePackMagic)
+	version, featDim, cells, count := cr.Uint16(), cr.Uint16(), cr.Uint16(), cr.Uint32()
+	if err := cr.Err(); err != nil {
 		return nil, "", fmt.Errorf("synth: read pack header: %w", err)
 	}
 	if version != framePackVersion && version != framePackVersionTraced {
@@ -125,36 +104,22 @@ func DecodeFramesTrace(r io.Reader) ([]*Frame, string, error) {
 	}
 	var trace string
 	if version == framePackVersionTraced {
-		var tlen uint16
-		if err := binRead(tr, &tlen); err != nil {
-			return nil, "", fmt.Errorf("synth: read pack trace length: %w", err)
-		}
-		if tlen > maxPackTrace {
-			return nil, "", fmt.Errorf("synth: pack trace %d bytes exceeds limit %d", tlen, maxPackTrace)
-		}
-		tb := make([]byte, tlen)
-		if _, err := io.ReadFull(tr, tb); err != nil {
+		trace = cr.String16(maxPackTrace)
+		if err := cr.Err(); err != nil {
 			return nil, "", fmt.Errorf("synth: read pack trace: %w", err)
 		}
-		trace = string(tb)
 	}
-	cfg := Config{GridW: int(cells), GridH: 1, FeatDim: int(featDim)}
 	frames := make([]*Frame, 0, count)
 	for i := 0; i < int(count); i++ {
-		f, err := readFrame(tr, cfg)
+		f, err := readFrame(cr, int(cells), int(featDim))
 		if err != nil {
 			return nil, "", fmt.Errorf("synth: read pack frame %d: %w", i, err)
 		}
 		f.Index = i
 		frames = append(frames, f)
 	}
-	wantCRC := crc.Sum32()
-	var gotCRC uint32
-	if err := binRead(br, &gotCRC); err != nil {
-		return nil, "", fmt.Errorf("synth: read pack checksum: %w", err)
-	}
-	if gotCRC != wantCRC {
-		return nil, "", fmt.Errorf("synth: frame-pack checksum mismatch: stored %08x, computed %08x", gotCRC, wantCRC)
+	if err := cr.Close(); err != nil {
+		return nil, "", fmt.Errorf("synth: frame pack: %w", err)
 	}
 	return frames, trace, nil
 }

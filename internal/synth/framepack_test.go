@@ -2,6 +2,8 @@ package synth
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"anole/internal/xrand"
@@ -130,5 +132,31 @@ func TestFramePackDecodeRejectsDamage(t *testing.T) {
 	}
 	if _, _, err := DecodeFramesTrace(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input decoded")
+	}
+}
+
+// TestFramePackBytesPinned pins the ANLF encoding byte for byte on
+// literal frames, untraced (version 1) and traced (version 2), and that
+// each decodes back to the same frames and trace.
+func TestFramePackBytesPinned(t *testing.T) {
+	for _, tc := range []struct{ trace, want string }{
+		{"", "bcb4f4451831530afa2cd83986fe2f8eac99d8aa27f4340df77fb098ee46966e"},
+		{"d3.17", "a78bfaa39fcd34d35d93cea30b9a8c2c4c30b709aca3ddcc157d2bf4b069ecff"},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeFramesTrace(&buf, literalFrames(), tc.trace); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("trace %q: ANLF encoding sha256 %s, want %s", tc.trace, got, tc.want)
+		}
+		frames, trace, err := DecodeFramesTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := EncodeFramesTrace(&again, frames, trace); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Errorf("trace %q: decoded pack re-encodes differently (err %v)", tc.trace, err)
+		}
 	}
 }

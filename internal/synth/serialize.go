@@ -1,13 +1,11 @@
 package synth
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
+
+	"anole/internal/codec"
 )
 
 // Corpus file format (all little-endian):
@@ -32,6 +30,13 @@ const (
 	corpusVersion = 1
 	maxClips      = 1 << 20
 	maxFrames     = 1 << 24
+	// maxCorpusGrid and maxCorpusFeatDim bound the geometry a header may
+	// claim: the world rebuilt from it holds 136 featDim×featDim matrices
+	// (16 attribute rotations, 120 scene transforms; some 72 MB at the
+	// cap), so an unchecked uint16 featDim would let a 50-byte file ask
+	// for terabytes.
+	maxCorpusGrid    = 256
+	maxCorpusFeatDim = 256
 )
 
 // WriteCorpus serializes the corpus (and its world configuration, for
@@ -40,130 +45,116 @@ func (c *Corpus) WriteCorpus(w io.Writer) error {
 	if c.World == nil {
 		return fmt.Errorf("synth: corpus has no world")
 	}
-	if _, err := w.Write([]byte(corpusMagic)); err != nil {
-		return fmt.Errorf("synth: write magic: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
 	cfg := c.World.Config()
-	if err := binWrite(mw,
-		uint16(corpusVersion),
-		cfg.Seed,
-		uint16(cfg.GridW), uint16(cfg.GridH), uint16(cfg.FeatDim),
-		cfg.SceneShift, cfg.NoiseStd, cfg.ClutterStd,
-		uint16(cfg.MaxObjects),
-		uint32(len(c.Clips)),
-	); err != nil {
-		return fmt.Errorf("synth: write header: %w", err)
+	if !corpusGeometryOK(cfg) {
+		return fmt.Errorf("synth: geometry %dx%d cells × %d features exceeds the corpus format's caps", cfg.GridW, cfg.GridH, cfg.FeatDim)
 	}
+	cw := codec.NewWriter(w, corpusMagic)
+	cw.Uint16(corpusVersion)
+	cw.Uint64(cfg.Seed)
+	cw.Uint16(uint16(cfg.GridW))
+	cw.Uint16(uint16(cfg.GridH))
+	cw.Uint16(uint16(cfg.FeatDim))
+	cw.Float64(cfg.SceneShift)
+	cw.Float64(cfg.NoiseStd)
+	cw.Float64(cfg.ClutterStd)
+	cw.Uint16(uint16(cfg.MaxObjects))
+	cw.Uint32(uint32(len(c.Clips)))
 	for ci, clip := range c.Clips {
 		seen := uint8(0)
 		if clip.Seen {
 			seen = 1
 		}
-		if err := binWrite(mw, uint8(clip.Dataset), uint32(clip.ID), seen, uint32(len(clip.Frames))); err != nil {
-			return fmt.Errorf("synth: write clip %d: %w", ci, err)
-		}
+		cw.Uint8(uint8(clip.Dataset))
+		cw.Uint32(uint32(clip.ID))
+		cw.Uint8(seen)
+		cw.Uint32(uint32(len(clip.Frames)))
 		for fi, f := range clip.Frames {
-			if err := writeFrame(mw, cfg, f); err != nil {
+			if err := writeFrame(cw, cfg.Cells(), cfg.FeatDim, f); err != nil {
 				return fmt.Errorf("synth: write clip %d frame %d: %w", ci, fi, err)
 			}
 		}
 	}
-	if err := binWrite(w, crc.Sum32()); err != nil {
-		return fmt.Errorf("synth: write checksum: %w", err)
+	if err := cw.Close(); err != nil {
+		return fmt.Errorf("synth: write corpus: %w", err)
 	}
 	return nil
 }
 
-func writeFrame(w io.Writer, cfg Config, f *Frame) error {
+// writeFrame writes f in the per-frame encoding above; f must hold
+// cells×featDim cell values.
+func writeFrame(w *codec.Writer, cells, featDim int, f *Frame) error {
 	if len(f.Objects) > 255 {
 		return fmt.Errorf("frame has %d objects", len(f.Objects))
 	}
-	if err := binWrite(w, uint16(f.Scene.Index()), f.Brightness, f.Contrast, uint8(len(f.Objects))); err != nil {
-		return err
+	if len(f.Cells) != cells*featDim {
+		return fmt.Errorf("frame has %d cell floats, want %d", len(f.Cells), cells*featDim)
 	}
+	w.Uint16(uint16(f.Scene.Index()))
+	w.Float64(f.Brightness)
+	w.Float64(f.Contrast)
+	w.Uint8(uint8(len(f.Objects)))
 	for _, o := range f.Objects {
-		if err := binWrite(w, uint16(o.Cell), uint8(o.Class), o.Size); err != nil {
-			return err
-		}
+		w.Uint16(uint16(o.Cell))
+		w.Uint8(uint8(o.Class))
+		w.Float64(o.Size)
 	}
-	want := cfg.Cells() * cfg.FeatDim
-	if len(f.Cells) != want {
-		return fmt.Errorf("frame has %d cell floats, want %d", len(f.Cells), want)
-	}
-	buf := make([]byte, 8*len(f.Cells))
-	for i, x := range f.Cells {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	_, err := w.Write(buf)
-	return err
+	w.Float64s(f.Cells)
+	return nil
 }
 
-// ReadCorpus deserializes a corpus written by WriteCorpus, reconstructing
-// the generating world from the stored configuration and verifying the
-// checksum.
+// ReadCorpus deserializes a corpus written by WriteCorpus, verifying the
+// checksum and then reconstructing the generating world from the stored
+// configuration. The world is built only from a verified header within
+// the geometry caps: its size grows as featDim².
 func ReadCorpus(r io.Reader) (*Corpus, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("synth: read magic: %w", err)
+	cr := codec.NewReader(r, corpusMagic)
+	version := cr.Uint16()
+	cfg := Config{
+		Seed:       cr.Uint64(),
+		GridW:      int(cr.Uint16()),
+		GridH:      int(cr.Uint16()),
+		FeatDim:    int(cr.Uint16()),
+		SceneShift: cr.Float64(),
+		NoiseStd:   cr.Float64(),
+		ClutterStd: cr.Float64(),
+		MaxObjects: int(cr.Uint16()),
 	}
-	if string(magic) != corpusMagic {
-		return nil, fmt.Errorf("synth: bad magic %q", magic)
-	}
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-
-	var (
-		version                uint16
-		seed                   uint64
-		gridW, gridH, featDim  uint16
-		shift, noise, clutter  float64
-		maxObjects, _clipCount = uint16(0), uint32(0)
-	)
-	if err := binRead(tr, &version, &seed, &gridW, &gridH, &featDim,
-		&shift, &noise, &clutter, &maxObjects, &_clipCount); err != nil {
+	clipCount := cr.Uint32()
+	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("synth: read header: %w", err)
 	}
 	if version != corpusVersion {
 		return nil, fmt.Errorf("synth: unsupported version %d", version)
 	}
-	if _clipCount > maxClips {
-		return nil, fmt.Errorf("synth: implausible clip count %d", _clipCount)
+	if clipCount > maxClips {
+		return nil, fmt.Errorf("synth: implausible clip count %d", clipCount)
 	}
-	cfg := Config{
-		Seed:       seed,
-		GridW:      int(gridW),
-		GridH:      int(gridH),
-		FeatDim:    int(featDim),
-		SceneShift: shift,
-		NoiseStd:   noise,
-		ClutterStd: clutter,
-		MaxObjects: int(maxObjects),
+	if !corpusGeometryOK(cfg) {
+		return nil, fmt.Errorf("synth: implausible geometry %dx%d cells × %d features", cfg.GridW, cfg.GridH, cfg.FeatDim)
 	}
-	world, err := NewWorld(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("synth: rebuild world: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 
-	corpus := &Corpus{World: world}
+	corpus := &Corpus{}
 	totalFrames := 0
-	for ci := 0; ci < int(_clipCount); ci++ {
-		var (
-			dataset, seen uint8
-			id, frames    uint32
-		)
-		if err := binRead(tr, &dataset, &id, &seen, &frames); err != nil {
+	for ci := 0; ci < int(clipCount); ci++ {
+		clip := &Clip{Dataset: DatasetID(cr.Uint8()), ID: int(cr.Uint32())}
+		seen, frames := cr.Uint8(), cr.Uint32()
+		if err := cr.Err(); err != nil {
 			return nil, fmt.Errorf("synth: read clip %d: %w", ci, err)
 		}
+		if seen > 1 {
+			return nil, fmt.Errorf("synth: clip %d has bad seen flag %d", ci, seen)
+		}
+		clip.Seen = seen == 1
 		totalFrames += int(frames)
 		if totalFrames > maxFrames {
 			return nil, fmt.Errorf("synth: implausible total frame count %d", totalFrames)
 		}
-		clip := &Clip{Dataset: DatasetID(dataset), ID: int(id), Seen: seen != 0}
 		for fi := 0; fi < int(frames); fi++ {
-			f, err := readFrame(tr, cfg)
+			f, err := readFrame(cr, cfg.Cells(), cfg.FeatDim)
 			if err != nil {
 				return nil, fmt.Errorf("synth: read clip %d frame %d: %w", ci, fi, err)
 			}
@@ -174,101 +165,55 @@ func ReadCorpus(r io.Reader) (*Corpus, error) {
 		}
 		corpus.Clips = append(corpus.Clips, clip)
 	}
-	wantCRC := crc.Sum32()
-	var gotCRC uint32
-	if err := binRead(br, &gotCRC); err != nil {
-		return nil, fmt.Errorf("synth: read checksum: %w", err)
+	if err := cr.Close(); err != nil {
+		return nil, fmt.Errorf("synth: corpus: %w", err)
 	}
-	if gotCRC != wantCRC {
-		return nil, fmt.Errorf("synth: checksum mismatch: stored %08x, computed %08x", gotCRC, wantCRC)
+	world, err := NewWorld(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("synth: rebuild world: %w", err)
 	}
+	corpus.World = world
 	return corpus, nil
 }
 
-func readFrame(r io.Reader, cfg Config) (*Frame, error) {
-	var (
-		sceneIdx             uint16
-		brightness, contrast float64
-		objCount             uint8
-	)
-	if err := binRead(r, &sceneIdx, &brightness, &contrast, &objCount); err != nil {
+// corpusGeometryOK reports whether cfg's grid and feature dimension lie
+// within the corpus format's caps.
+func corpusGeometryOK(cfg Config) bool {
+	return cfg.GridW <= maxCorpusGrid && cfg.GridH <= maxCorpusGrid && cfg.FeatDim <= maxCorpusFeatDim
+}
+
+// readFrame reads one frame of cells×featDim cell values.
+func readFrame(r *codec.Reader, cells, featDim int) (*Frame, error) {
+	sceneIdx := r.Uint16()
+	f := &Frame{Brightness: r.Float64(), Contrast: r.Float64(), featDim: featDim}
+	objCount := r.Uint8()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if int(sceneIdx) >= NumScenes {
 		return nil, fmt.Errorf("scene index %d out of range", sceneIdx)
 	}
-	f := &Frame{
-		Scene:      SceneFromIndex(int(sceneIdx)),
-		Brightness: brightness,
-		Contrast:   contrast,
-		featDim:    cfg.FeatDim,
-	}
-	cells := cfg.Cells()
+	f.Scene = SceneFromIndex(int(sceneIdx))
 	for i := 0; i < int(objCount); i++ {
-		var (
-			cell  uint16
-			class uint8
-			size  float64
-		)
-		if err := binRead(r, &cell, &class, &size); err != nil {
+		o := Object{Cell: int(r.Uint16()), Class: Class(r.Uint8()), Size: r.Float64()}
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if int(cell) >= cells || int(class) >= NumClasses {
-			return nil, fmt.Errorf("object %d out of range (cell %d, class %d)", i, cell, class)
+		if o.Cell >= cells || int(o.Class) >= NumClasses {
+			return nil, fmt.Errorf("object %d out of range (cell %d, class %d)", i, o.Cell, o.Class)
 		}
-		f.Objects = append(f.Objects, Object{Cell: int(cell), Class: Class(class), Size: size})
+		f.Objects = append(f.Objects, o)
 	}
-	// The geometry comes from the input's header, so the cells are read
-	// a chunk at a time: memory grows with the bytes actually delivered,
-	// never with what a header claims.
-	n := cells * cfg.FeatDim
-	f.Cells = make([]float64, 0, min(n, readChunk))
-	buf := make([]byte, 8*min(n, readChunk))
-	for len(f.Cells) < n {
-		chunk := buf[:8*min(n-len(f.Cells), readChunk)]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, err
-		}
-		for i := 0; i < len(chunk); i += 8 {
-			f.Cells = append(f.Cells, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-		}
+	f.Cells = r.Float64s(cells * featDim)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// readChunk is how many cell values readFrame reads at a time.
-const readChunk = 4096
-
-// SaveCorpusFile writes the corpus to path atomically.
+// SaveCorpusFile writes the corpus to path atomically (codec.SaveFile).
 func SaveCorpusFile(path string, c *Corpus) error {
-	dir := "."
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			dir = path[:i]
-			break
-		}
-	}
-	tmp, err := os.CreateTemp(dir, ".corpus-*")
-	if err != nil {
-		return fmt.Errorf("synth: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := c.WriteCorpus(bw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("synth: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("synth: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("synth: %w", err)
-	}
-	return nil
+	return codec.SaveFile(path, c.WriteCorpus)
 }
 
 // LoadCorpusFile reads a corpus from disk.
@@ -279,22 +224,4 @@ func LoadCorpusFile(path string) (*Corpus, error) {
 	}
 	defer f.Close()
 	return ReadCorpus(f)
-}
-
-func binWrite(w io.Writer, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func binRead(r io.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
