@@ -11,6 +11,11 @@
 // composed per scene. A capacity-limited detector can invert the transform
 // of one scene but not of all scenes at once — which is exactly the
 // premise Anole exploits.
+//
+// Every float product that feeds a sum is written float64(x*y) + z:
+// the conversion rounds the product, so no platform fuses a
+// multiply-add, and arm64 generates and describes the same frames, bit
+// for bit, as amd64 (CI's arm64 objdump check covers this package).
 package synth
 
 import "fmt"

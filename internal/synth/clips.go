@@ -58,7 +58,7 @@ func DefaultProfiles(scale float64) []Profile {
 		scale = 1
 	}
 	scaled := func(n int) int {
-		v := int(float64(n)*scale + 0.5)
+		v := int(float64(float64(n)*scale) + 0.5)
 		if v < 1 {
 			v = 1
 		}

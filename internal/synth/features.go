@@ -48,10 +48,10 @@ func FrameFeatureInto(dst tensor.Vector, f *Frame) tensor.Vector {
 		for off := j; off < n; off += d {
 			x := xs[off : off+channelGroup : off+channelGroup]
 			e0, e1, e2, e3 := x[0]-m0, x[1]-m1, x[2]-m2, x[3]-m3
-			s0 += e0 * e0
-			s1 += e1 * e1
-			s2 += e2 * e2
-			s3 += e3 * e3
+			s0 += float64(e0 * e0)
+			s1 += float64(e1 * e1)
+			s2 += float64(e2 * e2)
+			s3 += float64(e3 * e3)
 		}
 		std[j] = math.Sqrt(s0 * inv)
 		std[j+1] = math.Sqrt(s1 * inv)
@@ -63,7 +63,7 @@ func FrameFeatureInto(dst tensor.Vector, f *Frame) tensor.Vector {
 		var s float64
 		for off := j; off < n; off += d {
 			e := xs[off] - m
-			s += e * e
+			s += float64(e * e)
 		}
 		std[j] = math.Sqrt(s * inv)
 	}

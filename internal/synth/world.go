@@ -213,7 +213,7 @@ func NewWorld(cfg Config) (*World, error) {
 		for i := range gs {
 			g := tensor.NewVector(d)
 			for j := range g {
-				g[j] = 1 + spread*cfg.SceneShift*rng.Norm()
+				g[j] = 1 + float64(spread*cfg.SceneShift*rng.Norm())
 			}
 			gs[i] = g
 		}
@@ -278,8 +278,8 @@ func NewWorld(cfg Config) (*World, error) {
 		// than span a handful of shared attribute factors.
 		srng := xrand.NewLabeled(cfg.Seed, "scene-idio-"+s.String())
 		for j := 0; j < d; j++ {
-			g[j] *= 1 + 0.35*cfg.SceneShift*srng.Norm()
-			b[j] += 0.2 * cfg.SceneShift * srng.Norm()
+			g[j] *= 1 + float64(0.35*cfg.SceneShift*srng.Norm())
+			b[j] += float64(0.2 * cfg.SceneShift * srng.Norm())
 		}
 		w.sceneG[idx] = g
 	}
@@ -415,7 +415,7 @@ func (w *World) GenerateFrame(s Scene, densityMul float64, rng *xrand.RNG) *Fram
 	for cell := 0; cell < cells; cell++ {
 		copy(raw, w.locBG[s.Location])
 		for j := 0; j < d; j++ {
-			raw[j] += w.cfg.ClutterStd * rng.Norm()
+			raw[j] += float64(w.cfg.ClutterStd * rng.Norm())
 		}
 		if obj, ok := f.ObjectAt(cell); ok {
 			amp := f.Contrast * obj.Size
@@ -428,7 +428,7 @@ func (w *World) GenerateFrame(s Scene, densityMul float64, rng *xrand.RNG) *Fram
 		w.sceneA[s.Index()].MulVec(out, raw)
 		out.AddScaled(1, w.sceneB[s.Index()])
 		for j := 0; j < d; j++ {
-			out[j] += w.cfg.NoiseStd * rng.Norm()
+			out[j] += float64(w.cfg.NoiseStd * rng.Norm())
 		}
 	}
 	return f

@@ -1,10 +1,5 @@
 package tensor
 
-// haveAVX2 reports whether the CPU and OS support AVX2, checked once at
-// start-up; the dense kernel and AdamStep.Update run their assembly
-// loops only when it holds.
-var haveAVX2 = cpuHasAVX2()
-
 // cpuHasAVX2 needs CPUID leaf 1's OSXSAVE and AVX bits, XCR0's XMM and
 // YMM state bits (the OS saves the 256-bit registers), and CPUID leaf
 // 7's AVX2 bit.
@@ -26,6 +21,19 @@ func cpuHasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
+// cpuHasAVX512 needs CPUID leaf 7's AVX512F bit and XCR0's XMM, YMM,
+// opmask and both ZMM state bits (the OS saves the 512-bit registers
+// and the mask registers). Call it only where cpuHasAVX2 holds: that
+// checks OSXSAVE and the leaf count first.
+func cpuHasAVX512() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16
+	return ebx7&avx512f != 0
+}
+
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
@@ -37,6 +45,12 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func denseAVX2(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool)
+
+// denseAVX512 is denseAVX2 on 512-bit registers (same arguments, same
+// strides, bit-identical results). It requires haveAVX512.
+//
+//go:noescape
+func denseAVX512(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool)
 
 // adamAVX2 is the assembly form of AdamStep.Update's Go loop over the
 // first len(value)/4·4 elements (bit-identical results; c1 = 1−β₁,

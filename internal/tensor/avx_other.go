@@ -2,13 +2,21 @@
 
 package tensor
 
-// haveAVX2 is false off amd64: the dense kernel and AdamStep.Update
-// always run their Go loops.
-const haveAVX2 = false
+// haveAVX2 and haveAVX512 are false off amd64: the dense kernel and
+// AdamStep.Update always run their Go loops.
+const (
+	haveAVX2   = false
+	haveAVX512 = false
+)
 
 // denseAVX2 exists only on amd64; dense never calls it here.
 func denseAVX2(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool) {
 	panic("tensor: AVX2 kernel called off amd64")
+}
+
+// denseAVX512 exists only on amd64; dense never calls it here.
+func denseAVX512(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool) {
+	panic("tensor: AVX-512 kernel called off amd64")
 }
 
 // adamAVX2 exists only on amd64; AdamStep.Update never calls it here.

@@ -6,10 +6,14 @@ import (
 	"unsafe"
 )
 
-// guardedCopy returns a copy of data that ends where a page the process
-// may not touch begins, so a kernel that loads past the operand faults
-// (callNoFault turns the fault into a test failure).
-func guardedCopy(t *testing.T, data []float64) []float64 {
+// guardPages hands out copies of operands that each end where a page
+// the process may not touch begins, so a kernel that loads past one
+// faults (callNoFault turns the fault into a test failure); free unmaps
+// them. A loop that makes many operands frees them as it goes, which
+// keeps the process under the kernel's limit on mappings.
+type guardPages struct{ maps [][]byte }
+
+func (g *guardPages) copy(t *testing.T, data []float64) []float64 {
 	t.Helper()
 	if len(data) == 0 {
 		return nil
@@ -20,7 +24,7 @@ func guardedCopy(t *testing.T, data []float64) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { syscall.Munmap(mem) })
+	g.maps = append(g.maps, mem)
 	if err := syscall.Mprotect(mem[size-page:], syscall.PROT_NONE); err != nil {
 		t.Fatal(err)
 	}
@@ -28,4 +32,11 @@ func guardedCopy(t *testing.T, data []float64) []float64 {
 	out := unsafe.Slice((*float64)(unsafe.Pointer(&body[0])), len(data))
 	copy(out, data)
 	return out
+}
+
+func (g *guardPages) free() {
+	for _, m := range g.maps {
+		syscall.Munmap(m)
+	}
+	g.maps = g.maps[:0]
 }

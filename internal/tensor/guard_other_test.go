@@ -4,8 +4,12 @@ package tensor
 
 import "testing"
 
-// guardedCopy returns a copy of data. Only the Linux form follows it
-// with an unreadable page.
-func guardedCopy(t *testing.T, data []float64) []float64 {
+// guardPages hands out plain copies of operands. Only the Linux form
+// follows each with an unreadable page.
+type guardPages struct{}
+
+func (*guardPages) copy(t *testing.T, data []float64) []float64 {
 	return append([]float64(nil), data...)
 }
+
+func (*guardPages) free() {}

@@ -14,29 +14,33 @@ import (
 // elements of a shared suffix c (kc = 0 for every product but
 // DenseSuffixInto). It reads x and w through strides: element (r, kk)
 // of x sits at x[r·xr + kk·xs], and output column j's weight for input
-// kk (suffix inputs numbered on from k) at w[(j/4)·wp + kk·wk + j%4] —
-// the weights come in panels of four adjacent output columns. Each
+// kk (suffix inputs numbered on from k) at w[(j/8)·wp + kk·wk + j%8] —
+// the weights come in panels of eight adjacent output columns. Each
 // output's dot product, bias add and optional ReLU happen before it is
-// stored. On amd64 with AVX2 an assembly loop computes four output
-// columns of four rows per step (dense_amd64.s); everywhere else a
-// pure-Go loop reads the same strides. Both sum every output in
-// ascending k from +0, x's inputs then c's, then add the bias, so each
-// output is bit-identical to Matrix.MulVec on the row [x | c] followed
-// by Vector.AddScaled(1, b): the assembly multiplies and adds
-// separately (never FMA), as compiled Go does on amd64, and the
-// portable loop rounds each product before adding it, as MulVec does.
+// stored. The kernel has three forms, one chosen once at start-up from
+// CPUID (cpu_amd64.go): on amd64 with AVX-512F an assembly loop
+// computes one 8-column panel of four rows per step in 512-bit
+// registers (dense512_amd64.s); with AVX2 only, the same loop runs each
+// panel as two 4-column halves in 256-bit registers (dense_amd64.s);
+// everywhere else a pure-Go loop reads the same strides. All three sum
+// every output in ascending k from +0, x's inputs then c's, then add
+// the bias, so each output is bit-identical to Matrix.MulVec on the row
+// [x | c] followed by Vector.AddScaled(1, b): the assembly multiplies
+// and adds separately (never FMA), as compiled Go does on amd64, and
+// the portable loop rounds each product before adding it, as MulVec
+// does.
 //
 // The strides let each product read its operands where they lie:
 //
 //   - DenseInto reads a Packed layer, whose weights were copied once
-//     into k-major panels (wp = 4k, wk = 4), so that a layer stored one
+//     into k-major panels (wp = 8k, wk = 8), so that a layer stored one
 //     row per output can be applied many times. DenseSuffixInto reads
 //     the same panels with the layer's last inputs taken from c: rows
 //     that share a context (a frame's cells and the frame's descriptor)
 //     are never staged, and each suffix product is computed once per
 //     block of rows.
 //   - MatMulInto (a·b) and TMatMulInto (aᵀ·b) read row-major b in place
-//     (wp = 4, wk = b.Cols); TMatMulInto reads a's columns as rows
+//     (wp = 8, wk = b.Cols); TMatMulInto reads a's columns as rows
 //     (xs = a.Cols, xr = 1).
 //   - MatMulTInto (a·bᵀ) packs b into a pooled Packed per call: the
 //     lanes of one panel would be b.Cols apart in place.
@@ -48,19 +52,19 @@ import (
 // 0-alloc. None spawns goroutines: callers parallelize across
 // independent products.
 
-// panelCols is the output-column width of one weight panel: one 256-bit
-// vector of float64.
-const panelCols = 4
+// panelCols is the output-column width of one weight panel: one 512-bit
+// vector of float64, or two 256-bit ones.
+const panelCols = 8
 
 // Packed is a dense layer's parameters laid out for DenseInto: the
-// weights W (n outputs × k inputs) as ⌈n/4⌉ panels of four output
-// columns, each panel k-major (the four weights of input kk are
+// weights W (n outputs × k inputs) as ⌈n/8⌉ panels of eight output
+// columns, each panel k-major (the eight weights of input kk are
 // adjacent), and the bias b. The last panel's unused lanes are never
 // read. Any number of goroutines may run DenseInto on one Packed at
 // once; it changes only when repacked.
 type Packed struct {
 	n, k int
-	w    []float64 // ⌈n/4⌉ · k · 4
+	w    []float64 // ⌈n/8⌉ · k · 8
 	b    []float64 // n, or empty for a zero bias
 }
 
@@ -85,7 +89,7 @@ func (p *Packed) Repack(w *Matrix, b Vector) {
 	p.w = resize(p.w, (n+panelCols-1)/panelCols*k*panelCols)
 	p.b = append(p.b[:0], b...)
 	// Read w in storage order: output c's weight for input kk lands at
-	// panel c/4, row kk, lane c%4.
+	// panel c/8, row kk, lane c%8.
 	for c := 0; c < n; c++ {
 		panel := p.w[c/panelCols*k*panelCols:]
 		lane := c % panelCols
@@ -135,19 +139,22 @@ func DenseSuffixInto(dst, x *Matrix, c Vector, p *Packed, relu bool) *Matrix {
 }
 
 // dense runs the kernel (see the top of this file for the strides): the
-// AVX2 loop where the CPU has it, the portable loop otherwise.
+// widest assembly loop the CPU has, the portable loop otherwise.
 func dense(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool) {
-	if haveAVX2 {
+	switch {
+	case haveAVX512:
+		denseAVX512(dst, x, w, b, c, rows, k, kc, n, xs, xr, wp, wk, relu)
+	case haveAVX2:
 		denseAVX2(dst, x, w, b, c, rows, k, kc, n, xs, xr, wp, wk, relu)
-		return
+	default:
+		denseGeneric(dst, x, w, b, c, rows, k, kc, n, xs, xr, wp, wk, relu)
 	}
-	denseGeneric(dst, x, w, b, c, rows, k, kc, n, xs, xr, wp, wk, relu)
 }
 
-// denseGeneric is the portable kernel: per row and panel, up to four
-// accumulators sum x's k inputs and then c's kc in ascending order, then
-// the bias (when b is not empty) and the optional ReLU apply and the
-// panel's live columns are stored.
+// denseGeneric is the portable kernel: per row and panel, one
+// accumulator per live column sums x's k inputs and then c's kc in
+// ascending order, then the bias (when b is not empty) and the optional
+// ReLU apply and the panel's live columns are stored.
 func denseGeneric(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, relu bool) {
 	for r := 0; r < rows; r++ {
 		orow := dst[r*n : (r+1)*n]
@@ -175,27 +182,28 @@ func denseGeneric(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int,
 
 // dotPanel adds to s the products of the k elements of x from xi at
 // stride xs with the first lanes columns of one weight panel, whose
-// weights for input kk start at w[wi + kk·wk], in ascending k. The
-// explicit float64 conversion rounds each product before the add, so no
+// weights for input kk start at w[wi + kk·wk], in ascending k: four
+// columns at a time in registers, then one at a time. The explicit
+// float64 conversion rounds each product before the add, so no
 // platform fuses them into a multiply-add.
 func dotPanel(s *[panelCols]float64, x []float64, xi, xs int, w []float64, wi, wk, k, lanes int) {
-	if lanes == panelCols {
-		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-		for ; k > 0; k-- {
-			xv, p := x[xi], w[wi:wi+panelCols]
+	l := 0
+	for ; l+4 <= lanes; l += 4 {
+		s0, s1, s2, s3 := s[l], s[l+1], s[l+2], s[l+3]
+		for xj, wj, kk := xi, wi+l, k; kk > 0; kk-- {
+			xv, p := x[xj], w[wj:wj+4]
 			s0 += float64(xv * p[0])
 			s1 += float64(xv * p[1])
 			s2 += float64(xv * p[2])
 			s3 += float64(xv * p[3])
-			xi, wi = xi+xs, wi+wk
+			xj, wj = xj+xs, wj+wk
 		}
-		s[0], s[1], s[2], s[3] = s0, s1, s2, s3
-		return
+		s[l], s[l+1], s[l+2], s[l+3] = s0, s1, s2, s3
 	}
-	for ; k > 0; k-- {
+	for ; k > 0 && l < lanes; k-- {
 		xv := x[xi]
-		for l, wv := range w[wi : wi+lanes] {
-			s[l] += float64(xv * wv)
+		for j, wv := range w[wi+l : wi+lanes] {
+			s[l+j] += float64(xv * wv)
 		}
 		xi, wi = xi+xs, wi+wk
 	}

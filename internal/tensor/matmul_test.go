@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"sort"
 	"testing"
 
 	"anole/internal/xrand"
@@ -241,6 +242,7 @@ func FuzzMatMulKernels(f *testing.F) {
 	f.Add(uint64(4), 33, 17, 9, uint8(3))
 	f.Add(uint64(5), 7, 18, 5, uint8(9))
 	f.Add(uint64(6), 9, 64, 19, uint8(10))
+	f.Add(uint64(7), 10, 8, 14, uint8(8))
 	f.Fuzz(func(t *testing.T, seed uint64, m, k, n int, special uint8) {
 		const maxDim = 48
 		clamp := func(d int) int {
@@ -341,21 +343,50 @@ func denseKernels() map[string]kernelFunc {
 	if haveAVX2 {
 		ks["avx2"] = denseAVX2
 	}
+	if haveAVX512 {
+		ks["avx512"] = denseAVX512
+	}
 	return ks
 }
 
+// TestDenseDispatch logs which kernel dense runs here (CI greps it to
+// check a test build's CPU overlay) and checks that the choice is one
+// the kernel tests run, AVX-512 only with AVX2.
+func TestDenseDispatch(t *testing.T) {
+	name := "generic"
+	switch {
+	case haveAVX512:
+		name = "avx512"
+	case haveAVX2:
+		name = "avx2"
+	}
+	t.Logf("dense dispatches to the %s kernel (AVX2 %v, AVX-512 %v)", name, haveAVX2, haveAVX512)
+	if haveAVX512 && !haveAVX2 {
+		t.Fatal("AVX-512 kernel selected without AVX2")
+	}
+	if _, ok := denseKernels()[name]; !ok {
+		t.Fatalf("dispatched kernel %s is not among the tested kernels", name)
+	}
+}
+
 // checkDenseKernels runs every dense kernel on x against the packed
-// (w, bias) and compares the result with want bit for bit. The output
-// buffer carries guard elements past its end, which no kernel may
-// touch.
+// (w, bias) and compares the result with want bit for bit. Each operand
+// ends where an unreadable page begins (guardPages), so a load past it
+// faults, and the output buffer carries guard elements past its end,
+// which no kernel may touch.
 func checkDenseKernels(t *testing.T, x, w *Matrix, bias []float64, relu bool, want *Matrix) {
 	t.Helper()
 	p := PackDense(w, bias)
+	var g guardPages
+	defer g.free()
+	gx, gw, gb := g.copy(t, x.Data), g.copy(t, p.w), g.copy(t, p.b)
 	for name, kernel := range denseKernels() {
 		label := fmt.Sprintf("%s kernel %dx%dx%d relu=%v", name, x.Rows, x.Cols, w.Rows, relu)
 		got := runGuarded(t, label, x.Rows, w.Rows, func(dst []float64) {
 			if x.Rows > 0 && w.Rows > 0 {
-				kernel(dst, x.Data, p.w, p.b, nil, x.Rows, x.Cols, 0, w.Rows, 1, x.Cols, panelCols*x.Cols, panelCols, relu)
+				callNoFault(t, label, func() {
+					kernel(dst, gx, gw, gb, nil, x.Rows, x.Cols, 0, w.Rows, 1, x.Cols, panelCols*x.Cols, panelCols, relu)
+				})
 			}
 		})
 		sameMatrix(t, got, want, label)
@@ -383,15 +414,16 @@ func runGuarded(t *testing.T, label string, rows, n int, run func(dst []float64)
 // TestStridedKernelsMatchNaive runs every dense kernel on operands read
 // where they lie — x row-major or given transposed, the weights as a
 // row-major k×n matrix — against the naive ascending-k loop, bit for
-// bit: rows 0–9, 1–8 output columns (every tail width n mod 4 = 0–3),
-// 0–6 inputs, with and without a bias and ReLU, and NaN, ±Inf and ±0
-// injected. Each operand ends where an unreadable page begins
-// (guardedCopy), so a load past it faults, and the output carries guard
-// elements.
+// bit: rows 0–9 (4-row blocks and remainder rows), 1–17 output columns
+// (every tail width: 1–7 live lanes of an 8-lane panel, 1–3 of a 4-lane
+// half, after zero, one or two full panels), 0–6 inputs, with and
+// without a bias and ReLU, and NaN, ±Inf and ±0 injected. Each operand
+// ends where an unreadable page begins (guardPages), so a load past it
+// faults, and the output carries guard elements.
 func TestStridedKernelsMatchNaive(t *testing.T) {
 	rng := xrand.New(23)
 	for rows := 0; rows <= 9; rows++ {
-		for n := 1; n <= 8; n++ {
+		for n := 1; n <= 17; n++ {
 			for _, k := range []int{0, 1, 3, 6} {
 				xd, wd := randMatrix(rng, 1, rows*k).Data, randMatrix(rng, 1, k*n).Data
 				bias := randMatrix(rng, 1, n).Data
@@ -399,7 +431,8 @@ func TestStridedKernelsMatchNaive(t *testing.T) {
 				for _, data := range [][]float64{xd, wd, bias} {
 					injectSpecial(rng, data, special)
 				}
-				gx, gw, gb := guardedCopy(t, xd), guardedCopy(t, wd), guardedCopy(t, bias)
+				var g guardPages
+				gx, gw, gb := g.copy(t, xd), g.copy(t, wd), g.copy(t, bias)
 				for _, transposed := range []bool{false, true} {
 					xs, xr := 1, k
 					if transposed {
@@ -433,6 +466,7 @@ func TestStridedKernelsMatchNaive(t *testing.T) {
 						}
 					}
 				}
+				g.free()
 			}
 		}
 	}
@@ -442,15 +476,15 @@ func TestStridedKernelsMatchNaive(t *testing.T) {
 // suffix operand — each row's inputs are its own k elements of x (row-major
 // or given transposed) followed by the same kc elements of c, the weights
 // packed as DenseSuffixInto packs them — against the naive ascending-k
-// loop over the staged row [x_r | c], bit for bit: rows 0–9, 1–8 output
-// columns, k and kc each 0, 1, 3 or 10, with and without a bias and
-// ReLU, and NaN, ±Inf and ±0 injected into every operand. Each operand
-// ends where an unreadable page begins and the output carries guard
-// elements. DenseSuffixInto must equal DenseInto on the staged matrix.
+// loop over the staged row [x_r | c], bit for bit: rows 0–9, 1–17 output
+// columns (every tail width of a panel and of a half panel), k and kc
+// each 0, 1, 3 or 10, with and without a bias and ReLU, and NaN, ±Inf
+// and ±0 injected into every operand. Each operand ends where an
+// unreadable page begins and the output carries guard elements. DenseSuffixInto must equal DenseInto on the staged matrix.
 func TestSuffixKernelsMatchNaive(t *testing.T) {
 	rng := xrand.New(29)
 	for rows := 0; rows <= 9; rows++ {
-		for n := 1; n <= 8; n++ {
+		for n := 1; n <= 17; n++ {
 			for _, k := range []int{0, 1, 3, 10} {
 				for _, kc := range []int{0, 1, 3, 10} {
 					xd, cd := randMatrix(rng, 1, rows*k).Data, randMatrix(rng, 1, kc).Data
@@ -461,7 +495,8 @@ func TestSuffixKernelsMatchNaive(t *testing.T) {
 						injectSpecial(rng, data, special)
 					}
 					p := PackDense(w, bias)
-					gx, gc, gw, gb := guardedCopy(t, xd), guardedCopy(t, cd), guardedCopy(t, p.w), guardedCopy(t, bias)
+					var g guardPages
+					gx, gc, gw, gb := g.copy(t, xd), g.copy(t, cd), g.copy(t, p.w), g.copy(t, bias)
 					for _, transposed := range []bool{false, true} {
 						xs, xr := 1, k
 						if transposed {
@@ -495,6 +530,7 @@ func TestSuffixKernelsMatchNaive(t *testing.T) {
 							sameMatrix(t, DenseSuffixInto(nil, x, cd, p, true), DenseInto(nil, staged, p, true), label)
 						}
 					}
+					g.free()
 				}
 			}
 		}
@@ -502,7 +538,7 @@ func TestSuffixKernelsMatchNaive(t *testing.T) {
 }
 
 // callNoFault runs f and fails the test if it panics, a memory fault
-// included (a read past a guardedCopy operand).
+// included (a read past a guardPages operand).
 func callNoFault(t *testing.T, label string, f func()) {
 	t.Helper()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
@@ -515,14 +551,15 @@ func callNoFault(t *testing.T, label string, f func()) {
 }
 
 // TestDenseKernelsMatchNaive sweeps every shape with 1–9 rows (block
-// and row tails), 1–9 output columns (every partial panel) and 1–64
-// inputs, ReLU off and on, with NaN, ±Inf and ±0 injected into inputs,
-// weights and biases, and checks each dense kernel bit for bit against
-// the reference.
+// and row tails), 1–17 output columns (every partial panel and half
+// panel, alone and after full panels) and 1–64 inputs, ReLU off and
+// on, with NaN, ±Inf and ±0 injected into inputs, weights and biases,
+// and checks each dense kernel bit for bit against the reference, on
+// guard-paged operands.
 func TestDenseKernelsMatchNaive(t *testing.T) {
 	rng := xrand.New(17)
 	for rows := 1; rows <= 9; rows++ {
-		for cols := 1; cols <= 9; cols++ {
+		for cols := 1; cols <= 17; cols++ {
 			for k := 1; k <= 64; k++ {
 				x, w := randMatrix(rng, rows, k), randMatrix(rng, cols, k)
 				bias := randMatrix(rng, 1, cols).Data
@@ -547,8 +584,14 @@ func TestDenseReLUEdgeValues(t *testing.T) {
 	inputs := []float64{math.NaN(), negZero, math.Inf(1), math.Inf(-1), -2, 3}
 	x := NewMatrix(len(inputs), 1)
 	copy(x.Data, inputs)
-	w := fromRows([][]float64{{1}, {1}, {1}})
-	bias := []float64{0, negZero, math.NaN()}
+	// Eleven outputs: one full panel and a partial one, each bias value
+	// on lanes of both.
+	w := NewMatrix(11, 1)
+	w.Fill(1)
+	bias := make([]float64, 11)
+	for j := range bias {
+		bias[j] = []float64{0, negZero, math.NaN()}[j%3]
+	}
 	for _, relu := range []bool{false, true} {
 		want := naiveDense(x, w, bias, relu)
 		if relu {
@@ -575,5 +618,50 @@ func TestRepackMatchesFreshPack(t *testing.T) {
 		sameMatrix(t, DenseInto(nil, x, PackDense(w, b), true), DenseInto(nil, x, &p, true), fmt.Sprintf("Repack %v", s))
 		p.Repack(w, nil)
 		sameMatrix(t, DenseInto(nil, x, PackDense(w, nil), false), DenseInto(nil, x, &p, false), fmt.Sprintf("Repack %v, no bias", s))
+	}
+}
+
+// BenchmarkDenseKernels times each dense kernel this CPU runs, called
+// directly on packed weights with a bias and ReLU, at the six layer
+// shapes perfbench reports (rows×inputs×outputs: the encoder and head
+// over a 256-frame tick, the compressed detector over 512 cell rows)
+// and at the deep detector head's three layers over one 64-cell frame,
+// whose first layer reads 8 inputs per cell and a 10-value shared
+// suffix.
+func BenchmarkDenseKernels(b *testing.B) {
+	shapes := []struct {
+		name        string
+		m, k, kc, n int
+	}{
+		{"enc1_256x18x32", 256, 18, 0, 32},
+		{"enc2_256x32x16", 256, 32, 0, 16},
+		{"head1_256x16x24", 256, 16, 0, 24},
+		{"head2_256x24x19", 256, 24, 0, 19},
+		{"det1_512x18x16", 512, 18, 0, 16},
+		{"det2_512x16x5", 512, 16, 0, 5},
+		{"deep1_64x8+10x56", 64, 8, 10, 56},
+		{"deep2_64x56x48", 64, 56, 0, 48},
+		{"deep3_64x48x5", 64, 48, 0, 5},
+	}
+	kernels := denseKernels()
+	var names []string
+	for name := range kernels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, s := range shapes {
+		rng := xrand.New(1)
+		x, c := randMatrix(rng, s.m, s.k), randMatrix(rng, 1, s.kc).Data
+		p := PackDense(randMatrix(rng, s.n, s.k+s.kc), randMatrix(rng, 1, s.n).Data)
+		dst := make([]float64, s.m*s.n)
+		for _, name := range names {
+			kernel := kernels[name]
+			b.Run(s.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kernel(dst, x.Data, p.w, p.b, c, s.m, s.k, s.kc, s.n, 1, s.k, panelCols*(s.k+s.kc), panelCols, true)
+				}
+				b.ReportMetric(2*float64(s.m*(s.k+s.kc)*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
