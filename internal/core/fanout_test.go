@@ -2,12 +2,15 @@ package core_test
 
 import (
 	"fmt"
+	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"anole/internal/core"
 	"anole/internal/device"
 	"anole/internal/modelcache"
+	"anole/internal/prefetch"
 	"anole/internal/stats"
 	"anole/internal/synth"
 	"anole/internal/testutil"
@@ -306,8 +309,10 @@ func TestRuntimeMissServesBestResidentBeforeRequest(t *testing.T) {
 }
 
 // TestMultiRuntimeFanOutAllocs pins the fan-out's allocation cost: a
-// steady-state tick at Workers 2 allocates no more than the same tick
-// at Workers 1, where every stage runs inline. A new runtime's first
+// steady-state tick at Workers 1, where the ordered lane runs every
+// block and slice, allocates only the two result slices ProcessStreams
+// returns (so the decide scratch is pooled), and the same tick at
+// Workers 2 allocates no more. A new runtime's first
 // tick allocates no more at Workers 2 than at Workers 1 either, on a
 // fleet of one block and a one-row tail and on one of four whole
 // blocks. And at Workers 1 the stream that opens a fourth decide block
@@ -358,6 +363,9 @@ func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 	}
 	serial, fanned := perTick(1), perTick(2)
 	t.Logf("allocs per tick: %v at Workers 1, %v at Workers 2", serial, fanned)
+	if serial > 2 {
+		t.Fatalf("a steady tick allocates %v at Workers 1, more than the 2 result slices ProcessStreams returns", serial)
+	}
 	if fanned > serial {
 		t.Fatalf("a steady tick allocates %v at Workers 2, more than %v at Workers 1", fanned, serial)
 	}
@@ -401,5 +409,51 @@ func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 	t.Logf("first tick at Workers 1: %v, %v, %v allocs at 47, 48, 49 streams", before, full, opened)
 	if opened-full > full-before {
 		t.Fatalf("the stream opening a decide block costs %v allocs, the one filling a block %v", opened-full, full-before)
+	}
+}
+
+// TestMultiRuntimeResolveErrorLeavesNoHelper pins the fan-out's error
+// path. Without the pressure machinery, a cold-start resolve error
+// ("unreachable with an empty cache", as in
+// TestPressureColdStartErrorQuarantinesStream) on the first stream of a
+// three-block tick aborts ProcessStreams at Workers 2 and 8 while the
+// helpers still have decide blocks to run. The call returns that error,
+// and the goroutine count returns to what it was before the call: no
+// helper outlives its chunk.
+func TestMultiRuntimeResolveErrorLeavesNoHelper(t *testing.T) {
+	fx := testutil.Shared(t)
+	const streams, perStream = 3 * decideBlockRows, 4
+	frameSets := streamFrames(t, streams, perStream)
+	probe, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{CacheSlots: fx.Bundle.NumModels()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := probe.ProcessFrame(frameSets[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreachable := fx.Bundle.Detectors[first.Desired].Name
+	for _, workers := range []int{2, 8} {
+		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+			Streams:    streams,
+			Workers:    workers,
+			CacheSlots: fx.Bundle.NumModels(),
+			// TopK -1: no background prefetch, so only demand fetches run.
+			Prefetch: &prefetch.Config{Fetcher: unreachableFetcher{unreachable}, TopK: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := goruntime.NumGoroutine()
+		if _, err := m.ProcessStreams(frameSets, nil); err == nil || !strings.Contains(err.Error(), "unreachable with an empty cache") {
+			t.Fatalf("workers %d: want the cold-start error, got %v", workers, err)
+		}
+		// A helper that has left may still be on its way out.
+		for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers %d: %d goroutines after the failed tick, %d before it", workers, goruntime.NumGoroutine(), base)
+			}
+		}
+		m.Close()
 	}
 }

@@ -37,9 +37,11 @@ type MultiRuntimeConfig struct {
 	// Workers bounds how many goroutines run a tick's stream-local work
 	// — the decide blocks (frame features, scene encoder and decision
 	// head, ranking) and the detect slices — the ProcessStreams
-	// goroutine among them (≤0 selects GOMAXPROCS; always
-	// capped at Streams). The stages that touch shared state run on the
-	// ProcessStreams goroutine in stream order.
+	// goroutine among them (≤0 selects GOMAXPROCS; always capped at
+	// Streams). Each chunk starts its helpers once; the ProcessStreams
+	// goroutine runs the stages that touch shared state in stream order
+	// as the blocks and slices they wait on complete, and runs blocks
+	// and slices itself in between. At 1 it runs every block and slice.
 	Workers int
 	// Fleet assigns each stream its own device profile and power mode:
 	// Fleet[i] is stream i's device, so a mixed fleet (Jetsons, laptops,
@@ -490,10 +492,11 @@ type StreamObserver func(stream int, f *synth.Frame, res FrameResult) error
 // frames, assign each frame its shed rung) → decide (MSS as one matrix
 // batch per bundle) → resolve (CMD against the shared cache, one frame
 // at a time in ascending stream order, so the run is deterministic) →
-// detect (MI as batched passes over slices of each serving model's
-// frames, with scoring) → finish (spans and bookkeeping in stream
-// order). Frame features, ranking and the detect slices fan out over
-// Workers goroutines; the result does not depend on their number.
+// detect (MI over slices of consecutively resolved frames, each on its
+// serving detector, with scoring) → finish (spans and bookkeeping in
+// stream order). The decide blocks and detect slices fan out over
+// Workers goroutines alongside the ordered resolve and finish; the
+// result does not depend on their number.
 //
 // len(streams) must equal NumStreams. It returns the per-stream frame
 // results. With the pressure machinery on, a frame error quarantines

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"anole/internal/detect"
 	"anole/internal/nn"
 	"anole/internal/pressure"
 	"anole/internal/stats"
@@ -43,11 +45,10 @@ func newBatchMetrics(reg *telemetry.Registry) batchMetrics {
 }
 
 // bundleBatch is the batched working set for one bundle: the tick
-// positions currently staged on it, their features, embeddings and
-// scores, and the per-model grouping for the detector pass. Streams on
-// a heterogeneous fleet may run different planner variants, and each
-// variant is its own Bundle — so batching groups by bundle, and a
-// homogeneous fleet collapses to exactly one group.
+// positions currently staged on it and their features, embeddings and
+// scores. Streams on a heterogeneous fleet may run different planner
+// variants, and each variant is its own Bundle — so batching groups by
+// bundle, and a homogeneous fleet collapses to exactly one group.
 type bundleBatch struct {
 	bundle *Bundle
 
@@ -57,13 +58,6 @@ type bundleBatch struct {
 	// with posns, carved from the batch state's stage.
 	posns               []int
 	feats, embs, scores tensor.Matrix
-
-	// members[u] lists the tick positions that resolved to model u.
-	members [][]int
-}
-
-func newBundleBatch(b *Bundle) *bundleBatch {
-	return &bundleBatch{bundle: b, members: make([][]int, b.NumModels())}
 }
 
 // dims returns the widths of one staged row's frame feature,
@@ -97,40 +91,35 @@ type decideBlock struct {
 	lo, hi int
 }
 
-// decideWorker is one worker's decide working set: the scratch behind
-// the encoder's and head's intermediate activations for every block the
-// worker runs in a chunk (borrowed from the shared pool for the decide
-// stage), and the headers of the block's row views of its partition's
-// feats, embs and scores.
-type decideWorker struct {
-	scratch             *nn.BatchScratch
-	feats, embs, scores tensor.Matrix
-}
-
-// detectSliceFrames is how many frames one detect work item carries.
-// The detector runs each frame's cells as one batch whatever the slice
-// holds, so the size sets only the fan-out granularity: how many work
-// items a tick's detection is cut into for the workers to pull.
+// detectSliceFrames is how many consecutively resolved frames one
+// detect work item carries. The detector runs each frame's cells as
+// one batch whatever the slice holds, so the size sets only the
+// fan-out granularity: how many work items a chunk's detection is cut
+// into for the workers to pull, and how often the ordered lane hands
+// resolved frames on.
 const detectSliceFrames = 8
 
-// detectSlice is one detect work item: up to detectSliceFrames tick
-// positions served by model u of g's bundle, with its own reusable
-// frame/feature/score slices for ScoreBatch.
-type detectSlice struct {
-	g      *bundleBatch
-	u      int
-	posns  []int
-	frames []*synth.Frame
-	feats  []tensor.Vector
-	scores []stats.PRF1
+// worker is one worker's working set: the scratch behind the encoder's
+// and head's intermediate activations (borrowed from the shared pool
+// with the worker's first decide block of a chunk and handed back once
+// no block is left, so the detector's passes reuse it), the headers of
+// a block's row views of its partition's feats, embs and scores, and
+// the frames, features and scores of one ScoreBatch call.
+type worker struct {
+	scratch             *nn.BatchScratch
+	feats, embs, scores tensor.Matrix
+	frames              []*synth.Frame
+	rows                []tensor.Vector
+	metrics             []stats.PRF1
 }
 
 // batchState is the reusable working set of the tick pipeline: one
 // bundleBatch per distinct stream bundle (lazily created; planner
 // variants keep theirs across re-plans, swapped-out bundles release
-// theirs on the swap), and the per-position frame bookkeeping of the
-// current tick. It belongs to the ProcessStreams goroutine; the fan-out
-// stages lend its workers disjoint rows and slices of it.
+// theirs on the swap), the per-position frame bookkeeping of the
+// current tick, and the chunk's fan-out. It belongs to the
+// ProcessStreams goroutine; the helpers it starts for a chunk run
+// disjoint decide blocks and detect slices of it.
 type batchState struct {
 	groups map[*Bundle]*bundleBatch
 	order  []*bundleBatch // groups in first-staged order this chunk
@@ -138,63 +127,97 @@ type batchState struct {
 	// Per tick position j (index into the tick's ready list): the
 	// in-flight frame result, the frame's shed rung, whether the result
 	// is already terminal (disposed, shed or failed — later stages skip
-	// it), the row it was staged on in its bundle's partition, the
-	// tracer sequence, and the simulated detect duration.
-	res   []FrameResult
-	rung  []pressure.Rung
-	done  []bool
-	rowOf []int
-	seqs  []int64
-	durs  []time.Duration
+	// it), its frame-feature row in its bundle's partition, its decide
+	// block and detect slice, the tracer sequence, and the simulated
+	// detect duration.
+	res     []FrameResult
+	rung    []pressure.Rung
+	done    []bool
+	feat    []tensor.Vector
+	blockOf []int
+	sliceOf []int
+	seqs    []int64
+	durs    []time.Duration
 
 	// live lists the positions admitted into the pipeline this tick;
 	// stage backs every partition's feats, embs and scores in the
-	// current chunk; blocks are the chunk's decide blocks and work its
-	// detect slices.
+	// current chunk; blocks are the chunk's decide blocks, in the order
+	// the ordered lane reaches their first rows.
 	live   []int
 	stage  []float64
 	blocks []decideBlock
-	work   []detectSlice
+
+	// The chunk's work queue. Workers pull block k through nextBlock
+	// and set blockDone[k] once it has run. The lane writes the
+	// positions to detect into detectPos in resolve order; slice d is
+	// detectPos[d*detectSliceFrames : sliceEnd[d]], fully written before
+	// published passes d, pulled through taken, and sets sliceDone[d]
+	// once scored. closed is set once no slice will be published.
+	detectPos []int
+	sliceEnd  []int
+	blockDone []atomic.Bool
+	sliceDone []atomic.Bool
+	nextBlock atomic.Int64
+	published atomic.Int64
+	taken     atomic.Int64
+	closed    atomic.Bool
 
 	// The current tick's inputs, as processTick received them, for the
-	// fan-out stages.
+	// workers.
 	tick   int
 	ready  []int
 	frames [][]*synth.Frame
 
-	// pool runs the fan-out stages; decideFn and detectFn are its
-	// per-item functions, built once so a tick allocates nothing.
-	// decide[w] is worker w's decide working set.
-	pool               *fanOut
-	decideFn, detectFn func(w, k int)
-	decide             []decideWorker
+	// workers[w] is worker w's working set (the lane is worker 0); slot
+	// hands helpers the other slots; helpFn is the helper body, built
+	// once so starting a helper allocates nothing.
+	workers []worker
+	slot    atomic.Int64
+	wg      sync.WaitGroup
+	helpFn  func()
 }
 
 func newBatchState(m *MultiRuntime, workers int) *batchState {
 	bs := &batchState{
-		groups: make(map[*Bundle]*bundleBatch),
-		blocks: make([]decideBlock, 0, (m.maxBatch+decideBlockRows-1)/decideBlockRows),
-		pool:   newFanOut(workers),
-		decide: make([]decideWorker, workers),
+		groups:  make(map[*Bundle]*bundleBatch),
+		blocks:  make([]decideBlock, 0, (m.maxBatch+decideBlockRows-1)/decideBlockRows),
+		workers: make([]worker, workers),
 	}
-	bs.decideFn, bs.detectFn = m.decideBlock, m.detectSlice
+	for w := range bs.workers {
+		bs.workers[w] = worker{
+			frames:  make([]*synth.Frame, 0, detectSliceFrames),
+			rows:    make([]tensor.Vector, 0, detectSliceFrames),
+			metrics: make([]stats.PRF1, detectSliceFrames),
+		}
+	}
+	bs.helpFn = m.help
 	return bs
 }
 
-// ensure sizes the per-position bookkeeping for an n-frame tick.
+// ensure sizes the per-position bookkeeping and the work queue for an
+// n-frame tick; a chunk never holds more frames, decide blocks or
+// detect slices than its tick has frames.
 func (bs *batchState) ensure(n int) {
 	if cap(bs.res) < n {
 		bs.res = make([]FrameResult, n)
 		bs.rung = make([]pressure.Rung, n)
 		bs.done = make([]bool, n)
-		bs.rowOf = make([]int, n)
+		bs.feat = make([]tensor.Vector, n)
+		bs.blockOf = make([]int, n)
+		bs.sliceOf = make([]int, n)
 		bs.seqs = make([]int64, n)
 		bs.durs = make([]time.Duration, n)
+		bs.detectPos = make([]int, n)
+		bs.sliceEnd = make([]int, n)
+		bs.blockDone = make([]atomic.Bool, n)
+		bs.sliceDone = make([]atomic.Bool, n)
 	}
 	bs.res = bs.res[:n]
 	bs.rung = bs.rung[:n]
 	bs.done = bs.done[:n]
-	bs.rowOf = bs.rowOf[:n]
+	bs.feat = bs.feat[:n]
+	bs.blockOf = bs.blockOf[:n]
+	bs.sliceOf = bs.sliceOf[:n]
 	bs.seqs = bs.seqs[:n]
 	bs.durs = bs.durs[:n]
 }
@@ -203,7 +226,7 @@ func (bs *batchState) ensure(n int) {
 func (bs *batchState) groupFor(b *Bundle) *bundleBatch {
 	g, ok := bs.groups[b]
 	if !ok {
-		g = newBundleBatch(b)
+		g = &bundleBatch{bundle: b}
 		bs.groups[b] = g
 	}
 	return g
@@ -239,7 +262,7 @@ func (m *MultiRuntime) processTick(tick int, ready []int, streams [][]*synth.Fra
 	}
 	for off := 0; off < len(bs.live); off += m.maxBatch {
 		chunk := bs.live[off:min(off+m.maxBatch, len(bs.live))]
-		if err := m.processChunk(tick, ready, chunk, streams); err != nil {
+		if err := m.processChunk(chunk); err != nil {
 			return err
 		}
 	}
@@ -297,46 +320,84 @@ func (m *MultiRuntime) admit(tick int, ready []int, streams [][]*synth.Frame) er
 }
 
 // processChunk runs decide → resolve → detect → finish over a chunk of
-// admitted tick positions.
+// admitted tick positions, as one fan-out.
 //
 // Decide partitions the frames to serve by the bundle each stream
 // currently runs (one partition on a homogeneous fleet, one per planner
 // variant in use on a mixed fleet) and cuts each partition into blocks
 // of at most decideBlockRows rows. One block computes its frames'
 // features, runs the scene encoder and decision head over its rows as
-// one GEMM per layer, and ranks each row. Resolve runs every
-// frame's hysteresis, cache resolution and device accounting — or, for
-// a dropped frame, only its link tick — sequentially in ascending stream
-// order, so the shared cache and link see the same order every run.
-// Detect runs each (bundle, serving model) group's frames through the
-// batched detector in slices and scores them. Finish records spans,
-// books and plans prefetches in stream order again.
+// one GEMM per layer, and ranks each row. Resolve runs every frame's
+// hysteresis, cache resolution and device accounting — or, for a
+// dropped frame, only its link tick — in ascending stream order, so the
+// shared cache and link see the same order every run. Detect scores
+// each frame on its serving detector, in slices of detectSliceFrames
+// consecutively resolved frames. Finish records spans, books and plans
+// prefetches in stream order again.
 //
-// The decide blocks and the detect slices fan out over the worker
-// budget: each item reads and writes only its own frames' rows, results
-// and stream buffers, so the worker count changes no result. Per frame
-// the arithmetic is bit-identical to Runtime.ProcessFrame: the dense
-// kernel computes each output on its own, in ascending k, however the
-// rows are grouped, and the stage methods are shared.
-func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*synth.Frame) error {
+// The chunk starts its helpers once. They pull decide blocks while any
+// is left, then detect slices as the lane publishes them. The
+// ProcessStreams goroutine, worker 0, runs the ordered lane: it
+// resolves each frame as soon as its decide block is done, publishes
+// every detectSliceFrames resolved frames as a slice, and once every
+// frame is resolved finishes each frame as soon as its slice is done.
+// Whenever the next frame is not ready the lane runs an available block
+// or slice itself, or yields the processor. So the shared cache, link,
+// device clocks and tracer see every resolve of the chunk in stream
+// order and then every finish in stream order, whatever the worker
+// count, and each block or slice reads and writes only its own frames'
+// rows, results and stream buffers. At Workers 1 the lane runs every
+// block and slice itself. Per frame the arithmetic is bit-identical to
+// Runtime.ProcessFrame: the dense kernel computes each output on its
+// own, in ascending k, however the rows are grouped, and the stage
+// methods are shared.
+func (m *MultiRuntime) processChunk(chunk []int) error {
 	bs := m.bstate
+	rows := m.stageChunk(chunk)
+	bs.nextBlock.Store(0)
+	bs.published.Store(0)
+	bs.taken.Store(0)
+	bs.closed.Store(false)
+	bs.slot.Store(0)
+	for k := range bs.blocks {
+		bs.blockDone[k].Store(false)
+	}
+	nslices := (rows + detectSliceFrames - 1) / detectSliceFrames
+	for range min(len(bs.workers), max(len(bs.blocks), nslices)) - 1 {
+		bs.wg.Add(1)
+		go bs.helpFn()
+	}
+	err := m.lane(chunk)
+	// A failed resolve leaves the chunk unfinished: no further slice is
+	// published, and the helpers leave once they have taken the rest.
+	bs.closed.Store(true)
+	bs.wg.Wait()
+	m.releaseScratch(&bs.workers[0])
+	return err
+}
 
-	// Decide. Re-plans swap bundles between ticks, never inside one, so
-	// the partition is stable for the whole chunk.
+// stageChunk partitions the chunk's frames to serve by bundle, carves
+// each partition's rows from the stage, cuts the partitions into decide
+// blocks and returns how many rows it staged. Re-plans swap bundles
+// between ticks, never inside one, so the partition is stable for the
+// whole chunk.
+func (m *MultiRuntime) stageChunk(chunk []int) int {
+	bs := m.bstate
 	for _, g := range bs.order {
 		g.posns = g.posns[:0]
 	}
 	bs.order, bs.blocks = bs.order[:0], bs.blocks[:0]
+	rows := 0
 	for _, j := range chunk {
 		if bs.rung[j] >= pressure.ShedDrop {
 			continue
 		}
-		g := bs.groupFor(m.streams[ready[j]].Bundle())
+		g := bs.groupFor(m.streams[bs.ready[j]].Bundle())
 		if len(g.posns) == 0 {
 			bs.order = append(bs.order, g)
 		}
-		bs.rowOf[j] = len(g.posns)
 		g.posns = append(g.posns, j)
+		rows++
 	}
 	need, widest := 0, 0
 	for _, g := range bs.order {
@@ -351,87 +412,66 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 	stage := bs.stage
 	for _, g := range bs.order {
 		stage = g.shape(stage)
-		rows := len(g.posns)
-		for lo := 0; lo < rows; lo += decideBlockRows {
-			bs.blocks = append(bs.blocks, decideBlock{g, lo, min(lo+decideBlockRows, rows)})
+		n := len(g.posns)
+		for lo := 0; lo < n; lo += decideBlockRows {
+			bs.blocks = append(bs.blocks, decideBlock{g, lo, min(lo+decideBlockRows, n)})
 		}
 		m.bmet.dispatches.Inc()
-		m.bmet.batchSize.Observe(float64(rows))
-		m.bmet.batchedFrames.Add(int64(rows))
+		m.bmet.batchSize.Observe(float64(n))
+		m.bmet.batchedFrames.Add(int64(n))
 	}
-	// Each worker the fan-out starts borrows one scratch for the stage
-	// and hands it back to the pool for the detect slices.
-	enc := m.bundle.Encoder.Weights
-	workers := bs.decide[:min(len(bs.decide), len(bs.blocks))]
-	for i := range workers {
-		workers[i].scratch = enc.AcquireBatchScratch()
+	// Pull the blocks in the order the lane reaches their first rows:
+	// a partition's rows ascend with the tick position.
+	slices.SortFunc(bs.blocks, func(a, b decideBlock) int { return a.g.posns[a.lo] - b.g.posns[b.lo] })
+	for k, blk := range bs.blocks {
+		for r := blk.lo; r < blk.hi; r++ {
+			j := blk.g.posns[r]
+			bs.feat[j], bs.blockOf[j] = blk.g.feats.Row(r), k
+		}
 	}
-	bs.pool.run(len(bs.blocks), bs.decideFn)
-	for i := range workers {
-		enc.ReleaseBatchScratch(workers[i].scratch)
-		workers[i].scratch = nil
-	}
+	return rows
+}
 
-	// Resolve: clocks, hysteresis, cache and link in global ascending
-	// stream order — interleaving the partitions here keeps the shared
-	// state's request order independent of the partitioning.
+// lane is the chunk's ordered work on worker 0: every resolve in chunk
+// order, each as soon as the frame's decide block is done, publishing
+// the frames to detect in slices; then every finish in chunk order,
+// each as soon as the frame's slice is done. It returns the first
+// resolve error when the pressure machinery is off.
+func (m *MultiRuntime) lane(chunk []int) error {
+	bs := m.bstate
+	n := 0 // frames queued for detection
 	for _, j := range chunk {
-		i := ready[j]
-		rt := m.streams[i]
-		f := streams[i][tick]
-		res := &bs.res[j]
-		if bs.rung[j] >= pressure.ShedDrop {
-			rt.shedFrame()
-			*res, bs.done[j] = disposedResult(VerdictShed), true
+		if bs.rung[j] < pressure.ShedDrop {
+			for !bs.blockDone[bs.blockOf[j]].Load() {
+				m.step(0)
+			}
+		}
+		if err := m.resolve(j); err != nil {
+			return err
+		}
+		if bs.done[j] {
 			continue
 		}
-		seq := rt.beginFrame()
-		rank := rt.stageDecide(seq, res)
-		if !(bs.rung[j] >= pressure.ShedDowngrade && rt.resolveDowngrade(f, seq, res)) {
-			// Below ShedDowngrade (or nothing resident to downgrade onto)
-			// the normal resolve path runs, link stalls and all.
-			if err := rt.stageResolve(f, seq, rank, res); err != nil {
-				if m.press == nil {
-					return fmt.Errorf("core: stream %d: %w", i, err)
-				}
-				*res, bs.done[j] = m.failFrame(i), true
-				continue
-			}
-		}
-		bs.durs[j] = rt.detectAccount(f, res)
-		bs.seqs[j] = seq
-	}
-
-	// Detect and score: each (bundle, serving model) group's frames are
-	// cut into slices of at most detectSliceFrames, and the workers pull
-	// the slices. Each stream belongs to exactly one slice, so the
-	// slices write disjoint results.
-	bs.work = bs.work[:0]
-	for _, g := range bs.order {
-		for u := range g.members {
-			g.members[u] = g.members[u][:0]
-		}
-		for _, j := range g.posns {
-			if !bs.done[j] {
-				u := bs.res[j].Used
-				g.members[u] = append(g.members[u], j)
-			}
-		}
-		for u, posns := range g.members {
-			for off := 0; off < len(posns); off += detectSliceFrames {
-				bs.addSlice(g, u, posns[off:min(off+detectSliceFrames, len(posns))])
-			}
+		bs.detectPos[n], bs.sliceOf[j] = j, n/detectSliceFrames
+		if n++; n%detectSliceFrames == 0 {
+			bs.publish(n)
 		}
 	}
-	bs.pool.run(len(bs.work), bs.detectFn)
+	if n%detectSliceFrames != 0 {
+		bs.publish(n)
+	}
+	bs.closed.Store(true)
+	m.releaseScratch(&bs.workers[0])
 
 	// Finish: spans and bookkeeping in stream order. Every rung at or
 	// above ShedPrefetch suppresses background prefetch planning.
 	for _, j := range chunk {
-		i := ready[j]
 		res := &bs.res[j]
 		if !bs.done[j] {
-			rt := m.streams[i]
+			for !bs.sliceDone[bs.sliceOf[j]].Load() {
+				m.step(0)
+			}
+			rt := m.streams[bs.ready[j]]
 			rt.finishDetect(bs.seqs[j], bs.durs[j], res)
 			rt.stageFinish(res, bs.rung[j] < pressure.ShedPrefetch)
 		}
@@ -445,37 +485,108 @@ func (m *MultiRuntime) processChunk(tick int, ready, chunk []int, streams [][]*s
 	return nil
 }
 
-// addSlice appends a detect slice over posns, reusing the slot's
-// buffers from earlier ticks.
-func (bs *batchState) addSlice(g *bundleBatch, u int, posns []int) {
-	if len(bs.work) < cap(bs.work) {
-		bs.work = bs.work[:len(bs.work)+1]
-	} else {
-		bs.work = append(bs.work, detectSlice{})
+// resolve runs position j's clocks, hysteresis, cache and link — or,
+// for a dropped frame, only its link tick — and its device accounting.
+func (m *MultiRuntime) resolve(j int) error {
+	bs := m.bstate
+	i := bs.ready[j]
+	rt := m.streams[i]
+	res := &bs.res[j]
+	if bs.rung[j] >= pressure.ShedDrop {
+		rt.shedFrame()
+		*res, bs.done[j] = disposedResult(VerdictShed), true
+		return nil
 	}
-	s := &bs.work[len(bs.work)-1]
-	s.g, s.u, s.posns = g, u, posns
-	if s.scores == nil {
-		s.scores = make([]stats.PRF1, detectSliceFrames)
+	f := bs.frames[i][bs.tick]
+	seq := rt.beginFrame()
+	rank := rt.stageDecide(seq, res)
+	if !(bs.rung[j] >= pressure.ShedDowngrade && rt.resolveDowngrade(f, seq, res)) {
+		// Below ShedDowngrade (or nothing resident to downgrade onto)
+		// the normal resolve path runs, link stalls and all.
+		if err := rt.stageResolve(f, seq, rank, res); err != nil {
+			if m.press == nil {
+				return fmt.Errorf("core: stream %d: %w", i, err)
+			}
+			*res, bs.done[j] = m.failFrame(i), true
+			return nil
+		}
+	}
+	bs.durs[j] = rt.detectAccount(f, res)
+	bs.seqs[j] = seq
+	return nil
+}
+
+// publish hands the frames queued for detection up to end to the
+// workers as the next slice. Its positions are written before the
+// published count passes it.
+func (bs *batchState) publish(end int) {
+	d := bs.published.Load()
+	bs.sliceEnd[d] = end
+	bs.sliceDone[d].Store(false)
+	bs.published.Store(d + 1)
+}
+
+// help is a helper's body for one chunk: on the next worker slot it
+// runs work items until the lane has published every slice and every
+// slice is taken.
+func (m *MultiRuntime) help() {
+	bs := m.bstate
+	w := int(bs.slot.Add(1))
+	for !bs.closed.Load() || bs.taken.Load() < bs.published.Load() {
+		m.step(w)
+	}
+	bs.wg.Done()
+}
+
+// step runs one work item on worker w — the next decide block while any
+// is left, else the next published detect slice — or, when none is
+// available, yields the processor.
+func (m *MultiRuntime) step(w int) {
+	bs := m.bstate
+	wk := &bs.workers[w]
+	if nb := int64(len(bs.blocks)); bs.nextBlock.Load() < nb {
+		if k := bs.nextBlock.Add(1) - 1; k < nb {
+			if wk.scratch == nil {
+				wk.scratch = m.bundle.Encoder.Weights.AcquireBatchScratch()
+			}
+			m.decideBlock(wk, &bs.blocks[k])
+			bs.blockDone[k].Store(true)
+			return
+		}
+	}
+	// No block is left: the detector's passes may reuse the scratch.
+	m.releaseScratch(wk)
+	if d := bs.taken.Load(); d < bs.published.Load() && bs.taken.CompareAndSwap(d, d+1) {
+		m.detectSlice(wk, int(d))
+		bs.sliceDone[d].Store(true)
+		return
+	}
+	goruntime.Gosched()
+}
+
+// releaseScratch hands wk's decide scratch, if it holds one, back to
+// the shared pool.
+func (m *MultiRuntime) releaseScratch(wk *worker) {
+	if wk.scratch != nil {
+		m.bundle.Encoder.Weights.ReleaseBatchScratch(wk.scratch)
+		wk.scratch = nil
 	}
 }
 
-// decideBlock runs decide block k on worker w: its frames' features
+// decideBlock runs decide block blk on worker wk: its frames' features
 // into the partition's feats rows, the encoder and the head with
 // softmax over the block's rows into its embs and scores rows, and the
-// stream-local half of MSS on each row. Worker w's scratch holds the
+// stream-local half of MSS on each row. The worker's scratch holds the
 // intermediate activations.
-func (m *MultiRuntime) decideBlock(w, k int) {
+func (m *MultiRuntime) decideBlock(wk *worker, blk *decideBlock) {
 	bs := m.bstate
-	blk := bs.blocks[k]
-	g, dw := blk.g, &bs.decide[w]
+	g := blk.g
 	for r := blk.lo; r < blk.hi; r++ {
-		j := g.posns[r]
-		synth.FrameFeatureInto(g.feats.Row(r), bs.frames[bs.ready[j]][bs.tick])
+		synth.FrameFeatureInto(bs.feat[g.posns[r]], bs.frames[bs.ready[g.posns[r]]][bs.tick])
 	}
-	feats := rowBlock(&dw.feats, &g.feats, blk.lo, blk.hi)
-	embs := g.bundle.Encoder.EmbedBatchInto(rowBlock(&dw.embs, &g.embs, blk.lo, blk.hi), feats, dw.scratch)
-	g.bundle.Decision.ScoresBatchInto(rowBlock(&dw.scores, &g.scores, blk.lo, blk.hi), embs, dw.scratch)
+	feats := rowBlock(&wk.feats, &g.feats, blk.lo, blk.hi)
+	embs := g.bundle.Encoder.EmbedBatchInto(rowBlock(&wk.embs, &g.embs, blk.lo, blk.hi), feats, wk.scratch)
+	g.bundle.Decision.ScoresBatchInto(rowBlock(&wk.scores, &g.scores, blk.lo, blk.hi), embs, wk.scratch)
 	for r := blk.lo; r < blk.hi; r++ {
 		j := g.posns[r]
 		rt := m.streams[bs.ready[j]]
@@ -490,73 +601,34 @@ func rowBlock(view, m *tensor.Matrix, lo, hi int) *tensor.Matrix {
 	return view
 }
 
-// detectSlice runs detect slice k: one batched detector pass over its
-// frames, reusing the features the decide stage computed, with each
-// frame scored against ground truth into its result.
-func (m *MultiRuntime) detectSlice(_, k int) {
+// detectSlice runs detect slice d on worker wk: each frame on its
+// serving detector, one batched pass per run of consecutive frames that
+// share a detector, reusing the features the decide stage computed,
+// with each frame scored against ground truth into its result.
+func (m *MultiRuntime) detectSlice(wk *worker, d int) {
 	bs := m.bstate
-	s := &bs.work[k]
-	s.frames, s.feats = s.frames[:0], s.feats[:0]
-	for _, j := range s.posns {
-		s.frames = append(s.frames, bs.frames[bs.ready[j]][bs.tick])
-		s.feats = append(s.feats, s.g.feats.Row(bs.rowOf[j]))
-	}
-	scores := s.g.bundle.Detectors[s.u].ScoreBatch(s.scores[:len(s.posns)], s.frames, s.feats)
-	for n, j := range s.posns {
-		bs.res[j].Metrics = scores[n]
-	}
-}
-
-// fanOut is the tick's worker pool. run(n, fn) calls fn(w, k) for
-// every k in [0, n) on min(workers, n) goroutines — the caller's,
-// worker 0, among them — that pull indices from a shared counter, and
-// returns once every call has. w is the calling worker's slot in
-// [0, min(workers, n)), so an item may use that worker's scratch: no
-// two calls with the same w overlap. With one worker or one item no goroutine starts and the
-// caller runs every item. The per-item functions are built once and
-// helpers start from a prebuilt method value, so a run allocates
-// nothing.
-type fanOut struct {
-	workers int
-	n       int
-	fn      func(w, k int)
-	next    atomic.Int64
-	slot    atomic.Int64 // the last worker slot handed to a helper
-	wg      sync.WaitGroup
-	helpFn  func()
-}
-
-func newFanOut(workers int) *fanOut {
-	p := &fanOut{workers: workers}
-	p.helpFn = p.help
-	return p
-}
-
-func (p *fanOut) run(n int, fn func(w, k int)) {
-	p.n, p.fn = n, fn
-	p.next.Store(0)
-	p.slot.Store(0)
-	for range min(p.workers, n) - 1 {
-		p.wg.Add(1)
-		go p.helpFn()
-	}
-	p.drain(0)
-	p.wg.Wait()
-}
-
-// help is a helper goroutine's body: it takes the next worker slot.
-func (p *fanOut) help() {
-	p.drain(int(p.slot.Add(1)))
-	p.wg.Done()
-}
-
-// drain runs items on worker w until none is left.
-func (p *fanOut) drain(w int) {
-	for {
-		k := int(p.next.Add(1)) - 1
-		if k >= p.n {
-			return
+	posns := bs.detectPos[d*detectSliceFrames : bs.sliceEnd[d]]
+	for len(posns) > 0 {
+		det := m.servingDetector(posns[0])
+		n := 1
+		for n < len(posns) && m.servingDetector(posns[n]) == det {
+			n++
 		}
-		p.fn(w, k)
+		frames, rows := wk.frames[:0], wk.rows[:0]
+		for _, j := range posns[:n] {
+			frames = append(frames, bs.frames[bs.ready[j]][bs.tick])
+			rows = append(rows, bs.feat[j])
+		}
+		scores := det.ScoreBatch(wk.metrics[:n], frames, rows)
+		for k, j := range posns[:n] {
+			bs.res[j].Metrics = scores[k]
+		}
+		posns = posns[n:]
 	}
+}
+
+// servingDetector returns the detector serving resolved position j.
+func (m *MultiRuntime) servingDetector(j int) *detect.Detector {
+	bs := m.bstate
+	return m.streams[bs.ready[j]].Bundle().Detectors[bs.res[j].Used]
 }

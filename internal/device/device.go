@@ -13,6 +13,12 @@
 // §2), model FLOPs and bytes are multiplied by FLOPsScale/BytesScale to
 // land in the paper's workload regime; the scale factors are two
 // documented calibration constants, not per-experiment tuning.
+//
+// Every float product that feeds a sum is written float64(x*y) + z: the
+// conversion rounds the product, so no platform fuses a multiply-add,
+// and arm64 charges the same latencies, energy and memory, bit for bit,
+// as amd64 (CI's arm64 objdump check covers this package and core,
+// which inlines it).
 package device
 
 import (
@@ -224,13 +230,13 @@ func (m ModelCost) ScaledBytes() float64 { return float64(m.WeightBytes) * Bytes
 
 // LoadMemoryMB returns the GPU memory consumed by holding the model's
 // weights resident.
-func (m ModelCost) LoadMemoryMB() float64 { return m.ScaledBytes() / (1 << 20) }
+func (m ModelCost) LoadMemoryMB() float64 { return float64(m.ScaledBytes() / (1 << 20)) }
 
 // ExecMemoryMB returns the working-set memory during inference: weights
 // plus activation buffers, which the paper observes dominate (Table IV
 // "Execution" column). The multiplier reflects hidden activations and
 // framework workspace.
-func (m ModelCost) ExecMemoryMB() float64 { return m.LoadMemoryMB()*3 + 450 }
+func (m ModelCost) ExecMemoryMB() float64 { return float64(m.LoadMemoryMB()*3) + 450 }
 
 // Simulator tracks simulated time, energy and memory for one device run.
 // It is not safe for concurrent use.
@@ -286,7 +292,7 @@ func (s *Simulator) Infer(model ModelCost) time.Duration {
 	seconds := model.ScaledFLOPs()/throughput + s.profile.DispatchOverheadMs/1e3
 	d := time.Duration(seconds * float64(time.Second))
 	s.busy += d
-	s.energyJ += s.mode.ActiveW * d.Seconds()
+	s.energyJ += float64(s.mode.ActiveW * d.Seconds())
 	s.advanceThermal(d, s.mode.ActiveW)
 	s.inferences++
 	s.execBoostMB = model.ExecMemoryMB() - model.LoadMemoryMB()
@@ -300,7 +306,7 @@ func (s *Simulator) Infer(model ModelCost) time.Duration {
 // from flash does not light up the compute units, so it sits well below
 // ActiveW.
 func (s *Simulator) ioWatts() float64 {
-	return s.mode.IdleW + 0.3*(s.mode.ActiveW-s.mode.IdleW)
+	return s.mode.IdleW + float64(0.3*(s.mode.ActiveW-s.mode.IdleW))
 }
 
 // LoadModelAsync charges a background model load (flash→GPU transfer):
@@ -316,7 +322,7 @@ func (s *Simulator) LoadModelAsync(model ModelCost) time.Duration {
 		s.inited = true
 	}
 	d := time.Duration(seconds * float64(time.Second))
-	s.energyJ += s.ioWatts() * d.Seconds()
+	s.energyJ += float64(s.ioWatts() * d.Seconds())
 	s.residentMB += model.LoadMemoryMB()
 	if m := s.residentMB + s.execBoostMB; m > s.peakMemory {
 		s.peakMemory = m
@@ -337,7 +343,7 @@ func (s *Simulator) LoadModel(model ModelCost) time.Duration {
 	}
 	d := time.Duration(seconds * float64(time.Second))
 	s.busy += d
-	s.energyJ += s.mode.ActiveW * d.Seconds()
+	s.energyJ += float64(s.mode.ActiveW * d.Seconds())
 	s.residentMB += model.LoadMemoryMB()
 	if m := s.residentMB + s.execBoostMB; m > s.peakMemory {
 		s.peakMemory = m
@@ -360,7 +366,7 @@ func (s *Simulator) Idle(d time.Duration) {
 		return
 	}
 	s.idle += d
-	s.energyJ += s.mode.IdleW * d.Seconds()
+	s.energyJ += float64(s.mode.IdleW * d.Seconds())
 	s.advanceThermal(d, s.mode.IdleW)
 }
 

@@ -47,7 +47,7 @@ func (s *Simulator) ThrottleFactor() float64 {
 	if over > 1 {
 		over = 1
 	}
-	return 1 - s.thermal.MaxDerate*over
+	return 1 - float64(s.thermal.MaxDerate*over)
 }
 
 // advanceThermal evolves the heat state over duration d at power p.
@@ -60,7 +60,7 @@ func (s *Simulator) advanceThermal(d time.Duration, p float64) {
 	if alpha > 1 {
 		alpha = 1
 	}
-	s.heat += (target - s.heat) * alpha
+	s.heat += float64((target - s.heat) * alpha)
 	if s.heat < 0 {
 		s.heat = 0
 	}

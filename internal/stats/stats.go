@@ -4,6 +4,11 @@
 // F1, confusion matrices), and distribution-shape diagnostics such as the
 // Gini imbalance coefficient used to assess sampling balance (Fig. 3) and
 // the power-law tail of model utility (Fig. 4b).
+//
+// Every float product that feeds a sum is written float64(x*y) + z: the
+// conversion rounds the product, so no platform fuses a multiply-add,
+// and arm64 computes the same statistics, bit for bit, as amd64 (CI's
+// arm64 objdump check covers this package).
 package stats
 
 import (
@@ -44,7 +49,7 @@ func Summarize(xs []float64) Summary {
 	var sq float64
 	for _, x := range xs {
 		d := x - s.Mean
-		sq += d * d
+		sq += float64(d * d)
 	}
 	if len(xs) > 1 {
 		s.Std = math.Sqrt(sq / float64(len(xs)-1))
@@ -84,14 +89,14 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Boxplot is a five-number summary plus mean, mirroring the boxplots in
@@ -160,7 +165,7 @@ func Gini(xs []float64) float64 {
 		if x < 0 {
 			x = 0
 		}
-		cum += x * float64(i+1)
+		cum += float64(x * float64(i+1))
 		total += x
 	}
 	if total == 0 {
@@ -195,7 +200,7 @@ func NormalizedEntropy(xs []float64) float64 {
 			continue
 		}
 		p := x / total
-		h -= p * math.Log(p)
+		h -= float64(p * math.Log(p))
 	}
 	return h / math.Log(float64(len(xs)))
 }
@@ -223,14 +228,14 @@ func PowerLawAlpha(xs []float64) float64 {
 		y := math.Log(v)
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
-	denom := n*sxx - sx*sx
+	denom := float64(n*sxx) - float64(sx*sx)
 	if denom == 0 {
 		return 0
 	}
-	slope := (n*sxy - sx*sy) / denom
+	slope := (float64(n*sxy) - float64(sx*sy)) / denom
 	return -slope
 }
 
