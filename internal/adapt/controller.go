@@ -170,7 +170,7 @@ func (c *Controller) assign(centroid tensor.Vector) *cluster {
 		// new_mean = old + (x - old)/n
 		alpha := 1 / float64(best.weight)
 		for i := range best.centroid {
-			best.centroid[i] += alpha * (centroid[i] - best.centroid[i])
+			best.centroid[i] += float64(alpha * (centroid[i] - best.centroid[i]))
 		}
 		return best
 	}

@@ -145,12 +145,12 @@ func (r *Rollout) Accumulate(canary bool, frames int64, sumF1 float64, degraded 
 	}
 	if canary {
 		n := r.window.CanaryFrames
-		r.window.CanaryF1 = (r.window.CanaryF1*float64(n) + sumF1) / float64(n+frames)
+		r.window.CanaryF1 = (float64(r.window.CanaryF1*float64(n)) + sumF1) / float64(n+frames)
 		r.window.CanaryFrames += frames
 		r.window.CanaryDegraded += degraded
 	} else {
 		n := r.window.IncumbentFrames
-		r.window.IncumbentF1 = (r.window.IncumbentF1*float64(n) + sumF1) / float64(n+frames)
+		r.window.IncumbentF1 = (float64(r.window.IncumbentF1*float64(n)) + sumF1) / float64(n+frames)
 		r.window.IncumbentFrames += frames
 		r.window.IncumbentDegraded += degraded
 	}

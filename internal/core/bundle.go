@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"anole/internal/decision"
 	"anole/internal/detect"
@@ -48,6 +49,17 @@ type Bundle struct {
 	// without centroids reports novelty 0.
 	Centroids    []tensor.Vector
 	NoveltyScale float64
+
+	// lanes holds the centroids packed for the novelty kernel, a
+	// *centroidLanes built on first use (see packedCentroids).
+	lanes atomic.Value
+}
+
+// centroidLanes is a bundle's scene centroids packed for the novelty
+// kernel, with the slice they were packed from.
+type centroidLanes struct {
+	src    []tensor.Vector
+	points *tensor.PackedPoints
 }
 
 // A Bundle is immutable once built: every model inside it is a frozen
@@ -55,21 +67,9 @@ type Bundle struct {
 // concurrently — streams share one resident copy of all detectors rather
 // than cloning per goroutine.
 
-// Novelty scores how far a frame sits from every known scene: the
-// embedding's distance to the nearest scene centroid divided by the
-// calibrated in-scene 95th-percentile distance. Values ≤ 1 are ordinary;
-// values well above 1 indicate a scene no repertoire model was trained
-// for. Returns 0 when the bundle carries no calibration.
-func (b *Bundle) Novelty(f *synth.Frame) float64 {
-	if len(b.Centroids) == 0 || b.NoveltyScale <= 0 {
-		return 0
-	}
-	emb := b.Encoder.Embed(f)
-	return b.NoveltyOfEmbedding(emb)
-}
-
 // CalibrateNovelty computes the scene centroids and the in-scene
-// 95th-percentile distance from the training frames, enabling Novelty.
+// 95th-percentile distance from the training frames, enabling the
+// novelty score (NoveltyOfEmbedding).
 // Frames whose scene is unknown to the encoder are skipped.
 func (b *Bundle) CalibrateNovelty(train []*synth.Frame) {
 	k := b.Encoder.NumClasses()
@@ -124,7 +124,15 @@ func (b *Bundle) CalibrateNovelty(train []*synth.Frame) {
 	b.NoveltyScale = scale
 }
 
-// NoveltyOfEmbedding scores a precomputed scene embedding (see Novelty).
+// NoveltyOfEmbedding scores how far a frame's scene embedding sits
+// from every known scene: its distance to the nearest scene centroid
+// divided by the calibrated in-scene 95th-percentile distance. Values
+// ≤ 1 are ordinary; values well above 1 indicate a scene no repertoire
+// model was trained for. Returns 0 when the bundle carries no
+// calibration. This scalar scan — each centroid's squared distance cut
+// short once it reaches the minimum so far — serves Runtime.ProcessFrame
+// and is the reference the tick pipeline's kernel (noveltyOf) is pinned
+// against.
 func (b *Bundle) NoveltyOfEmbedding(emb tensor.Vector) float64 {
 	if len(b.Centroids) == 0 || b.NoveltyScale <= 0 {
 		return 0
@@ -136,6 +144,37 @@ func (b *Bundle) NoveltyOfEmbedding(emb tensor.Vector) float64 {
 		}
 	}
 	return math.Sqrt(min) / b.NoveltyScale
+}
+
+// packedCentroids returns the scene centroids laid out for the
+// novelty kernel (dimension-major, one kernel lane per centroid), or
+// nil when the bundle carries no calibration. They are packed once per
+// bundle, on first use, and repacked only if Centroids no longer is the
+// slice they were packed from (a copied bundle given other centroids).
+func (b *Bundle) packedCentroids() *tensor.PackedPoints {
+	if len(b.Centroids) == 0 || b.NoveltyScale <= 0 {
+		return nil
+	}
+	if c, ok := b.lanes.Load().(*centroidLanes); ok && len(c.src) == len(b.Centroids) && &c.src[0] == &b.Centroids[0] {
+		return c.points
+	}
+	c := &centroidLanes{src: b.Centroids, points: tensor.PackPoints(b.Centroids)}
+	b.lanes.Store(c)
+	return c.points
+}
+
+// noveltyOf is NoveltyOfEmbedding, bit for bit, on the nearest-point
+// kernel (tensor.PackedPoints: AVX-512, else AVX2, else portable Go,
+// chosen once from CPUID) over the packed centroids. The kernel sums
+// every centroid's full distance and keeps the smallest, which is the
+// minimum the early-exit scan finds: a sum it cuts short never
+// undercuts the minimum, and NaN never compares below it.
+func (b *Bundle) noveltyOf(emb tensor.Vector) float64 {
+	centroids := b.packedCentroids()
+	if centroids == nil {
+		return 0
+	}
+	return math.Sqrt(centroids.MinSquaredDistance(emb)) / b.NoveltyScale
 }
 
 // Validate checks the bundle's internal consistency.

@@ -326,13 +326,13 @@ func TestNoveltyCalibration(t *testing.T) {
 		n = len(test)
 	}
 	for _, f := range test[:n] {
-		inDist += fx.Bundle.Novelty(f)
+		inDist += testutil.Novelty(fx.Bundle, f)
 	}
 	inDist /= float64(n)
 	rng := xrand.New(777)
 	novelScene := synth.Scene{Weather: synth.Foggy, Location: synth.TollBooth, Time: synth.Night}
 	for i := 0; i < n; i++ {
-		novel += fx.Bundle.Novelty(fx.World.GenerateFrame(novelScene, 1, rng))
+		novel += testutil.Novelty(fx.Bundle, fx.World.GenerateFrame(novelScene, 1, rng))
 	}
 	novel /= float64(n)
 	if novel <= 2*inDist {
@@ -341,7 +341,7 @@ func TestNoveltyCalibration(t *testing.T) {
 	// Uncalibrated bundles report zero.
 	bare := *fx.Bundle
 	bare.Centroids = nil
-	if bare.Novelty(test[0]) != 0 {
+	if testutil.Novelty(&bare, test[0]) != 0 {
 		t.Fatal("uncalibrated bundle should report 0 novelty")
 	}
 }

@@ -308,17 +308,27 @@ func TestRuntimeMissServesBestResidentBeforeRequest(t *testing.T) {
 	}
 }
 
-// TestMultiRuntimeFanOutAllocs pins the fan-out's allocation cost: a
+// TestMultiRuntimeFanOutAllocs pins the fan-out's allocation cost. A
 // steady-state tick at Workers 1, where the ordered lane runs every
 // block and slice, allocates only the two result slices ProcessStreams
-// returns (so the decide scratch is pooled), and the same tick at
-// Workers 2 allocates no more. A new runtime's first
-// tick allocates no more at Workers 2 than at Workers 1 either, on a
-// fleet of one block and a one-row tail and on one of four whole
-// blocks. And at Workers 1 the stream that opens a fourth decide block
-// costs the first tick no more than the stream that fills the third:
-// the decide scratches are one per worker, borrowed from the shared
-// pool for the decide stage, not one per block. A first tick's count is
+// returns (testing.AllocsPerRun; so the decide scratch is pooled). The
+// Workers 2 comparisons count with mallocsPerRun instead, at GOMAXPROCS
+// 2 or more, so that the helper runs work items on its own thread and
+// its allocations are counted: on eight decide blocks, after a long
+// warm-up (the runtime's goroutine free lists and the scratch pool
+// settle), a steady tick at Workers 2 allocates at most a quarter
+// allocation more than at Workers 1 (RunStats.SceneDurations grows at
+// both), so every helper's scratch is pooled too. A new runtime's
+// first tick allocates at most two more at Workers 2 than at Workers
+// 1, on a fleet of one block and a one-row tail and on one of four
+// whole blocks; and each stream the fleet adds between them costs the
+// first tick at most what it costs today, 144 allocations over 47
+// streams (3.06 each), with 0.1 per stream of slack: per-stream state
+// grown on first use would add one per stream.
+// At Workers 1 the stream that opens a fourth decide block costs the
+// first tick no more than the stream that fills the third: the decide
+// scratches are one per worker, borrowed from the shared pool for the
+// decide stage, not one per block. A first tick's count is
 // NewMultiRuntime, prewarm, tick and Close less the same without the
 // tick, so set-up allocations (packing, pools) are not compared. CI's
 // allocations job re-measures these pins on every push.
@@ -327,7 +337,7 @@ func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 		t.Skip("the race detector allocates per goroutine")
 	}
 	fx := testutil.Shared(t)
-	const streams, ticks = 32, 16
+	const streams, ticks = 8 * decideBlockRows, 16
 	frameSets := streamFrames(t, streams, ticks)
 	tickInputs := make([][][]*synth.Frame, ticks)
 	for k := range tickInputs {
@@ -336,7 +346,7 @@ func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 			tickInputs[k][s] = frameSets[s][k : k+1]
 		}
 	}
-	perTick := func(workers int) float64 {
+	perTick := func(workers int, count func(int, func()) float64) float64 {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:     streams,
 			Workers:     workers,
@@ -356,25 +366,25 @@ func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 			}
 			step++
 		}
-		for i := 0; i < 3*ticks; i++ {
+		for i := 0; i < 20*ticks; i++ {
 			runTick()
 		}
-		return testing.AllocsPerRun(5*ticks, runTick)
+		return count(5*ticks, runTick)
 	}
-	serial, fanned := perTick(1), perTick(2)
-	t.Logf("allocs per tick: %v at Workers 1, %v at Workers 2", serial, fanned)
-	if serial > 2 {
+	if serial := perTick(1, testing.AllocsPerRun); serial > 2 {
 		t.Fatalf("a steady tick allocates %v at Workers 1, more than the 2 result slices ProcessStreams returns", serial)
 	}
-	if fanned > serial {
+	serial, fanned := perTick(1, mallocsPerRun), perTick(2, mallocsPerRun)
+	t.Logf("allocs per tick at GOMAXPROCS %d: %v at Workers 1, %v at Workers 2", max(2, goruntime.GOMAXPROCS(0)), serial, fanned)
+	if fanned > serial+0.25 {
 		t.Fatalf("a steady tick allocates %v at Workers 2, more than %v at Workers 1", fanned, serial)
 	}
 
-	firstTick := func(workers, streams int) float64 {
+	firstTick := func(workers, streams int, count func(int, func()) float64) float64 {
 		frameSets := streamFrames(t, streams, 1)
 		fleet := device.UniformFleet(device.JetsonTX2NX, streams)
 		run := func(tick bool) float64 {
-			return testing.AllocsPerRun(10, func() {
+			return count(10, func() {
 				m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 					Streams:     streams,
 					Workers:     workers,
@@ -396,20 +406,47 @@ func TestMultiRuntimeFanOutAllocs(t *testing.T) {
 		}
 		return run(true) - run(false)
 	}
-	for _, streams := range []int{decideBlockRows + 1, 4 * decideBlockRows} {
-		serial, fanned := firstTick(1, streams), firstTick(2, streams)
-		t.Logf("%d streams, first tick: %v allocs at Workers 1, %v at Workers 2", streams, serial, fanned)
-		if fanned > serial {
-			t.Fatalf("%d streams: the first tick allocates %v at Workers 2, more than %v at Workers 1", streams, fanned, serial)
+	const added = 3*decideBlockRows - 1
+	var few, many [2]float64 // first-tick allocations at Workers 1 and 2
+	for _, workers := range []int{1, 2} {
+		few[workers-1], many[workers-1] = firstTick(workers, decideBlockRows+1, mallocsPerRun), firstTick(workers, 4*decideBlockRows, mallocsPerRun)
+		perStream := (many[workers-1] - few[workers-1]) / added
+		t.Logf("Workers %d, first tick: %v allocs at %d streams, %v at %d, %.3f per added stream",
+			workers, few[workers-1], decideBlockRows+1, many[workers-1], 4*decideBlockRows, perStream)
+		if limit := 144.0/added + 0.1; perStream > limit {
+			t.Fatalf("Workers %d: each added stream costs the first tick %.3f allocs, more than %.3f", workers, perStream, limit)
 		}
+	}
+	if few[1] > few[0]+2 || many[1] > many[0]+2 {
+		t.Fatalf("the first tick allocates %v and %v at Workers 2, more than %v and %v at Workers 1", few[1], many[1], few[0], many[0])
 	}
 	// 47 → 48 streams fills the third block, 48 → 49 opens the fourth;
 	// no slice the tick appends to doubles its capacity between them.
-	before, full, opened := firstTick(1, 3*decideBlockRows-1), firstTick(1, 3*decideBlockRows), firstTick(1, 3*decideBlockRows+1)
+	// Workers 1 runs no helper, so AllocsPerRun counts these, in whole
+	// allocations per run.
+	before, full, opened := firstTick(1, 3*decideBlockRows-1, testing.AllocsPerRun), firstTick(1, 3*decideBlockRows, testing.AllocsPerRun), firstTick(1, 3*decideBlockRows+1, testing.AllocsPerRun)
 	t.Logf("first tick at Workers 1: %v, %v, %v allocs at 47, 48, 49 streams", before, full, opened)
 	if opened-full > full-before {
 		t.Fatalf("the stream opening a decide block costs %v allocs, the one filling a block %v", opened-full, full-before)
 	}
+}
+
+// mallocsPerRun counts f's heap allocations per call as
+// testing.AllocsPerRun does (one warm-up call, then the mean over runs
+// calls) but at GOMAXPROCS 2 or more rather than 1, so that a fan-out's
+// helpers run their work items beside the calling goroutine and their
+// allocations are counted: runtime.MemStats.Mallocs counts every
+// goroutine's.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(max(2, goruntime.GOMAXPROCS(0))))
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // TestMultiRuntimeResolveErrorLeavesNoHelper pins the fan-out's error

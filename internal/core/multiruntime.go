@@ -171,6 +171,9 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
+	// Packing the centroids for the novelty kernel is set-up work: do it
+	// here, not in the first tick (once per bundle; a no-op after that).
+	b.packedCentroids()
 	if cfg.Streams <= 0 {
 		cfg.Streams = 1
 	}

@@ -37,6 +37,10 @@ func QuantizeBundle(b *Bundle, bits int) (*Bundle, error) {
 		Centroids:    b.Centroids,
 		NoveltyScale: b.NoveltyScale,
 	}
+	// The copy serves the same centroids: it shares their packed layout.
+	if b.packedCentroids() != nil {
+		out.lanes.Store(b.lanes.Load())
+	}
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

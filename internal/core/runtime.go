@@ -106,7 +106,8 @@ type FrameResult struct {
 	// Confidence is the decision model's top suitability probability.
 	Confidence float64
 	// Novelty scores how far the frame sits from every known scene
-	// (see Bundle.Novelty); 0 when the bundle has no calibration.
+	// (see Bundle.NoveltyOfEmbedding); 0 when the bundle has no
+	// calibration.
 	Novelty float64
 	// Entropy is the normalized Shannon entropy of the decision-score
 	// distribution, in [0, 1]: near 0 when one model clearly dominates,
@@ -443,7 +444,7 @@ func (r *Runtime) ProcessFrame(f *synth.Frame) (FrameResult, error) {
 	var res FrameResult
 	seq := r.beginFrame()
 	r.computeDecision(f)
-	r.rankDecision(&res)
+	r.rankDecision(&res, r.bundle.NoveltyOfEmbedding(r.embBuf))
 	rank := r.stageDecide(seq, &res)
 	if err := r.stageResolve(f, seq, rank, &res); err != nil {
 		return FrameResult{}, err
@@ -510,15 +511,16 @@ func (r *Runtime) adoptDecision(emb tensor.Vector, scores []float64) {
 
 // rankDecision is the stream-local arithmetic of MSS: it ranks the
 // repertoire from the score buffer and scores the frame's confidence,
-// runner-up, novelty and entropy into res. It reads only the runtime's
+// runner-up and entropy into res, with the frame's novelty, which the
+// caller scores from the embedding. It reads only the runtime's
 // decision buffers (filled by computeDecision or adoptDecision), so the
 // tick pipeline runs it on its workers.
-func (r *Runtime) rankDecision(res *FrameResult) {
+func (r *Runtime) rankDecision(res *FrameResult, novelty float64) {
 	scores := r.scoresBuf
 	r.rankBuf = stats.RankDescendingInto(r.rankBuf, scores)
 	rank := r.rankBuf
 	res.Confidence = scores[rank[0]]
-	res.Novelty = r.bundle.NoveltyOfEmbedding(r.embBuf)
+	res.Novelty = novelty
 	res.Entropy = stats.NormalizedEntropy(scores)
 	res.RunnerUp = rank[0]
 	if len(rank) > 1 {

@@ -103,8 +103,9 @@ const detectSliceFrames = 8
 // and head's intermediate activations (borrowed from the shared pool
 // with the worker's first decide block of a chunk and handed back once
 // no block is left, so the detector's passes reuse it), the headers of
-// a block's row views of its partition's feats, embs and scores, and
-// the frames, features and scores of one ScoreBatch call.
+// a block's row views of its partition's feats, embs and scores, the
+// frames and feature rows of one decide block's descriptor call or of
+// one ScoreBatch call, and that call's scores.
 type worker struct {
 	scratch             *nn.BatchScratch
 	feats, embs, scores tensor.Matrix
@@ -185,8 +186,8 @@ func newBatchState(m *MultiRuntime, workers int) *batchState {
 	}
 	for w := range bs.workers {
 		bs.workers[w] = worker{
-			frames:  make([]*synth.Frame, 0, detectSliceFrames),
-			rows:    make([]tensor.Vector, 0, detectSliceFrames),
+			frames:  make([]*synth.Frame, 0, max(decideBlockRows, detectSliceFrames)),
+			rows:    make([]tensor.Vector, 0, max(decideBlockRows, detectSliceFrames)),
 			metrics: make([]stats.PRF1, detectSliceFrames),
 		}
 	}
@@ -574,24 +575,31 @@ func (m *MultiRuntime) releaseScratch(wk *worker) {
 }
 
 // decideBlock runs decide block blk on worker wk: its frames' features
-// into the partition's feats rows, the encoder and the head with
-// softmax over the block's rows into its embs and scores rows, and the
-// stream-local half of MSS on each row. The worker's scratch holds the
+// into the partition's feats rows (all of the block's frames through
+// one kernel call, so their add chains interleave), the encoder and the
+// head with softmax over the block's rows into its embs and scores
+// rows, and the stream-local half of MSS on each row, its novelty on
+// the nearest-centroid kernel. The worker's scratch holds the
 // intermediate activations.
 func (m *MultiRuntime) decideBlock(wk *worker, blk *decideBlock) {
 	bs := m.bstate
 	g := blk.g
+	frames, rows := wk.frames[:0], wk.rows[:0]
 	for r := blk.lo; r < blk.hi; r++ {
-		synth.FrameFeatureInto(bs.feat[g.posns[r]], bs.frames[bs.ready[g.posns[r]]][bs.tick])
+		j := g.posns[r]
+		frames = append(frames, bs.frames[bs.ready[j]][bs.tick])
+		rows = append(rows, bs.feat[j])
 	}
+	synth.FrameFeaturesInto(rows, frames)
 	feats := rowBlock(&wk.feats, &g.feats, blk.lo, blk.hi)
 	embs := g.bundle.Encoder.EmbedBatchInto(rowBlock(&wk.embs, &g.embs, blk.lo, blk.hi), feats, wk.scratch)
 	g.bundle.Decision.ScoresBatchInto(rowBlock(&wk.scores, &g.scores, blk.lo, blk.hi), embs, wk.scratch)
 	for r := blk.lo; r < blk.hi; r++ {
 		j := g.posns[r]
 		rt := m.streams[bs.ready[j]]
-		rt.adoptDecision(g.embs.Row(r), g.scores.Row(r))
-		rt.rankDecision(&bs.res[j])
+		emb := g.embs.Row(r)
+		rt.adoptDecision(emb, g.scores.Row(r))
+		rt.rankDecision(&bs.res[j], g.bundle.noveltyOf(emb))
 	}
 }
 

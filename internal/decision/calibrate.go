@@ -56,17 +56,17 @@ func (m *Model) CalibrateTemperature(val []sampling.LabeledFrame) (float64, erro
 		iters  = 60
 	)
 	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
+	c := b - float64(phi*(b-a))
+	d := a + float64(phi*(b-a))
 	fc, fd := nll(c), nll(d)
 	for i := 0; i < iters; i++ {
 		if fc < fd {
 			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
+			c = b - float64(phi*(b-a))
 			fc = nll(c)
 		} else {
 			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
+			d = a + float64(phi*(b-a))
 			fd = nll(d)
 		}
 	}

@@ -397,7 +397,7 @@ func BuildSamples(frames []*synth.Frame, bgPerObject float64, rng *xrand.RNG) []
 				Y: synth.CellTarget(nil, f, o.Cell),
 			})
 		}
-		nBG := int(bgPerObject*float64(len(f.Objects)) + 0.5)
+		nBG := int(float64(bgPerObject*float64(len(f.Objects))) + 0.5)
 		if nBG < 1 {
 			nBG = 1
 		}

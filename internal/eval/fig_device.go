@@ -58,7 +58,7 @@ func RunFig4a(l *Lab, clips, frames int) (Fig4aResult, error) {
 					lat += sim.LoadModel(model)
 				}
 				lat += sim.Infer(model)
-				acc[i] += lat.Seconds() * 1e3
+				acc[i] += float64(lat.Seconds() * 1e3)
 			}
 		}
 		for i := range acc {

@@ -59,7 +59,7 @@ func DefaultConfig(stability float64) Config {
 	if stability > 1 {
 		stability = 1
 	}
-	leaveGood := 0.08 * (1 - stability)
+	leaveGood := float64(0.08 * (1 - stability))
 	return Config{
 		GoodBandwidthMBps:     6,
 		GoodRTT:               40 * time.Millisecond,

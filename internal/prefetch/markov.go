@@ -127,7 +127,7 @@ func (m *Markov) Prob(from, to int) float64 {
 	if from >= m.n || to >= m.n {
 		return 0
 	}
-	return (m.counts[from*m.n+to] + m.alpha) / (m.rowSum[from] + m.alpha*float64(m.n))
+	return (m.counts[from*m.n+to] + m.alpha) / (m.rowSum[from] + float64(m.alpha*float64(m.n)))
 }
 
 // Row returns the full smoothed distribution over next models given
@@ -139,7 +139,7 @@ func (m *Markov) Row(from int) []float64 {
 	if from < 0 || from >= m.n {
 		return out
 	}
-	denom := m.rowSum[from] + m.alpha*float64(m.n)
+	denom := m.rowSum[from] + float64(m.alpha*float64(m.n))
 	for j := 0; j < m.n; j++ {
 		out[j] = (m.counts[from*m.n+j] + m.alpha) / denom
 	}
@@ -209,7 +209,7 @@ func (m *Markov) TopKInto(dst []Prediction, current, k int) []Prediction {
 		m.mu.RUnlock()
 		return dst
 	}
-	denom := m.rowSum[current] + m.alpha*float64(m.n)
+	denom := m.rowSum[current] + float64(m.alpha*float64(m.n))
 	for j, c := range m.counts[current*m.n : (current+1)*m.n] {
 		if j != current {
 			dst = append(dst, Prediction{Model: j, Prob: (c + m.alpha) / denom})

@@ -254,7 +254,7 @@ func TestBundleRoundtripPreservesNovelty(t *testing.T) {
 		t.Fatalf("centroids %d vs %d", len(got.Centroids), len(fx.Bundle.Centroids))
 	}
 	f := fx.Corpus.Frames(synth.Test)[0]
-	if got.Novelty(f) != fx.Bundle.Novelty(f) {
+	if testutil.Novelty(got, f) != testutil.Novelty(fx.Bundle, f) {
 		t.Fatal("novelty scores differ after roundtrip")
 	}
 }

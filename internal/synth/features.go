@@ -1,7 +1,7 @@
 package synth
 
 import (
-	"math"
+	"fmt"
 
 	"anole/internal/tensor"
 )
@@ -23,96 +23,66 @@ func FrameFeature(f *Frame) tensor.Vector {
 // only when dst is nil or mis-sized) and returns dst. This is the
 // batched runtime path: with a reused dst — typically one row of a
 // batch staging matrix — the descriptor step performs no heap
-// allocations.
+// allocations. The channel means and standard deviations run on
+// tensor.ColumnMomentsInto's kernel, one lane per channel: AVX-512,
+// else AVX2, else the portable Go loops, chosen once from CPUID. Each
+// channel sums its cells in ascending order from +0 and scales by
+// 1/cells; its deviation sums the squared distances from that mean in
+// the same order, scales by the same factor and takes the square root,
+// so every tier gives the portable loops' bits.
 func FrameFeatureInto(dst tensor.Vector, f *Frame) tensor.Vector {
 	d := f.FeatDim()
-	cells := f.NumCells()
-	out := dst
-	if len(out) != FrameFeatureDim(d) {
-		out = tensor.NewVector(FrameFeatureDim(d))
+	if len(dst) != FrameFeatureDim(d) {
+		dst = tensor.NewVector(FrameFeatureDim(d))
 	}
-	if cells == 0 {
-		out.Fill(0)
-		return out
-	}
-	mean := ChannelMeansInto(out[:d], f)
-	std := out[d : 2*d]
-	xs, n := f.Cells, cells*d
-	inv := 1 / float64(cells)
-	// The squared deviations accumulate like the means: channelGroup
-	// channels per pass, each in ascending cell order.
-	j := 0
-	for ; j+channelGroup <= d; j += channelGroup {
-		m0, m1, m2, m3 := mean[j], mean[j+1], mean[j+2], mean[j+3]
-		var s0, s1, s2, s3 float64
-		for off := j; off < n; off += d {
-			x := xs[off : off+channelGroup : off+channelGroup]
-			e0, e1, e2, e3 := x[0]-m0, x[1]-m1, x[2]-m2, x[3]-m3
-			s0 += float64(e0 * e0)
-			s1 += float64(e1 * e1)
-			s2 += float64(e2 * e2)
-			s3 += float64(e3 * e3)
-		}
-		std[j] = math.Sqrt(s0 * inv)
-		std[j+1] = math.Sqrt(s1 * inv)
-		std[j+2] = math.Sqrt(s2 * inv)
-		std[j+3] = math.Sqrt(s3 * inv)
-	}
-	for ; j < d; j++ {
-		m := mean[j]
-		var s float64
-		for off := j; off < n; off += d {
-			e := xs[off] - m
-			s += float64(e * e)
-		}
-		std[j] = math.Sqrt(s * inv)
-	}
-	out[2*d] = f.Brightness
-	out[2*d+1] = f.Contrast
-	return out
+	jobs := [1]tensor.Moments{frameMoments(dst, f)}
+	tensor.ColumnMomentsInto(jobs[:], f.NumCells(), d)
+	return dst
 }
 
-// channelGroup is how many channels ChannelMeansInto and
-// FrameFeatureInto sum per pass over the cells, in local accumulators.
-const channelGroup = 4
+// FrameFeaturesInto computes FrameFeatureInto(dst[i], frames[i]) for
+// every frame, into destinations that must be correctly sized. Runs of
+// frames of one shape go through the kernel together, so the add
+// chains of up to four frames interleave. It allocates nothing.
+func FrameFeaturesInto(dst []tensor.Vector, frames []*Frame) {
+	var jobs [16]tensor.Moments // up to 16 frames per kernel call
+	for i := 0; i < len(frames); {
+		cells, d := frames[i].NumCells(), frames[i].FeatDim()
+		n := 0
+		for ; i < len(frames) && n < len(jobs) && frames[i].NumCells() == cells && frames[i].FeatDim() == d; i, n = i+1, n+1 {
+			if len(dst[i]) != FrameFeatureDim(d) {
+				panic(fmt.Sprintf("synth: %d-value descriptor row for a %d-channel frame", len(dst[i]), d))
+			}
+			jobs[n] = frameMoments(dst[i], frames[i])
+		}
+		tensor.ColumnMomentsInto(jobs[:n], cells, d)
+	}
+}
+
+// frameMoments names f's cells and the mean and deviation entries of
+// its descriptor dst, and fills in the brightness and contrast entries
+// (+0 for a frame of no cells, whose descriptor is all +0).
+func frameMoments(dst tensor.Vector, f *Frame) tensor.Moments {
+	d := f.FeatDim()
+	dst[2*d], dst[2*d+1] = f.Brightness, f.Contrast
+	if f.NumCells() == 0 {
+		dst[2*d], dst[2*d+1] = 0, 0
+	}
+	return tensor.Moments{Mean: dst[:d], Std: dst[d : 2*d], X: f.Cells}
+}
 
 // ChannelMeansInto computes the frame's per-channel feature means — the
 // first FeatDim entries of FrameFeature — into dst (allocating only
 // when dst is mis-sized) and returns dst. It is the part of the
-// descriptor a detector reads. Each channel sums its cells in ascending
-// order from +0, channelGroup channels per pass, then scales by
-// 1/cells.
+// descriptor a detector reads, computed by the same kernel with the
+// same bits.
 func ChannelMeansInto(dst tensor.Vector, f *Frame) tensor.Vector {
 	d := f.FeatDim()
 	if len(dst) != d {
 		dst = tensor.NewVector(d)
 	}
-	cells := f.NumCells()
-	if cells == 0 {
-		dst.Fill(0)
-		return dst
-	}
-	xs, n := f.Cells, cells*d
-	inv := 1 / float64(cells)
-	j := 0
-	for ; j+channelGroup <= d; j += channelGroup {
-		var s0, s1, s2, s3 float64
-		for off := j; off < n; off += d {
-			x := xs[off : off+channelGroup : off+channelGroup]
-			s0 += x[0]
-			s1 += x[1]
-			s2 += x[2]
-			s3 += x[3]
-		}
-		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0*inv, s1*inv, s2*inv, s3*inv
-	}
-	for ; j < d; j++ {
-		var s float64
-		for off := j; off < n; off += d {
-			s += xs[off]
-		}
-		dst[j] = s * inv
-	}
+	jobs := [1]tensor.Moments{{Mean: dst, X: f.Cells}}
+	tensor.ColumnMomentsInto(jobs[:], f.NumCells(), d)
 	return dst
 }
 

@@ -65,6 +65,28 @@ func TestFrameFeatureIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFrameFeaturesIntoZeroAllocs pins the batched form the decide
+// stage runs: a block of 16 frames into held rows allocates nothing.
+func TestFrameFeaturesIntoZeroAllocs(t *testing.T) {
+	w, err := NewWorld(DefaultConfig(73))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(74)
+	frames := make([]*Frame, 16)
+	rows := make([]tensor.Vector, len(frames))
+	for i := range frames {
+		frames[i] = w.GenerateFrame(Scene{Weather: Clear, Location: Urban, Time: Daytime}, 1, rng)
+		rows[i] = tensor.NewVector(FrameFeatureDim(w.Config().FeatDim))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		FrameFeaturesInto(rows, frames)
+	})
+	if allocs != 0 {
+		t.Fatalf("FrameFeaturesInto with held rows: %v allocs/op, want 0", allocs)
+	}
+}
+
 // referenceFrameFeature is the descriptor as a cell-major loop computes
 // it: every channel's sum and squared deviation accumulate in the
 // output, one cell at a time. FrameFeatureInto and ChannelMeansInto
@@ -88,7 +110,7 @@ func referenceFrameFeature(f *Frame) tensor.Vector {
 	for c := 0; c < cells; c++ {
 		for j, x := range f.Cell(c) {
 			dxy := x - mean[j]
-			std[j] += dxy * dxy
+			std[j] += float64(dxy * dxy)
 		}
 	}
 	for j := range std {
@@ -147,6 +169,29 @@ func TestFrameFeatureIntoMatchesReferenceLoops(t *testing.T) {
 			if math.Float64bits(means[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("frame %d (dim %d, %d cells) mean %d: %v, want %v", i, d, f.NumCells(), j, means[j], want[j])
 			}
+		}
+	}
+	// The batched form over every frame at once: long runs of corpus
+	// frames (whole kernel groups and tails), then runs of one
+	// hand-built shape each.
+	rows := make([]tensor.Vector, len(frames))
+	for i, f := range frames {
+		rows[i] = tensor.NewVector(FrameFeatureDim(f.FeatDim()))
+		rows[i].Fill(math.NaN())
+	}
+	for _, n := range []int{len(frames), 1, 3, 17} {
+		for lo := 0; lo < len(frames); lo += n {
+			hi := min(lo+n, len(frames))
+			FrameFeaturesInto(rows[lo:hi], frames[lo:hi])
+		}
+		for i, f := range frames {
+			want := referenceFrameFeature(f)
+			for j := range want {
+				if math.Float64bits(rows[i][j]) != math.Float64bits(want[j]) {
+					t.Fatalf("FrameFeaturesInto in runs of %d, frame %d (dim %d, %d cells) descriptor %d: %v, want %v", n, i, f.FeatDim(), f.NumCells(), j, rows[i][j], want[j])
+				}
+			}
+			rows[i].Fill(math.NaN())
 		}
 	}
 }

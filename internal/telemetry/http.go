@@ -279,7 +279,7 @@ func ScrapedQuantile(series []ParsedSeries, name string, q float64) (float64, bo
 	if total == 0 {
 		return 0, false
 	}
-	rank := q * total
+	rank := float64(q * total)
 	var prevUpper, prevCount float64
 	for _, b := range buckets {
 		if b.count >= rank {
@@ -290,7 +290,7 @@ func ScrapedQuantile(series []ParsedSeries, name string, q float64) (float64, bo
 				return b.upper, true
 			}
 			frac := (rank - prevCount) / (b.count - prevCount)
-			return prevUpper + (b.upper-prevUpper)*frac, true
+			return prevUpper + float64((b.upper-prevUpper)*frac), true
 		}
 		prevUpper, prevCount = b.upper, b.count
 	}

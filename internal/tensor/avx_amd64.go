@@ -58,3 +58,42 @@ func denseAVX512(dst, x, w, b, c []float64, rows, k, kc, n, xs, xr, wp, wk int, 
 //
 //go:noescape
 func adamAVX2(value, grad, m, v []float64, wd, b1, c1, b2, c2, bc1, bc2, lr, eps float64)
+
+// momentsAVX512 is the AVX-512 form of momentsGeneric over one matrix
+// (bit-identical results; rows must be positive). It requires
+// haveAVX512.
+//
+//go:noescape
+func momentsAVX512(m *Moments, rows, cols int, inv float64)
+
+// moments4AVX512 is momentsAVX512 over four matrices of one shape, with
+// their add chains interleaved. It requires haveAVX512.
+//
+//go:noescape
+func moments4AVX512(m *[momentsGroup]Moments, rows, cols int, inv float64)
+
+// momentsAVX2 is the AVX2 form of momentsGeneric over one matrix
+// (bit-identical results; rows must be positive). It requires haveAVX2.
+//
+//go:noescape
+func momentsAVX2(m *Moments, rows, cols int, inv float64)
+
+// moments4AVX2 is momentsAVX2 over four matrices of one shape, with
+// their add chains interleaved. It requires haveAVX2.
+//
+//go:noescape
+func moments4AVX2(m *[momentsGroup]Moments, rows, cols int, inv float64)
+
+// nearestAVX512 is the AVX-512 form of nearestGeneric over a packed
+// point set's data (bit-identical results; stride a positive multiple
+// of 8). It requires haveAVX512.
+//
+//go:noescape
+func nearestAVX512(v, p []float64, dim, stride int) float64
+
+// nearestAVX2 is the AVX2 form of nearestGeneric over a packed point
+// set's data (bit-identical results; stride a positive multiple of 8).
+// It requires haveAVX2.
+//
+//go:noescape
+func nearestAVX2(v, p []float64, dim, stride int) float64

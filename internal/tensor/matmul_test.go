@@ -349,9 +349,10 @@ func denseKernels() map[string]kernelFunc {
 	return ks
 }
 
-// TestDenseDispatch logs which kernel dense runs here (CI greps it to
-// check a test build's CPU overlay) and checks that the choice is one
-// the kernel tests run, AVX-512 only with AVX2.
+// TestDenseDispatch logs which form each kernel runs here — dense, the
+// column moments and the nearest-point scan share one choice (CI greps
+// the log to check a test build's CPU overlay) — and checks that the
+// choice is one the kernel tests run, AVX-512 only with AVX2.
 func TestDenseDispatch(t *testing.T) {
 	name := "generic"
 	switch {
@@ -361,11 +362,16 @@ func TestDenseDispatch(t *testing.T) {
 		name = "avx2"
 	}
 	t.Logf("dense dispatches to the %s kernel (AVX2 %v, AVX-512 %v)", name, haveAVX2, haveAVX512)
+	t.Logf("column moments dispatch to the %s kernel", name)
+	t.Logf("nearest point dispatches to the %s kernel", name)
 	if haveAVX512 && !haveAVX2 {
 		t.Fatal("AVX-512 kernel selected without AVX2")
 	}
-	if _, ok := denseKernels()[name]; !ok {
-		t.Fatalf("dispatched kernel %s is not among the tested kernels", name)
+	_, dense := denseKernels()[name]
+	_, moments := momentsKernels()[name]
+	_, nearest := nearestKernels()[name]
+	if !dense || !moments || !nearest {
+		t.Fatalf("dispatched kernel %s is not among the tested kernels (dense %v, moments %v, nearest %v)", name, dense, moments, nearest)
 	}
 }
 

@@ -69,3 +69,9 @@ func Shared(tb testing.TB) Fixture {
 	}
 	return fixture
 }
+
+// Novelty scores frame f's novelty on bundle b the way a runtime does:
+// the frame's scene embedding through b.NoveltyOfEmbedding.
+func Novelty(b *core.Bundle, f *synth.Frame) float64 {
+	return b.NoveltyOfEmbedding(b.Encoder.Embed(f))
+}
